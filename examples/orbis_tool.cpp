@@ -54,7 +54,7 @@
 // Fault tolerance (docs/robustness.md): targeting runs checkpoint with
 //   --checkpoint F            write a resumable checkpoint to F at every
 //                             leg boundary (atomic temp+rename writes)
-//   --checkpoint-every N      leg length in attempts (default: budget/10)
+//   --checkpoint-every N      leg length in attempts (default: budget/8)
 //   --resume F                continue a checkpointed run; the final
 //                             graph is bit-identical to the
 //                             uninterrupted run's
@@ -79,10 +79,9 @@
 
 #include "core/rescale.hpp"
 #include "core/series.hpp"
-#include "gen/anneal.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/generate.hpp"
-#include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/algorithms.hpp"
 #include "io/checkpoint_io.hpp"
@@ -91,7 +90,6 @@
 #include "io/dot.hpp"
 #include "io/edge_list.hpp"
 #include "metrics/summary.hpp"
-#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -152,26 +150,6 @@ void record_config(std::string key, std::string value) {
 
 void record_output(std::string path) {
   g_report.outputs.push_back(std::move(path));
-}
-
-/// Cumulative rewire.* counters from the global registry.  Stage stats
-/// for paths that do not return a RewiringStats (gen::generate_dk_random)
-/// are the delta of this snapshot around the call — exact, because the
-/// wrappers publish at call boundaries and nothing else runs in between.
-gen::RewiringStats scrape_rewire_counters() {
-  auto& registry = obs::Registry::global();
-  gen::RewiringStats s;
-  s.attempts = registry.counter("rewire.attempts").value();
-  s.accepted = registry.counter("rewire.accepted").value();
-  s.rejected_structural =
-      registry.counter("rewire.rejected_structural").value();
-  s.rejected_constraint =
-      registry.counter("rewire.rejected_constraint").value();
-  s.rejected_objective =
-      registry.counter("rewire.rejected_objective").value();
-  s.conflict_reevaluations =
-      registry.counter("rewire.conflict_reevaluations").value();
-  return s;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -297,133 +275,58 @@ gen::Method parse_method(const std::string& name) {
   throw std::invalid_argument("unknown method: " + name);
 }
 
-/// Budget a targeting run will resolve for a start graph with `m` edges
-/// — the same rule the leg driver applies (gen/checkpoint.cpp), needed
-/// here only to pick a default checkpoint cadence before the run
-/// checkpoint exists.
-std::uint64_t budget_hint(const gen::TargetingOptions& options,
-                          std::size_t m) {
-  return options.attempts > 0 ? options.attempts
-                              : options.attempts_per_edge * m;
-}
-
-/// Checkpointed and/or laddered targeting run (--checkpoint / --resume /
-/// --ladder).  Fresh runs bootstrap exactly as gen::generate_dk_random's
-/// targeting path does (matching_1k, then for d=3 the 2K stage) and then
-/// hand the long targeting walk to the leg driver, writing a durable
-/// checkpoint at every boundary when a path is configured.  Resumes skip
-/// the bootstrap entirely: the checkpoint holds each chain's graph, Rng
-/// state, stats and attempt count — plus the ladder block and move kind,
-/// which are run identity and always come from the checkpoint — and
-/// resuming is bit-identical to the uninterrupted run (gen/checkpoint.hpp).
-Graph generate_checkpointed(const util::ArgParser& args,
-                            const dk::DkDistributions& target, int d,
-                            const gen::GenerateOptions& options,
-                            util::Rng& rng, bool& interrupted) {
+/// Targeting run (--method targeting, --d 2 or 3) through gen::Pipeline,
+/// the stage machine gen::generate_dk_random and orbis_server drive too,
+/// so all three write the same graph.  --checkpoint writes every leg
+/// boundary to disk, 2K stage included; --resume continues from one
+/// bit-identically, taking cadence, chains, ladder and move kind from
+/// the checkpoint (gen/checkpoint.hpp).
+Graph generate_targeting(const util::ArgParser& args,
+                         const dk::DkDistributions& target, int d,
+                         const gen::GenerateOptions& options,
+                         const svc::RunContext& ctx, bool& interrupted) {
   const std::string checkpoint_path = args.get_string("--checkpoint", "");
   const std::string resume_path = args.get_string("--resume", "");
-  // Resume keeps writing to its own file unless redirected.  A pure
-  // --ladder run may have no save path at all: it still goes through the
-  // leg driver (exchange epochs need the leg machinery) but writes no
-  // checkpoint files.
+  // Resume keeps writing to its own file unless redirected.
   const std::string save_path =
       checkpoint_path.empty() ? resume_path : checkpoint_path;
-  const std::size_t replicas = parse_count(args, "--ladder", 0);
-  const std::uint64_t exchange_every =
+
+  gen::PipelineOptions pipeline_options;
+  pipeline_options.d = d;
+  pipeline_options.targeting = options.targeting;
+  pipeline_options.chains = options.chains.chains;
+  pipeline_options.ladder.replicas = parse_count(args, "--ladder", 0);
+  pipeline_options.ladder.exchange_every =
       parse_count(args, "--exchange-every", 0);
-  if (replicas == 1) {
-    throw std::invalid_argument("--ladder needs at least 2 replicas");
-  }
-  if (exchange_every > 0 && replicas == 0 && resume_path.empty()) {
-    throw std::invalid_argument("--exchange-every requires --ladder");
-  }
-  if (replicas >= 2 && args.get_int("--chains", 0) > 0) {
-    throw std::invalid_argument(
-        "--ladder and --chains are mutually exclusive (the ladder size "
-        "is the chain count)");
-  }
+  pipeline_options.checkpoint_every =
+      parse_count(args, "--checkpoint-every", 0);
 
-  if (options.method != gen::Method::targeting || (d != 2 && d != 3)) {
-    throw std::invalid_argument(
-        "--checkpoint/--resume/--ladder require --method targeting with "
-        "--d 2 or --d 3 (the long rewiring chains are what they cover)");
-  }
-  if (!save_path.empty()) record_config("checkpoint", save_path);
-
-  gen::RunCheckpoint state;
+  gen::Pipeline pipeline =
+      resume_path.empty()
+          ? gen::Pipeline(target, pipeline_options, ctx.make_rng())
+          : gen::Pipeline(target, pipeline_options,
+                          io::read_checkpoint_file(resume_path));
   if (!resume_path.empty()) {
-    state = io::read_checkpoint_file(resume_path);
-    if (state.d != d) {
-      throw std::invalid_argument(
-          "--resume checkpoint targets d=" + std::to_string(state.d) +
-          " but the command line says --d " + std::to_string(d));
-    }
-    if (args.get_int("--checkpoint-every", 0) > 0) {
-      status("note: --checkpoint-every ignored on resume — the leg "
-             "cadence is part of the run and comes from the "
-             "checkpoint\n");
-    }
-    if (replicas >= 2 || exchange_every > 0 ||
+    if (args.get_int("--checkpoint-every", 0) > 0 ||
+        args.get_int("--ladder", 0) > 0 ||
+        args.get_int("--exchange-every", 0) > 0 ||
         !args.get_string("--move", "").empty()) {
-      status("note: --ladder/--exchange-every/--move ignored on resume — "
-             "they are part of the run and come from the checkpoint\n");
+      status("note: --checkpoint-every/--ladder/--exchange-every/--move "
+             "ignored on resume — they are part of the run and come from "
+             "the checkpoint\n");
     }
-    status("resuming %s: %llu/%llu attempts per chain, %zu chain(s)\n",
-           resume_path.c_str(),
-           static_cast<unsigned long long>(state.chains[0].attempts_done),
-           static_cast<unsigned long long>(state.budget),
-           state.chains.size());
+    const gen::RunCheckpoint& resumed = pipeline.checkpoint();
+    status("resuming %s: %dK stage, %llu/%llu attempts per chain, %zu "
+           "chain(s)\n",
+           resume_path.c_str(), resumed.d,
+           static_cast<unsigned long long>(resumed.chains[0].attempts_done),
+           static_cast<unsigned long long>(resumed.budget),
+           resumed.chains.size());
     record_config("resume", resume_path);
-  } else {
-    Graph start = gen::matching_1k(target.degree, rng);
-    if (d == 3) {
-      // The 2K stage is the cheap prefix of the 3K pipeline; it runs
-      // un-checkpointed and the checkpoint covers the long 3K walk.
-      set_phase("2k seed");
-      const std::size_t chains =
-          gen::default_chain_count(options.chains.chains);
-      start = chains == 1
-                  ? gen::target_2k(start, target.joint, options.targeting,
-                                   rng)
-                  : gen::target_2k_multichain(
-                        start, target.joint, options.targeting,
-                        gen::MultiChainOptions{.chains = chains}, rng);
-      if (g_stop.stop_requested()) {
-        // Interrupted before the first checkpointable state existed;
-        // nothing durable to leave behind.
-        interrupted = true;
-        return Graph(0);
-      }
-    }
-    std::uint64_t every = parse_count(args, "--checkpoint-every", 0);
-    if (replicas >= 2) {
-      gen::LadderOptions ladder;
-      ladder.replicas = replicas;
-      ladder.exchange_every = exchange_every;
-      if (every == 0 && !save_path.empty()) {
-        // Default cadence before the ladder setup snaps it onto the
-        // epoch grid (gen/anneal.hpp).  With no save path there is
-        // nothing to flush, so the whole budget is one leg.
-        every = std::max<std::uint64_t>(
-            budget_hint(options.targeting, start.num_edges()) / 10, 1);
-      }
-      state = d == 2 ? gen::make_2k_ladder_run(start, options.targeting,
-                                               ladder, every, rng)
-                     : gen::make_3k_ladder_run(start, options.targeting,
-                                               ladder, every, rng);
-    } else {
-      state = d == 2 ? gen::make_2k_run(start, options.targeting,
-                                        options.chains, every, rng)
-                     : gen::make_3k_run(start, options.targeting,
-                                        options.chains, every, rng);
-      if (every == 0) {
-        // Default cadence: ten legs across the budget.  Recorded in the
-        // checkpoint, because the cadence is part of the run's identity.
-        state.checkpoint_every =
-            std::max<std::uint64_t>(state.budget / 10, 1);
-      }
-    }
   }
+  // A reference: it follows the run from its 2K into its 3K stage.
+  const gen::RunCheckpoint& state = pipeline.checkpoint();
+  if (!save_path.empty()) record_config("checkpoint", save_path);
   record_config("chains", std::to_string(state.chains.size()));
   record_config("checkpoint_every", std::to_string(state.checkpoint_every));
   record_config("move", gen::to_string(state.move));
@@ -438,7 +341,7 @@ Graph generate_checkpointed(const util::ArgParser& args,
       parse_count(args, "--stop-after-checkpoints", 0);
   std::size_t written = 0;
   auto leg_start = std::chrono::steady_clock::now();
-  set_phase(d == 2 ? "2k targeting" : "3k targeting");
+  set_phase(std::to_string(state.d) + "k targeting");
   checkpointing.on_checkpoint = [&](const gen::RunCheckpoint& snapshot) {
     if (!save_path.empty()) io::write_checkpoint_file(save_path, snapshot);
     ++written;
@@ -446,34 +349,31 @@ Graph generate_checkpointed(const util::ArgParser& args,
       obs::LegRecord leg;
       leg.leg = written;
       leg.attempts_done = snapshot.chains[0].attempts_done;
-      gen::RewiringStats total;
-      double best = static_cast<double>(snapshot.chains[0].distance);
+      leg.best_distance = static_cast<double>(snapshot.chains[0].distance);
       for (const auto& chain : snapshot.chains) {
-        total += chain.stats;
-        best = std::min(best, static_cast<double>(chain.distance));
+        leg.stats += chain.stats;
+        leg.best_distance =
+            std::min(leg.best_distance, static_cast<double>(chain.distance));
       }
-      leg.best_distance = best;
-      leg.stats = total;
       leg.duration_seconds = seconds_since(leg_start);
       g_report.legs.push_back(leg);
     }
     leg_start = std::chrono::steady_clock::now();
     if (!save_path.empty()) {
-      status("checkpoint %zu: %llu/%llu attempts -> %s\n", written,
+      status("checkpoint %zu: %dK stage, %llu/%llu attempts -> %s\n",
+             written, snapshot.d,
              static_cast<unsigned long long>(
                  snapshot.chains[0].attempts_done),
              static_cast<unsigned long long>(snapshot.budget),
              save_path.c_str());
     }
+    if (snapshot.finished() && snapshot.d < snapshot.final_d) {
+      set_phase("3k targeting");
+    }
     if (stop_after > 0 && written >= stop_after) g_stop.request_stop();
   };
 
-  const auto stage_start = std::chrono::steady_clock::now();
-  const gen::CheckpointedResult run =
-      d == 2 ? gen::run_checkpointed_2k(state, target.joint,
-                                        options.targeting, checkpointing)
-             : gen::run_checkpointed_3k(state, target.three_k,
-                                        options.targeting, checkpointing);
+  pipeline.run(checkpointing);
   if (g_want_report) {
     // Label the trajectory lanes with their replica identity; laddered
     // runs also record each replica's final (possibly adapted)
@@ -486,48 +386,50 @@ Graph generate_checkpointed(const util::ArgParser& args,
       lane.has_temperature = state.laddered();
       g_report.trajectory_lanes.push_back(lane);
     }
+    for (const gen::PipelineStage& done : pipeline.stages()) {
+      obs::StageRecord stage;
+      stage.name = done.d == 2 ? "target.2k" : "target.3k";
+      stage.stats = done.result.total_stats;
+      stage.final_distance = done.result.best_distance;
+      stage.has_distance = true;
+      stage.chains = done.chains;
+      stage.best_chain = done.result.best_chain;
+      stage.duration_seconds = done.seconds;
+      g_report.stages.push_back(stage);
+    }
   }
-  if (run.interrupted) {
+  if (!pipeline.finished()) {
     if (g_signal != 0) {
       status("caught signal %d\n", static_cast<int>(g_signal));
     }
-    if (save_path.empty()) {
-      status("interrupted at %llu/%llu attempts per chain; no "
-             "checkpoint configured, nothing written\n",
-             static_cast<unsigned long long>(run.attempts_done),
-             static_cast<unsigned long long>(state.budget));
-    } else {
-      // `state` snapped back to the last completed boundary; re-writing
+    if (!save_path.empty()) {
+      // The state snapped back to the last completed boundary; re-writing
       // it is idempotent but guarantees a resume point exists even when
       // the stop landed inside the very first leg.
       io::write_checkpoint_file(save_path, state);
       record_output(save_path);
-      status("interrupted at %llu/%llu attempts per chain; resume "
-             "with: orbis_tool generate ... --resume %s\n",
-             static_cast<unsigned long long>(run.attempts_done),
-             static_cast<unsigned long long>(state.budget),
-             save_path.c_str());
     }
+    status("interrupted in the %dK stage at %llu/%llu attempts per chain; "
+           "%s%s\n",
+           state.d,
+           static_cast<unsigned long long>(state.chains[0].attempts_done),
+           static_cast<unsigned long long>(state.budget),
+           save_path.empty() ? "nothing written (use --checkpoint for "
+                               "resumable runs)"
+                             : "resume with: orbis_tool generate ... "
+                               "--resume ",
+           save_path.c_str());
     interrupted = true;
     return Graph(0);
   }
   if (!save_path.empty()) record_output(save_path);
-  if (g_want_report) {
-    obs::StageRecord stage;
-    stage.name = d == 2 ? "target.2k" : "target.3k";
-    stage.stats = run.total_stats;
-    stage.final_distance = run.best_distance;
-    stage.has_distance = true;
-    stage.chains = state.chains.size();
-    stage.best_chain = run.best_chain;
-    stage.duration_seconds = seconds_since(stage_start);
-    g_report.stages.push_back(stage);
+  for (const gen::PipelineStage& done : pipeline.stages()) {
+    status("%dK targeting: best chain %zu, distance %.0f, %llu attempts "
+           "per chain, %llu accepted swaps\n",
+           done.d, done.result.best_chain, done.result.best_distance,
+           static_cast<unsigned long long>(done.result.attempts_done),
+           static_cast<unsigned long long>(done.result.total_stats.accepted));
   }
-  status("targeting: best chain %zu, distance %.0f, %llu attempts "
-         "per chain, %llu accepted swaps\n",
-         run.best_chain, run.best_distance,
-         static_cast<unsigned long long>(run.attempts_done),
-         static_cast<unsigned long long>(run.total_stats.accepted));
   if (state.laddered()) {
     status("ladder: %zu replicas, epoch %llu attempts, %llu/%llu "
            "exchanges accepted\n",
@@ -536,10 +438,10 @@ Graph generate_checkpointed(const util::ArgParser& args,
            static_cast<unsigned long long>(state.exchange_accepted),
            static_cast<unsigned long long>(state.exchange_attempted));
   }
-  return run.graph;
+  return pipeline.graph();
 }
 
-int cmd_generate(const util::ArgParser& args, util::Rng& rng) {
+int cmd_generate(const util::ArgParser& args) {
   const int d = static_cast<int>(args.get_int("--d", 2));
   const std::string out = args.get_string("--out", "");
   if (out.empty()) {
@@ -570,20 +472,14 @@ int cmd_generate(const util::ArgParser& args, util::Rng& rng) {
   const gen::MoveKind move =
       gen::parse_move_kind(args.get_string("--move", "swap"));
 
-  const bool checkpointed = !args.get_string("--checkpoint", "").empty() ||
-                            !args.get_string("--resume", "").empty();
-  const std::size_t ladder_replicas = parse_count(args, "--ladder", 0);
-  if (ladder_replicas == 1) {
-    // Catch this here, not just in the checkpointed driver: a plain
-    // `--ladder 1` run would otherwise silently drop the flag.
-    throw std::invalid_argument("--ladder needs at least 2 replicas");
-  }
-  const bool laddered = ladder_replicas >= 2;
+  const bool leg_flags = !args.get_string("--checkpoint", "").empty() ||
+                         !args.get_string("--resume", "").empty() ||
+                         args.get_int("--ladder", 0) != 0;
 
   Graph result;
   const std::string like = args.get_string("--like", "");
   if (!like.empty()) {
-    if (checkpointed || laddered) {
+    if (leg_flags) {
       throw std::invalid_argument(
           "--checkpoint/--resume/--ladder do not apply to --like "
           "randomizing runs");
@@ -657,36 +553,30 @@ int cmd_generate(const util::ArgParser& args, util::Rng& rng) {
     apply_objective_flags(args, options.targeting);
     record_config("method", args.get_string("--method", "matching"));
     record_config("workers", std::to_string(ctx.workers));
-    if (checkpointed || laddered) {
+    if (options.method == gen::Method::targeting && (d == 2 || d == 3)) {
       bool interrupted = false;
-      result = generate_checkpointed(args, target, d, options, rng,
-                                     interrupted);
+      result = generate_targeting(args, target, d, options, ctx, interrupted);
       if (interrupted) return kExitInterrupted;
     } else {
-      record_config("chains", std::to_string(gen::default_chain_count(
-                                  options.chains.chains)));
-      record_config("move", gen::to_string(move));
+      if (leg_flags) {
+        throw std::invalid_argument(
+            "--checkpoint/--resume/--ladder require --method targeting "
+            "with --d 2 or --d 3 (the long rewiring chains are what they "
+            "cover)");
+      }
       set_phase("generate " + std::to_string(d) + "k");
-      // generate_dk_random does not hand stats back, but the wrappers it
-      // calls publish theirs to the registry at call boundaries — the
-      // counter delta around the call is this stage's exact count.
-      const gen::RewiringStats before = scrape_rewire_counters();
       const auto stage_start = std::chrono::steady_clock::now();
       result = gen::generate_dk_random(target, d, options, ctx);
       if (g_want_report) {
         obs::StageRecord stage;
         stage.name = "generate." + std::to_string(d) + "k";
-        stage.stats = scrape_rewire_counters().delta_since(before);
-        stage.chains = options.method == gen::Method::targeting
-                           ? gen::default_chain_count(options.chains.chains)
-                           : 1;
         stage.duration_seconds = seconds_since(stage_start);
         g_report.stages.push_back(stage);
       }
       if (g_stop.stop_requested()) {
         std::fprintf(stderr,
                      "generate: interrupted before completion; no output "
-                     "written (use --checkpoint for resumable runs)\n");
+                     "written\n");
         return kExitInterrupted;
       }
     }
@@ -756,7 +646,7 @@ int dispatch(const std::string& command, const util::ArgParser& args,
              util::Rng& rng) {
   if (command == "analyze") return cmd_analyze(args);
   if (command == "extract") return cmd_extract(args);
-  if (command == "generate") return cmd_generate(args, rng);
+  if (command == "generate") return cmd_generate(args);
   if (command == "rescale") return cmd_rescale(args, rng);
   if (command == "compare") return cmd_compare(args);
   return usage();

@@ -9,7 +9,7 @@
 //      thread runs which task is unobservable.
 //   2. dependency-free: std::thread + mutex + condition_variable only.
 //   3. reusable: one shared process-wide pool (shared_pool()) avoids
-//      re-spawning threads for every multichain call, and run_tasks()
+//      re-spawning threads for every multi-chain leg, and run_tasks()
 //      amortizes one latch across a whole batch instead of a future per
 //      proposal.
 //

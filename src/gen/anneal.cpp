@@ -162,42 +162,4 @@ RunCheckpoint make_3k_ladder_run(const Graph& start,
   return state;
 }
 
-namespace {
-
-Graph finish_ladder(CheckpointedResult result, MultiChainResult* out) {
-  if (out != nullptr) {
-    out->best_chain = result.best_chain;
-    out->best_distance = result.best_distance;
-    out->total_stats = result.total_stats;
-  }
-  return std::move(result.graph);
-}
-
-}  // namespace
-
-Graph target_2k_ladder(const Graph& start,
-                       const dk::JointDegreeDistribution& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result) {
-  RunCheckpoint state = make_2k_ladder_run(start, options, ladder,
-                                           /*checkpoint_every=*/0, rng);
-  CheckpointOptions checkpointing;
-  checkpointing.stop = options.stop;
-  return finish_ladder(
-      run_checkpointed_2k(state, target, options, checkpointing), result);
-}
-
-Graph target_3k_ladder(const Graph& start, const dk::ThreeKProfile& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result) {
-  RunCheckpoint state = make_3k_ladder_run(start, options, ladder,
-                                           /*checkpoint_every=*/0, rng);
-  CheckpointOptions checkpointing;
-  checkpointing.stop = options.stop;
-  return finish_ladder(
-      run_checkpointed_3k(state, target, options, checkpointing), result);
-}
-
 }  // namespace orbis::gen

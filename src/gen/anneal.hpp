@@ -1,8 +1,7 @@
 // Replica exchange (parallel tempering) for the targeting chains
 // (docs/annealing.md).
 //
-// The checkpointed multichain drivers (gen/checkpoint.hpp) run K chains
-// in lockstep legs.  A LADDERED run gives each chain — now a replica —
+// The leg driver (gen/checkpoint.hpp) runs K chains in lockstep legs.  A LADDERED run gives each chain — now a replica —
 // its own Metropolis temperature, replica 0 coldest, and at every
 // exchange EPOCH (a fixed number of attempts, part of run identity like
 // the seed) pauses to let adjacent replicas propose configuration
@@ -24,7 +23,7 @@
 // Determinism: exchange decisions come from a DEDICATED Rng stream
 // (kExchangeStreamId) serialized in the RunCheckpoint and advanced only
 // by exchange passes; replica streams are derived exactly as in any
-// multichain run.  The final graph is therefore a pure function of
+// multi-chain run.  The final graph is therefore a pure function of
 // (seed, ladder, move mix, exchange epoch) — bit-identical at any
 // worker or pool count, and across checkpoint kill/resume.
 #pragma once
@@ -113,19 +112,5 @@ RunCheckpoint make_3k_ladder_run(const Graph& start,
                                  const LadderOptions& ladder,
                                  std::uint64_t checkpoint_every,
                                  util::Rng& rng);
-
-/// Convenience wrappers: make + run to completion with no on_checkpoint
-/// sink (options.stop still applies).  Returns the best replica's graph
-/// and fills `result` like the multichain drivers.
-Graph target_2k_ladder(const Graph& start,
-                       const dk::JointDegreeDistribution& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result = nullptr);
-
-Graph target_3k_ladder(const Graph& start, const dk::ThreeKProfile& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result = nullptr);
 
 }  // namespace orbis::gen

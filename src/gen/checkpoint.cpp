@@ -41,6 +41,7 @@ RunCheckpoint make_run(int d, const Graph& start,
                        std::uint64_t checkpoint_every, util::Rng& rng) {
   RunCheckpoint state;
   state.d = d;
+  state.final_d = d;
   state.budget = budget_of(options, start.num_edges());
   state.checkpoint_every = checkpoint_every;
   state.move = options.move;  // pinned: the move stream is run identity
@@ -50,10 +51,9 @@ RunCheckpoint make_run(int d, const Graph& start,
                                          options.memory_budget_mb)
              : options.objective;
 
-  // Seeding mirrors ParallelChainDriver::run exactly: one draw from the
-  // caller's Rng forms the master, chain i gets master.stream(i).  A
-  // checkpointed run with the same seed therefore derives the same
-  // chain streams as the non-checkpointed multichain driver.
+  // One draw from the caller's Rng forms the master and chain i gets
+  // master.stream(i): every chain stream is a pure function of
+  // (caller Rng state, i), whatever the chain count or pool size.
   const std::size_t chains = default_chain_count(chain_options.chains);
   const util::Rng master(rng.next());
   state.chains.resize(chains);
@@ -126,8 +126,10 @@ CheckpointedResult run_legs(RunCheckpoint& state,
   // epoch.  Never serialized — every pause point is an epoch boundary,
   // so a resume re-captures it before the next epoch runs.
   std::vector<RewiringStats> epoch_start;
+  std::size_t legs = 0;
 
   while (state.chains[0].attempts_done < state.budget) {
+    if (checkpointing.max_legs > 0 && legs >= checkpointing.max_legs) break;
     if (checkpointing.stop.stop_requested()) {
       result.interrupted = true;
       break;
@@ -196,6 +198,7 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       published_attempted = state.exchange_attempted;
       published_accepted = state.exchange_accepted;
       legs_completed.add(1);
+      ++legs;
       if (checkpointing.on_checkpoint) {
         const obs::Span flush_span("checkpoint.flush");
         checkpointing.on_checkpoint(state);
@@ -204,8 +207,8 @@ CheckpointedResult run_legs(RunCheckpoint& state,
     }
   }
 
-  // Best chain: lowest distance, ties to the lowest id — same rule as
-  // run_multichain, so the winner is scheduling-independent.
+  // Best chain: lowest distance, ties to the lowest id, so the winner is
+  // scheduling-independent.
   std::size_t best = 0;
   for (std::size_t chain = 1; chain < state.chains.size(); ++chain) {
     if (state.chains[chain].distance < state.chains[best].distance) {
@@ -271,10 +274,17 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
   util::expects(state.d == 3, "run_checkpointed_3k: checkpoint is not a "
                               "3K run");
   TargetingOptions leg_options = options;
-  // Chains already occupy the pool; the leg bodies must stay serial.
-  leg_options.workers = 1;
   leg_options.move = state.move;  // pinned: part of run identity
   leg_options.stop = checkpointing.stop;
+  // Several chains occupy the pool, so their legs stay serial; a lone
+  // chain runs inline (ThreadPool::run_tasks) and may use the pool.
+  const bool speculative = state.chains.size() == 1 && options.workers != 1;
+  util::expects(!speculative || state.move == MoveKind::swap,
+                "run_checkpointed_3k: the speculative parallel path "
+                "(workers != 1) supports only --move swap");
+  const SpeculationOptions speculation{
+      .workers = exec::resolve_workers(options.workers),
+      .batch = options.batch};
   const bool laddered = state.laddered();
   return run_legs(
       state, checkpointing, options.stop_distance,
@@ -286,7 +296,12 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
         chain_options.progress_lane = static_cast<std::uint32_t>(chain_index);
         if (laddered) chain_options.temperature = chain.temperature;
         chain.distance =
-            rewirer.target(target, chain_options, leg, rng, &chain.stats);
+            speculative
+                ? rewirer.target_parallel(target, chain_options, leg, rng,
+                                          exec::shared_pool(), speculation,
+                                          &chain.stats)
+                : rewirer.target(target, chain_options, leg, rng,
+                                 &chain.stats);
         chain.graph = rewirer.graph();
         chain.rng_state = rng.state_words();
       });

@@ -28,7 +28,8 @@
 // that a resume could not reproduce.
 //
 // File format and I/O live in io/checkpoint_io.hpp; this header is the
-// in-memory model and the drivers.
+// in-memory model and the leg driver.  gen/pipeline.hpp strings the
+// legs of the 2K and 3K stages into the paper's one 1K->2K->3K run.
 #pragma once
 
 #include <array>
@@ -70,9 +71,13 @@ struct ChainCheckpoint {
 /// Everything a resume needs, minus the target distribution (which the
 /// caller re-reads from its own file — targets are inputs, not state).
 struct RunCheckpoint {
-  static constexpr std::uint32_t kVersion = 2;
+  static constexpr std::uint32_t kVersion = 3;
 
-  int d = 2;                          // targeted series level: 2 | 3
+  int d = 2;        // current stage's series level: 2 | 3
+  int final_d = 2;  // the run's (gen::Pipeline); make_*_run sets it to d
+  /// gen::Pipeline's seeding Rng after its draws so far; the next stage
+  /// draws its chain master from it.  All-zero outside a Pipeline.
+  std::array<std::uint64_t, 4> pipeline_rng{};
   std::uint64_t budget = 0;           // total attempts per chain
   std::uint64_t checkpoint_every = 0; // leg length; 0 = one single leg
   /// 2K only: the ΔD2 backend, resolved ONCE at run start and pinned so
@@ -121,6 +126,9 @@ struct CheckpointOptions {
   /// seam: results are a pure function of the RunCheckpoint, so any
   /// pool (any size) must produce bit-identical runs.
   exec::ThreadPool* pool = nullptr;
+  /// Return after this many checkpoint boundaries (0 = run the budget
+  /// out).  gen::Pipeline::step uses 1: one leg per call.
+  std::size_t max_legs = 0;
 };
 
 struct CheckpointedResult {
@@ -133,11 +141,11 @@ struct CheckpointedResult {
 };
 
 /// Builds the leg-0 RunCheckpoint for a fresh 2K targeting run: resolves
-/// the chain count (MultiChainOptions) and budget (TargetingOptions)
-/// exactly as target_2k_multichain would, seeds chain i with
-/// Rng(rng.next()).stream(i) (the ParallelChainDriver discipline), and
-/// pins the objective backend.  `start` must already have the target's
-/// degree sequence.
+/// the chain count (MultiChainOptions, 0 = default_chain_count()) and
+/// budget (TargetingOptions), seeds chain i with
+/// Rng(rng.next()).stream(i) — one draw from `rng` whatever the chain
+/// count — and pins the objective backend.  `start` must already have
+/// the target's degree sequence.
 RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
                           const MultiChainOptions& chains,
                           std::uint64_t checkpoint_every, util::Rng& rng);
@@ -148,8 +156,11 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
                           const MultiChainOptions& chains,
                           std::uint64_t checkpoint_every, util::Rng& rng);
 
-/// Runs `state` to completion (or interruption), leg by leg, chains in
-/// parallel on the shared pool.  `state` is updated in place and is
+/// Runs `state` to completion (or interruption, or `max_legs`
+/// boundaries), leg by leg, chains in parallel on the shared pool; the
+/// best chain is the lowest distance, ties to the lowest id.  A
+/// single-chain 3K run with options.workers != 1 runs its legs on the
+/// speculative path (swap only).  `state` is updated in place and is
 /// always left at a leg boundary.  Fresh runs and resumes call the SAME
 /// function — a resume is indistinguishable from the uninterrupted run
 /// reaching that boundary.  `options` must carry the same chain

@@ -1,10 +1,11 @@
 #include "gen/generate.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "gen/errors.hpp"
 #include "gen/matching.hpp"
-#include "obs/trace.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/pseudograph.hpp"
 #include "gen/stochastic.hpp"
 #include "graph/builders.hpp"
@@ -14,33 +15,22 @@ namespace orbis::gen {
 
 namespace {
 
-/// Targeting stages honor the chain autotune: 0 resolves to one chain
-/// per core (default_chain_count).  A resolved count of 1 bypasses the
-/// multichain driver entirely — bit-compatible with the pre-driver
-/// single-chain path, and the only configuration where the intra-chain
-/// speculation workers of TargetingOptions may engage (multichain
-/// chains already occupy the shared pool).
-Graph run_target_2k(const Graph& start,
-                    const dk::JointDegreeDistribution& target,
-                    const GenerateOptions& options, util::Rng& rng) {
-  const obs::Span span("generate.target_2k");
-  const std::size_t chains = default_chain_count(options.chains.chains);
-  if (chains == 1) {
-    return target_2k(start, target, options.targeting, rng);
-  }
-  return target_2k_multichain(start, target, options.targeting,
-                              MultiChainOptions{.chains = chains}, rng);
-}
-
-Graph run_target_3k(const Graph& start, const dk::ThreeKProfile& target,
-                    const GenerateOptions& options, util::Rng& rng) {
-  const obs::Span span("generate.target_3k");
-  const std::size_t chains = default_chain_count(options.chains.chains);
-  if (chains == 1) {
-    return target_3k(start, target, options.targeting, rng);
-  }
-  return target_3k_multichain(start, target, options.targeting,
-                              MultiChainOptions{.chains = chains}, rng);
+/// The paper's §5.1 targeting pipeline (gen/pipeline.hpp), run to the
+/// end or to the targeting stop token; on a stop it returns the best
+/// graph at the last leg boundary.  `rng` continues past every draw the
+/// run made.
+Graph run_pipeline(const dk::DkDistributions& target, int d,
+                   const GenerateOptions& options, util::Rng& rng) {
+  PipelineOptions pipeline_options;
+  pipeline_options.d = d;
+  pipeline_options.targeting = options.targeting;
+  pipeline_options.chains = options.chains.chains;
+  Pipeline pipeline(target, std::move(pipeline_options), rng);
+  CheckpointOptions checkpointing;
+  checkpointing.stop = options.targeting.stop;
+  pipeline.run(checkpointing);
+  rng = pipeline.rng();
+  return pipeline.graph();
 }
 
 Graph generate_0k(const dk::DkDistributions& target, Method method,
@@ -76,44 +66,10 @@ Graph generate_2k(const dk::DkDistributions& target,
       return pseudograph_2k(target.joint, rng).to_simple();
     case Method::matching:
       return matching_2k(target.joint, rng);
-    case Method::targeting: {
-      // Bootstrap with an exact 1K graph, then walk to the target JDD.
-      // Prefer the explicit 1K (it still knows about degree-0 nodes,
-      // which the JDD projection cannot see).
-      const auto& one_k = target.degree.num_nodes() > 0
-                              ? target.degree
-                              : target.joint.project_to_1k();
-      Graph start;
-      {
-        const obs::Span seed_span("generate.seed_1k");
-        start = matching_1k(one_k, rng);
-      }
-      return run_target_2k(start, target.joint, options, rng);
-    }
+    case Method::targeting:
+      return run_pipeline(target, 2, options, rng);
   }
   throw std::invalid_argument("generate_2k: unknown method");
-}
-
-Graph generate_3k(const dk::DkDistributions& target,
-                  const GenerateOptions& options, util::Rng& rng) {
-  if (options.method != Method::targeting) {
-    throw std::invalid_argument(
-        "generate_3k: only Method::targeting can construct 3K-random "
-        "graphs from distributions (paper §4.1.2: pseudograph/matching do "
-        "not generalize beyond d = 2)");
-  }
-  // Paper §5.1 pipeline: 1K bootstrap -> 2K-random -> 3K-random, with
-  // each targeting stage running the multi-chain annealing driver.
-  const auto& one_k_dist = target.degree.num_nodes() > 0
-                               ? target.degree
-                               : target.joint.project_to_1k();
-  Graph one_k;
-  {
-    const obs::Span seed_span("generate.seed_1k");
-    one_k = matching_1k(one_k_dist, rng);
-  }
-  const Graph two_k = run_target_2k(one_k, target.joint, options, rng);
-  return run_target_3k(two_k, target.three_k, options, rng);
 }
 
 }  // namespace
@@ -129,7 +85,13 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
     case 2:
       return generate_2k(target, options, rng);
     default:
-      return generate_3k(target, options, rng);
+      if (options.method != Method::targeting) {
+        throw std::invalid_argument(
+            "generate_3k: only Method::targeting can construct 3K-random "
+            "graphs from distributions (paper §4.1.2: pseudograph/matching "
+            "do not generalize beyond d = 2)");
+      }
+      return run_pipeline(target, 3, options, rng);
   }
 }
 
@@ -138,12 +100,6 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
   options.apply(ctx);
   util::Rng rng = ctx.make_rng();
   return generate_dk_random(target, d, options, rng);
-}
-
-Graph dk_random_like(const Graph& original, int d, util::Rng& rng) {
-  RandomizeOptions options;
-  options.d = d;
-  return randomize(original, options, rng);
 }
 
 Graph dk_random_like(const Graph& original, int d,

@@ -7,6 +7,8 @@
 //   d=3: targeting pipeline — matching_1k bootstrap, then 2K-targeting
 //        1K-preserving rewiring, then 3K-targeting 2K-preserving rewiring
 //        (the paper bootstraps identically, §5.1).
+// Targeting (d = 2 and 3) runs through gen::Pipeline (gen/pipeline.hpp),
+// the same stage machine orbis_tool and the topology server drive.
 //
 // When an original graph is available, prefer gen::randomize (§4.1.4),
 // which the paper found the easiest to use.
@@ -36,15 +38,8 @@ struct GenerateOptions {
   TargetingOptions targeting = {};
   /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
   /// svc::RunContext::chains + apply(ctx).
-  /// Targeting stages run through the multi-chain annealing driver:
-  /// `chains.chains` independently seeded chains scheduled on the shared
-  /// thread pool, best distance wins.  Default 0 = autotune: one chain
-  /// per available core (default_chain_count(), clamped to [1, 8]) —
-  /// since PR 3 the chains genuinely occupy separate cores, so extra
-  /// chains up to the core count improve the best-of-K distance at
-  /// roughly constant wall-clock.  Set to 1 to recover the single-chain
-  /// behavior exactly, or any explicit count to pin it (the CLI's
-  /// --chains flag does exactly that).
+  /// Chains per targeting stage (gen/pipeline.hpp), best distance wins;
+  /// 0 = autotune, one per available core (default_chain_count()).
   MultiChainOptions chains{.chains = 0};
 
   /// Copies the shared execution context over the duplicated knobs:
@@ -74,22 +69,13 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
 /// progress over `options`, and is exactly equivalent to apply(ctx) +
 /// the Rng overload with Rng(ctx.seed).  Cancellation: the chains honor
 /// ctx.stop at their poll boundaries and the call returns the best
-/// graph reached so far (check ctx.stop.stop_requested() to tell).
+/// graph at the last leg boundary (check ctx.stop.stop_requested()).
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
                          GenerateOptions options, const svc::RunContext& ctx);
 
-/// Convenience: extract target distributions from an original graph and
-/// build the d-level random counterpart with the default method chain.
-/// DEPRECATED (one-release shim): uncancellable and progress-blind;
-/// prefer one of the overloads below.
-ORBIS_DEPRECATED(
-    "use dk_random_like(original, d, ctx) — this overload cannot be "
-    "cancelled and reports no progress")
-Graph dk_random_like(const Graph& original, int d, util::Rng& rng);
-
-/// Context form: dK-randomizing rewiring of `original` under the
-/// unified contract — cancellable via ctx.stop (returns the partially
-/// rewired graph on stop), progress-reporting via ctx.progress.
+/// dK-randomizing rewiring of `original` under the unified contract:
+/// cancellable via ctx.stop (returns the partially rewired graph on
+/// stop), progress-reporting via ctx.progress.
 Graph dk_random_like(const Graph& original, int d,
                      const svc::RunContext& ctx);
 

@@ -1,0 +1,144 @@
+#include "gen/pipeline.hpp"
+
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <utility>
+
+#include "gen/matching.hpp"
+#include "obs/trace.hpp"
+#include "util/check.hpp"
+
+namespace orbis::gen {
+
+namespace {
+
+/// `move` and `chains` are the run's resolved values: from the options
+/// on a fresh run, from the checkpoint on a resume.
+void validate(const PipelineOptions& options, MoveKind move,
+              std::size_t chains) {
+  const LadderOptions& ladder = options.ladder;
+  util::expects(options.d == 2 || options.d == 3,
+                "Pipeline: d must be 2 or 3");
+  util::expects(ladder.replicas != 1,
+                "Pipeline: a replica ladder needs at least 2 replicas");
+  util::expects(ladder.replicas == 0 || options.chains == 0,
+                "Pipeline: a ladder and an explicit chain count are "
+                "mutually exclusive (the ladder size is the chain count)");
+  util::expects(ladder.exchange_every == 0 || ladder.replicas >= 2,
+                "Pipeline: an exchange epoch requires a replica ladder");
+  util::expects(options.d == 2 || chains != 1 ||
+                    options.targeting.workers == 1 || move == MoveKind::swap,
+                "Pipeline: a single-chain 3K stage with workers != 1 runs "
+                "the speculative parallel path, which supports only swap "
+                "moves");
+}
+
+}  // namespace
+
+Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
+                   util::Rng rng)
+    : target_(target), options_(std::move(options)) {
+  const bool laddered = options_.ladder.replicas >= 2;
+  validate(options_, options_.targeting.move,
+           laddered ? options_.ladder.replicas
+                    : default_chain_count(options_.chains));
+  // The explicit 1K still knows about degree-0 nodes, which the JDD
+  // projection cannot see.
+  const dk::DegreeDistribution& one_k = target.degree.num_nodes() > 0
+                                            ? target.degree
+                                            : target.joint.project_to_1k();
+  Graph start;
+  {
+    const obs::Span span("generate.seed_1k");
+    start = matching_1k(one_k, rng);
+  }
+  const TargetingOptions& targeting = options_.targeting;
+  const std::uint64_t budget =
+      targeting.attempts > 0
+          ? targeting.attempts
+          : std::uint64_t{targeting.attempts_per_edge} * start.num_edges();
+  const std::uint64_t every = options_.checkpoint_every > 0
+                                  ? options_.checkpoint_every
+                                  : std::max<std::uint64_t>(budget / 8, 1);
+  run_ = laddered ? make_2k_ladder_run(start, targeting, options_.ladder,
+                                       every, rng)
+                  : make_2k_run(start, targeting, {.chains = options_.chains},
+                                every, rng);
+  run_.final_d = options_.d;
+  run_.pipeline_rng = rng.state_words();
+}
+
+Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
+                   RunCheckpoint checkpoint)
+    : target_(target),
+      options_(std::move(options)),
+      run_(std::move(checkpoint)) {
+  util::expects(run_.final_d == options_.d,
+                "Pipeline: the checkpoint is for a d=" +
+                    std::to_string(run_.final_d) + " run, not d=" +
+                    std::to_string(options_.d));
+  validate(options_, run_.move, run_.chains.size());
+}
+
+bool Pipeline::step(const CheckpointOptions& checkpointing) {
+  if (finished()) return true;
+  CheckpointOptions one_leg = checkpointing;
+  one_leg.max_legs = 1;
+  advance(one_leg);
+  return finished();
+}
+
+bool Pipeline::run(const CheckpointOptions& checkpointing) {
+  while (!finished()) {
+    advance(checkpointing);
+    if (last_.interrupted) break;
+  }
+  return finished();
+}
+
+void Pipeline::advance(const CheckpointOptions& checkpointing) {
+  const auto start = std::chrono::steady_clock::now();
+  {
+    const obs::Span span(run_.d == 2 ? "generate.target_2k"
+                                     : "generate.target_3k");
+    last_ = run_.d == 2
+                ? run_checkpointed_2k(run_, target_.joint, options_.targeting,
+                                      checkpointing)
+                : run_checkpointed_3k(run_, target_.three_k,
+                                      options_.targeting, checkpointing);
+  }
+  last_.graph = Graph();  // a copy of one the checkpoint already holds
+  stage_seconds_ += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  if (!run_.finished()) return;
+  stages_.push_back({run_.d, run_.chains.size(), stage_seconds_, last_});
+  stage_seconds_ = 0.0;
+  if (run_.d == run_.final_d) return;
+
+  // The 3K stage: the seeding Rng's next draw is its chain master, the
+  // 2K stage's best chain its start graph, and everything else that
+  // defines the run comes from the finished 2K checkpoint.
+  util::Rng rng = this->rng();
+  TargetingOptions targeting = options_.targeting;
+  targeting.attempts = run_.budget;  // same graph size, same budget
+  targeting.move = run_.move;
+  RunCheckpoint next;
+  if (run_.laddered()) {
+    LadderOptions ladder = options_.ladder;
+    ladder.replicas = run_.chains.size();
+    ladder.exchange_every = run_.exchange_every;
+    ladder.adaptive = run_.adaptive;
+    next = make_3k_ladder_run(graph(), targeting, ladder,
+                              run_.checkpoint_every, rng);
+  } else {
+    next = make_3k_run(graph(), targeting, {.chains = run_.chains.size()},
+                       run_.checkpoint_every, rng);
+  }
+  next.final_d = run_.final_d;
+  next.pipeline_rng = rng.state_words();
+  run_ = std::move(next);
+}
+
+}  // namespace orbis::gen

@@ -1,7 +1,5 @@
 #include "gen/rewiring.hpp"
 
-#include <cmath>
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -189,78 +187,6 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
     *final_distance = static_cast<double>(distance);
   }
   return rewirer.graph();
-}
-
-namespace {
-
-Graph finish_multichain(std::vector<ChainOutcome>& outcomes,
-                        std::size_t best, MultiChainResult* result,
-                        const Graph& start) {
-  RewiringStats total;
-  for (const auto& outcome : outcomes) total += outcome.stats;
-  publish_rewiring_metrics(total);
-  if (result != nullptr) {
-    result->best_chain = best;
-    result->best_distance = outcomes[best].distance;
-    result->total_stats = total;
-  }
-  // A stop requested before any chain started leaves every outcome at
-  // the infinite sentinel with an empty graph; hand back the input
-  // unchanged rather than an empty husk.
-  if (std::isinf(outcomes[best].distance)) return start;
-  return std::move(outcomes[best].graph);
-}
-
-}  // namespace
-
-Graph target_2k_multichain(const Graph& start,
-                           const dk::JointDegreeDistribution& target,
-                           const TargetingOptions& options,
-                           const MultiChainOptions& chains, util::Rng& rng,
-                           MultiChainResult* result) {
-  const std::size_t budget = budget_of(
-      options.attempts, options.attempts_per_edge, start.num_edges());
-  std::vector<ChainOutcome> outcomes;
-  const std::size_t best = run_multichain(
-      chains.chains, rng,
-      [&](std::size_t chain, util::Rng& chain_rng) {
-        ChainOutcome outcome;
-        RewiringEngine engine(start);
-        // Each chain reports progress under its own lane so a meter can
-        // aggregate attempts/acceptance across concurrent chains.
-        TargetingOptions chain_options = options;
-        chain_options.progress_lane = static_cast<std::uint32_t>(chain);
-        outcome.distance = static_cast<double>(engine.target_2k(
-            target, chain_options, budget, chain_rng, &outcome.stats));
-        outcome.graph = engine.graph();
-        return outcome;
-      },
-      outcomes, options.stop);
-  return finish_multichain(outcomes, best, result, start);
-}
-
-Graph target_3k_multichain(const Graph& start,
-                           const dk::ThreeKProfile& target,
-                           const TargetingOptions& options,
-                           const MultiChainOptions& chains, util::Rng& rng,
-                           MultiChainResult* result) {
-  const std::size_t budget = budget_of(
-      options.attempts, options.attempts_per_edge, start.num_edges());
-  std::vector<ChainOutcome> outcomes;
-  const std::size_t best = run_multichain(
-      chains.chains, rng,
-      [&](std::size_t chain, util::Rng& chain_rng) {
-        ChainOutcome outcome;
-        ThreeKRewirer rewirer(start);
-        TargetingOptions chain_options = options;
-        chain_options.progress_lane = static_cast<std::uint32_t>(chain);
-        outcome.distance = static_cast<double>(rewirer.target(
-            target, chain_options, budget, chain_rng, &outcome.stats));
-        outcome.graph = rewirer.graph();
-        return outcome;
-      },
-      outcomes, options.stop);
-  return finish_multichain(outcomes, best, result, start);
 }
 
 Graph explore(const Graph& g, ExploreObjective objective,

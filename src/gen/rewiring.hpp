@@ -54,7 +54,7 @@ struct RewiringStats {
   }
 
   /// Field-wise accumulation — THE way chain/leg stats are summed
-  /// (multichain drivers, checkpoint legs, tool summaries), so a new
+  /// (checkpoint legs, pipeline stages, tool summaries), so a new
   /// counter added here is aggregated everywhere or nowhere.
   RewiringStats& operator+=(const RewiringStats& other) {
     attempts += other.attempts;
@@ -139,7 +139,7 @@ struct RandomizeOptions {
   /// SAME batch boundaries where `stop` is polled.  Sinks only read the
   /// sample, so chains are bit-identical with or without one.
   obs::ProgressSink* progress = nullptr;
-  std::uint32_t progress_lane = 0;  ///< chain index in multichain runs
+  std::uint32_t progress_lane = 0;  ///< chain index in multi-chain runs
   /// Proposal move mix (MoveKind above).  Trades engage on the d = 1/2
   /// serial paths; d = 3 randomizing rejects non-swap moves (trade
   /// 3K-preservation is not verified there) and d = 0 ignores the field.
@@ -183,8 +183,9 @@ struct TargetingOptions {
   /// svc::RunContext::workers + apply(ctx).
   /// Optimistic parallel evaluation workers for target_3k (the 2K path
   /// ignores it — its O(1) integer ΔD2 leaves nothing worth farming
-  /// out): 1 = serial chain; 0 = all cores.  Ignored inside multichain
-  /// drivers, whose chains already occupy the pool.  Results are a pure
+  /// out): 1 = serial chain; 0 = all cores.  The leg driver
+  /// (gen/checkpoint.hpp) honors it only for single-chain runs; several
+  /// chains already occupy the pool.  Results are a pure
   /// function of (seed, batch), independent of the worker count.
   std::size_t workers = 1;
   std::size_t batch = 256;  // proposals per speculation round (workers != 1)
@@ -211,7 +212,7 @@ struct TargetingOptions {
   /// SAME batch boundaries where `stop` is polled.  Sinks only read the
   /// sample, so chains are bit-identical with or without one.
   obs::ProgressSink* progress = nullptr;
-  std::uint32_t progress_lane = 0;  ///< chain index in multichain runs
+  std::uint32_t progress_lane = 0;  ///< chain index in multi-chain runs
   /// Proposal move mix (MoveKind above).  In 2K targeting a trade is
   /// D2-neutral (pure mixing, useful against plateau stalls); in 3K
   /// targeting it is priced exactly and Metropolis-accepted on the
@@ -245,10 +246,6 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
                 RewiringStats* stats = nullptr,
                 double* final_distance = nullptr);
 
-// ---------------------------------------------------------------------------
-// Multi-chain targeting.
-// ---------------------------------------------------------------------------
-
 /// Annealing chains to run for `requested` (0 = autotune): one chain per
 /// AVAILABLE core — exec::resolve_workers(0), which honors the process
 /// affinity mask before consulting hardware_concurrency() — clamped to
@@ -261,29 +258,6 @@ struct MultiChainOptions {
   /// available-core count via default_chain_count().
   std::size_t chains = 4;
 };
-
-struct MultiChainResult {
-  std::size_t best_chain = 0;
-  double best_distance = 0.0;
-  RewiringStats total_stats;  // summed over all chains
-};
-
-/// Runs `options.chains` independently seeded targeting chains in
-/// parallel (std::thread) and returns the best-distance result.  Chain
-/// seeds are drawn from `rng` up front and ties go to the lowest chain
-/// id, so the returned graph is a deterministic function of the inputs,
-/// independent of thread scheduling.
-Graph target_2k_multichain(const Graph& start,
-                           const dk::JointDegreeDistribution& target,
-                           const TargetingOptions& options,
-                           const MultiChainOptions& chains, util::Rng& rng,
-                           MultiChainResult* result = nullptr);
-
-Graph target_3k_multichain(const Graph& start,
-                           const dk::ThreeKProfile& target,
-                           const TargetingOptions& options,
-                           const MultiChainOptions& chains, util::Rng& rng,
-                           MultiChainResult* result = nullptr);
 
 // ---------------------------------------------------------------------------
 // dK-space exploration (§4.3).

@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/parallel_chain_driver.hpp"
-#include "exec/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace orbis::gen {
@@ -587,36 +585,6 @@ void ThreeKRewirer::explore(ExploreObjective objective, std::size_t budget,
       if (stats != nullptr) ++stats->rejected_objective;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-chain driver.
-// ---------------------------------------------------------------------------
-
-std::size_t run_multichain(
-    std::size_t chains, util::Rng& rng,
-    const std::function<ChainOutcome(std::size_t, util::Rng&)>& run_chain,
-    std::vector<ChainOutcome>& outcomes, util::StopToken stop) {
-  if (chains == 0) chains = default_chain_count();
-
-  // The driver derives chain i's Rng as a pure function of (rng, i), so
-  // the chain set is deterministic no matter how the pool schedules the
-  // bodies; each outcome lands in its own slot.  A chain skipped by a
-  // stop request keeps the infinite sentinel distance and never wins.
-  outcomes.assign(chains, ChainOutcome{});
-  exec::ParallelChainDriver driver(exec::shared_pool());
-  driver.run(
-      chains, rng,
-      [&](std::size_t chain, util::Rng& chain_rng) {
-        outcomes[chain] = run_chain(chain, chain_rng);
-      },
-      stop);
-
-  std::size_t best = 0;
-  for (std::size_t chain = 1; chain < chains; ++chain) {
-    if (outcomes[chain].distance < outcomes[best].distance) best = chain;
-  }
-  return best;
 }
 
 }  // namespace orbis::gen

@@ -14,19 +14,12 @@
 //                           while the engine samples 2K-preserving swap
 //                           candidates from the same index's degree
 //                           buckets instead of rejection sampling.
-//   * run_multichain      — K independently seeded chains scheduled on
-//                           the shared exec::ThreadPool through
-//                           exec::ParallelChainDriver; the best-distance
-//                           result wins, ties broken by lowest chain id
-//                           so the outcome is independent of thread
-//                           scheduling (see docs/parallel.md).
 //
-// The public entry points in rewiring.hpp are thin wrappers over these.
+// The public entry points in rewiring.hpp are thin wrappers over these;
+// multi-chain runs are the leg driver's job (gen/checkpoint.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 
 #include "core/dk_state.hpp"
 #include "gen/objective.hpp"
@@ -153,7 +146,7 @@ class ThreeKRewirer {
   /// non-conflicting accepted swaps in draw order and re-evaluates
   /// conflicted ones, so acceptance semantics match a serial pass over
   /// the same proposal stream.  Must not be called from inside a task of
-  /// `pool` (e.g. a multichain chain body running on the shared pool).
+  /// `pool` (e.g. one chain of a multi-chain leg on the shared pool).
   void randomize_parallel(std::size_t budget, util::Rng& rng,
                           exec::ThreadPool& pool,
                           const SpeculationOptions& speculation,
@@ -185,30 +178,5 @@ class ThreeKRewirer {
   EdgeIndex index_;     // the ONLY adjacency structure for all 3K modes
   dk::DkState state_;   // bound to index_; declared after it
 };
-
-/// Runs `chains` independently seeded copies of `run_chain` (each given a
-/// deterministic per-chain Rng stream derived from `rng`, see
-/// util::Rng::stream) on the shared exec::ThreadPool and returns the
-/// index of the best chain: lowest distance, ties broken by lowest chain
-/// id, so the winner does not depend on thread scheduling.  `chains == 0`
-/// resolves to default_chain_count().  `run_chain(chain, rng)` must fill
-/// results[chain] itself; chain bodies run as pool tasks and must not
-/// schedule further work on the shared pool.
-struct ChainOutcome {
-  Graph graph;
-  /// Infinity until a chain body fills the slot, so a chain skipped by a
-  /// stop request never outranks one that actually ran.
-  double distance = std::numeric_limits<double>::infinity();
-  RewiringStats stats;
-};
-
-/// `stop`: chains that have not started when a stop is requested are
-/// skipped entirely (their outcome keeps the infinite sentinel
-/// distance); running chains finish on their own cadence — pass the same
-/// token into their TargetingOptions to cut them short too.
-std::size_t run_multichain(
-    std::size_t chains, util::Rng& rng,
-    const std::function<ChainOutcome(std::size_t, util::Rng&)>& run_chain,
-    std::vector<ChainOutcome>& outcomes, util::StopToken stop = {});
 
 }  // namespace orbis::gen

@@ -1,5 +1,6 @@
 #include "io/checkpoint_io.hpp"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,14 +17,29 @@ namespace {
 
 // v2 adds the move kind, the replica-exchange ladder block and a
 // per-chain temperature (as IEEE-754 bits, so the round-trip is exact).
-// v1 files remain readable: the new records default to a non-laddered
-// swap-only run, which is exactly what every v1 run was.
-constexpr const char* kHeader = "# orbis checkpoint v2";
-constexpr const char* kHeaderV1 = "# orbis checkpoint v1";
+// v3 adds the pipeline records (gen/pipeline.hpp): the run's final d and
+// the pipeline's seeding Rng, so a d = 3 run can checkpoint its 2K
+// stage.  Older files remain readable: v1 records default to a
+// non-laddered swap-only run, and v1/v2 files are final-stage
+// checkpoints (final_d = d), which is exactly what every such run was.
+constexpr const char* kHeader = "# orbis checkpoint v";
+
+using Words = std::array<std::uint64_t, 4>;
+
+void write_words(std::ostream& out, const char* key, const Words& words) {
+  out << key << ' ' << words[0] << ' ' << words[1] << ' ' << words[2] << ' '
+      << words[3] << '\n';
+}
+
+bool all_zero(const Words& words) {
+  return words == Words{};
+}
 
 void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
-  out << kHeader << '\n';
+  out << kHeader << gen::RunCheckpoint::kVersion << '\n';
   out << "d " << state.d << '\n';
+  out << "final_d " << state.final_d << '\n';
+  write_words(out, "pipeline_rng", state.pipeline_rng);
   out << "budget " << state.budget << '\n';
   out << "every " << state.checkpoint_every << '\n';
   out << "backend " << gen::to_string(state.backend) << '\n';
@@ -31,9 +47,7 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
   out << "ladder " << state.exchange_every << ' '
       << (state.adaptive ? 1 : 0) << '\n';
   if (state.exchange_every > 0) {
-    out << "exchange_rng " << state.exchange_rng[0] << ' '
-        << state.exchange_rng[1] << ' ' << state.exchange_rng[2] << ' '
-        << state.exchange_rng[3] << '\n';
+    write_words(out, "exchange_rng", state.exchange_rng);
     out << "exchanges " << state.exchange_attempted << ' '
         << state.exchange_accepted << '\n';
   }
@@ -42,8 +56,7 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
     const gen::ChainCheckpoint& chain = state.chains[i];
     out << "chain " << i << '\n';
     out << "attempts " << chain.attempts_done << '\n';
-    out << "rng " << chain.rng_state[0] << ' ' << chain.rng_state[1] << ' '
-        << chain.rng_state[2] << ' ' << chain.rng_state[3] << '\n';
+    write_words(out, "rng", chain.rng_state);
     out << "temperature_bits "
         << std::bit_cast<std::uint64_t>(chain.temperature) << '\n';
     const gen::RewiringStats& s = chain.stats;
@@ -209,19 +222,30 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
   CheckpointParser parser(in, path);
 
   const std::string& header = parser.next_line("checkpoint header");
-  int version = 0;
-  if (header == kHeader) {
-    version = 2;
-  } else if (header == kHeaderV1) {
-    version = 1;
-  } else {
-    parser.fail(std::string("expected '") + kHeader + "' or '" + kHeaderV1 +
-                "', got: " + header);
+  const std::string prefix = kHeader;
+  const int version =
+      header.size() == prefix.size() + 1 && header.starts_with(prefix)
+          ? header.back() - '0'
+          : 0;
+  if (version < 1 || version > 3) {
+    parser.fail("expected '" + prefix + "1' to '" + prefix + "3', got: " +
+                header);
   }
   gen::RunCheckpoint state;
   const std::uint64_t d = parser.keyed_u64("d");
   if (d != 2 && d != 3) parser.fail("d must be 2 or 3");
   state.d = static_cast<int>(d);
+  state.final_d = state.d;
+  if (version >= 3) {
+    const std::uint64_t final_d = parser.keyed_u64("final_d");
+    if (final_d != 2 && final_d != 3) parser.fail("final_d must be 2 or 3");
+    if (final_d < d) parser.fail("final_d must not be below d");
+    state.final_d = static_cast<int>(final_d);
+    parser.keyed_u64s("pipeline_rng", state.pipeline_rng.data(), 4);
+    if (all_zero(state.pipeline_rng) && state.d < state.final_d) {
+      parser.fail("all-zero pipeline rng state before the final stage");
+    }
+  }
   state.budget = parser.keyed_u64("budget");
   state.checkpoint_every = parser.keyed_u64("every");
   const std::string backend = parser.keyed_word("backend");
@@ -248,8 +272,7 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
         parser.fail("exchange cadence must divide the checkpoint cadence");
       }
       parser.keyed_u64s("exchange_rng", state.exchange_rng.data(), 4);
-      if (state.exchange_rng[0] == 0 && state.exchange_rng[1] == 0 &&
-          state.exchange_rng[2] == 0 && state.exchange_rng[3] == 0) {
+      if (all_zero(state.exchange_rng)) {
         parser.fail("all-zero exchange rng state");
       }
       std::uint64_t exchanges[2] = {0, 0};
@@ -276,10 +299,7 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
       parser.fail("chains out of step (unequal attempts)");
     }
     parser.keyed_u64s("rng", chain.rng_state.data(), 4);
-    if (chain.rng_state[0] == 0 && chain.rng_state[1] == 0 &&
-        chain.rng_state[2] == 0 && chain.rng_state[3] == 0) {
-      parser.fail("all-zero rng state");
-    }
+    if (all_zero(chain.rng_state)) parser.fail("all-zero rng state");
     if (version >= 2) {
       const std::uint64_t bits = parser.keyed_u64("temperature_bits");
       chain.temperature = std::bit_cast<double>(bits);

@@ -2,15 +2,21 @@
 //
 // Versioned text format, one logical field per line:
 //
-//   # orbis checkpoint v1
-//   d 2
+//   # orbis checkpoint v3
+//   d 2                                 (current stage)
+//   final_d 3                           (v3: the run's final d)
+//   pipeline_rng <w0> <w1> <w2> <w3>    (v3: gen::Pipeline seeding Rng)
 //   budget 1000000
 //   every 50000
 //   backend dense
+//   move swap                           (v2+)
+//   ladder <exchange_every> <adaptive>  (v2+; laddered runs add the
+//                                        exchange_rng/exchanges records)
 //   chains 2
 //   chain 0
 //   attempts 50000
 //   rng <w0> <w1> <w2> <w3>
+//   temperature_bits <bits>             (v2+)
 //   stats <attempts> <accepted> <rej_structural> <rej_constraint>
 //         <rej_objective> <conflict_reevals>          (one line)
 //   distance 42
@@ -24,6 +30,7 @@
 // holds either the previous complete checkpoint or the new one — a kill
 // mid-write can never produce a half-checkpoint for resume to trip on.
 //
+// v1 and v2 files stay readable; they are final-stage checkpoints.
 // Reads are strict: any structural deviation — wrong version, missing
 // field, trailing garbage, out-of-range node, duplicate edge, all-zero
 // Rng state, chains out of step — throws orbis::ParseError naming the

@@ -1,37 +1,16 @@
-// The unified entry-point contract (docs/service.md, "RunContext").
-//
-// Before this header existed, every long-running entry point grew its
-// own copies of the same cross-cutting knobs: GenerateOptions carried a
-// chain count, TargetingOptions and RandomizeOptions each carried
-// workers/stop/progress, the CLI threaded a seed by hand, and anything
-// new (the topology service, batch drivers) had to re-plumb all of
-// them.  RunContext is the one struct that carries a run's execution
-// context:
-//
-//   seed              — the run's RNG seed; make_rng() is the ONLY
-//                       place a context turns into a generator, so two
-//                       calls with equal contexts draw identical streams
-//   chains            — multichain fan-out (0 = autotune, one per core)
-//   workers           — speculative evaluation workers (1 = serial)
-//   memory_budget_mb  — objective-backend budget (docs/scaling.md)
-//   stop              — cooperative cancellation (util/stop_token.hpp);
-//                       polled at the same batch boundaries as always
-//   progress          — live progress sink (obs/progress.hpp)
-//   metrics           — metrics registry; null = obs::Registry::global()
+// The unified entry-point contract (docs/service.md, "RunContext"):
+// the one struct that carries a run's execution context — seed, chain
+// count, workers, memory budget, stop token, progress sink, metrics
+// registry — so no entry point re-plumbs those knobs by hand.
 //
 // Entry points accept a RunContext alongside their algorithm-specific
 // options (gen::GenerateOptions keeps method/temperature/budget — those
 // describe WHAT to compute; the context describes HOW this particular
 // run executes).  The options structs keep their historical fields as
-// one-release back-compat shims: `options.apply(ctx)` copies the
-// context over them, and the context-taking overloads do exactly that,
-// so a context-driven call and a hand-filled legacy call are
-// bit-identical.
-//
-// Deprecation policy: the pre-RunContext entry points and direct writes
-// to the duplicated fields keep compiling this release.  Building with
-// -DORBIS_WARN_DEPRECATED surfaces [[deprecated]] at the old signatures
-// so downstreams can find every call site before the shims go away.
+// one-release back-compat shims (their comments say DEPRECATED):
+// `options.apply(ctx)` copies the context over them, and the
+// context-taking overloads do exactly that, so a context-driven call and
+// a hand-filled legacy call are bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +21,6 @@
 #include "util/rng.hpp"
 #include "util/stop_token.hpp"
 
-#if defined(ORBIS_WARN_DEPRECATED)
-#define ORBIS_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define ORBIS_DEPRECATED(msg)
-#endif
-
 namespace orbis::svc {
 
 struct RunContext {
@@ -57,8 +30,8 @@ struct RunContext {
   /// context plus the algorithm options.
   std::uint64_t seed = 1;
 
-  /// Multichain fan-out for targeting stages; 0 = autotune (one chain
-  /// per available core, gen::default_chain_count).
+  /// Chains per targeting stage (gen/pipeline.hpp); 0 = autotune (one
+  /// chain per available core, gen::default_chain_count).
   std::size_t chains = 0;
 
   /// Speculative evaluation workers for the 3K paths; 1 = serial,

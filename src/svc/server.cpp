@@ -5,8 +5,7 @@
 #include <atomic>
 #include <utility>
 
-#include "gen/checkpoint.hpp"
-#include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "io/dk_serialization.hpp"
 #include "io/edge_list.hpp"
 #include "obs/trace.hpp"
@@ -82,18 +81,11 @@ struct Server::Job {
   JobInfo info;  // guarded by Server::mutex_ once workers run
   bool started = false;
 
-  /// Generate-job continuation state; touched only by the worker
-  /// currently holding the job's slice (one slice in flight at a time).
-  struct GenerateState {
-    dk::DkDistributions target;
-    gen::TargetingOptions targeting;
-    gen::MultiChainOptions chains{};
-    std::uint64_t checkpoint_every = 0;
-    int stage = 2;  // currently targeted series level: 2, then 3
-    gen::RunCheckpoint run;
-    util::Rng rng{1};  // master seeding stream across stages
-  };
-  std::unique_ptr<GenerateState> generate;
+  /// Generate-job continuation: the target, read on the first slice,
+  /// and the pipeline stepped one leg per slice.  Touched only by the
+  /// worker holding the job's slice (one slice in flight at a time).
+  dk::DkDistributions target;
+  std::unique_ptr<gen::Pipeline> pipeline;
 };
 
 Server::Server(ServerOptions options)
@@ -232,18 +224,20 @@ void Server::worker_loop() {
 }
 
 void Server::finish(Job& job, JobState state, const std::string& error) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job.info.state = state;
-    job.info.error = error;
-  }
-  done_cv_.notify_all();
+  // The event goes out before the state is published, so a wait() that
+  // has returned implies on_event has seen `done`.
   JobEvent event;
   event.kind = JobEvent::Kind::done;
   event.job = job.id;
   event.state = state;
   event.text = error;
   emit(event);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    job.info.state = state;
+    job.info.error = error;
+  }
+  done_cv_.notify_all();
 }
 
 void Server::run_slice(Job& job) {
@@ -319,119 +313,71 @@ void Server::run_metrics(Job& job) {
 void Server::run_generate_leg(Job& job) {
   const obs::Span span("svc.job.generate_leg");
   const JobRequest& request = job.request;
-  if (!job.generate) {
-    // First slice: read the target distributions, bootstrap the 1K
-    // start graph, build the stage-2 checkpointed run.
-    auto state = std::make_unique<Job::GenerateState>();
-    state->target.degree = io::read_1k_file(request.input_path + ".1k");
-    state->target.joint = io::read_2k_file(request.input_path + ".2k");
+  if (!job.pipeline) {
+    // First slice: read the target distributions, then the pipeline
+    // seeds the 1K start graph and sets up the 2K stage.
+    job.target.degree = io::read_1k_file(request.input_path + ".1k");
+    job.target.joint = io::read_2k_file(request.input_path + ".2k");
     if (request.d >= 3) {
-      state->target.three_k = io::read_3k_file(request.input_path + ".3k");
+      job.target.three_k = io::read_3k_file(request.input_path + ".3k");
     }
-    state->targeting.temperature = request.temperature;
+    gen::PipelineOptions options;
+    options.d = request.d;
+    options.targeting.temperature = request.temperature;
     if (request.attempts_per_edge > 0) {
-      state->targeting.attempts_per_edge = request.attempts_per_edge;
+      options.targeting.attempts_per_edge = request.attempts_per_edge;
     }
-    state->targeting.attempts = request.attempts;
-    state->targeting.apply(request.ctx);
+    options.targeting.attempts = request.attempts;
+    options.targeting.apply(request.ctx);
     // Batch jobs report at leg granularity (the `leg` events); per-
     // attempt samples through the event sink would flood the wire.
-    state->targeting.progress = nullptr;
-    state->chains.chains = request.ctx.chains;
-    state->rng = request.ctx.make_rng();
-
-    Graph start;
-    {
-      const obs::Span seed_span("svc.generate.seed_1k");
-      start = gen::matching_1k(state->target.degree, state->rng);
-    }
-    const std::uint64_t budget =
-        request.attempts > 0
-            ? request.attempts
-            : static_cast<std::uint64_t>(state->targeting.attempts_per_edge) *
-                  start.num_edges();
-    state->checkpoint_every =
-        request.checkpoint_every > 0
-            ? request.checkpoint_every
-            : (budget > 8 ? budget / 8 : std::uint64_t{1});
-    state->run = gen::make_2k_run(start, state->targeting, state->chains,
-                                  state->checkpoint_every, state->rng);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job.info.budget = state->run.budget;
-    }
-    job.generate = std::move(state);
+    options.targeting.progress = nullptr;
+    options.chains = request.ctx.chains;
+    options.checkpoint_every = request.checkpoint_every;
+    job.pipeline = std::make_unique<gen::Pipeline>(
+        job.target, std::move(options), request.ctx.make_rng());
+    std::lock_guard<std::mutex> lock(mutex_);
+    job.info.budget = job.pipeline->checkpoint().budget;
   }
 
-  Job::GenerateState& state = *job.generate;
-  // One checkpoint leg per slice: the first boundary callback requests
-  // stop on the slice token, so the driver returns right there and the
-  // job re-queues behind whatever interactive work arrived meanwhile.
-  job.stop.reset();
-  if (job.cancelled.load(std::memory_order_relaxed)) {
-    // cancel() raced the reset; re-arm the stop it intended.
-    job.stop.request_stop();
-  }
   gen::CheckpointOptions checkpointing;
   checkpointing.stop = job.stop.token();
   checkpointing.on_checkpoint = [this, &job](const gen::RunCheckpoint& run) {
-    job.stop.request_stop();
     std::uint64_t legs = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       legs = ++job.info.legs_done;
-      job.info.attempts_done =
-          run.chains.empty() ? 0 : run.chains[0].attempts_done;
+      job.info.attempts_done = run.chains[0].attempts_done;
     }
     JobEvent event;
     event.kind = JobEvent::Kind::leg;
     event.job = job.id;
     event.state = JobState::running;
     event.attempts = legs;
-    event.budget = run.checkpoint_every > 0
-                       ? (run.budget + run.checkpoint_every - 1) /
-                             run.checkpoint_every
-                       : 1;
+    event.budget =
+        (run.budget + run.checkpoint_every - 1) / run.checkpoint_every;
     emit(event);
   };
-
-  gen::CheckpointedResult result =
-      state.stage == 2
-          ? gen::run_checkpointed_2k(state.run, state.target.joint,
-                                     state.targeting, checkpointing)
-          : gen::run_checkpointed_3k(state.run, state.target.three_k,
-                                     state.targeting, checkpointing);
+  // One leg per slice, then the job re-queues behind whatever
+  // interactive work arrived meanwhile.
+  gen::Pipeline& pipeline = *job.pipeline;
+  const bool finished = pipeline.step(checkpointing);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job.info.best_distance = result.best_distance;
-    job.info.attempts_done = result.attempts_done;
+    job.info.best_distance = pipeline.result().best_distance;
+    job.info.attempts_done = pipeline.result().attempts_done;
   }
 
+  // A stop only ever comes from cancel().
   if (job.cancelled.load(std::memory_order_relaxed)) {
     finish(job, JobState::interrupted, "");
     return;
   }
-  // Our own slice-stop makes `interrupted` the EXPECTED result of a
-  // mid-run leg; the stage is over only when the driver ran out of
-  // budget (finished) or returned on its own (stop_distance reached).
-  const bool stage_complete = state.run.finished() || !result.interrupted;
-  if (!stage_complete) {
+  if (!finished) {
     queue_.push(job.cls, job.id);
     return;
   }
-  if (state.stage == 2 && request.d == 3) {
-    const obs::Span stage_span("svc.generate.stage_3k");
-    state.stage = 3;
-    state.run = gen::make_3k_run(result.graph, state.targeting, state.chains,
-                                 state.checkpoint_every, state.rng);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job.info.budget = state.run.budget;
-    }
-    queue_.push(job.cls, job.id);
-    return;
-  }
-  io::write_edge_list_file(request.output, result.graph);
+  io::write_edge_list_file(request.output, pipeline.graph());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job.info.files = {request.output};

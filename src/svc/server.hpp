@@ -14,15 +14,15 @@
 //     adapter that re-emits samples as events), state, and results.
 //
 // Job model.  Extract and metrics jobs are INTERACTIVE: one slice,
-// start to finish.  Generate jobs are BATCH: the server runs them as
-// checkpoint LEGS (gen/checkpoint.hpp) — each slice executes exactly
-// one leg (an on_checkpoint callback requests stop on the slice's
-// token, so the driver returns at the first boundary), then the job
-// re-queues.  Interactive work therefore interleaves with a
+// start to finish.  Generate jobs are BATCH: a job is a gen::Pipeline
+// (gen/pipeline.hpp) stepped one checkpoint LEG per slice, after which
+// the job re-queues.  Interactive work therefore interleaves with a
 // long-running generate at leg boundaries, and the FairQueue's stride
 // policy bounds how long a backlog of either class can delay the
 // other.  A d = 3 generate runs its paper-§5.1 stages in sequence
-// (1K bootstrap -> 2K legs -> 3K legs) under one job id.
+// (1K bootstrap -> 2K legs -> 3K legs) under one job id, and writes the
+// same graph as gen::generate_dk_random and `orbis_tool generate` for
+// the same request.
 //
 // Cancellation: cancel() sets the job's cancelled flag and requests
 // stop on its StopSource.  An extract/metrics slice aborts at the next

@@ -9,7 +9,6 @@
 //     ThreeKRewirer::target/randomize) poll every few thousand attempts;
 //   * the optimistic parallel committer (rewiring_parallel) polls
 //     between speculation rounds;
-//   * exec::ParallelChainDriver polls before launching each chain body;
 //   * the checkpointed run driver (gen/checkpoint.hpp) polls at leg
 //     boundaries ONLY, so an interrupted checkpointed run stops exactly
 //     at a canonical checkpoint boundary and resume stays bit-identical.

@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/parallel_chain_driver.hpp"
-#include "util/rng.hpp"
 
 namespace orbis::exec {
 namespace {
@@ -93,64 +91,6 @@ TEST(ThreadPool, RunTasksRethrowsLowestIndexFailure) {
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "first");
   }
-}
-
-TEST(ParallelChainDriver, ChainsAreDeterministicAcrossPoolSizes) {
-  // The same caller Rng must produce the same per-chain streams and the
-  // same per-chain outputs no matter how many threads serve the pool.
-  const auto run_with_pool = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    ParallelChainDriver driver(pool);
-    util::Rng rng(1234);
-    std::vector<std::uint64_t> draws(8, 0);
-    driver.run(8, rng, [&draws](std::size_t chain, util::Rng& chain_rng) {
-      // A few draws so any cross-chain sharing would corrupt results.
-      std::uint64_t acc = 0;
-      for (int i = 0; i < 100; ++i) acc ^= chain_rng.next();
-      draws[chain] = acc;
-    });
-    return draws;
-  };
-  const auto serial = run_with_pool(1);
-  const auto parallel = run_with_pool(4);
-  EXPECT_EQ(serial, parallel);
-
-  // Distinct chains see distinct streams.
-  for (std::size_t i = 1; i < serial.size(); ++i) {
-    EXPECT_NE(serial[0], serial[i]) << "chain " << i;
-  }
-}
-
-TEST(ParallelChainDriver, AdvancesCallerRngExactlyOnce) {
-  ThreadPool pool(2);
-  ParallelChainDriver driver(pool);
-  util::Rng rng(77);
-  driver.run(5, rng, [](std::size_t, util::Rng&) {});
-  util::Rng reference(77);
-  (void)reference.next();
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(rng.next(), reference.next());
-}
-
-TEST(ParallelChainDriver, MoreChainsThanThreadsAllRun) {
-  ThreadPool pool(2);
-  ParallelChainDriver driver(pool);
-  util::Rng rng(5);
-  std::vector<int> ran(32, 0);
-  driver.run(32, rng,
-             [&ran](std::size_t chain, util::Rng&) { ran[chain] = 1; });
-  EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 32);
-}
-
-TEST(ParallelChainDriver, PropagatesChainExceptions) {
-  ThreadPool pool(2);
-  ParallelChainDriver driver(pool);
-  util::Rng rng(6);
-  EXPECT_THROW(
-      driver.run(4, rng,
-                 [](std::size_t chain, util::Rng&) {
-                   if (chain == 2) throw std::runtime_error("chain died");
-                 }),
-      std::runtime_error);
 }
 
 TEST(SharedPool, IsCreatedOnceAndSizedToHardware) {

@@ -289,9 +289,10 @@ TEST_F(LadderRunTest, TradeMovesPreserveTheJdd) {
   ladder.replicas = 2;
   ladder.exchange_every = 400;
   ladder.top_temperature = 20.0;
-  MultiChainResult result;
-  const Graph out =
-      target_2k_ladder(start_, target_.joint, options, ladder, rng, &result);
+  RunCheckpoint state = make_2k_ladder_run(start_, options, ladder, 0, rng);
+  const CheckpointedResult result =
+      run_checkpointed_2k(state, target_.joint, options, {});
+  const Graph& out = result.graph;
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
   EXPECT_GT(result.total_stats.attempts, 0u);
 }
@@ -311,8 +312,9 @@ TEST_F(LadderRunTest, Mixed3KTargetingPreserves2K) {
   ladder.exchange_every = 300;
   ladder.top_temperature = 20.0;
   util::Rng rng(44);
+  RunCheckpoint state = make_3k_ladder_run(start3, options3, ladder, 0, rng);
   const Graph out =
-      target_3k_ladder(start3, target_.three_k, options3, ladder, rng);
+      run_checkpointed_3k(state, target_.three_k, options3, {}).graph;
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
 }
 

@@ -112,8 +112,9 @@ TEST(Generate, BadLevelThrows) {
 TEST(Generate, DkRandomLikeMatchesLevel) {
   util::Rng source(15);
   const auto original = builders::gnm(40, 100, source);
-  util::Rng rng(16);
-  const auto g2 = dk_random_like(original, 2, rng);
+  svc::RunContext ctx;
+  ctx.seed = 16;
+  const auto g2 = dk_random_like(original, 2, ctx);
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(g2),
             dk::JointDegreeDistribution::from_graph(original));
 }

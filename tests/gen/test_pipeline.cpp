@@ -1,0 +1,194 @@
+// gen::Pipeline (gen/pipeline.hpp): the one 1K -> 2K -> 3K stage machine.
+// Seeding order, scheduling independence, error propagation out of the
+// chains, step() == run(), and option combinations rejected before any
+// stage runs.
+#include "gen/pipeline.hpp"
+
+#include <gtest/gtest.h>
+
+#include <stdexcept>
+
+#include "core/series.hpp"
+#include "exec/thread_pool.hpp"
+#include "gen/matching.hpp"
+#include "graph/builders.hpp"
+#include "obs/metrics.hpp"
+#include "obs/progress.hpp"
+#include "util/rng.hpp"
+
+namespace orbis::gen {
+namespace {
+
+class PipelineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    util::Rng rng(41);
+    target_ = dk::extract(builders::gnm(40, 90, rng), 3);
+    options_.d = 3;
+    options_.chains = 2;
+    options_.targeting.attempts = 1200;
+  }
+
+  dk::DkDistributions target_;
+  PipelineOptions options_;
+};
+
+TEST_F(PipelineTest, SeedingDrawsMatchingThenOneMasterPerStage) {
+  Pipeline pipeline(target_, options_, util::Rng(7));
+
+  util::Rng reference(7);
+  const Graph seed = matching_1k(target_.degree, reference);
+  const util::Rng master_2k(reference.next());
+  const RunCheckpoint& state = pipeline.checkpoint();
+  ASSERT_EQ(state.chains.size(), 2u);
+  for (std::size_t i = 0; i < state.chains.size(); ++i) {
+    EXPECT_EQ(state.chains[i].rng_state, master_2k.stream(i).state_words());
+    EXPECT_TRUE(state.chains[i].graph == seed);
+  }
+  EXPECT_EQ(state.pipeline_rng, reference.state_words());
+  // Default cadence: budget / 8.
+  EXPECT_EQ(state.checkpoint_every, 150u);
+
+  // Step to the stage boundary: the 3K master is the next draw.
+  while (pipeline.checkpoint().d == 2) pipeline.step({});
+  const util::Rng master_3k(reference.next());
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(pipeline.checkpoint().chains[i].rng_state,
+              master_3k.stream(i).state_words());
+  }
+  EXPECT_EQ(pipeline.checkpoint().pipeline_rng, reference.state_words());
+}
+
+TEST_F(PipelineTest, MakeRunAdvancesCallerRngExactlyOnce) {
+  util::Rng boot(1);
+  const Graph start = matching_1k(target_.degree, boot);
+  for (const std::size_t chains : {1u, 5u}) {
+    util::Rng rng(77);
+    make_2k_run(start, options_.targeting, MultiChainOptions{.chains = chains},
+                100, rng);
+    util::Rng reference(77);
+    (void)reference.next();
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(rng.next(), reference.next());
+  }
+}
+
+TEST_F(PipelineTest, ResultsAreIdenticalAcrossPoolSizes) {
+  // More chains than threads: every chain must still run its full
+  // budget, and the result must not depend on the pool.
+  options_.chains = 6;
+  const auto run_with_pool = [&](std::size_t threads) {
+    exec::ThreadPool pool(threads);
+    Pipeline pipeline(target_, options_, util::Rng(1234));
+    CheckpointOptions checkpointing;
+    checkpointing.pool = &pool;
+    EXPECT_TRUE(pipeline.run(checkpointing));
+    for (const ChainCheckpoint& chain : pipeline.checkpoint().chains) {
+      EXPECT_EQ(chain.attempts_done, 1200u);
+    }
+    return pipeline;
+  };
+  const Pipeline serial = run_with_pool(1);
+  const Pipeline parallel = run_with_pool(4);
+  EXPECT_TRUE(serial.graph() == parallel.graph());
+  ASSERT_EQ(serial.stages().size(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(serial.stages()[s].result.total_stats,
+              parallel.stages()[s].result.total_stats);
+    EXPECT_EQ(serial.stages()[s].result.best_chain,
+              parallel.stages()[s].result.best_chain);
+  }
+  // Distinct chains walk distinct streams.
+  const auto& chains = serial.checkpoint().chains;
+  for (std::size_t i = 1; i < chains.size(); ++i) {
+    EXPECT_NE(chains[0].rng_state, chains[i].rng_state) << i;
+  }
+}
+
+TEST_F(PipelineTest, ChainExceptionsPropagate) {
+  // A progress sink that fails on chain 1's lane: the failure must
+  // surface from run(), not vanish on a pool thread.
+  struct FailingSink : obs::ProgressSink {
+    void report(std::uint32_t lane, const obs::ProgressSample&) override {
+      if (lane == 1) throw std::runtime_error("chain 1 died");
+    }
+  } sink;
+  options_.targeting.progress = &sink;
+  Pipeline pipeline(target_, options_, util::Rng(6));
+  EXPECT_THROW(pipeline.run({}), std::runtime_error);
+}
+
+TEST_F(PipelineTest, SteppingLegByLegEqualsOneRun) {
+  Pipeline whole(target_, options_, util::Rng(9));
+  ASSERT_TRUE(whole.run({}));
+  Pipeline stepped(target_, options_, util::Rng(9));
+  std::size_t steps = 1;
+  Graph two_k;
+  while (!stepped.step({})) {
+    ++steps;
+    if (stepped.checkpoint().d == 3 && two_k.num_nodes() == 0) {
+      two_k = stepped.graph();  // the 2K stage's best chain
+    }
+  }
+  EXPECT_EQ(steps, 16u);  // 8 legs per stage
+  EXPECT_TRUE(whole.graph() == stepped.graph());
+  EXPECT_EQ(whole.stages().back().result.total_stats,
+            stepped.stages().back().result.total_stats);
+  // The 3K stage preserves the JDD the 2K stage reached.
+  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(whole.graph()),
+            dk::JointDegreeDistribution::from_graph(two_k));
+}
+
+TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
+  obs::Counter& attempts = obs::Registry::global().counter("rewire.attempts");
+  const std::uint64_t before = attempts.value();
+  const auto rejects = [&](PipelineOptions options) {
+    EXPECT_THROW(Pipeline(target_, options, util::Rng(1)),
+                 std::invalid_argument);
+  };
+  PipelineOptions options = options_;
+  options.d = 4;
+  rejects(options);
+  options = options_;
+  options.chains = 0;
+  options.ladder.replicas = 1;
+  rejects(options);
+  options.ladder.replicas = 3;
+  options.chains = 2;
+  rejects(options);  // ladder and chains
+  options = options_;
+  options.ladder.exchange_every = 100;
+  rejects(options);  // epoch without a ladder
+  options = options_;
+  options.chains = 1;
+  options.targeting.workers = 2;
+  options.targeting.move = MoveKind::trade;
+  rejects(options);  // speculative 3K path is swap-only
+  EXPECT_EQ(attempts.value(), before);
+
+  // The same move mix is fine at d = 2, or with several chains.
+  options.d = 2;
+  EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1)));
+  options.d = 3;
+  options.chains = 2;
+  EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1)));
+}
+
+TEST_F(PipelineTest, SingleChainWithWorkersRunsTheSpeculativePath) {
+  options_.chains = 1;
+  options_.targeting.workers = 2;
+  Pipeline speculative(target_, options_, util::Rng(12));
+  while (speculative.checkpoint().d == 2) speculative.step({});
+  const auto jdd = dk::JointDegreeDistribution::from_graph(speculative.graph());
+  ASSERT_TRUE(speculative.run({}));
+  const Graph& g = speculative.graph();
+  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(g), jdd);
+  // Speculation is a pure function of (seed, batch): the worker count
+  // does not change the chain.
+  options_.targeting.workers = 3;
+  Pipeline wider(target_, options_, util::Rng(12));
+  ASSERT_TRUE(wider.run({}));
+  EXPECT_TRUE(wider.graph() == g);
+}
+
+}  // namespace
+}  // namespace orbis::gen

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/series.hpp"
+#include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
 #include "gen/rewiring_engine.hpp"
 #include "graph/builders.hpp"
@@ -388,16 +389,16 @@ TEST(Determinism, MultiChainResultIndependentOfScheduling) {
   // Chains race on real threads; the selected result must still be a
   // deterministic function of the seed (best distance, ties to the
   // lowest chain id).
-  util::Rng rng_a(59);
-  MultiChainResult result_a;
-  const auto a =
-      target_2k_multichain(start, target, options, chains, rng_a, &result_a);
-  util::Rng rng_b(59);
-  MultiChainResult result_b;
-  const auto b =
-      target_2k_multichain(start, target, options, chains, rng_b, &result_b);
+  const auto run = [&]() {
+    util::Rng rng(59);
+    RunCheckpoint state = make_2k_run(start, options, chains, 0, rng);
+    return run_checkpointed_2k(state, target, options, {});
+  };
+  const CheckpointedResult result_a = run();
+  const CheckpointedResult result_b = run();
+  const Graph& a = result_a.graph;
 
-  EXPECT_EQ(a.edges(), b.edges());
+  EXPECT_EQ(a.edges(), result_b.graph.edges());
   EXPECT_EQ(result_a.best_chain, result_b.best_chain);
   EXPECT_EQ(result_a.best_distance, result_b.best_distance);
   EXPECT_EQ(result_a.total_stats.attempts, result_b.total_stats.attempts);
@@ -427,9 +428,10 @@ TEST(MultiChain, ThreeKDriverConvergesAndPreservesJdd) {
   chains.chains = 3;
 
   util::Rng rng(63);
-  MultiChainResult result;
-  const auto best = target_3k_multichain(start, dists.three_k, options,
-                                         chains, rng, &result);
+  RunCheckpoint state = make_3k_run(start, options, chains, 0, rng);
+  const CheckpointedResult result =
+      run_checkpointed_3k(state, dists.three_k, options, {});
+  const Graph& best = result.graph;
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(best), dists.joint);
   EXPECT_LT(result.best_chain, chains.chains);
   EXPECT_NEAR(result.best_distance,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/series.hpp"
+#include "gen/checkpoint.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph.hpp"
@@ -116,17 +117,18 @@ TEST_F(TelemetryDeterminismTest, MultichainLanesIdenticalWithTelemetryOn) {
   gen::TargetingOptions options;
   options.attempts = 20000;
   const gen::MultiChainOptions chains{.chains = 3};
+  const auto run = [&](const gen::TargetingOptions& targeting) {
+    util::Rng rng(31);
+    gen::RunCheckpoint state =
+        gen::make_2k_run(start_, targeting, chains, 5000, rng);
+    return gen::run_checkpointed_2k(state, target, targeting, {}).graph;
+  };
 
-  util::Rng rng_off(31);
-  const Graph off =
-      gen::target_2k_multichain(start_, target, options, chains, rng_off);
-
+  const Graph off = run(options);
   obs::TrajectoryRecorder trajectory;
   gen::TargetingOptions observed = options;
   observed.progress = &trajectory;
-  util::Rng rng_on(31);
-  const Graph on =
-      gen::target_2k_multichain(start_, target, observed, chains, rng_on);
+  const Graph on = run(observed);
 
   expect_identical(off, on);
   // Each chain reported under its own lane.

@@ -1,5 +1,5 @@
 // Cooperative cancellation (util/stop_token.hpp): serial chains, the
-// multichain driver and the checkpointed leg driver all wind down at
+// pipeline and the checkpointed leg driver all wind down at
 // batch boundaries without corrupting state.
 #include "util/stop_token.hpp"
 
@@ -8,6 +8,7 @@
 #include "core/series.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "util/rng.hpp"
@@ -132,22 +133,25 @@ TEST_F(CancellationTest, InterruptBeforeFirstLegPublishesNothing) {
   EXPECT_EQ(result.attempts_done, 0u);
 }
 
-TEST_F(CancellationTest, MultichainRunHonorsStopToken) {
-  util::Rng boot(17);
-  const Graph start = gen::matching_1k(target_.degree, boot);
-  gen::TargetingOptions options;
-  options.attempts = 2000;
+TEST_F(CancellationTest, PipelineRunHonorsStopToken) {
+  gen::PipelineOptions options;
+  options.d = 3;
+  options.chains = 2;
+  options.targeting.attempts = 2000;
+  gen::Pipeline pipeline(target_, options, util::Rng(4));
   util::StopSource stop;
   stop.request_stop();
-  options.stop = stop.token();
-  util::Rng rng(4);
-  // Chains poll the token at their batch boundaries; with the stop
-  // pre-requested this returns (nearly) immediately instead of burning
-  // the full budget.  The result is still a valid graph.
-  const Graph result = gen::target_2k_multichain(
-      start, target_.joint, options, gen::MultiChainOptions{.chains = 2},
-      rng);
-  EXPECT_EQ(result.num_edges(), start.num_edges());
+  gen::CheckpointOptions checkpointing;
+  checkpointing.stop = stop.token();
+  // The pipeline polls the token at leg boundaries and its chains at
+  // their batch boundaries; with the stop pre-requested it returns
+  // before the first leg, still in the 2K stage, with a valid graph.
+  EXPECT_FALSE(pipeline.run(checkpointing));
+  EXPECT_TRUE(pipeline.result().interrupted);
+  EXPECT_EQ(pipeline.checkpoint().d, 2);
+  EXPECT_EQ(pipeline.checkpoint().chains[0].attempts_done, 0u);
+  EXPECT_EQ(pipeline.graph().num_edges(),
+            static_cast<std::size_t>(target_.joint.num_edges()));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "gen/checkpoint.hpp"
 
 #include "gen/anneal.hpp"
+#include "gen/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -282,6 +283,8 @@ TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
   const RunCheckpoint loaded = io::read_checkpoint_file(file);
 
   EXPECT_EQ(loaded.d, state.d);
+  EXPECT_EQ(loaded.final_d, state.final_d);
+  EXPECT_EQ(loaded.pipeline_rng, state.pipeline_rng);
   EXPECT_EQ(loaded.budget, state.budget);
   EXPECT_EQ(loaded.checkpoint_every, state.checkpoint_every);
   EXPECT_EQ(loaded.backend, state.backend);
@@ -310,7 +313,7 @@ TEST_F(CheckpointResumeTest, TruncatedCheckpointIsAParseErrorNotAResume) {
                    std::istreambuf_iterator<char>());
   }
   std::ofstream(file, std::ios::binary | std::ios::trunc)
-      << content.substr(0, content.size() / 2);
+      << content.substr(0, content.rfind('\n', content.size() / 2) + 1);
 
   try {
     io::read_checkpoint_file(file);
@@ -351,6 +354,80 @@ TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
          "backend dense\nchains 1\nchain 0\nattempts 5\n"
          "rng 1 2 3 4\nstats 0 0 0 0 0 0\ndistance 0\n"
          "graph 1 0\nend chain\nend checkpoint\ntrailing\n");  // garbage
+  reject("# orbis checkpoint v3\nd 3\nfinal_d 2\n");  // final_d below d
+  reject("# orbis checkpoint v3\nd 2\nfinal_d 3\n"
+         "pipeline_rng 0 0 0 0\n");  // next stage has nothing to draw from
+  reject("# orbis checkpoint v2\nd 2\nfinal_d 3\n");  // v3 record in v2
+}
+
+TEST_F(CheckpointResumeTest, V2FilesStillReadAsFinalStageCheckpoints) {
+  const std::string file = path("v2.ck");
+  std::ofstream(file, std::ios::trunc)
+      << "# orbis checkpoint v2\nd 3\nbudget 10\nevery 5\n"
+         "backend automatic\nmove swap\nladder 0 0\nchains 1\nchain 0\n"
+         "attempts 5\nrng 1 2 3 4\ntemperature_bits 0\n"
+         "stats 5 1 1 1 2 0\ndistance 7\ngraph 3 1\n0 1\nend chain\n"
+         "end checkpoint\n";
+  const RunCheckpoint loaded = io::read_checkpoint_file(file);
+  EXPECT_EQ(loaded.d, 3);
+  EXPECT_EQ(loaded.final_d, 3);
+  EXPECT_EQ(loaded.chains[0].distance, 7);
+}
+
+// The pipeline's checkpoint covers every stage: a d = 3 run killed at ANY
+// boundary — inside its 2K stage, on the stage boundary, inside its 3K
+// stage — and resumed from the file on disk ends bit-identical to the
+// uninterrupted run.
+TEST_F(CheckpointResumeTest, PipelineKillAtEveryBoundaryResumesBitIdentical) {
+  PipelineOptions options;
+  options.d = 3;
+  options.chains = 2;
+  options.targeting.attempts = 800;  // 4 legs of 200 per stage
+  options.checkpoint_every = 200;
+
+  Pipeline reference(target_, options, util::Rng(19));
+  ASSERT_TRUE(reference.run({}));
+  ASSERT_EQ(reference.stages().size(), 2u);
+
+  const std::string file = path("pipeline.ck");
+  for (std::size_t kill_at = 1; kill_at < 8; ++kill_at) {
+    {
+      Pipeline first(target_, options, util::Rng(19));
+      util::StopSource stop;
+      CheckpointOptions checkpointing;
+      checkpointing.stop = stop.token();
+      std::size_t written = 0;
+      checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
+        io::write_checkpoint_file(file, snapshot);
+        if (++written >= kill_at) stop.request_stop();
+      };
+      EXPECT_FALSE(first.run(checkpointing));
+    }
+    const RunCheckpoint on_disk = io::read_checkpoint_file(file);
+    EXPECT_EQ(on_disk.d, kill_at <= 4 ? 2 : 3) << kill_at;
+    EXPECT_EQ(on_disk.final_d, 3);
+
+    Pipeline resumed(target_, options, on_disk);
+    ASSERT_TRUE(resumed.run({})) << kill_at;
+    expect_same_edges(reference.graph(), resumed.graph());
+    const PipelineStage& want = reference.stages().back();
+    const PipelineStage& got = resumed.stages().back();
+    EXPECT_EQ(got.d, 3);
+    expect_same_stats(want.result.total_stats, got.result.total_stats);
+    EXPECT_EQ(want.result.best_chain, got.result.best_chain);
+    EXPECT_EQ(want.result.best_distance, got.result.best_distance);
+  }
+}
+
+TEST_F(CheckpointResumeTest, PipelineRejectsACheckpointForAnotherD) {
+  PipelineOptions options;
+  options.d = 2;
+  options.targeting.attempts = 400;
+  options.chains = 1;
+  Pipeline fresh(target_, options, util::Rng(3));
+  options.d = 3;
+  EXPECT_THROW(Pipeline(target_, options, fresh.checkpoint()),
+               std::invalid_argument);
 }
 
 TEST_F(CheckpointResumeTest, ResumingAFinishedRunJustReturnsTheResult) {

@@ -39,7 +39,9 @@ class ToolCliTest : public ::testing::Test {
     util::Rng rng(23);
     graph_ = builders::gnm(30, 60, rng);
     io::write_edge_list_file(path("g.edges"), graph_);
-    io::write_2k_file(path("g.2k"), dk::extract(graph_, 2).joint);
+    const dk::DkDistributions dists = dk::extract(graph_, 3);
+    io::write_2k_file(path("g.2k"), dists.joint);
+    io::write_3k_file(path("g.3k"), dists.three_k);
   }
   void TearDown() override {
     if (!dir_.empty()) fs::remove_all(dir_);
@@ -142,6 +144,55 @@ TEST_F(ToolCliTest, CheckpointKillResumeIsBitIdentical) {
   EXPECT_EQ(slurp(path("full.edges")), slurp(path("resumed.edges")));
 }
 
+TEST_F(ToolCliTest, D3KillAtStageBoundariesResumeIsBitIdentical) {
+  // The checkpoint of a d = 3 run covers its 2K stage too: kill inside
+  // the 2K stage, on the 2K -> 3K boundary and inside the 3K stage (8
+  // legs per stage at this cadence), resume from disk, and require the
+  // bytes of the uninterrupted run.
+  const std::string common = "generate --d 3 --from-2k '" + path("g.2k") +
+                             "' --from-3k '" + path("g.3k") +
+                             "' --seed 13 --chains 2 --checkpoint-every 3000";
+  ASSERT_EQ(run(common + " --checkpoint '" + path("d3full.ck") +
+                "' --out '" + path("d3full.edges") + "'"),
+            0);
+  const std::string full = slurp(path("d3full.edges"));
+  ASSERT_NE(full, "");
+  for (const int kill_at : {2, 8, 11}) {
+    const std::string tag = "d3k" + std::to_string(kill_at);
+    ASSERT_EQ(run(common + " --checkpoint '" + path(tag + ".ck") +
+                  "' --stop-after-checkpoints " + std::to_string(kill_at) +
+                  " --out '" + path(tag + ".edges") + "'"),
+              130);
+    EXPECT_FALSE(fs::exists(path(tag + ".edges")));
+    ASSERT_EQ(run(common + " --resume '" + path(tag + ".ck") + "' --out '" +
+                  path(tag + "r.edges") + "'"),
+              0);
+    EXPECT_EQ(slurp(path(tag + "r.edges")), full) << "killed at " << kill_at;
+  }
+}
+
+TEST_F(ToolCliTest, ImpossibleOptionsExitBeforeAnyStageRuns) {
+  // One chain with workers != 1 sends the 3K legs down the speculative
+  // path, which cannot trade: rejected up front, not after the 2K stage.
+  EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
+                "' --from-3k '" + path("g.3k") +
+                "' --chains 1 --workers 2 --move trade --out '" +
+                path("x.edges") + "' --report '" + path("bad.json") + "'"),
+            2);
+  const std::string report = slurp(path("bad.json"));
+  EXPECT_TRUE(test_json::is_valid_json(report)) << report;
+  EXPECT_TRUE(test_json::has_entry(report, "exit_code", "2"));
+  EXPECT_TRUE(!test_json::has_key(report, "rewire.attempts") ||
+              test_json::has_entry(report, "rewire.attempts", "0"))
+      << report;
+  EXPECT_FALSE(fs::exists(path("x.edges")));
+  // With one chain and the default swap moves the same command works.
+  EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
+                "' --from-3k '" + path("g.3k") +
+                "' --chains 1 --workers 2 --out '" + path("x.edges") + "'"),
+            0);
+}
+
 TEST_F(ToolCliTest, LadderedMixedMoveKillResumeIsBitIdentical) {
   // The replica-exchange ladder with the mixed proposal stream, through
   // the real CLI: kill after two checkpoints (epoch boundaries), resume
@@ -208,6 +259,33 @@ TEST_F(ToolCliTest, ReportAndTraceAreValidJson) {
   const std::string trace = slurp(path("trace.json"));
   EXPECT_TRUE(test_json::is_valid_json(trace)) << trace;
   EXPECT_TRUE(test_json::has_key(trace, "traceEvents"));
+}
+
+TEST_F(ToolCliTest, D3ReportHasOneRecordPerStage) {
+  ASSERT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
+                "' --from-3k '" + path("g.3k") +
+                "' --seed 5 --chains 2 --out '" + path("s.edges") +
+                "' --report '" + path("stages.json") + "'"),
+            0);
+  const std::string report = slurp(path("stages.json"));
+  ASSERT_TRUE(test_json::is_valid_json(report)) << report;
+  EXPECT_EQ(report.find("\"generate.3k\""), std::string::npos);
+  for (const std::string name : {"target.2k", "target.3k"}) {
+    const std::size_t at = report.find("\"" + name + "\"");
+    ASSERT_NE(at, std::string::npos) << name;
+    // The record runs from its name to its last field.
+    const std::size_t end = report.find("duration_seconds", at);
+    ASSERT_NE(end, std::string::npos) << name;
+    const std::string record = report.substr(at, end - at);
+    EXPECT_TRUE(test_json::has_key(record, "final_distance")) << record;
+    EXPECT_FALSE(test_json::has_entry(record, "final_distance", "null"))
+        << record;
+    EXPECT_TRUE(test_json::has_entry(record, "chains", "2")) << record;
+    EXPECT_TRUE(test_json::has_key(record, "best_chain")) << record;
+    EXPECT_TRUE(test_json::has_key(record, "attempts")) << record;
+    EXPECT_FALSE(test_json::has_entry(record, "attempts", "0")) << record;
+  }
+  EXPECT_LT(report.find("\"target.2k\""), report.find("\"target.3k\""));
 }
 
 // The whole point of the observability layer: asking for telemetry must

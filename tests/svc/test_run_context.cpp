@@ -72,9 +72,17 @@ TEST(RunContext, DkRandomLikeContextOverloadMatchesLegacyCall) {
   ctx.seed = 23;
   const Graph from_ctx = gen::dk_random_like(original, 1, ctx);
 
+  // The options-taking context overload, and the randomize call it is
+  // defined as, hand-plumbed the way pre-context callers did it.
+  const Graph from_options =
+      gen::dk_random_like(original, 1, gen::RandomizeOptions{}, ctx);
+  gen::RandomizeOptions legacy;
+  legacy.d = 1;
+  legacy.apply(ctx);
   util::Rng rng = ctx.make_rng();
-  const Graph from_legacy = gen::dk_random_like(original, 1, rng);
+  const Graph from_legacy = gen::randomize(original, legacy, rng);
 
+  EXPECT_TRUE(from_ctx == from_options);
   EXPECT_TRUE(from_ctx == from_legacy);
   EXPECT_EQ(from_ctx.num_edges(), original.num_edges());
 }
