@@ -23,6 +23,7 @@
 #include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
 #include "gen/rewiring.hpp"
+#include "gen/rewiring_engine.hpp"
 #include "metrics/clustering.hpp"
 #include "obs/progress.hpp"
 
@@ -95,11 +96,14 @@ int main(int argc, char** argv) {
     targeting.temperature = temperature;
     targeting.attempts_per_edge = 200;
     AcceptanceTrace trace(32);
-    targeting.progress = &trace;
+    svc::RunContext ctx;
+    ctx.progress = &trace;
     gen::RewiringStats stats;
-    double final_distance = -1.0;
-    const auto result = gen::target_2k(start, dists.joint, targeting, rng,
-                                       &stats, &final_distance);
+    gen::RewiringEngine engine(start);
+    const auto final_distance = static_cast<double>(engine.target_2k(
+        dists.joint, targeting, targeting.attempts_per_edge * start.num_edges(),
+        rng, &stats, ctx));
+    const Graph result = engine.graph();
     table.add_row(
         {util::TextTable::fmt_sig(temperature, 2),
          util::TextTable::fmt(final_distance, 1),
@@ -150,7 +154,8 @@ int main(int argc, char** argv) {
   auto state = gen::make_2k_ladder_run(ladder_start, targeting, ladder,
                                        ladder.exchange_every, ladder_rng);
   AcceptanceTrace ladder_trace(32);
-  targeting.progress = &ladder_trace;
+  svc::RunContext ladder_ctx;
+  ladder_ctx.progress = &ladder_trace;
 
   util::TextTable epochs({"attempts/replica", "best D2", "T0", "T1", "T2",
                           "T3", "exch acc/att"});
@@ -175,7 +180,8 @@ int main(int argc, char** argv) {
     epochs.add_row(row);
   };
   const auto ladder_result =
-      gen::run_checkpointed_2k(state, dists.joint, targeting, checkpointing);
+      gen::run_checkpointed_2k(state, dists.joint, targeting, checkpointing,
+                               ladder_ctx);
   std::printf("%s\n", epochs.str().c_str());
   std::printf("final D2 (cold replica family): %.1f, C = %.4f\n",
               ladder_result.best_distance,

@@ -200,14 +200,15 @@ void BM_Parallel3KRandomize(benchmark::State& state) {
   const auto g = make_graph(10000);
   const auto threads = static_cast<std::size_t>(state.range(0));
   exec::ThreadPool pool(threads);
-  const gen::SpeculationOptions speculation{.workers = threads,
-                                            .batch = 256};
+  svc::RunContext ctx;
+  ctx.workers = threads;
   gen::ThreeKRewirer rewirer(g);
   util::Rng rng(7);
   std::uint64_t attempts = 0;
   for (auto _ : state) {
     gen::RewiringStats stats;
-    rewirer.randomize_parallel(20000, rng, pool, speculation, &stats);
+    rewirer.randomize_parallel(gen::RandomizeOptions{}, 20000, rng, pool,
+                               &stats, ctx);
     attempts += stats.attempts;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
@@ -226,8 +227,8 @@ void BM_Parallel3KTarget(benchmark::State& state) {
   const auto start = gen::matching_2k(dists.joint, start_rng);
   const auto threads = static_cast<std::size_t>(state.range(0));
   exec::ThreadPool pool(threads);
-  const gen::SpeculationOptions speculation{.workers = threads,
-                                            .batch = 256};
+  svc::RunContext ctx;
+  ctx.workers = threads;
   gen::ThreeKRewirer rewirer(start);
   gen::TargetingOptions options;
   // Never satisfied: sustained attempt throughput, not convergence.
@@ -237,7 +238,7 @@ void BM_Parallel3KTarget(benchmark::State& state) {
   for (auto _ : state) {
     gen::RewiringStats stats;
     rewirer.target_parallel(dists.three_k, options, 20000, rng, pool,
-                            speculation, &stats);
+                            &stats, ctx);
     attempts += stats.attempts;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
@@ -251,9 +252,8 @@ BENCHMARK(BM_Parallel3KTarget)
 
 // Raw FlatTable probe throughput — the primitive under the edge hash,
 // histogram bins and sparse JDD bins — through the build's default
-// find() dispatch (control-byte groups under ORBIS_SIMD, the scalar
-// walk when OFF), so SIMD-vs-scalar builds of this binary measure the
-// group-probing speedup directly.  Hit and miss are split because they
+// find() dispatch (control-byte groups where SSE2 is available, the
+// scalar walk elsewhere).  Hit and miss are split because they
 // stress different paths: hits end at a fragment match, misses scan to
 // the first empty byte.
 void BM_FlatTableProbeHit(benchmark::State& state) {
@@ -417,29 +417,28 @@ ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
   options.attempts = budget_per_chain;
   options.stop_distance = eps;
   util::StopSource stop;
-  options.stop = stop.token();
+  svc::RunContext ctx;
+  ctx.chains = 4;
+  ctx.stop = stop.token();
 
-  constexpr std::size_t kChains = 4;
   constexpr std::uint64_t kEpoch = 1000;  // poll cadence for BOTH arms
   util::Rng rng(7);
   gen::RunCheckpoint run;
   if (laddered) {
     gen::LadderOptions ladder;
-    ladder.replicas = kChains;
+    ladder.replicas = ctx.chains;
     ladder.exchange_every = kEpoch;
     ladder.top_temperature = 2.0;
     run = d == 2 ? gen::make_2k_ladder_run(start, options, ladder, kEpoch,
-                                           rng)
+                                           rng, ctx)
                  : gen::make_3k_ladder_run(start, options, ladder, kEpoch,
-                                           rng);
+                                           rng, ctx);
   } else {
-    const gen::MultiChainOptions chains{.chains = kChains};
-    run = d == 2 ? gen::make_2k_run(start, options, chains, kEpoch, rng)
-                 : gen::make_3k_run(start, options, chains, kEpoch, rng);
+    run = d == 2 ? gen::make_2k_run(start, options, kEpoch, rng, ctx)
+                 : gen::make_3k_run(start, options, kEpoch, rng, ctx);
   }
 
   gen::CheckpointOptions checkpointing;
-  checkpointing.stop = stop.token();
   checkpointing.on_checkpoint = [&](const gen::RunCheckpoint& snapshot) {
     std::int64_t best = snapshot.chains[0].distance;
     for (const auto& chain : snapshot.chains) {
@@ -450,9 +449,9 @@ ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
 
   const auto result =
       d == 2 ? gen::run_checkpointed_2k(run, target.joint, options,
-                                        checkpointing)
+                                        checkpointing, ctx)
              : gen::run_checkpointed_3k(run, target.three_k, options,
-                                        checkpointing);
+                                        checkpointing, ctx);
   return {result.total_stats.attempts, result.best_distance <= eps};
 }
 

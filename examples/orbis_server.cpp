@@ -137,13 +137,10 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
     job.input_path = wire::require_string(request, "target");
     job.output = wire::require_string(request, "out");
     job.d = static_cast<int>(wire::get_int(request, "d", 2));
-    job.attempts =
-        static_cast<std::uint64_t>(wire::get_int(request, "attempts", 0));
-    job.attempts_per_edge = static_cast<std::size_t>(
-        wire::get_int(request, "attempts_per_edge", 0));
+    job.attempts = wire::get_count(request, "attempts", 0);
+    job.attempts_per_edge = wire::get_count(request, "attempts_per_edge", 0);
     job.temperature = wire::get_double(request, "temperature", 0.0);
-    job.checkpoint_every = static_cast<std::uint64_t>(
-        wire::get_int(request, "checkpoint_every", 0));
+    job.checkpoint_every = wire::get_count(request, "checkpoint_every", 0);
   } else {  // metrics
     job.kind = JobKind::metrics;
     job.input_path = wire::require_string(request, "path");
@@ -154,12 +151,12 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
   job.ctx.seed = static_cast<std::uint64_t>(wire::get_int(request, "seed", 1));
   // Service defaults lean interactive: one chain, serial evaluation —
   // explicit knobs scale up, never surprise autotune fan-out.
-  job.ctx.chains =
-      static_cast<std::size_t>(wire::get_int(request, "chains", 1));
-  job.ctx.workers =
-      static_cast<std::size_t>(wire::get_int(request, "workers", 1));
-  job.ctx.memory_budget_mb = static_cast<std::size_t>(
-      wire::get_int(request, "memory_budget_mb", 512));
+  job.ctx.chains = wire::get_count(request, "chains", 1);
+  job.ctx.workers = wire::get_count(request, "workers", 1);
+  job.ctx.memory_budget_mb = wire::get_count(request, "memory_budget_mb", 512);
+  if (job.ctx.memory_budget_mb == 0) {
+    throw orbis::ParseError("wire: \"memory_budget_mb\" must be positive");
+  }
   return job;
 }
 

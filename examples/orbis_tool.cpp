@@ -251,22 +251,6 @@ std::size_t parse_count(const util::ArgParser& args, const std::string& flag,
   return static_cast<std::size_t>(value);
 }
 
-/// 2K objective backend flags, applied to every targeting stage.  An
-/// unknown --objective value must fail loudly (parse_objective_backend
-/// throws naming the valid spellings), never silently fall back.
-void apply_objective_flags(const util::ArgParser& args,
-                           gen::TargetingOptions& targeting) {
-  const std::string objective = args.get_string("--objective", "auto");
-  targeting.objective = gen::parse_objective_backend(objective);
-  const long long budget = args.get_int("--memory-budget-mb", 512);
-  if (budget <= 0) {
-    throw std::invalid_argument("--memory-budget-mb must be positive");
-  }
-  targeting.memory_budget_mb = static_cast<std::size_t>(budget);
-  record_config("objective", objective);
-  record_config("memory_budget_mb", std::to_string(budget));
-}
-
 gen::Method parse_method(const std::string& name) {
   if (name == "stochastic") return gen::Method::stochastic;
   if (name == "pseudograph") return gen::Method::pseudograph;
@@ -294,7 +278,6 @@ Graph generate_targeting(const util::ArgParser& args,
   gen::PipelineOptions pipeline_options;
   pipeline_options.d = d;
   pipeline_options.targeting = options.targeting;
-  pipeline_options.chains = options.chains.chains;
   pipeline_options.ladder.replicas = parse_count(args, "--ladder", 0);
   pipeline_options.ladder.exchange_every =
       parse_count(args, "--exchange-every", 0);
@@ -303,9 +286,9 @@ Graph generate_targeting(const util::ArgParser& args,
 
   gen::Pipeline pipeline =
       resume_path.empty()
-          ? gen::Pipeline(target, pipeline_options, ctx.make_rng())
+          ? gen::Pipeline(target, pipeline_options, ctx.make_rng(), ctx)
           : gen::Pipeline(target, pipeline_options,
-                          io::read_checkpoint_file(resume_path));
+                          io::read_checkpoint_file(resume_path), ctx);
   if (!resume_path.empty()) {
     if (args.get_int("--checkpoint-every", 0) > 0 ||
         args.get_int("--ladder", 0) > 0 ||
@@ -336,7 +319,6 @@ Graph generate_targeting(const util::ArgParser& args,
   }
 
   gen::CheckpointOptions checkpointing;
-  checkpointing.stop = g_stop.token();
   const std::size_t stop_after =
       parse_count(args, "--stop-after-checkpoints", 0);
   std::size_t written = 0;
@@ -450,20 +432,18 @@ int cmd_generate(const util::ArgParser& args) {
   }
   record_config("d", std::to_string(d));
 
-  // The CLI is a thin client of the unified entry-point contract
-  // (svc/run_context.hpp): every cross-cutting knob resolves into ONE
-  // RunContext, and the library calls below take it whole instead of
-  // each path re-plumbing seed/workers/stop/progress by hand.
+  // Every execution knob (seed, chains, workers, memory budget, stop,
+  // progress) is parsed once into the run's context
+  // (svc/run_context.hpp), which the library calls below take whole.
   svc::RunContext ctx;
   ctx.seed = static_cast<std::uint64_t>(args.get_int("--seed", 1));
   ctx.chains = parse_count(args, "--chains", 0);
   ctx.workers = parse_count(args, "--workers", 1);
-  {
-    const long long budget_mb = args.get_int("--memory-budget-mb", 512);
-    if (budget_mb > 0) {
-      ctx.memory_budget_mb = static_cast<std::size_t>(budget_mb);
-    }  // non-positive values throw in apply_objective_flags below
+  const long long budget_mb = args.get_int("--memory-budget-mb", 512);
+  if (budget_mb <= 0) {
+    throw std::invalid_argument("--memory-budget-mb must be positive");
   }
+  ctx.memory_budget_mb = static_cast<std::size_t>(budget_mb);
   ctx.stop = g_stop.token();
   ctx.progress = g_progress;
 
@@ -484,10 +464,8 @@ int cmd_generate(const util::ArgParser& args) {
           "--checkpoint/--resume/--ladder do not apply to --like "
           "randomizing runs");
     }
-    // dK-randomizing rewiring of an original graph, through the
-    // context overload: dk_random_like seeds from ctx and applies its
-    // workers/stop/progress — bit-identical to the historical
-    // hand-wired randomize(..., rng) call with the same seed.
+    // dK-randomizing rewiring of an original graph: dk_random_like
+    // seeds from ctx and runs under its workers/stop/progress.
     const Graph original = load(like, /*gcc=*/false);
     gen::RandomizeOptions options;
     options.move = move;
@@ -546,11 +524,13 @@ int cmd_generate(const util::ArgParser& args) {
         parse_method(args.get_string("--method", "matching"));
     if (d == 3) options.method = gen::Method::targeting;
     options.targeting.move = move;
-    // One call wires chains/workers/budget/stop/progress (the context
-    // carries them); the objective flag keeps its own parse because the
-    // backend CHOICE is algorithm configuration, not execution context.
-    options.apply(ctx);
-    apply_objective_flags(args, options.targeting);
+    // The 2K objective backend, priced against ctx.memory_budget_mb.  An
+    // unknown --objective value fails loudly (parse_objective_backend
+    // names the valid spellings), never silently falls back.
+    const std::string objective = args.get_string("--objective", "auto");
+    options.targeting.objective = gen::parse_objective_backend(objective);
+    record_config("objective", objective);
+    record_config("memory_budget_mb", std::to_string(ctx.memory_budget_mb));
     record_config("method", args.get_string("--method", "matching"));
     record_config("workers", std::to_string(ctx.workers));
     if (options.method == gen::Method::targeting && (d == 2 || d == 3)) {

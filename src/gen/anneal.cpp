@@ -142,10 +142,11 @@ RunCheckpoint make_2k_ladder_run(const Graph& start,
                                  const TargetingOptions& options,
                                  const LadderOptions& ladder,
                                  std::uint64_t checkpoint_every,
-                                 util::Rng& rng) {
-  const MultiChainOptions chains{.chains = ladder.replicas};
+                                 util::Rng& rng, const svc::RunContext& ctx) {
+  svc::RunContext replicas = ctx;  // the ladder size is the chain count
+  replicas.chains = ladder.replicas;
   RunCheckpoint state =
-      make_2k_run(start, options, chains, checkpoint_every, rng);
+      make_2k_run(start, options, checkpoint_every, rng, replicas);
   apply_ladder(state, options, ladder);
   return state;
 }
@@ -154,10 +155,11 @@ RunCheckpoint make_3k_ladder_run(const Graph& start,
                                  const TargetingOptions& options,
                                  const LadderOptions& ladder,
                                  std::uint64_t checkpoint_every,
-                                 util::Rng& rng) {
-  const MultiChainOptions chains{.chains = ladder.replicas};
+                                 util::Rng& rng, const svc::RunContext& ctx) {
+  svc::RunContext replicas = ctx;  // the ladder size is the chain count
+  replicas.chains = ladder.replicas;
   RunCheckpoint state =
-      make_3k_run(start, options, chains, checkpoint_every, rng);
+      make_3k_run(start, options, checkpoint_every, rng, replicas);
   apply_ladder(state, options, ladder);
   return state;
 }

@@ -99,18 +99,21 @@ void run_ladder_epoch_pass(RunCheckpoint& state, std::uint64_t epoch_index,
 /// make_2k_run checkpoint plus the ladder fields — per-replica initial
 /// temperatures, the exchange epoch (checkpoint_every is rounded UP to
 /// a multiple of it so every checkpoint boundary is an epoch boundary)
-/// and the exchange Rng stream.
+/// and the exchange Rng stream.  The chain count is ladder.replicas;
+/// ctx.chains is not read.
 RunCheckpoint make_2k_ladder_run(const Graph& start,
                                  const TargetingOptions& options,
                                  const LadderOptions& ladder,
                                  std::uint64_t checkpoint_every,
-                                 util::Rng& rng);
+                                 util::Rng& rng,
+                                 const svc::RunContext& ctx = {});
 
 /// Same for a laddered 3K targeting run.
 RunCheckpoint make_3k_ladder_run(const Graph& start,
                                  const TargetingOptions& options,
                                  const LadderOptions& ladder,
                                  std::uint64_t checkpoint_every,
-                                 util::Rng& rng);
+                                 util::Rng& rng,
+                                 const svc::RunContext& ctx = {});
 
 }  // namespace orbis::gen

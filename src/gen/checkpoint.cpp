@@ -7,6 +7,7 @@
 #include "gen/anneal.hpp"
 #include "gen/rewiring_engine.hpp"
 #include "obs/metrics.hpp"
+#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -37,8 +38,10 @@ std::uint32_t distinct_degree_count(const Graph& g) {
 
 RunCheckpoint make_run(int d, const Graph& start,
                        const TargetingOptions& options,
-                       const MultiChainOptions& chain_options,
-                       std::uint64_t checkpoint_every, util::Rng& rng) {
+                       std::uint64_t checkpoint_every, util::Rng& rng,
+                       const svc::RunContext& ctx) {
+  expect_context_workers(options.workers, d == 2 ? "make_2k_run"
+                                                 : "make_3k_run");
   RunCheckpoint state;
   state.d = d;
   state.final_d = d;
@@ -48,13 +51,13 @@ RunCheckpoint make_run(int d, const Graph& start,
   state.backend =
       d == 2 ? resolve_objective_backend(options.objective,
                                          distinct_degree_count(start),
-                                         options.memory_budget_mb)
+                                         ctx.memory_budget_mb)
              : options.objective;
 
   // One draw from the caller's Rng forms the master and chain i gets
   // master.stream(i): every chain stream is a pure function of
   // (caller Rng state, i), whatever the chain count or pool size.
-  const std::size_t chains = default_chain_count(chain_options.chains);
+  const std::size_t chains = default_chain_count(ctx.chains);
   const util::Rng master(rng.next());
   state.chains.resize(chains);
   for (std::size_t chain = 0; chain < chains; ++chain) {
@@ -73,9 +76,9 @@ RewiringStats sum_chain_stats(const RunCheckpoint& state) {
 }
 
 /// The leg loop shared by the 2K and 3K drivers.
-/// `run_leg(chain, leg, chain_index)` advances one chain by `leg`
-/// attempts from its canonical state and re-canonicalizes it;
-/// `chain_index` is forwarded so leg bodies can tag progress lanes.
+/// `run_leg(chain, leg, chain_ctx)` advances one chain by `leg` attempts
+/// from its canonical state and re-canonicalizes it; `chain_ctx` is ctx
+/// with its progress sink tagging the chain's lane.
 ///
 /// Laddered runs (state.exchange_every > 0) cut the legs on the UNION
 /// of the checkpoint grid and the exchange-epoch grid; since the
@@ -86,7 +89,8 @@ RewiringStats sum_chain_stats(const RunCheckpoint& state) {
 template <typename RunLeg>
 CheckpointedResult run_legs(RunCheckpoint& state,
                             const CheckpointOptions& checkpointing,
-                            double stop_distance, RunLeg run_leg) {
+                            const svc::RunContext& ctx, double stop_distance,
+                            RunLeg run_leg) {
   util::expects(!state.chains.empty(),
                 "run_checkpointed: checkpoint has no chains");
   for (const auto& chain : state.chains) {
@@ -130,7 +134,7 @@ CheckpointedResult run_legs(RunCheckpoint& state,
 
   while (state.chains[0].attempts_done < state.budget) {
     if (checkpointing.max_legs > 0 && legs >= checkpointing.max_legs) break;
-    if (checkpointing.stop.stop_requested()) {
+    if (ctx.stop.stop_requested()) {
       result.interrupted = true;
       break;
     }
@@ -149,19 +153,22 @@ CheckpointedResult run_legs(RunCheckpoint& state,
     // stop observed below can snap back to it.  Without a stop token no
     // interrupt can happen, so skip the copies.
     std::vector<ChainCheckpoint> boundary;
-    if (checkpointing.stop.stop_possible()) boundary = state.chains;
+    if (ctx.stop.stop_possible()) boundary = state.chains;
 
     std::vector<std::function<void()>> tasks;
     tasks.reserve(state.chains.size());
     for (std::size_t i = 0; i < state.chains.size(); ++i) {
       ChainCheckpoint& chain = state.chains[i];
-      tasks.emplace_back([&chain, &run_leg, leg, stop_distance, i]() {
+      tasks.emplace_back([&chain, &run_leg, &ctx, leg, stop_distance, i]() {
         // A converged chain idles through remaining legs: target_* would
         // return immediately without touching the Rng, so skip the
         // rebuild entirely.  attempts_done still advances — leg cadence
         // is uniform across chains by construction.
         if (static_cast<double>(chain.distance) > stop_distance) {
-          run_leg(chain, leg, i);
+          obs::ProgressLane lane(ctx.progress, static_cast<std::uint32_t>(i));
+          svc::RunContext chain_ctx = ctx;
+          if (ctx.progress != nullptr) chain_ctx.progress = &lane;
+          run_leg(chain, leg, chain_ctx);
         }
         chain.attempts_done += leg;
       });
@@ -171,7 +178,7 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       pool.run_tasks(tasks);
     }
 
-    if (checkpointing.stop.stop_requested()) {
+    if (ctx.stop.stop_requested()) {
       // The leg bodies bailed early (or ran to completion — either way
       // the cadence is broken): revert to the boundary, report
       // interrupted.  The caller's last on_checkpoint write is still the
@@ -226,42 +233,42 @@ CheckpointedResult run_legs(RunCheckpoint& state,
 }  // namespace
 
 RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
-                          const MultiChainOptions& chains,
-                          std::uint64_t checkpoint_every, util::Rng& rng) {
-  return make_run(2, start, options, chains, checkpoint_every, rng);
+                          std::uint64_t checkpoint_every, util::Rng& rng,
+                          const svc::RunContext& ctx) {
+  return make_run(2, start, options, checkpoint_every, rng, ctx);
 }
 
 RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
-                          const MultiChainOptions& chains,
-                          std::uint64_t checkpoint_every, util::Rng& rng) {
-  return make_run(3, start, options, chains, checkpoint_every, rng);
+                          std::uint64_t checkpoint_every, util::Rng& rng,
+                          const svc::RunContext& ctx) {
+  return make_run(3, start, options, checkpoint_every, rng, ctx);
 }
 
 CheckpointedResult run_checkpointed_2k(
     RunCheckpoint& state, const dk::JointDegreeDistribution& target,
-    const TargetingOptions& options, const CheckpointOptions& checkpointing) {
+    const TargetingOptions& options, const CheckpointOptions& checkpointing,
+    const svc::RunContext& ctx) {
   util::expects(state.d == 2, "run_checkpointed_2k: checkpoint is not a "
                               "2K run");
+  expect_context_workers(options.workers, "run_checkpointed_2k");
   TargetingOptions leg_options = options;
   leg_options.objective = state.backend;  // pinned at run start
   leg_options.move = state.move;          // pinned: part of run identity
-  leg_options.stop = checkpointing.stop;  // mid-leg bail; leg is discarded
   const bool laddered = state.laddered();
   return run_legs(
-      state, checkpointing, options.stop_distance,
+      state, checkpointing, ctx, options.stop_distance,
       [&, laddered](ChainCheckpoint& chain, std::uint64_t leg,
-                    std::size_t chain_index) {
+                    const svc::RunContext& chain_ctx) {
         util::Rng rng = util::Rng::from_state_words(chain.rng_state);
         // Rebuild from the canonical edge list — the same rebuild a
         // resume performs, which is the whole determinism argument.
         RewiringEngine engine(chain.graph);
         TargetingOptions chain_options = leg_options;
-        chain_options.progress_lane = static_cast<std::uint32_t>(chain_index);
         // Replicas run at their OWN ladder temperature (run state, moved
         // by the controller); independent chains keep the caller's.
         if (laddered) chain_options.temperature = chain.temperature;
         chain.distance = engine.target_2k(target, chain_options, leg, rng,
-                                          &chain.stats);
+                                          &chain.stats, chain_ctx);
         chain.graph = engine.graph();
         chain.rng_state = rng.state_words();
       });
@@ -270,38 +277,35 @@ CheckpointedResult run_checkpointed_2k(
 CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const dk::ThreeKProfile& target,
                                        const TargetingOptions& options,
-                                       const CheckpointOptions& checkpointing) {
+                                       const CheckpointOptions& checkpointing,
+                                       const svc::RunContext& ctx) {
   util::expects(state.d == 3, "run_checkpointed_3k: checkpoint is not a "
                               "3K run");
+  expect_context_workers(options.workers, "run_checkpointed_3k");
   TargetingOptions leg_options = options;
   leg_options.move = state.move;  // pinned: part of run identity
-  leg_options.stop = checkpointing.stop;
   // Several chains occupy the pool, so their legs stay serial; a lone
   // chain runs inline (ThreadPool::run_tasks) and may use the pool.
-  const bool speculative = state.chains.size() == 1 && options.workers != 1;
+  const bool speculative = state.chains.size() == 1 && ctx.workers != 1;
   util::expects(!speculative || state.move == MoveKind::swap,
                 "run_checkpointed_3k: the speculative parallel path "
                 "(workers != 1) supports only --move swap");
-  const SpeculationOptions speculation{
-      .workers = exec::resolve_workers(options.workers),
-      .batch = options.batch};
   const bool laddered = state.laddered();
   return run_legs(
-      state, checkpointing, options.stop_distance,
+      state, checkpointing, ctx, options.stop_distance,
       [&, laddered](ChainCheckpoint& chain, std::uint64_t leg,
-                    std::size_t chain_index) {
+                    const svc::RunContext& chain_ctx) {
         util::Rng rng = util::Rng::from_state_words(chain.rng_state);
         ThreeKRewirer rewirer(chain.graph);
         TargetingOptions chain_options = leg_options;
-        chain_options.progress_lane = static_cast<std::uint32_t>(chain_index);
         if (laddered) chain_options.temperature = chain.temperature;
         chain.distance =
             speculative
                 ? rewirer.target_parallel(target, chain_options, leg, rng,
-                                          exec::shared_pool(), speculation,
-                                          &chain.stats)
+                                          exec::shared_pool(), &chain.stats,
+                                          chain_ctx)
                 : rewirer.target(target, chain_options, leg, rng,
-                                 &chain.stats);
+                                 &chain.stats, chain_ctx);
         chain.graph = rewirer.graph();
         chain.rng_state = rng.state_words();
       });

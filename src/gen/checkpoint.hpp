@@ -21,11 +21,13 @@
 // boundaries fall elsewhere.  Resume therefore takes its cadence from
 // the checkpoint, never from the command line.
 //
-// Cancellation: the driver polls CheckpointOptions::stop between legs
-// and passes it into the leg bodies.  A stop mid-leg discards that
-// leg's partial work — the RunCheckpoint snaps back to the last
-// completed boundary — so an interrupt can never publish mid-leg state
-// that a resume could not reproduce.
+// Execution context: the driver takes the run's svc::RunContext.  It
+// polls ctx.stop between legs and passes it into the leg bodies; chain
+// i's legs get a copy of the context whose progress sink reports on
+// lane i (obs::ProgressLane).  A stop mid-leg discards that leg's
+// partial work — the RunCheckpoint snaps back to the last completed
+// boundary — so an interrupt can never publish mid-leg state that a
+// resume could not reproduce.
 //
 // File format and I/O live in io/checkpoint_io.hpp; this header is the
 // in-memory model and the leg driver.  gen/pipeline.hpp strings the
@@ -42,8 +44,8 @@
 #include "core/three_k_profile.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/graph.hpp"
+#include "svc/run_context.hpp"
 #include "util/rng.hpp"
-#include "util/stop_token.hpp"
 
 namespace orbis::exec {
 class ThreadPool;
@@ -118,10 +120,6 @@ struct CheckpointOptions {
   /// Invoked with the updated RunCheckpoint after every completed leg
   /// (typically: write it to disk via io::write_checkpoint_file).
   std::function<void(const RunCheckpoint&)> on_checkpoint;
-  /// Polled between legs and passed into the leg bodies; a requested
-  /// stop discards the current leg's partial work and returns with
-  /// `interrupted` set, the RunCheckpoint at the last boundary.
-  util::StopToken stop{};
   /// Pool the chain legs run on; null = exec::shared_pool().  A test
   /// seam: results are a pure function of the RunCheckpoint, so any
   /// pool (any size) must produce bit-identical runs.
@@ -141,25 +139,25 @@ struct CheckpointedResult {
 };
 
 /// Builds the leg-0 RunCheckpoint for a fresh 2K targeting run: resolves
-/// the chain count (MultiChainOptions, 0 = default_chain_count()) and
-/// budget (TargetingOptions), seeds chain i with
-/// Rng(rng.next()).stream(i) — one draw from `rng` whatever the chain
-/// count — and pins the objective backend.  `start` must already have
+/// the chain count (ctx.chains, 0 = default_chain_count()) and budget
+/// (TargetingOptions), seeds chain i with Rng(rng.next()).stream(i) —
+/// one draw from `rng` whatever the chain count — and pins the
+/// objective backend (ctx.memory_budget_mb).  `start` must already have
 /// the target's degree sequence.
 RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
-                          const MultiChainOptions& chains,
-                          std::uint64_t checkpoint_every, util::Rng& rng);
+                          std::uint64_t checkpoint_every, util::Rng& rng,
+                          const svc::RunContext& ctx = {});
 
 /// Same for a 3K targeting run (no backend to pin).  `start` must
 /// already have the target's JDD.
 RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
-                          const MultiChainOptions& chains,
-                          std::uint64_t checkpoint_every, util::Rng& rng);
+                          std::uint64_t checkpoint_every, util::Rng& rng,
+                          const svc::RunContext& ctx = {});
 
 /// Runs `state` to completion (or interruption, or `max_legs`
 /// boundaries), leg by leg, chains in parallel on the shared pool; the
 /// best chain is the lowest distance, ties to the lowest id.  A
-/// single-chain 3K run with options.workers != 1 runs its legs on the
+/// single-chain 3K run with ctx.workers != 1 runs its legs on the
 /// speculative path (swap only).  `state` is updated in place and is
 /// always left at a leg boundary.  Fresh runs and resumes call the SAME
 /// function — a resume is indistinguishable from the uninterrupted run
@@ -169,11 +167,13 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
 /// taken from `state`, which is authoritative.
 CheckpointedResult run_checkpointed_2k(
     RunCheckpoint& state, const dk::JointDegreeDistribution& target,
-    const TargetingOptions& options, const CheckpointOptions& checkpointing);
+    const TargetingOptions& options, const CheckpointOptions& checkpointing,
+    const svc::RunContext& ctx = {});
 
 CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const dk::ThreeKProfile& target,
                                        const TargetingOptions& options,
-                                       const CheckpointOptions& checkpointing);
+                                       const CheckpointOptions& checkpointing,
+                                       const svc::RunContext& ctx = {});
 
 }  // namespace orbis::gen

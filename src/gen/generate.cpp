@@ -7,6 +7,7 @@
 #include "gen/matching.hpp"
 #include "gen/pipeline.hpp"
 #include "gen/pseudograph.hpp"
+#include "gen/rewiring_engine.hpp"
 #include "gen/stochastic.hpp"
 #include "graph/builders.hpp"
 #include "util/check.hpp"
@@ -16,19 +17,16 @@ namespace orbis::gen {
 namespace {
 
 /// The paper's §5.1 targeting pipeline (gen/pipeline.hpp), run to the
-/// end or to the targeting stop token; on a stop it returns the best
-/// graph at the last leg boundary.  `rng` continues past every draw the
-/// run made.
+/// end or to ctx.stop; on a stop it returns the best graph at the last
+/// leg boundary.  `rng` continues past every draw the run made.
 Graph run_pipeline(const dk::DkDistributions& target, int d,
-                   const GenerateOptions& options, util::Rng& rng) {
+                   const GenerateOptions& options, util::Rng& rng,
+                   const svc::RunContext& ctx) {
   PipelineOptions pipeline_options;
   pipeline_options.d = d;
   pipeline_options.targeting = options.targeting;
-  pipeline_options.chains = options.chains.chains;
-  Pipeline pipeline(target, std::move(pipeline_options), rng);
-  CheckpointOptions checkpointing;
-  checkpointing.stop = options.targeting.stop;
-  pipeline.run(checkpointing);
+  Pipeline pipeline(target, std::move(pipeline_options), rng, ctx);
+  pipeline.run({});
   rng = pipeline.rng();
   return pipeline.graph();
 }
@@ -58,7 +56,8 @@ Graph generate_1k(const dk::DkDistributions& target, Method method,
 }
 
 Graph generate_2k(const dk::DkDistributions& target,
-                  const GenerateOptions& options, util::Rng& rng) {
+                  const GenerateOptions& options, util::Rng& rng,
+                  const svc::RunContext& ctx) {
   switch (options.method) {
     case Method::stochastic:
       return stochastic_2k(target.joint, rng);
@@ -67,7 +66,7 @@ Graph generate_2k(const dk::DkDistributions& target,
     case Method::matching:
       return matching_2k(target.joint, rng);
     case Method::targeting:
-      return run_pipeline(target, 2, options, rng);
+      return run_pipeline(target, 2, options, rng, ctx);
   }
   throw std::invalid_argument("generate_2k: unknown method");
 }
@@ -75,15 +74,17 @@ Graph generate_2k(const dk::DkDistributions& target,
 }  // namespace
 
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
-                         const GenerateOptions& options, util::Rng& rng) {
+                         const GenerateOptions& options, util::Rng& rng,
+                         const svc::RunContext& ctx) {
   util::expects(d >= 0 && d <= 3, "generate_dk_random: d must be in [0,3]");
+  expect_context_workers(options.targeting.workers, "generate_dk_random");
   switch (d) {
     case 0:
       return generate_0k(target, options.method, rng);
     case 1:
       return generate_1k(target, options.method, rng);
     case 2:
-      return generate_2k(target, options, rng);
+      return generate_2k(target, options, rng, ctx);
     default:
       if (options.method != Method::targeting) {
         throw std::invalid_argument(
@@ -91,15 +92,15 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
             "graphs from distributions (paper §4.1.2: pseudograph/matching "
             "do not generalize beyond d = 2)");
       }
-      return run_pipeline(target, 3, options, rng);
+      return run_pipeline(target, 3, options, rng, ctx);
   }
 }
 
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
-                         GenerateOptions options, const svc::RunContext& ctx) {
-  options.apply(ctx);
+                         const GenerateOptions& options,
+                         const svc::RunContext& ctx) {
   util::Rng rng = ctx.make_rng();
-  return generate_dk_random(target, d, options, rng);
+  return generate_dk_random(target, d, options, rng, ctx);
 }
 
 Graph dk_random_like(const Graph& original, int d,
@@ -109,10 +110,10 @@ Graph dk_random_like(const Graph& original, int d,
 
 Graph dk_random_like(const Graph& original, int d, RandomizeOptions options,
                      const svc::RunContext& ctx, RewiringStats* stats) {
+  expect_context_workers(options.workers, "dk_random_like");
   options.d = d;
-  options.apply(ctx);
   util::Rng rng = ctx.make_rng();
-  return randomize(original, options, rng, stats);
+  return run_randomize(original, options, rng, stats, ctx);
 }
 
 }  // namespace orbis::gen

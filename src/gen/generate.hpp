@@ -17,6 +17,7 @@
 #include "core/series.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/graph.hpp"
+#include "svc/run_context.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::gen {
@@ -31,56 +32,42 @@ enum class Method {
 struct GenerateOptions {
   Method method = Method::matching;
   /// Used by Method::targeting and d == 3.  The 2K stages resolve their
-  /// ΔD2 storage from `targeting.objective` / `targeting.memory_budget_mb`
+  /// ΔD2 storage from `targeting.objective` / ctx.memory_budget_mb
   /// (objective_backend.hpp): graphs whose degree diversity would not
   /// fit the dense difference matrix route to the sparse backend, so
   /// `extract → generate` works at scales the matrix cannot reach.
   TargetingOptions targeting = {};
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// svc::RunContext::chains + apply(ctx).
-  /// Chains per targeting stage (gen/pipeline.hpp), best distance wins;
-  /// 0 = autotune, one per available core (default_chain_count()).
-  MultiChainOptions chains{.chains = 0};
-
-  /// Copies the shared execution context over the duplicated knobs:
-  /// the chain fan-out plus everything TargetingOptions::apply covers
-  /// (workers, memory budget, stop, progress).
-  void apply(const svc::RunContext& ctx) noexcept {
-    chains.chains = ctx.chains;
-    targeting.apply(ctx);
-  }
 };
 
-/// Generate a dK-random graph from distributions (no original needed).
-/// Pseudograph output is simplified (loops/parallels dropped) but NOT
-/// GCC-extracted — callers decide, as in the paper.
-/// Throws std::invalid_argument for unsupported (d, method) pairs and
-/// GenerationError when a construction cannot complete.
-///
-/// DEPRECATED as a public entry point (one-release shim): prefer the
-/// RunContext overload below, which owns seeding and cancellation.
-/// This signature remains the composition primitive the context form
-/// wraps (multi-stage pipelines that must share one Rng use it).
+/// Generate a dK-random graph from distributions (no original needed),
+/// seeding from `rng`, which continues past every draw the run made
+/// (multi-stage callers that share one Rng use this form).  Targeting
+/// runs ctx.chains chains per stage and honors ctx.stop at its leg and
+/// batch boundaries, returning the best graph at the last leg boundary
+/// (check ctx.stop.stop_requested()).  Pseudograph output is simplified
+/// (loops/parallels dropped) but NOT GCC-extracted — callers decide, as
+/// in the paper.  Throws std::invalid_argument for unsupported (d,
+/// method) pairs and GenerationError when a construction cannot
+/// complete.
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
-                         const GenerateOptions& options, util::Rng& rng);
+                         const GenerateOptions& options, util::Rng& rng,
+                         const svc::RunContext& ctx = {});
 
-/// Context form — the unified entry-point contract (docs/service.md):
-/// seeds from ctx.seed, applies ctx's chains/workers/budget/stop/
-/// progress over `options`, and is exactly equivalent to apply(ctx) +
-/// the Rng overload with Rng(ctx.seed).  Cancellation: the chains honor
-/// ctx.stop at their poll boundaries and the call returns the best
-/// graph at the last leg boundary (check ctx.stop.stop_requested()).
+/// The same, seeded from ctx.seed: exactly the Rng form with
+/// Rng(ctx.seed).
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
-                         GenerateOptions options, const svc::RunContext& ctx);
+                         const GenerateOptions& options,
+                         const svc::RunContext& ctx);
 
-/// dK-randomizing rewiring of `original` under the unified contract:
-/// cancellable via ctx.stop (returns the partially rewired graph on
-/// stop), progress-reporting via ctx.progress.
+/// dK-randomizing rewiring of `original` (gen::randomize) seeded from
+/// ctx.seed: cancellable via ctx.stop (returns the partially rewired
+/// graph on stop), progress-reporting via ctx.progress, speculative at
+/// d = 3 when ctx.workers != 1.
 Graph dk_random_like(const Graph& original, int d,
                      const svc::RunContext& ctx);
 
 /// Options-taking form for callers that also tune the rewiring knobs
-/// (budget, move mix, ...): ctx is applied over `options` first.
+/// (budget, move mix, ...); options.d is replaced by `d`.
 Graph dk_random_like(const Graph& original, int d, RandomizeOptions options,
                      const svc::RunContext& ctx,
                      RewiringStats* stats = nullptr);

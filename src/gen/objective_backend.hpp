@@ -10,7 +10,7 @@
 //
 // Selection is automatic by default: the dense matrix is used while its
 // projected footprint fits the configured memory budget
-// (TargetingOptions::memory_budget_mb, CLI --memory-budget-mb), and the
+// (svc::RunContext::memory_budget_mb, CLI --memory-budget-mb), and the
 // sparse backend takes over past it.  Both backends honour the same
 // contract — distance()/apply()/revert()/commit()/sample_deviating_bin()
 // — and drive bit-identical chains (same seed, same accepted swaps),

@@ -14,21 +14,22 @@ namespace orbis::gen {
 namespace {
 
 /// `move` and `chains` are the run's resolved values: from the options
-/// on a fresh run, from the checkpoint on a resume.
-void validate(const PipelineOptions& options, MoveKind move,
-              std::size_t chains) {
+/// and context on a fresh run, from the checkpoint on a resume.
+void validate(const PipelineOptions& options, const svc::RunContext& ctx,
+              MoveKind move, std::size_t chains) {
   const LadderOptions& ladder = options.ladder;
   util::expects(options.d == 2 || options.d == 3,
                 "Pipeline: d must be 2 or 3");
+  expect_context_workers(options.targeting.workers, "Pipeline");
   util::expects(ladder.replicas != 1,
                 "Pipeline: a replica ladder needs at least 2 replicas");
-  util::expects(ladder.replicas == 0 || options.chains == 0,
+  util::expects(ladder.replicas == 0 || ctx.chains == 0,
                 "Pipeline: a ladder and an explicit chain count are "
                 "mutually exclusive (the ladder size is the chain count)");
   util::expects(ladder.exchange_every == 0 || ladder.replicas >= 2,
                 "Pipeline: an exchange epoch requires a replica ladder");
-  util::expects(options.d == 2 || chains != 1 ||
-                    options.targeting.workers == 1 || move == MoveKind::swap,
+  util::expects(options.d == 2 || chains != 1 || ctx.workers == 1 ||
+                    move == MoveKind::swap,
                 "Pipeline: a single-chain 3K stage with workers != 1 runs "
                 "the speculative parallel path, which supports only swap "
                 "moves");
@@ -37,12 +38,12 @@ void validate(const PipelineOptions& options, MoveKind move,
 }  // namespace
 
 Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
-                   util::Rng rng)
-    : target_(target), options_(std::move(options)) {
+                   util::Rng rng, const svc::RunContext& ctx)
+    : target_(target), options_(std::move(options)), ctx_(ctx) {
   const bool laddered = options_.ladder.replicas >= 2;
-  validate(options_, options_.targeting.move,
+  validate(options_, ctx_, options_.targeting.move,
            laddered ? options_.ladder.replicas
-                    : default_chain_count(options_.chains));
+                    : default_chain_count(ctx_.chains));
   // The explicit 1K still knows about degree-0 nodes, which the JDD
   // projection cannot see.
   const dk::DegreeDistribution& one_k = target.degree.num_nodes() > 0
@@ -62,23 +63,23 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                                   ? options_.checkpoint_every
                                   : std::max<std::uint64_t>(budget / 8, 1);
   run_ = laddered ? make_2k_ladder_run(start, targeting, options_.ladder,
-                                       every, rng)
-                  : make_2k_run(start, targeting, {.chains = options_.chains},
-                                every, rng);
+                                       every, rng, ctx_)
+                  : make_2k_run(start, targeting, every, rng, ctx_);
   run_.final_d = options_.d;
   run_.pipeline_rng = rng.state_words();
 }
 
 Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
-                   RunCheckpoint checkpoint)
+                   RunCheckpoint checkpoint, const svc::RunContext& ctx)
     : target_(target),
       options_(std::move(options)),
+      ctx_(ctx),
       run_(std::move(checkpoint)) {
   util::expects(run_.final_d == options_.d,
                 "Pipeline: the checkpoint is for a d=" +
                     std::to_string(run_.final_d) + " run, not d=" +
                     std::to_string(options_.d));
-  validate(options_, run_.move, run_.chains.size());
+  validate(options_, ctx_, run_.move, run_.chains.size());
 }
 
 bool Pipeline::step(const CheckpointOptions& checkpointing) {
@@ -104,9 +105,9 @@ void Pipeline::advance(const CheckpointOptions& checkpointing) {
                                      : "generate.target_3k");
     last_ = run_.d == 2
                 ? run_checkpointed_2k(run_, target_.joint, options_.targeting,
-                                      checkpointing)
+                                      checkpointing, ctx_)
                 : run_checkpointed_3k(run_, target_.three_k,
-                                      options_.targeting, checkpointing);
+                                      options_.targeting, checkpointing, ctx_);
   }
   last_.graph = Graph();  // a copy of one the checkpoint already holds
   stage_seconds_ += std::chrono::duration<double>(
@@ -131,10 +132,12 @@ void Pipeline::advance(const CheckpointOptions& checkpointing) {
     ladder.exchange_every = run_.exchange_every;
     ladder.adaptive = run_.adaptive;
     next = make_3k_ladder_run(graph(), targeting, ladder,
-                              run_.checkpoint_every, rng);
+                              run_.checkpoint_every, rng, ctx_);
   } else {
-    next = make_3k_run(graph(), targeting, {.chains = run_.chains.size()},
-                       run_.checkpoint_every, rng);
+    svc::RunContext stage_ctx = ctx_;
+    stage_ctx.chains = run_.chains.size();
+    next = make_3k_run(graph(), targeting, run_.checkpoint_every, rng,
+                       stage_ctx);
   }
   next.final_d = run_.final_d;
   next.pipeline_rng = rng.state_words();

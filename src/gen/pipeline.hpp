@@ -12,6 +12,11 @@
 //   * The 3K stage starts from the 2K stage's best chain and inherits
 //     its chain count, budget, cadence, move kind and ladder.
 //
+// The run's svc::RunContext is fixed at construction: ctx.chains chains
+// per stage (0 = autotune), ctx.workers for a single-chain 3K stage,
+// ctx.memory_budget_mb for the 2K backend, and ctx.stop / ctx.progress
+// for every leg.  Its seed is not read: the caller passes the Rng.
+//
 // The RunCheckpoint covers every stage (`d` is the current stage,
 // `final_d` the run's, `pipeline_rng` the seeding Rng), so a d = 3 run
 // killed inside its 2K stage resumes bit-identically.
@@ -23,6 +28,7 @@
 #include "core/series.hpp"
 #include "gen/anneal.hpp"
 #include "gen/checkpoint.hpp"
+#include "svc/run_context.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::gen {
@@ -30,11 +36,11 @@ namespace orbis::gen {
 struct PipelineOptions {
   int d = 2;  ///< the run's final series level: 2 or 3
   /// Chain parameters for every stage: budget, temperature, move mix,
-  /// workers, 2K objective backend, stop, progress.
+  /// 2K objective backend.
   TargetingOptions targeting{};
-  std::size_t chains = 0;  ///< independent chains; 0 = autotune
   /// replicas >= 2 runs every stage as a replica-exchange ladder
-  /// instead of independent chains; 0 = no ladder.
+  /// instead of independent chains (ctx.chains must then be 0); 0 = no
+  /// ladder.
   LadderOptions ladder{};
   std::uint64_t checkpoint_every = 0;  ///< 0 = max(budget / 8, 1)
 };
@@ -53,13 +59,13 @@ class Pipeline {
   /// (std::invalid_argument) before any stage runs, then draws the 1K
   /// seed from `rng` and sets up the 2K stage.  `target` is borrowed.
   Pipeline(const dk::DkDistributions& target, PipelineOptions options,
-           util::Rng rng);
+           util::Rng rng, const svc::RunContext& ctx = {});
 
   /// Resume from a checkpoint of any stage.  `options` must be the ones
   /// the run started with; cadence, chains, move and ladder come from
   /// the checkpoint.
   Pipeline(const dk::DkDistributions& target, PipelineOptions options,
-           RunCheckpoint checkpoint);
+           RunCheckpoint checkpoint, const svc::RunContext& ctx = {});
 
   /// Runs one leg, moving on to the next stage when this one ends.
   bool step(const CheckpointOptions& checkpointing);
@@ -94,6 +100,7 @@ class Pipeline {
 
   const dk::DkDistributions& target_;
   PipelineOptions options_;
+  svc::RunContext ctx_;
   RunCheckpoint run_;
   CheckpointedResult last_;
   double stage_seconds_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "exec/thread_pool.hpp"
 #include "gen/rewiring_engine.hpp"
@@ -88,13 +89,23 @@ MoveKind parse_move_kind(const std::string& name) {
                               "' (expected swap, trade or mixed)");
 }
 
+void expect_context_workers(std::size_t options_workers, const char* caller) {
+  if (options_workers != 1) {
+    throw std::invalid_argument(
+        std::string(caller) +
+        ": options.workers must be 1 here; set the worker count in "
+        "ctx.workers (svc::RunContext)");
+  }
+}
+
 std::size_t default_chain_count(std::size_t requested) noexcept {
   if (requested > 0) return requested;
   return std::clamp<std::size_t>(exec::resolve_workers(0), 1, 8);
 }
 
-Graph randomize(const Graph& g, const RandomizeOptions& options,
-                util::Rng& rng, RewiringStats* stats) {
+Graph run_randomize(const Graph& g, const RandomizeOptions& options,
+                    util::Rng& rng, RewiringStats* stats,
+                    const svc::RunContext& ctx) {
   util::expects(options.d >= 0 && options.d <= 3,
                 "randomize: d must be in [0,3]");
   // Stats land in a local when the caller passed none, so the metrics
@@ -113,9 +124,7 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
     case 1:
     case 2: {
       RewiringEngine engine(g);
-      engine.randomize(options.d, budget, rng, stats, options.stop,
-                       options.progress, options.progress_lane, options.move,
-                       options.trade_fraction);
+      engine.randomize(options, budget, rng, stats, ctx);
       out = engine.graph();
       break;
     }
@@ -123,22 +132,24 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
       util::expects(options.move == MoveKind::swap,
                     "randomize: d = 3 supports only --move swap");
       ThreeKRewirer rewirer(g);
-      if (options.workers != 1) {
-        const SpeculationOptions speculation{
-            .workers = exec::resolve_workers(options.workers),
-            .batch = options.batch};
-        rewirer.randomize_parallel(budget, rng, exec::shared_pool(),
-                                   speculation, stats, options.stop,
-                                   options.progress, options.progress_lane);
+      if (ctx.workers != 1) {
+        rewirer.randomize_parallel(options, budget, rng, exec::shared_pool(),
+                                   stats, ctx);
       } else {
-        rewirer.randomize(budget, rng, stats, options.stop, options.progress,
-                          options.progress_lane);
+        rewirer.randomize(budget, rng, stats, ctx);
       }
       out = rewirer.graph();
     }
   }
   publish_rewiring_metrics(stats->delta_since(before));
   return out;
+}
+
+Graph randomize(const Graph& g, const RandomizeOptions& options,
+                util::Rng& rng, RewiringStats* stats) {
+  RandomizeOptions chain = options;
+  chain.workers = 1;  // the default context below carries it
+  return run_randomize(g, chain, rng, stats, {.workers = options.workers});
 }
 
 Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
@@ -149,9 +160,11 @@ Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
+  TargetingOptions chain = options;
+  chain.workers = 1;  // the 2K chain never reads it
   RewiringEngine engine(start);
   const std::int64_t distance =
-      engine.target_2k(target, options, budget, rng, stats);
+      engine.target_2k(target, chain, budget, rng, stats);
   publish_rewiring_metrics(stats->delta_since(before));
   if (final_distance != nullptr) {
     *final_distance = static_cast<double>(distance);
@@ -167,20 +180,19 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
+  const svc::RunContext ctx{.workers = options.workers};
+  TargetingOptions chain = options;
+  chain.workers = 1;  // ctx carries it
   ThreeKRewirer rewirer(start);
   std::int64_t distance = 0;
-  if (options.workers != 1) {
+  if (ctx.workers != 1) {
     util::expects(options.move == MoveKind::swap,
                   "target_3k: the speculative parallel path (workers != 1) "
                   "supports only --move swap");
-    const SpeculationOptions speculation{
-        .workers = exec::resolve_workers(options.workers),
-        .batch = options.batch};
-    distance = rewirer.target_parallel(target, options, budget, rng,
-                                       exec::shared_pool(), speculation,
-                                       stats);
+    distance = rewirer.target_parallel(target, chain, budget, rng,
+                                       exec::shared_pool(), stats, ctx);
   } else {
-    distance = rewirer.target(target, options, budget, rng, stats);
+    distance = rewirer.target(target, chain, budget, rng, stats, ctx);
   }
   publish_rewiring_metrics(stats->delta_since(before));
   if (final_distance != nullptr) {

@@ -28,10 +28,7 @@
 #include "core/three_k_profile.hpp"
 #include "gen/objective_backend.hpp"
 #include "graph/graph.hpp"
-#include "obs/progress.hpp"
-#include "svc/run_context.hpp"
 #include "util/rng.hpp"
-#include "util/stop_token.hpp"
 
 namespace orbis::gen {
 
@@ -120,45 +117,23 @@ struct RandomizeOptions {
   int d = 2;                           // series level to preserve, 0..3
   std::size_t attempts_per_edge = 10;  // attempt budget = this * m
   std::size_t attempts = 0;            // explicit budget (overrides if > 0)
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// carrying workers in a svc::RunContext and calling apply(ctx).
-  /// Optimistic parallel evaluation workers for the d = 3 path (other
-  /// levels ignore it): 1 = classic serial chain; 0 = all cores; > 1 =
-  /// that many evaluation tasks on the shared thread pool.  Results are
-  /// a pure function of (seed, batch), NOT of the worker count — see
-  /// docs/parallel.md.
+  /// Speculative evaluation workers for the d = 3 path, read only by
+  /// the Rng-taking randomize() (the workers rule, svc/run_context.hpp):
+  /// 1 = serial, 0 = all cores.  Results are a pure function of (seed,
+  /// batch), NOT of the worker count — see docs/parallel.md.
   std::size_t workers = 1;
   std::size_t batch = 256;  // proposals per speculation round (workers != 1)
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::stop.
-  /// Cooperative cancellation (util/stop_token.hpp): the chain polls the
-  /// token at batch boundaries and returns early — with whatever graph
-  /// it has — once a stop is requested.  Default token never stops.
-  util::StopToken stop{};
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::progress.
-  /// Optional live-progress observer (obs/progress.hpp), called at the
-  /// SAME batch boundaries where `stop` is polled.  Sinks only read the
-  /// sample, so chains are bit-identical with or without one.
-  obs::ProgressSink* progress = nullptr;
-  std::uint32_t progress_lane = 0;  ///< chain index in multi-chain runs
   /// Proposal move mix (MoveKind above).  Trades engage on the d = 1/2
   /// serial paths; d = 3 randomizing rejects non-swap moves (trade
   /// 3K-preservation is not verified there) and d = 0 ignores the field.
   MoveKind move = MoveKind::swap;
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
-
-  /// Copies the shared execution context over this struct's duplicated
-  /// knobs (workers/stop/progress) — THE way context-taking overloads
-  /// resolve options, so a context call and a hand-filled legacy call
-  /// run bit-identical chains.
-  void apply(const svc::RunContext& ctx) noexcept {
-    workers = ctx.workers;
-    stop = ctx.stop;
-    progress = ctx.progress;
-  }
 };
 
 /// dK-randomizing rewiring: returns a random graph with exactly the same
-/// dK-distribution as g (same k̄/1K/2K/3K depending on d).
+/// dK-distribution as g (same k̄/1K/2K/3K depending on d).  Runs under a
+/// default context whose workers are options.workers; gen::dk_random_like
+/// is the context-taking form.
 Graph randomize(const Graph& g, const RandomizeOptions& options,
                 util::Rng& rng, RewiringStats* stats = nullptr);
 
@@ -179,40 +154,19 @@ struct TargetingOptions {
   /// large graphs; guided proposals fix the endgame.  Ignored by
   /// target_3k.
   double guided_fraction = 0.5;
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// svc::RunContext::workers + apply(ctx).
-  /// Optimistic parallel evaluation workers for target_3k (the 2K path
-  /// ignores it — its O(1) integer ΔD2 leaves nothing worth farming
-  /// out): 1 = serial chain; 0 = all cores.  The leg driver
-  /// (gen/checkpoint.hpp) honors it only for single-chain runs; several
-  /// chains already occupy the pool.  Results are a pure
-  /// function of (seed, batch), independent of the worker count.
+  /// Speculative evaluation workers for target_3k, read only by the
+  /// Rng-taking target_3k (the workers rule, svc/run_context.hpp; the
+  /// 2K chain has nothing worth farming out): 1 = serial, 0 = all
+  /// cores.  Results are a pure function of (seed, batch).
   std::size_t workers = 1;
   std::size_t batch = 256;  // proposals per speculation round (workers != 1)
   /// 2K objective storage (objective_backend.hpp, docs/scaling.md):
-  /// `automatic` uses the dense C^2 difference matrix while it fits
-  /// `memory_budget_mb` and the sparse occupied-bin table past it; both
-  /// backends drive bit-identical chains, so forcing one is only ever a
-  /// memory/speed trade.  CLI: orbis_tool --objective / --memory-budget-mb.
+  /// `automatic` uses the dense C^2 difference matrix while it fits the
+  /// context's memory_budget_mb and the sparse occupied-bin table past
+  /// it; both backends drive bit-identical chains, so forcing one is
+  /// only ever a memory/speed trade.  CLI: orbis_tool --objective /
+  /// --memory-budget-mb.
   ObjectiveBackend objective = ObjectiveBackend::automatic;
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// svc::RunContext::memory_budget_mb + apply(ctx).
-  std::size_t memory_budget_mb = 512;
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::stop.
-  /// Cooperative cancellation (util/stop_token.hpp): chains poll the
-  /// token at batch boundaries (serial paths every 1024 attempts, the
-  /// speculative path between rounds) and return early with the current
-  /// graph and distance.  A cancelled chain's result is usable but NOT
-  /// comparable to an uninterrupted run's; checkpointed drivers
-  /// (gen/checkpoint.hpp) discard mid-leg partial work instead, so
-  /// their resume determinism is unaffected.  Default token never stops.
-  util::StopToken stop{};
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::progress.
-  /// Optional live-progress observer (obs/progress.hpp), called at the
-  /// SAME batch boundaries where `stop` is polled.  Sinks only read the
-  /// sample, so chains are bit-identical with or without one.
-  obs::ProgressSink* progress = nullptr;
-  std::uint32_t progress_lane = 0;  ///< chain index in multi-chain runs
   /// Proposal move mix (MoveKind above).  In 2K targeting a trade is
   /// D2-neutral (pure mixing, useful against plateau stalls); in 3K
   /// targeting it is priced exactly and Metropolis-accepted on the
@@ -220,20 +174,18 @@ struct TargetingOptions {
   /// swap-only and rejects other moves.
   MoveKind move = MoveKind::swap;
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
-
-  /// Copies the shared execution context over this struct's duplicated
-  /// knobs (workers/memory budget/stop/progress); see RandomizeOptions.
-  void apply(const svc::RunContext& ctx) noexcept {
-    workers = ctx.workers;
-    memory_budget_mb = ctx.memory_budget_mb;
-    stop = ctx.stop;
-    progress = ctx.progress;
-  }
 };
+
+/// The workers rule: a function that takes a svc::RunContext reads
+/// ctx.workers, so the options it is given must keep workers = 1.
+/// Throws std::invalid_argument naming ctx.workers otherwise.
+void expect_context_workers(std::size_t options_workers, const char* caller);
 
 /// 2K-targeting 1K-preserving rewiring.  `start` must already have the
 /// target's degree sequence (e.g. from matching_1k); returns a graph
 /// moved toward the target JDD, reporting the final D2 if requested.
+/// target_2k/target_3k run under a default context; the leg driver
+/// (gen/checkpoint.hpp) is the context-taking form.
 Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
                 const TargetingOptions& options, util::Rng& rng,
                 RewiringStats* stats = nullptr,
@@ -252,12 +204,6 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
 /// [1, 8]: past ~8 chains the best-of-K improvement flattens while
 /// every chain still burns a full budget.
 std::size_t default_chain_count(std::size_t requested = 0) noexcept;
-
-struct MultiChainOptions {
-  /// Independently seeded annealing chains; 0 = autotune from the
-  /// available-core count via default_chain_count().
-  std::size_t chains = 4;
-};
 
 // ---------------------------------------------------------------------------
 // dK-space exploration (§4.3).

@@ -15,22 +15,6 @@ namespace {
 /// adding nothing measurable to the per-swap hot path.
 constexpr std::size_t kStopPollMask = 1023;
 
-/// Progress report at a stop-poll boundary.  Sinks only READ the sample
-/// (obs/progress.hpp), so a chain runs bit-identically with or without
-/// one; `stats` is never null here (callers substitute a local).
-inline void report_progress(obs::ProgressSink* sink, std::uint32_t lane,
-                            const RewiringStats& stats, std::uint64_t budget,
-                            double objective, bool has_objective) {
-  if (sink == nullptr) return;
-  obs::ProgressSample sample;
-  sample.attempts = stats.attempts;
-  sample.accepted = stats.accepted;
-  sample.budget = budget;
-  sample.objective = objective;
-  sample.has_objective = has_objective;
-  sink->report(lane, sample);
-}
-
 /// Uniform candidate: two distinct edge slots, random orientation of the
 /// second edge.  False iff the graph has fewer than 2 edges.
 bool draw_uniform_from(const EdgeIndex& index, util::Rng& rng, Swap& swap) {
@@ -170,24 +154,13 @@ inline bool propose_trade(MoveKind move, double trade_fraction,
 // RewiringEngine: 1K-frozen fast paths.
 // ---------------------------------------------------------------------------
 
-bool RewiringEngine::draw_uniform(util::Rng& rng, Swap& swap) const {
-  return draw_uniform_from(index_, rng, swap);
-}
-
-bool RewiringEngine::draw_jdd_preserving(util::Rng& rng, Swap& swap) const {
-  return draw_jdd_preserving_from(index_, rng, swap);
-}
-
-bool RewiringEngine::structurally_valid(const Swap& swap) const {
-  return structurally_valid_in(index_, swap);
-}
-
-void RewiringEngine::randomize(int d, std::size_t budget, util::Rng& rng,
-                               RewiringStats* stats, util::StopToken stop,
-                               obs::ProgressSink* progress,
-                               std::uint32_t progress_lane, MoveKind move,
-                               double trade_fraction) {
+void RewiringEngine::randomize(const RandomizeOptions& options,
+                               std::size_t budget, util::Rng& rng,
+                               RewiringStats* stats,
+                               const svc::RunContext& ctx) {
+  const int d = options.d;
   util::expects(d == 1 || d == 2, "RewiringEngine::randomize: d must be 1|2");
+  expect_context_workers(options.workers, "RewiringEngine::randomize");
   // Count into a local when the caller passed no stats sink, so progress
   // always has attempt/accept totals to report (observably identical —
   // the chain never reads the counts).
@@ -196,12 +169,12 @@ void RewiringEngine::randomize(int d, std::size_t budget, util::Rng& rng,
   TradeScratch trade;
   for (std::size_t attempt = 0; attempt < budget; ++attempt) {
     if ((attempt & kStopPollMask) == 0) {
-      if (stop.stop_requested()) break;
-      report_progress(progress, progress_lane, *stats, budget, 0.0, false);
+      if (ctx.stop.stop_requested()) break;
+      report_progress(ctx, *stats, budget, 0.0, false);
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(move, trade_fraction, rng)) {
+    if (propose_trade(options.move, options.trade_fraction, rng)) {
       // Trades preserve degrees AND the JDD by construction, so they
       // are valid at both d = 1 and d = 2 and always accepted.
       if (draw_trade_from(index_, rng, trade)) {
@@ -213,9 +186,9 @@ void RewiringEngine::randomize(int d, std::size_t budget, util::Rng& rng,
       continue;
     }
     Swap swap{};
-    const bool drawn = d == 2 ? draw_jdd_preserving(rng, swap)
-                              : draw_uniform(rng, swap);
-    if (!drawn || !structurally_valid(swap)) {
+    const bool drawn = d == 2 ? draw_jdd_preserving_from(index_, rng, swap)
+                              : draw_uniform_from(index_, rng, swap);
+    if (!drawn || !structurally_valid_in(index_, swap)) {
       if (stats != nullptr) ++stats->rejected_structural;
       continue;
     }
@@ -265,19 +238,20 @@ bool RewiringEngine::propose_guided(const Objective& objective,
 std::int64_t RewiringEngine::target_2k(
     const dk::JointDegreeDistribution& target,
     const TargetingOptions& options, std::size_t budget, util::Rng& rng,
-    RewiringStats* stats) {
+    RewiringStats* stats, const svc::RunContext& ctx) {
+  expect_context_workers(options.workers, "RewiringEngine::target_2k");
   // Resolve the ΔD2 backend once, outside the hot loop: the chain body
   // is instantiated per backend, so the dense path pays no dispatch and
   // the sparse path trades hash probes for O(occupied-bin) memory.
   // Both walk bit-identical chains (tests/gen/test_objective_backends).
   const ObjectiveBackend backend = resolve_objective_backend(
-      options.objective, index_.num_classes(), options.memory_budget_mb);
+      options.objective, index_.num_classes(), ctx.memory_budget_mb);
   if (backend == ObjectiveBackend::sparse) {
     SparseJddObjective objective(index_, target);
-    return target_2k_with(objective, options, budget, rng, stats);
+    return target_2k_with(objective, options, budget, rng, stats, ctx);
   }
   JddObjective objective(index_, target);
-  return target_2k_with(objective, options, budget, rng, stats);
+  return target_2k_with(objective, options, budget, rng, stats, ctx);
 }
 
 template <typename Objective>
@@ -285,7 +259,8 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
                                             const TargetingOptions& options,
                                             std::size_t budget,
                                             util::Rng& rng,
-                                            RewiringStats* stats) {
+                                            RewiringStats* stats,
+                                            const svc::RunContext& ctx) {
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   TradeScratch trade;
@@ -294,10 +269,9 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
        static_cast<double>(objective.distance()) > options.stop_distance;
        ++attempt) {
     if ((attempt & kStopPollMask) == 0) {
-      if (options.stop.stop_requested()) break;
-      report_progress(options.progress, options.progress_lane, *stats,
-                      budget, static_cast<double>(objective.distance()),
-                      true);
+      if (ctx.stop.stop_requested()) break;
+      report_progress(ctx, *stats, budget,
+                      static_cast<double>(objective.distance()), true);
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
@@ -316,7 +290,7 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
     Swap swap{};
     const bool drawn = (rng.bernoulli(options.guided_fraction) &&
                         propose_guided(objective, rng, swap)) ||
-                       draw_uniform(rng, swap);
+                       draw_uniform_from(index_, rng, swap);
     if (!drawn) {
       if (stats != nullptr) ++stats->rejected_structural;
       continue;
@@ -336,7 +310,7 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
     const std::uint32_t cd = index_.node_class(swap.d);
     objective.prefetch(ca, cb, cc, cd);
 
-    if (!structurally_valid(swap)) {
+    if (!structurally_valid_in(index_, swap)) {
       if (stats != nullptr) ++stats->rejected_structural;
       continue;
     }
@@ -385,7 +359,8 @@ void RewiringEngine::explore_s(bool maximize, std::size_t budget,
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
     Swap swap{};
-    if (!draw_uniform(rng, swap) || !structurally_valid(swap)) {
+    if (!draw_uniform_from(index_, rng, swap) ||
+        !structurally_valid_in(index_, swap)) {
       if (stats != nullptr) ++stats->rejected_structural;
       continue;
     }
@@ -419,9 +394,8 @@ bool ThreeKRewirer::draw_candidate(util::Rng& rng, Swap& swap) const {
 }
 
 void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
-                              RewiringStats* stats, util::StopToken stop,
-                              obs::ProgressSink* progress,
-                              std::uint32_t progress_lane) {
+                              RewiringStats* stats,
+                              const svc::RunContext& ctx) {
   util::expects(state_.level() == dk::TrackLevel::full_three_k,
                 "ThreeKRewirer::randomize: needs full_three_k tracking");
   RewiringStats local_stats;
@@ -429,8 +403,8 @@ void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
   dk::SwapDelta delta;
   for (std::size_t attempt = 0; attempt < budget; ++attempt) {
     if ((attempt & kStopPollMask) == 0) {
-      if (stop.stop_requested()) break;
-      report_progress(progress, progress_lane, *stats, budget, 0.0, false);
+      if (ctx.stop.stop_requested()) break;
+      report_progress(ctx, *stats, budget, 0.0, false);
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
@@ -455,9 +429,11 @@ void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
 std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
                                    const TargetingOptions& options,
                                    std::size_t budget, util::Rng& rng,
-                                   RewiringStats* stats) {
+                                   RewiringStats* stats,
+                                   const svc::RunContext& ctx) {
   util::expects(state_.level() == dk::TrackLevel::full_three_k,
                 "ThreeKRewirer::target: needs full_three_k tracking");
+  expect_context_workers(options.workers, "ThreeKRewirer::target");
   ThreeKObjective objective(state_, target);
   dk::SwapDelta swap_delta;
   TradeScratch trade;
@@ -494,10 +470,9 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
        static_cast<double>(objective.distance()) > options.stop_distance;
        ++attempt) {
     if ((attempt & kStopPollMask) == 0) {
-      if (options.stop.stop_requested()) break;
-      report_progress(options.progress, options.progress_lane, *stats,
-                      budget, static_cast<double>(objective.distance()),
-                      true);
+      if (ctx.stop.stop_requested()) break;
+      report_progress(ctx, *stats, budget,
+                      static_cast<double>(objective.distance()), true);
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;

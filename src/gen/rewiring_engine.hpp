@@ -16,7 +16,9 @@
 //                           buckets instead of rejection sampling.
 //
 // The public entry points in rewiring.hpp are thin wrappers over these;
-// multi-chain runs are the leg driver's job (gen/checkpoint.hpp).
+// multi-chain runs are the leg driver's job (gen/checkpoint.hpp).  Chain
+// methods poll ctx.stop and report to ctx.progress every 1024 attempts
+// (between rounds on the speculative path, which reads ctx.workers).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "gen/objective.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/edge_index.hpp"
+#include "svc/run_context.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::exec {
@@ -45,28 +48,26 @@ class RewiringEngine {
   const EdgeIndex& index() const noexcept { return index_; }
   Graph graph() const { return index_.to_graph(); }
 
-  /// dK-randomizing rewiring at d = 1 or 2 (degree-preserving swaps; at
-  /// d = 2 candidates come from the degree buckets, so every structurally
-  /// valid proposal already preserves the JDD).  `stop` is polled every
-  /// 1024 attempts; a requested stop ends the run early.  `progress`
-  /// (may be null) is reported at the same cadence.  `move` selects the
-  /// proposal mix (rewiring.hpp): Curveball trades are JDD-preserving by
-  /// construction and the mixed-mode selector draw only happens when
-  /// move == mixed, so swap-mode streams are untouched.
-  void randomize(int d, std::size_t budget, util::Rng& rng,
-                 RewiringStats* stats, util::StopToken stop = {},
-                 obs::ProgressSink* progress = nullptr,
-                 std::uint32_t progress_lane = 0,
-                 MoveKind move = MoveKind::swap, double trade_fraction = 0.25);
+  /// dK-randomizing rewiring at options.d = 1 or 2 (degree-preserving
+  /// swaps; at d = 2 candidates come from the degree buckets, so every
+  /// structurally valid proposal already preserves the JDD).
+  /// options.move selects the proposal mix (rewiring.hpp): Curveball
+  /// trades are JDD-preserving by construction and the mixed-mode
+  /// selector draw only happens when move == mixed, so swap-mode streams
+  /// are untouched.
+  void randomize(const RandomizeOptions& options, std::size_t budget,
+                 util::Rng& rng, RewiringStats* stats,
+                 const svc::RunContext& ctx = {});
 
   /// 2K-targeting 1K-preserving Metropolis rewiring.  Returns the exact
   /// integer D2 after the run.  The ΔD2 objective backend is resolved
-  /// from `options.objective` / `options.memory_budget_mb`
+  /// from `options.objective` / `ctx.memory_budget_mb`
   /// (objective_backend.hpp): dense matrix while it fits the budget,
   /// sparse bin table past it — chains are bit-identical either way.
   std::int64_t target_2k(const dk::JointDegreeDistribution& target,
                          const TargetingOptions& options, std::size_t budget,
-                         util::Rng& rng, RewiringStats* stats);
+                         util::Rng& rng, RewiringStats* stats,
+                         const svc::RunContext& ctx = {});
 
   /// 1K-preserving greedy exploration of the likelihood S.  `stop_at`
   /// is NaN to run the budget out.
@@ -77,8 +78,6 @@ class RewiringEngine {
   double likelihood_s() const noexcept;
 
  private:
-  bool draw_uniform(util::Rng& rng, Swap& swap) const;
-  bool draw_jdd_preserving(util::Rng& rng, Swap& swap) const;
   /// Objective is JddObjective or SparseJddObjective (identical
   /// contract); the chain body is instantiated once per backend so the
   /// dense hot path keeps its direct array access with zero dispatch.
@@ -89,23 +88,33 @@ class RewiringEngine {
   std::int64_t target_2k_with(Objective& objective,
                               const TargetingOptions& options,
                               std::size_t budget, util::Rng& rng,
-                              RewiringStats* stats);
-  bool structurally_valid(const Swap& swap) const;
+                              RewiringStats* stats,
+                              const svc::RunContext& ctx);
 
   EdgeIndex index_;
 };
 
-/// Tuning of the optimistic intra-chain batching (docs/parallel.md):
-/// proposals are drawn serially in rounds of `batch`, evaluated
-/// speculatively in parallel by up to `workers` pool tasks, and committed
-/// serially in draw order with endpoint/bin conflict re-evaluation.  The
-/// outcome is a pure function of (rng, batch) — `workers`, the pool size
-/// and thread scheduling are all unobservable — so a fixed seed and batch
-/// reproduce bit-identical chains at ANY thread count.
-struct SpeculationOptions {
-  std::size_t workers = 0;  // evaluation tasks per round; 0 = pool size
-  std::size_t batch = 256;  // proposals drawn per round (determinism knob)
-};
+/// Progress report at a stop-poll boundary, on lane 0 (the leg driver's
+/// obs::ProgressLane tags the chain).  Sinks only READ the sample, so a
+/// chain runs bit-identically with or without one.
+inline void report_progress(const svc::RunContext& ctx,
+                            const RewiringStats& stats, std::uint64_t budget,
+                            double objective, bool has_objective) {
+  if (ctx.progress == nullptr) return;
+  ctx.progress->report(0, {.attempts = stats.attempts,
+                           .accepted = stats.accepted,
+                           .budget = budget,
+                           .objective = objective,
+                           .has_objective = has_objective});
+}
+
+/// dK-randomizing rewiring of `g` under `ctx`: gen::randomize runs it
+/// with a default context that takes options.workers, and
+/// gen::dk_random_like with the caller's.  ctx.workers != 1 puts d = 3
+/// on the speculative path (shared pool); options.workers must be 1.
+Graph run_randomize(const Graph& g, const RandomizeOptions& options,
+                    util::Rng& rng, RewiringStats* stats,
+                    const svc::RunContext& ctx);
 
 /// 3K machinery: one EdgeIndex for adjacency + candidate selection,
 /// with a DkState bound to it for the wedge/triangle bookkeeping.
@@ -122,43 +131,40 @@ class ThreeKRewirer {
   // stay at a stable address (DkState already suppresses copy/move).
 
   /// 3K-preserving randomization: bucket-drawn 2K-preserving candidates,
-  /// verified exactly against the wedge/triangle delta journal.  `stop`
-  /// is polled every 1024 attempts; `progress` (may be null) is
-  /// reported at the same cadence.
+  /// verified exactly against the wedge/triangle delta journal.
   void randomize(std::size_t budget, util::Rng& rng, RewiringStats* stats,
-                 util::StopToken stop = {},
-                 obs::ProgressSink* progress = nullptr,
-                 std::uint32_t progress_lane = 0);
+                 const svc::RunContext& ctx = {});
 
   /// 3K-targeting 2K-preserving Metropolis rewiring; returns exact
   /// integer D3 after the run.
   std::int64_t target(const dk::ThreeKProfile& target,
                       const TargetingOptions& options, std::size_t budget,
-                      util::Rng& rng, RewiringStats* stats);
+                      util::Rng& rng, RewiringStats* stats,
+                      const svc::RunContext& ctx = {});
 
   /// 2K-preserving greedy exploration (S2 or C̄).
   void explore(ExploreObjective objective, std::size_t budget,
                double stop_at, util::Rng& rng, RewiringStats* stats);
 
-  /// Optimistic parallel variants of randomize()/target(): worker tasks
-  /// on `pool` evaluate batches of proposals speculatively (per-task
-  /// DkState::EvalScratch, const state), a serial committer applies
-  /// non-conflicting accepted swaps in draw order and re-evaluates
-  /// conflicted ones, so acceptance semantics match a serial pass over
-  /// the same proposal stream.  Must not be called from inside a task of
-  /// `pool` (e.g. one chain of a multi-chain leg on the shared pool).
-  void randomize_parallel(std::size_t budget, util::Rng& rng,
-                          exec::ThreadPool& pool,
-                          const SpeculationOptions& speculation,
-                          RewiringStats* stats, util::StopToken stop = {},
-                          obs::ProgressSink* progress = nullptr,
-                          std::uint32_t progress_lane = 0);
+  /// Optimistic parallel variants of randomize()/target()
+  /// (docs/parallel.md): proposals are drawn serially in rounds of
+  /// `options.batch`, evaluated speculatively by up to ctx.workers tasks
+  /// on `pool` (0 = the pool size; per-task DkState::EvalScratch, const
+  /// state), and committed serially in draw order with endpoint/bin
+  /// conflict re-evaluation, so acceptance semantics match a serial pass
+  /// over the same proposal stream.  The outcome is a pure function of
+  /// (rng, batch): worker count, pool size and scheduling are all
+  /// unobservable.  Must not be called from inside a task of `pool`
+  /// (e.g. one chain of a multi-chain leg on the shared pool).
+  void randomize_parallel(const RandomizeOptions& options, std::size_t budget,
+                          util::Rng& rng, exec::ThreadPool& pool,
+                          RewiringStats* stats,
+                          const svc::RunContext& ctx = {});
   std::int64_t target_parallel(const dk::ThreeKProfile& target,
                                const TargetingOptions& options,
                                std::size_t budget, util::Rng& rng,
-                               exec::ThreadPool& pool,
-                               const SpeculationOptions& speculation,
-                               RewiringStats* stats);
+                               exec::ThreadPool& pool, RewiringStats* stats,
+                               const svc::RunContext& ctx = {});
 
   Graph graph() const { return state_.to_graph(); }
   const EdgeIndex& index() const noexcept { return index_; }
@@ -167,13 +173,14 @@ class ThreeKRewirer {
  private:
   bool draw_candidate(util::Rng& rng, Swap& swap) const;
   /// Shared engine of the two *_parallel entry points (target == nullptr
-  /// selects randomizing mode); defined in rewiring_parallel.cpp.
+  /// selects randomizing mode, which ignores temperature and
+  /// stop_distance); defined in rewiring_parallel.cpp.
   std::int64_t run_speculative(const dk::ThreeKProfile* target,
-                               const TargetingOptions& options,
-                               std::size_t budget, util::Rng& rng,
-                               exec::ThreadPool& pool,
-                               const SpeculationOptions& speculation,
-                               RewiringStats* stats);
+                               double temperature, double stop_distance,
+                               std::size_t batch, std::size_t budget,
+                               util::Rng& rng, exec::ThreadPool& pool,
+                               RewiringStats* stats,
+                               const svc::RunContext& ctx);
 
   EdgeIndex index_;     // the ONLY adjacency structure for all 3K modes
   dk::DkState state_;   // bound to index_; declared after it

@@ -31,6 +31,7 @@
 // the protocol observes worker count, pool size or thread scheduling:
 // results are bit-identical for a fixed (seed, batch) at ANY thread
 // count.  See docs/parallel.md.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -78,36 +79,35 @@ bool journal_touches(const std::unordered_set<std::uint64_t>& dirty,
 
 }  // namespace
 
-void ThreeKRewirer::randomize_parallel(std::size_t budget, util::Rng& rng,
+void ThreeKRewirer::randomize_parallel(const RandomizeOptions& options,
+                                       std::size_t budget, util::Rng& rng,
                                        exec::ThreadPool& pool,
-                                       const SpeculationOptions& speculation,
                                        RewiringStats* stats,
-                                       util::StopToken stop,
-                                       obs::ProgressSink* progress,
-                                       std::uint32_t progress_lane) {
+                                       const svc::RunContext& ctx) {
   util::expects(state_.level() == dk::TrackLevel::full_three_k,
                 "ThreeKRewirer::randomize_parallel: needs full_three_k");
-  TargetingOptions options;
-  options.stop = stop;
-  options.progress = progress;
-  options.progress_lane = progress_lane;
-  run_speculative(nullptr, options, budget, rng, pool, speculation, stats);
+  expect_context_workers(options.workers,
+                         "ThreeKRewirer::randomize_parallel");
+  run_speculative(nullptr, 0.0, 0.0, options.batch, budget, rng, pool, stats,
+                  ctx);
 }
 
 std::int64_t ThreeKRewirer::target_parallel(
     const dk::ThreeKProfile& target, const TargetingOptions& options,
     std::size_t budget, util::Rng& rng, exec::ThreadPool& pool,
-    const SpeculationOptions& speculation, RewiringStats* stats) {
+    RewiringStats* stats, const svc::RunContext& ctx) {
   util::expects(state_.level() == dk::TrackLevel::full_three_k,
                 "ThreeKRewirer::target_parallel: needs full_three_k");
-  return run_speculative(&target, options, budget, rng, pool, speculation,
-                         stats);
+  expect_context_workers(options.workers, "ThreeKRewirer::target_parallel");
+  return run_speculative(&target, options.temperature, options.stop_distance,
+                         options.batch, budget, rng, pool, stats, ctx);
 }
 
 std::int64_t ThreeKRewirer::run_speculative(
-    const dk::ThreeKProfile* target, const TargetingOptions& options,
-    std::size_t budget, util::Rng& rng, exec::ThreadPool& pool,
-    const SpeculationOptions& speculation, RewiringStats* stats) {
+    const dk::ThreeKProfile* target, double temperature, double stop_distance,
+    std::size_t batch_size, std::size_t budget, util::Rng& rng,
+    exec::ThreadPool& pool, RewiringStats* stats,
+    const svc::RunContext& ctx) {
   const bool targeting = target != nullptr;
   std::optional<ThreeKObjective> objective;
   if (targeting) objective.emplace(state_, *target);
@@ -118,10 +118,9 @@ std::int64_t ThreeKRewirer::run_speculative(
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
 
-  const std::size_t batch = speculation.batch > 0 ? speculation.batch : 1;
+  const std::size_t batch = batch_size > 0 ? batch_size : 1;
   const std::size_t partitions =
-      speculation.workers > 0 ? speculation.workers
-                              : (pool.size() > 0 ? pool.size() : 1);
+      ctx.workers > 0 ? ctx.workers : std::max<std::size_t>(pool.size(), 1);
 
   std::vector<PendingSwap> pending(batch);
   std::vector<dk::DkState::EvalScratch> scratches(partitions);
@@ -136,8 +135,8 @@ std::int64_t ThreeKRewirer::run_speculative(
   std::unordered_set<std::uint64_t> dirty_bins;
 
   const auto reached_stop = [&]() {
-    return targeting && static_cast<double>(objective->distance()) <=
-                            options.stop_distance;
+    return targeting &&
+           static_cast<double>(objective->distance()) <= stop_distance;
   };
 
   std::size_t drawn = 0;  // budget consumed (= serial attempt count)
@@ -146,18 +145,11 @@ std::int64_t ThreeKRewirer::run_speculative(
     // the only mutator, so between rounds is the one place a bail-out
     // leaves the state consistent (never mid-commit).  Progress reports
     // share the boundary (observers only — see docs/observability.md).
-    if (options.stop.stop_requested()) break;
-    if (options.progress != nullptr) {
-      obs::ProgressSample sample;
-      sample.attempts = stats->attempts;
-      sample.accepted = stats->accepted;
-      sample.budget = budget;
-      if (targeting) {
-        sample.objective = static_cast<double>(objective->distance());
-        sample.has_objective = true;
-      }
-      options.progress->report(options.progress_lane, sample);
-    }
+    if (ctx.stop.stop_requested()) break;
+    report_progress(ctx, *stats, budget,
+                    targeting ? static_cast<double>(objective->distance())
+                              : 0.0,
+                    targeting);
     const obs::Span round_span("3k.spec.round");
     ++round_id;
     dirty_bins.clear();
@@ -191,7 +183,7 @@ std::int64_t ThreeKRewirer::run_speculative(
       // Greedy descent (T = 0) never consults the uniform, so skipping
       // the draw keeps the Rng stream identical to the serial chain's —
       // with batch = 1 the two are then bit-for-bit the same process.
-      if (targeting && options.temperature > 0.0) {
+      if (targeting && temperature > 0.0) {
         slot.accept_uniform = rng.uniform_real();
       }
     }
@@ -204,7 +196,7 @@ std::int64_t ThreeKRewirer::run_speculative(
     for (std::size_t part = 0; part < parts; ++part) {
       const std::size_t begin = count * part / parts;
       const std::size_t end = count * (part + 1) / parts;
-      tasks.emplace_back([this, &pending, &scratches, &objective, &options,
+      tasks.emplace_back([this, &pending, &scratches, &objective, temperature,
                           targeting, part, begin, end]() {
         dk::DkState::EvalScratch& scratch = scratches[part];
         for (std::size_t i = begin; i < end; ++i) {
@@ -225,7 +217,7 @@ std::int64_t ThreeKRewirer::run_speculative(
             slot.objective_delta =
                 objective->delta_if_applied(state_, slot.delta.journal);
             slot.accepted =
-                metropolis_accepts(slot.objective_delta, options.temperature,
+                metropolis_accepts(slot.objective_delta, temperature,
                                    slot.accept_uniform);
           } else {
             slot.accepted = slot.delta.journal.all_zero();
@@ -260,7 +252,7 @@ std::int64_t ThreeKRewirer::run_speculative(
           slot.objective_delta =
               objective->delta_if_applied(state_, slot.delta.journal);
           slot.accepted =
-              metropolis_accepts(slot.objective_delta, options.temperature,
+              metropolis_accepts(slot.objective_delta, temperature,
                                  slot.accept_uniform);
         } else {
           slot.accepted = slot.delta.journal.all_zero();
@@ -274,7 +266,7 @@ std::int64_t ThreeKRewirer::run_speculative(
         slot.objective_delta =
             objective->delta_if_applied(state_, slot.delta.journal);
         slot.accepted =
-            metropolis_accepts(slot.objective_delta, options.temperature,
+            metropolis_accepts(slot.objective_delta, temperature,
                                slot.accept_uniform);
       }
 

@@ -151,7 +151,7 @@ std::size_t ChunkedEdgeListReader::run_pass(
 
 StreamingExtractResult extract_dk_streaming(
     const std::string& path, int max_d,
-    const StreamingExtractOptions& options) {
+    const StreamingExtractOptions& options, const svc::RunContext& ctx) {
   ChunkedEdgeListReader reader(path, options.reader);
   dk::StreamingDkExtractor extractor(max_d, options.extractor);
   StreamingExtractResult result;
@@ -159,15 +159,14 @@ StreamingExtractResult extract_dk_streaming(
   std::size_t pass_edges = 0;   // edges consumed in the current pass
   std::size_t pass_budget = 0;  // edges per full pass, known after pass 0
   const auto consume_chunk = [&](std::span<const RawEdge> edges) {
-    if (options.stop.stop_requested()) {
+    if (ctx.stop.stop_requested()) {
       throw InterruptedError("extract_dk_streaming: cancelled");
     }
     for (const RawEdge& edge : edges) extractor.consume(edge.u, edge.v);
     pass_edges += edges.size();
-    if (options.progress != nullptr) {
-      options.progress->report(options.progress_lane,
-                               obs::ProgressSample{.attempts = pass_edges,
-                                                   .budget = pass_budget});
+    if (ctx.progress != nullptr) {
+      ctx.progress->report(0, obs::ProgressSample{.attempts = pass_edges,
+                                                  .budget = pass_budget});
     }
   };
 

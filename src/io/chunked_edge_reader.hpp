@@ -22,9 +22,7 @@
 
 #include "core/streaming_extractor.hpp"
 #include "io/retry.hpp"
-#include "obs/progress.hpp"
 #include "svc/run_context.hpp"
-#include "util/stop_token.hpp"
 
 namespace orbis::io {
 
@@ -71,21 +69,6 @@ class ChunkedEdgeListReader {
 struct StreamingExtractOptions {
   dk::StreamingOptions extractor;
   ChunkedEdgeListReader::Options reader;
-  /// Cooperative cancellation: polled once per parsed chunk inside every
-  /// pass; a requested stop throws orbis::InterruptedError (partial
-  /// accumulator state is discarded with the extractor).
-  util::StopToken stop{};
-  /// Live progress: one sample per chunk, attempts = edges consumed so
-  /// far in the current pass, budget = edges per full pass (known after
-  /// the first pass completes, 0 during it).  Null = silent.
-  obs::ProgressSink* progress = nullptr;
-  std::uint32_t progress_lane = 0;
-
-  /// Adopts the shared execution context (svc/run_context.hpp).
-  void apply(const svc::RunContext& ctx) noexcept {
-    stop = ctx.stop;
-    progress = ctx.progress;
-  }
 };
 
 struct StreamingExtractResult {
@@ -100,9 +83,15 @@ struct StreamingExtractResult {
 /// Extracts the dK-distributions of the edge-list file up to `max_d`
 /// by streaming it pass by pass — bin-for-bin equal to
 /// dk::extract(read_edge_list_file(path).graph, max_d) without ever
-/// holding the graph.
+/// holding the graph.  ctx.stop is polled once per parsed chunk inside
+/// every pass; a requested stop throws orbis::InterruptedError (partial
+/// accumulator state is discarded with the extractor).  ctx.progress
+/// gets one sample per chunk: attempts = edges consumed so far in the
+/// current pass, budget = edges per full pass (known after the first
+/// pass completes, 0 during it).
 StreamingExtractResult extract_dk_streaming(
     const std::string& path, int max_d,
-    const StreamingExtractOptions& options = {});
+    const StreamingExtractOptions& options = {},
+    const svc::RunContext& ctx = {});
 
 }  // namespace orbis::io

@@ -13,7 +13,8 @@
 namespace orbis::metrics {
 
 ScalarMetrics compute_scalar_metrics(const Graph& g,
-                                     const SummaryOptions& options) {
+                                     const SummaryOptions& options,
+                                     const svc::RunContext& ctx) {
   ScalarMetrics result;
   if (g.num_nodes() == 0) return result;
 
@@ -25,12 +26,11 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
   std::uint64_t done = 0;
   const auto checkpoint = [&]() {
     ++done;
-    if (options.progress != nullptr) {
-      options.progress->report(
-          options.progress_lane,
-          obs::ProgressSample{.attempts = done, .budget = budget});
+    if (ctx.progress != nullptr) {
+      ctx.progress->report(
+          0, obs::ProgressSample{.attempts = done, .budget = budget});
     }
-    if (options.stop.stop_requested()) {
+    if (ctx.stop.stop_requested()) {
       throw InterruptedError("compute_scalar_metrics: cancelled");
     }
   };
@@ -63,12 +63,6 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
     checkpoint();
   }
   return result;
-}
-
-ScalarMetrics compute_scalar_metrics(const Graph& g, SummaryOptions options,
-                                     const svc::RunContext& ctx) {
-  options.apply(ctx);
-  return compute_scalar_metrics(g, options);
 }
 
 std::string to_string(const ScalarMetrics& m) {

@@ -12,9 +12,7 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "obs/progress.hpp"
 #include "svc/run_context.hpp"
-#include "util/stop_token.hpp"
 
 namespace orbis::metrics {
 
@@ -36,31 +34,17 @@ struct SummaryOptions {
   bool with_spectrum = true;   // Lanczos runs (skip for speed if unneeded)
   bool with_distance = true;   // full all-pairs BFS
   bool with_s2 = true;         // 3K extraction for S2
-  /// Cooperative cancellation, polled between metric phases (the phases
-  /// themselves — BFS sweep, 3K extraction, Lanczos — run to completion;
-  /// they are each a bounded fraction of the total).  A requested stop
-  /// throws orbis::InterruptedError.
-  util::StopToken stop{};
-  /// Live progress: one sample per completed phase, attempts = phases
-  /// done, budget = phases enabled.  Null = silent.
-  obs::ProgressSink* progress = nullptr;
-  std::uint32_t progress_lane = 0;
-
-  /// Adopts the shared execution context (svc/run_context.hpp).
-  void apply(const svc::RunContext& ctx) noexcept {
-    stop = ctx.stop;
-    progress = ctx.progress;
-  }
 };
 
 /// Compute the scalar bundle on g's giant connected component.
+/// ctx.stop is polled between metric phases (the phases themselves —
+/// BFS sweep, 3K extraction, Lanczos — run to completion; they are each
+/// a bounded fraction of the total); a requested stop throws
+/// orbis::InterruptedError.  ctx.progress gets one sample per completed
+/// phase: attempts = phases done, budget = phases enabled.
 ScalarMetrics compute_scalar_metrics(const Graph& g,
-                                     const SummaryOptions& options = {});
-
-/// Context form — the unified entry-point contract (docs/service.md):
-/// applies ctx's stop/progress over `options` and delegates.
-ScalarMetrics compute_scalar_metrics(const Graph& g, SummaryOptions options,
-                                     const svc::RunContext& ctx);
+                                     const SummaryOptions& options = {},
+                                     const svc::RunContext& ctx = {});
 
 /// One-line rendering for logs.
 std::string to_string(const ScalarMetrics& metrics);

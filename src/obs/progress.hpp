@@ -9,10 +9,9 @@
 // determinism test (tests/obs/test_determinism.cpp and the CLI
 // byte-identity test) pins this.
 //
-// Deliberately free of gen/ types: gen/rewiring.hpp includes this
-// header to put a ProgressSink* in its options structs, so this header
-// must sit below gen in the include DAG.  Samples are plain integers /
-// doubles.
+// Deliberately free of gen/ types: svc::RunContext carries a
+// ProgressSink*, so this header must sit below gen and svc in the
+// include DAG.  Samples are plain integers / doubles.
 #pragma once
 
 #include <chrono>
@@ -25,9 +24,9 @@
 
 namespace orbis::obs {
 
-/// One observation of a rewiring lane's progress.  `lane` distinguishes
-/// concurrent chains in a multichain run (chain index) and is 0 for
-/// serial runs.
+/// One observation of a rewiring lane's progress.  Engines report on
+/// lane 0; the leg driver tags chain i's reports with lane i through a
+/// ProgressLane.
 struct ProgressSample {
   std::uint64_t attempts = 0;      ///< attempts so far in this lane
   std::uint64_t accepted = 0;      ///< accepted swaps so far
@@ -113,6 +112,22 @@ class TrajectoryRecorder : public ProgressSink {
   std::size_t max_samples_;
   mutable std::mutex mutex_;
   std::vector<Lane> lanes_;
+};
+
+/// Forwards every report to `inner` on lane `lane`: the leg driver
+/// gives chain i a context whose sink is ProgressLane(ctx.progress, i).
+class ProgressLane : public ProgressSink {
+ public:
+  ProgressLane(ProgressSink* inner, std::uint32_t lane)
+      : inner_(inner), lane_(lane) {}
+
+  void report(std::uint32_t, const ProgressSample& sample) override {
+    inner_->report(lane_, sample);
+  }
+
+ private:
+  ProgressSink* inner_;
+  std::uint32_t lane_;
 };
 
 /// Fans one report out to several sinks (meter + trajectory + ...).

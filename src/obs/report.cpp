@@ -8,7 +8,7 @@
 #include "exec/thread_pool.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/metrics.hpp"
-#include "util/flat_table.hpp"  // ORBIS_SIMD default
+#include "util/flat_table.hpp"  // ORBIS_FLAT_TABLE_GROUPED
 
 namespace orbis::obs {
 
@@ -16,7 +16,7 @@ HostContext collect_host_context() {
   HostContext host;
   host.hardware_concurrency = std::thread::hardware_concurrency();
   host.available_workers = exec::resolve_workers(0);
-  host.simd = ORBIS_SIMD;
+  host.simd = ORBIS_FLAT_TABLE_GROUPED;
 #if defined(__clang__)
   host.compiler = "clang " __VERSION__;
 #elif defined(__GNUC__)

@@ -35,7 +35,7 @@ struct HostContext {
   /// exec::resolve_workers(0): honors the process affinity mask, so in
   /// a container pinned to 2 of 64 cores this says 2.
   std::size_t available_workers = 0;
-  int simd = 0;            ///< compile-time ORBIS_SIMD value
+  int simd = 0;            ///< 1 iff FlatTable's grouped probe is compiled in
   std::string compiler;    ///< e.g. "gcc 12.2.0"
 };
 

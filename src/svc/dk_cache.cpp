@@ -69,7 +69,8 @@ std::string CacheKey::hex() const {
 }
 
 CacheKey dk_cache_key(const std::string& edge_list_path, int max_d,
-                      const io::StreamingExtractOptions& options) {
+                      const io::StreamingExtractOptions& options,
+                      const RunContext& ctx) {
   const obs::Span span("svc.cache.key");
   io::ChunkedEdgeListReader reader(edge_list_path, options.reader);
 
@@ -80,7 +81,7 @@ CacheKey dk_cache_key(const std::string& edge_list_path, int max_d,
   std::uint64_t xr[2] = {0, 0};
   std::uint64_t edges = 0;
   reader.run_pass([&](std::span<const io::RawEdge> chunk) {
-    if (options.stop.stop_requested()) {
+    if (ctx.stop.stop_requested()) {
       throw InterruptedError("dk_cache_key: cancelled");
     }
     for (const io::RawEdge& edge : chunk) {
@@ -127,11 +128,12 @@ std::vector<std::string> DkCache::entry_files(const CacheKey& key,
 DkCache::Outcome DkCache::extract_to(const std::string& edge_list_path,
                                      int max_d,
                                      const std::string& out_prefix,
-                                     const io::StreamingExtractOptions& options) {
+                                     const io::StreamingExtractOptions& options,
+                                     const RunContext& ctx) {
   util::expects(max_d >= 1 && max_d <= 3,
                 "DkCache::extract_to: max_d must be in [1,3]");
   Outcome outcome;
-  outcome.key = dk_cache_key(edge_list_path, max_d, options);
+  outcome.key = dk_cache_key(edge_list_path, max_d, options, ctx);
   const std::string key_hex = outcome.key.hex();
   const std::vector<std::string> stored = entry_files(outcome.key, max_d);
 
@@ -170,7 +172,7 @@ DkCache::Outcome DkCache::extract_to(const std::string& edge_list_path,
     const obs::Span span("svc.cache.extract");
     misses_counter().add(1);
     const io::StreamingExtractResult result =
-        io::extract_dk_streaming(edge_list_path, max_d, options);
+        io::extract_dk_streaming(edge_list_path, max_d, options, ctx);
     outcome.skipped_self_loops = result.skipped_self_loops;
     outcome.skipped_duplicates = result.skipped_duplicates;
     // Atomic writes ordered so the LAST file to appear completes the

@@ -60,10 +60,11 @@ struct CacheKey {
 
 /// Computes the content key of `edge_list_path` for an extraction up to
 /// `max_d` under `options` (one streaming pass over the file; honors
-/// options.reader and polls options.stop).  Pure: same content + same
+/// options.reader and polls ctx.stop).  Pure: same content + same
 /// parameters -> same key, regardless of path, edge order, or comments.
 CacheKey dk_cache_key(const std::string& edge_list_path, int max_d,
-                      const io::StreamingExtractOptions& options = {});
+                      const io::StreamingExtractOptions& options = {},
+                      const RunContext& ctx = {});
 
 class DkCache {
  public:
@@ -84,13 +85,14 @@ class DkCache {
 
   /// Extracts the dK-distributions of `edge_list_path` up to `max_d`
   /// (in [1,3]) and publishes them as `<out_prefix>.1k[.2k[.3k]]`,
-  /// through the content-addressed store.  Cancellation: polls
-  /// options.stop during both the keying pass and a fresh extraction
+  /// through the content-addressed store.  Cancellation: polls ctx.stop
+  /// during both the keying pass and a fresh extraction
   /// (orbis::InterruptedError); a cancelled miss leaves no partial
-  /// entry behind.
+  /// entry behind.  ctx.progress follows the fresh extraction.
   Outcome extract_to(const std::string& edge_list_path, int max_d,
                      const std::string& out_prefix,
-                     const io::StreamingExtractOptions& options = {});
+                     const io::StreamingExtractOptions& options = {},
+                     const RunContext& ctx = {});
 
   const std::string& dir() const noexcept { return dir_; }
 

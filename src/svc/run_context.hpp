@@ -1,16 +1,17 @@
-// The unified entry-point contract (docs/service.md, "RunContext"):
-// the one struct that carries a run's execution context — seed, chain
-// count, workers, memory budget, stop token, progress sink, metrics
-// registry — so no entry point re-plumbs those knobs by hand.
+// The execution context of one run (docs/service.md, "RunContext"), and
+// the only home of its seed, chain count, workers, memory budget, stop
+// token, progress sink and metrics registry.  Options structs say WHAT
+// to compute; the context says HOW this run executes, and every layer
+// that polls a stop token, reports progress or picks a chain count
+// takes it by const reference (docs/service.md lists them).  A default
+// context never stops, reports nothing, autotunes chains and runs
+// serial.  Stop and progress never decide anything, so a run is
+// bit-identical with or without them.
 //
-// Entry points accept a RunContext alongside their algorithm-specific
-// options (gen::GenerateOptions keeps method/temperature/budget — those
-// describe WHAT to compute; the context describes HOW this particular
-// run executes).  The options structs keep their historical fields as
-// one-release back-compat shims (their comments say DEPRECATED):
-// `options.apply(ctx)` copies the context over them, and the
-// context-taking overloads do exactly that, so a context-driven call and
-// a hand-filled legacy call are bit-identical.
+// The workers rule: a function that takes a context reads ctx.workers,
+// and throws std::invalid_argument if its options carry workers != 1.
+// Only the Rng-taking primitives gen::target_2k, target_3k and
+// randomize read TargetingOptions/RandomizeOptions::workers.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +25,9 @@
 namespace orbis::svc {
 
 struct RunContext {
-  /// RNG seed; the context form of the CLI's --seed.  Entry points that
-  /// take a RunContext derive their generator via make_rng(), never
-  /// from an ambient source, so results are a pure function of the
-  /// context plus the algorithm options.
+  /// RNG seed (the CLI's --seed); generators derive from it through
+  /// make_rng(), so results are a pure function of the context plus the
+  /// algorithm options.
   std::uint64_t seed = 1;
 
   /// Chains per targeting stage (gen/pipeline.hpp); 0 = autotune (one
@@ -44,8 +44,7 @@ struct RunContext {
   /// Cooperative cancellation; default token never stops.
   util::StopToken stop{};
 
-  /// Live progress observer; null = silent.  Sinks only read samples,
-  /// so chains are bit-identical with or without one.
+  /// Live progress observer; null = silent.
   obs::ProgressSink* progress = nullptr;
 
   /// Metrics registry for run-scoped instruments; null = the process
@@ -54,9 +53,8 @@ struct RunContext {
   /// each job its own scrape.
   obs::Registry* metrics = nullptr;
 
-  /// The run's generator.  Deliberately a value: every caller that
-  /// needs continuation state (multi-stage pipelines) holds the Rng it
-  /// made and passes it down, exactly as the legacy API did.
+  /// The run's generator.  Deliberately a value: a caller that needs
+  /// continuation state (multi-stage pipelines) holds the Rng it made.
   util::Rng make_rng() const noexcept { return util::Rng(seed); }
 
   /// Resolved registry (never null).

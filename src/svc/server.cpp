@@ -282,9 +282,9 @@ void Server::run_extract(Job& job) {
   const obs::Span span("svc.job.extract");
   io::StreamingExtractOptions options;
   options.extractor.assume_simple = job.request.assume_simple;
-  options.apply(job.request.ctx);
-  const DkCache::Outcome outcome = cache_->extract_to(
-      job.request.input_path, job.request.d, job.request.output, options);
+  const DkCache::Outcome outcome =
+      cache_->extract_to(job.request.input_path, job.request.d,
+                         job.request.output, options, job.request.ctx);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job.info.files = outcome.files;
@@ -328,20 +328,18 @@ void Server::run_generate_leg(Job& job) {
       options.targeting.attempts_per_edge = request.attempts_per_edge;
     }
     options.targeting.attempts = request.attempts;
-    options.targeting.apply(request.ctx);
+    options.checkpoint_every = request.checkpoint_every;
     // Batch jobs report at leg granularity (the `leg` events); per-
     // attempt samples through the event sink would flood the wire.
-    options.targeting.progress = nullptr;
-    options.chains = request.ctx.chains;
-    options.checkpoint_every = request.checkpoint_every;
+    RunContext ctx = request.ctx;
+    ctx.progress = nullptr;
     job.pipeline = std::make_unique<gen::Pipeline>(
-        job.target, std::move(options), request.ctx.make_rng());
+        job.target, std::move(options), ctx.make_rng(), ctx);
     std::lock_guard<std::mutex> lock(mutex_);
     job.info.budget = job.pipeline->checkpoint().budget;
   }
 
   gen::CheckpointOptions checkpointing;
-  checkpointing.stop = job.stop.token();
   checkpointing.on_checkpoint = [this, &job](const gen::RunCheckpoint& run) {
     std::uint64_t legs = 0;
     {

@@ -220,7 +220,22 @@ std::int64_t get_int(const Object& object, const std::string& key,
   if (it->second.kind != Value::Kind::number) {
     throw ParseError("wire: field \"" + key + "\" must be a number");
   }
-  return static_cast<std::int64_t>(it->second.number);
+  // The cast below is only defined inside the int64 range.
+  const double number = it->second.number;
+  if (!(number > -9.2e18 && number < 9.2e18)) {
+    throw ParseError("wire: field \"" + key + "\" is out of range");
+  }
+  return static_cast<std::int64_t>(number);
+}
+
+std::uint64_t get_count(const Object& object, const std::string& key,
+                        std::uint64_t fallback) {
+  const std::int64_t value =
+      get_int(object, key, static_cast<std::int64_t>(fallback));
+  if (value < 0) {
+    throw ParseError("wire: field \"" + key + "\" must be >= 0");
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 double get_double(const Object& object, const std::string& key,

@@ -44,6 +44,10 @@ std::string get_string(const Object& object, const std::string& key,
                        const std::string& fallback);
 std::int64_t get_int(const Object& object, const std::string& key,
                      std::int64_t fallback);
+/// A count (chains, workers, attempts, ...): get_int that also throws
+/// orbis::ParseError on a negative value instead of letting it wrap.
+std::uint64_t get_count(const Object& object, const std::string& key,
+                        std::uint64_t fallback);
 double get_double(const Object& object, const std::string& key,
                   double fallback);
 bool get_bool(const Object& object, const std::string& key, bool fallback);

@@ -43,75 +43,46 @@
 //
 // Probing is accelerated by SwissTable-style control-byte groups: a
 // parallel metadata array holds, per slot, either kCtrlEmpty (0x80) or
-// a 7-bit fragment of the slot key's hash, and find()/locate() compare
-// kGroupWidth (16) control bytes per step — one SSE2 compare+movemask,
-// or a portable SWAR equivalent off x86 — touching the 8-byte key array
-// only at fragment matches.  On x86-64 GCC/Clang builds a 32-byte AVX2
-// variant (find_grouped32/locate_grouped32) compares two groups per
-// step; it is compiled with a per-function target("avx2") attribute and
-// selected at RUNTIME (__builtin_cpu_supports), so one binary runs
-// everywhere and silently drops to the 16-byte probe on older CPUs or
-// tables smaller than one wide group.  Every probe variant visits slots
-// in EXACTLY the scalar linear-probe order and slot placement is
-// decided by the same locate()/occupy()/erase_at() protocol either way,
-// so the slot layout, iteration order and every downstream chain are
-// bit-identical between the grouped, wide-grouped and scalar builds
-// (the `ORBIS_SIMD` CMake option selects whether groups back
-// find()/locate(); all implementations are always compiled and
-// cross-checked in tests/util/test_flat_table.cpp).
+// a 7-bit fragment of the slot key's hash, and where SSE2 is available
+// (__SSE2__, the x86-64 baseline) find()/locate() compare kGroupWidth
+// (16) control bytes per step with one compare+movemask, touching the
+// 8-byte key array only at fragment matches.  Elsewhere they run the
+// scalar walk.  The grouped probe visits slots in EXACTLY the scalar
+// linear-probe order and slot placement is decided by the same
+// locate()/occupy()/erase_at() protocol either way, so the slot layout,
+// iteration order and every downstream chain are bit-identical between
+// the two (cross-checked in tests/util/test_flat_table.cpp).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
 #include <vector>
 
 #include "util/keys.hpp"
 #include "util/prefetch.hpp"
 
-// ORBIS_SIMD=0 (the CMake option's OFF value) routes find()/locate()
-// through the scalar key-compare walk instead of control-byte groups.
-// Group probing itself needs no ISA support — on non-SSE2 targets it
-// falls back to SWAR arithmetic on two 8-byte lanes.
-#if !defined(ORBIS_SIMD)
-#define ORBIS_SIMD 1
-#endif
-
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#define ORBIS_FLAT_TABLE_SSE2 1
+#define ORBIS_FLAT_TABLE_GROUPED 1
 #else
-#define ORBIS_FLAT_TABLE_SSE2 0
-#endif
-
-// The AVX2 wide-group probe needs per-function target attributes and
-// __builtin_cpu_supports — GCC/Clang on x86-64 only.  It is a runtime
-// upgrade, never an ABI requirement: the baseline build stays plain
-// SSE2/SWAR and the wide path engages per call on capable CPUs.
-#if ORBIS_SIMD && defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define ORBIS_FLAT_TABLE_AVX2 1
-#else
-#define ORBIS_FLAT_TABLE_AVX2 0
+#define ORBIS_FLAT_TABLE_GROUPED 0
 #endif
 
 namespace orbis::util {
 
+#if ORBIS_FLAT_TABLE_GROUPED
 namespace detail {
 
-/// One kWidth-slot window of control bytes, compared 16 ways at once.
+/// One 16-slot window of control bytes, compared 16 ways at once.
 /// match() / match_empty() return bitmasks whose bit j refers to the
 /// byte at `ctrl[j]`; occupied bytes are 7-bit hash fragments (high bit
 /// clear), empty slots are kCtrlEmpty (only value with the high bit
 /// set), so emptiness is a sign-bit test.
 class CtrlGroup {
  public:
-  static constexpr std::size_t kWidth = 16;
-
-#if ORBIS_FLAT_TABLE_SSE2
   explicit CtrlGroup(const std::uint8_t* ctrl) noexcept
       : bytes_(_mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl))) {}
 
@@ -125,53 +96,10 @@ class CtrlGroup {
 
  private:
   __m128i bytes_;
-#else
-  explicit CtrlGroup(const std::uint8_t* ctrl) noexcept {
-    std::memcpy(&lo_, ctrl, sizeof(lo_));
-    std::memcpy(&hi_, ctrl + sizeof(lo_), sizeof(hi_));
-  }
-
-  std::uint32_t match(std::uint8_t fragment) const noexcept {
-    const std::uint64_t pattern = kOnes * fragment;
-    return collapse(zero_bytes(lo_ ^ pattern), zero_bytes(hi_ ^ pattern));
-  }
-  std::uint32_t match_empty() const noexcept {
-    return collapse(lo_ & kHighBits, hi_ & kHighBits);
-  }
-
- private:
-  static constexpr std::uint64_t kOnes = 0x0101010101010101ull;
-  static constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
-  static constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
-
-  /// Exact per-byte zero test: high bit of each byte set iff the byte
-  /// is 0.  (x & 0x7f) + 0x7f never carries across byte boundaries, so
-  /// unlike the classic haszero() shortcut there are no false
-  /// positives next to matching bytes.
-  static constexpr std::uint64_t zero_bytes(std::uint64_t word) noexcept {
-    return ~(((word & kLow7) + kLow7) | word | kLow7);
-  }
-  /// Gathers the 8 per-byte high bits into a contiguous 16-bit
-  /// movemask-style mask.  The multiplier routes bit 8k to bit 56+k;
-  /// with inputs restricted to bit positions 8k the products cannot
-  /// collide in the top byte (verified exhaustively over all 256
-  /// subsets).
-  static constexpr std::uint32_t collapse(std::uint64_t low_word,
-                                          std::uint64_t high_word) noexcept {
-    constexpr std::uint64_t kGather = 0x0102040810204080ull;
-    const auto lo =
-        static_cast<std::uint32_t>(((low_word >> 7) * kGather) >> 56);
-    const auto hi =
-        static_cast<std::uint32_t>(((high_word >> 7) * kGather) >> 56);
-    return lo | (hi << 8);
-  }
-
-  std::uint64_t lo_ = 0;
-  std::uint64_t hi_ = 0;
-#endif
 };
 
 }  // namespace detail
+#endif
 
 template <class TraitsT>
 class FlatTable {
@@ -223,13 +151,12 @@ class FlatTable {
   }
 
   /// Slot holding `key`, or npos.  Safe on a storage-less table.
-  /// Backed by the group probe (wide AVX2 variant when the CPU and
-  /// table size allow) or the scalar walk per the ORBIS_SIMD build
-  /// option; all visit slots in the same order and agree on every table
-  /// state (cross-checked in tests/util/test_flat_table).
+  /// Backed by the group probe where SSE2 is available, the scalar walk
+  /// elsewhere; both visit slots in the same order and agree on every
+  /// table state (cross-checked in tests/util/test_flat_table).
   std::size_t find(std::uint64_t key) const {
-#if ORBIS_SIMD
-    return find_grouped32(key);
+#if ORBIS_FLAT_TABLE_GROUPED
+    return find_grouped(key);
 #else
     return find_scalar(key);
 #endif
@@ -241,17 +168,16 @@ class FlatTable {
   /// belongs (check occupied() to tell the cases apart).  Requires
   /// storage and load factor < 1; any growth invalidates the result.
   std::size_t locate(std::uint64_t key) const {
-#if ORBIS_SIMD
-    return locate_grouped32(key);
+#if ORBIS_FLAT_TABLE_GROUPED
+    return locate_grouped(key);
 #else
     return locate_scalar(key);
 #endif
   }
 
-  // Both probe implementations, always compiled: the scalar walk is the
-  // reference semantics (and the ORBIS_SIMD=OFF backend), the grouped
-  // probe is the control-byte accelerated path.  Exposed so tests can
-  // cross-check them on identical op sequences in any build.
+  // The scalar walk is the reference semantics (and the backend without
+  // SSE2), the grouped probe the control-byte accelerated path.  Both
+  // are public so tests can cross-check them on identical op sequences.
 
   /// Scalar find(): walk keys from the home slot, one compare per slot.
   std::size_t find_scalar(std::uint64_t key) const {
@@ -271,6 +197,7 @@ class FlatTable {
     return i;
   }
 
+#if ORBIS_FLAT_TABLE_GROUPED
   /// Group-probed find(): one CtrlGroup compare resolves kGroupWidth
   /// slots — candidate slots are fragment matches before the first
   /// empty byte, and a group containing an empty byte is the last.
@@ -332,30 +259,7 @@ class FlatTable {
     }
   }
 
-  /// find() through 32-byte AVX2 control-byte groups when the CPU
-  /// supports AVX2 and the table spans at least one wide group; exact
-  /// same probe semantics as find_grouped()/find_scalar(), to which it
-  /// silently falls back otherwise.  The capacity gate keeps the wide
-  /// load inside ctrl_'s kMirrorWidth mirror tail.
-  std::size_t find_grouped32(std::uint64_t key) const {
-#if ORBIS_FLAT_TABLE_AVX2
-    if (keys_.size() >= kWideGroupWidth && avx2_available()) {
-      return find_avx2(key);
-    }
 #endif
-    return find_grouped(key);
-  }
-
-  /// locate() through 32-byte AVX2 groups; same contract and fallback
-  /// discipline as find_grouped32().
-  std::size_t locate_grouped32(std::uint64_t key) const {
-#if ORBIS_FLAT_TABLE_AVX2
-    if (keys_.size() >= kWideGroupWidth && avx2_available()) {
-      return locate_avx2(key);
-    }
-#endif
-    return locate_grouped(key);
-  }
 
   /// Hints that `key`'s probe window will be read soon: pulls the home
   /// slot's control-byte group, key line and (when stored) payload line
@@ -479,96 +383,14 @@ class FlatTable {
   }
 
   /// Slots compared per control-byte group probe.
-  static constexpr std::size_t kGroupWidth = detail::CtrlGroup::kWidth;
+  static constexpr std::size_t kGroupWidth = 16;
 
-  /// Slots compared per AVX2 wide-group probe step.
-  static constexpr std::size_t kWideGroupWidth = 32;
-
-  /// Control bytes mirrored past the end of the table so group loads of
-  /// either width from any base < capacity never need wrap masking.
-  static constexpr std::size_t kMirrorWidth = 32;
-  static_assert(kMirrorWidth >= kGroupWidth &&
-                kMirrorWidth >= kWideGroupWidth);
+  /// Control bytes mirrored past the end of the table so group loads
+  /// from any base < capacity never need wrap masking.
+  static constexpr std::size_t kMirrorWidth = kGroupWidth;
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
-
-#if ORBIS_FLAT_TABLE_AVX2
-  /// True on CPUs with AVX2; one cpuid probe per process.
-  static bool avx2_available() noexcept {
-    static const bool available = __builtin_cpu_supports("avx2") != 0;
-    return available;
-  }
-
-  /// find_grouped() widened to 32 control bytes per step.  Compiled for
-  /// AVX2 via the function-level target attribute so the surrounding
-  /// translation unit keeps its baseline ISA; callers gate on
-  /// avx2_available() and capacity >= kWideGroupWidth (which also keeps
-  /// the wide load inside the mirror tail).
-  __attribute__((target("avx2"))) std::size_t find_avx2(
-      std::uint64_t key) const {
-    const std::uint64_t hash = splitmix64_mix(key);
-    const __m256i pattern =
-        _mm256_set1_epi8(static_cast<char>(ctrl_fragment(hash)));
-    std::size_t base = static_cast<std::size_t>(hash) & mask_;
-    while (true) {
-      prefetch_read(keys_.data() + base);  // overlap with the ctrl match
-      const __m256i group = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(ctrl_.data() + base));
-      auto candidates = static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(group, pattern)));
-      const auto empties =
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(group));
-      if (empties != 0) {
-        // Slots at or past the first empty are outside the probe chain.
-        candidates &= (1u << std::countr_zero(empties)) - 1u;
-      }
-      while (candidates != 0) {
-        const std::size_t slot =
-            (base + static_cast<std::size_t>(std::countr_zero(candidates))) &
-            mask_;
-        if (keys_[slot] == key) return slot;
-        candidates &= candidates - 1;
-      }
-      if (empties != 0) return npos;
-      base = (base + kWideGroupWidth) & mask_;
-    }
-  }
-
-  /// locate_grouped() widened to 32 control bytes per step; same gating
-  /// as find_avx2().
-  __attribute__((target("avx2"))) std::size_t locate_avx2(
-      std::uint64_t key) const {
-    const std::uint64_t hash = splitmix64_mix(key);
-    const __m256i pattern =
-        _mm256_set1_epi8(static_cast<char>(ctrl_fragment(hash)));
-    std::size_t base = static_cast<std::size_t>(hash) & mask_;
-    while (true) {
-      prefetch_read(keys_.data() + base);
-      const __m256i group = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(ctrl_.data() + base));
-      auto candidates = static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(group, pattern)));
-      const auto empties =
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(group));
-      if (empties != 0) {
-        candidates &= (1u << std::countr_zero(empties)) - 1u;
-      }
-      while (candidates != 0) {
-        const std::size_t slot =
-            (base + static_cast<std::size_t>(std::countr_zero(candidates))) &
-            mask_;
-        if (keys_[slot] == key) return slot;
-        candidates &= candidates - 1;
-      }
-      if (empties != 0) {
-        return (base + static_cast<std::size_t>(std::countr_zero(empties))) &
-               mask_;
-      }
-      base = (base + kWideGroupWidth) & mask_;
-    }
-  }
-#endif
 
   /// The only control byte with the high bit set; occupied slots hold a
   /// 7-bit hash fragment.
@@ -581,17 +403,14 @@ class FlatTable {
   }
 
   /// Writes a control byte, maintaining the mirror tail: the
-  /// kMirrorWidth bytes past the end replicate the table PERIODICALLY
-  /// (capacity can be smaller than the mirror, e.g. 16), so a group
-  /// load of either width starting anywhere below capacity never needs
-  /// wrap masking.  For capacity >= kMirrorWidth this is at most one
-  /// extra write, and none for slots >= kMirrorWidth.
+  /// kMirrorWidth bytes past the end replicate the table's first
+  /// kMirrorWidth bytes, so a group load starting anywhere below
+  /// capacity never needs wrap masking.  That is at most one extra
+  /// write, and none for slots >= kMirrorWidth.
   void set_ctrl(std::size_t slot, std::uint8_t value) {
+    static_assert(kMinCapacity >= kMirrorWidth);
     ctrl_[slot] = value;
-    for (std::size_t mirror = slot + keys_.size();
-         mirror < keys_.size() + kMirrorWidth; mirror += keys_.size()) {
-      ctrl_[mirror] = value;
-    }
+    if (slot < kMirrorWidth) ctrl_[slot + keys_.size()] = value;
   }
 
   struct NoPayloadStore {};

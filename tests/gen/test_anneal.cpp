@@ -156,8 +156,8 @@ TEST_F(LadderRunTest, ReplicaStreamsIndependentOfLadderShape) {
   // A plain (non-laddered) run of the same seed and chain count walks
   // the very same replica streams.
   util::Rng rng(5);
-  const RunCheckpoint plain = make_2k_run(
-      start_, options_, MultiChainOptions{.chains = 4}, 300, rng);
+  const RunCheckpoint plain = make_2k_run(start_, options_, 300, rng,
+                                          {.chains = 4});
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(plain.chains[i].rng_state, four.chains[i].rng_state) << i;
   }

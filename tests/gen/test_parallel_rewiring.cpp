@@ -50,11 +50,11 @@ ParallelRun run_randomize(const Graph& g, std::uint64_t seed,
   exec::ThreadPool pool(pool_threads);
   ThreeKRewirer rewirer(g);
   util::Rng rng(seed);
+  RandomizeOptions options;
+  options.batch = batch;
   ParallelRun run;
-  rewirer.randomize_parallel(budget, rng, pool,
-                             SpeculationOptions{.workers = workers,
-                                                .batch = batch},
-                             &run.stats);
+  rewirer.randomize_parallel(options, budget, rng, pool, &run.stats,
+                             {.workers = workers});
   run.graph = rewirer.graph();
   return run;
 }
@@ -68,10 +68,10 @@ ParallelRun run_target(const Graph& start, const dk::ThreeKProfile& target,
   util::Rng rng(seed);
   TargetingOptions options;
   options.temperature = temperature;
+  options.batch = batch;
   ParallelRun run;
-  run.distance = rewirer.target_parallel(
-      target, options, budget, rng, pool,
-      SpeculationOptions{.workers = workers, .batch = batch}, &run.stats);
+  run.distance = rewirer.target_parallel(target, options, budget, rng, pool,
+                                         &run.stats, {.workers = workers});
   run.graph = rewirer.graph();
   return run;
 }

@@ -25,16 +25,17 @@ class PipelineTest : public ::testing::Test {
     util::Rng rng(41);
     target_ = dk::extract(builders::gnm(40, 90, rng), 3);
     options_.d = 3;
-    options_.chains = 2;
+    ctx_.chains = 2;
     options_.targeting.attempts = 1200;
   }
 
   dk::DkDistributions target_;
   PipelineOptions options_;
+  svc::RunContext ctx_;
 };
 
 TEST_F(PipelineTest, SeedingDrawsMatchingThenOneMasterPerStage) {
-  Pipeline pipeline(target_, options_, util::Rng(7));
+  Pipeline pipeline(target_, options_, util::Rng(7), ctx_);
 
   util::Rng reference(7);
   const Graph seed = matching_1k(target_.degree, reference);
@@ -64,8 +65,7 @@ TEST_F(PipelineTest, MakeRunAdvancesCallerRngExactlyOnce) {
   const Graph start = matching_1k(target_.degree, boot);
   for (const std::size_t chains : {1u, 5u}) {
     util::Rng rng(77);
-    make_2k_run(start, options_.targeting, MultiChainOptions{.chains = chains},
-                100, rng);
+    make_2k_run(start, options_.targeting, 100, rng, {.chains = chains});
     util::Rng reference(77);
     (void)reference.next();
     for (int i = 0; i < 16; ++i) EXPECT_EQ(rng.next(), reference.next());
@@ -75,10 +75,10 @@ TEST_F(PipelineTest, MakeRunAdvancesCallerRngExactlyOnce) {
 TEST_F(PipelineTest, ResultsAreIdenticalAcrossPoolSizes) {
   // More chains than threads: every chain must still run its full
   // budget, and the result must not depend on the pool.
-  options_.chains = 6;
+  ctx_.chains = 6;
   const auto run_with_pool = [&](std::size_t threads) {
     exec::ThreadPool pool(threads);
-    Pipeline pipeline(target_, options_, util::Rng(1234));
+    Pipeline pipeline(target_, options_, util::Rng(1234), ctx_);
     CheckpointOptions checkpointing;
     checkpointing.pool = &pool;
     EXPECT_TRUE(pipeline.run(checkpointing));
@@ -112,15 +112,15 @@ TEST_F(PipelineTest, ChainExceptionsPropagate) {
       if (lane == 1) throw std::runtime_error("chain 1 died");
     }
   } sink;
-  options_.targeting.progress = &sink;
-  Pipeline pipeline(target_, options_, util::Rng(6));
+  ctx_.progress = &sink;
+  Pipeline pipeline(target_, options_, util::Rng(6), ctx_);
   EXPECT_THROW(pipeline.run({}), std::runtime_error);
 }
 
 TEST_F(PipelineTest, SteppingLegByLegEqualsOneRun) {
-  Pipeline whole(target_, options_, util::Rng(9));
+  Pipeline whole(target_, options_, util::Rng(9), ctx_);
   ASSERT_TRUE(whole.run({}));
-  Pipeline stepped(target_, options_, util::Rng(9));
+  Pipeline stepped(target_, options_, util::Rng(9), ctx_);
   std::size_t steps = 1;
   Graph two_k;
   while (!stepped.step({})) {
@@ -141,42 +141,46 @@ TEST_F(PipelineTest, SteppingLegByLegEqualsOneRun) {
 TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
   obs::Counter& attempts = obs::Registry::global().counter("rewire.attempts");
   const std::uint64_t before = attempts.value();
-  const auto rejects = [&](PipelineOptions options) {
-    EXPECT_THROW(Pipeline(target_, options, util::Rng(1)),
+  const auto rejects = [&](PipelineOptions options, svc::RunContext ctx) {
+    EXPECT_THROW(Pipeline(target_, options, util::Rng(1), ctx),
                  std::invalid_argument);
   };
   PipelineOptions options = options_;
+  svc::RunContext ctx = ctx_;
   options.d = 4;
-  rejects(options);
+  rejects(options, ctx);
   options = options_;
-  options.chains = 0;
+  ctx.chains = 0;
   options.ladder.replicas = 1;
-  rejects(options);
+  rejects(options, ctx);
   options.ladder.replicas = 3;
-  options.chains = 2;
-  rejects(options);  // ladder and chains
+  ctx.chains = 2;
+  rejects(options, ctx);  // ladder and chains
   options = options_;
   options.ladder.exchange_every = 100;
-  rejects(options);  // epoch without a ladder
+  rejects(options, ctx);  // epoch without a ladder
   options = options_;
-  options.chains = 1;
   options.targeting.workers = 2;
+  rejects(options, ctx);  // workers belong on the context
+  options = options_;
+  ctx.chains = 1;
+  ctx.workers = 2;
   options.targeting.move = MoveKind::trade;
-  rejects(options);  // speculative 3K path is swap-only
+  rejects(options, ctx);  // speculative 3K path is swap-only
   EXPECT_EQ(attempts.value(), before);
 
   // The same move mix is fine at d = 2, or with several chains.
   options.d = 2;
-  EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1)));
+  EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1), ctx));
   options.d = 3;
-  options.chains = 2;
-  EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1)));
+  ctx.chains = 2;
+  EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1), ctx));
 }
 
 TEST_F(PipelineTest, SingleChainWithWorkersRunsTheSpeculativePath) {
-  options_.chains = 1;
-  options_.targeting.workers = 2;
-  Pipeline speculative(target_, options_, util::Rng(12));
+  ctx_.chains = 1;
+  ctx_.workers = 2;
+  Pipeline speculative(target_, options_, util::Rng(12), ctx_);
   while (speculative.checkpoint().d == 2) speculative.step({});
   const auto jdd = dk::JointDegreeDistribution::from_graph(speculative.graph());
   ASSERT_TRUE(speculative.run({}));
@@ -184,8 +188,8 @@ TEST_F(PipelineTest, SingleChainWithWorkersRunsTheSpeculativePath) {
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(g), jdd);
   // Speculation is a pure function of (seed, batch): the worker count
   // does not change the chain.
-  options_.targeting.workers = 3;
-  Pipeline wider(target_, options_, util::Rng(12));
+  ctx_.workers = 3;
+  Pipeline wider(target_, options_, util::Rng(12), ctx_);
   ASSERT_TRUE(wider.run({}));
   EXPECT_TRUE(wider.graph() == g);
 }

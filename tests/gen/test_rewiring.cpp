@@ -383,16 +383,16 @@ TEST(Determinism, MultiChainResultIndependentOfScheduling) {
       matching_1k(dk::DegreeDistribution::from_graph(original), seed_rng);
   TargetingOptions options;
   options.attempts = 5000;
-  MultiChainOptions chains;
-  chains.chains = 4;
+  svc::RunContext ctx;
+  ctx.chains = 4;
 
   // Chains race on real threads; the selected result must still be a
   // deterministic function of the seed (best distance, ties to the
   // lowest chain id).
   const auto run = [&]() {
     util::Rng rng(59);
-    RunCheckpoint state = make_2k_run(start, options, chains, 0, rng);
-    return run_checkpointed_2k(state, target, options, {});
+    RunCheckpoint state = make_2k_run(start, options, 0, rng, ctx);
+    return run_checkpointed_2k(state, target, options, {}, ctx);
   };
   const CheckpointedResult result_a = run();
   const CheckpointedResult result_b = run();
@@ -424,16 +424,16 @@ TEST(MultiChain, ThreeKDriverConvergesAndPreservesJdd) {
   const auto start = matching_2k(dists.joint, seed_rng);
   TargetingOptions options;
   options.attempts = 4000;
-  MultiChainOptions chains;
-  chains.chains = 3;
+  svc::RunContext ctx;
+  ctx.chains = 3;
 
   util::Rng rng(63);
-  RunCheckpoint state = make_3k_run(start, options, chains, 0, rng);
+  RunCheckpoint state = make_3k_run(start, options, 0, rng, ctx);
   const CheckpointedResult result =
-      run_checkpointed_3k(state, dists.three_k, options, {});
+      run_checkpointed_3k(state, dists.three_k, options, {}, ctx);
   const Graph& best = result.graph;
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(best), dists.joint);
-  EXPECT_LT(result.best_chain, chains.chains);
+  EXPECT_LT(result.best_chain, ctx.chains);
   EXPECT_NEAR(result.best_distance,
               dk::distance_3k(dk::ThreeKProfile::from_graph(best),
                               dists.three_k),

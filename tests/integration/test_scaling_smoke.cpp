@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/series.hpp"
+#include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
 #include "gen/objective.hpp"
 #include "gen/rewiring.hpp"
@@ -122,20 +123,22 @@ TEST(ScalingSmoke, SparseObjectiveTargetsInsideTheBudget) {
 
   TargetingOptions options;
   options.objective = ObjectiveBackend::automatic;  // resolves to sparse
-  options.memory_budget_mb = budget_mb;
   options.attempts = 400'000;
+  svc::RunContext ctx;
+  ctx.chains = 1;
+  ctx.memory_budget_mb = budget_mb;
   const double initial =
       dk::distance_2k(dk::JointDegreeDistribution::from_graph(start),
                       target);
   util::Rng rng(33);
-  RewiringStats stats;
-  double final_distance = 0.0;
-  const Graph result =
-      target_2k(start, target, options, rng, &stats, &final_distance);
-  EXPECT_GT(stats.accepted, 0u);
-  EXPECT_LT(final_distance, initial);
+  RunCheckpoint state = make_2k_run(start, options, 0, rng, ctx);
+  EXPECT_EQ(state.backend, ObjectiveBackend::sparse);
+  const CheckpointedResult run =
+      run_checkpointed_2k(state, target, options, {}, ctx);
+  EXPECT_GT(run.total_stats.accepted, 0u);
+  EXPECT_LT(run.best_distance, initial);
   // Degrees are frozen through the whole chain.
-  EXPECT_TRUE(dk::DegreeDistribution::from_graph(result) ==
+  EXPECT_TRUE(dk::DegreeDistribution::from_graph(run.graph) ==
               dk::DegreeDistribution::from_graph(start));
 }
 

@@ -9,8 +9,11 @@
 #include <vector>
 
 #include "core/series.hpp"
+#include "exec/thread_pool.hpp"
 #include "gen/checkpoint.hpp"
+#include "gen/generate.hpp"
 #include "gen/rewiring.hpp"
+#include "gen/rewiring_engine.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph.hpp"
 #include "obs/progress.hpp"
@@ -58,15 +61,19 @@ TEST_F(TelemetryDeterminismTest, Target2kIdenticalWithTelemetryOn) {
   gen::TargetingOptions options;
   options.attempts = 50000;
 
-  util::Rng rng_off(7);
-  const Graph off = gen::target_2k(start_, target, options, rng_off);
+  const auto run = [&](const svc::RunContext& ctx) {
+    gen::RewiringEngine engine(start_);
+    util::Rng rng(7);
+    engine.target_2k(target, options, options.attempts, rng, nullptr, ctx);
+    return engine.graph();
+  };
+  const Graph off = run({});
 
   obs::Tracer::global().enable();
   obs::TrajectoryRecorder trajectory;
-  gen::TargetingOptions observed = options;
+  svc::RunContext observed;
   observed.progress = &trajectory;
-  util::Rng rng_on(7);
-  const Graph on = gen::target_2k(start_, target, observed, rng_on);
+  const Graph on = run(observed);
   obs::Tracer::global().disable();
 
   expect_identical(off, on);
@@ -78,17 +85,22 @@ TEST_F(TelemetryDeterminismTest, Target3kParallelIdenticalWithTelemetryOn) {
   const auto target = dk::ThreeKProfile::from_graph(target_graph_);
   gen::TargetingOptions options;
   options.attempts = 20000;
-  options.workers = 2;  // speculative parallel path, round-boundary hooks
-
-  util::Rng rng_off(13);
-  const Graph off = gen::target_3k(start_, target, options, rng_off);
+  svc::RunContext ctx;
+  ctx.workers = 2;  // speculative parallel path, round-boundary hooks
+  const auto run = [&](const svc::RunContext& run_ctx) {
+    gen::ThreeKRewirer rewirer(start_);
+    util::Rng rng(13);
+    rewirer.target_parallel(target, options, options.attempts, rng,
+                            exec::shared_pool(), nullptr, run_ctx);
+    return rewirer.graph();
+  };
+  const Graph off = run(ctx);
 
   obs::Tracer::global().enable();
   obs::TrajectoryRecorder trajectory;
-  gen::TargetingOptions observed = options;
+  svc::RunContext observed = ctx;
   observed.progress = &trajectory;
-  util::Rng rng_on(13);
-  const Graph on = gen::target_3k(start_, target, observed, rng_on);
+  const Graph on = run(observed);
   obs::Tracer::global().disable();
 
   expect_identical(off, on);
@@ -99,15 +111,15 @@ TEST_F(TelemetryDeterminismTest, RandomizeIdenticalWithTelemetryOn) {
   options.d = 2;
   options.attempts = 30000;
 
-  util::Rng rng_off(21);
-  const Graph off = gen::randomize(start_, options, rng_off);
+  svc::RunContext ctx;
+  ctx.seed = 21;
+  const Graph off = gen::dk_random_like(start_, 2, options, ctx);
 
   obs::TrajectoryRecorder trajectory;
   obs::ProgressTee tee({&trajectory});
-  gen::RandomizeOptions observed = options;
+  svc::RunContext observed = ctx;
   observed.progress = &tee;
-  util::Rng rng_on(21);
-  const Graph on = gen::randomize(start_, observed, rng_on);
+  const Graph on = gen::dk_random_like(start_, 2, options, observed);
 
   expect_identical(off, on);
 }
@@ -116,17 +128,19 @@ TEST_F(TelemetryDeterminismTest, MultichainLanesIdenticalWithTelemetryOn) {
   const auto target = dk::extract(target_graph_, 2).joint;
   gen::TargetingOptions options;
   options.attempts = 20000;
-  const gen::MultiChainOptions chains{.chains = 3};
-  const auto run = [&](const gen::TargetingOptions& targeting) {
+  svc::RunContext ctx;
+  ctx.chains = 3;
+  const auto run = [&](const svc::RunContext& run_ctx) {
     util::Rng rng(31);
     gen::RunCheckpoint state =
-        gen::make_2k_run(start_, targeting, chains, 5000, rng);
-    return gen::run_checkpointed_2k(state, target, targeting, {}).graph;
+        gen::make_2k_run(start_, options, 5000, rng, run_ctx);
+    return gen::run_checkpointed_2k(state, target, options, {}, run_ctx)
+        .graph;
   };
 
-  const Graph off = run(options);
+  const Graph off = run(ctx);
   obs::TrajectoryRecorder trajectory;
-  gen::TargetingOptions observed = options;
+  svc::RunContext observed = ctx;
   observed.progress = &trajectory;
   const Graph on = run(observed);
 

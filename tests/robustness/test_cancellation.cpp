@@ -7,9 +7,11 @@
 
 #include "core/series.hpp"
 #include "gen/checkpoint.hpp"
+#include "gen/generate.hpp"
 #include "gen/matching.hpp"
 #include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
+#include "gen/rewiring_engine.hpp"
 #include "graph/builders.hpp"
 #include "util/rng.hpp"
 
@@ -50,11 +52,11 @@ TEST_F(CancellationTest, PreRequestedStopEndsRandomizeBeforeAnyAttempt) {
   util::StopSource stop;
   stop.request_stop();
   gen::RandomizeOptions options;
-  options.d = 2;
-  options.stop = stop.token();
-  util::Rng rng(4);
+  svc::RunContext ctx;
+  ctx.seed = 4;
+  ctx.stop = stop.token();
   gen::RewiringStats stats;
-  const Graph result = gen::randomize(source_, options, rng, &stats);
+  const Graph result = gen::dk_random_like(source_, 2, options, ctx, &stats);
   // The poll fires at the first batch boundary (attempt 0): no swaps.
   EXPECT_EQ(stats.attempts, 0u);
   EXPECT_EQ(result.num_edges(), source_.num_edges());
@@ -64,13 +66,14 @@ TEST_F(CancellationTest, PreRequestedStopEndsTargetingBeforeAnyAttempt) {
   util::StopSource stop;
   stop.request_stop();
   gen::TargetingOptions options;
-  options.attempts = 5000;
-  options.stop = stop.token();
+  svc::RunContext ctx;
+  ctx.stop = stop.token();
   util::Rng boot(17);
   const Graph start = gen::matching_1k(target_.degree, boot);
   util::Rng rng(4);
   gen::RewiringStats stats;
-  gen::target_2k(start, target_.joint, options, rng, &stats);
+  gen::RewiringEngine engine(start);
+  engine.target_2k(target_.joint, options, 5000, rng, &stats, ctx);
   EXPECT_EQ(stats.attempts, 0u);
 }
 
@@ -82,20 +85,21 @@ TEST_F(CancellationTest, CheckpointedRunStopsAtTheBoundaryItWasAskedTo) {
 
   util::Rng rng(9);
   gen::RunCheckpoint state =
-      gen::make_2k_run(start, options, gen::MultiChainOptions{.chains = 2},
-                       /*checkpoint_every=*/250, rng);
+      gen::make_2k_run(start, options, /*checkpoint_every=*/250, rng,
+                       {.chains = 2});
 
   util::StopSource stop;
+  svc::RunContext ctx;
+  ctx.stop = stop.token();
   gen::CheckpointOptions checkpointing;
-  checkpointing.stop = stop.token();
   std::size_t checkpoints = 0;
   checkpointing.on_checkpoint = [&](const gen::RunCheckpoint& snapshot) {
     // Every published snapshot sits exactly on a leg boundary.
     EXPECT_EQ(snapshot.chains[0].attempts_done % 250, 0u);
     if (++checkpoints == 3) stop.request_stop();
   };
-  const auto result =
-      gen::run_checkpointed_2k(state, target_.joint, options, checkpointing);
+  const auto result = gen::run_checkpointed_2k(state, target_.joint, options,
+                                               checkpointing, ctx);
 
   EXPECT_TRUE(result.interrupted);
   EXPECT_EQ(checkpoints, 3u);
@@ -115,19 +119,20 @@ TEST_F(CancellationTest, InterruptBeforeFirstLegPublishesNothing) {
 
   util::Rng rng(9);
   gen::RunCheckpoint state =
-      gen::make_2k_run(start, options, gen::MultiChainOptions{.chains = 2},
-                       /*checkpoint_every=*/250, rng);
+      gen::make_2k_run(start, options, /*checkpoint_every=*/250, rng,
+                       {.chains = 2});
 
   util::StopSource stop;
   stop.request_stop();
+  svc::RunContext ctx;
+  ctx.stop = stop.token();
   gen::CheckpointOptions checkpointing;
-  checkpointing.stop = stop.token();
   bool published = false;
   checkpointing.on_checkpoint = [&](const gen::RunCheckpoint&) {
     published = true;
   };
-  const auto result =
-      gen::run_checkpointed_2k(state, target_.joint, options, checkpointing);
+  const auto result = gen::run_checkpointed_2k(state, target_.joint, options,
+                                               checkpointing, ctx);
   EXPECT_TRUE(result.interrupted);
   EXPECT_FALSE(published);
   EXPECT_EQ(result.attempts_done, 0u);
@@ -136,17 +141,17 @@ TEST_F(CancellationTest, InterruptBeforeFirstLegPublishesNothing) {
 TEST_F(CancellationTest, PipelineRunHonorsStopToken) {
   gen::PipelineOptions options;
   options.d = 3;
-  options.chains = 2;
   options.targeting.attempts = 2000;
-  gen::Pipeline pipeline(target_, options, util::Rng(4));
   util::StopSource stop;
   stop.request_stop();
-  gen::CheckpointOptions checkpointing;
-  checkpointing.stop = stop.token();
+  svc::RunContext ctx;
+  ctx.chains = 2;
+  ctx.stop = stop.token();
+  gen::Pipeline pipeline(target_, options, util::Rng(4), ctx);
   // The pipeline polls the token at leg boundaries and its chains at
   // their batch boundaries; with the stop pre-requested it returns
   // before the first leg, still in the 2K stage, with a valid graph.
-  EXPECT_FALSE(pipeline.run(checkpointing));
+  EXPECT_FALSE(pipeline.run({}));
   EXPECT_TRUE(pipeline.result().interrupted);
   EXPECT_EQ(pipeline.checkpoint().d, 2);
   EXPECT_EQ(pipeline.checkpoint().chains[0].attempts_done, 0u);

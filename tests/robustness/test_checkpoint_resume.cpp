@@ -69,9 +69,9 @@ class CheckpointResumeTest : public ::testing::Test {
   /// The uninterrupted reference run (fresh Rng with `seed`).
   CheckpointedResult reference_2k(std::uint64_t seed, RunCheckpoint* out) {
     util::Rng rng(seed);
-    RunCheckpoint state = make_2k_run(start_, options_,
-                                      MultiChainOptions{.chains = 2},
-                                      /*checkpoint_every=*/300, rng);
+    RunCheckpoint state =
+        make_2k_run(start_, options_, /*checkpoint_every=*/300, rng,
+                    {.chains = 2});
     auto result = run_checkpointed_2k(state, target_.joint, options_, {});
     if (out != nullptr) *out = state;
     return result;
@@ -85,19 +85,21 @@ class CheckpointResumeTest : public ::testing::Test {
     const std::string file = path("run.ck");
     {
       util::Rng rng(seed);
-      RunCheckpoint state = make_2k_run(start_, options_,
-                                        MultiChainOptions{.chains = 2},
-                                        /*checkpoint_every=*/300, rng);
+      RunCheckpoint state =
+          make_2k_run(start_, options_, /*checkpoint_every=*/300, rng,
+                      {.chains = 2});
       util::StopSource stop;
+      svc::RunContext ctx;
+      ctx.stop = stop.token();
       CheckpointOptions checkpointing;
-      checkpointing.stop = stop.token();
       std::size_t written = 0;
       checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
         io::write_checkpoint_file(file, snapshot);
         if (++written >= kill_at) stop.request_stop();
       };
       auto partial =
-          run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+          run_checkpointed_2k(state, target_.joint, options_, checkpointing,
+                              ctx);
       EXPECT_TRUE(partial.interrupted);
       EXPECT_EQ(partial.attempts_done, kill_at * 300);
     }
@@ -135,26 +137,27 @@ TEST_F(CheckpointResumeTest, KillAtEveryBoundaryResumesBitIdentical2K) {
   options_.attempts = 1000;  // 5 legs of 200
   const std::string file = path("sweep.ck");
   util::Rng ref_rng(3);
-  RunCheckpoint ref_state = make_2k_run(start_, options_,
-                                        MultiChainOptions{.chains = 2},
-                                        /*checkpoint_every=*/200, ref_rng);
+  RunCheckpoint ref_state =
+      make_2k_run(start_, options_, /*checkpoint_every=*/200, ref_rng,
+                  {.chains = 2});
   const auto reference =
       run_checkpointed_2k(ref_state, target_.joint, options_, {});
 
   for (std::size_t kill_at = 1; kill_at <= 4; ++kill_at) {
     util::Rng rng(3);
-    RunCheckpoint state = make_2k_run(start_, options_,
-                                      MultiChainOptions{.chains = 2},
-                                      /*checkpoint_every=*/200, rng);
+    RunCheckpoint state =
+        make_2k_run(start_, options_, /*checkpoint_every=*/200, rng,
+                    {.chains = 2});
     util::StopSource stop;
+    svc::RunContext ctx;
+    ctx.stop = stop.token();
     CheckpointOptions checkpointing;
-    checkpointing.stop = stop.token();
     std::size_t written = 0;
     checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
       io::write_checkpoint_file(file, snapshot);
       if (++written >= kill_at) stop.request_stop();
     };
-    run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+    run_checkpointed_2k(state, target_.joint, options_, checkpointing, ctx);
 
     RunCheckpoint resumed = io::read_checkpoint_file(file);
     const auto result =
@@ -174,28 +177,30 @@ TEST_F(CheckpointResumeTest, KillAndResumeBitIdentical3K) {
   TargetingOptions options3 = options_;
   options3.attempts = 1500;  // 5 legs of 300
   util::Rng ref_rng(11);
-  RunCheckpoint ref_state = make_3k_run(start3, options3,
-                                        MultiChainOptions{.chains = 2},
-                                        /*checkpoint_every=*/300, ref_rng);
+  RunCheckpoint ref_state =
+      make_3k_run(start3, options3, /*checkpoint_every=*/300, ref_rng,
+                  {.chains = 2});
   const auto reference =
       run_checkpointed_3k(ref_state, target_.three_k, options3, {});
 
   const std::string file = path("run3.ck");
   {
     util::Rng rng(11);
-    RunCheckpoint state = make_3k_run(start3, options3,
-                                      MultiChainOptions{.chains = 2},
-                                      /*checkpoint_every=*/300, rng);
+    RunCheckpoint state =
+        make_3k_run(start3, options3, /*checkpoint_every=*/300, rng,
+                    {.chains = 2});
     util::StopSource stop;
+    svc::RunContext ctx;
+    ctx.stop = stop.token();
     CheckpointOptions checkpointing;
-    checkpointing.stop = stop.token();
     std::size_t written = 0;
     checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
       io::write_checkpoint_file(file, snapshot);
       if (++written >= 2) stop.request_stop();
     };
     auto partial =
-        run_checkpointed_3k(state, target_.three_k, options3, checkpointing);
+        run_checkpointed_3k(state, target_.three_k, options3, checkpointing,
+                            ctx);
     EXPECT_TRUE(partial.interrupted);
   }
   RunCheckpoint resumed = io::read_checkpoint_file(file);
@@ -230,15 +235,16 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
     RunCheckpoint state = make_2k_ladder_run(start_, options_, ladder,
                                              /*checkpoint_every=*/300, rng);
     util::StopSource stop;
+    svc::RunContext ctx;
+    ctx.stop = stop.token();
     CheckpointOptions checkpointing;
-    checkpointing.stop = stop.token();
     std::size_t written = 0;
     checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
       io::write_checkpoint_file(file, snapshot);
       if (++written >= 3) stop.request_stop();
     };
     auto partial =
-        run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+        run_checkpointed_2k(state, target_.joint, options_, checkpointing, ctx);
     EXPECT_TRUE(partial.interrupted);
   }
   RunCheckpoint resumed = io::read_checkpoint_file(file);
@@ -266,17 +272,18 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
 
 TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
   util::Rng rng(5);
-  RunCheckpoint state = make_2k_run(start_, options_,
-                                    MultiChainOptions{.chains = 3},
-                                    /*checkpoint_every=*/500, rng);
+  RunCheckpoint state =
+      make_2k_run(start_, options_, /*checkpoint_every=*/500, rng,
+                  {.chains = 3});
   // Advance one leg so stats/distance are non-trivial.
   util::StopSource stop;
+  svc::RunContext ctx;
+  ctx.stop = stop.token();
   CheckpointOptions checkpointing;
-  checkpointing.stop = stop.token();
   checkpointing.on_checkpoint = [&](const RunCheckpoint&) {
     stop.request_stop();
   };
-  run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+  run_checkpointed_2k(state, target_.joint, options_, checkpointing, ctx);
 
   const std::string file = path("roundtrip.ck");
   io::write_checkpoint_file(file, state);
@@ -300,8 +307,7 @@ TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
 
 TEST_F(CheckpointResumeTest, TruncatedCheckpointIsAParseErrorNotAResume) {
   util::Rng rng(5);
-  RunCheckpoint state = make_2k_run(start_, options_,
-                                    MultiChainOptions{.chains = 2}, 500, rng);
+  RunCheckpoint state = make_2k_run(start_, options_, 500, rng, {.chains = 2});
   const std::string file = path("torn.ck");
   io::write_checkpoint_file(file, state);
 
@@ -381,21 +387,23 @@ TEST_F(CheckpointResumeTest, V2FilesStillReadAsFinalStageCheckpoints) {
 TEST_F(CheckpointResumeTest, PipelineKillAtEveryBoundaryResumesBitIdentical) {
   PipelineOptions options;
   options.d = 3;
-  options.chains = 2;
+  svc::RunContext chains;
+  chains.chains = 2;
   options.targeting.attempts = 800;  // 4 legs of 200 per stage
   options.checkpoint_every = 200;
 
-  Pipeline reference(target_, options, util::Rng(19));
+  Pipeline reference(target_, options, util::Rng(19), chains);
   ASSERT_TRUE(reference.run({}));
   ASSERT_EQ(reference.stages().size(), 2u);
 
   const std::string file = path("pipeline.ck");
   for (std::size_t kill_at = 1; kill_at < 8; ++kill_at) {
     {
-      Pipeline first(target_, options, util::Rng(19));
       util::StopSource stop;
+      svc::RunContext ctx = chains;
+      ctx.stop = stop.token();
+      Pipeline first(target_, options, util::Rng(19), ctx);
       CheckpointOptions checkpointing;
-      checkpointing.stop = stop.token();
       std::size_t written = 0;
       checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
         io::write_checkpoint_file(file, snapshot);
@@ -423,8 +431,7 @@ TEST_F(CheckpointResumeTest, PipelineRejectsACheckpointForAnotherD) {
   PipelineOptions options;
   options.d = 2;
   options.targeting.attempts = 400;
-  options.chains = 1;
-  Pipeline fresh(target_, options, util::Rng(3));
+  Pipeline fresh(target_, options, util::Rng(3), {.chains = 1});
   options.d = 3;
   EXPECT_THROW(Pipeline(target_, options, fresh.checkpoint()),
                std::invalid_argument);
@@ -433,8 +440,7 @@ TEST_F(CheckpointResumeTest, PipelineRejectsACheckpointForAnotherD) {
 TEST_F(CheckpointResumeTest, ResumingAFinishedRunJustReturnsTheResult) {
   util::Rng rng(13);
   options_.attempts = 600;
-  RunCheckpoint state = make_2k_run(start_, options_,
-                                    MultiChainOptions{.chains = 2}, 300, rng);
+  RunCheckpoint state = make_2k_run(start_, options_, 300, rng, {.chains = 2});
   const auto first = run_checkpointed_2k(state, target_.joint, options_, {});
   EXPECT_TRUE(state.finished());
 

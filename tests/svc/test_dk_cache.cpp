@@ -168,9 +168,9 @@ TEST_F(DkCacheTest, CancelledMissLeavesNoPartialEntry) {
   DkCache cache(cache_dir());
   util::StopSource stop;
   stop.request_stop();
-  io::StreamingExtractOptions options;
-  options.stop = stop.token();
-  EXPECT_THROW(cache.extract_to(path("g.edges"), 2, path("x"), options),
+  RunContext ctx;
+  ctx.stop = stop.token();
+  EXPECT_THROW(cache.extract_to(path("g.edges"), 2, path("x"), {}, ctx),
                InterruptedError);
   // Neither the destination nor a truncated cache entry exists.
   EXPECT_FALSE(fs::exists(path("x.1k")));

@@ -1,14 +1,17 @@
-// The unified entry-point contract (src/svc/run_context.hpp): the
-// context-taking overloads are bit-identical to the legacy
-// hand-plumbed calls, cancellation flows through ctx.stop, and
-// progress flows through ctx.progress with the caller's lane.
+// The execution-context contract (src/svc/run_context.hpp): the
+// ctx-seeded forms equal the Rng forms with Rng(ctx.seed), cancellation
+// flows through ctx.stop, progress through ctx.progress, and a
+// context-taking function given options.workers != 1 throws.
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/series.hpp"
 #include "gen/generate.hpp"
+#include "gen/pipeline.hpp"
 #include "graph/builders.hpp"
 #include "metrics/summary.hpp"
 #include "obs/progress.hpp"
@@ -45,7 +48,7 @@ TEST(RunContext, RegistryResolvesToGlobalWhenUnset) {
   EXPECT_EQ(&ctx.registry(), &own);
 }
 
-TEST(RunContext, GenerateContextOverloadMatchesLegacyCall) {
+TEST(RunContext, GenerateContextOverloadMatchesRngForm) {
   const Graph original = sample_graph(3);
   const dk::DkDistributions target = dk::extract(original, 2);
 
@@ -57,37 +60,33 @@ TEST(RunContext, GenerateContextOverloadMatchesLegacyCall) {
   options.targeting.attempts = 2000;
   const Graph from_ctx = gen::generate_dk_random(target, 2, options, ctx);
 
-  // The legacy path, hand-plumbed the way pre-context callers did it.
-  gen::GenerateOptions legacy = options;
-  legacy.apply(ctx);
-  util::Rng rng = ctx.make_rng();
-  const Graph from_legacy = gen::generate_dk_random(target, 2, legacy, rng);
+  util::Rng rng(ctx.seed);
+  const Graph from_rng = gen::generate_dk_random(target, 2, options, rng, ctx);
 
-  EXPECT_TRUE(from_ctx == from_legacy);
+  EXPECT_TRUE(from_ctx == from_rng);
 }
 
-TEST(RunContext, DkRandomLikeContextOverloadMatchesLegacyCall) {
+TEST(RunContext, DkRandomLikeContextOverloadMatchesRngForm) {
   const Graph original = sample_graph(5);
   RunContext ctx;
   ctx.seed = 23;
   const Graph from_ctx = gen::dk_random_like(original, 1, ctx);
 
-  // The options-taking context overload, and the randomize call it is
-  // defined as, hand-plumbed the way pre-context callers did it.
+  // The options-taking context overload, and the randomize call it
+  // equals under a default context.
   const Graph from_options =
       gen::dk_random_like(original, 1, gen::RandomizeOptions{}, ctx);
-  gen::RandomizeOptions legacy;
-  legacy.d = 1;
-  legacy.apply(ctx);
-  util::Rng rng = ctx.make_rng();
-  const Graph from_legacy = gen::randomize(original, legacy, rng);
+  gen::RandomizeOptions options;
+  options.d = 1;
+  util::Rng rng(ctx.seed);
+  const Graph from_rng = gen::randomize(original, options, rng);
 
   EXPECT_TRUE(from_ctx == from_options);
-  EXPECT_TRUE(from_ctx == from_legacy);
+  EXPECT_TRUE(from_ctx == from_rng);
   EXPECT_EQ(from_ctx.num_edges(), original.num_edges());
 }
 
-TEST(RunContext, DkRandomLikeReportsProgressOnTheCallersLane) {
+TEST(RunContext, DkRandomLikeReportsProgressThroughTheContext) {
   struct RecordingSink : obs::ProgressSink {
     std::mutex mutex;
     std::vector<std::uint32_t> lanes;
@@ -105,6 +104,50 @@ TEST(RunContext, DkRandomLikeReportsProgressOnTheCallersLane) {
   const Graph rewired = gen::dk_random_like(original, 2, options, ctx);
   EXPECT_EQ(rewired.num_edges(), original.num_edges());
   EXPECT_FALSE(sink.lanes.empty());
+}
+
+TEST(RunContext, OptionsWorkersAreRejectedUnderAContext) {
+  // The workers rule: a context-taking function reads ctx.workers and
+  // refuses an options struct that asks for other workers, rather than
+  // silently running serial.
+  const Graph original = sample_graph(19);
+  const dk::DkDistributions target = dk::extract(original, 3);
+  RunContext ctx;
+  ctx.chains = 1;
+  ctx.workers = 2;
+
+  gen::PipelineOptions pipeline_options;
+  pipeline_options.d = 3;
+  pipeline_options.targeting.workers = 2;
+  EXPECT_THROW(gen::Pipeline(target, pipeline_options, util::Rng(1), ctx),
+               std::invalid_argument);
+
+  gen::GenerateOptions options;
+  options.method = gen::Method::targeting;
+  options.targeting.attempts = 1000;
+  options.targeting.workers = 2;
+  EXPECT_THROW(gen::generate_dk_random(target, 3, options, ctx),
+               std::invalid_argument);
+
+  gen::RandomizeOptions randomize;
+  randomize.attempts = 1000;
+  randomize.workers = 2;
+  EXPECT_THROW(gen::dk_random_like(original, 3, randomize, ctx),
+               std::invalid_argument);
+
+  // The message names the field to use instead.
+  try {
+    gen::dk_random_like(original, 3, randomize, ctx);
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("ctx.workers"),
+              std::string::npos);
+  }
+
+  // With the workers on the context the same requests run.
+  options.targeting.workers = 1;
+  EXPECT_NO_THROW(gen::generate_dk_random(target, 3, options, ctx));
+  randomize.workers = 1;
+  EXPECT_NO_THROW(gen::dk_random_like(original, 3, randomize, ctx));
 }
 
 TEST(RunContext, MetricsHonorStopThroughTheContext) {

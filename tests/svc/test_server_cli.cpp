@@ -187,6 +187,34 @@ TEST_F(ServerCliTest, MalformedLineAnswersErrorAndSessionContinues) {
   EXPECT_TRUE(saw_scalars);
 }
 
+TEST_F(ServerCliTest, NegativeCountsAreRejectedBeforeAcceptance) {
+  // Counts would wrap to huge unsigned values (a 2^64-1 budget, a
+  // vector of 2^64 chains); each must answer with an error line and
+  // never reach the job table.
+  const std::string generate = R"({"op":"generate","target":")" +
+                               path("dk") + R"(","out":")" +
+                               path("out.edges") + R"(","d":2,)";
+  const std::vector<std::string> fields = {
+      R"("chains":-1})",           R"("workers":-1})",
+      R"("attempts":-5})",         R"("attempts_per_edge":-1})",
+      R"("checkpoint_every":-1})", R"("memory_budget_mb":0})",
+      R"("memory_budget_mb":-3})"};
+  std::vector<std::string> requests;
+  for (const std::string& field : fields) requests.push_back(generate + field);
+  requests.push_back(R"({"op":"shutdown"})");
+
+  std::vector<std::string> events;
+  EXPECT_EQ(run_session(requests, events), 0);
+  std::size_t errors = 0;
+  for (const std::string& line : events) {
+    EXPECT_TRUE(test_json::is_valid_json(line)) << line;
+    errors += test_json::has_entry(line, "event", "\"error\"");
+  }
+  EXPECT_EQ(errors, fields.size());
+  EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
+  EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
+}
+
 TEST_F(ServerCliTest, EofWithoutShutdownIsACleanClose) {
   std::vector<std::string> events;
   EXPECT_EQ(run_session({}, events), 0);

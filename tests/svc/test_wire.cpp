@@ -73,6 +73,18 @@ TEST(Wire, TypedAccessorsEnforceKinds) {
   EXPECT_EQ(get_int(object, "absent", 42), 42);
 }
 
+TEST(Wire, CountsRejectNegativeAndOutOfRangeNumbers) {
+  const Object object =
+      parse_flat_object(R"({"n":5,"neg":-1,"huge":1e30,"tiny":-1e30})");
+  EXPECT_EQ(get_count(object, "n", 0), 5u);
+  EXPECT_EQ(get_count(object, "absent", 7), 7u);
+  EXPECT_THROW(get_count(object, "neg", 0), ParseError);
+  // Past the int64 range the conversion would be undefined.
+  EXPECT_THROW(get_int(object, "huge", 0), ParseError);
+  EXPECT_THROW(get_int(object, "tiny", 0), ParseError);
+  EXPECT_THROW(get_count(object, "huge", 0), ParseError);
+}
+
 TEST(Wire, ErrorsNameAColumn) {
   try {
     parse_flat_object(R"({"a":1,})");

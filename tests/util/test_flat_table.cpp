@@ -312,25 +312,19 @@ TEST(FlatTable, CountOccupancyChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Grouped vs scalar probe cross-checks.  find()/locate() dispatch to one
-// implementation per the ORBIS_SIMD build option, but ALL are always
-// compiled and must agree slot-for-slot on every table state — that
-// equivalence is what makes SIMD (16-byte grouped AND runtime-dispatched
-// 32-byte AVX2) and scalar builds bit-identical.  find_grouped32/
-// locate_grouped32 self-select: on non-AVX2 hosts or small tables they
-// fall back to the 16-byte probe, so asserting them is always valid.
+// Grouped vs scalar probe cross-checks.  find()/locate() use the grouped
+// probe where SSE2 is available and the scalar walk elsewhere; the two
+// must agree slot-for-slot on every table state — that equivalence is
+// what makes every build bit-identical.
 // ---------------------------------------------------------------------------
+#if ORBIS_FLAT_TABLE_GROUPED
 
-/// Asserts every probe path agrees for `key` on `table`'s current state.
+/// Asserts both probe paths agree for `key` on `table`'s current state.
 template <class Table>
 void expect_probes_agree(const Table& table, std::uint64_t key) {
   ASSERT_EQ(table.find_grouped(key), table.find_scalar(key)) << "key " << key;
-  ASSERT_EQ(table.find_grouped32(key), table.find_scalar(key))
-      << "key " << key;
   if (table.has_storage()) {
     ASSERT_EQ(table.locate_grouped(key), table.locate_scalar(key))
-        << "key " << key;
-    ASSERT_EQ(table.locate_grouped32(key), table.locate_scalar(key))
         << "key " << key;
   }
 }
@@ -396,72 +390,56 @@ TEST(FlatTable, GroupedProbeMatchesScalarCountOccupancy) {
 }
 
 TEST(FlatTable, GroupedProbeAcrossWrappedGroup) {
-  // A minimum-capacity table (16 = exactly one group) makes every probe
-  // window wrap through the mirror tail: keys clustered at the last
-  // slots must be found whether the chain crosses slot 0 or not, and
-  // both probe paths must agree before and after a wrapped
-  // backward-shift erase.
-  for (std::size_t head : {12u, 14u, 15u}) {
-    SlotTable table;
-    table.reserve_for(4);
-    ASSERT_EQ(table.capacity(), 16u);
-    const std::size_t mask = table.capacity() - 1;
-    std::uint64_t cursor = 0;
-    std::vector<std::uint64_t> keys;
-    for (std::size_t i = 0; i < 6; ++i) {  // cluster wraps past slot 15
-      keys.push_back(key_with_home(head, mask, &cursor));
-      insert_new(table, keys.back(), static_cast<std::uint32_t>(i));
-    }
-    for (const std::uint64_t key : keys) expect_probes_agree(table, key);
-    // Absent keys homed inside and outside the wrapped cluster.
-    expect_probes_agree(table, key_with_home(head, mask, &cursor));
-    expect_probes_agree(table, key_with_home(1, mask, &cursor));
-    expect_probes_agree(table, key_with_home(8, mask, &cursor));
+  // Clusters at the last slots make probe windows wrap through the
+  // mirror tail: keys must be found whether the chain crosses slot 0 or
+  // not, and both probe paths must agree before and after a wrapped
+  // backward-shift erase.  Capacity 16 is exactly one group (every
+  // window from a nonzero base wraps); capacity 32 wraps from the upper
+  // half.
+  struct Case {
+    std::size_t reserve;   // -> capacity
+    std::size_t capacity;
+    std::vector<std::size_t> heads;
+    std::size_t cluster;   // keys homed at `head`, wrapping past the end
+    std::size_t erased;    // cluster index erased mid-chain
+    std::vector<std::size_t> absent_homes;
+  };
+  const std::vector<Case> cases = {
+      {4, 16, {12, 14, 15}, 6, 2, {1, 8}},
+      {15, 32, {24, 28, 31}, 10, 4, {2, 16}},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t head : c.heads) {
+      SlotTable table;
+      table.reserve_for(c.reserve);
+      ASSERT_EQ(table.capacity(), c.capacity);
+      const std::size_t mask = table.capacity() - 1;
+      std::uint64_t cursor = 0;
+      std::vector<std::uint64_t> keys;
+      for (std::size_t i = 0; i < c.cluster; ++i) {
+        keys.push_back(key_with_home(head, mask, &cursor));
+        insert_new(table, keys.back(), static_cast<std::uint32_t>(i));
+      }
+      for (const std::uint64_t key : keys) expect_probes_agree(table, key);
+      // Absent keys homed inside and outside the wrapped cluster.
+      expect_probes_agree(table, key_with_home(head, mask, &cursor));
+      for (const std::size_t home : c.absent_homes) {
+        expect_probes_agree(table, key_with_home(home, mask, &cursor));
+      }
 
-    table.erase_at(table.find(keys[2]));
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      expect_probes_agree(table, keys[i]);
-      if (i == 2) continue;
-      const std::size_t slot = table.find_grouped(keys[i]);
-      ASSERT_NE(slot, SlotTable::npos) << "head " << head << " key " << i;
-      EXPECT_EQ(table.payload_at(slot), static_cast<std::uint32_t>(i));
+      table.erase_at(table.find(keys[c.erased]));
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        expect_probes_agree(table, keys[i]);
+        if (i == c.erased) continue;
+        const std::size_t slot = table.find_grouped(keys[i]);
+        ASSERT_NE(slot, SlotTable::npos) << "head " << head << " key " << i;
+        EXPECT_EQ(table.payload_at(slot), static_cast<std::uint32_t>(i));
+      }
     }
   }
 }
 
-TEST(FlatTable, WideGroupedProbeAcrossWrappedGroup) {
-  // A capacity-32 table is exactly one AVX2 wide group: every wide load
-  // from a nonzero base runs through the mirror tail.  Keys clustered at
-  // the last slots must resolve identically through all probe paths,
-  // before and after a wrapped backward-shift erase.  (On non-AVX2
-  // hosts the wide probe falls back and the test degenerates to the
-  // 16-byte check — still a valid assertion, just not a new one.)
-  for (std::size_t head : {24u, 28u, 31u}) {
-    SlotTable table;
-    table.reserve_for(15);
-    ASSERT_EQ(table.capacity(), 32u);
-    const std::size_t mask = table.capacity() - 1;
-    std::uint64_t cursor = 0;
-    std::vector<std::uint64_t> keys;
-    for (std::size_t i = 0; i < 10; ++i) {  // cluster wraps past slot 31
-      keys.push_back(key_with_home(head, mask, &cursor));
-      insert_new(table, keys.back(), static_cast<std::uint32_t>(i));
-    }
-    for (const std::uint64_t key : keys) expect_probes_agree(table, key);
-    expect_probes_agree(table, key_with_home(head, mask, &cursor));
-    expect_probes_agree(table, key_with_home(2, mask, &cursor));
-    expect_probes_agree(table, key_with_home(16, mask, &cursor));
-
-    table.erase_at(table.find(keys[4]));
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      expect_probes_agree(table, keys[i]);
-      if (i == 4) continue;
-      const std::size_t slot = table.find_grouped32(keys[i]);
-      ASSERT_NE(slot, SlotTable::npos) << "head " << head << " key " << i;
-      EXPECT_EQ(table.payload_at(slot), static_cast<std::uint32_t>(i));
-    }
-  }
-}
+#endif  // ORBIS_FLAT_TABLE_GROUPED
 
 }  // namespace
 }  // namespace orbis::util
