@@ -16,6 +16,7 @@
 #include "gen/rewiring.hpp"
 #include "gen/rewiring_engine.hpp"
 #include "graph/algorithms.hpp"
+#include "topo/as_level.hpp"
 #include "topo/hot.hpp"
 #include "util/stop_token.hpp"
 #include "graph/builders.hpp"
@@ -249,6 +250,56 @@ BENCHMARK(BM_Parallel3KTarget)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Serial 3K chains on the paper's graph shape: a power-law degree
+// sequence (n=10k, gamma 1.93, cap 1000) wired by matching_1k, so most
+// proposals touch a hub.  Items are swap attempts.  3K pricing walks
+// only the equal-degree pair of a swap, so these guard that hub degree
+// stays out of the per-attempt cost — the Poisson graphs above cannot
+// see it.
+Graph make_hub_graph() {
+  topo::AsLevelOptions options;
+  options.num_nodes = 10000;
+  options.gamma = 1.93;
+  options.max_degree_cap = 1000;
+  util::Rng rng(42);
+  return gen::matching_1k(dk::DegreeDistribution::from_sequence(
+                              topo::power_law_degree_sequence(options)),
+                          rng);
+}
+
+void BM_Hub3KTarget(benchmark::State& state) {
+  const auto original = make_hub_graph();
+  const auto dists = dk::extract(original, 3);
+  util::Rng start_rng(13);
+  const auto start = gen::matching_2k(dists.joint, start_rng);
+  gen::ThreeKRewirer rewirer(start);
+  gen::TargetingOptions options;
+  // Never satisfied: sustained attempt throughput, not convergence.
+  options.stop_distance = -1.0;
+  util::Rng rng(7);
+  std::uint64_t attempts = 0;
+  for (auto _ : state) {
+    gen::RewiringStats stats;
+    rewirer.target(dists.three_k, options, 20000, rng, &stats);
+    attempts += stats.attempts;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
+}
+BENCHMARK(BM_Hub3KTarget)->Unit(benchmark::kMillisecond);
+
+void BM_Hub3KRandomize(benchmark::State& state) {
+  gen::ThreeKRewirer rewirer(make_hub_graph());
+  util::Rng rng(7);
+  std::uint64_t attempts = 0;
+  for (auto _ : state) {
+    gen::RewiringStats stats;
+    rewirer.randomize(20000, rng, &stats);
+    attempts += stats.attempts;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
+}
+BENCHMARK(BM_Hub3KRandomize)->Unit(benchmark::kMillisecond);
 
 // Raw FlatTable probe throughput — the primitive under the edge hash,
 // histogram bins and sparse JDD bins — through the build's default

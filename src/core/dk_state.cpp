@@ -260,98 +260,158 @@ void DkState::add_edge(NodeId u, NodeId v) {
   index_->add_edge(u, v);
 }
 
-void DkState::scan_edge_delta(NodeId u, NodeId v, NodeId skip_u,
-                              NodeId skip_v, bool removing, SwapDelta& out,
-                              EvalScratch& scratch) const {
-  const std::uint32_t du = index_->degree(u);
-  const std::uint32_t dv = index_->degree(v);
-  const std::int64_t sign = removing ? -1 : +1;
-  const bool histograms = tracks_histograms();
-
-  auto& mark = scratch.mark;
-  const std::uint64_t in_v = ++scratch.stamp;
-  const std::uint64_t common = ++scratch.stamp;
-  const auto u_nbrs = index_->neighbors(u);
-  const auto v_nbrs = index_->neighbors(v);
-  for (const NodeId y : v_nbrs) {
-    if (y != u && y != skip_v) mark[y] = in_v;
-  }
-  for (const NodeId x : u_nbrs) {
-    if (x == v || x == skip_u) continue;
-    const std::uint32_t dx = index_->degree(x);
-    if (mark[x] == in_v) {
-      mark[x] = common;
-      // Removing: triangle (u,v,x) dies, the pair (u,v) at center x
-      // opens into a wedge.  Adding: wedge u - x - v closes.
-      if (histograms) {
-        journal_add(out.journal.triangle, util::triangle_key(du, dv, dx),
-                    sign);
-        journal_add(out.journal.wedge, util::wedge_key(du, dx, dv), -sign);
-      }
-      out.s2_delta -= static_cast<double>(sign) * static_cast<double>(du) *
-                      static_cast<double>(dv);
-      out.triangle_nodes.emplace_back(u, static_cast<std::int32_t>(sign));
-      out.triangle_nodes.emplace_back(v, static_cast<std::int32_t>(sign));
-      out.triangle_nodes.emplace_back(x, static_cast<std::int32_t>(sign));
-      out.clustering_delta +=
-          static_cast<double>(sign) *
-          (clustering_weight(du) + clustering_weight(dv) +
-           clustering_weight(dx));
-    } else {
-      // Wedge x - u - v centered at u dies (removal) or appears (add).
-      if (histograms) {
-        journal_add(out.journal.wedge, util::wedge_key(dx, du, dv), sign);
-      }
-      out.s2_delta += static_cast<double>(sign) * static_cast<double>(dx) *
-                      static_cast<double>(dv);
-    }
-  }
-  for (const NodeId y : v_nbrs) {
-    if (y == u || y == skip_v) continue;
-    if (mark[y] == in_v) {
-      // Non-common neighbor of v: its wedge y - v - u centered at v.
-      const std::uint32_t dy = index_->degree(y);
-      if (histograms) {
-        journal_add(out.journal.wedge, util::wedge_key(dy, dv, du), sign);
-      }
-      out.s2_delta += static_cast<double>(sign) * static_cast<double>(dy) *
-                      static_cast<double>(du);
-    }
-  }
-}
-
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                             SwapDelta& out) const {
-  evaluate_swap(a, b, c, d, out, scratch_);
-}
-
-void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
-                            SwapDelta& out, EvalScratch& scratch) const {
   util::expects(tracks_three_k(),
                 "DkState::evaluate_swap: requires 3K tracking");
-  constexpr NodeId no_skip = 0xffffffffu;
-  if (scratch.mark.size() < index_->num_nodes()) {
-    scratch.mark.assign(index_->num_nodes(), 0);
-    // Stale stamps never alias fresh zeros: the stamp only grows.
-  }
+  const std::uint32_t ka = index_->degree(a);
+  const std::uint32_t kb = index_->degree(b);
+  const std::uint32_t kc = index_->degree(c);
+  const std::uint32_t kd = index_->degree(d);
+  util::expects(kb == kd || ka == kc,
+                "DkState::evaluate_swap: swap must preserve the JDD");
   out.clear();
+  // The caller's labels, whichever pair is walked: commit_swap hands
+  // them to EdgeIndex::apply_swap, whose slot layout feeds later
+  // proposal draws.
   out.a = a;
   out.b = b;
   out.c = c;
   out.d = d;
-  // The four mutations of the swap, each scanned against the virtual
-  // intermediate graph: the first two see the original adjacency (their
-  // probed pairs never involve the other removed edge), the additions
-  // hide the endpoints their edges lost earlier in the sequence.
-  scan_edge_delta(a, b, no_skip, no_skip, /*removing=*/true, out, scratch);
-  scan_edge_delta(c, d, no_skip, no_skip, /*removing=*/true, out, scratch);
-  scan_edge_delta(a, d, /*skip_u=*/b, /*skip_v=*/c, /*removing=*/false, out,
-                  scratch);
-  scan_edge_delta(c, b, /*skip_u=*/d, /*skip_v=*/a, /*removing=*/false, out,
-                  scratch);
+  // (b,a,d,c) names the same swap — remove ba and dc, add bc and da —
+  // with the roles of the two pairs exchanged.
+  if (kb == kd && (ka != kc || kb <= ka)) {
+    price_equal_degree_pair(a, b, c, d, out);
+  } else {
+    price_equal_degree_pair(b, a, d, c, out);
+  }
   // No-op below the inline-coalesce limit; one O(k log k) sort-merge
-  // when a hub endpoint overflowed it.
+  // past it.
   out.journal.coalesce();
+  for (const auto& [node, net] : out.triangle_nodes) {
+    out.clustering_delta +=
+        static_cast<double>(net) * clustering_weight(index_->degree(node));
+  }
+}
+
+// Why only N(b) and N(d) are walked.  The swap changes four pairs: ab and
+// cd disappear, ad and cb appear.  A triple of nodes changes shape only
+// if it contains one of them:
+//
+//   * The four triples inside {a,b,c,d} hold no triangle before or after:
+//     each contains one removed and one added pair.  Their wedges
+//     exist iff a~c or b~d, and trade places pairwise under equal degree
+//     keys: b-a-c becomes a-c-b and a-c-d becomes c-a-d when a~c, a-b-d
+//     becomes a-d-b and c-d-b becomes c-b-d when b~d.  With deg b = deg d
+//     the four keys cancel, so these triples contribute nothing.
+//   * A triple {p,q,x}, x outside {a,b,c,d}, holds exactly one changed
+//     pair pq.  Write A,B,C,D for x~a, x~b, x~c, x~d.  Summing the four
+//     triples {a,b,x}, {a,d,x}, {c,d,x}, {c,b,x} before and after, every
+//     term carries B or D (or B-D) as a factor: when x is adjacent to
+//     neither b nor d, the wedge x-a-b that dies and the wedge x-a-d that
+//     appears share a key because deg b = deg d, and likewise at c.  So
+//     only x in N(b) ∪ N(d) matters, which is what keeps the hub rows of
+//     a and c out of the pass.
+//   * For x in N(b) ∩ N(d) (B = D = 1) the histogram terms cancel too
+//     (b and d trade places), but the triangle counts of b and d move by
+//     ±(C - A): if x~a, {a,b,x} dies while {a,d,x} appears, and if x~c,
+//     {c,d,x} dies while {c,b,x} appears.
+//
+// Each remaining x costs at most three has_edge probes.  Under the
+// speculative committer (gen/rewiring_parallel.cpp) every read here is
+// covered by its endpoint-overlap rule: a row of b or d changes only if
+// b or d was an endpoint of a swap committed earlier in the round, and
+// has_edge(x,a) (or x,c / x,b / x,d) changes only if x and a were both
+// endpoints of one — so a proposal whose endpoints no commit touched
+// still prices the live state exactly.
+void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
+                                      SwapDelta& out) const {
+  const std::uint32_t ka = index_->degree(a);
+  const std::uint32_t kc = index_->degree(c);
+  const std::uint32_t k = index_->degree(b);  // == degree(d)
+  const bool histograms = tracks_histograms();
+  std::int64_t s2 = 0;
+  std::int64_t net_a = 0, net_b = 0, net_c = 0, net_d = 0;
+
+  // x adjacent to exactly one of b, d: sign = +1 for b (m = b), -1 for d
+  // (m = d).  With A = x~a and C = x~c the net change is
+  //   A: wedges x-a-m and a-x-m +sign, triangle {a,m,x} -sign,
+  //   C: wedges x-c-m and c-x-m -sign, triangle {c,m,x} +sign,
+  //   !A: wedge a-m-x -sign,   !C: wedge c-m-x +sign,
+  // and the triangle counts move by -sign*A at a, +sign*C at c and
+  // sign*(C-A) at m and x.
+  const auto price_exclusive = [&](NodeId x, std::int64_t sign,
+                                   std::int64_t& net_m) {
+    const bool on_a = index_->has_edge(x, a);
+    const bool on_c = index_->has_edge(x, c);
+    const std::int64_t net = sign * (static_cast<std::int64_t>(on_c) -
+                                     static_cast<std::int64_t>(on_a));
+    if (on_a) net_a -= sign;
+    if (on_c) net_c += sign;
+    net_m += net;
+    if (net != 0) {
+      out.triangle_nodes.emplace_back(x, static_cast<std::int32_t>(net));
+    }
+    // Same degrees on both sides: every term below cancels.
+    if (on_a == on_c && ka == kc) return;
+    const std::uint32_t kx = index_->degree(x);
+    const auto wedge = [&](std::uint32_t end1, std::uint32_t center,
+                           std::uint32_t end2, std::int64_t delta) {
+      s2 += delta * static_cast<std::int64_t>(end1) *
+            static_cast<std::int64_t>(end2);
+      if (histograms) {
+        journal_add(out.journal.wedge, util::wedge_key(end1, center, end2),
+                    delta);
+      }
+    };
+    const auto triangle = [&](std::uint32_t kp, std::int64_t delta) {
+      if (histograms) {
+        journal_add(out.journal.triangle, util::triangle_key(kp, k, kx),
+                    delta);
+      }
+    };
+    if (on_a) {
+      wedge(kx, ka, k, sign);
+      wedge(ka, kx, k, sign);
+      triangle(ka, -sign);
+    } else {
+      wedge(ka, k, kx, -sign);
+    }
+    if (on_c) {
+      wedge(kx, kc, k, -sign);
+      wedge(kc, kx, k, -sign);
+      triangle(kc, sign);
+    } else {
+      wedge(kc, k, kx, sign);
+    }
+  };
+
+  for (const NodeId x : index_->neighbors(b)) {
+    if (x == a || x == c || x == d) continue;
+    if (index_->has_edge(x, d)) {
+      const std::int64_t shift = static_cast<std::int64_t>(
+                                     index_->has_edge(x, c)) -
+                                 static_cast<std::int64_t>(
+                                     index_->has_edge(x, a));
+      net_b += shift;
+      net_d -= shift;
+      continue;
+    }
+    price_exclusive(x, +1, net_b);
+  }
+  for (const NodeId x : index_->neighbors(d)) {
+    if (x == a || x == b || x == c || index_->has_edge(x, b)) continue;
+    price_exclusive(x, -1, net_d);
+  }
+
+  for (const auto& [node, net] :
+       {std::pair{a, net_a}, std::pair{b, net_b}, std::pair{c, net_c},
+        std::pair{d, net_d}}) {
+    if (net != 0) {
+      out.triangle_nodes.emplace_back(node, static_cast<std::int32_t>(net));
+    }
+  }
+  out.s2_delta = static_cast<double>(s2);
 }
 
 void DkState::commit_swap(const SwapDelta& delta) {

@@ -11,9 +11,13 @@
 // edge hash) rather than a Graph: DkState either owns one (constructed
 // from a Graph) or binds to one owned by a rewiring engine, so a 3K
 // rewirer maintains exactly ONE adjacency structure.  Wedge/triangle
-// deltas of an edge mutation are computed by a timestamped mark-array
-// common-neighbor pass — mark N(v), sweep N(u) — which costs
-// O(deg u + deg v) with zero hash probes.
+// deltas of a single edge mutation are computed by a timestamped
+// mark-array common-neighbor pass — mark N(v), sweep N(u) — which costs
+// O(deg u + deg v) with zero hash probes.  A JDD-preserving double-edge
+// swap is priced without a mark array: only the rows of its two
+// equal-degree endpoints are walked, with O(1) edge-hash probes per
+// neighbor, so its cost is independent of the other two (often hub)
+// endpoints' degrees.
 //
 // Single edge insertions/removals update everything with node degrees
 // *frozen* at construction time: the intended use is degree-preserving
@@ -74,10 +78,13 @@ struct DeltaJournal {
 struct SwapDelta {
   NodeId a = 0, b = 0, c = 0, d = 0;
   DeltaJournal journal;  // net wedge/triangle bin deltas (full_three_k)
-  // Per-node triangle-count events (node, ±1), in causal order.
+  // Net triangle-count change per node (node, net): one entry per node
+  // whose count changes, none for the others.
   std::vector<std::pair<NodeId, std::int32_t>> triangle_nodes;
   double s2_delta = 0.0;
-  double clustering_delta = 0.0;  // change of Σ_v 2 t_v / (k_v(k_v-1))
+  // Change of Σ_v 2 t_v / (k_v(k_v-1)), summed over triangle_nodes: a
+  // swap that changes no node's triangle count gives exactly 0.0.
+  double clustering_delta = 0.0;
 
   void clear() noexcept {
     journal.clear();
@@ -137,35 +144,23 @@ class DkState {
   /// is at its frozen degree.
   void add_edge(NodeId u, NodeId v);
 
-  /// Per-caller scratch for evaluate_swap: the timestamped mark array of
-  /// the common-neighbor passes.  evaluate_swap reads only const state
-  /// plus one scratch, so any number of threads may evaluate proposals
-  /// concurrently against the SAME DkState as long as each brings its
-  /// own scratch (the optimistic batching protocol of docs/parallel.md).
-  /// A scratch is bound to one state's node count; reuse it across
-  /// evaluations to keep the array warm.
-  struct EvalScratch {
-    std::vector<std::uint64_t> mark;
-    std::uint64_t stamp = 0;
-  };
-
   /// Speculatively evaluates the double-edge swap (a,b),(c,d) ->
   /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas
-  /// (at full_three_k), the per-node triangle events and the S2/C̄
-  /// scalar deltas, WITHOUT touching the histograms or the index.  The
-  /// cost is O(deg a + deg b + deg c + deg d) mark-array passes with
-  /// zero hash probes, so rejecting the proposal afterwards is free.
-  /// Preconditions: 3K tracking is on, both edges exist, the four
-  /// endpoints are distinct, and neither replacement edge is present.
-  ///
-  /// The scratch overload is safe to call from multiple threads
-  /// concurrently (distinct scratches, no interleaved mutation); the
-  /// two-argument form uses an internal scratch and is single-threaded
-  /// like every other member.
+  /// (at full_three_k), the per-node triangle nets and the S2/C̄ scalar
+  /// deltas, WITHOUT touching the histograms or the index.  Only the
+  /// rows of the equal-degree pair are walked — b and d when
+  /// deg b = deg d, else a and c; the lower-degree pair when both hold —
+  /// with at most three edge-hash probes per neighbor, so a proposal
+  /// costs O(deg b + deg d) (resp. O(deg a + deg c)) whatever the other
+  /// pair's degrees, and rejecting it afterwards is free.
+  /// Preconditions: 3K tracking is on, the swap preserves the JDD
+  /// (deg b = deg d or deg a = deg c; checked), both edges exist, the
+  /// four endpoints are distinct, and neither replacement edge is
+  /// present.  Reads only const state, so any number of threads may
+  /// evaluate proposals concurrently as long as nothing mutates the
+  /// state meanwhile (the optimistic batching of docs/parallel.md).
   void evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                      SwapDelta& out) const;
-  void evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d, SwapDelta& out,
-                     EvalScratch& scratch) const;
 
   /// Commits a swap evaluated by evaluate_swap: folds the recorded
   /// deltas into the histograms/scalars and applies the swap to the
@@ -195,13 +190,10 @@ class DkState {
 
  private:
   void init(TrackLevel level);
-  /// One virtual-graph mark pass of evaluate_swap: the wedge/triangle
-  /// effect of removing (removing=true) or adding edge (u,v), with
-  /// `skip_u` hidden from u's row and `skip_v` from v's row so the pass
-  /// sees the intermediate graph of a half-applied swap.
-  void scan_edge_delta(NodeId u, NodeId v, NodeId skip_u, NodeId skip_v,
-                       bool removing, SwapDelta& out,
-                       EvalScratch& scratch) const;
+  /// evaluate_swap's pass with the endpoints labeled so that
+  /// deg b = deg d: walks N(b) and N(d) only.
+  void price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
+                               SwapDelta& out) const;
   void bump_jdd(std::uint32_t k1, std::uint32_t k2, std::int64_t delta);
   void bump_wedge(std::uint32_t end1, std::uint32_t center,
                   std::uint32_t end2, std::int64_t delta);
@@ -228,14 +220,11 @@ class DkState {
   BinListener listener_;
 
   // Timestamped mark array for the common-neighbor delta passes of the
-  // MUTATING paths (add_edge/remove_edge/init): a node is "marked" iff
+  // mutating paths (add_edge/remove_edge/init): a node is "marked" iff
   // mark_[v] carries the current stamp, so clearing between passes is a
-  // counter increment, not an O(n) sweep.  Also serves, via scratch_, the
-  // internal-scratch evaluate_swap overload; parallel evaluation brings
-  // external EvalScratch instances instead and never touches these.
-  mutable std::vector<std::uint64_t> mark_;
-  mutable std::uint64_t mark_stamp_ = 0;
-  mutable EvalScratch scratch_;  // backs the two-argument evaluate_swap
+  // counter increment, not an O(n) sweep.  evaluate_swap never uses it.
+  std::vector<std::uint64_t> mark_;
+  std::uint64_t mark_stamp_ = 0;
 };
 
 }  // namespace orbis::dk

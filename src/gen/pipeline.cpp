@@ -21,6 +21,8 @@ void validate(const PipelineOptions& options, const svc::RunContext& ctx,
   util::expects(options.d == 2 || options.d == 3,
                 "Pipeline: d must be 2 or 3");
   expect_context_workers(options.targeting.workers, "Pipeline");
+  // Every run starts with a 2K stage, whatever d.
+  expect_2k_targeting_move(move, "Pipeline");
   util::expects(ladder.replicas != 1,
                 "Pipeline: a replica ladder needs at least 2 replicas");
   util::expects(ladder.replicas == 0 || ctx.chains == 0,

@@ -98,6 +98,15 @@ void expect_context_workers(std::size_t options_workers, const char* caller) {
   }
 }
 
+void expect_2k_targeting_move(MoveKind move, const char* caller) {
+  if (move == MoveKind::trade) {
+    throw std::invalid_argument(
+        std::string(caller) +
+        ": 2K targeting cannot run on --move trade alone: a trade "
+        "preserves the JDD, so D2 never falls (use swap or mixed)");
+  }
+}
+
 std::size_t default_chain_count(std::size_t requested) noexcept {
   if (requested > 0) return requested;
   return std::clamp<std::size_t>(exec::resolve_workers(0), 1, 8);
@@ -155,6 +164,7 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
 Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
                 const TargetingOptions& options, util::Rng& rng,
                 RewiringStats* stats, double* final_distance) {
+  expect_2k_targeting_move(options.move, "target_2k");
   const std::size_t budget = budget_of(
       options.attempts, options.attempts_per_edge, start.num_edges());
   RewiringStats local_stats;

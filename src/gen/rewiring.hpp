@@ -168,10 +168,11 @@ struct TargetingOptions {
   /// --memory-budget-mb.
   ObjectiveBackend objective = ObjectiveBackend::automatic;
   /// Proposal move mix (MoveKind above).  In 2K targeting a trade is
-  /// D2-neutral (pure mixing, useful against plateau stalls); in 3K
-  /// targeting it is priced exactly and Metropolis-accepted on the
-  /// total ΔD3.  The speculative parallel 3K path (workers != 1) is
-  /// swap-only and rejects other moves.
+  /// D2-neutral (pure mixing, useful against plateau stalls), so 2K
+  /// targeting takes `mixed` but rejects `trade` alone; in 3K targeting
+  /// a trade is priced exactly and Metropolis-accepted on the total ΔD3.
+  /// The speculative parallel 3K path (workers != 1) is swap-only and
+  /// rejects other moves.
   MoveKind move = MoveKind::swap;
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 };
@@ -180,6 +181,12 @@ struct TargetingOptions {
 /// ctx.workers, so the options it is given must keep workers = 1.
 /// Throws std::invalid_argument naming ctx.workers otherwise.
 void expect_context_workers(std::size_t options_workers, const char* caller);
+
+/// A Curveball trade preserves the JDD by construction, so a 2K
+/// targeting chain of trades alone can never lower D2: every function
+/// that runs 2K targeting rejects move == trade with an
+/// std::invalid_argument naming the option.
+void expect_2k_targeting_move(MoveKind move, const char* caller);
 
 /// 2K-targeting 1K-preserving rewiring.  `start` must already have the
 /// target's degree sequence (e.g. from matching_1k); returns a graph

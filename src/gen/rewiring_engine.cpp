@@ -240,6 +240,7 @@ std::int64_t RewiringEngine::target_2k(
     const TargetingOptions& options, std::size_t budget, util::Rng& rng,
     RewiringStats* stats, const svc::RunContext& ctx) {
   expect_context_workers(options.workers, "RewiringEngine::target_2k");
+  expect_2k_targeting_move(options.move, "RewiringEngine::target_2k");
   // Resolve the ΔD2 backend once, outside the hot loop: the chain body
   // is instantiated per backend, so the dense path pays no dispatch and
   // the sparse path trades hash probes for O(occupied-bin) memory.

@@ -149,8 +149,8 @@ class ThreeKRewirer {
   /// Optimistic parallel variants of randomize()/target()
   /// (docs/parallel.md): proposals are drawn serially in rounds of
   /// `options.batch`, evaluated speculatively by up to ctx.workers tasks
-  /// on `pool` (0 = the pool size; per-task DkState::EvalScratch, const
-  /// state), and committed serially in draw order with endpoint/bin
+  /// on `pool` (0 = the pool size; DkState::evaluate_swap reads only
+  /// const state), and committed serially in draw order with endpoint/bin
   /// conflict re-evaluation, so acceptance semantics match a serial pass
   /// over the same proposal stream.  The outcome is a pure function of
   /// (rng, batch): worker count, pool size and scheduling are all

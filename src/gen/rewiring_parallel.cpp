@@ -8,14 +8,17 @@
 //                      in targeting mode, one acceptance uniform each);
 //   evaluate (parallel) worker tasks score disjoint slices against the
 //                      round-start state — DkState::evaluate_swap is
-//                      const, each task brings its own EvalScratch;
+//                      const and keeps no scratch;
 //   commit  (serial)   proposals resolve in draw order.  A swap's
-//                      evaluation depends only on the adjacency rows of
-//                      its four endpoints (and, for ΔD3, the histogram
-//                      bins its journal touches), so a worker verdict
-//                      stays exact until a committed swap overlaps one of
-//                      those; overlapping proposals are re-evaluated
-//                      in-line against the live state.
+//                      evaluation reads the rows of two of its endpoints
+//                      and edge-hash entries (x, e) with e one of its
+//                      endpoints (and, for ΔD3, the histogram bins its
+//                      journal touches).  A commit changes only rows of
+//                      its own endpoints and pairs of them, so either
+//                      read goes stale only when a committed swap shares
+//                      an endpoint with this one (see the pricing note
+//                      in core/dk_state.cpp); such proposals are
+//                      re-evaluated in-line against the live state.
 //
 // Conflict detection is therefore two-tier:
 //   * endpoint conflict — a committed swap this round shares a node:
@@ -123,8 +126,6 @@ std::int64_t ThreeKRewirer::run_speculative(
       ctx.workers > 0 ? ctx.workers : std::max<std::size_t>(pool.size(), 1);
 
   std::vector<PendingSwap> pending(batch);
-  std::vector<dk::DkState::EvalScratch> scratches(partitions);
-  dk::DkState::EvalScratch commit_scratch;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(partitions);
 
@@ -189,16 +190,15 @@ std::int64_t ThreeKRewirer::run_speculative(
     }
     if (count == 0) continue;
 
-    // ---- evaluate (parallel): disjoint contiguous slices, one scratch
-    // per slice.  Everything read here is const until the commit phase.
+    // ---- evaluate (parallel): disjoint contiguous slices.  Everything
+    // read here is const until the commit phase.
     tasks.clear();
     const std::size_t parts = partitions < count ? partitions : count;
     for (std::size_t part = 0; part < parts; ++part) {
       const std::size_t begin = count * part / parts;
       const std::size_t end = count * (part + 1) / parts;
-      tasks.emplace_back([this, &pending, &scratches, &objective, temperature,
-                          targeting, part, begin, end]() {
-        dk::DkState::EvalScratch& scratch = scratches[part];
+      tasks.emplace_back([this, &pending, &objective, temperature, targeting,
+                          begin, end]() {
         for (std::size_t i = begin; i < end; ++i) {
           // Prefetch the NEXT lane's endpoint rows before scoring this
           // one, so lane i+1's misses overlap lane i's wedge/triangle
@@ -212,7 +212,7 @@ std::int64_t ThreeKRewirer::run_speculative(
           }
           PendingSwap& slot = pending[i];
           state_.evaluate_swap(slot.swap.a, slot.swap.b, slot.swap.c,
-                               slot.swap.d, slot.delta, scratch);
+                               slot.swap.d, slot.delta);
           if (targeting) {
             slot.objective_delta =
                 objective->delta_if_applied(state_, slot.delta.journal);
@@ -247,7 +247,7 @@ std::int64_t ThreeKRewirer::run_speculative(
           if (stats != nullptr) ++stats->rejected_structural;
           continue;
         }
-        state_.evaluate_swap(s.a, s.b, s.c, s.d, slot.delta, commit_scratch);
+        state_.evaluate_swap(s.a, s.b, s.c, s.d, slot.delta);
         if (targeting) {
           slot.objective_delta =
               objective->delta_if_applied(state_, slot.delta.journal);

@@ -132,8 +132,9 @@ class EdgeIndex {
   // lines toward the cache and can never change a result.
 
   /// Prefetches v's CSR row (first lines of neighbors(v)) and its
-  /// row-size/class metadata — what evaluate_swap and the structural
-  /// checks walk for each proposal endpoint.
+  /// row-size/class metadata — what evaluate_swap (the rows of the
+  /// equal-degree pair) and the structural checks read for a proposal
+  /// endpoint.
   void prefetch_node(NodeId v) const {
     util::prefetch_read(&row_size_[v]);
     const auto* row = adj_.data() + row_offset_[v];

@@ -2,16 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "gen/matching.hpp"
 #include "graph/builders.hpp"
 #include "metrics/clustering.hpp"
 #include "metrics/scalar.hpp"
+#include "topo/as_level.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::dk {
 namespace {
 
+/// Small power-law graph whose hubs reach ten times the mean degree or
+/// more (checked by the tests that rely on it), wired by matching_1k.
+Graph hub_graph(std::uint64_t seed) {
+  topo::AsLevelOptions options;
+  options.num_nodes = 300;
+  options.gamma = 1.7;
+  options.max_degree_cap = 100;
+  const auto degrees = topo::power_law_degree_sequence(options);
+  util::Rng rng(seed);
+  return gen::matching_1k(DegreeDistribution::from_sequence(degrees), rng);
+}
+
+bool hub_heavy(const Graph& g) {
+  const double mean = 2.0 * static_cast<double>(g.num_edges()) /
+                      static_cast<double>(g.num_nodes());
+  return static_cast<double>(g.max_degree()) >= 10.0 * mean;
+}
+
 /// Applies `count` random degree-preserving double-edge swaps through the
-/// state (the operation DkState is designed for).
+/// state (the operation DkState is designed for).  At 3K tracking levels
+/// about half of the JDD-preserving swaps go through the speculative
+/// evaluate_swap/commit_swap path instead of four single-edge mutations,
+/// so both paths feed the same recount checks.
 void churn(DkState& state, std::size_t count, util::Rng& rng,
            bool require_jdd_preserving) {
   std::size_t done = 0;
@@ -28,15 +55,21 @@ void churn(DkState& state, std::size_t count, util::Rng& rng,
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
     if (a == c || a == d || b == c || b == d) continue;
     if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
-    if (require_jdd_preserving &&
-        state.frozen_degree(b) != state.frozen_degree(d) &&
-        state.frozen_degree(a) != state.frozen_degree(c)) {
-      continue;
+    const bool jdd_preserving =
+        state.frozen_degree(b) == state.frozen_degree(d) ||
+        state.frozen_degree(a) == state.frozen_degree(c);
+    if (require_jdd_preserving && !jdd_preserving) continue;
+    if (jdd_preserving && state.level() != TrackLevel::jdd_only &&
+        rng.bernoulli(0.5)) {
+      SwapDelta delta;
+      state.evaluate_swap(a, b, c, d, delta);
+      state.commit_swap(delta);
+    } else {
+      state.remove_edge(a, b);
+      state.remove_edge(c, d);
+      state.add_edge(a, d);
+      state.add_edge(c, b);
     }
-    state.remove_edge(a, b);
-    state.remove_edge(c, d);
-    state.add_edge(a, d);
-    state.add_edge(c, b);
     ++done;
   }
 }
@@ -75,25 +108,37 @@ TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
        {TrackLevel::jdd_only, TrackLevel::three_k_scalars,
         TrackLevel::full_three_k}) {
     for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
-      util::Rng rng(seed);
-      const auto g = builders::gnm(60, 180, rng);
-      DkState state(g, level);
-      churn(state, 1500, rng, /*require_jdd_preserving=*/false);
-      ASSERT_NO_THROW(state.verify_consistency())
-          << "seed " << seed << " level " << static_cast<int>(level);
-      const Graph now = state.to_graph();
-      EXPECT_EQ(state.jdd(), JointDegreeDistribution::from_graph(now));
-      if (level == TrackLevel::full_three_k) {
-        // The histograms must match an independent full extraction.
-        EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(now));
-      }
-      if (level != TrackLevel::jdd_only) {
-        const auto fresh = ThreeKProfile::from_graph(now);
-        EXPECT_NEAR(state.second_order_likelihood(),
-                    fresh.second_order_likelihood(),
-                    1e-9 * (1.0 + fresh.second_order_likelihood()));
-        EXPECT_NEAR(state.mean_clustering(), metrics::mean_clustering(now),
-                    1e-9);
+      // A flat G(n,m) graph and a hub-heavy power-law one.
+      for (const bool hubs : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " level "
+                                        << static_cast<int>(level)
+                                        << " hubs " << hubs);
+        util::Rng rng(seed);
+        const auto g = hubs ? hub_graph(seed) : builders::gnm(60, 180, rng);
+        if (hubs) {
+          ASSERT_TRUE(hub_heavy(g));
+        }
+        DkState state(g, level);
+        churn(state, 1500, rng, /*require_jdd_preserving=*/false);
+        ASSERT_NO_THROW(state.verify_consistency());
+        const Graph now = state.to_graph();
+        EXPECT_EQ(state.jdd(), JointDegreeDistribution::from_graph(now));
+        if (level == TrackLevel::full_three_k) {
+          // The histograms must match an independent full extraction.
+          EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(now));
+        }
+        if (level != TrackLevel::jdd_only) {
+          const auto fresh = ThreeKProfile::from_graph(now);
+          EXPECT_NEAR(state.second_order_likelihood(),
+                      fresh.second_order_likelihood(),
+                      1e-9 * (1.0 + fresh.second_order_likelihood()));
+          EXPECT_NEAR(state.mean_clustering(), metrics::mean_clustering(now),
+                      1e-9);
+          for (NodeId v = 0; v < now.num_nodes(); ++v) {
+            ASSERT_EQ(state.triangles_at(v), metrics::triangles_through(now, v))
+                << "node " << v;
+          }
+        }
       }
     }
   }
@@ -102,42 +147,369 @@ TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
 // The shared-index constructor must mutate the caller's EdgeIndex in
 // lockstep with the histograms: after churn, the index IS the graph.
 TEST(DkState, SharedIndexStaysEquivalentToReplayedGraph) {
-  util::Rng rng(31);
-  const auto g = builders::gnm(40, 100, rng);
-  EdgeIndex index(g);
-  DkState state(index, TrackLevel::full_three_k);
-  EXPECT_EQ(&state.index(), &index);
+  for (const bool hubs : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "hubs " << hubs);
+    util::Rng rng(31);
+    const auto g = hubs ? hub_graph(31) : builders::gnm(40, 100, rng);
+    if (hubs) {
+      ASSERT_TRUE(hub_heavy(g));
+    }
+    EdgeIndex index(g);
+    DkState state(index, TrackLevel::full_three_k);
+    EXPECT_EQ(&state.index(), &index);
 
-  // Replay the same swaps against a plain Graph and compare.
-  Graph replay = g;
-  std::size_t done = 0;
-  std::size_t guard = 0;
-  while (done < 400 && guard++ < 400 * 200) {
-    const auto i = index.sample_edge(rng);
-    const auto j = index.sample_edge(rng);
-    Edge e1 = index.edge_at(i);
-    Edge e2 = index.edge_at(j);
+    // Replay the same swaps against a plain Graph and compare.  JDD-
+    // preserving swaps take the evaluate_swap/commit_swap path half the
+    // time, which mutates the index through EdgeIndex::apply_swap.
+    Graph replay = g;
+    SwapDelta delta;
+    std::size_t done = 0;
+    std::size_t committed = 0;
+    std::size_t guard = 0;
+    while (done < 400 && guard++ < 400 * 200) {
+      const auto i = index.sample_edge(rng);
+      const auto j = index.sample_edge(rng);
+      Edge e1 = index.edge_at(i);
+      Edge e2 = index.edge_at(j);
+      if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
+      const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
+      if (a == c || a == d || b == c || b == d) continue;
+      if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
+      const bool jdd_preserving = index.degree(b) == index.degree(d) ||
+                                  index.degree(a) == index.degree(c);
+      if (jdd_preserving && rng.bernoulli(0.5)) {
+        state.evaluate_swap(a, b, c, d, delta);
+        state.commit_swap(delta);
+        ++committed;
+      } else {
+        state.remove_edge(a, b);
+        state.remove_edge(c, d);
+        state.add_edge(a, d);
+        state.add_edge(c, b);
+      }
+      ASSERT_TRUE(replay.remove_edge(a, b));
+      ASSERT_TRUE(replay.remove_edge(c, d));
+      ASSERT_TRUE(replay.add_edge(a, d));
+      ASSERT_TRUE(replay.add_edge(c, b));
+      ++done;
+    }
+    ASSERT_GT(done, 0u);
+    ASSERT_GT(committed, 0u);
+    EXPECT_TRUE(state.to_graph() == replay);
+    for (NodeId v = 0; v < replay.num_nodes(); ++v) {
+      EXPECT_EQ(index.current_degree(v), replay.degree(v));
+    }
+    ASSERT_NO_THROW(state.verify_consistency());
+    EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(replay));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// evaluate_swap against a brute-force oracle.
+// ---------------------------------------------------------------------------
+
+/// Everything a swap can change, recounted from scratch.
+struct Recount {
+  ThreeKProfile profile;
+  std::vector<std::int64_t> triangles;  // per node
+};
+
+Recount recount(const Graph& g) {
+  Recount out{ThreeKProfile::from_graph(g), {}};
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    out.triangles.push_back(metrics::triangles_through(g, v));
+  }
+  return out;
+}
+
+using BinDeltas = std::map<std::uint64_t, std::int64_t>;
+
+BinDeltas histogram_difference(const SparseHistogram& after,
+                               const SparseHistogram& before) {
+  BinDeltas out;
+  for (const auto& [key, count] : after) out[key] += count;
+  for (const auto& [key, count] : before) out[key] -= count;
+  std::erase_if(out, [](const auto& entry) { return entry.second == 0; });
+  return out;
+}
+
+BinDeltas journal_bins(const DeltaJournal::Map& map) {
+  BinDeltas out;
+  for (const auto& [key, net] : map) {
+    EXPECT_TRUE(out.emplace(key, net).second) << "duplicate journal key";
+    EXPECT_NE(net, 0) << "zero journal entry";
+  }
+  return out;
+}
+
+double clustering_weight(std::uint32_t degree) {
+  return degree < 2 ? 0.0
+                    : 2.0 / (static_cast<double>(degree) *
+                             static_cast<double>(degree - 1));
+}
+
+/// Walks a DkState through JDD-preserving swaps, checking every
+/// evaluate_swap against the recount of the swapped copy and committing
+/// the swaps it is asked to.
+class SwapOracle {
+ public:
+  explicit SwapOracle(const Graph& g)
+      : state_(g, TrackLevel::full_three_k), graph_(g), now_(recount(g)) {}
+
+  const DkState& state() const { return state_; }
+  const EdgeIndex& index() const { return state_.index(); }
+
+  /// True when (a,b),(c,d) -> (a,d),(c,b) is a valid JDD-preserving swap.
+  bool valid(NodeId a, NodeId b, NodeId c, NodeId d) const {
+    const EdgeIndex& idx = index();
+    if (a == b || a == c || a == d || b == c || b == d || c == d) {
+      return false;
+    }
+    return idx.has_edge(a, b) && idx.has_edge(c, d) && !idx.has_edge(a, d) &&
+           !idx.has_edge(c, b) &&
+           (idx.degree(b) == idx.degree(d) || idx.degree(a) == idx.degree(c));
+  }
+
+  /// Checks the swap's SwapDelta against the recount; commits it when
+  /// `commit`.  Returns whether the swap moved any node's triangles.
+  bool check(NodeId a, NodeId b, NodeId c, NodeId d, bool commit) {
+    SwapDelta delta;
+    state_.evaluate_swap(a, b, c, d, delta);
+    EXPECT_EQ(delta.a, a);
+    EXPECT_EQ(delta.b, b);
+    EXPECT_EQ(delta.c, c);
+    EXPECT_EQ(delta.d, d);
+
+    Graph after = graph_;
+    EXPECT_TRUE(after.remove_edge(a, b));
+    EXPECT_TRUE(after.remove_edge(c, d));
+    EXPECT_TRUE(after.add_edge(a, d));
+    EXPECT_TRUE(after.add_edge(c, b));
+    Recount then = recount(after);
+
+    EXPECT_EQ(journal_bins(delta.journal.wedge),
+              histogram_difference(then.profile.wedges(),
+                                   now_.profile.wedges()));
+    EXPECT_EQ(journal_bins(delta.journal.triangle),
+              histogram_difference(then.profile.triangles(),
+                                   now_.profile.triangles()));
+    EXPECT_EQ(delta.s2_delta, then.profile.second_order_likelihood() -
+                                  now_.profile.second_order_likelihood());
+
+    std::map<NodeId, std::int64_t> nets;
+    for (const auto& [node, net] : delta.triangle_nodes) {
+      EXPECT_TRUE(nets.emplace(node, net).second) << "duplicate node entry";
+      EXPECT_NE(net, 0) << "zero node entry";
+    }
+    double expected_clustering = 0.0;
+    bool moved = false;
+    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
+      const std::int64_t net = then.triangles[v] - now_.triangles[v];
+      const auto it = nets.find(v);
+      EXPECT_EQ(it == nets.end() ? 0 : it->second, net) << "node " << v;
+      expected_clustering +=
+          static_cast<double>(net) * clustering_weight(graph_.degree(v));
+      moved = moved || net != 0;
+    }
+    // Exactly zero — not a rounding residue — when no count moves.
+    if (!moved) {
+      EXPECT_EQ(delta.clustering_delta, 0.0);
+    }
+    EXPECT_NEAR(delta.clustering_delta, expected_clustering, 1e-12);
+
+    if (commit) {
+      state_.commit_swap(delta);
+      graph_ = std::move(after);
+      now_ = std::move(then);
+    }
+    return moved;
+  }
+
+ private:
+  DkState state_;
+  Graph graph_;
+  Recount now_;
+};
+
+TEST(DkStateSwapOracle, EverySwapDeltaMatchesTheRecountOnAHubGraph) {
+  const Graph g = hub_graph(3);
+  ASSERT_TRUE(hub_heavy(g));
+  SwapOracle oracle(g);
+  util::Rng rng(17);
+  const double mean = 2.0 * static_cast<double>(g.num_edges()) /
+                      static_cast<double>(g.num_nodes());
+
+  // Random proposals, oriented both ways: each JDD branch, the both-hold
+  // case and hub endpoints must all be seen.
+  std::size_t bd_only = 0, ac_only = 0, both = 0, hub = 0, checked = 0;
+  for (std::size_t guard = 0; checked < 400 && guard < 200000; ++guard) {
+    const auto& index = oracle.index();
+    Edge e1 = index.edge_at(index.sample_edge(rng));
+    Edge e2 = index.edge_at(index.sample_edge(rng));
+    if (rng.bernoulli(0.5)) std::swap(e1.u, e1.v);
     if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
-    if (a == c || a == d || b == c || b == d) continue;
-    if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
-    state.remove_edge(a, b);
-    state.remove_edge(c, d);
-    state.add_edge(a, d);
-    state.add_edge(c, b);
-    ASSERT_TRUE(replay.remove_edge(a, b));
-    ASSERT_TRUE(replay.remove_edge(c, d));
-    ASSERT_TRUE(replay.add_edge(a, d));
-    ASSERT_TRUE(replay.add_edge(c, b));
-    ++done;
+    if (!oracle.valid(a, b, c, d)) continue;
+    const bool bd = index.degree(b) == index.degree(d);
+    const bool ac = index.degree(a) == index.degree(c);
+    bd_only += bd && !ac;
+    ac_only += ac && !bd;
+    both += ac && bd;
+    const std::uint32_t top = std::max({index.degree(a), index.degree(b),
+                                        index.degree(c), index.degree(d)});
+    hub += static_cast<double>(top) >= 10.0 * mean;
+    oracle.check(a, b, c, d, /*commit=*/rng.bernoulli(0.3));
+    ++checked;
   }
-  ASSERT_GT(done, 0u);
-  EXPECT_TRUE(state.to_graph() == replay);
-  for (NodeId v = 0; v < replay.num_nodes(); ++v) {
-    EXPECT_EQ(index.current_degree(v), replay.degree(v));
+  EXPECT_EQ(checked, 400u);
+  EXPECT_GT(bd_only, 0u);
+  EXPECT_GT(ac_only, 0u);
+  EXPECT_GT(both, 0u);
+  EXPECT_GT(hub, 0u);
+  EXPECT_NO_THROW(oracle.state().verify_consistency());
+}
+
+TEST(DkStateSwapOracle, ForcedAdjacencyInsideTheFourEndpoints) {
+  // a~c and b~d are the only pairs among the endpoints the swap leaves
+  // alone; random proposals rarely have them, so build such swaps from
+  // an edge (a,c) (resp. (b,d)) and one neighbor on each side.
+  const Graph g = hub_graph(5);
+  SwapOracle oracle(g);
+  util::Rng rng(23);
+  std::size_t ac_adjacent = 0, bd_adjacent = 0;
+  for (std::size_t guard = 0;
+       (ac_adjacent < 150 || bd_adjacent < 150) && guard < 400000; ++guard) {
+    const auto& index = oracle.index();
+    Edge e = index.edge_at(index.sample_edge(rng));
+    if (rng.bernoulli(0.5)) std::swap(e.u, e.v);
+    const auto pick = [&](NodeId v) {
+      const auto row = index.neighbors(v);
+      return row[rng.uniform(row.size())];
+    };
+    const bool force_ac = rng.bernoulli(0.5);
+    NodeId a, b, c, d;
+    if (force_ac) {
+      a = e.u;
+      c = e.v;
+      b = pick(a);
+      d = pick(c);
+    } else {
+      b = e.u;
+      d = e.v;
+      a = pick(b);
+      c = pick(d);
+    }
+    if (!oracle.valid(a, b, c, d)) continue;
+    (force_ac ? ac_adjacent : bd_adjacent) += 1;
+    oracle.check(a, b, c, d, /*commit=*/rng.bernoulli(0.3));
   }
-  ASSERT_NO_THROW(state.verify_consistency());
-  EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(replay));
+  EXPECT_GE(ac_adjacent, 150u);
+  EXPECT_GE(bd_adjacent, 150u);
+  EXPECT_NO_THROW(oracle.state().verify_consistency());
+}
+
+TEST(DkStateSwapOracle, CurveballTradeLegsMatchTheRecount) {
+  // A Curveball trade between same-degree u and v moves exclusive
+  // neighbors across in legs (u,x),(v,y) -> (u,y),(v,x): deg a = deg c
+  // swaps, each priced against the state the previous legs left.  Pairs
+  // with u~v are included (forced a~c adjacency on every leg).
+  const Graph g = hub_graph(7);
+  SwapOracle oracle(g);
+  util::Rng rng(29);
+  std::size_t legs = 0, adjacent_pairs = 0;
+  for (std::size_t guard = 0;
+       (legs < 300 || adjacent_pairs < 10) && guard < 100000; ++guard) {
+    const auto& index = oracle.index();
+    // Half the pairs come off an edge, so that u~v pairs occur.
+    NodeId u, v;
+    if (rng.bernoulli(0.5)) {
+      const Edge e = index.edge_at(index.sample_edge(rng));
+      u = e.u;
+      v = e.v;
+    } else {
+      u = static_cast<NodeId>(rng.uniform(index.num_nodes()));
+      const auto& peers = index.nodes_in_class(index.node_class(u));
+      v = peers[rng.uniform(peers.size())];
+    }
+    if (u == v || index.degree(u) != index.degree(v)) continue;
+    std::vector<NodeId> only_u, only_v;
+    for (const NodeId x : index.neighbors(u)) {
+      if (x != v && !index.has_edge(v, x)) only_u.push_back(x);
+    }
+    for (const NodeId y : index.neighbors(v)) {
+      if (y != u && !index.has_edge(u, y)) only_v.push_back(y);
+    }
+    const bool adjacent = index.has_edge(u, v);
+    if (legs >= 300 && !adjacent) continue;
+    const std::size_t moved =
+        std::min({only_u.size(), only_v.size(), std::size_t{8}});
+    if (moved == 0) continue;
+    adjacent_pairs += adjacent;
+    for (std::size_t i = 0; i < moved; ++i) {
+      ASSERT_TRUE(oracle.valid(u, only_u[i], v, only_v[i]));
+      oracle.check(u, only_u[i], v, only_v[i], /*commit=*/true);
+      ++legs;
+    }
+  }
+  EXPECT_GE(legs, 300u);
+  EXPECT_GE(adjacent_pairs, 10u);
+  EXPECT_NO_THROW(oracle.state().verify_consistency());
+}
+
+TEST(DkStateSwapOracle, UnchangedTrianglesGiveExactlyZeroClusteringDelta) {
+  // A swap can destroy triangles and create others on the same nodes,
+  // leaving every node's count where it was.  Its ΔC̄ must then be 0.0
+  // exactly, not a rounding residue of the ± terms: greedy C̄
+  // exploration takes any nonzero value for an improvement.
+  const Graph g = hub_graph(3);
+  DkState state(g, TrackLevel::three_k_scalars);
+  util::Rng rng(41);
+  SwapDelta delta;
+  std::size_t cancelling = 0;
+  for (std::size_t guard = 0; guard < 400000 && cancelling < 100; ++guard) {
+    const auto& index = state.index();
+    Edge e1 = index.edge_at(index.sample_edge(rng));
+    Edge e2 = index.edge_at(index.sample_edge(rng));
+    if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
+    const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
+    if (a == c || a == d || b == c || b == d || index.has_edge(a, d) ||
+        index.has_edge(c, b) ||
+        (index.degree(b) != index.degree(d) &&
+         index.degree(a) != index.degree(c))) {
+      continue;
+    }
+    // Triangles on the removed edges die; keep the swaps that kill some.
+    const auto common = [&](NodeId u, NodeId v) {
+      std::size_t n = 0;
+      for (const NodeId x : index.neighbors(u)) n += index.has_edge(x, v);
+      return n;
+    };
+    if (common(a, b) + common(c, d) == 0) continue;
+    Graph before = state.to_graph();
+    Graph after = before;
+    after.remove_edge(a, b);
+    after.remove_edge(c, d);
+    after.add_edge(a, d);
+    after.add_edge(c, b);
+    bool moved = false;
+    for (NodeId v : {a, b, c, d}) {
+      moved = moved || metrics::triangles_through(before, v) !=
+                           metrics::triangles_through(after, v);
+    }
+    for (NodeId v = 0; v < g.num_nodes() && !moved; ++v) {
+      moved = metrics::triangles_through(before, v) !=
+              metrics::triangles_through(after, v);
+    }
+    state.evaluate_swap(a, b, c, d, delta);
+    if (moved) {
+      if (rng.bernoulli(0.5)) state.commit_swap(delta);
+      continue;
+    }
+    EXPECT_EQ(delta.clustering_delta, 0.0)
+        << "swap (" << a << "," << b << "),(" << c << "," << d << ")";
+    ++cancelling;
+  }
+  EXPECT_GE(cancelling, 100u);
 }
 
 TEST(DkState, ScalarsLevelTracksWithoutHistograms) {

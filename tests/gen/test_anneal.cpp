@@ -277,24 +277,36 @@ TEST_F(LadderRunTest, EpochPassSwapsOnlyConfigurations) {
 
 TEST_F(LadderRunTest, TradeMovesPreserveTheJdd) {
   // Curveball trades re-deal neighborhoods between same-degree-class
-  // nodes: a pure-trade 2K chain leaves the joint degree distribution
+  // nodes: a pure-trade chain leaves the joint degree distribution
   // invariant.  (Mixed chains include plain 1K-preserving swaps, which
   // move the JDD by design at d = 2 — the mixed invariant lives one
   // level up, in Mixed3KTargetingPreserves2K.)
   const auto jdd = dk::JointDegreeDistribution::from_graph(start_);
+  RandomizeOptions shuffle;
+  shuffle.d = 2;
+  shuffle.move = MoveKind::trade;
+  shuffle.attempts = 2400;
+  util::Rng rng(33);
+  RewiringStats stats;
+  const Graph out = randomize(start_, shuffle, rng, &stats);
+  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
+  EXPECT_GT(stats.accepted, 0u);
+  EXPECT_FALSE(out == start_);
+
+  // For the same reason D2 can never fall under trades alone, so a
+  // trade-only 2K targeting ladder is refused before any leg runs.
   TargetingOptions options = options_;
   options.move = MoveKind::trade;
-  util::Rng rng(33);
   LadderOptions ladder;
   ladder.replicas = 2;
   ladder.exchange_every = 400;
   ladder.top_temperature = 20.0;
   RunCheckpoint state = make_2k_ladder_run(start_, options, ladder, 0, rng);
-  const CheckpointedResult result =
-      run_checkpointed_2k(state, target_.joint, options, {});
-  const Graph& out = result.graph;
-  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
-  EXPECT_GT(result.total_stats.attempts, 0u);
+  EXPECT_THROW(run_checkpointed_2k(state, target_.joint, options, {}),
+               std::invalid_argument);
+  for (const ChainCheckpoint& chain : state.chains) {
+    EXPECT_EQ(chain.attempts_done, 0u);
+  }
 }
 
 TEST_F(LadderRunTest, Mixed3KTargetingPreserves2K) {

@@ -163,9 +163,15 @@ TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
   options.targeting.workers = 2;
   rejects(options, ctx);  // workers belong on the context
   options = options_;
+  options.targeting.move = MoveKind::trade;
+  for (const int d : {2, 3}) {
+    options.d = d;
+    rejects(options, ctx);  // the 2K stage cannot lower D2 by trades
+  }
+  options = options_;
   ctx.chains = 1;
   ctx.workers = 2;
-  options.targeting.move = MoveKind::trade;
+  options.targeting.move = MoveKind::mixed;
   rejects(options, ctx);  // speculative 3K path is swap-only
   EXPECT_EQ(attempts.value(), before);
 

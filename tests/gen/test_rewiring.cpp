@@ -11,6 +11,7 @@
 #include "graph/builders.hpp"
 #include "metrics/clustering.hpp"
 #include "metrics/scalar.hpp"
+#include "topo/as_level.hpp"
 
 namespace orbis::gen {
 namespace {
@@ -149,6 +150,29 @@ TEST(Target2K, DistanceNeverIncreasesAtZeroTemperature) {
   double final_distance = -1.0;
   target_2k(start, target, options, rng, nullptr, &final_distance);
   EXPECT_LE(final_distance, initial);
+}
+
+TEST(Target2K, TradeOnlyMovesAreRejected) {
+  // A Curveball trade preserves the JDD, so a trade-only 2K chain could
+  // never lower D2: both entry points refuse it, and mixed still runs.
+  const auto original = test_graph(13, 30, 70);
+  const auto target = dk::JointDegreeDistribution::from_graph(original);
+  util::Rng rng(14);
+  const auto start =
+      matching_1k(dk::DegreeDistribution::from_graph(original), rng);
+  TargetingOptions options;
+  options.attempts = 500;
+  options.move = MoveKind::trade;
+  RewiringStats stats;
+  EXPECT_THROW(target_2k(start, target, options, rng, &stats),
+               std::invalid_argument);
+  RewiringEngine engine(start);
+  EXPECT_THROW(engine.target_2k(target, options, 500, rng, &stats),
+               std::invalid_argument);
+  EXPECT_EQ(stats.attempts, 0u);
+  options.move = MoveKind::mixed;
+  EXPECT_NO_THROW(target_2k(start, target, options, rng, &stats));
+  EXPECT_GT(stats.attempts, 0u);
 }
 
 TEST(Target3K, ConvergesTowardTargetProfile) {
@@ -481,6 +505,122 @@ TEST(ThreeKRewirerHub, SpeculativeJournalHandlesHighDegreeHubs) {
   util::Rng target_rng(9);
   targeter.target(original, options, 40000, target_rng, nullptr);
   ASSERT_NO_THROW(targeter.state().verify_consistency());
+}
+
+/// FNV-1a over the edge list in Graph::edges() order, which is the
+/// engine's slot order: equal hashes mean the same edges in the same
+/// slots, so the chains that follow would draw the same proposals.
+std::uint64_t edge_hash(const Graph& g) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Edge& e : g.edges()) {
+    for (const NodeId v : {e.u, e.v}) {
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (v >> (8 * byte)) & 0xffu;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+struct PinnedChain {
+  std::uint64_t hash;
+  RewiringStats stats;
+  std::int64_t d3;
+};
+
+void expect_pinned(const Graph& out, const RewiringStats& stats,
+                   std::int64_t d3, const PinnedChain& pin) {
+  EXPECT_EQ(edge_hash(out), pin.hash) << std::hex << edge_hash(out);
+  EXPECT_EQ(stats.attempts, pin.stats.attempts);
+  EXPECT_EQ(stats.accepted, pin.stats.accepted);
+  EXPECT_EQ(stats.rejected_structural, pin.stats.rejected_structural);
+  EXPECT_EQ(stats.rejected_constraint, pin.stats.rejected_constraint);
+  EXPECT_EQ(stats.rejected_objective, pin.stats.rejected_objective);
+  EXPECT_EQ(d3, pin.d3);
+}
+
+std::int64_t d3_between(const Graph& g, const dk::ThreeKProfile& target) {
+  const auto profile = dk::ThreeKProfile::from_graph(g);
+  return static_cast<std::int64_t>(
+      dk::SparseHistogram::squared_difference(profile.wedges(),
+                                              target.wedges()) +
+      dk::SparseHistogram::squared_difference(profile.triangles(),
+                                              target.triangles()));
+}
+
+// Golden pins for the 3K chains on a hub-heavy power-law graph (n=2000,
+// max degree above 200).  The values were recorded before 3K pricing switched
+// to the equal-degree-pair pass; that pass prices every proposal exactly
+// as the old four-row scan did, so the chains must not move by a bit.
+class HubChainGolden : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    topo::AsLevelOptions options;
+    options.num_nodes = 2000;
+    options.gamma = 1.93;
+    options.max_degree_cap = 300;
+    util::Rng rng(1);
+    original_ = matching_1k(dk::DegreeDistribution::from_sequence(
+                                topo::power_law_degree_sequence(options)),
+                            rng);
+    target_ = dk::ThreeKProfile::from_graph(original_);
+    start_ = matching_2k(dk::JointDegreeDistribution::from_graph(original_),
+                         rng);
+  }
+
+  Graph original_;
+  dk::ThreeKProfile target_;
+  Graph start_;
+};
+
+TEST_F(HubChainGolden, Target3KIsPinned) {
+  ASSERT_GT(original_.max_degree(), 200u);
+  TargetingOptions options;
+  options.attempts = 20000;
+  util::Rng rng(2);
+  RewiringStats stats;
+  double d3 = 0.0;
+  const Graph out = target_3k(start_, target_, options, rng, &stats, &d3);
+  EXPECT_EQ(static_cast<std::int64_t>(d3), d3_between(out, target_));
+  expect_pinned(out, stats, static_cast<std::int64_t>(d3),
+                {0x603a18236579e129ULL,
+                 {.attempts = 20000, .accepted = 4503,
+                  .rejected_structural = 10438, .rejected_constraint = 0,
+                  .rejected_objective = 5059},
+                 17338});
+}
+
+TEST_F(HubChainGolden, MixedMoveTarget3KIsPinned) {
+  // Curveball trades price their legs with deg a = deg c.
+  TargetingOptions options;
+  options.attempts = 4000;
+  options.move = MoveKind::mixed;
+  util::Rng rng(3);
+  RewiringStats stats;
+  double d3 = 0.0;
+  const Graph out = target_3k(start_, target_, options, rng, &stats, &d3);
+  expect_pinned(out, stats, static_cast<std::int64_t>(d3),
+                {0x249bd7ed8bc589f9ULL,
+                 {.attempts = 4000, .accepted = 1029,
+                  .rejected_structural = 2119, .rejected_constraint = 0,
+                  .rejected_objective = 852},
+                 23000});
+}
+
+TEST_F(HubChainGolden, Randomize3KIsPinned) {
+  RandomizeOptions options;
+  options.d = 3;
+  options.attempts = 20000;
+  util::Rng rng(4);
+  RewiringStats stats;
+  const Graph out = randomize(original_, options, rng, &stats);
+  expect_pinned(out, stats, d3_between(out, target_),
+                {0x6b1dbcce8fb42165ULL,
+                 {.attempts = 20000, .accepted = 2812,
+                  .rejected_structural = 10574, .rejected_constraint = 6614,
+                  .rejected_objective = 0},
+                 0});
 }
 
 }  // namespace

@@ -172,20 +172,30 @@ TEST_F(ToolCliTest, D3KillAtStageBoundariesResumeIsBitIdentical) {
 }
 
 TEST_F(ToolCliTest, ImpossibleOptionsExitBeforeAnyStageRuns) {
+  const auto refused_up_front = [&](const std::string& report_file) {
+    const std::string report = slurp(path(report_file));
+    EXPECT_TRUE(test_json::is_valid_json(report)) << report;
+    EXPECT_TRUE(test_json::has_entry(report, "exit_code", "2"));
+    EXPECT_TRUE(!test_json::has_key(report, "rewire.attempts") ||
+                test_json::has_entry(report, "rewire.attempts", "0"))
+        << report;
+    EXPECT_FALSE(fs::exists(path("x.edges")));
+  };
   // One chain with workers != 1 sends the 3K legs down the speculative
   // path, which cannot trade: rejected up front, not after the 2K stage.
   EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
                 "' --from-3k '" + path("g.3k") +
-                "' --chains 1 --workers 2 --move trade --out '" +
+                "' --chains 1 --workers 2 --move mixed --out '" +
                 path("x.edges") + "' --report '" + path("bad.json") + "'"),
             2);
-  const std::string report = slurp(path("bad.json"));
-  EXPECT_TRUE(test_json::is_valid_json(report)) << report;
-  EXPECT_TRUE(test_json::has_entry(report, "exit_code", "2"));
-  EXPECT_TRUE(!test_json::has_key(report, "rewire.attempts") ||
-              test_json::has_entry(report, "rewire.attempts", "0"))
-      << report;
-  EXPECT_FALSE(fs::exists(path("x.edges")));
+  refused_up_front("bad.json");
+  // Trades alone preserve the JDD, so 2K targeting on them could never
+  // lower D2.
+  EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
+                path("g.2k") + "' --move trade --out '" + path("x.edges") +
+                "' --report '" + path("trade.json") + "'"),
+            2);
+  refused_up_front("trade.json");
   // With one chain and the default swap moves the same command works.
   EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
                 "' --from-3k '" + path("g.3k") +

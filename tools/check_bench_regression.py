@@ -37,7 +37,7 @@ import sys
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
                   r"|DkStateSwap|Parallel3K|Sparse2KTarget"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
-                  r"|ConvergenceAttemptsToEps")
+                  r"|ConvergenceAttemptsToEps|Hub3K")
 
 
 def load_benchmarks(path, name_filter):
