@@ -9,7 +9,6 @@
 
 #include "core/dk_state.hpp"
 #include "core/series.hpp"
-#include "exec/thread_pool.hpp"
 #include "gen/anneal.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
@@ -189,67 +188,6 @@ void BM_Randomize2KAttempts(benchmark::State& state) {
       static_cast<double>(accepted), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Randomize2KAttempts)->Arg(10000)->Unit(benchmark::kMillisecond);
-
-// Parallel-driver benchmarks: swap-attempt throughput of the optimistic
-// intra-chain batching (docs/parallel.md) on the n=10k/m=30k graph, with
-// the thread/worker count as the benchmark argument.  The 4-vs-1 ratio
-// is the headline scaling number (>= 2.5x on 4+ real cores); results are
-// bit-identical across arguments by protocol, so the benchmarks double
-// as a scheduling-determinism smoke test.  Real time, not CPU time:
-// worker threads burn CPU on every core, wall-clock is the point.
-void BM_Parallel3KRandomize(benchmark::State& state) {
-  const auto g = make_graph(10000);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  exec::ThreadPool pool(threads);
-  svc::RunContext ctx;
-  ctx.workers = threads;
-  gen::ThreeKRewirer rewirer(g);
-  util::Rng rng(7);
-  std::uint64_t attempts = 0;
-  for (auto _ : state) {
-    gen::RewiringStats stats;
-    rewirer.randomize_parallel(gen::RandomizeOptions{}, 20000, rng, pool,
-                               &stats, ctx);
-    attempts += stats.attempts;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
-}
-BENCHMARK(BM_Parallel3KRandomize)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Parallel3KTarget(benchmark::State& state) {
-  const auto original = make_graph(10000);
-  const auto dists = dk::extract(original, 3);
-  util::Rng start_rng(13);
-  const auto start = gen::matching_2k(dists.joint, start_rng);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  exec::ThreadPool pool(threads);
-  svc::RunContext ctx;
-  ctx.workers = threads;
-  gen::ThreeKRewirer rewirer(start);
-  gen::TargetingOptions options;
-  // Never satisfied: sustained attempt throughput, not convergence.
-  options.stop_distance = -1.0;
-  util::Rng rng(7);
-  std::uint64_t attempts = 0;
-  for (auto _ : state) {
-    gen::RewiringStats stats;
-    rewirer.target_parallel(dists.three_k, options, 20000, rng, pool,
-                            &stats, ctx);
-    attempts += stats.attempts;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
-}
-BENCHMARK(BM_Parallel3KTarget)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // Serial 3K chains on the paper's graph shape: a power-law degree
 // sequence (n=10k, gamma 1.93, cap 1000) wired by matching_1k, so most

@@ -1,7 +1,8 @@
 // orbis_server — stdio front end for the topology service
 // (docs/service.md).
 //
-//   orbis_server [--workers N] [--cache-dir DIR]
+//   orbis_server [--workers N] [--cache-dir DIR]   (dispatch threads;
+//                                                  other flags exit 2)
 //
 // Speaks line-delimited JSON: one flat-JSON request per stdin line, one
 // JSON event per stdout line (compact, flushed per line so pipes see
@@ -13,7 +14,7 @@
 //   {"op":"extract","path":"g.edges","out":"prefix","d":3,
 //    "trust_simple":false,"tag":"e1"}
 //   {"op":"generate","target":"prefix","out":"out.edges","d":2,
-//    "seed":1,"chains":1,"workers":1,"attempts":0,
+//    "seed":1,"chains":1,"attempts":0,
 //    "attempts_per_edge":0,"temperature":0,"checkpoint_every":0}
 //   {"op":"metrics","path":"g.edges","spectrum":true,"distance":true,
 //    "s2":true}
@@ -149,8 +150,9 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
     job.with_s2 = wire::get_bool(request, "s2", true);
   }
   job.ctx.seed = static_cast<std::uint64_t>(wire::get_int(request, "seed", 1));
-  // Service defaults lean interactive: one chain, serial evaluation —
-  // explicit knobs scale up, never surprise autotune fan-out.
+  // Service defaults lean interactive: one chain — explicit knobs scale
+  // up, never surprise autotune fan-out.  "workers" takes only 1 (the
+  // assignment throws otherwise): every chain is serial.
   job.ctx.chains = wire::get_count(request, "chains", 1);
   job.ctx.workers = wire::get_count(request, "workers", 1);
   job.ctx.memory_budget_mb = wire::get_count(request, "memory_budget_mb", 512);
@@ -220,6 +222,14 @@ int main(int argc, char** argv) {
   try {
     const orbis::util::ArgParser args(argc, argv,
                                       {"--workers", "--cache-dir"});
+    const std::string unknown = args.unknown_flag({});
+    if (!unknown.empty()) {
+      std::fprintf(stderr,
+                   "orbis_server: unknown flag %s\n"
+                   "usage: orbis_server [--workers N] [--cache-dir DIR]\n",
+                   unknown.c_str());
+      return 2;
+    }
     ServerOptions options;
     const long long workers = args.get_int("--workers", 1);
     if (workers < 1) {

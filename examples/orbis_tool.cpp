@@ -13,10 +13,7 @@
 //       method:                    --method {stochastic,pseudograph,
 //                                            matching,targeting}
 //       parallelism:               --chains N (annealing chains; default 0 =
-//                                  one per core), --workers N (speculative
-//                                  evaluation workers for single-chain d=3
-//                                  targeting and --like d=3 randomizing;
-//                                  default 1 = serial, 0 = all cores)
+//                                  one per core; each chain is serial)
 //       proposal moves:            --move {swap,trade,mixed} (double-edge
 //                                  swaps, Curveball neighborhood trades, or
 //                                  a mix; docs/rewiring.md)
@@ -35,6 +32,7 @@
 //   orbis_tool compare  <a.edges> <b.edges>          metric bundle + D_d
 //
 // Common flags: --seed S (default 1), --gcc (reduce output to the GCC).
+// An unknown flag is a usage error (exit 2), never silently ignored.
 //
 // Observability (docs/observability.md): every subcommand accepts
 //   --progress        live status line on stderr (attempts/s, acceptance,
@@ -432,13 +430,12 @@ int cmd_generate(const util::ArgParser& args) {
   }
   record_config("d", std::to_string(d));
 
-  // Every execution knob (seed, chains, workers, memory budget, stop,
-  // progress) is parsed once into the run's context
-  // (svc/run_context.hpp), which the library calls below take whole.
+  // Every execution knob (seed, chains, memory budget, stop, progress)
+  // is parsed once into the run's context (svc/run_context.hpp), which
+  // the library calls below take whole.
   svc::RunContext ctx;
   ctx.seed = static_cast<std::uint64_t>(args.get_int("--seed", 1));
   ctx.chains = parse_count(args, "--chains", 0);
-  ctx.workers = parse_count(args, "--workers", 1);
   const long long budget_mb = args.get_int("--memory-budget-mb", 512);
   if (budget_mb <= 0) {
     throw std::invalid_argument("--memory-budget-mb must be positive");
@@ -465,13 +462,12 @@ int cmd_generate(const util::ArgParser& args) {
           "randomizing runs");
     }
     // dK-randomizing rewiring of an original graph: dk_random_like
-    // seeds from ctx and runs under its workers/stop/progress.
+    // seeds from ctx and runs under its stop/progress.
     const Graph original = load(like, /*gcc=*/false);
     gen::RandomizeOptions options;
     options.move = move;
     record_config("like", like);
     record_config("move", gen::to_string(move));
-    record_config("workers", std::to_string(ctx.workers));
     set_phase("randomize " + std::to_string(d) + "k");
     gen::RewiringStats stats;
     const auto stage_start = std::chrono::steady_clock::now();
@@ -532,7 +528,6 @@ int cmd_generate(const util::ArgParser& args) {
     record_config("objective", objective);
     record_config("memory_budget_mb", std::to_string(ctx.memory_budget_mb));
     record_config("method", args.get_string("--method", "matching"));
-    record_config("workers", std::to_string(ctx.workers));
     if (options.method == gen::Method::targeting && (d == 2 || d == 3)) {
       bool interrupted = false;
       result = generate_targeting(args, target, d, options, ctx, interrupted);
@@ -635,18 +630,16 @@ int dispatch(const std::string& command, const util::ArgParser& args,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Every value-taking flag across the subcommands; the rest (--gcc,
-  // --in-memory, --trust-simple, --progress, --quiet) are boolean and
+  // Every value-taking flag across the subcommands; the boolean ones
   // must NOT swallow a following positional
-  // (`extract --gcc graph.edges out`).
+  // (`extract --gcc graph.edges out`).  Anything else is rejected below.
   const util::ArgParser args(
       argc, argv,
       {"--seed", "--buffer-kb", "--d", "--out", "--like", "--from-1k",
-       "--from-2k", "--from-3k", "--method", "--chains", "--workers",
-       "--objective", "--memory-budget-mb", "--dot", "--nodes",
-       "--checkpoint", "--checkpoint-every", "--resume",
-       "--stop-after-checkpoints", "--report", "--trace", "--move",
-       "--ladder", "--exchange-every"});
+       "--from-2k", "--from-3k", "--method", "--chains", "--objective",
+       "--memory-budget-mb", "--dot", "--nodes", "--checkpoint",
+       "--checkpoint-every", "--resume", "--stop-after-checkpoints",
+       "--report", "--trace", "--move", "--ladder", "--exchange-every"});
   if (args.positional().empty()) return usage();
   const std::string& command = args.positional()[0];
 
@@ -684,7 +677,13 @@ int main(int argc, char** argv) {
 
   const auto start = std::chrono::steady_clock::now();
   int code = 0;
-  try {
+  const std::string unknown = args.unknown_flag(
+      {"--gcc", "--in-memory", "--trust-simple", "--progress", "--quiet"});
+  if (!unknown.empty()) {
+    g_report.error = "unknown flag " + unknown;
+    std::fprintf(stderr, "orbis_tool: %s\n", g_report.error.c_str());
+    code = usage();
+  } else try {
     // Inside the try: a malformed --seed (strict parsing) must report
     // like any other bad flag, not escape main and terminate.
     const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 1));

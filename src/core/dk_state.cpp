@@ -317,13 +317,7 @@ void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
 //     ±(C - A): if x~a, {a,b,x} dies while {a,d,x} appears, and if x~c,
 //     {c,d,x} dies while {c,b,x} appears.
 //
-// Each remaining x costs at most three has_edge probes.  Under the
-// speculative committer (gen/rewiring_parallel.cpp) every read here is
-// covered by its endpoint-overlap rule: a row of b or d changes only if
-// b or d was an endpoint of a swap committed earlier in the round, and
-// has_edge(x,a) (or x,c / x,b / x,d) changes only if x and a were both
-// endpoints of one — so a proposal whose endpoints no commit touched
-// still prices the live state exactly.
+// Each remaining x costs at most three has_edge probes.
 void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
                                       SwapDelta& out) const {
   const std::uint32_t ka = index_->degree(a);

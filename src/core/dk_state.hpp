@@ -156,9 +156,7 @@ class DkState {
   /// Preconditions: 3K tracking is on, the swap preserves the JDD
   /// (deg b = deg d or deg a = deg c; checked), both edges exist, the
   /// four endpoints are distinct, and neither replacement edge is
-  /// present.  Reads only const state, so any number of threads may
-  /// evaluate proposals concurrently as long as nothing mutates the
-  /// state meanwhile (the optimistic batching of docs/parallel.md).
+  /// present.  Mutates nothing, so a rejected proposal needs no undo.
   void evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                      SwapDelta& out) const;
 

@@ -1,6 +1,6 @@
 // Fixed thread pool with task futures — the execution backend of the
-// parallel subsystem (multi-chain annealing and optimistic intra-chain
-// rewiring both schedule onto it).
+// parallel subsystem (independent chains and replica-ladder legs
+// schedule onto it).
 //
 // Design constraints, in priority order:
 //   1. determinism support: the pool NEVER decides anything that affects
@@ -11,11 +11,11 @@
 //   3. reusable: one shared process-wide pool (shared_pool()) avoids
 //      re-spawning threads for every multi-chain leg, and run_tasks()
 //      amortizes one latch across a whole batch instead of a future per
-//      proposal.
+//      task.
 //
 // Tasks must not block on other tasks of the same pool (no work
-// stealing); the intended granularity is "one annealing chain" or "one
-// contiguous range of swap proposals", both of which are independent.
+// stealing); the intended granularity is "one annealing chain leg",
+// and the legs of one batch are independent.
 #pragma once
 
 #include <condition_variable>

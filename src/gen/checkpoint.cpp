@@ -40,8 +40,6 @@ RunCheckpoint make_run(int d, const Graph& start,
                        const TargetingOptions& options,
                        std::uint64_t checkpoint_every, util::Rng& rng,
                        const svc::RunContext& ctx) {
-  expect_context_workers(options.workers, d == 2 ? "make_2k_run"
-                                                 : "make_3k_run");
   RunCheckpoint state;
   state.d = d;
   state.final_d = d;
@@ -250,7 +248,6 @@ CheckpointedResult run_checkpointed_2k(
     const svc::RunContext& ctx) {
   util::expects(state.d == 2, "run_checkpointed_2k: checkpoint is not a "
                               "2K run");
-  expect_context_workers(options.workers, "run_checkpointed_2k");
   TargetingOptions leg_options = options;
   leg_options.objective = state.backend;  // pinned at run start
   leg_options.move = state.move;          // pinned: part of run identity
@@ -281,15 +278,8 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const svc::RunContext& ctx) {
   util::expects(state.d == 3, "run_checkpointed_3k: checkpoint is not a "
                               "3K run");
-  expect_context_workers(options.workers, "run_checkpointed_3k");
   TargetingOptions leg_options = options;
   leg_options.move = state.move;  // pinned: part of run identity
-  // Several chains occupy the pool, so their legs stay serial; a lone
-  // chain runs inline (ThreadPool::run_tasks) and may use the pool.
-  const bool speculative = state.chains.size() == 1 && ctx.workers != 1;
-  util::expects(!speculative || state.move == MoveKind::swap,
-                "run_checkpointed_3k: the speculative parallel path "
-                "(workers != 1) supports only --move swap");
   const bool laddered = state.laddered();
   return run_legs(
       state, checkpointing, ctx, options.stop_distance,
@@ -299,13 +289,8 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
         ThreeKRewirer rewirer(chain.graph);
         TargetingOptions chain_options = leg_options;
         if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance =
-            speculative
-                ? rewirer.target_parallel(target, chain_options, leg, rng,
-                                          exec::shared_pool(), &chain.stats,
-                                          chain_ctx)
-                : rewirer.target(target, chain_options, leg, rng,
-                                 &chain.stats, chain_ctx);
+        chain.distance = rewirer.target(target, chain_options, leg, rng,
+                                        &chain.stats, chain_ctx);
         chain.graph = rewirer.graph();
         chain.rng_state = rng.state_words();
       });

@@ -156,15 +156,14 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
 
 /// Runs `state` to completion (or interruption, or `max_legs`
 /// boundaries), leg by leg, chains in parallel on the shared pool; the
-/// best chain is the lowest distance, ties to the lowest id.  A
-/// single-chain 3K run with ctx.workers != 1 runs its legs on the
-/// speculative path (swap only).  `state` is updated in place and is
-/// always left at a leg boundary.  Fresh runs and resumes call the SAME
-/// function — a resume is indistinguishable from the uninterrupted run
-/// reaching that boundary.  `options` must carry the same chain
-/// parameters (temperature, guided_fraction, stop_distance, ...) the
-/// run was started with; attempts/attempts_per_edge and objective are
-/// taken from `state`, which is authoritative.
+/// best chain is the lowest distance, ties to the lowest id.  `state`
+/// is updated in place and is always left at a leg boundary.  Fresh
+/// runs and resumes call the SAME function — a resume is
+/// indistinguishable from the uninterrupted run reaching that boundary.
+/// `options` must carry the same chain parameters (temperature,
+/// guided_fraction, stop_distance, ...) the run was started with;
+/// attempts/attempts_per_edge and objective are taken from `state`,
+/// which is authoritative.
 CheckpointedResult run_checkpointed_2k(
     RunCheckpoint& state, const dk::JointDegreeDistribution& target,
     const TargetingOptions& options, const CheckpointOptions& checkpointing,

@@ -7,7 +7,6 @@
 #include "gen/matching.hpp"
 #include "gen/pipeline.hpp"
 #include "gen/pseudograph.hpp"
-#include "gen/rewiring_engine.hpp"
 #include "gen/stochastic.hpp"
 #include "graph/builders.hpp"
 #include "util/check.hpp"
@@ -77,7 +76,6 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
                          const GenerateOptions& options, util::Rng& rng,
                          const svc::RunContext& ctx) {
   util::expects(d >= 0 && d <= 3, "generate_dk_random: d must be in [0,3]");
-  expect_context_workers(options.targeting.workers, "generate_dk_random");
   switch (d) {
     case 0:
       return generate_0k(target, options.method, rng);
@@ -110,10 +108,9 @@ Graph dk_random_like(const Graph& original, int d,
 
 Graph dk_random_like(const Graph& original, int d, RandomizeOptions options,
                      const svc::RunContext& ctx, RewiringStats* stats) {
-  expect_context_workers(options.workers, "dk_random_like");
   options.d = d;
   util::Rng rng = ctx.make_rng();
-  return run_randomize(original, options, rng, stats, ctx);
+  return randomize(original, options, rng, stats, ctx);
 }
 
 }  // namespace orbis::gen

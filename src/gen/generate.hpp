@@ -61,8 +61,7 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
 
 /// dK-randomizing rewiring of `original` (gen::randomize) seeded from
 /// ctx.seed: cancellable via ctx.stop (returns the partially rewired
-/// graph on stop), progress-reporting via ctx.progress, speculative at
-/// d = 3 when ctx.workers != 1.
+/// graph on stop), progress-reporting via ctx.progress.
 Graph dk_random_like(const Graph& original, int d,
                      const svc::RunContext& ctx);
 

@@ -351,7 +351,7 @@ std::int64_t ThreeKObjective::delta_if_applied(
   // The journal names every bin this pricing will probe, so issue all
   // the probe-group prefetches before the first probe: by the time the
   // loops below reach entry k, its lines are usually already in flight
-  // (docs/parallel.md, "Prefetch-batched proposal evaluation").
+  // (docs/parallel.md, "Prefetching in the proposal loops").
   for (const auto& [key, net] : journal.wedge) {
     state.three_k().wedges().prefetch(key);
     target_->wedges().prefetch(key);

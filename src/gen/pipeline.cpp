@@ -13,14 +13,13 @@ namespace orbis::gen {
 
 namespace {
 
-/// `move` and `chains` are the run's resolved values: from the options
-/// and context on a fresh run, from the checkpoint on a resume.
+/// `move` is the run's resolved value: from the options on a fresh run,
+/// from the checkpoint on a resume.
 void validate(const PipelineOptions& options, const svc::RunContext& ctx,
-              MoveKind move, std::size_t chains) {
+              MoveKind move) {
   const LadderOptions& ladder = options.ladder;
   util::expects(options.d == 2 || options.d == 3,
                 "Pipeline: d must be 2 or 3");
-  expect_context_workers(options.targeting.workers, "Pipeline");
   // Every run starts with a 2K stage, whatever d.
   expect_2k_targeting_move(move, "Pipeline");
   util::expects(ladder.replicas != 1,
@@ -30,11 +29,6 @@ void validate(const PipelineOptions& options, const svc::RunContext& ctx,
                 "mutually exclusive (the ladder size is the chain count)");
   util::expects(ladder.exchange_every == 0 || ladder.replicas >= 2,
                 "Pipeline: an exchange epoch requires a replica ladder");
-  util::expects(options.d == 2 || chains != 1 || ctx.workers == 1 ||
-                    move == MoveKind::swap,
-                "Pipeline: a single-chain 3K stage with workers != 1 runs "
-                "the speculative parallel path, which supports only swap "
-                "moves");
 }
 
 }  // namespace
@@ -43,9 +37,7 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                    util::Rng rng, const svc::RunContext& ctx)
     : target_(target), options_(std::move(options)), ctx_(ctx) {
   const bool laddered = options_.ladder.replicas >= 2;
-  validate(options_, ctx_, options_.targeting.move,
-           laddered ? options_.ladder.replicas
-                    : default_chain_count(ctx_.chains));
+  validate(options_, ctx_, options_.targeting.move);
   // The explicit 1K still knows about degree-0 nodes, which the JDD
   // projection cannot see.
   const dk::DegreeDistribution& one_k = target.degree.num_nodes() > 0
@@ -81,7 +73,7 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                 "Pipeline: the checkpoint is for a d=" +
                     std::to_string(run_.final_d) + " run, not d=" +
                     std::to_string(options_.d));
-  validate(options_, ctx_, run_.move, run_.chains.size());
+  validate(options_, ctx_, run_.move);
 }
 
 bool Pipeline::step(const CheckpointOptions& checkpointing) {

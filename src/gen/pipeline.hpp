@@ -13,9 +13,9 @@
 //     its chain count, budget, cadence, move kind and ladder.
 //
 // The run's svc::RunContext is fixed at construction: ctx.chains chains
-// per stage (0 = autotune), ctx.workers for a single-chain 3K stage,
-// ctx.memory_budget_mb for the 2K backend, and ctx.stop / ctx.progress
-// for every leg.  Its seed is not read: the caller passes the Rng.
+// per stage (0 = autotune), ctx.memory_budget_mb for the 2K backend,
+// and ctx.stop / ctx.progress for every leg.  Its seed is not read: the
+// caller passes the Rng.
 //
 // The RunCheckpoint covers every stage (`d` is the current stage,
 // `final_d` the run's, `pipeline_rng` the seeding Rng), so a d = 3 run

@@ -50,7 +50,7 @@ Graph randomize_0k(const Graph& g, std::size_t budget, util::Rng& rng,
 void publish_rewiring_metrics(const RewiringStats& delta) {
   if (delta == RewiringStats{}) return;
   // Name resolution happens ONCE per process (function-local statics);
-  // afterwards a publish is six relaxed fetch_adds.
+  // afterwards a publish is five relaxed fetch_adds.
   auto& registry = obs::Registry::global();
   static obs::Counter& attempts = registry.counter("rewire.attempts");
   static obs::Counter& accepted = registry.counter("rewire.accepted");
@@ -60,14 +60,11 @@ void publish_rewiring_metrics(const RewiringStats& delta) {
       registry.counter("rewire.rejected_constraint");
   static obs::Counter& rejected_objective =
       registry.counter("rewire.rejected_objective");
-  static obs::Counter& conflict_reevaluations =
-      registry.counter("rewire.conflict_reevaluations");
   attempts.add(delta.attempts);
   accepted.add(delta.accepted);
   rejected_structural.add(delta.rejected_structural);
   rejected_constraint.add(delta.rejected_constraint);
   rejected_objective.add(delta.rejected_objective);
-  conflict_reevaluations.add(delta.conflict_reevaluations);
 }
 
 const char* to_string(MoveKind move) noexcept {
@@ -89,15 +86,6 @@ MoveKind parse_move_kind(const std::string& name) {
                               "' (expected swap, trade or mixed)");
 }
 
-void expect_context_workers(std::size_t options_workers, const char* caller) {
-  if (options_workers != 1) {
-    throw std::invalid_argument(
-        std::string(caller) +
-        ": options.workers must be 1 here; set the worker count in "
-        "ctx.workers (svc::RunContext)");
-  }
-}
-
 void expect_2k_targeting_move(MoveKind move, const char* caller) {
   if (move == MoveKind::trade) {
     throw std::invalid_argument(
@@ -112,9 +100,9 @@ std::size_t default_chain_count(std::size_t requested) noexcept {
   return std::clamp<std::size_t>(exec::resolve_workers(0), 1, 8);
 }
 
-Graph run_randomize(const Graph& g, const RandomizeOptions& options,
-                    util::Rng& rng, RewiringStats* stats,
-                    const svc::RunContext& ctx) {
+Graph randomize(const Graph& g, const RandomizeOptions& options,
+                util::Rng& rng, RewiringStats* stats,
+                const svc::RunContext& ctx) {
   util::expects(options.d >= 0 && options.d <= 3,
                 "randomize: d must be in [0,3]");
   // Stats land in a local when the caller passed none, so the metrics
@@ -141,24 +129,12 @@ Graph run_randomize(const Graph& g, const RandomizeOptions& options,
       util::expects(options.move == MoveKind::swap,
                     "randomize: d = 3 supports only --move swap");
       ThreeKRewirer rewirer(g);
-      if (ctx.workers != 1) {
-        rewirer.randomize_parallel(options, budget, rng, exec::shared_pool(),
-                                   stats, ctx);
-      } else {
-        rewirer.randomize(budget, rng, stats, ctx);
-      }
+      rewirer.randomize(budget, rng, stats, ctx);
       out = rewirer.graph();
     }
   }
   publish_rewiring_metrics(stats->delta_since(before));
   return out;
-}
-
-Graph randomize(const Graph& g, const RandomizeOptions& options,
-                util::Rng& rng, RewiringStats* stats) {
-  RandomizeOptions chain = options;
-  chain.workers = 1;  // the default context below carries it
-  return run_randomize(g, chain, rng, stats, {.workers = options.workers});
 }
 
 Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
@@ -170,11 +146,9 @@ Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
-  TargetingOptions chain = options;
-  chain.workers = 1;  // the 2K chain never reads it
   RewiringEngine engine(start);
   const std::int64_t distance =
-      engine.target_2k(target, chain, budget, rng, stats);
+      engine.target_2k(target, options, budget, rng, stats);
   publish_rewiring_metrics(stats->delta_since(before));
   if (final_distance != nullptr) {
     *final_distance = static_cast<double>(distance);
@@ -190,20 +164,9 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
-  const svc::RunContext ctx{.workers = options.workers};
-  TargetingOptions chain = options;
-  chain.workers = 1;  // ctx carries it
   ThreeKRewirer rewirer(start);
-  std::int64_t distance = 0;
-  if (ctx.workers != 1) {
-    util::expects(options.move == MoveKind::swap,
-                  "target_3k: the speculative parallel path (workers != 1) "
-                  "supports only --move swap");
-    distance = rewirer.target_parallel(target, chain, budget, rng,
-                                       exec::shared_pool(), stats, ctx);
-  } else {
-    distance = rewirer.target(target, chain, budget, rng, stats, ctx);
-  }
+  const std::int64_t distance =
+      rewirer.target(target, options, budget, rng, stats);
   publish_rewiring_metrics(stats->delta_since(before));
   if (final_distance != nullptr) {
     *final_distance = static_cast<double>(distance);

@@ -28,6 +28,8 @@
 #include "core/three_k_profile.hpp"
 #include "gen/objective_backend.hpp"
 #include "graph/graph.hpp"
+#include "svc/run_context.hpp"
+#include "util/only_one.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::gen {
@@ -38,11 +40,6 @@ struct RewiringStats {
   std::uint64_t rejected_structural = 0;  // loops/duplicates/no-ops
   std::uint64_t rejected_constraint = 0;  // would break P_{d'}
   std::uint64_t rejected_objective = 0;   // distance/objective worsened
-  /// Parallel batching only: proposals whose speculative verdict was
-  /// invalidated by an earlier commit in the same round and had to be
-  /// re-evaluated serially.  Not part of the attempts partition (each
-  /// such proposal still resolves into exactly one bucket above).
-  std::uint64_t conflict_reevaluations = 0;
 
   double acceptance_rate() const {
     return attempts > 0
@@ -59,7 +56,6 @@ struct RewiringStats {
     rejected_structural += other.rejected_structural;
     rejected_constraint += other.rejected_constraint;
     rejected_objective += other.rejected_objective;
-    conflict_reevaluations += other.conflict_reevaluations;
     return *this;
   }
 
@@ -73,8 +69,6 @@ struct RewiringStats {
     d.rejected_structural = rejected_structural - earlier.rejected_structural;
     d.rejected_constraint = rejected_constraint - earlier.rejected_constraint;
     d.rejected_objective = rejected_objective - earlier.rejected_objective;
-    d.conflict_reevaluations =
-        conflict_reevaluations - earlier.conflict_reevaluations;
     return d;
   }
 
@@ -92,10 +86,11 @@ void publish_rewiring_metrics(const RewiringStats& delta);
 
 /// Proposal move for rewiring chains (docs/annealing.md):
 ///   * swap  — classic double-edge swap, the paper's §4.1.4 move;
-///   * trade — Curveball-style global trade: two nodes of the SAME
-///     degree class re-deal their exclusive neighborhoods, moving many
-///     edges at once.  Every traded edge keeps its degree-class pair,
-///     so trades preserve the JDD (2K) by construction; for 3K
+///   * trade — Curveball-style global trade: two nodes re-deal their
+///     exclusive neighborhoods, moving many edges at once.  At d = 1 the
+///     two nodes are any pair (degree-preserving); at d >= 2 they share
+///     a degree class, so every traded edge keeps its degree-class pair
+///     and trades preserve the JDD (2K) by construction; for 3K
 ///     targeting the trade is priced exactly as a sequence of
 ///     2K-preserving sub-swaps and Metropolis-accepted on the total ΔD3.
 ///   * mixed — per attempt, trade with probability `trade_fraction`,
@@ -117,25 +112,23 @@ struct RandomizeOptions {
   int d = 2;                           // series level to preserve, 0..3
   std::size_t attempts_per_edge = 10;  // attempt budget = this * m
   std::size_t attempts = 0;            // explicit budget (overrides if > 0)
-  /// Speculative evaluation workers for the d = 3 path, read only by
-  /// the Rng-taking randomize() (the workers rule, svc/run_context.hpp):
-  /// 1 = serial, 0 = all cores.  Results are a pure function of (seed,
-  /// batch), NOT of the worker count — see docs/parallel.md.
-  std::size_t workers = 1;
-  std::size_t batch = 256;  // proposals per speculation round (workers != 1)
-  /// Proposal move mix (MoveKind above).  Trades engage on the d = 1/2
-  /// serial paths; d = 3 randomizing rejects non-swap moves (trade
-  /// 3K-preservation is not verified there) and d = 0 ignores the field.
+  /// Kept only because the frozen benchmark (pipebench/) assigns it 1;
+  /// deleted with its next revision.  Other values throw (OnlyOne).
+  util::OnlyOne workers{};
+  /// Proposal move mix (MoveKind above).  Trades engage at d = 1/2;
+  /// d = 3 randomizing rejects non-swap moves (trade 3K-preservation is
+  /// not verified there) and d = 0 ignores the field.
   MoveKind move = MoveKind::swap;
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 };
 
 /// dK-randomizing rewiring: returns a random graph with exactly the same
-/// dK-distribution as g (same k̄/1K/2K/3K depending on d).  Runs under a
-/// default context whose workers are options.workers; gen::dk_random_like
-/// is the context-taking form.
+/// dK-distribution as g (same k̄/1K/2K/3K depending on d), polling
+/// ctx.stop and reporting to ctx.progress; gen::dk_random_like is the
+/// form seeded from ctx.seed.
 Graph randomize(const Graph& g, const RandomizeOptions& options,
-                util::Rng& rng, RewiringStats* stats = nullptr);
+                util::Rng& rng, RewiringStats* stats = nullptr,
+                const svc::RunContext& ctx = {});
 
 // ---------------------------------------------------------------------------
 // Targeting rewiring.
@@ -154,12 +147,9 @@ struct TargetingOptions {
   /// large graphs; guided proposals fix the endgame.  Ignored by
   /// target_3k.
   double guided_fraction = 0.5;
-  /// Speculative evaluation workers for target_3k, read only by the
-  /// Rng-taking target_3k (the workers rule, svc/run_context.hpp; the
-  /// 2K chain has nothing worth farming out): 1 = serial, 0 = all
-  /// cores.  Results are a pure function of (seed, batch).
-  std::size_t workers = 1;
-  std::size_t batch = 256;  // proposals per speculation round (workers != 1)
+  /// Kept only because the frozen benchmark (pipebench/) assigns it 1;
+  /// deleted with its next revision.  Other values throw (OnlyOne).
+  util::OnlyOne workers{};
   /// 2K objective storage (objective_backend.hpp, docs/scaling.md):
   /// `automatic` uses the dense C^2 difference matrix while it fits the
   /// context's memory_budget_mb and the sparse occupied-bin table past
@@ -171,16 +161,9 @@ struct TargetingOptions {
   /// D2-neutral (pure mixing, useful against plateau stalls), so 2K
   /// targeting takes `mixed` but rejects `trade` alone; in 3K targeting
   /// a trade is priced exactly and Metropolis-accepted on the total ΔD3.
-  /// The speculative parallel 3K path (workers != 1) is swap-only and
-  /// rejects other moves.
   MoveKind move = MoveKind::swap;
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 };
-
-/// The workers rule: a function that takes a svc::RunContext reads
-/// ctx.workers, so the options it is given must keep workers = 1.
-/// Throws std::invalid_argument naming ctx.workers otherwise.
-void expect_context_workers(std::size_t options_workers, const char* caller);
 
 /// A Curveball trade preserves the JDD by construction, so a 2K
 /// targeting chain of trades alone can never lower D2: every function

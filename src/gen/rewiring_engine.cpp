@@ -68,15 +68,14 @@ bool structurally_valid_in(const EdgeIndex& index, const Swap& s) {
   return !index.has_edge(s.a, s.d) && !index.has_edge(s.c, s.b);
 }
 
-/// A drawn Curveball trade between same-degree-class nodes u and v: the
-/// union of their EXCLUSIVE neighborhoods (neighbors of exactly one of
-/// the two, excluding u and v themselves) is re-dealt uniformly at
-/// random, u keeping a set of its original size.  `to_v` lists the
-/// nodes moving u -> v and `to_u` those moving v -> u; the two lists
-/// always have equal length, so both endpoint degrees are unchanged —
-/// and since class(u) == class(v), every moved edge keeps its
-/// degree-class pair and the JDD is preserved exactly
-/// (docs/annealing.md has the full argument).
+/// A drawn Curveball trade between nodes u and v: the union of their
+/// EXCLUSIVE neighborhoods (neighbors of exactly one of the two,
+/// excluding u and v themselves) is re-dealt uniformly at random, u
+/// keeping a set of its original size.  `to_v` lists the nodes moving
+/// u -> v and `to_u` those moving v -> u; the two lists always have
+/// equal length, so both endpoint degrees are unchanged — and when
+/// class(u) == class(v), every moved edge keeps its degree-class pair
+/// and the JDD is preserved exactly (docs/annealing.md).
 struct TradeScratch {
   NodeId u = 0;
   NodeId v = 0;
@@ -85,19 +84,27 @@ struct TradeScratch {
   std::vector<NodeId> to_v;
 };
 
-/// Draws a trade: random half-edge picks u, a uniform same-class peer
-/// picks v, then the exclusive-neighborhood pool is shuffled into the
-/// new split.  False (a structural rejection) when the class has no
-/// peer, the exclusive sets are empty on either side, or the shuffle
-/// re-deals the original partition.
-bool draw_trade_from(const EdgeIndex& index, util::Rng& rng,
+/// Draws a trade: a random half-edge picks u, and v is a uniform peer of
+/// u's degree class (`same_class`, JDD-preserving) or the endpoint of an
+/// independent random half-edge (d = 1: P(u,v) = k_u·k_v/(2m)² is
+/// symmetric, so the chain is uniform over the whole 1K class).  The
+/// exclusive-neighborhood pool is then shuffled into the new split.
+/// False (a structural rejection) when u == v, the exclusive sets are
+/// empty on either side, or the shuffle re-deals the original partition.
+bool draw_trade_from(const EdgeIndex& index, bool same_class, util::Rng& rng,
                      TradeScratch& trade) {
   if (index.num_edges() < 2) return false;
   const Edge e = index.edge_at(index.sample_edge(rng));
   const NodeId u = rng.bernoulli(0.5) ? e.u : e.v;
-  const auto& peers = index.nodes_in_class(index.node_class(u));
-  if (peers.size() < 2) return false;
-  const NodeId v = peers[rng.uniform(peers.size())];
+  NodeId v = u;
+  if (same_class) {
+    const auto& peers = index.nodes_in_class(index.node_class(u));
+    if (peers.size() < 2) return false;
+    v = peers[rng.uniform(peers.size())];
+  } else {
+    const Edge f = index.edge_at(index.sample_edge(rng));
+    v = rng.bernoulli(0.5) ? f.u : f.v;
+  }
   if (v == u) return false;
 
   trade.u = u;
@@ -160,7 +167,6 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
                                const svc::RunContext& ctx) {
   const int d = options.d;
   util::expects(d == 1 || d == 2, "RewiringEngine::randomize: d must be 1|2");
-  expect_context_workers(options.workers, "RewiringEngine::randomize");
   // Count into a local when the caller passed no stats sink, so progress
   // always has attempt/accept totals to report (observably identical —
   // the chain never reads the counts).
@@ -175,9 +181,10 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
     if (propose_trade(options.move, options.trade_fraction, rng)) {
-      // Trades preserve degrees AND the JDD by construction, so they
-      // are valid at both d = 1 and d = 2 and always accepted.
-      if (draw_trade_from(index_, rng, trade)) {
+      // Trades preserve degrees by construction, and the JDD too when
+      // both nodes share a degree class, which d = 2 requires; d = 1
+      // trades across classes.  Either way they are always accepted.
+      if (draw_trade_from(index_, /*same_class=*/d == 2, rng, trade)) {
         apply_trade_to(index_, trade);
         if (stats != nullptr) ++stats->accepted;
       } else {
@@ -239,7 +246,6 @@ std::int64_t RewiringEngine::target_2k(
     const dk::JointDegreeDistribution& target,
     const TargetingOptions& options, std::size_t budget, util::Rng& rng,
     RewiringStats* stats, const svc::RunContext& ctx) {
-  expect_context_workers(options.workers, "RewiringEngine::target_2k");
   expect_2k_targeting_move(options.move, "RewiringEngine::target_2k");
   // Resolve the ΔD2 backend once, outside the hot loop: the chain body
   // is instantiated per backend, so the dense path pays no dispatch and
@@ -280,7 +286,7 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
       // A trade keeps every edge's degree-class pair, so ΔD2 = 0: it is
       // pure plateau diffusion — the objective tables need no update —
       // and is accepted whenever it is structurally drawable.
-      if (draw_trade_from(index_, rng, trade)) {
+      if (draw_trade_from(index_, /*same_class=*/true, rng, trade)) {
         apply_trade_to(index_, trade);
         if (stats != nullptr) ++stats->accepted;
       } else {
@@ -297,8 +303,8 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
       continue;
     }
 
-    // Prefetch pipeline (docs/parallel.md, "Prefetch-batched proposal
-    // evaluation"): a drawn proposal names every cold line the checks
+    // Prefetch pipeline (docs/parallel.md, "Prefetching in the proposal
+    // loops"): a drawn proposal names every cold line the checks
     // below will touch — the two replacement-edge probe groups and the
     // objective's four class-pair bins — so issue those prefetches
     // first and let the misses overlap the work in between.  Hints
@@ -434,7 +440,6 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
                                    const svc::RunContext& ctx) {
   util::expects(state_.level() == dk::TrackLevel::full_three_k,
                 "ThreeKRewirer::target: needs full_three_k tracking");
-  expect_context_workers(options.workers, "ThreeKRewirer::target");
   ThreeKObjective objective(state_, target);
   dk::SwapDelta swap_delta;
   TradeScratch trade;
@@ -478,7 +483,7 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
     if (propose_trade(options.move, options.trade_fraction, rng)) {
-      if (!draw_trade_from(index_, rng, trade)) {
+      if (!draw_trade_from(index_, /*same_class=*/true, rng, trade)) {
         if (stats != nullptr) ++stats->rejected_structural;
         continue;
       }

@@ -17,8 +17,7 @@
 //
 // The public entry points in rewiring.hpp are thin wrappers over these;
 // multi-chain runs are the leg driver's job (gen/checkpoint.hpp).  Chain
-// methods poll ctx.stop and report to ctx.progress every 1024 attempts
-// (between rounds on the speculative path, which reads ctx.workers).
+// methods poll ctx.stop and report to ctx.progress every 1024 attempts.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +28,6 @@
 #include "graph/edge_index.hpp"
 #include "svc/run_context.hpp"
 #include "util/rng.hpp"
-
-namespace orbis::exec {
-class ThreadPool;
-}
 
 namespace orbis::gen {
 
@@ -108,14 +103,6 @@ inline void report_progress(const svc::RunContext& ctx,
                            .has_objective = has_objective});
 }
 
-/// dK-randomizing rewiring of `g` under `ctx`: gen::randomize runs it
-/// with a default context that takes options.workers, and
-/// gen::dk_random_like with the caller's.  ctx.workers != 1 puts d = 3
-/// on the speculative path (shared pool); options.workers must be 1.
-Graph run_randomize(const Graph& g, const RandomizeOptions& options,
-                    util::Rng& rng, RewiringStats* stats,
-                    const svc::RunContext& ctx);
-
 /// 3K machinery: one EdgeIndex for adjacency + candidate selection,
 /// with a DkState bound to it for the wedge/triangle bookkeeping.
 class ThreeKRewirer {
@@ -146,41 +133,12 @@ class ThreeKRewirer {
   void explore(ExploreObjective objective, std::size_t budget,
                double stop_at, util::Rng& rng, RewiringStats* stats);
 
-  /// Optimistic parallel variants of randomize()/target()
-  /// (docs/parallel.md): proposals are drawn serially in rounds of
-  /// `options.batch`, evaluated speculatively by up to ctx.workers tasks
-  /// on `pool` (0 = the pool size; DkState::evaluate_swap reads only
-  /// const state), and committed serially in draw order with endpoint/bin
-  /// conflict re-evaluation, so acceptance semantics match a serial pass
-  /// over the same proposal stream.  The outcome is a pure function of
-  /// (rng, batch): worker count, pool size and scheduling are all
-  /// unobservable.  Must not be called from inside a task of `pool`
-  /// (e.g. one chain of a multi-chain leg on the shared pool).
-  void randomize_parallel(const RandomizeOptions& options, std::size_t budget,
-                          util::Rng& rng, exec::ThreadPool& pool,
-                          RewiringStats* stats,
-                          const svc::RunContext& ctx = {});
-  std::int64_t target_parallel(const dk::ThreeKProfile& target,
-                               const TargetingOptions& options,
-                               std::size_t budget, util::Rng& rng,
-                               exec::ThreadPool& pool, RewiringStats* stats,
-                               const svc::RunContext& ctx = {});
-
   Graph graph() const { return state_.to_graph(); }
   const EdgeIndex& index() const noexcept { return index_; }
   const dk::DkState& state() const noexcept { return state_; }
 
  private:
   bool draw_candidate(util::Rng& rng, Swap& swap) const;
-  /// Shared engine of the two *_parallel entry points (target == nullptr
-  /// selects randomizing mode, which ignores temperature and
-  /// stop_distance); defined in rewiring_parallel.cpp.
-  std::int64_t run_speculative(const dk::ThreeKProfile* target,
-                               double temperature, double stop_distance,
-                               std::size_t batch, std::size_t budget,
-                               util::Rng& rng, exec::ThreadPool& pool,
-                               RewiringStats* stats,
-                               const svc::RunContext& ctx);
 
   EdgeIndex index_;     // the ONLY adjacency structure for all 3K modes
   dk::DkState state_;   // bound to index_; declared after it

@@ -34,7 +34,6 @@
 #include "graph/graph.hpp"
 #include "util/flat_table.hpp"
 #include "util/keys.hpp"
-#include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
 namespace orbis {
@@ -127,34 +126,11 @@ class EdgeIndex {
     return static_cast<std::uint32_t>(rng.uniform(edges_.size()));
   }
 
-  // Prefetch hints for the batched proposal pipelines (docs/parallel.md,
-  // "Prefetch-batched proposal evaluation").  Advisory only: they pull
-  // lines toward the cache and can never change a result.
-
-  /// Prefetches v's CSR row (first lines of neighbors(v)) and its
-  /// row-size/class metadata — what evaluate_swap (the rows of the
-  /// equal-degree pair) and the structural checks read for a proposal
-  /// endpoint.
-  void prefetch_node(NodeId v) const {
-    util::prefetch_read(&row_size_[v]);
-    const auto* row = adj_.data() + row_offset_[v];
-    util::prefetch_read(row);
-    // A 64-byte line holds 16 NodeIds; hub rows span several lines but
-    // two cover the vast majority of rows without flooding the
-    // prefetch queue.
-    if (degree_[v] > 16) util::prefetch_read(row + 16);
-  }
-
   /// Prefetches the edge-hash probe group of pair (u,v), ahead of a
-  /// has_edge() structural check.
+  /// has_edge() structural check (docs/parallel.md, "Prefetching in the
+  /// proposal loops").  Advisory only: it can never change a result.
   void prefetch_edge_key(NodeId u, NodeId v) const {
     hash_.prefetch(util::pair_key(u, v));
-  }
-
-  /// Prefetches class c's half-edge bucket header (sample_half_edge
-  /// reads its size before indexing it).
-  void prefetch_bucket(std::uint32_t c) const {
-    util::prefetch_read(&buckets_[c]);
   }
 
   /// Uniform random half-edge anchored at a node of degree class c;

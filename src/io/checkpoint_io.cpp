@@ -59,10 +59,13 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
     write_words(out, "rng", chain.rng_state);
     out << "temperature_bits "
         << std::bit_cast<std::uint64_t>(chain.temperature) << '\n';
+    // The sixth stats slot counted speculative re-evaluations, which no
+    // chain makes any more; every serial chain always wrote 0 there, so
+    // writing 0 keeps the v3 format byte-identical.
     const gen::RewiringStats& s = chain.stats;
     out << "stats " << s.attempts << ' ' << s.accepted << ' '
         << s.rejected_structural << ' ' << s.rejected_constraint << ' '
-        << s.rejected_objective << ' ' << s.conflict_reevaluations << '\n';
+        << s.rejected_objective << " 0\n";
     out << "distance " << chain.distance << '\n';
     out << "graph " << chain.graph.num_nodes() << ' '
         << chain.graph.num_edges() << '\n';
@@ -314,7 +317,7 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
     chain.stats.rejected_structural = stats[2];
     chain.stats.rejected_constraint = stats[3];
     chain.stats.rejected_objective = stats[4];
-    chain.stats.conflict_reevaluations = stats[5];
+    // stats[5] is the retired slot (see the writer): read, discarded.
     chain.distance = parser.keyed_i64("distance");
     chain.graph = read_graph(parser);
     parser.expect_literal("end chain");

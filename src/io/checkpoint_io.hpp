@@ -18,7 +18,8 @@
 //   rng <w0> <w1> <w2> <w3>
 //   temperature_bits <bits>             (v2+)
 //   stats <attempts> <accepted> <rej_structural> <rej_constraint>
-//         <rej_objective> <conflict_reevals>          (one line)
+//         <rej_objective> 0                           (one line; the
+//                                                      last slot is retired)
 //   distance 42
 //   graph <nodes> <edges>
 //   <u> <v>                                           (edges lines)

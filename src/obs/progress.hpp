@@ -3,9 +3,9 @@
 //
 // Engines report ProgressSamples through an abstract ProgressSink at
 // the SAME cadence they already poll util::StopToken (every
-// kStopPollMask+1 attempts, or between speculation rounds / legs), so
-// progress costs nothing extra on the attempt hot path and — because a
-// sink only READS the sample — cannot perturb chain identity.  The
+// kStopPollMask+1 attempts, or between legs), so progress costs nothing
+// extra on the attempt hot path and — because a sink only READS the
+// sample — cannot perturb chain identity.  The
 // determinism test (tests/obs/test_determinism.cpp and the CLI
 // byte-identity test) pins this.
 //

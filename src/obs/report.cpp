@@ -42,7 +42,6 @@ void write_stats_json(json::Writer& w, const gen::RewiringStats& stats) {
   w.kv("rejected_structural", stats.rejected_structural);
   w.kv("rejected_constraint", stats.rejected_constraint);
   w.kv("rejected_objective", stats.rejected_objective);
-  w.kv("conflict_reevaluations", stats.conflict_reevaluations);
   w.kv("acceptance_rate", stats.acceptance_rate());
   w.end_object();
 }

@@ -46,7 +46,7 @@ HostContext collect_host_context();
 std::uint64_t peak_rss_bytes();
 
 /// Serializes a RewiringStats as a JSON object (attempts, accepted, the
-/// rejection partition, conflict_reevaluations, acceptance_rate).
+/// rejection partition, acceptance_rate).
 void write_stats_json(json::Writer& w, const gen::RewiringStats& stats);
 
 /// One completed phase of the run: a targeting/randomize stage, with

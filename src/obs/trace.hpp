@@ -6,8 +6,8 @@
 // clock, so instrumented phase boundaries are free until someone asks
 // for a trace (orbis_tool --trace, or Tracer::global().enable() in
 // tests).  Spans are recorded at phase granularity only — extraction
-// passes, seed construction, targeting legs, speculation rounds,
-// checkpoint flushes, fsync/rename — never per swap attempt.
+// passes, seed construction, targeting legs, checkpoint flushes,
+// fsync/rename — never per swap attempt.
 //
 // Determinism: recording reads the clock and appends to a buffer; it
 // never touches an Rng or any engine state, so traced and untraced runs

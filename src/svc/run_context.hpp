@@ -1,17 +1,13 @@
 // The execution context of one run (docs/service.md, "RunContext"), and
-// the only home of its seed, chain count, workers, memory budget, stop
-// token, progress sink and metrics registry.  Options structs say WHAT
-// to compute; the context says HOW this run executes, and every layer
-// that polls a stop token, reports progress or picks a chain count
-// takes it by const reference (docs/service.md lists them).  A default
-// context never stops, reports nothing, autotunes chains and runs
-// serial.  Stop and progress never decide anything, so a run is
-// bit-identical with or without them.
-//
-// The workers rule: a function that takes a context reads ctx.workers,
-// and throws std::invalid_argument if its options carry workers != 1.
-// Only the Rng-taking primitives gen::target_2k, target_3k and
-// randomize read TargetingOptions/RandomizeOptions::workers.
+// the only home of its seed, chain count, memory budget, stop token,
+// progress sink and metrics registry.  Options structs say WHAT to
+// compute; the context says HOW this run executes, and every layer that
+// polls a stop token, reports progress or picks a chain count takes it
+// by const reference (docs/service.md lists them).  A default context
+// never stops, reports nothing and autotunes chains.  Stop and progress
+// never decide anything, so a run is bit-identical with or without
+// them.  Each chain is serial; more cores mean more chains (or a
+// replica ladder).
 #pragma once
 
 #include <cstddef>
@@ -19,6 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
+#include "util/only_one.hpp"
 #include "util/rng.hpp"
 #include "util/stop_token.hpp"
 
@@ -34,9 +31,9 @@ struct RunContext {
   /// chain per available core, gen::default_chain_count).
   std::size_t chains = 0;
 
-  /// Speculative evaluation workers for the 3K paths; 1 = serial,
-  /// 0 = all cores (docs/parallel.md).
-  std::size_t workers = 1;
+  /// Kept only because the frozen benchmark (pipebench/) assigns it 1;
+  /// deleted with its next revision.  Other values throw (OnlyOne).
+  util::OnlyOne workers{};
 
   /// 2K objective-backend budget in MB (docs/scaling.md).
   std::size_t memory_budget_mb = 512;

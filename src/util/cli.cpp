@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -13,16 +14,17 @@ bool is_flag(const std::string& token) {
   return token.size() > 2 && token[0] == '-' && token[1] == '-';
 }
 
+bool contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv,
-                     std::vector<std::string> value_flags) {
+                     std::vector<std::string> value_flags)
+    : value_flags_(std::move(value_flags)) {
   expects(argc >= 1, "ArgParser: argc must be at least 1");
   program_ = argv[0];
-  const auto takes_value = [&value_flags](const std::string& name) {
-    return std::find(value_flags.begin(), value_flags.end(), name) !=
-           value_flags.end();
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
     if (!is_flag(token)) {
@@ -37,7 +39,8 @@ ArgParser::ArgParser(int argc, const char* const* argv,
     // `--name value`: only a DECLARED value flag consumes the next
     // token (and never one that is itself a flag — `--seed --gcc`
     // leaves --seed bare rather than eating --gcc).
-    if (takes_value(token) && i + 1 < argc && !is_flag(argv[i + 1])) {
+    if (contains(value_flags_, token) && i + 1 < argc &&
+        !is_flag(argv[i + 1])) {
       values_[token] = argv[i + 1];
       ++i;
     } else {
@@ -48,6 +51,16 @@ ArgParser::ArgParser(int argc, const char* const* argv,
 
 bool ArgParser::has_flag(const std::string& name) const {
   return values_.count(name) > 0;
+}
+
+std::string ArgParser::unknown_flag(
+    const std::vector<std::string>& boolean_flags) const {
+  for (const auto& [name, value] : values_) {
+    if (!contains(value_flags_, name) && !contains(boolean_flags, name)) {
+      return name;
+    }
+  }
+  return "";
 }
 
 std::int64_t ArgParser::get_int(const std::string& name,

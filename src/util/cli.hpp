@@ -28,6 +28,12 @@ class ArgParser {
 
   bool has_flag(const std::string& name) const;
 
+  /// The first flag (in name order) given on the command line that is
+  /// neither a declared value flag nor in `boolean_flags`; "" if none.
+  /// Front ends reject it rather than silently ignore a misspelled or
+  /// retired option.
+  std::string unknown_flag(const std::vector<std::string>& boolean_flags) const;
+
   /// Numeric accessors parse STRICTLY: the whole value must be
   /// consumed, so trailing garbage (`--seed 10x`) throws instead of
   /// silently truncating to 10.
@@ -45,6 +51,7 @@ class ArgParser {
 
  private:
   std::string program_;
+  std::vector<std::string> value_flags_;
   std::map<std::string, std::string> values_;  // flag -> value ("" if bare)
   std::vector<std::string> positional_;
 };

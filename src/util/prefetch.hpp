@@ -1,12 +1,12 @@
-// Software-prefetch hint, used by the batched rewiring pipelines.
+// Software-prefetch hint, used by the rewiring proposal loops.
 //
-// The 2K/3K proposal loops are probe-bound: CSR row walks, edge-hash
-// lookups and histogram-bin pricing all chase cache-cold lines whose
-// addresses are known one pipeline stage before they are needed (a
-// drawn proposal names its four endpoints; a speculative journal names
-// the bins it will price).  Issuing a prefetch at that point overlaps
-// the miss latency with the work in between — see docs/parallel.md,
-// "Prefetch-batched proposal evaluation".
+// The 2K/3K proposal loops are probe-bound: edge-hash lookups and
+// histogram-bin pricing chase cache-cold lines whose addresses are known
+// one step before they are needed (a drawn proposal names its four
+// endpoints; a swap's delta journal names the bins it will price).
+// Issuing a prefetch at that point overlaps the miss latency with the
+// work in between — see docs/parallel.md, "Prefetching in the proposal
+// loops".
 //
 // The hint is best-effort and side-effect-free: compilers without
 // __builtin_prefetch compile it away, and prefetching can never change

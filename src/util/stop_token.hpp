@@ -7,8 +7,6 @@
 //
 //   * the serial rewiring chains (RewiringEngine::target_2k/randomize,
 //     ThreeKRewirer::target/randomize) poll every few thousand attempts;
-//   * the optimistic parallel committer (rewiring_parallel) polls
-//     between speculation rounds;
 //   * the checkpointed run driver (gen/checkpoint.hpp) polls at leg
 //     boundaries ONLY, so an interrupted checkpointed run stops exactly
 //     at a canonical checkpoint boundary and resume stays bit-identical.

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "core/series.hpp"
 #include "gen/checkpoint.hpp"
@@ -334,6 +338,88 @@ TEST(RandomizeProperty, EveryLevelPreservesItsDkDistribution) {
       EXPECT_GT(stats.accepted, 0u) << "seed " << seed << " d " << d;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reachability against brute force: on a graph small enough to enumerate
+// its whole dK class, a sampler must visit every member of the class.
+// ---------------------------------------------------------------------------
+
+constexpr NodeId kTinyNodes = 7;
+
+/// One bit per node pair u < v of a kTinyNodes-node graph.
+std::uint32_t pair_bit(NodeId u, NodeId v) {
+  if (u > v) std::swap(u, v);
+  const NodeId row_start = u * (2 * kTinyNodes - u - 1) / 2;
+  return 1u << (row_start + v - u - 1);
+}
+
+std::uint32_t edge_mask(const std::vector<Edge>& edges) {
+  std::uint32_t mask = 0;
+  for (const Edge& e : edges) mask |= pair_bit(e.u, e.v);
+  return mask;
+}
+
+Graph graph_of(std::uint32_t mask) {
+  Graph g(kTinyNodes);
+  for (NodeId u = 0; u < kTinyNodes; ++u) {
+    for (NodeId v = u + 1; v < kTinyNodes; ++v) {
+      if ((mask & pair_bit(u, v)) != 0) g.add_edge(u, v);
+    }
+  }
+  return g;
+}
+
+TEST(RandomizeReachability, TradesAtD1VisitTheWhole1KClass) {
+  // Degrees 4,3,3,2,2,2,2: three degree classes, so the start's 2K class
+  // is a strict subset of its 1K class, and a trade restricted to
+  // same-class nodes could never leave the former.
+  Graph start(kTinyNodes);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 5}, {2, 6}, {3, 5},
+           {4, 6}}) {
+    start.add_edge(u, v);
+  }
+  const auto jdd = dk::JointDegreeDistribution::from_graph(start);
+
+  // Every labelled graph with the same degree at every node.
+  std::set<std::uint32_t> one_k_class;
+  std::size_t two_k_size = 0;
+  constexpr std::uint32_t kPairs = kTinyNodes * (kTinyNodes - 1) / 2;
+  for (std::uint32_t mask = 0; mask < (1u << kPairs); ++mask) {
+    if (static_cast<std::size_t>(std::popcount(mask)) != start.num_edges()) {
+      continue;
+    }
+    bool same_degrees = true;
+    for (NodeId v = 0; v < kTinyNodes && same_degrees; ++v) {
+      std::size_t degree = 0;
+      for (NodeId w = 0; w < kTinyNodes; ++w) {
+        degree += w != v && (mask & pair_bit(v, w)) != 0;
+      }
+      same_degrees = degree == start.degree(v);
+    }
+    if (!same_degrees) continue;
+    one_k_class.insert(mask);
+    two_k_size += dk::JointDegreeDistribution::from_graph(graph_of(mask)) ==
+                  jdd;
+  }
+  ASSERT_GT(one_k_class.size(), two_k_size);
+
+  RewiringEngine engine(start);
+  RandomizeOptions options;
+  options.d = 1;
+  options.move = MoveKind::trade;
+  util::Rng rng(17);
+  std::set<std::uint32_t> visited;
+  for (int step = 0; step < 40000; ++step) {
+    engine.randomize(options, 1, rng, nullptr);
+    visited.insert(edge_mask(engine.index().edges()));
+  }
+  for (const std::uint32_t mask : visited) {
+    EXPECT_EQ(one_k_class.count(mask), 1u) << "left the 1K class";
+  }
+  EXPECT_EQ(visited.size(), one_k_class.size())
+      << "the 2K class has " << two_k_size << " graphs";
 }
 
 TEST(RewiringStats, CountersPartitionAttemptsAcrossModes) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/series.hpp"
-#include "exec/thread_pool.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/generate.hpp"
 #include "gen/rewiring.hpp"
@@ -79,31 +78,6 @@ TEST_F(TelemetryDeterminismTest, Target2kIdenticalWithTelemetryOn) {
   expect_identical(off, on);
   // The sink really fired: the budget crosses many poll boundaries.
   EXPECT_GT(trajectory.points(0).size(), 0u);
-}
-
-TEST_F(TelemetryDeterminismTest, Target3kParallelIdenticalWithTelemetryOn) {
-  const auto target = dk::ThreeKProfile::from_graph(target_graph_);
-  gen::TargetingOptions options;
-  options.attempts = 20000;
-  svc::RunContext ctx;
-  ctx.workers = 2;  // speculative parallel path, round-boundary hooks
-  const auto run = [&](const svc::RunContext& run_ctx) {
-    gen::ThreeKRewirer rewirer(start_);
-    util::Rng rng(13);
-    rewirer.target_parallel(target, options, options.attempts, rng,
-                            exec::shared_pool(), nullptr, run_ctx);
-    return rewirer.graph();
-  };
-  const Graph off = run(ctx);
-
-  obs::Tracer::global().enable();
-  obs::TrajectoryRecorder trajectory;
-  svc::RunContext observed = ctx;
-  observed.progress = &trajectory;
-  const Graph on = run(observed);
-  obs::Tracer::global().disable();
-
-  expect_identical(off, on);
 }
 
 TEST_F(TelemetryDeterminismTest, RandomizeIdenticalWithTelemetryOn) {

@@ -22,7 +22,6 @@ gen::RewiringStats sample_stats() {
   stats.rejected_structural = 250;
   stats.rejected_constraint = 150;
   stats.rejected_objective = 200;
-  stats.conflict_reevaluations = 7;
   return stats;
 }
 
@@ -38,15 +37,14 @@ TEST(RunReport, StatsSerializationPinsFieldList) {
   ASSERT_TRUE(test_json::is_valid_json(doc)) << doc;
   const char* expected_keys[] = {
       "attempts",           "accepted",           "rejected_structural",
-      "rejected_constraint", "rejected_objective",
-      "conflict_reevaluations", "acceptance_rate"};
+      "rejected_constraint", "rejected_objective", "acceptance_rate"};
   for (const char* key : expected_keys) {
     EXPECT_TRUE(test_json::has_key(doc, key)) << "missing " << key;
   }
-  // Exactly seven fields — a new one must be added deliberately.
+  // Exactly six fields — a new one must be added deliberately.
   std::size_t colons = 0;
   for (const char c : doc) colons += c == ':';
-  EXPECT_EQ(colons, 7u);
+  EXPECT_EQ(colons, 6u);
   EXPECT_TRUE(test_json::has_entry(doc, "attempts", "1000"));
   EXPECT_TRUE(test_json::has_entry(doc, "accepted", "400"));
 }

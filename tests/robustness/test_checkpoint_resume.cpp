@@ -42,7 +42,6 @@ void expect_same_stats(const RewiringStats& a, const RewiringStats& b) {
   EXPECT_EQ(a.rejected_structural, b.rejected_structural);
   EXPECT_EQ(a.rejected_constraint, b.rejected_constraint);
   EXPECT_EQ(a.rejected_objective, b.rejected_objective);
-  EXPECT_EQ(a.conflict_reevaluations, b.conflict_reevaluations);
 }
 
 class CheckpointResumeTest : public ::testing::Test {

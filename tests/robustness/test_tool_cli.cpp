@@ -181,8 +181,8 @@ TEST_F(ToolCliTest, ImpossibleOptionsExitBeforeAnyStageRuns) {
         << report;
     EXPECT_FALSE(fs::exists(path("x.edges")));
   };
-  // One chain with workers != 1 sends the 3K legs down the speculative
-  // path, which cannot trade: rejected up front, not after the 2K stage.
+  // --workers is gone (each chain is serial): as an unknown flag it is
+  // a usage error, never a silently dropped value.
   EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
                 "' --from-3k '" + path("g.3k") +
                 "' --chains 1 --workers 2 --move mixed --out '" +
@@ -196,11 +196,22 @@ TEST_F(ToolCliTest, ImpossibleOptionsExitBeforeAnyStageRuns) {
                 "' --report '" + path("trade.json") + "'"),
             2);
   refused_up_front("trade.json");
-  // With one chain and the default swap moves the same command works.
+  // The same with the default swap moves.
   EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
                 "' --from-3k '" + path("g.3k") +
-                "' --chains 1 --workers 2 --out '" + path("x.edges") + "'"),
-            0);
+                "' --chains 1 --workers 2 --out '" + path("x.edges") +
+                "' --report '" + path("workers.json") + "'"),
+            2);
+  refused_up_front("workers.json");
+  // A misspelled flag is refused the same way, not ignored.
+  EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
+                "' --from-3k '" + path("g.3k") +
+                "' --chians 2 --out '" + path("x.edges") + "' --report '" +
+                path("typo.json") + "'"),
+            2);
+  refused_up_front("typo.json");
+  EXPECT_NE(slurp(path("typo.json")).find("unknown flag --chians"),
+            std::string::npos);
 }
 
 TEST_F(ToolCliTest, LadderedMixedMoveKillResumeIsBitIdentical) {

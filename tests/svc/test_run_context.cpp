@@ -1,7 +1,7 @@
 // The execution-context contract (src/svc/run_context.hpp): the
 // ctx-seeded forms equal the Rng forms with Rng(ctx.seed), cancellation
-// flows through ctx.stop, progress through ctx.progress, and a
-// context-taking function given options.workers != 1 throws.
+// flows through ctx.stop, progress through ctx.progress, and a worker
+// count other than 1 is refused where it is assigned.
 #include <gtest/gtest.h>
 
 #include <mutex>
@@ -11,7 +11,6 @@
 
 #include "core/series.hpp"
 #include "gen/generate.hpp"
-#include "gen/pipeline.hpp"
 #include "graph/builders.hpp"
 #include "metrics/summary.hpp"
 #include "obs/progress.hpp"
@@ -106,48 +105,26 @@ TEST(RunContext, DkRandomLikeReportsProgressThroughTheContext) {
   EXPECT_FALSE(sink.lanes.empty());
 }
 
-TEST(RunContext, OptionsWorkersAreRejectedUnderAContext) {
-  // The workers rule: a context-taking function reads ctx.workers and
-  // refuses an options struct that asks for other workers, rather than
-  // silently running serial.
-  const Graph original = sample_graph(19);
-  const dk::DkDistributions target = dk::extract(original, 3);
+TEST(RunContext, WorkerFieldsHoldOnlyOne) {
+  // Each chain is serial: the three surviving `workers` fields take 1
+  // and refuse anything else at the assignment, so no entry point can
+  // silently ignore a worker count.
   RunContext ctx;
-  ctx.chains = 1;
-  ctx.workers = 2;
-
-  gen::PipelineOptions pipeline_options;
-  pipeline_options.d = 3;
-  pipeline_options.targeting.workers = 2;
-  EXPECT_THROW(gen::Pipeline(target, pipeline_options, util::Rng(1), ctx),
-               std::invalid_argument);
-
-  gen::GenerateOptions options;
-  options.method = gen::Method::targeting;
-  options.targeting.attempts = 1000;
-  options.targeting.workers = 2;
-  EXPECT_THROW(gen::generate_dk_random(target, 3, options, ctx),
-               std::invalid_argument);
-
+  gen::TargetingOptions targeting;
   gen::RandomizeOptions randomize;
-  randomize.attempts = 1000;
-  randomize.workers = 2;
-  EXPECT_THROW(gen::dk_random_like(original, 3, randomize, ctx),
-               std::invalid_argument);
-
-  // The message names the field to use instead.
+  EXPECT_NO_THROW(ctx.workers = 1);
+  EXPECT_NO_THROW(targeting.workers = 1);
+  EXPECT_NO_THROW(randomize.workers = 1);
+  EXPECT_THROW(ctx.workers = 2, std::invalid_argument);
+  EXPECT_THROW(targeting.workers = 2, std::invalid_argument);
+  EXPECT_THROW(randomize.workers = 0, std::invalid_argument);
+  // The message points at what replaces speculative evaluation.
   try {
-    gen::dk_random_like(original, 3, randomize, ctx);
+    ctx.workers = 4;
+    ADD_FAILURE() << "workers = 4 was accepted";
   } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("ctx.workers"),
-              std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("--chains"), std::string::npos);
   }
-
-  // With the workers on the context the same requests run.
-  options.targeting.workers = 1;
-  EXPECT_NO_THROW(gen::generate_dk_random(target, 3, options, ctx));
-  randomize.workers = 1;
-  EXPECT_NO_THROW(gen::dk_random_like(original, 3, randomize, ctx));
 }
 
 TEST(RunContext, MetricsHonorStopThroughTheContext) {

@@ -189,16 +189,17 @@ TEST_F(ServerCliTest, MalformedLineAnswersErrorAndSessionContinues) {
 
 TEST_F(ServerCliTest, NegativeCountsAreRejectedBeforeAcceptance) {
   // Counts would wrap to huge unsigned values (a 2^64-1 budget, a
-  // vector of 2^64 chains); each must answer with an error line and
+  // vector of 2^64 chains), and "workers" other than 1 asks for the
+  // removed speculative path; each must answer with an error line and
   // never reach the job table.
   const std::string generate = R"({"op":"generate","target":")" +
                                path("dk") + R"(","out":")" +
                                path("out.edges") + R"(","d":2,)";
   const std::vector<std::string> fields = {
       R"("chains":-1})",           R"("workers":-1})",
-      R"("attempts":-5})",         R"("attempts_per_edge":-1})",
-      R"("checkpoint_every":-1})", R"("memory_budget_mb":0})",
-      R"("memory_budget_mb":-3})"};
+      R"("workers":2})",           R"("attempts":-5})",
+      R"("attempts_per_edge":-1})", R"("checkpoint_every":-1})",
+      R"("memory_budget_mb":0})",  R"("memory_budget_mb":-3})"};
   std::vector<std::string> requests;
   for (const std::string& field : fields) requests.push_back(generate + field);
   requests.push_back(R"({"op":"shutdown"})");
@@ -206,13 +207,29 @@ TEST_F(ServerCliTest, NegativeCountsAreRejectedBeforeAcceptance) {
   std::vector<std::string> events;
   EXPECT_EQ(run_session(requests, events), 0);
   std::size_t errors = 0;
+  bool named_workers = false;
   for (const std::string& line : events) {
     EXPECT_TRUE(test_json::is_valid_json(line)) << line;
     errors += test_json::has_entry(line, "event", "\"error\"");
+    named_workers = named_workers ||
+                    line.find("workers must be 1") != std::string::npos;
   }
   EXPECT_EQ(errors, fields.size());
+  EXPECT_TRUE(named_workers);
   EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
   EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
+}
+
+TEST_F(ServerCliTest, UnknownCommandLineFlagExitsUsage) {
+  // A misspelled or retired flag is a usage error, never ignored.
+  const std::string cmd = "'" + server_ + "' --cache-dir '" + path("cache") +
+                          "' --wrokers 2 < /dev/null 2> '" +
+                          path("usage.log") + "'";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(slurp(path("usage.log")).find("unknown flag --wrokers"),
+            std::string::npos);
 }
 
 TEST_F(ServerCliTest, EofWithoutShutdownIsACleanClose) {

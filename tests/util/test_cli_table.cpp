@@ -90,6 +90,13 @@ TEST(ArgParser, UndeclaredFlagWithEqualsStillBindsValue) {
   EXPECT_EQ(parser.get_string("--fast", ""), "yes");
 }
 
+TEST(ArgParser, UnknownFlagIsNeitherDeclaredNorBoolean) {
+  const auto parser = make_parser({"--seeds", "3", "--fast", "--sede=4"});
+  EXPECT_EQ(parser.unknown_flag({"--fast"}), "--sede");
+  EXPECT_EQ(parser.unknown_flag({"--fast", "--sede"}), "");
+  EXPECT_EQ(make_parser({"--temp", "1"}).unknown_flag({}), "");
+}
+
 TEST(ArgParser, ValueFlagAtEndOfLineIsBare) {
   const auto parser = make_parser({"--seeds"});
   EXPECT_TRUE(parser.has_flag("--seeds"));
