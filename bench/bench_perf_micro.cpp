@@ -12,6 +12,7 @@
 #include "gen/anneal.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
 #include "gen/rewiring_engine.hpp"
 #include "graph/algorithms.hpp"
@@ -238,6 +239,54 @@ void BM_Hub3KRandomize(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
 }
 BENCHMARK(BM_Hub3KRandomize)->Unit(benchmark::kMillisecond);
+
+// gen::randomize at d = 3 as callers see it: the engine build is inside
+// the timed call.  Randomizing reads only the swap journal, so the build
+// must stay a JDD pass, never a 3K histogram extraction; on this input
+// that extraction costs more than the 20k attempts.
+void BM_Hub3KRandomizeCall(benchmark::State& state) {
+  const Graph g = make_hub_graph();
+  gen::RandomizeOptions options;
+  options.d = 3;
+  options.attempts = 20000;
+  util::Rng rng(7);
+  std::uint64_t attempts = 0;
+  for (auto _ : state) {
+    gen::RewiringStats stats;
+    benchmark::DoNotOptimize(gen::randomize(g, options, rng, &stats));
+    attempts += stats.attempts;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
+}
+BENCHMARK(BM_Hub3KRandomizeCall)->Unit(benchmark::kMillisecond);
+
+// The 3K stage of a d = 3 gen::Pipeline on the hub graph, one chain,
+// driven one leg per step() as the server does.  Arg(0) is the default
+// cadence (8 legs), Arg(1) a single leg: with the engine carried across
+// legs the two differ only by seven index rebuilds, so Arg(0) must stay
+// close to Arg(1).  The 1K seed and the 2K stage run outside the timed
+// region.  Items are 3K attempts.
+void BM_Pipeline3KLegs(benchmark::State& state) {
+  const auto target = dk::extract(make_hub_graph(), 3);
+  gen::PipelineOptions options;
+  options.d = 3;
+  options.targeting.attempts = 20000;
+  options.checkpoint_every = state.range(0) == 0 ? 0 : 20000;
+  svc::RunContext ctx;
+  ctx.chains = 1;
+  std::uint64_t attempts = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    gen::Pipeline pipeline(target, options, util::Rng(7), ctx);
+    while (pipeline.checkpoint().d == 2) pipeline.step({});
+    state.ResumeTiming();
+    while (!pipeline.step({})) {
+    }
+    attempts += pipeline.stages().back().result.total_stats.attempts;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
+}
+BENCHMARK(BM_Pipeline3KLegs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Raw FlatTable probe throughput — the primitive under the edge hash,
 // histogram bins and sparse JDD bins — through the build's default

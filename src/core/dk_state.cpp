@@ -76,8 +76,6 @@ DkState::DkState(EdgeIndex& index, TrackLevel level)
 void DkState::init(TrackLevel level) {
   level_ = level;
   const NodeId n = index_->num_nodes();
-  mark_.assign(n, 0);
-  mark_stamp_ = 0;
 
   for (const auto& e : index_->edges()) {
     const std::uint32_t du = index_->degree(e.u);
@@ -86,7 +84,9 @@ void DkState::init(TrackLevel level) {
     s_ += static_cast<double>(du) * static_cast<double>(dv);
   }
 
-  if (tracks_three_k()) {
+  if (tracks_scalars()) {
+    mark_.assign(n, 0);
+    mark_stamp_ = 0;
     // The 3K extraction algorithms run on Graph; export the edge set
     // once (construction only — mutations never re-export).
     const Graph graph = index_->to_graph();
@@ -128,12 +128,7 @@ double DkState::mean_clustering() const noexcept {
 
 void DkState::bump_jdd(std::uint32_t k1, std::uint32_t k2,
                        std::int64_t delta) {
-  const std::uint64_t key = util::pair_key(k1, k2);
-  // The pre-bump count is only observable through a listener; skip the
-  // extra histogram probe otherwise.
-  const std::int64_t before = listener_ ? jdd_.histogram().count(key) : 0;
-  jdd_.histogram().add(key, delta);
-  if (listener_) listener_(BinKind::jdd, key, before, before + delta);
+  jdd_.histogram().add(util::pair_key(k1, k2), delta);
 }
 
 void DkState::bump_wedge(std::uint32_t end1, std::uint32_t center,
@@ -141,20 +136,13 @@ void DkState::bump_wedge(std::uint32_t end1, std::uint32_t center,
   s2_ += static_cast<double>(delta) * static_cast<double>(end1) *
          static_cast<double>(end2);
   if (!tracks_histograms()) return;
-  const std::uint64_t key = util::wedge_key(end1, center, end2);
-  const std::int64_t before = listener_ ? three_k_.wedges().count(key) : 0;
-  three_k_.wedges().add(key, delta);
-  if (listener_) listener_(BinKind::wedge, key, before, before + delta);
+  three_k_.wedges().add(util::wedge_key(end1, center, end2), delta);
 }
 
 void DkState::bump_triangle(std::uint32_t a, std::uint32_t b,
                             std::uint32_t c, std::int64_t delta) {
   if (!tracks_histograms()) return;
-  const std::uint64_t key = util::triangle_key(a, b, c);
-  const std::int64_t before =
-      listener_ ? three_k_.triangles().count(key) : 0;
-  three_k_.triangles().add(key, delta);
-  if (listener_) listener_(BinKind::triangle, key, before, before + delta);
+  three_k_.triangles().add(util::triangle_key(a, b, c), delta);
 }
 
 void DkState::bump_node_triangles(NodeId v, std::int64_t delta) {
@@ -170,7 +158,7 @@ void DkState::remove_edge(NodeId u, NodeId v) {
   const std::uint32_t du = index_->degree(u);
   const std::uint32_t dv = index_->degree(v);
 
-  if (tracks_three_k()) {
+  if (tracks_scalars()) {
     // Scan BEFORE structural removal so adjacency still reflects the
     // edge.  One mark pass classifies every incident wedge/triangle in
     // O(deg u + deg v) with no hash lookups: stamp N(v), sweep N(u)
@@ -225,7 +213,7 @@ void DkState::add_edge(NodeId u, NodeId v) {
   const std::uint32_t du = index_->degree(u);
   const std::uint32_t dv = index_->degree(v);
 
-  if (tracks_three_k()) {
+  if (tracks_scalars()) {
     // Scan BEFORE structural insertion: x ranges over old neighbors
     // only.  Mirror image of the removal pass.
     const std::uint64_t in_v = ++mark_stamp_;
@@ -262,8 +250,8 @@ void DkState::add_edge(NodeId u, NodeId v) {
 
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                             SwapDelta& out) const {
-  util::expects(tracks_three_k(),
-                "DkState::evaluate_swap: requires 3K tracking");
+  util::expects(evaluates_swaps(),
+                "DkState::evaluate_swap: requires a 3K tracking level");
   const std::uint32_t ka = index_->degree(a);
   const std::uint32_t kb = index_->degree(b);
   const std::uint32_t kc = index_->degree(c);
@@ -323,7 +311,7 @@ void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
   const std::uint32_t ka = index_->degree(a);
   const std::uint32_t kc = index_->degree(c);
   const std::uint32_t k = index_->degree(b);  // == degree(d)
-  const bool histograms = tracks_histograms();
+  const bool histograms = journals_bins();
   std::int64_t s2 = 0;
   std::int64_t net_a = 0, net_b = 0, net_c = 0, net_d = 0;
 
@@ -423,12 +411,14 @@ void DkState::commit_swap(const SwapDelta& delta) {
       three_k_.triangles().add(key, net);
     }
   }
-  s2_ += delta.s2_delta;
-  clustering_sum_ += delta.clustering_delta;
-  for (const auto& [node, net] : delta.triangle_nodes) {
-    node_triangles_[node] += net;
-    util::ensures(node_triangles_[node] >= 0,
-                  "DkState: node triangle count went negative");
+  if (tracks_scalars()) {
+    s2_ += delta.s2_delta;
+    clustering_sum_ += delta.clustering_delta;
+    for (const auto& [node, net] : delta.triangle_nodes) {
+      node_triangles_[node] += net;
+      util::ensures(node_triangles_[node] >= 0,
+                    "DkState: node triangle count went negative");
+    }
   }
   index_->apply_swap(delta.a, delta.b, delta.c, delta.d);
 }
@@ -444,7 +434,7 @@ void DkState::verify_consistency() const {
   }
   util::ensures(std::fabs(fresh_s - s_) < 1e-6 * (1.0 + std::fabs(s_)),
                 "DkState: likelihood S diverged from recount");
-  if (tracks_three_k()) {
+  if (tracks_scalars()) {
     const auto fresh_3k = ThreeKProfile::from_graph(graph);
     if (tracks_histograms()) {
       util::ensures(fresh_3k == three_k_,

@@ -1,8 +1,8 @@
 // Incremental dK bookkeeping — the engine room of every rewiring process.
 //
 // DkState maintains live histograms of a graph's 2K (JDD) and, at
-// tracking level 3, its 3K (wedge/triangle) distributions, together with
-// the scalar objectives used by dK-space exploration:
+// full_three_k, its 3K (wedge/triangle) distributions, together with the
+// scalar objectives used by dK-space exploration:
 //   S    — likelihood, Σ_edges k_u * k_v              (defined by P2)
 //   S2   — second-order likelihood, Σ_wedges k1 * k3  (defined by P∧)
 //   C̄    — mean local clustering, (1/n) Σ_v 2 t_v / (k_v (k_v - 1))
@@ -24,13 +24,9 @@
 // double-edge swaps, where every intermediate state has the same final
 // degree vector.  This freeze is what makes the bookkeeping exact for
 // rewiring: histogram keys never shift mid-swap.
-//
-// A bin listener receives every histogram mutation so callers (targeting
-// rewiring) can maintain squared distances D2/D3 incrementally.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -77,7 +73,8 @@ struct DeltaJournal {
 /// buffers keep their capacity.
 struct SwapDelta {
   NodeId a = 0, b = 0, c = 0, d = 0;
-  DeltaJournal journal;  // net wedge/triangle bin deltas (full_three_k)
+  // Net wedge/triangle bin deltas (full_three_k and swap_journal).
+  DeltaJournal journal;
   // Net triangle-count change per node (node, net): one entry per node
   // whose count changes, none for the others.
   std::vector<std::pair<NodeId, std::int32_t>> triangle_nodes;
@@ -99,17 +96,18 @@ enum class TrackLevel : int {
   three_k_scalars = 3, // + S2, C̄ and per-node triangles, but NOT the
                        //   wedge/triangle histograms (for exploration,
                        //   which only optimizes the scalars)
-  full_three_k = 4,    // + the full 3K histograms (for 3K rewiring)
+  full_three_k = 4,    // + the full 3K histograms (for 3K targeting)
+  swap_journal = 5,    // 2K + S and evaluate_swap's wedge/triangle
+                       //   journal, but no 3K histograms, triangle
+                       //   counts, S2 or C̄: construction costs one JDD
+                       //   pass, and commit_swap only moves the edges.
+                       //   For 3K-preserving randomization and swap
+                       //   counting, which only ask whether the journal
+                       //   is empty.
 };
-
-enum class BinKind : int { jdd, wedge, triangle };
 
 class DkState {
  public:
-  /// Listener invoked as (kind, key, old_count, new_count).
-  using BinListener = std::function<void(BinKind, std::uint64_t, std::int64_t,
-                                         std::int64_t)>;
-
   /// Standalone state: builds and owns a flat EdgeIndex for `graph`.
   DkState(const Graph& graph, TrackLevel level);
 
@@ -146,14 +144,14 @@ class DkState {
 
   /// Speculatively evaluates the double-edge swap (a,b),(c,d) ->
   /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas
-  /// (at full_three_k), the per-node triangle nets and the S2/C̄ scalar
-  /// deltas, WITHOUT touching the histograms or the index.  Only the
-  /// rows of the equal-degree pair are walked — b and d when
-  /// deg b = deg d, else a and c; the lower-degree pair when both hold —
-  /// with at most three edge-hash probes per neighbor, so a proposal
+  /// (at full_three_k and swap_journal), the per-node triangle nets and
+  /// the S2/C̄ scalar deltas, WITHOUT touching the histograms or the
+  /// index.  Only the rows of the equal-degree pair are walked — b and
+  /// d when deg b = deg d, else a and c; the lower-degree pair when both
+  /// hold — with at most three edge-hash probes per neighbor, so a proposal
   /// costs O(deg b + deg d) (resp. O(deg a + deg c)) whatever the other
   /// pair's degrees, and rejecting it afterwards is free.
-  /// Preconditions: 3K tracking is on, the swap preserves the JDD
+  /// Preconditions: the level is not jdd_only, the swap preserves the JDD
   /// (deg b = deg d or deg a = deg c; checked), both edges exist, the
   /// four endpoints are distinct, and neither replacement edge is
   /// present.  Mutates nothing, so a rejected proposal needs no undo.
@@ -161,26 +159,23 @@ class DkState {
                      SwapDelta& out) const;
 
   /// Commits a swap evaluated by evaluate_swap: folds the recorded
-  /// deltas into the histograms/scalars and applies the swap to the
-  /// index as one O(1) operation.  The swap must preserve the JDD
-  /// (deg b = deg d or deg a = deg c, as every 2K-preserving candidate
-  /// does), since the four cancelling JDD bin moves are skipped; bin
-  /// listeners and the mutation journal do not observe committed swaps.
+  /// deltas into whatever the level tracks (nothing at swap_journal)
+  /// and applies the swap to the index as one O(1) operation.  The swap
+  /// must preserve the JDD (deg b = deg d or deg a = deg c, as every
+  /// 2K-preserving candidate does), since the four cancelling JDD bin
+  /// moves are skipped.
   void commit_swap(const SwapDelta& delta);
 
   const JointDegreeDistribution& jdd() const noexcept { return jdd_; }
   const ThreeKProfile& three_k() const noexcept { return three_k_; }
 
   double likelihood_s() const noexcept { return s_; }
+  // The 3K scalars and triangle counts below are maintained at
+  // three_k_scalars and full_three_k only.
   double second_order_likelihood() const noexcept { return s2_; }
   /// Mean local clustering over all nodes (degree<2 nodes contribute 0).
   double mean_clustering() const noexcept;
   std::int64_t triangles_at(NodeId v) const { return node_triangles_[v]; }
-
-  void set_bin_listener(BinListener listener) {
-    listener_ = std::move(listener);
-  }
-  void clear_bin_listener() { listener_ = nullptr; }
 
   /// Recomputes everything from scratch and verifies it matches the
   /// incrementally maintained state (test/debug aid). Throws on mismatch.
@@ -199,8 +194,19 @@ class DkState {
                      std::int64_t delta);
   void bump_node_triangles(NodeId v, std::int64_t delta);
 
-  bool tracks_three_k() const noexcept {
+  /// evaluate_swap is available.
+  bool evaluates_swaps() const noexcept {
     return level_ != TrackLevel::jdd_only;
+  }
+  /// evaluate_swap fills the wedge/triangle journal.
+  bool journals_bins() const noexcept {
+    return level_ == TrackLevel::full_three_k ||
+           level_ == TrackLevel::swap_journal;
+  }
+  /// Per-node triangle counts, S2 and C̄ are live.
+  bool tracks_scalars() const noexcept {
+    return level_ == TrackLevel::three_k_scalars ||
+           level_ == TrackLevel::full_three_k;
   }
   bool tracks_histograms() const noexcept {
     return level_ == TrackLevel::full_three_k;
@@ -211,11 +217,10 @@ class DkState {
   TrackLevel level_;
   JointDegreeDistribution jdd_;
   ThreeKProfile three_k_;
-  std::vector<std::int64_t> node_triangles_;  // t_v per node (level 3)
+  std::vector<std::int64_t> node_triangles_;  // t_v (tracks_scalars)
   double s_ = 0.0;
   double s2_ = 0.0;
   double clustering_sum_ = 0.0;               // Σ_v 2 t_v / (k_v(k_v-1))
-  BinListener listener_;
 
   // Timestamped mark array for the common-neighbor delta passes of the
   // mutating paths (add_edge/remove_edge/init): a node is "marked" iff

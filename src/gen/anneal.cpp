@@ -68,7 +68,8 @@ double adapt_temperature(double temperature, std::uint64_t attempts,
 
 void run_ladder_epoch_pass(
     RunCheckpoint& state, std::uint64_t epoch_index,
-    const std::vector<RewiringStats>& epoch_start_stats) {
+    const std::vector<RewiringStats>& epoch_start_stats,
+    const std::function<void(std::size_t)>& on_exchange) {
   const std::size_t replicas = state.chains.size();
   if (replicas >= 2) {
     util::Rng rng = util::Rng::from_state_words(state.exchange_rng);
@@ -86,6 +87,7 @@ void run_ladder_epoch_pass(
         // stats stay with their slots.
         std::swap(cold.graph, hot.graph);
         std::swap(cold.distance, hot.distance);
+        if (on_exchange) on_exchange(i);
         ++state.exchange_accepted;
       }
     }

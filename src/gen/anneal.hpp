@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "gen/checkpoint.hpp"
@@ -92,8 +93,13 @@ double adapt_temperature(double temperature, std::uint64_t attempts,
 /// delta since `epoch_start_stats` (per-chain snapshots taken when the
 /// epoch began).  Mutates chains' graph/distance/temperature, the
 /// exchange Rng state and the cumulative exchange counters in place.
-void run_ladder_epoch_pass(RunCheckpoint& state, std::uint64_t epoch_index,
-                           const std::vector<RewiringStats>& epoch_start_stats);
+/// `on_exchange(i)`, if set, is called when replicas i and i+1 trade
+/// configurations, so the caller can move per-configuration state (the
+/// carried 3K engines of gen/checkpoint.hpp) with them.
+void run_ladder_epoch_pass(
+    RunCheckpoint& state, std::uint64_t epoch_index,
+    const std::vector<RewiringStats>& epoch_start_stats,
+    const std::function<void(std::size_t)>& on_exchange = nullptr);
 
 /// Builds the leg-0 RunCheckpoint for a laddered 2K targeting run: a
 /// make_2k_run checkpoint plus the ladder fields — per-replica initial

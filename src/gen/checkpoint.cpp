@@ -1,6 +1,7 @@
 #include "gen/checkpoint.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "exec/thread_pool.hpp"
@@ -74,9 +75,11 @@ RewiringStats sum_chain_stats(const RunCheckpoint& state) {
 }
 
 /// The leg loop shared by the 2K and 3K drivers.
-/// `run_leg(chain, leg, chain_ctx)` advances one chain by `leg` attempts
-/// from its canonical state and re-canonicalizes it; `chain_ctx` is ctx
-/// with its progress sink tagging the chain's lane.
+/// `run_leg(chain, i, leg, chain_ctx)` advances chain i by `leg`
+/// attempts from its canonical state and re-canonicalizes it;
+/// `chain_ctx` is ctx with its progress sink tagging the chain's lane.
+/// `engines` (3K only, else null) are the carried engines: dropped when
+/// a stop discards a leg, moved with the graphs by ladder exchanges.
 ///
 /// Laddered runs (state.exchange_every > 0) cut the legs on the UNION
 /// of the checkpoint grid and the exchange-epoch grid; since the
@@ -88,7 +91,7 @@ template <typename RunLeg>
 CheckpointedResult run_legs(RunCheckpoint& state,
                             const CheckpointOptions& checkpointing,
                             const svc::RunContext& ctx, double stop_distance,
-                            RunLeg run_leg) {
+                            ThreeKEngines* engines, RunLeg run_leg) {
   util::expects(!state.chains.empty(),
                 "run_checkpointed: checkpoint has no chains");
   for (const auto& chain : state.chains) {
@@ -166,7 +169,7 @@ CheckpointedResult run_legs(RunCheckpoint& state,
           obs::ProgressLane lane(ctx.progress, static_cast<std::uint32_t>(i));
           svc::RunContext chain_ctx = ctx;
           if (ctx.progress != nullptr) chain_ctx.progress = &lane;
-          run_leg(chain, leg, chain_ctx);
+          run_leg(chain, i, leg, chain_ctx);
         }
         chain.attempts_done += leg;
       });
@@ -182,6 +185,8 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       // interrupted.  The caller's last on_checkpoint write is still the
       // truth on disk.
       if (!boundary.empty()) state.chains = std::move(boundary);
+      // The engines hold the discarded legs' graphs.
+      if (engines != nullptr) engines->clear();
       result.interrupted = true;
       break;
     }
@@ -190,7 +195,12 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       // Serial by design: exchange decisions come from the dedicated
       // exchange Rng stream, so the pass is a pure function of the
       // RunCheckpoint regardless of pool size or scheduling.
-      run_ladder_epoch_pass(state, now_done / epoch - 1, epoch_start);
+      run_ladder_epoch_pass(
+          state, now_done / epoch - 1, epoch_start, [engines](std::size_t i) {
+            if (engines != nullptr) {
+              std::swap(engines->engines[i], engines->engines[i + 1]);
+            }
+          });
     }
     if (now_done % every == 0 || now_done >= state.budget) {
       const RewiringStats now = sum_chain_stats(state);
@@ -230,6 +240,16 @@ CheckpointedResult run_legs(RunCheckpoint& state,
 
 }  // namespace
 
+ThreeKEngines::ThreeKEngines() = default;
+ThreeKEngines::~ThreeKEngines() = default;
+ThreeKEngines::ThreeKEngines(ThreeKEngines&&) noexcept = default;
+ThreeKEngines& ThreeKEngines::operator=(ThreeKEngines&&) noexcept = default;
+
+void ThreeKEngines::clear() noexcept {
+  target = nullptr;
+  engines.clear();
+}
+
 RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
                           std::uint64_t checkpoint_every, util::Rng& rng,
                           const svc::RunContext& ctx) {
@@ -253,9 +273,9 @@ CheckpointedResult run_checkpointed_2k(
   leg_options.move = state.move;          // pinned: part of run identity
   const bool laddered = state.laddered();
   return run_legs(
-      state, checkpointing, ctx, options.stop_distance,
-      [&, laddered](ChainCheckpoint& chain, std::uint64_t leg,
-                    const svc::RunContext& chain_ctx) {
+      state, checkpointing, ctx, options.stop_distance, nullptr,
+      [&, laddered](ChainCheckpoint& chain, std::size_t /*i*/,
+                    std::uint64_t leg, const svc::RunContext& chain_ctx) {
         util::Rng rng = util::Rng::from_state_words(chain.rng_state);
         // Rebuild from the canonical edge list — the same rebuild a
         // resume performs, which is the whole determinism argument.
@@ -275,25 +295,45 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const dk::ThreeKProfile& target,
                                        const TargetingOptions& options,
                                        const CheckpointOptions& checkpointing,
-                                       const svc::RunContext& ctx) {
+                                       const svc::RunContext& ctx,
+                                       ThreeKEngines* engines) {
   util::expects(state.d == 3, "run_checkpointed_3k: checkpoint is not a "
                               "3K run");
   TargetingOptions leg_options = options;
   leg_options.move = state.move;  // pinned: part of run identity
   const bool laddered = state.laddered();
-  return run_legs(
-      state, checkpointing, ctx, options.stop_distance,
-      [&, laddered](ChainCheckpoint& chain, std::uint64_t leg,
+  ThreeKEngines call_engines;
+  ThreeKEngines& carried = engines != nullptr ? *engines : call_engines;
+  // Carried distances were measured against the carried target.
+  if (carried.target != &target) carried.clear();
+  carried.target = &target;
+  carried.engines.resize(state.chains.size());
+  // ChainCheckpoint::distance's "not run yet" sentinel.
+  constexpr std::int64_t kNotRun = std::numeric_limits<std::int64_t>::max();
+  CheckpointedResult result = run_legs(
+      state, checkpointing, ctx, options.stop_distance, &carried,
+      [&, laddered](ChainCheckpoint& chain, std::size_t i, std::uint64_t leg,
                     const svc::RunContext& chain_ctx) {
         util::Rng rng = util::Rng::from_state_words(chain.rng_state);
-        ThreeKRewirer rewirer(chain.graph);
+        // Only the index is re-derived from the canonical edge list, as
+        // a resume would; the 3K state carries (see the header).
+        std::unique_ptr<ThreeKRewirer>& rewirer = carried.engines[i];
+        std::optional<std::int64_t> distance;
+        if (rewirer != nullptr && rewirer->reindex(chain.graph)) {
+          if (chain.distance != kNotRun) distance = chain.distance;
+        } else {
+          rewirer.reset();  // free the stale engine before the build
+          rewirer = std::make_unique<ThreeKRewirer>(chain.graph);
+        }
         TargetingOptions chain_options = leg_options;
         if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance = rewirer.target(target, chain_options, leg, rng,
-                                        &chain.stats, chain_ctx);
-        chain.graph = rewirer.graph();
+        chain.distance = rewirer->target(target, chain_options, leg, rng,
+                                         &chain.stats, chain_ctx, distance);
+        chain.graph = rewirer->graph();
         chain.rng_state = rng.state_words();
       });
+  if (state.finished()) carried.clear();
+  return result;
 }
 
 }  // namespace orbis::gen

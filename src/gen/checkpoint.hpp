@@ -4,8 +4,9 @@
 // attempts.  At every leg boundary each chain's state is reduced to its
 // canonical form — the edge list (slot order), the Rng's four state
 // words, the cumulative RewiringStats and the attempt count — and the
-// engine is rebuilt from scratch for the next leg.  That
-// canonicalize-at-every-boundary discipline is what makes resume exact:
+// next leg re-derives its EdgeIndex (slot, bucket and hash layout) from
+// that edge list.  That canonicalize-at-every-boundary discipline is
+// what makes resume exact:
 //
 //   kill at ANY boundary + resume  ==  the uninterrupted checkpointed
 //   run, bit-identical final graph, distance and stats,
@@ -14,6 +15,18 @@
 // anyway (rebuild from the canonical form).  Nothing history-dependent
 // (EdgeIndex bucket order, hash layout, objective deviating-list order)
 // is ever serialized, so there is nothing to drift.
+//
+// What a leg rebuilds and what it carries: a 2K leg rebuilds its whole
+// engine (index + ΔD2 objective, both O(m)).  A 3K leg rebuilds only
+// the index: the chain's ThreeKRewirer lives on between legs
+// (ThreeKEngines) with its wedge/triangle histograms, per-node triangle
+// counts and D3, because those are functions of the edge SET, which the
+// canonical form preserves — only the slot order is canonicalized, and
+// that lives in the index.  So a carried engine walks exactly the chain
+// a rebuilt one would, and a resume, which must build the histograms
+// once, cannot diverge from the run it continues.  A leg that is
+// discarded by a stop, and a ladder exchange that trades configurations
+// between replicas, drop or move the carried engines with the graphs.
 //
 // The flip side: `checkpoint_every` is part of the run's identity, like
 // the seed.  A run checkpointed every 10k attempts and one checkpointed
@@ -38,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/joint_degree_distribution.hpp"
@@ -52,6 +66,8 @@ class ThreadPool;
 }
 
 namespace orbis::gen {
+
+class ThreeKRewirer;
 
 /// Canonical state of one chain at a leg boundary.
 struct ChainCheckpoint {
@@ -129,6 +145,25 @@ struct CheckpointOptions {
   std::size_t max_legs = 0;
 };
 
+/// The live 3K engines of one run's chains, carried from one leg to the
+/// next: chain i's engine, or null when the next leg must build it.
+/// An engine is reused only while it holds exactly its chain's edge set
+/// (ThreeKRewirer::reindex checks), so a stale entry costs a rebuild,
+/// never a wrong chain.  Move-only.
+struct ThreeKEngines {
+  ThreeKEngines();
+  ~ThreeKEngines();
+  ThreeKEngines(ThreeKEngines&&) noexcept;
+  ThreeKEngines& operator=(ThreeKEngines&&) noexcept;
+
+  /// Frees every engine (the next leg of each chain rebuilds).
+  void clear() noexcept;
+
+  /// The target the engines' chain distances were measured against.
+  const dk::ThreeKProfile* target = nullptr;
+  std::vector<std::unique_ptr<ThreeKRewirer>> engines;
+};
+
 struct CheckpointedResult {
   Graph graph;  // best chain's graph at the point the run ended
   std::size_t best_chain = 0;
@@ -169,10 +204,16 @@ CheckpointedResult run_checkpointed_2k(
     const TargetingOptions& options, const CheckpointOptions& checkpointing,
     const svc::RunContext& ctx = {});
 
+/// Same for 3K.  Each chain's engine is carried from leg to leg
+/// (ThreeKEngines): for the length of this call when `engines` is null,
+/// across calls when the caller keeps them (gen::Pipeline does, so its
+/// one-leg step() pays for no rebuild).  Chains are bit-identical
+/// either way.
 CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const dk::ThreeKProfile& target,
                                        const TargetingOptions& options,
                                        const CheckpointOptions& checkpointing,
-                                       const svc::RunContext& ctx = {});
+                                       const svc::RunContext& ctx = {},
+                                       ThreeKEngines* engines = nullptr);
 
 }  // namespace orbis::gen

@@ -1,7 +1,6 @@
 #include "gen/count_rewirings.hpp"
 
 #include <memory>
-#include <unordered_map>
 
 #include "core/dk_state.hpp"
 #include "util/check.hpp"
@@ -16,9 +15,9 @@ struct CandidateVerdict {
 };
 
 /// Checks one (edge pair, orientation) candidate swap
-/// (a,b),(c,d) -> (a,d),(c,b) at series level d.  For d == 3 a DkState
-/// with a delta journal is used to test 3K preservation exactly; the
-/// state is always reverted.
+/// (a,b),(c,d) -> (a,d),(c,b) at series level d.  For d == 3 the swap's
+/// wedge/triangle journal (DkState::evaluate_swap, which mutates
+/// nothing) tests 3K preservation exactly.
 class CandidateChecker {
  public:
   CandidateChecker(const Graph& g, int d) : graph_(g), d_(d) {
@@ -27,16 +26,7 @@ class CandidateChecker {
       degrees_[v] = static_cast<std::uint32_t>(g.degree(v));
     }
     if (d_ == 3) {
-      state_ = std::make_unique<dk::DkState>(g, dk::TrackLevel::full_three_k);
-      state_->set_bin_listener([this](dk::BinKind kind, std::uint64_t key,
-                                      std::int64_t before,
-                                      std::int64_t after) {
-        if (!recording_ || kind == dk::BinKind::jdd) return;
-        auto [it, inserted] = journal_.try_emplace(
-            key ^ (kind == dk::BinKind::wedge ? 0ull : (1ull << 63)), 0);
-        it->second += after - before;
-        if (it->second == 0) journal_.erase(it);
-      });
+      state_ = std::make_unique<dk::DkState>(g, dk::TrackLevel::swap_journal);
     }
   }
 
@@ -48,7 +38,11 @@ class CandidateChecker {
         !(degrees_[b] == degrees_[d] || degrees_[a] == degrees_[c])) {
       return verdict;
     }
-    if (d_ == 3 && !three_k_preserving(a, b, c, d)) return verdict;
+    if (d_ == 3) {
+      // The checks above are evaluate_swap's preconditions.
+      state_->evaluate_swap(a, b, c, d, delta_);
+      if (!delta_.journal.all_zero()) return verdict;
+    }
     verdict.valid = true;
     verdict.obviously_isomorphic =
         (degrees_[b] == 1 && degrees_[d] == 1) ||
@@ -57,28 +51,11 @@ class CandidateChecker {
   }
 
  private:
-  bool three_k_preserving(NodeId a, NodeId b, NodeId c, NodeId d) {
-    journal_.clear();
-    recording_ = true;
-    state_->remove_edge(a, b);
-    state_->remove_edge(c, d);
-    state_->add_edge(a, d);
-    state_->add_edge(c, b);
-    recording_ = false;
-    const bool preserved = journal_.empty();
-    state_->remove_edge(a, d);
-    state_->remove_edge(c, b);
-    state_->add_edge(a, b);
-    state_->add_edge(c, d);
-    return preserved;
-  }
-
   const Graph& graph_;
   int d_;
   std::vector<std::uint32_t> degrees_;
   std::unique_ptr<dk::DkState> state_;
-  std::unordered_map<std::uint64_t, std::int64_t> journal_;
-  bool recording_ = false;
+  dk::SwapDelta delta_;
 };
 
 InitialRewiringCounts count_0k(const Graph& g) {

@@ -191,7 +191,11 @@ class SparseJddObjective {
 
 class ThreeKObjective {
  public:
+  /// D3 from a scan over every bin of both profiles.
   ThreeKObjective(const dk::DkState& state, const dk::ThreeKProfile& target);
+  /// D3 known to be `distance` (a carried chain's last result).
+  ThreeKObjective(const dk::ThreeKProfile& target, std::int64_t distance)
+      : target_(&target), distance_(distance) {}
 
   std::int64_t distance() const noexcept { return distance_; }
 

@@ -101,7 +101,8 @@ void Pipeline::advance(const CheckpointOptions& checkpointing) {
                 ? run_checkpointed_2k(run_, target_.joint, options_.targeting,
                                       checkpointing, ctx_)
                 : run_checkpointed_3k(run_, target_.three_k,
-                                      options_.targeting, checkpointing, ctx_);
+                                      options_.targeting, checkpointing, ctx_,
+                                      &engines_);
   }
   last_.graph = Graph();  // a copy of one the checkpoint already holds
   stage_seconds_ += std::chrono::duration<double>(

@@ -102,6 +102,9 @@ class Pipeline {
   PipelineOptions options_;
   svc::RunContext ctx_;
   RunCheckpoint run_;
+  /// The 3K stage's engines, carried across advance() calls so a one-leg
+  /// step() rebuilds only the index (gen/checkpoint.hpp).
+  ThreeKEngines engines_;
   CheckpointedResult last_;
   double stage_seconds_ = 0.0;
   std::vector<PipelineStage> stages_;

@@ -128,7 +128,8 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
     default: {
       util::expects(options.move == MoveKind::swap,
                     "randomize: d = 3 supports only --move swap");
-      ThreeKRewirer rewirer(g);
+      // Randomizing reads only the swap journal: no histogram build.
+      ThreeKRewirer rewirer(g, dk::TrackLevel::swap_journal);
       rewirer.randomize(budget, rng, stats, ctx);
       out = rewirer.graph();
     }

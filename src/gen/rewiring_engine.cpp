@@ -395,6 +395,20 @@ void RewiringEngine::explore_s(bool maximize, std::size_t budget,
 ThreeKRewirer::ThreeKRewirer(const Graph& start, dk::TrackLevel level)
     : index_(start), state_(index_, level) {}
 
+bool ThreeKRewirer::reindex(const Graph& g) {
+  if (g.num_nodes() != index_.num_nodes() ||
+      g.num_edges() != index_.num_edges()) {
+    return false;
+  }
+  for (const Edge& e : g.edges()) {
+    if (!index_.has_edge(e.u, e.v)) return false;
+  }
+  // Same edge set, hence the same frozen degrees: state_ stays bound to
+  // index_ and valid.
+  index_ = EdgeIndex(g);
+  return true;
+}
+
 bool ThreeKRewirer::draw_candidate(util::Rng& rng, Swap& swap) const {
   return draw_jdd_preserving_from(index_, rng, swap) &&
          structurally_valid_in(index_, swap);
@@ -403,8 +417,9 @@ bool ThreeKRewirer::draw_candidate(util::Rng& rng, Swap& swap) const {
 void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
                               RewiringStats* stats,
                               const svc::RunContext& ctx) {
-  util::expects(state_.level() == dk::TrackLevel::full_three_k,
-                "ThreeKRewirer::randomize: needs full_three_k tracking");
+  util::expects(state_.level() == dk::TrackLevel::swap_journal ||
+                    state_.level() == dk::TrackLevel::full_three_k,
+                "ThreeKRewirer::randomize: needs the wedge/triangle journal");
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   dk::SwapDelta delta;
@@ -437,10 +452,13 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
                                    const TargetingOptions& options,
                                    std::size_t budget, util::Rng& rng,
                                    RewiringStats* stats,
-                                   const svc::RunContext& ctx) {
+                                   const svc::RunContext& ctx,
+                                   std::optional<std::int64_t> distance) {
   util::expects(state_.level() == dk::TrackLevel::full_three_k,
                 "ThreeKRewirer::target: needs full_three_k tracking");
-  ThreeKObjective objective(state_, target);
+  ThreeKObjective objective = distance.has_value()
+                                  ? ThreeKObjective(target, *distance)
+                                  : ThreeKObjective(state_, target);
   dk::SwapDelta swap_delta;
   TradeScratch trade;
 

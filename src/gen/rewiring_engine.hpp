@@ -14,6 +14,9 @@
 //                           while the engine samples 2K-preserving swap
 //                           candidates from the same index's degree
 //                           buckets instead of rejection sampling.
+//                           Checkpointed runs carry one per chain
+//                           from leg to leg and re-derive only its
+//                           index (reindex).
 //
 // The public entry points in rewiring.hpp are thin wrappers over these;
 // multi-chain runs are the leg driver's job (gen/checkpoint.hpp).  Chain
@@ -21,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "core/dk_state.hpp"
 #include "gen/objective.hpp"
@@ -107,9 +111,11 @@ inline void report_progress(const svc::RunContext& ctx,
 /// with a DkState bound to it for the wedge/triangle bookkeeping.
 class ThreeKRewirer {
  public:
-  /// `level` must be full_three_k for randomize/target (they read the
-  /// wedge/triangle journal); exploration only optimizes the scalars and
-  /// may skip histogram maintenance with three_k_scalars.
+  /// The level is what the modes read: target needs full_three_k (it
+  /// prices ΔD3 against the live histograms); randomize reads only the
+  /// journal, so swap_journal skips the histogram build that dominates
+  /// construction on hub graphs (full_three_k works too); exploration
+  /// reads only the scalars (three_k_scalars).
   explicit ThreeKRewirer(
       const Graph& start,
       dk::TrackLevel level = dk::TrackLevel::full_three_k);
@@ -117,17 +123,28 @@ class ThreeKRewirer {
   // The bound DkState holds a pointer into index_, so the pair must
   // stay at a stable address (DkState already suppresses copy/move).
 
+  /// Replaces the index with EdgeIndex(g) when `g` holds exactly the
+  /// engine's current edge set, and returns false (changing nothing)
+  /// otherwise.  The 3K state is kept: histograms, triangle counts and
+  /// D3 depend only on the edge set, and the new slot and bucket order
+  /// is exactly that of ThreeKRewirer(g), so the engine then walks the
+  /// same chain as a fresh build from `g`, without the build.  O(m).
+  bool reindex(const Graph& g);
+
   /// 3K-preserving randomization: bucket-drawn 2K-preserving candidates,
   /// verified exactly against the wedge/triangle delta journal.
   void randomize(std::size_t budget, util::Rng& rng, RewiringStats* stats,
                  const svc::RunContext& ctx = {});
 
   /// 3K-targeting 2K-preserving Metropolis rewiring; returns exact
-  /// integer D3 after the run.
+  /// integer D3 after the run.  `distance`, when given, must be the
+  /// current D3 against `target` (a carried engine's last result); it
+  /// replaces the objective's scan over every histogram bin.
   std::int64_t target(const dk::ThreeKProfile& target,
                       const TargetingOptions& options, std::size_t budget,
                       util::Rng& rng, RewiringStats* stats,
-                      const svc::RunContext& ctx = {});
+                      const svc::RunContext& ctx = {},
+                      std::optional<std::int64_t> distance = std::nullopt);
 
   /// 2K-preserving greedy exploration (S2 or C̄).
   void explore(ExploreObjective objective, std::size_t budget,

@@ -106,7 +106,7 @@ TEST(DkState, SwapChurnStaysConsistentLevel3) {
 TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
   for (const TrackLevel level :
        {TrackLevel::jdd_only, TrackLevel::three_k_scalars,
-        TrackLevel::full_three_k}) {
+        TrackLevel::full_three_k, TrackLevel::swap_journal}) {
     for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
       // A flat G(n,m) graph and a hub-heavy power-law one.
       for (const bool hubs : {false, true}) {
@@ -127,7 +127,8 @@ TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
           // The histograms must match an independent full extraction.
           EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(now));
         }
-        if (level != TrackLevel::jdd_only) {
+        if (level == TrackLevel::three_k_scalars ||
+            level == TrackLevel::full_three_k) {
           const auto fresh = ThreeKProfile::from_graph(now);
           EXPECT_NEAR(state.second_order_likelihood(),
                       fresh.second_order_likelihood(),
@@ -529,6 +530,60 @@ TEST(DkState, ScalarsLevelTracksWithoutHistograms) {
   EXPECT_TRUE(state.three_k().wedges().empty());
 }
 
+// swap_journal keeps no 3K state, yet its evaluate_swap journal must be
+// the full_three_k journal, swap for swap, on flat and hub graphs.
+TEST(DkState, SwapJournalLevelJournalsLikeFullThreeK) {
+  for (const bool hubs : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "hubs " << hubs);
+    util::Rng rng(37);
+    const auto g = hubs ? hub_graph(37) : builders::gnm(60, 180, rng);
+    DkState light(g, TrackLevel::swap_journal);
+    DkState full(g, TrackLevel::full_three_k);
+    EXPECT_TRUE(light.three_k().wedges().empty());
+    SwapDelta light_delta;
+    SwapDelta full_delta;
+    std::size_t compared = 0;
+    std::size_t nonempty = 0;
+    std::size_t guard = 0;
+    while (compared < 600 && guard++ < 600 * 200) {
+      const auto& index = full.index();
+      const Edge e1 = index.edge_at(index.sample_edge(rng));
+      Edge e2 = index.edge_at(index.sample_edge(rng));
+      if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
+      const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
+      if (a == c || a == d || b == c || b == d) continue;
+      if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
+      if (index.degree(b) != index.degree(d) &&
+          index.degree(a) != index.degree(c)) {
+        continue;
+      }
+      light.evaluate_swap(a, b, c, d, light_delta);
+      full.evaluate_swap(a, b, c, d, full_delta);
+      auto sorted = [](DeltaJournal::Map map) {
+        std::sort(map.begin(), map.end());
+        return map;
+      };
+      ASSERT_EQ(sorted(light_delta.journal.wedge),
+                sorted(full_delta.journal.wedge));
+      ASSERT_EQ(sorted(light_delta.journal.triangle),
+                sorted(full_delta.journal.triangle));
+      if (!full_delta.journal.all_zero()) ++nonempty;
+      ++compared;
+      // Commit every other swap so both states walk the same chain.
+      if (rng.bernoulli(0.5)) {
+        light.commit_swap(light_delta);
+        full.commit_swap(full_delta);
+      }
+    }
+    EXPECT_EQ(compared, 600u);
+    EXPECT_GT(nonempty, 0u);
+    EXPECT_TRUE(light.to_graph() == full.to_graph());
+    EXPECT_TRUE(light.three_k().wedges().empty());
+    ASSERT_NO_THROW(light.verify_consistency());
+    ASSERT_NO_THROW(full.verify_consistency());
+  }
+}
+
 TEST(DkState, SwapChurnStaysConsistentLevel2) {
   util::Rng rng(9);
   const auto g = builders::gnm(40, 90, rng);
@@ -591,24 +646,6 @@ TEST(DkState, AddBeyondFrozenDegreeThrows) {
   // degree would silently corrupt the histograms, so the CSR rejects it.
   DkState state(builders::path(4), TrackLevel::jdd_only);  // 0-1-2-3
   EXPECT_THROW(state.add_edge(0, 2), std::invalid_argument);  // deg(0) = 1
-}
-
-TEST(DkState, BinListenerSeesNetDeltas) {
-  DkState state(builders::cycle(6), TrackLevel::full_three_k);
-  std::int64_t net = 0;
-  std::size_t calls = 0;
-  state.set_bin_listener([&](BinKind, std::uint64_t, std::int64_t before,
-                             std::int64_t after) {
-    net += after - before;
-    ++calls;
-  });
-  const Edge e = state.index().edge_at(0);
-  state.remove_edge(e.u, e.v);
-  EXPECT_GT(calls, 0u);
-  state.add_edge(e.u, e.v);
-  // Perfect round trip: all bin deltas cancel.
-  EXPECT_EQ(net, 0);
-  state.clear_bin_listener();
 }
 
 TEST(DkState, VerifyConsistencyPassesOnFreshState) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/joint_degree_distribution.hpp"
+#include "core/three_k_profile.hpp"
 #include "graph/builders.hpp"
 #include "util/rng.hpp"
 
@@ -56,6 +58,40 @@ TEST(CountRewirings, HierarchyIsMonotone) {
   EXPECT_GE(c1.possible, c2.possible);
   EXPECT_GE(c2.possible, c3.possible);
   EXPECT_GT(c1.possible, 0u);
+}
+
+TEST(CountRewirings, Level3CountsExactlyThe3KPreservingSwaps) {
+  // Oracle: apply every candidate swap to a copy and compare its JDD and
+  // 3K profile with the original's.
+  util::Rng rng(5);
+  const auto g = builders::gnm(16, 36, rng);
+  const auto jdd = dk::JointDegreeDistribution::from_graph(g);
+  const auto three_k = dk::ThreeKProfile::from_graph(g);
+  std::uint64_t preserving = 0;
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    for (std::size_t j = i + 1; j < g.num_edges(); ++j) {
+      for (const bool flip : {false, true}) {
+        const Edge e1 = g.edge_at(i);
+        const Edge e2 = g.edge_at(j);
+        const NodeId a = e1.u, b = e1.v;
+        const NodeId c = flip ? e2.v : e2.u, d = flip ? e2.u : e2.v;
+        if (a == c || a == d || b == c || b == d) continue;
+        if (g.has_edge(a, d) || g.has_edge(c, b)) continue;
+        Graph swapped = g;
+        swapped.remove_edge(a, b);
+        swapped.remove_edge(c, d);
+        swapped.add_edge(a, d);
+        swapped.add_edge(c, b);
+        if (dk::JointDegreeDistribution::from_graph(swapped) == jdd &&
+            dk::ThreeKProfile::from_graph(swapped) == three_k) {
+          ++preserving;
+        }
+      }
+    }
+  }
+  EXPECT_GT(preserving, 0u);
+  EXPECT_LT(preserving, count_initial_rewirings(g, 2).possible);
+  EXPECT_EQ(count_initial_rewirings(g, 3).possible, preserving);
 }
 
 TEST(CountRewirings, StarLeafExchangesAllIsomorphic) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -267,6 +268,152 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
   EXPECT_GT(ref_state.exchange_attempted, 0u);
   EXPECT_EQ(resumed.exchange_attempted, ref_state.exchange_attempted);
   EXPECT_EQ(resumed.exchange_accepted, ref_state.exchange_accepted);
+}
+
+TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical3K) {
+  // run_checkpointed_3k carries each replica's engine across legs, and an
+  // exchange moves the engines with the configurations.  Three runs of
+  // the same laddered 3K walk must agree: the uninterrupted one, one
+  // killed at a boundary and resumed from the file, and one driven a
+  // leg per call with no carried engines (every leg builds its engines
+  // from the canonical edge lists).
+  util::Rng boot(29);
+  const Graph start3 = target_2k(start_, target_.joint, options_, boot);
+  TargetingOptions options3 = options_;
+  options3.attempts = 1800;  // 6 legs of 300
+  options3.move = MoveKind::mixed;
+  options3.stop_distance = -1.0;  // never converged: every leg runs
+  // Replicas 0 and 1 start at the same temperature, so their first
+  // exchange is always accepted and the engines must move.
+  options3.temperature = 5.0;
+  LadderOptions ladder;
+  ladder.replicas = 3;
+  ladder.exchange_every = 300;
+  ladder.top_temperature = 50.0;
+  const auto make_run = [&] {
+    util::Rng rng(7);
+    return make_3k_ladder_run(start3, options3, ladder,
+                              /*checkpoint_every=*/300, rng);
+  };
+
+  RunCheckpoint ref_state = make_run();
+  const auto reference =
+      run_checkpointed_3k(ref_state, target_.three_k, options3, {});
+  EXPECT_GT(ref_state.exchange_accepted, 0u);
+
+  RunCheckpoint stepped = make_run();
+  CheckpointOptions one_leg;
+  one_leg.max_legs = 1;
+  CheckpointedResult by_leg;
+  while (!stepped.finished()) {
+    by_leg = run_checkpointed_3k(stepped, target_.three_k, options3, one_leg);
+  }
+
+  const std::string file = path("ladder3.ck");
+  {
+    RunCheckpoint state = make_run();
+    util::StopSource stop;
+    svc::RunContext ctx;
+    ctx.stop = stop.token();
+    CheckpointOptions checkpointing;
+    std::size_t written = 0;
+    checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
+      io::write_checkpoint_file(file, snapshot);
+      if (++written >= 3) stop.request_stop();
+    };
+    auto partial = run_checkpointed_3k(state, target_.three_k, options3,
+                                       checkpointing, ctx);
+    EXPECT_TRUE(partial.interrupted);
+  }
+  RunCheckpoint resumed = io::read_checkpoint_file(file);
+  EXPECT_TRUE(resumed.laddered());
+  const auto result =
+      run_checkpointed_3k(resumed, target_.three_k, options3, {});
+
+  const auto expect_same_result = [&](const CheckpointedResult& other) {
+    expect_same_edges(reference.graph, other.graph);
+    expect_same_stats(reference.total_stats, other.total_stats);
+    EXPECT_EQ(reference.best_chain, other.best_chain);
+    EXPECT_EQ(reference.best_distance, other.best_distance);
+  };
+  const auto expect_same_state = [&](const RunCheckpoint& other) {
+    ASSERT_EQ(other.chains.size(), ref_state.chains.size());
+    for (std::size_t i = 0; i < ref_state.chains.size(); ++i) {
+      EXPECT_EQ(other.chains[i].temperature, ref_state.chains[i].temperature)
+          << i;
+      EXPECT_EQ(other.chains[i].rng_state, ref_state.chains[i].rng_state)
+          << i;
+      EXPECT_EQ(other.chains[i].distance, ref_state.chains[i].distance) << i;
+      expect_same_edges(other.chains[i].graph, ref_state.chains[i].graph);
+    }
+    EXPECT_EQ(other.exchange_rng, ref_state.exchange_rng);
+    EXPECT_EQ(other.exchange_accepted, ref_state.exchange_accepted);
+  };
+  expect_same_result(result);
+  expect_same_state(resumed);
+  expect_same_result(by_leg);
+  expect_same_state(stepped);
+}
+
+/// Requests a stop from inside a chain once armed: the next progress
+/// report lands mid-leg, so the leg is cut short and discarded.
+class StopMidLeg : public obs::ProgressSink {
+ public:
+  explicit StopMidLeg(util::StopSource& stop) : stop_(stop) {}
+  void report(std::uint32_t, const obs::ProgressSample&) override {
+    if (armed.load()) stop_.request_stop();
+  }
+  std::atomic<bool> armed{false};
+
+ private:
+  util::StopSource& stop_;
+};
+
+TEST_F(CheckpointResumeTest, PipelineStoppedMidLegContinuesBitIdentical) {
+  // A stop inside a 3K leg reverts the chains to the last boundary and
+  // must drop the engines the pipeline carries, which already hold part
+  // of the discarded leg.  Continuing the same Pipeline must then end
+  // where an uninterrupted run does.
+  PipelineOptions options;
+  options.d = 3;
+  options.targeting.attempts = 9000;  // 3 legs of 3000 per stage
+  options.targeting.stop_distance = -1.0;  // every leg runs
+  options.checkpoint_every = 3000;
+  svc::RunContext chains;
+  chains.chains = 2;
+
+  Pipeline reference(target_, options, util::Rng(23), chains);
+  ASSERT_TRUE(reference.run({}));
+
+  util::StopSource stop;
+  StopMidLeg sink(stop);
+  svc::RunContext ctx = chains;
+  ctx.stop = stop.token();
+  ctx.progress = &sink;
+  Pipeline pipeline(target_, options, util::Rng(23), ctx);
+  CheckpointOptions checkpointing;
+  // Arm after the first 3K leg: the second one is stopped 1024 attempts
+  // in, at the chains' next stop poll.
+  checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
+    if (snapshot.d == 3 && snapshot.chains[0].attempts_done == 3000) {
+      sink.armed = true;
+    }
+  };
+  EXPECT_FALSE(pipeline.run(checkpointing));
+  EXPECT_TRUE(pipeline.result().interrupted);
+  EXPECT_EQ(pipeline.checkpoint().d, 3);
+  EXPECT_EQ(pipeline.checkpoint().chains[0].attempts_done, 3000u);
+
+  sink.armed = false;
+  stop.reset();
+  ASSERT_TRUE(pipeline.run({}));
+  expect_same_edges(reference.graph(), pipeline.graph());
+  const PipelineStage& want = reference.stages().back();
+  const PipelineStage& got = pipeline.stages().back();
+  EXPECT_EQ(got.d, 3);
+  expect_same_stats(want.result.total_stats, got.result.total_stats);
+  EXPECT_EQ(want.result.best_chain, got.result.best_chain);
+  EXPECT_EQ(want.result.best_distance, got.result.best_distance);
 }
 
 TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {

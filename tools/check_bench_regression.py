@@ -37,7 +37,7 @@ import sys
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
                   r"|DkStateSwap|Sparse2KTarget"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
-                  r"|ConvergenceAttemptsToEps|Hub3K")
+                  r"|ConvergenceAttemptsToEps|Hub3K|Pipeline3KLegs")
 
 
 def load_benchmarks(path, name_filter):
