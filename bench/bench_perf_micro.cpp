@@ -260,6 +260,18 @@ void BM_Hub3KRandomizeCall(benchmark::State& state) {
 }
 BENCHMARK(BM_Hub3KRandomizeCall)->Unit(benchmark::kMillisecond);
 
+// The full 3K state build every fresh 3K targeting chain pays: one JDD
+// pass and one count_three_k pass (histograms, per-node triangles, S2)
+// over the hub graph's EdgeIndex.
+void BM_Hub3KBuild(benchmark::State& state) {
+  const Graph g = make_hub_graph();
+  for (auto _ : state) {
+    const dk::DkState built(g, dk::TrackLevel::full_three_k);
+    benchmark::DoNotOptimize(built.second_order_likelihood());
+  }
+}
+BENCHMARK(BM_Hub3KBuild)->Unit(benchmark::kMillisecond);
+
 // The 3K stage of a d = 3 gen::Pipeline on the hub graph, one chain,
 // driven one leg per step() as the server does.  Arg(0) is the default
 // cadence (8 legs), Arg(1) a single leg: with the engine carried across

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/three_k_count.hpp"
 #include "util/check.hpp"
 
 namespace orbis::dk {
@@ -87,35 +88,17 @@ void DkState::init(TrackLevel level) {
   if (tracks_scalars()) {
     mark_.assign(n, 0);
     mark_stamp_ = 0;
-    // The 3K extraction algorithms run on Graph; export the edge set
-    // once (construction only — mutations never re-export).
-    const Graph graph = index_->to_graph();
+    // One pass: S2, every t_v and, at full_three_k, the histograms.
+    ThreeKScalars scalars(n);
     if (tracks_histograms()) {
-      three_k_ = ThreeKProfile::from_graph(graph);
-      s2_ = three_k_.second_order_likelihood();
+      count_three_k(*index_, scalars, three_k_);
     } else {
-      // Scalars-only: one-shot extraction for the S2 baseline; the
-      // histograms are not retained.
-      s2_ = ThreeKProfile::from_graph(graph).second_order_likelihood();
+      count_three_k(*index_, scalars);
     }
-    node_triangles_.assign(n, 0);
-    // Per-node triangle counts: t_v = half the edges among N(v), found
-    // by marking N(v) and sweeping each neighbor's row — flat scans, no
-    // hash probes.
+    s2_ = static_cast<double>(scalars.s2);
+    node_triangles_ = std::move(scalars.node_triangles);
     for (NodeId v = 0; v < n; ++v) {
-      const auto nbrs = index_->neighbors(v);
-      if (nbrs.size() < 2) continue;
-      const std::uint64_t stamp = ++mark_stamp_;
-      for (const NodeId x : nbrs) mark_[x] = stamp;
-      std::int64_t incidences = 0;
-      for (const NodeId x : nbrs) {
-        for (const NodeId w : index_->neighbors(x)) {
-          if (mark_[w] == stamp) ++incidences;
-        }
-      }
-      const std::int64_t count = incidences / 2;
-      node_triangles_[v] = count;
-      clustering_sum_ += static_cast<double>(count) *
+      clustering_sum_ += static_cast<double>(node_triangles_[v]) *
                          clustering_weight(index_->degree(v));
     }
   }
@@ -250,8 +233,6 @@ void DkState::add_edge(NodeId u, NodeId v) {
 
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                             SwapDelta& out) const {
-  util::expects(evaluates_swaps(),
-                "DkState::evaluate_swap: requires a 3K tracking level");
   const std::uint32_t ka = index_->degree(a);
   const std::uint32_t kb = index_->degree(b);
   const std::uint32_t kc = index_->degree(c);
@@ -435,12 +416,13 @@ void DkState::verify_consistency() const {
   util::ensures(std::fabs(fresh_s - s_) < 1e-6 * (1.0 + std::fabs(s_)),
                 "DkState: likelihood S diverged from recount");
   if (tracks_scalars()) {
-    const auto fresh_3k = ThreeKProfile::from_graph(graph);
     if (tracks_histograms()) {
-      util::ensures(fresh_3k == three_k_,
+      util::ensures(ThreeKProfile::from_graph(graph) == three_k_,
                     "DkState: 3K profile diverged from recount");
     }
-    const double fresh_s2 = fresh_3k.second_order_likelihood();
+    util::ensures(triangles_per_node(graph) == node_triangles_,
+                  "DkState: node triangle counts diverged from recount");
+    const double fresh_s2 = dk::second_order_likelihood(graph);
     util::ensures(std::fabs(fresh_s2 - s2_) <
                       1e-6 * (1.0 + std::fabs(s2_)),
                   "DkState: S2 diverged from recount");

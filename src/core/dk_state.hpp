@@ -10,7 +10,9 @@
 // The adjacency lives in a flat EdgeIndex (CSR rows + open-addressing
 // edge hash) rather than a Graph: DkState either owns one (constructed
 // from a Graph) or binds to one owned by a rewiring engine, so a 3K
-// rewirer maintains exactly ONE adjacency structure.  Wedge/triangle
+// rewirer maintains exactly ONE adjacency structure.  Construction runs
+// count_three_k (core/three_k_count.hpp) over that index, with no Graph
+// export, for whatever 3K counts the level tracks.  Wedge/triangle
 // deltas of a single edge mutation are computed by a timestamped
 // mark-array common-neighbor pass — mark N(v), sweep N(u) — which costs
 // O(deg u + deg v) with zero hash probes.  A JDD-preserving double-edge
@@ -91,17 +93,19 @@ struct SwapDelta {
   }
 };
 
+/// Every level keeps the JDD and S (one edge pass at construction); the
+/// 1K/2K processes need no DkState, they run on a bare EdgeIndex.
 enum class TrackLevel : int {
-  jdd_only = 2,        // maintain 2K + S (cheap; for 1K/2K processes)
   three_k_scalars = 3, // + S2, C̄ and per-node triangles, but NOT the
                        //   wedge/triangle histograms (for exploration,
                        //   which only optimizes the scalars)
-  full_three_k = 4,    // + the full 3K histograms (for 3K targeting)
-  swap_journal = 5,    // 2K + S and evaluate_swap's wedge/triangle
-                       //   journal, but no 3K histograms, triangle
-                       //   counts, S2 or C̄: construction costs one JDD
-                       //   pass, and commit_swap only moves the edges.
-                       //   For 3K-preserving randomization and swap
+  full_three_k = 4,    // + the full 3K histograms (for 3K targeting);
+                       //   both from one count_three_k pass
+  swap_journal = 5,    // evaluate_swap's wedge/triangle journal, but no
+                       //   3K histograms, triangle counts, S2 or C̄:
+                       //   construction costs the JDD pass alone, and
+                       //   commit_swap only moves the edges.  For
+                       //   3K-preserving randomization and swap
                        //   counting, which only ask whether the journal
                        //   is empty.
 };
@@ -151,10 +155,10 @@ class DkState {
   /// hold — with at most three edge-hash probes per neighbor, so a proposal
   /// costs O(deg b + deg d) (resp. O(deg a + deg c)) whatever the other
   /// pair's degrees, and rejecting it afterwards is free.
-  /// Preconditions: the level is not jdd_only, the swap preserves the JDD
-  /// (deg b = deg d or deg a = deg c; checked), both edges exist, the
-  /// four endpoints are distinct, and neither replacement edge is
-  /// present.  Mutates nothing, so a rejected proposal needs no undo.
+  /// Preconditions: the swap preserves the JDD (deg b = deg d or
+  /// deg a = deg c; checked), both edges exist, the four endpoints are
+  /// distinct, and neither replacement edge is present.  Mutates
+  /// nothing, so a rejected proposal needs no undo.
   void evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                      SwapDelta& out) const;
 
@@ -194,10 +198,6 @@ class DkState {
                      std::int64_t delta);
   void bump_node_triangles(NodeId v, std::int64_t delta);
 
-  /// evaluate_swap is available.
-  bool evaluates_swaps() const noexcept {
-    return level_ != TrackLevel::jdd_only;
-  }
   /// evaluate_swap fills the wedge/triangle journal.
   bool journals_bins() const noexcept {
     return level_ == TrackLevel::full_three_k ||
@@ -223,7 +223,7 @@ class DkState {
   double clustering_sum_ = 0.0;               // Σ_v 2 t_v / (k_v(k_v-1))
 
   // Timestamped mark array for the common-neighbor delta passes of the
-  // mutating paths (add_edge/remove_edge/init): a node is "marked" iff
+  // mutating paths (add_edge/remove_edge): a node is "marked" iff
   // mark_[v] carries the current stamp, so clearing between passes is a
   // counter increment, not an O(n) sweep.  evaluate_swap never uses it.
   std::vector<std::uint64_t> mark_;

@@ -1,7 +1,8 @@
 #include "core/streaming_extractor.hpp"
 
-#include <algorithm>
+#include <span>
 
+#include "core/three_k_count.hpp"
 #include "util/check.hpp"
 #include "util/keys.hpp"
 
@@ -81,8 +82,8 @@ void StreamingDkExtractor::build_csr_offsets() {
   csr_adj_.assign(csr_offset_[n], 0);
 }
 
-void StreamingDkExtractor::note_footprint() noexcept {
-  const std::size_t bytes = accumulator_bytes();
+void StreamingDkExtractor::note_footprint(std::size_t scratch) noexcept {
+  const std::size_t bytes = accumulator_bytes() + scratch;
   if (bytes > peak_accumulator_bytes_) peak_accumulator_bytes_ = bytes;
 }
 
@@ -99,106 +100,20 @@ void StreamingDkExtractor::end_pass() {
 }
 
 void StreamingDkExtractor::finish_three_k() {
-  const std::size_t n = degree_.size();
-  // Sorted rows give O(log deg) edge-existence probes for the triangle
-  // closure test below.
-  for (std::size_t v = 0; v < n; ++v) {
-    std::sort(csr_adj_.begin() + static_cast<std::ptrdiff_t>(csr_offset_[v]),
-              csr_adj_.begin() +
-                  static_cast<std::ptrdiff_t>(csr_offset_[v + 1]));
-  }
-  const auto row_begin = [&](std::uint32_t v) {
-    return csr_adj_.begin() + static_cast<std::ptrdiff_t>(csr_offset_[v]);
+  struct CsrView {
+    const StreamingDkExtractor& self;
+    NodeId num_nodes() const {
+      return static_cast<NodeId>(self.degree_.size());
+    }
+    std::uint32_t degree(NodeId v) const { return self.degree_[v]; }
+    std::span<const NodeId> neighbors(NodeId v) const {
+      return {self.csr_adj_.data() + self.csr_offset_[v],
+              self.csr_adj_.data() + self.csr_offset_[v + 1]};
+    }
   };
-  const auto row_end = [&](std::uint32_t v) {
-    return csr_adj_.begin() + static_cast<std::ptrdiff_t>(csr_offset_[v + 1]);
-  };
-  const auto has_edge = [&](std::uint32_t a, std::uint32_t b) {
-    return std::binary_search(row_begin(a), row_end(a), b);
-  };
-
-  // Wedges: all neighbor pairs at every center (run-length encoded by
-  // neighbor degree), then triangle-closed pairs subtracted — the same
-  // two-phase counting as ThreeKProfile::from_graph, so the histograms
-  // agree bin for bin.
-  SparseHistogram& wedges = result_.three_k.wedges();
-  std::vector<std::uint32_t> neighbor_degrees;
-  std::vector<std::pair<std::uint32_t, std::int64_t>> runs;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t deg = degree_[v];
-    if (deg < 2) continue;
-    neighbor_degrees.clear();
-    for (auto it = row_begin(static_cast<std::uint32_t>(v));
-         it != row_end(static_cast<std::uint32_t>(v)); ++it) {
-      neighbor_degrees.push_back(degree_[*it]);
-    }
-    std::sort(neighbor_degrees.begin(), neighbor_degrees.end());
-    runs.clear();
-    for (std::size_t i = 0; i < neighbor_degrees.size();) {
-      std::size_t j = i;
-      while (j < neighbor_degrees.size() &&
-             neighbor_degrees[j] == neighbor_degrees[i]) {
-        ++j;
-      }
-      runs.emplace_back(neighbor_degrees[i], static_cast<std::int64_t>(j - i));
-      i = j;
-    }
-    for (std::size_t a = 0; a < runs.size(); ++a) {
-      const auto [da, ca] = runs[a];
-      if (ca >= 2) {
-        wedges.add(util::wedge_key(da, degree_[v], da), ca * (ca - 1) / 2);
-      }
-      for (std::size_t b = a + 1; b < runs.size(); ++b) {
-        const auto [db, cb] = runs[b];
-        wedges.add(util::wedge_key(da, degree_[v], db), ca * cb);
-      }
-    }
-  }
-
-  // Triangles: degree-ordered forward orientation enumerates each exactly
-  // once in O(m^{3/2}) closure probes.  The orientation is a second flat
-  // CSR (two allocations, m entries) rather than per-node vectors: at a
-  // million nodes the vector headers alone would rival the payload.
-  const auto precedes = [&](std::uint32_t a, std::uint32_t b) {
-    return std::pair(degree_[a], a) < std::pair(degree_[b], b);
-  };
-  fwd_offset_.assign(n + 1, 0);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (auto it = row_begin(u); it != row_end(u); ++it) {
-      if (u < *it) ++fwd_offset_[(precedes(u, *it) ? u : *it) + 1];
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) fwd_offset_[v + 1] += fwd_offset_[v];
-  fwd_adj_.assign(kept_edges_, 0);
-  csr_fill_.assign(n, 0);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (auto it = row_begin(u); it != row_end(u); ++it) {
-      const std::uint32_t w = *it;
-      if (u >= w) continue;
-      const std::uint32_t anchor = precedes(u, w) ? u : w;
-      const std::uint32_t other = anchor == u ? w : u;
-      fwd_adj_[fwd_offset_[anchor] + csr_fill_[anchor]++] = other;
-    }
-  }
-  note_footprint();  // CSR + forward orientation: the 3K memory peak
-
-  SparseHistogram& triangles = result_.three_k.triangles();
-  for (std::uint32_t u = 0; u < n; ++u) {
-    const std::uint32_t* fwd = fwd_adj_.data() + fwd_offset_[u];
-    const std::size_t count = fwd_offset_[u + 1] - fwd_offset_[u];
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t j = i + 1; j < count; ++j) {
-        if (!has_edge(fwd[i], fwd[j])) continue;
-        const std::uint32_t da = degree_[u];
-        const std::uint32_t db = degree_[fwd[i]];
-        const std::uint32_t dc = degree_[fwd[j]];
-        triangles.increment(util::triangle_key(da, db, dc));
-        wedges.decrement(util::wedge_key(db, da, dc));
-        wedges.decrement(util::wedge_key(da, db, dc));
-        wedges.decrement(util::wedge_key(da, dc, db));
-      }
-    }
-  }
+  // The histograms are at their largest once the pass ends, and the
+  // forward orientation was alive beside them: that sum is the 3K peak.
+  note_footprint(count_three_k(CsrView{*this}, result_.three_k));
 }
 
 DkDistributions StreamingDkExtractor::finish() {
@@ -242,8 +157,6 @@ std::size_t StreamingDkExtractor::accumulator_bytes() const noexcept {
   bytes += csr_offset_.capacity() * sizeof(std::uint64_t);
   bytes += csr_fill_.capacity() * sizeof(std::uint32_t);
   bytes += csr_adj_.capacity() * sizeof(std::uint32_t);
-  bytes += fwd_offset_.capacity() * sizeof(std::uint64_t);
-  bytes += fwd_adj_.capacity() * sizeof(std::uint32_t);
   bytes += result_.joint.histogram().capacity_bytes();
   bytes += result_.three_k.wedges().capacity_bytes();
   bytes += result_.three_k.triangles().capacity_bytes();

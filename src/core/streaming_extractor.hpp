@@ -12,8 +12,8 @@
 //            in-memory reader skips them);
 //   pass 1   (max_d >= 2) re-stream: fold each kept edge into the JDD
 //            using the now-final degrees; at max_d == 3 also fill a
-//            compact CSR so the wedge/triangle enumeration can run at
-//            end of pass.
+//            compact CSR for count_three_k (core/three_k_count.hpp),
+//            the pass ThreeKProfile::from_graph also runs.
 //
 // Memory is the accumulators, not the stream: O(n) id map + degrees,
 // O(occupied bins) histograms, plus the duplicate-detection key set
@@ -85,16 +85,18 @@ class StreamingDkExtractor {
   std::size_t accumulator_bytes() const noexcept;
 
   /// High-water mark of accumulator_bytes(), checkpointed at every
-  /// end_pass() and inside finish() after the 3K histograms are built
-  /// (they only exist there, so a caller polling accumulator_bytes()
-  /// from outside would miss them).  Valid after finish().
+  /// end_pass() and inside finish() after the 3K histograms are built,
+  /// with count_three_k's forward orientation added (both only exist
+  /// there, so a caller polling accumulator_bytes() from outside would
+  /// miss them).  Valid after finish().
   std::size_t peak_accumulator_bytes() const noexcept {
     return peak_accumulator_bytes_;
   }
 
  private:
   std::uint32_t intern(std::uint64_t file_id);
-  void note_footprint() noexcept;
+  /// `scratch`: bytes held outside the members (count_three_k's).
+  void note_footprint(std::size_t scratch = 0) noexcept;
   /// Shared skip logic: false if the edge is a self-loop or (when
   /// detecting) a duplicate.  Both passes make identical decisions
   /// because both run it against an identically replayed stream.
@@ -117,15 +119,10 @@ class StreamingDkExtractor {
   std::vector<std::uint32_t> degree_;
   util::FlatKeySet seen_edges_;
 
-  // max_d == 3 only: compact CSR filled during pass 1, plus the flat
-  // degree-ordered forward orientation (m entries) finish_three_k()
-  // builds for triangle enumeration — flat so the 3K peak stays two
-  // allocations, and a member so the footprint accounting sees it.
+  // max_d == 3 only: compact CSR filled during pass 1.
   std::vector<std::uint64_t> csr_offset_;  // n + 1 entries
   std::vector<std::uint32_t> csr_fill_;    // per-node write cursor
   std::vector<std::uint32_t> csr_adj_;     // 2m entries
-  std::vector<std::uint64_t> fwd_offset_;  // n + 1 entries
-  std::vector<std::uint32_t> fwd_adj_;     // m entries
 
   DkDistributions result_;
 };

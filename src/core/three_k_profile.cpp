@@ -1,110 +1,30 @@
 #include "core/three_k_profile.hpp"
 
-#include <algorithm>
 #include <map>
+
+#include "core/three_k_count.hpp"
 
 namespace orbis::dk {
 
-namespace {
-
-using DegreeOf = std::vector<std::uint32_t>;
-
-DegreeOf degrees_of(const Graph& g) {
-  DegreeOf degrees(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    degrees[v] = static_cast<std::uint32_t>(g.degree(v));
-  }
-  return degrees;
+void ThreeKProfile::add_triangle(NodeId, NodeId, NodeId, std::uint32_t ka,
+                                 std::uint32_t kb, std::uint32_t kc) {
+  triangles_.increment(util::triangle_key(ka, kb, kc));
+  wedges_.decrement(util::wedge_key(kb, ka, kc));  // center a
+  wedges_.decrement(util::wedge_key(ka, kb, kc));  // center b
+  wedges_.decrement(util::wedge_key(ka, kc, kb));  // center c
 }
-
-/// Adds to `wedges` the count of ALL neighbor pairs at every center
-/// (adjacent or not); the caller subtracts triangle-closed pairs.
-void accumulate_center_pairs(const Graph& g, const DegreeOf& degrees,
-                             SparseHistogram& wedges) {
-  std::vector<std::uint32_t> neighbor_degrees;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto nbrs = g.neighbors(v);
-    if (nbrs.size() < 2) continue;
-    neighbor_degrees.clear();
-    neighbor_degrees.reserve(nbrs.size());
-    for (const NodeId w : nbrs) neighbor_degrees.push_back(degrees[w]);
-    std::sort(neighbor_degrees.begin(), neighbor_degrees.end());
-
-    // Run-length encode, then add pair counts class by class.
-    std::vector<std::pair<std::uint32_t, std::int64_t>> runs;
-    for (std::size_t i = 0; i < neighbor_degrees.size();) {
-      std::size_t j = i;
-      while (j < neighbor_degrees.size() &&
-             neighbor_degrees[j] == neighbor_degrees[i]) {
-        ++j;
-      }
-      runs.emplace_back(neighbor_degrees[i],
-                        static_cast<std::int64_t>(j - i));
-      i = j;
-    }
-    for (std::size_t a = 0; a < runs.size(); ++a) {
-      const auto [da, ca] = runs[a];
-      if (ca >= 2) {
-        wedges.add(util::wedge_key(da, degrees[v], da), ca * (ca - 1) / 2);
-      }
-      for (std::size_t b = a + 1; b < runs.size(); ++b) {
-        const auto [db, cb] = runs[b];
-        wedges.add(util::wedge_key(da, degrees[v], db), ca * cb);
-      }
-    }
-  }
-}
-
-/// Enumerates each triangle exactly once via degree-ordered orientation
-/// (classic forward-adjacency method, O(m^{3/2})).
-template <typename Visit>
-void for_each_triangle(const Graph& g, const DegreeOf& degrees, Visit visit) {
-  const auto precedes = [&](NodeId a, NodeId b) {
-    return std::pair(degrees[a], a) < std::pair(degrees[b], b);
-  };
-  std::vector<std::vector<NodeId>> forward(g.num_nodes());
-  for (const auto& e : g.edges()) {
-    if (precedes(e.u, e.v)) {
-      forward[e.u].push_back(e.v);
-    } else {
-      forward[e.v].push_back(e.u);
-    }
-  }
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& fwd = forward[u];
-    for (std::size_t i = 0; i < fwd.size(); ++i) {
-      for (std::size_t j = i + 1; j < fwd.size(); ++j) {
-        if (g.has_edge(fwd[i], fwd[j])) visit(u, fwd[i], fwd[j]);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 ThreeKProfile ThreeKProfile::from_graph(const Graph& g) {
   ThreeKProfile profile;
-  const DegreeOf degrees = degrees_of(g);
-
-  accumulate_center_pairs(g, degrees, profile.wedges_);
-
-  for_each_triangle(g, degrees, [&](NodeId a, NodeId b, NodeId c) {
-    const auto da = degrees[a];
-    const auto db = degrees[b];
-    const auto dc = degrees[c];
-    profile.triangles_.increment(util::triangle_key(da, db, dc));
-    // The three closed neighbor pairs are not wedges: subtract them.
-    profile.wedges_.decrement(util::wedge_key(db, da, dc));  // center a
-    profile.wedges_.decrement(util::wedge_key(da, db, dc));  // center b
-    profile.wedges_.decrement(util::wedge_key(da, dc, db));  // center c
-  });
-
+  count_three_k(g, profile);
   return profile;
 }
 
 ThreeKProfile ThreeKProfile::from_graph_naive(const Graph& g) {
   ThreeKProfile profile;
-  const DegreeOf degrees = degrees_of(g);
+  const auto degree = [&](NodeId v) {
+    return static_cast<std::uint32_t>(g.degree(v));
+  };
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto nbrs = g.neighbors(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -115,11 +35,11 @@ ThreeKProfile ThreeKProfile::from_graph_naive(const Graph& g) {
           // Count each triangle once: at its minimum-id vertex.
           if (v < a && v < b) {
             profile.triangles_.increment(
-                util::triangle_key(degrees[v], degrees[a], degrees[b]));
+                util::triangle_key(degree(v), degree(a), degree(b)));
           }
         } else {
           profile.wedges_.increment(
-              util::wedge_key(degrees[a], degrees[v], degrees[b]));
+              util::wedge_key(degree(a), degree(v), degree(b)));
         }
       }
     }

@@ -11,6 +11,7 @@
 // triangle, which yields the paper's inclusion identity
 //   m(k1,k2) ~ Σ_k [N∧(k,k1,k2) + N△(k,k1,k2)] / (k1 - 1),
 // implemented here as project_to_2k().
+// from_graph is a count_three_k (core/three_k_count.hpp) visitor.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +28,21 @@ class ThreeKProfile {
  public:
   ThreeKProfile() = default;
 
-  /// Fast extraction: O(Σ_v deg(v) log deg(v) + m^{3/2}).
+  /// Fast extraction (count_three_k): O(Σ_v deg(v) log deg(v) + m^{3/2}).
   static ThreeKProfile from_graph(const Graph& g);
 
   /// Reference extraction by direct neighbor-pair enumeration:
-  /// O(Σ_v deg(v)^2). Used to validate the fast path in tests.
+  /// O(Σ_v deg(v)^2). The tests' oracle for every count_three_k user.
   static ThreeKProfile from_graph_naive(const Graph& g);
+
+  /// count_three_k visitor: center pairs go into the wedges; a triangle
+  /// goes into the triangles and takes its closed pairs out of them.
+  void add_center_pairs(std::uint32_t center, std::uint32_t k1,
+                        std::uint32_t k2, std::int64_t count) {
+    wedges_.add(util::wedge_key(k1, center, k2), count);
+  }
+  void add_triangle(NodeId, NodeId, NodeId, std::uint32_t ka,
+                    std::uint32_t kb, std::uint32_t kc);
 
   std::int64_t wedge_count(std::size_t end1, std::size_t center,
                            std::size_t end2) const {
@@ -57,7 +67,8 @@ class ThreeKProfile {
   SparseHistogram& triangles() noexcept { return triangles_; }
 
   /// Second-order likelihood S2 = Σ_wedges k1*k3 (paper §4.3): the scalar
-  /// summary of the wedge component.
+  /// summary of the wedge component.  dk::second_order_likelihood(g)
+  /// (three_k_count.hpp) gives it without building the histograms.
   double second_order_likelihood() const;
 
   /// Σ_triangles contribution used by the paper's C̄ ~ Σ k1 P△ remark.

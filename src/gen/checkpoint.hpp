@@ -196,7 +196,7 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
 /// runs and resumes call the SAME function — a resume is
 /// indistinguishable from the uninterrupted run reaching that boundary.
 /// `options` must carry the same chain parameters (temperature,
-/// guided_fraction, stop_distance, ...) the run was started with;
+/// stop_distance, move, ...) the run was started with;
 /// attempts/attempts_per_edge and objective are taken from `state`,
 /// which is authoritative.
 CheckpointedResult run_checkpointed_2k(

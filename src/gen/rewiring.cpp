@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/three_k_count.hpp"
 #include "exec/thread_pool.hpp"
 #include "gen/rewiring_engine.hpp"
 #include "obs/metrics.hpp"
@@ -211,7 +212,7 @@ double objective_value(const Graph& g, ExploreObjective objective) {
     }
     case ExploreObjective::maximize_s2:
     case ExploreObjective::minimize_s2: {
-      return dk::ThreeKProfile::from_graph(g).second_order_likelihood();
+      return dk::second_order_likelihood(g);
     }
     default: {
       dk::DkState state(g, dk::TrackLevel::three_k_scalars);

@@ -93,9 +93,9 @@ void publish_rewiring_metrics(const RewiringStats& delta);
 ///     and trades preserve the JDD (2K) by construction; for 3K
 ///     targeting the trade is priced exactly as a sequence of
 ///     2K-preserving sub-swaps and Metropolis-accepted on the total ΔD3.
-///   * mixed — per attempt, trade with probability `trade_fraction`,
-///     else swap.  The extra selector draw happens ONLY in mixed mode,
-///     so `swap` chains consume exactly the streams they always did.
+///   * mixed — per attempt, trade with probability 0.25, else swap.
+///     The extra selector draw happens ONLY in mixed mode, so `swap`
+///     chains consume exactly the streams they always did.
 enum class MoveKind { swap, trade, mixed };
 
 /// "swap" / "trade" / "mixed".
@@ -119,7 +119,6 @@ struct RandomizeOptions {
   /// d = 3 randomizing rejects non-swap moves (trade 3K-preservation is
   /// not verified there) and d = 0 ignores the field.
   MoveKind move = MoveKind::swap;
-  double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 };
 
 /// dK-randomizing rewiring: returns a random graph with exactly the same
@@ -139,14 +138,6 @@ struct TargetingOptions {
   std::size_t attempts_per_edge = 400;  // attempt budget = this * m
   std::size_t attempts = 0;             // explicit budget (overrides if > 0)
   double stop_distance = 0.0;           // stop once D_d <= this
-  /// Fraction of proposals drawn GUIDED for 2K targeting: pick a bin
-  /// where the current histogram deviates from the target and construct
-  /// a swap that directly creates (deficit) or destroys (surplus) an
-  /// edge of that degree class.  Uniform proposals alone take the chain
-  /// to small D2 quickly but almost never hit the last few +-1 bins on
-  /// large graphs; guided proposals fix the endgame.  Ignored by
-  /// target_3k.
-  double guided_fraction = 0.5;
   /// Kept only because the frozen benchmark (pipebench/) assigns it 1;
   /// deleted with its next revision.  Other values throw (OnlyOne).
   util::OnlyOne workers{};
@@ -162,7 +153,6 @@ struct TargetingOptions {
   /// targeting takes `mixed` but rejects `trade` alone; in 3K targeting
   /// a trade is priced exactly and Metropolis-accepted on the total ΔD3.
   MoveKind move = MoveKind::swap;
-  double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 };
 
 /// A Curveball trade preserves the JDD by construction, so a 2K

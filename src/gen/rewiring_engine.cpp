@@ -146,14 +146,24 @@ void apply_trade_to(EdgeIndex& index, const TradeScratch& trade) {
   for (const NodeId x : trade.to_u) index.add_edge(trade.u, x);
 }
 
+/// P(trade) per attempt in MoveKind::mixed.
+constexpr double kTradeFraction = 0.25;
+
 /// Whether this attempt proposes a trade.  The mixed-mode selector is
 /// the ONLY extra Rng draw the move option introduces: pure swap chains
 /// consume exactly the streams they always did.
-inline bool propose_trade(MoveKind move, double trade_fraction,
-                          util::Rng& rng) {
+inline bool propose_trade(MoveKind move, util::Rng& rng) {
   if (move == MoveKind::swap) return false;
-  return move == MoveKind::trade || rng.bernoulli(trade_fraction);
+  return move == MoveKind::trade || rng.bernoulli(kTradeFraction);
 }
+
+/// Fraction of 2K targeting proposals drawn GUIDED: pick a bin where the
+/// current histogram deviates from the target and construct a swap that
+/// directly creates (deficit) or destroys (surplus) an edge of that
+/// degree class.  Uniform proposals alone take the chain to small D2
+/// quickly but almost never hit the last few +-1 bins on large graphs;
+/// guided proposals fix the endgame.
+constexpr double kGuidedFraction = 0.5;
 
 }  // namespace
 
@@ -180,7 +190,7 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(options.move, options.trade_fraction, rng)) {
+    if (propose_trade(options.move, rng)) {
       // Trades preserve degrees by construction, and the JDD too when
       // both nodes share a degree class, which d = 2 requires; d = 1
       // trades across classes.  Either way they are always accepted.
@@ -282,7 +292,7 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(options.move, options.trade_fraction, rng)) {
+    if (propose_trade(options.move, rng)) {
       // A trade keeps every edge's degree-class pair, so ΔD2 = 0: it is
       // pure plateau diffusion — the objective tables need no update —
       // and is accepted whenever it is structurally drawable.
@@ -295,7 +305,7 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
       continue;
     }
     Swap swap{};
-    const bool drawn = (rng.bernoulli(options.guided_fraction) &&
+    const bool drawn = (rng.bernoulli(kGuidedFraction) &&
                         propose_guided(objective, rng, swap)) ||
                        draw_uniform_from(index_, rng, swap);
     if (!drawn) {
@@ -500,7 +510,7 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(options.move, options.trade_fraction, rng)) {
+    if (propose_trade(options.move, rng)) {
       if (!draw_trade_from(index_, /*same_class=*/true, rng, trade)) {
         if (stats != nullptr) ++stats->rejected_structural;
         continue;

@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "core/three_k_count.hpp"
+
 namespace orbis::metrics {
 
 std::int64_t triangles_through(const Graph& g, NodeId v) {
@@ -15,26 +17,37 @@ std::int64_t triangles_through(const Graph& g, NodeId v) {
   return count;
 }
 
-double local_clustering(const Graph& g, NodeId v) {
-  const auto k = g.degree(v);
+namespace {
+
+double clustering_of(std::size_t k, std::int64_t triangles) {
   if (k < 2) return 0.0;
-  return 2.0 * static_cast<double>(triangles_through(g, v)) /
+  return 2.0 * static_cast<double>(triangles) /
          (static_cast<double>(k) * static_cast<double>(k - 1));
+}
+
+}  // namespace
+
+double local_clustering(const Graph& g, NodeId v) {
+  return clustering_of(g.degree(v), triangles_through(g, v));
 }
 
 double mean_clustering(const Graph& g) {
   if (g.num_nodes() == 0) return 0.0;
+  const auto triangles = dk::triangles_per_node(g);
   double sum = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) sum += local_clustering(g, v);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    sum += clustering_of(g.degree(v), triangles[v]);
+  }
   return sum / static_cast<double>(g.num_nodes());
 }
 
 std::vector<DegreeClustering> clustering_by_degree(const Graph& g) {
+  const auto triangles = dk::triangles_per_node(g);
   std::map<std::size_t, std::pair<std::uint64_t, double>> by_degree;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     auto& [count, sum] = by_degree[g.degree(v)];
     ++count;
-    sum += local_clustering(g, v);
+    sum += clustering_of(g.degree(v), triangles[v]);
   }
   std::vector<DegreeClustering> result;
   result.reserve(by_degree.size());
@@ -48,19 +61,18 @@ std::vector<DegreeClustering> clustering_by_degree(const Graph& g) {
 
 std::int64_t total_triangles(const Graph& g) {
   std::int64_t through_sum = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    through_sum += triangles_through(g, v);
-  }
+  for (const std::int64_t t : dk::triangles_per_node(g)) through_sum += t;
   // Each triangle is counted at each of its three vertices.
   return through_sum / 3;
 }
 
 double global_clustering(const Graph& g) {
+  const auto triangles = dk::triangles_per_node(g);
   std::int64_t closed = 0;  // ordered closed pairs = 2 t_v summed
   std::int64_t pairs = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto k = static_cast<std::int64_t>(g.degree(v));
-    closed += 2 * triangles_through(g, v);
+    closed += 2 * triangles[v];
     pairs += k * (k - 1);
   }
   if (pairs == 0) return 0.0;

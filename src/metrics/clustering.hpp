@@ -9,7 +9,10 @@
 
 namespace orbis::metrics {
 
-/// Number of edges among the neighbors of v (= triangles through v).
+/// Number of edges among the neighbors of v (= triangles through v), by
+/// O(deg²) pair probes.  The whole-graph metrics below take every t_v
+/// from one dk::triangles_per_node pass instead; this stays the per-node
+/// API and the tests' oracle.
 std::int64_t triangles_through(const Graph& g, NodeId v);
 
 /// Local clustering c_v = 2 t_v / (k_v (k_v - 1)); 0 when k_v < 2.

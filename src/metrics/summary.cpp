@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "core/three_k_profile.hpp"
+#include "core/three_k_count.hpp"
 #include "graph/algorithms.hpp"
 #include "metrics/clustering.hpp"
 #include "metrics/distance.hpp"
@@ -52,8 +52,7 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
     checkpoint();
   }
   if (options.with_s2) {
-    const auto profile = dk::ThreeKProfile::from_graph(core);
-    result.s2 = profile.second_order_likelihood();
+    result.s2 = dk::second_order_likelihood(core);
     checkpoint();
   }
   if (options.with_spectrum) {

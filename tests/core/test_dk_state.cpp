@@ -59,8 +59,7 @@ void churn(DkState& state, std::size_t count, util::Rng& rng,
         state.frozen_degree(b) == state.frozen_degree(d) ||
         state.frozen_degree(a) == state.frozen_degree(c);
     if (require_jdd_preserving && !jdd_preserving) continue;
-    if (jdd_preserving && state.level() != TrackLevel::jdd_only &&
-        rng.bernoulli(0.5)) {
+    if (jdd_preserving && rng.bernoulli(0.5)) {
       SwapDelta delta;
       state.evaluate_swap(a, b, c, d, delta);
       state.commit_swap(delta);
@@ -105,8 +104,8 @@ TEST(DkState, SwapChurnStaysConsistentLevel3) {
 // from-scratch recount, across seeds and tracking levels.
 TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
   for (const TrackLevel level :
-       {TrackLevel::jdd_only, TrackLevel::three_k_scalars,
-        TrackLevel::full_three_k, TrackLevel::swap_journal}) {
+       {TrackLevel::three_k_scalars, TrackLevel::full_three_k,
+        TrackLevel::swap_journal}) {
     for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
       // A flat G(n,m) graph and a hub-heavy power-law one.
       for (const bool hubs : {false, true}) {
@@ -587,7 +586,7 @@ TEST(DkState, SwapJournalLevelJournalsLikeFullThreeK) {
 TEST(DkState, SwapChurnStaysConsistentLevel2) {
   util::Rng rng(9);
   const auto g = builders::gnm(40, 90, rng);
-  DkState state(g, TrackLevel::jdd_only);
+  DkState state(g, TrackLevel::swap_journal);
   churn(state, 300, rng, false);
   ASSERT_NO_THROW(state.verify_consistency());
 }
@@ -635,7 +634,7 @@ TEST(DkState, RemoveAddRoundTripRestoresEverything) {
 }
 
 TEST(DkState, PreconditionViolationsThrow) {
-  DkState state(builders::path(4), TrackLevel::jdd_only);
+  DkState state(builders::path(4), TrackLevel::swap_journal);
   EXPECT_THROW(state.remove_edge(0, 2), std::invalid_argument);  // absent
   EXPECT_THROW(state.add_edge(0, 1), std::invalid_argument);     // exists
   EXPECT_THROW(state.add_edge(2, 2), std::invalid_argument);     // loop
@@ -644,12 +643,12 @@ TEST(DkState, PreconditionViolationsThrow) {
 TEST(DkState, AddBeyondFrozenDegreeThrows) {
   // Degrees are frozen at construction: pushing a node past its frozen
   // degree would silently corrupt the histograms, so the CSR rejects it.
-  DkState state(builders::path(4), TrackLevel::jdd_only);  // 0-1-2-3
+  DkState state(builders::path(4), TrackLevel::swap_journal);  // 0-1-2-3
   EXPECT_THROW(state.add_edge(0, 2), std::invalid_argument);  // deg(0) = 1
 }
 
 TEST(DkState, VerifyConsistencyPassesOnFreshState) {
-  DkState state(builders::complete(4), TrackLevel::jdd_only);
+  DkState state(builders::complete(4), TrackLevel::swap_journal);
   EXPECT_NO_THROW(state.verify_consistency());
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dk_state.hpp"
+#include "core/streaming_extractor.hpp"
+#include "core/three_k_count.hpp"
+#include "gen/matching.hpp"
 #include "graph/builders.hpp"
+#include "metrics/clustering.hpp"
+#include "topo/as_level.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::dk {
@@ -82,6 +88,10 @@ TEST(ThreeK, TotalCountsMatchGlobalFormulas) {
             neighbor_pairs);
 }
 
+// Every count_three_k user against the two oracles (from_graph_naive and
+// metrics::triangles_through), with exact equality: the profile, DkState's
+// histograms, per-node triangles and S2 at both scalar levels, the
+// histogram-free S2 and per-node counts, and the streaming extractor.
 TEST(ThreeK, FastMatchesNaiveOnFamilies) {
   std::vector<Graph> graphs;
   graphs.push_back(builders::complete(7));
@@ -96,10 +106,60 @@ TEST(ThreeK, FastMatchesNaiveOnFamilies) {
     graphs.push_back(builders::gnm(50, 120, rng));
     graphs.push_back(builders::random_tree(30, rng));
   }
+  {
+    // Power-law degrees with hubs, wired by matching_1k.
+    topo::AsLevelOptions options;
+    options.num_nodes = 2000;
+    options.gamma = 1.9;
+    options.max_degree_cap = 300;
+    util::Rng rng(4);
+    graphs.push_back(gen::matching_1k(
+        DegreeDistribution::from_sequence(
+            topo::power_law_degree_sequence(options)),
+        rng));
+  }
+  {
+    // The paw plus isolated nodes, one of them between edge endpoints.
+    Graph g(8);
+    g.add_edge(0, 1);
+    g.add_edge(0, 2);
+    g.add_edge(1, 2);
+    g.add_edge(0, 4);
+    graphs.push_back(g);
+  }
+  graphs.push_back(Graph(0));
+
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const auto fast = ThreeKProfile::from_graph(graphs[i]);
-    const auto naive = ThreeKProfile::from_graph_naive(graphs[i]);
-    EXPECT_EQ(fast, naive) << "graph family index " << i;
+    SCOPED_TRACE(testing::Message() << "graph family index " << i);
+    const Graph& g = graphs[i];
+    const auto naive = ThreeKProfile::from_graph_naive(g);
+    const double naive_s2 = naive.second_order_likelihood();
+    EXPECT_EQ(ThreeKProfile::from_graph(g), naive);
+    EXPECT_EQ(second_order_likelihood(g), naive_s2);
+
+    const DkState full(g, TrackLevel::full_three_k);
+    const DkState scalars(g, TrackLevel::three_k_scalars);
+    EXPECT_EQ(full.three_k(), naive);
+    EXPECT_EQ(full.second_order_likelihood(), naive_s2);
+    EXPECT_EQ(scalars.second_order_likelihood(), naive_s2);
+    const auto per_node = triangles_per_node(g);
+    ASSERT_EQ(per_node.size(), g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const std::int64_t oracle = metrics::triangles_through(g, v);
+      EXPECT_EQ(per_node[v], oracle) << "node " << v;
+      EXPECT_EQ(full.triangles_at(v), oracle) << "node " << v;
+      EXPECT_EQ(scalars.triangles_at(v), oracle) << "node " << v;
+    }
+
+    StreamingDkExtractor extractor(3);
+    bool more = true;
+    while (more) {
+      for (const auto& e : g.edges()) extractor.consume(e.u, e.v);
+      more = extractor.needs_another_pass();
+      extractor.end_pass();
+    }
+    extractor.declare_nodes(g.num_nodes());
+    EXPECT_EQ(extractor.finish().three_k, naive);
   }
 }
 

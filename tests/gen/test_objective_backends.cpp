@@ -159,7 +159,6 @@ void expect_bit_identical_chains(const Graph& original, double temperature,
   TargetingOptions options;
   options.temperature = temperature;
   options.attempts = 30'000;
-  options.guided_fraction = 0.5;
 
   options.objective = ObjectiveBackend::dense;
   util::Rng dense_rng(seed);

@@ -37,7 +37,8 @@ import sys
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
                   r"|DkStateSwap|Sparse2KTarget"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
-                  r"|ConvergenceAttemptsToEps|Hub3K|Pipeline3KLegs")
+                  r"|ConvergenceAttemptsToEps|Hub3K|Pipeline3KLegs"
+                  r"|Extract3K")
 
 
 def load_benchmarks(path, name_filter):
