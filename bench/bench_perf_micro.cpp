@@ -123,32 +123,6 @@ void BM_Target2KAttempts(benchmark::State& state) {
 }
 BENCHMARK(BM_Target2KAttempts)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// The same sustained 2K-targeting attempt throughput through the SPARSE
-// objective backend (docs/scaling.md): the hash-probe ΔD2 price relative
-// to BM_Target2KAttempts' dense array is exactly the gap this guards.
-void BM_Sparse2KTarget(benchmark::State& state) {
-  const auto original = make_graph(state.range(0));
-  const auto target = dk::JointDegreeDistribution::from_graph(original);
-  util::Rng start_rng(13);
-  const auto start =
-      gen::matching_1k(dk::DegreeDistribution::from_graph(original),
-                       start_rng);
-  gen::TargetingOptions options;
-  options.objective = gen::ObjectiveBackend::sparse;
-  options.attempts = 100000;
-  options.stop_distance = -1.0;  // never satisfied: sustained throughput
-  util::Rng rng(7);
-  std::uint64_t attempts = 0;
-  for (auto _ : state) {
-    gen::RewiringStats stats;
-    benchmark::DoNotOptimize(
-        gen::target_2k(start, target, options, rng, &stats));
-    attempts += stats.attempts;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
-}
-BENCHMARK(BM_Sparse2KTarget)->Arg(10000)->Unit(benchmark::kMillisecond);
-
 // Streaming extraction throughput (chunked reader + StreamingDkExtractor,
 // docs/scaling.md): edges processed per second over a written file, the
 // pipeline `orbis_tool extract` runs.  Level 2 = the two-pass degree+JDD

@@ -9,7 +9,9 @@
 // events as they happen).  stderr carries nothing in normal operation.
 //
 // Requests ("op" selects the verb; "tag" is an optional client string
-// echoed in the acceptance):
+// echoed in the acceptance).  extract, generate and metrics also take
+// "seed", "chains" and "workers" (only 1); any other key is an error
+// naming it, and the job is never accepted:
 //
 //   {"op":"extract","path":"g.edges","out":"prefix","d":3,
 //    "trust_simple":false,"tag":"e1"}
@@ -46,7 +48,9 @@
 
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -125,7 +129,30 @@ void write_done(const JobEvent& event, const JobInfo& info) {
   });
 }
 
+/// Rejects any request key the op does not read, naming it: a typo or
+/// a retired field must not be silently ignored (the CLI treats an
+/// unknown flag the same way).
+void expect_known_keys(const wire::Object& request, const std::string& op) {
+  static const std::set<std::string> common = {"op",     "tag",    "seed",
+                                               "chains", "workers"};
+  static const std::map<std::string, std::set<std::string>> per_op = {
+      {"extract", {"path", "out", "d", "trust_simple"}},
+      {"generate",
+       {"target", "out", "d", "attempts", "attempts_per_edge", "temperature",
+        "checkpoint_every"}},
+      {"metrics", {"path", "spectrum", "distance", "s2"}},
+  };
+  const std::set<std::string>& own = per_op.at(op);
+  for (const auto& [key, value] : request) {
+    if (!common.contains(key) && !own.contains(key)) {
+      throw orbis::ParseError("wire: unknown field \"" + key +
+                              "\" for op \"" + op + "\"");
+    }
+  }
+}
+
 JobRequest parse_submit(const wire::Object& request, const std::string& op) {
+  expect_known_keys(request, op);
   JobRequest job;
   if (op == "extract") {
     job.kind = JobKind::extract;
@@ -155,10 +182,6 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
   // assignment throws otherwise): every chain is serial.
   job.ctx.chains = wire::get_count(request, "chains", 1);
   job.ctx.workers = wire::get_count(request, "workers", 1);
-  job.ctx.memory_budget_mb = wire::get_count(request, "memory_budget_mb", 512);
-  if (job.ctx.memory_budget_mb == 0) {
-    throw orbis::ParseError("wire: \"memory_budget_mb\" must be positive");
-  }
   return job;
 }
 

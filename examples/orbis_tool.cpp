@@ -22,11 +22,6 @@
 //                                  docs/annealing.md), --exchange-every N
 //                                  (attempts per exchange epoch; default
 //                                  budget/16)
-//       2K objective:              --objective {auto,dense,sparse} (default
-//                                  auto: dense ΔD2 matrix while it fits the
-//                                  budget, sparse bin table past it) and
-//                                  --memory-budget-mb N (default 512); see
-//                                  docs/scaling.md
 //       output:                    --out out.edges  [--dot out.dot]
 //   orbis_tool rescale  --from-2k F --nodes N --out F2   rescale a JDD
 //   orbis_tool compare  <a.edges> <b.edges>          metric bundle + D_d
@@ -58,8 +53,8 @@
 //                             uninterrupted run's
 //   --stop-after-checkpoints N   test seam: request a stop after the
 //                             N-th checkpoint write (deterministic kill)
-// SIGINT/SIGTERM request a cooperative stop: the run winds down at the
-// next batch boundary, the last completed checkpoint is kept, and the
+// SIGINT/SIGTERM request a cooperative stop: each chain winds down
+// within 1024 attempts, the last completed checkpoint is kept, and the
 // tool exits 130.  A second signal kills immediately (default action).
 //
 // Exit codes: 0 success; 1 unexpected error; 2 usage/parse errors;
@@ -430,17 +425,12 @@ int cmd_generate(const util::ArgParser& args) {
   }
   record_config("d", std::to_string(d));
 
-  // Every execution knob (seed, chains, memory budget, stop, progress)
-  // is parsed once into the run's context (svc/run_context.hpp), which
-  // the library calls below take whole.
+  // Every execution knob (seed, chains, stop, progress) is parsed once
+  // into the run's context (svc/run_context.hpp), which the library
+  // calls below take whole.
   svc::RunContext ctx;
   ctx.seed = static_cast<std::uint64_t>(args.get_int("--seed", 1));
   ctx.chains = parse_count(args, "--chains", 0);
-  const long long budget_mb = args.get_int("--memory-budget-mb", 512);
-  if (budget_mb <= 0) {
-    throw std::invalid_argument("--memory-budget-mb must be positive");
-  }
-  ctx.memory_budget_mb = static_cast<std::size_t>(budget_mb);
   ctx.stop = g_stop.token();
   ctx.progress = g_progress;
 
@@ -520,13 +510,6 @@ int cmd_generate(const util::ArgParser& args) {
         parse_method(args.get_string("--method", "matching"));
     if (d == 3) options.method = gen::Method::targeting;
     options.targeting.move = move;
-    // The 2K objective backend, priced against ctx.memory_budget_mb.  An
-    // unknown --objective value fails loudly (parse_objective_backend
-    // names the valid spellings), never silently falls back.
-    const std::string objective = args.get_string("--objective", "auto");
-    options.targeting.objective = gen::parse_objective_backend(objective);
-    record_config("objective", objective);
-    record_config("memory_budget_mb", std::to_string(ctx.memory_budget_mb));
     record_config("method", args.get_string("--method", "matching"));
     if (options.method == gen::Method::targeting && (d == 2 || d == 3)) {
       bool interrupted = false;
@@ -636,8 +619,8 @@ int main(int argc, char** argv) {
   const util::ArgParser args(
       argc, argv,
       {"--seed", "--buffer-kb", "--d", "--out", "--like", "--from-1k",
-       "--from-2k", "--from-3k", "--method", "--chains", "--objective",
-       "--memory-budget-mb", "--dot", "--nodes", "--checkpoint",
+       "--from-2k", "--from-3k", "--method", "--chains", "--dot",
+       "--nodes", "--checkpoint",
        "--checkpoint-every", "--resume", "--stop-after-checkpoints",
        "--report", "--trace", "--move", "--ladder", "--exchange-every"});
   if (args.positional().empty()) return usage();

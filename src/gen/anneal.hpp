@@ -25,7 +25,7 @@
 // by exchange passes; replica streams are derived exactly as in any
 // multi-chain run.  The final graph is therefore a pure function of
 // (seed, ladder, move mix, exchange epoch) — bit-identical at any
-// worker or pool count, and across checkpoint kill/resume.
+// thread-pool size, and across checkpoint kill/resume.
 #pragma once
 
 #include <cstdint>

@@ -21,22 +21,6 @@ std::size_t budget_of(const TargetingOptions& options, std::size_t m) {
                               : options.attempts_per_edge * m;
 }
 
-/// Distinct degree values of g — the class count the dense-vs-sparse
-/// heuristic prices.  (EdgeIndex computes the same thing; this avoids
-/// building a full index just to pin the backend.)
-std::uint32_t distinct_degree_count(const Graph& g) {
-  std::vector<std::uint8_t> seen(g.max_degree() + 1, 0);
-  std::uint32_t classes = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::uint8_t& flag = seen[g.degree(v)];
-    if (flag == 0) {
-      flag = 1;
-      ++classes;
-    }
-  }
-  return classes;
-}
-
 RunCheckpoint make_run(int d, const Graph& start,
                        const TargetingOptions& options,
                        std::uint64_t checkpoint_every, util::Rng& rng,
@@ -47,11 +31,6 @@ RunCheckpoint make_run(int d, const Graph& start,
   state.budget = budget_of(options, start.num_edges());
   state.checkpoint_every = checkpoint_every;
   state.move = options.move;  // pinned: the move stream is run identity
-  state.backend =
-      d == 2 ? resolve_objective_backend(options.objective,
-                                         distinct_degree_count(start),
-                                         ctx.memory_budget_mb)
-             : options.objective;
 
   // One draw from the caller's Rng forms the master and chain i gets
   // master.stream(i): every chain stream is a pure function of
@@ -269,8 +248,7 @@ CheckpointedResult run_checkpointed_2k(
   util::expects(state.d == 2, "run_checkpointed_2k: checkpoint is not a "
                               "2K run");
   TargetingOptions leg_options = options;
-  leg_options.objective = state.backend;  // pinned at run start
-  leg_options.move = state.move;          // pinned: part of run identity
+  leg_options.move = state.move;  // pinned: part of run identity
   const bool laddered = state.laddered();
   return run_legs(
       state, checkpointing, ctx, options.stop_distance, nullptr,

@@ -89,7 +89,7 @@ struct ChainCheckpoint {
 /// Everything a resume needs, minus the target distribution (which the
 /// caller re-reads from its own file — targets are inputs, not state).
 struct RunCheckpoint {
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   int d = 2;        // current stage's series level: 2 | 3
   int final_d = 2;  // the run's (gen::Pipeline); make_*_run sets it to d
@@ -98,13 +98,8 @@ struct RunCheckpoint {
   std::array<std::uint64_t, 4> pipeline_rng{};
   std::uint64_t budget = 0;           // total attempts per chain
   std::uint64_t checkpoint_every = 0; // leg length; 0 = one single leg
-  /// 2K only: the ΔD2 backend, resolved ONCE at run start and pinned so
-  /// every leg (and every resume) prices swaps through the same storage.
-  /// Dense and sparse walk bit-identical chains regardless — pinning is
-  /// a perf-consistency guarantee, not a correctness one.
-  ObjectiveBackend backend = ObjectiveBackend::automatic;
-  /// Proposal move mix, pinned at run start like the backend: the move
-  /// stream is part of the chains' identity, so a resume must replay it.
+  /// Proposal move mix, pinned at run start: the move stream is part of
+  /// the chains' identity, so a resume must replay it.
   MoveKind move = MoveKind::swap;
   /// Replica-exchange ladder (gen/anneal.hpp): epoch length in attempts
   /// between exchange passes; 0 = independent chains (no ladder).  When
@@ -176,15 +171,14 @@ struct CheckpointedResult {
 /// Builds the leg-0 RunCheckpoint for a fresh 2K targeting run: resolves
 /// the chain count (ctx.chains, 0 = default_chain_count()) and budget
 /// (TargetingOptions), seeds chain i with Rng(rng.next()).stream(i) —
-/// one draw from `rng` whatever the chain count — and pins the
-/// objective backend (ctx.memory_budget_mb).  `start` must already have
-/// the target's degree sequence.
+/// one draw from `rng` whatever the chain count — and pins the move
+/// mix.  `start` must already have the target's degree sequence.
 RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
                           std::uint64_t checkpoint_every, util::Rng& rng,
                           const svc::RunContext& ctx = {});
 
-/// Same for a 3K targeting run (no backend to pin).  `start` must
-/// already have the target's JDD.
+/// Same for a 3K targeting run.  `start` must already have the target's
+/// JDD.
 RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
                           std::uint64_t checkpoint_every, util::Rng& rng,
                           const svc::RunContext& ctx = {});
@@ -197,7 +191,7 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
 /// indistinguishable from the uninterrupted run reaching that boundary.
 /// `options` must carry the same chain parameters (temperature,
 /// stop_distance, move, ...) the run was started with;
-/// attempts/attempts_per_edge and objective are taken from `state`,
+/// attempts/attempts_per_edge and move are taken from `state`,
 /// which is authoritative.
 CheckpointedResult run_checkpointed_2k(
     RunCheckpoint& state, const dk::JointDegreeDistribution& target,

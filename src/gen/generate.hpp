@@ -31,19 +31,15 @@ enum class Method {
 
 struct GenerateOptions {
   Method method = Method::matching;
-  /// Used by Method::targeting and d == 3.  The 2K stages resolve their
-  /// ΔD2 storage from `targeting.objective` / ctx.memory_budget_mb
-  /// (objective_backend.hpp): graphs whose degree diversity would not
-  /// fit the dense difference matrix route to the sparse backend, so
-  /// `extract → generate` works at scales the matrix cannot reach.
+  /// Used by Method::targeting and d == 3.
   TargetingOptions targeting = {};
 };
 
 /// Generate a dK-random graph from distributions (no original needed),
 /// seeding from `rng`, which continues past every draw the run made
 /// (multi-stage callers that share one Rng use this form).  Targeting
-/// runs ctx.chains chains per stage and honors ctx.stop at its leg and
-/// batch boundaries, returning the best graph at the last leg boundary
+/// runs ctx.chains chains per stage and honors ctx.stop at its leg
+/// boundaries, returning the best graph at the last leg boundary
 /// (check ctx.stop.stop_requested()).  Pseudograph output is simplified
 /// (loops/parallels dropped) but NOT GCC-extracted — callers decide, as
 /// in the paper.  Throws std::invalid_argument for unsupported (d,

@@ -13,9 +13,8 @@
 //     its chain count, budget, cadence, move kind and ladder.
 //
 // The run's svc::RunContext is fixed at construction: ctx.chains chains
-// per stage (0 = autotune), ctx.memory_budget_mb for the 2K backend,
-// and ctx.stop / ctx.progress for every leg.  Its seed is not read: the
-// caller passes the Rng.
+// per stage (0 = autotune) and ctx.stop / ctx.progress for every leg.
+// Its seed is not read: the caller passes the Rng.
 //
 // The RunCheckpoint covers every stage (`d` is the current stage,
 // `final_d` the run's, `pipeline_rng` the seeding Rng), so a d = 3 run
@@ -35,8 +34,7 @@ namespace orbis::gen {
 
 struct PipelineOptions {
   int d = 2;  ///< the run's final series level: 2 or 3
-  /// Chain parameters for every stage: budget, temperature, move mix,
-  /// 2K objective backend.
+  /// Chain parameters for every stage: budget, temperature, move mix.
   TargetingOptions targeting{};
   /// replicas >= 2 runs every stage as a replica-exchange ladder
   /// instead of independent chains (ctx.chains must then be 0); 0 = no

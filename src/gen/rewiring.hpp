@@ -26,7 +26,6 @@
 #include "core/dk_state.hpp"
 #include "core/joint_degree_distribution.hpp"
 #include "core/three_k_profile.hpp"
-#include "gen/objective_backend.hpp"
 #include "graph/graph.hpp"
 #include "svc/run_context.hpp"
 #include "util/only_one.hpp"
@@ -141,13 +140,6 @@ struct TargetingOptions {
   /// Kept only because the frozen benchmark (pipebench/) assigns it 1;
   /// deleted with its next revision.  Other values throw (OnlyOne).
   util::OnlyOne workers{};
-  /// 2K objective storage (objective_backend.hpp, docs/scaling.md):
-  /// `automatic` uses the dense C^2 difference matrix while it fits the
-  /// context's memory_budget_mb and the sparse occupied-bin table past
-  /// it; both backends drive bit-identical chains, so forcing one is
-  /// only ever a memory/speed trade.  CLI: orbis_tool --objective /
-  /// --memory-budget-mb.
-  ObjectiveBackend objective = ObjectiveBackend::automatic;
   /// Proposal move mix (MoveKind above).  In 2K targeting a trade is
   /// D2-neutral (pure mixing, useful against plateau stalls), so 2K
   /// targeting takes `mixed` but rejects `trade` alone; in 3K targeting

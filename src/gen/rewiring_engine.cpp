@@ -214,8 +214,7 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
   }
 }
 
-template <typename Objective>
-bool RewiringEngine::propose_guided(const Objective& objective,
+bool RewiringEngine::propose_guided(const JddObjective& objective,
                                     util::Rng& rng, Swap& swap) const {
   if (!objective.has_deviating_bin()) return false;
   const auto bin = objective.sample_deviating_bin(rng);
@@ -257,27 +256,7 @@ std::int64_t RewiringEngine::target_2k(
     const TargetingOptions& options, std::size_t budget, util::Rng& rng,
     RewiringStats* stats, const svc::RunContext& ctx) {
   expect_2k_targeting_move(options.move, "RewiringEngine::target_2k");
-  // Resolve the ΔD2 backend once, outside the hot loop: the chain body
-  // is instantiated per backend, so the dense path pays no dispatch and
-  // the sparse path trades hash probes for O(occupied-bin) memory.
-  // Both walk bit-identical chains (tests/gen/test_objective_backends).
-  const ObjectiveBackend backend = resolve_objective_backend(
-      options.objective, index_.num_classes(), ctx.memory_budget_mb);
-  if (backend == ObjectiveBackend::sparse) {
-    SparseJddObjective objective(index_, target);
-    return target_2k_with(objective, options, budget, rng, stats, ctx);
-  }
   JddObjective objective(index_, target);
-  return target_2k_with(objective, options, budget, rng, stats, ctx);
-}
-
-template <typename Objective>
-std::int64_t RewiringEngine::target_2k_with(Objective& objective,
-                                            const TargetingOptions& options,
-                                            std::size_t budget,
-                                            util::Rng& rng,
-                                            RewiringStats* stats,
-                                            const svc::RunContext& ctx) {
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   TradeScratch trade;
@@ -335,7 +314,7 @@ std::int64_t RewiringEngine::target_2k_with(Objective& objective,
     // Standard Metropolis: always accept downhill AND neutral moves
     // (plateau diffusion is what lets greedy descent reach D = 0);
     // uphill moves pass with probability e^{-ΔD/T}.  The uniform is
-    // drawn lazily so the Rng stream is identical across backends.
+    // drawn only for uphill moves at T > 0.
     const bool accept =
         delta <= 0 || (options.temperature > 0.0 &&
                        metropolis_accepts(delta, options.temperature,

@@ -58,11 +58,8 @@ class RewiringEngine {
                  util::Rng& rng, RewiringStats* stats,
                  const svc::RunContext& ctx = {});
 
-  /// 2K-targeting 1K-preserving Metropolis rewiring.  Returns the exact
-  /// integer D2 after the run.  The ΔD2 objective backend is resolved
-  /// from `options.objective` / `ctx.memory_budget_mb`
-  /// (objective_backend.hpp): dense matrix while it fits the budget,
-  /// sparse bin table past it — chains are bit-identical either way.
+  /// 2K-targeting 1K-preserving Metropolis rewiring, priced by a
+  /// JddObjective.  Returns the exact integer D2 after the run.
   std::int64_t target_2k(const dk::JointDegreeDistribution& target,
                          const TargetingOptions& options, std::size_t budget,
                          util::Rng& rng, RewiringStats* stats,
@@ -77,18 +74,8 @@ class RewiringEngine {
   double likelihood_s() const noexcept;
 
  private:
-  /// Objective is JddObjective or SparseJddObjective (identical
-  /// contract); the chain body is instantiated once per backend so the
-  /// dense hot path keeps its direct array access with zero dispatch.
-  template <typename Objective>
-  bool propose_guided(const Objective& objective, util::Rng& rng,
+  bool propose_guided(const JddObjective& objective, util::Rng& rng,
                       Swap& swap) const;
-  template <typename Objective>
-  std::int64_t target_2k_with(Objective& objective,
-                              const TargetingOptions& options,
-                              std::size_t budget, util::Rng& rng,
-                              RewiringStats* stats,
-                              const svc::RunContext& ctx);
 
   EdgeIndex index_;
 };

@@ -56,7 +56,7 @@ class FlatEdgeHash {
   bool contains(std::uint64_t key) const { return find(key) != npos; }
   /// Repoints an existing key at a new slot.
   void reassign(std::uint64_t key, std::uint32_t slot);
-  /// Prefetches key's probe group (batched proposal evaluation).
+  /// Prefetches key's probe group (advisory only).
   void prefetch(std::uint64_t key) const { table_.prefetch(key); }
 
  private:

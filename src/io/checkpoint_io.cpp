@@ -22,6 +22,9 @@ namespace {
 // stage.  Older files remain readable: v1 records default to a
 // non-laddered swap-only run, and v1/v2 files are final-stage
 // checkpoints (final_d = d), which is exactly what every such run was.
+// v4 drops the v1-v3 record that named one of two 2K objective
+// storages: both walked bit-identical chains, so an older file's word
+// is validated and then ignored.
 constexpr const char* kHeader = "# orbis checkpoint v";
 
 using Words = std::array<std::uint64_t, 4>;
@@ -42,7 +45,6 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
   write_words(out, "pipeline_rng", state.pipeline_rng);
   out << "budget " << state.budget << '\n';
   out << "every " << state.checkpoint_every << '\n';
-  out << "backend " << gen::to_string(state.backend) << '\n';
   out << "move " << gen::to_string(state.move) << '\n';
   out << "ladder " << state.exchange_every << ' '
       << (state.adaptive ? 1 : 0) << '\n';
@@ -61,7 +63,7 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
         << std::bit_cast<std::uint64_t>(chain.temperature) << '\n';
     // The sixth stats slot counted speculative re-evaluations, which no
     // chain makes any more; every serial chain always wrote 0 there, so
-    // writing 0 keeps the v3 format byte-identical.
+    // writing 0 keeps the six-slot record every version reads.
     const gen::RewiringStats& s = chain.stats;
     out << "stats " << s.attempts << ' ' << s.accepted << ' '
         << s.rejected_structural << ' ' << s.rejected_constraint << ' '
@@ -230,8 +232,8 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
       header.size() == prefix.size() + 1 && header.starts_with(prefix)
           ? header.back() - '0'
           : 0;
-  if (version < 1 || version > 3) {
-    parser.fail("expected '" + prefix + "1' to '" + prefix + "3', got: " +
+  if (version < 1 || version > 4) {
+    parser.fail("expected '" + prefix + "1' to '" + prefix + "4', got: " +
                 header);
   }
   gen::RunCheckpoint state;
@@ -251,11 +253,12 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
   }
   state.budget = parser.keyed_u64("budget");
   state.checkpoint_every = parser.keyed_u64("every");
-  const std::string backend = parser.keyed_word("backend");
-  try {
-    state.backend = gen::parse_objective_backend(backend);
-  } catch (const std::invalid_argument&) {
-    parser.fail("unknown backend: " + backend);
+  if (version <= 3) {
+    const std::string backend = parser.keyed_word("backend");
+    if (backend != "auto" && backend != "automatic" && backend != "dense" &&
+        backend != "sparse") {
+      parser.fail("unknown backend: " + backend);
+    }
   }
   if (version >= 2) {
     const std::string move = parser.keyed_word("move");

@@ -2,13 +2,12 @@
 //
 // Versioned text format, one logical field per line:
 //
-//   # orbis checkpoint v3
+//   # orbis checkpoint v4
 //   d 2                                 (current stage)
-//   final_d 3                           (v3: the run's final d)
-//   pipeline_rng <w0> <w1> <w2> <w3>    (v3: gen::Pipeline seeding Rng)
+//   final_d 3                           (v3+: the run's final d)
+//   pipeline_rng <w0> <w1> <w2> <w3>    (v3+: gen::Pipeline seeding Rng)
 //   budget 1000000
 //   every 50000
-//   backend dense
 //   move swap                           (v2+)
 //   ladder <exchange_every> <adaptive>  (v2+; laddered runs add the
 //                                        exchange_rng/exchanges records)
@@ -31,7 +30,10 @@
 // holds either the previous complete checkpoint or the new one — a kill
 // mid-write can never produce a half-checkpoint for resume to trip on.
 //
-// v1 and v2 files stay readable; they are final-stage checkpoints.
+// v1 to v3 files stay readable.  v1 and v2 files are final-stage
+// checkpoints.  v1 to v3 carry a `backend <word>` record after `every`;
+// the word must be auto, automatic, dense or sparse, and is then
+// dropped.
 // Reads are strict: any structural deviation — wrong version, missing
 // field, trailing garbage, out-of-range node, duplicate edge, all-zero
 // Rng state, chains out of step — throws orbis::ParseError naming the

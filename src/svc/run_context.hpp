@@ -1,13 +1,12 @@
 // The execution context of one run (docs/service.md, "RunContext"), and
-// the only home of its seed, chain count, memory budget, stop token,
-// progress sink and metrics registry.  Options structs say WHAT to
-// compute; the context says HOW this run executes, and every layer that
-// polls a stop token, reports progress or picks a chain count takes it
-// by const reference (docs/service.md lists them).  A default context
-// never stops, reports nothing and autotunes chains.  Stop and progress
-// never decide anything, so a run is bit-identical with or without
-// them.  Each chain is serial; more cores mean more chains (or a
-// replica ladder).
+// the only home of its seed, chain count, stop token, progress sink and
+// metrics registry.  Options structs say WHAT to compute; the context
+// says HOW this run executes, and every layer that polls a stop token,
+// reports progress or picks a chain count takes it by const reference
+// (docs/service.md lists them).  A default context never stops,
+// reports nothing and autotunes chains.  Stop and progress never decide
+// anything, so a run is bit-identical with or without them.  Each chain
+// is serial; more cores mean more chains (or a replica ladder).
 #pragma once
 
 #include <cstddef>
@@ -34,9 +33,6 @@ struct RunContext {
   /// Kept only because the frozen benchmark (pipebench/) assigns it 1;
   /// deleted with its next revision.  Other values throw (OnlyOne).
   util::OnlyOne workers{};
-
-  /// 2K objective-backend budget in MB (docs/scaling.md).
-  std::size_t memory_budget_mb = 512;
 
   /// Cooperative cancellation; default token never stops.
   util::StopToken stop{};

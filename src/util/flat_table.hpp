@@ -1,17 +1,16 @@
 // The one flat open-addressing table behind every hot-path hash
 // structure in this library.
 //
-// Four structures used to carry hand-mirrored copies of the same probe
-// design: graph::FlatEdgeHash (edge key -> slot), dk::SparseHistogram
-// (dK bin counts), gen::SparseJddObjective's occupied-bin table, and
-// util::FlatKeySet (streaming duplicate detection).  The probe
-// arithmetic — splitmix64-finalized hashing, power-of-two capacity with
-// mask indexing, linear probing, load-factor growth, and backward-shift
-// deletion — is subtle enough that each copy needed its own pinning
-// tests, and a fix in one had to be mirrored by hand into the others.
-// FlatTable owns that arithmetic exactly once; the four wrappers are now
-// thin orchestration over these primitives and contain no probe loops of
-// their own.  See docs/flat_table.md for the probe protocol, the growth
+// Three structures run on it: graph::FlatEdgeHash (edge key -> slot),
+// dk::SparseHistogram (dK bin counts) and util::FlatKeySet (streaming
+// duplicate detection).  They used to carry hand-mirrored copies of the
+// same probe design.  The probe arithmetic — splitmix64-finalized
+// hashing, power-of-two capacity with mask indexing, linear probing,
+// load-factor growth, and backward-shift deletion — is subtle enough
+// that each copy needed its own pinning tests, and a fix in one had to
+// be mirrored by hand into the others.  FlatTable owns that arithmetic
+// exactly once; the wrappers are thin orchestration over these
+// primitives and contain no probe loops of their own.  See docs/flat_table.md for the probe protocol, the growth
 // policy, and the payload-traits contract.
 //
 // Layout: parallel arrays keys_[capacity] / payloads_[capacity] over a

@@ -19,7 +19,7 @@ inline constexpr std::uint32_t max_packable_degree = (1u << 21) - 1;
 
 /// SplitMix64 finalizer: the shared bit mixer behind every flat hash
 /// table keyed by packed tuples (FlatEdgeHash, SparseHistogram,
-/// SparseJddObjective, FlatKeySet).  Packed keys are highly regular, so
+/// FlatKeySet).  Packed keys are highly regular, so
 /// tables index with `splitmix64_mix(key) & mask`.
 constexpr std::uint64_t splitmix64_mix(std::uint64_t x) noexcept {
   x ^= x >> 30;

@@ -1,11 +1,11 @@
 // Large-graph scaling smoke (docs/scaling.md): on an n ≈ 200k synthetic
 // graph, (a) the streaming extract pipeline's accumulator footprint must
 // be independent of the edge count, and (b) the extract -> target
-// pipeline must run 2K targeting through the sparse objective inside a
-// memory budget the dense C^2 matrix would blow through — with the two
-// backends still bit-identical on a down-scaled sibling.
+// pipeline must run 2K targeting on a graph with hundreds of degree
+// classes, lowering D2 with every degree frozen.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -13,7 +13,6 @@
 #include "core/series.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
-#include "gen/objective.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "graph/edge_index.hpp"
@@ -25,8 +24,8 @@ namespace orbis::gen {
 namespace {
 
 /// Star forest with hub degrees 1..max_hub_degree: C = max_hub_degree
-/// classes but only the (1, d) bins occupied — the skewed regime the
-/// sparse backend exists for (degree diversity >> occupied bins).
+/// classes but only the (1, d) bins occupied (degree diversity >>
+/// occupied bins).
 Graph star_forest(std::uint32_t max_hub_degree) {
   std::vector<Edge> edges;
   NodeId next = 0;
@@ -40,8 +39,7 @@ Graph star_forest(std::uint32_t max_hub_degree) {
 }
 
 /// The forest with a bounded number of degree-preserving swaps applied:
-/// same 1K, JDD deviating in O(swaps) bins — a realistic targeting gap
-/// whose objective stays sparse.
+/// same 1K, JDD deviating in O(swaps) bins — a realistic targeting gap.
 Graph perturbed(const Graph& g, std::size_t attempts, std::uint64_t seed) {
   RandomizeOptions options;
   options.d = 1;
@@ -89,11 +87,10 @@ TEST(ScalingSmoke, StreamingMatchesInMemoryAtScale) {
   EXPECT_TRUE(streamed.distributions.joint == expected.joint);
 }
 
-TEST(ScalingSmoke, SparseObjectiveTargetsInsideTheBudget) {
-  // Hub degrees 1..630 give n ≈ 199k nodes and 631 degree classes: the
-  // dense matrix prices at ~3.2 MiB, past a 2 MiB budget, while the
-  // perturbed forest's deviating bins keep the sparse table well inside
-  // it.
+TEST(ScalingSmoke, StarForestTargetsThroughCheckpointedLegs) {
+  // Hub degrees 1..630 give n ≈ 199k nodes and 630 degree classes.  C
+  // distinct degrees sum to at most 2m, so C < 2√m + 1 and the ΔD2
+  // matrix (8·C² bytes) stays under 32·m + O(√m) bytes.
   const std::uint32_t max_hub_degree = 630;
   const Graph original = star_forest(max_hub_degree);
   ASSERT_GE(original.num_nodes(), 198'000u);
@@ -110,29 +107,20 @@ TEST(ScalingSmoke, SparseObjectiveTargetsInsideTheBudget) {
   const dk::JointDegreeDistribution& target = streamed.distributions.joint;
 
   const EdgeIndex index(start);
-  ASSERT_GE(index.num_classes(), max_hub_degree);
-  const std::size_t budget_mb = 2;
-  ASSERT_GT(dense_jdd_objective_bytes(index.num_classes()),
-            budget_mb << 20);
-  ASSERT_EQ(resolve_objective_backend(ObjectiveBackend::automatic,
-                                      index.num_classes(), budget_mb),
-            ObjectiveBackend::sparse);
-  // The sparse table itself honors the budget the dense matrix exceeds.
-  SparseJddObjective sparse(index, target);
-  EXPECT_LT(sparse.memory_bytes(), budget_mb << 20);
+  ASSERT_EQ(index.num_classes(), max_hub_degree);
+  const double m = static_cast<double>(start.num_edges());
+  EXPECT_LT(index.num_classes(), 2.0 * std::sqrt(m) + 1.0);
 
   TargetingOptions options;
-  options.objective = ObjectiveBackend::automatic;  // resolves to sparse
   options.attempts = 400'000;
   svc::RunContext ctx;
   ctx.chains = 1;
-  ctx.memory_budget_mb = budget_mb;
   const double initial =
       dk::distance_2k(dk::JointDegreeDistribution::from_graph(start),
                       target);
+  ASSERT_GT(initial, 0.0);
   util::Rng rng(33);
   RunCheckpoint state = make_2k_run(start, options, 0, rng, ctx);
-  EXPECT_EQ(state.backend, ObjectiveBackend::sparse);
   const CheckpointedResult run =
       run_checkpointed_2k(state, target, options, {}, ctx);
   EXPECT_GT(run.total_stats.accepted, 0u);
@@ -140,36 +128,6 @@ TEST(ScalingSmoke, SparseObjectiveTargetsInsideTheBudget) {
   // Degrees are frozen through the whole chain.
   EXPECT_TRUE(dk::DegreeDistribution::from_graph(run.graph) ==
               dk::DegreeDistribution::from_graph(start));
-}
-
-TEST(ScalingSmoke, BackendsBitIdenticalOnDownscaledSibling) {
-  // The same forest shape at small scale, cheap enough to run twice:
-  // forcing dense vs sparse must walk the identical chain.
-  const Graph original = star_forest(100);
-  const Graph start = perturbed(original, 2'000, 6);
-  const auto target = dk::JointDegreeDistribution::from_graph(original);
-
-  TargetingOptions options;
-  options.attempts = 100'000;
-  options.temperature = 1.0;
-
-  options.objective = ObjectiveBackend::dense;
-  util::Rng dense_rng(17);
-  RewiringStats dense_stats;
-  double dense_distance = 0.0;
-  const Graph dense_result = target_2k(start, target, options, dense_rng,
-                                       &dense_stats, &dense_distance);
-
-  options.objective = ObjectiveBackend::sparse;
-  util::Rng sparse_rng(17);
-  RewiringStats sparse_stats;
-  double sparse_distance = 0.0;
-  const Graph sparse_result = target_2k(start, target, options, sparse_rng,
-                                        &sparse_stats, &sparse_distance);
-
-  EXPECT_EQ(dense_stats, sparse_stats);
-  EXPECT_EQ(dense_distance, sparse_distance);
-  EXPECT_TRUE(dense_result == sparse_result);
 }
 
 }  // namespace

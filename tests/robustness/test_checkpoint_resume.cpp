@@ -83,6 +83,15 @@ class CheckpointResumeTest : public ::testing::Test {
   CheckpointedResult kill_and_resume_2k(std::uint64_t seed,
                                         std::size_t kill_at) {
     const std::string file = path("run.ck");
+    kill_2k(seed, kill_at, file);
+    RunCheckpoint resumed = io::read_checkpoint_file(file);
+    return run_checkpointed_2k(resumed, target_.joint, options_, {});
+  }
+
+  /// The first half of kill_and_resume_2k: leaves the checkpoint of
+  /// boundary `kill_at` in `file`.
+  void kill_2k(std::uint64_t seed, std::size_t kill_at,
+               const std::string& file) {
     {
       util::Rng rng(seed);
       RunCheckpoint state =
@@ -103,8 +112,6 @@ class CheckpointResumeTest : public ::testing::Test {
       EXPECT_TRUE(partial.interrupted);
       EXPECT_EQ(partial.attempts_done, kill_at * 300);
     }
-    RunCheckpoint resumed = io::read_checkpoint_file(file);
-    return run_checkpointed_2k(resumed, target_.joint, options_, {});
   }
 
   std::filesystem::path dir_;
@@ -440,7 +447,6 @@ TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
   EXPECT_EQ(loaded.pipeline_rng, state.pipeline_rng);
   EXPECT_EQ(loaded.budget, state.budget);
   EXPECT_EQ(loaded.checkpoint_every, state.checkpoint_every);
-  EXPECT_EQ(loaded.backend, state.backend);
   ASSERT_EQ(loaded.chains.size(), state.chains.size());
   for (std::size_t i = 0; i < state.chains.size(); ++i) {
     EXPECT_EQ(loaded.chains[i].attempts_done, state.chains[i].attempts_done);
@@ -512,18 +518,76 @@ TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
   reject("# orbis checkpoint v2\nd 2\nfinal_d 3\n");  // v3 record in v2
 }
 
-TEST_F(CheckpointResumeTest, V2FilesStillReadAsFinalStageCheckpoints) {
-  const std::string file = path("v2.ck");
-  std::ofstream(file, std::ios::trunc)
-      << "# orbis checkpoint v2\nd 3\nbudget 10\nevery 5\n"
-         "backend automatic\nmove swap\nladder 0 0\nchains 1\nchain 0\n"
-         "attempts 5\nrng 1 2 3 4\ntemperature_bits 0\n"
-         "stats 5 1 1 1 2 0\ndistance 7\ngraph 3 1\n0 1\nend chain\n"
-         "end checkpoint\n";
-  const RunCheckpoint loaded = io::read_checkpoint_file(file);
-  EXPECT_EQ(loaded.d, 3);
-  EXPECT_EQ(loaded.final_d, 3);
-  EXPECT_EQ(loaded.chains[0].distance, 7);
+// v4 dropped the `backend` record.  Both storages a v3 file could name
+// walked bit-identical chains, so a v3 file resumes exactly like the
+// same run saved as v4, whichever backend it names.
+TEST_F(CheckpointResumeTest, V3FilesOfEitherBackendResumeLikeV4) {
+  const auto reference = reference_2k(7, nullptr);
+  const std::string file = path("run.ck");
+  kill_2k(7, 3, file);
+  std::string v4;
+  {
+    std::ifstream in(file, std::ios::binary);
+    v4.assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  }
+  ASSERT_TRUE(v4.starts_with("# orbis checkpoint v4\n"));
+  EXPECT_EQ(v4.find("backend"), std::string::npos);
+  const std::size_t after_every = v4.find("\nevery 300\n");
+  ASSERT_NE(after_every, std::string::npos);
+
+  const auto v3_with = [&](const std::string& backend) {
+    std::string v3 = v4;
+    v3.insert(after_every + std::string("\nevery 300\n").size(),
+              "backend " + backend + "\n");
+    v3[std::string("# orbis checkpoint v").size()] = '3';
+    return v3;
+  };
+  for (const std::string& content :
+       {v4, v3_with("dense"), v3_with("sparse")}) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << content;
+    RunCheckpoint resumed = io::read_checkpoint_file(file);
+    const auto result =
+        run_checkpointed_2k(resumed, target_.joint, options_, {});
+    expect_same_edges(reference.graph, result.graph);
+    expect_same_stats(reference.total_stats, result.total_stats);
+    EXPECT_EQ(reference.best_chain, result.best_chain);
+    EXPECT_EQ(reference.best_distance, result.best_distance);
+  }
+
+  // A v3 backend word is still validated, and v4 has no such record.
+  std::string v4_with_backend = v3_with("dense");
+  v4_with_backend[std::string("# orbis checkpoint v").size()] = '4';
+  for (const std::string& content : {v3_with("warp"), v4_with_backend}) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << content;
+    EXPECT_THROW(io::read_checkpoint_file(file), ParseError) << content;
+  }
+}
+
+TEST_F(CheckpointResumeTest, V1AndV2FilesStillReadAsFinalStageCheckpoints) {
+  // v1 has no move/ladder records (a swap-only, non-laddered run); both
+  // carry the backend word v4 dropped.
+  const std::string file = path("old.ck");
+  const std::string v1 =
+      "# orbis checkpoint v1\nd 3\nbudget 10\nevery 5\n"
+      "backend sparse\nchains 1\nchain 0\nattempts 5\nrng 1 2 3 4\n"
+      "stats 5 1 1 1 2 0\ndistance 7\ngraph 3 1\n0 1\nend chain\n"
+      "end checkpoint\n";
+  const std::string v2 =
+      "# orbis checkpoint v2\nd 3\nbudget 10\nevery 5\n"
+      "backend automatic\nmove swap\nladder 0 0\nchains 1\nchain 0\n"
+      "attempts 5\nrng 1 2 3 4\ntemperature_bits 0\n"
+      "stats 5 1 1 1 2 0\ndistance 7\ngraph 3 1\n0 1\nend chain\n"
+      "end checkpoint\n";
+  for (const std::string& content : {v1, v2}) {
+    std::ofstream(file, std::ios::trunc) << content;
+    const RunCheckpoint loaded = io::read_checkpoint_file(file);
+    EXPECT_EQ(loaded.d, 3);
+    EXPECT_EQ(loaded.final_d, 3);
+    EXPECT_EQ(loaded.move, MoveKind::swap);
+    EXPECT_FALSE(loaded.laddered());
+    EXPECT_EQ(loaded.chains[0].distance, 7);
+  }
 }
 
 // The pipeline's checkpoint covers every stage: a d = 3 run killed at ANY

@@ -198,8 +198,7 @@ TEST_F(ServerCliTest, NegativeCountsAreRejectedBeforeAcceptance) {
   const std::vector<std::string> fields = {
       R"("chains":-1})",           R"("workers":-1})",
       R"("workers":2})",           R"("attempts":-5})",
-      R"("attempts_per_edge":-1})", R"("checkpoint_every":-1})",
-      R"("memory_budget_mb":0})",  R"("memory_budget_mb":-3})"};
+      R"("attempts_per_edge":-1})", R"("checkpoint_every":-1})"};
   std::vector<std::string> requests;
   for (const std::string& field : fields) requests.push_back(generate + field);
   requests.push_back(R"({"op":"shutdown"})");
@@ -216,6 +215,35 @@ TEST_F(ServerCliTest, NegativeCountsAreRejectedBeforeAcceptance) {
   }
   EXPECT_EQ(errors, fields.size());
   EXPECT_TRUE(named_workers);
+  EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
+  EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
+}
+
+TEST_F(ServerCliTest, UnknownRequestFieldsAreRejectedBeforeAcceptance) {
+  // A retired field (memory_budget_mb) and a typo ("chain" for
+  // "chains") each answer with an error naming the field; neither job
+  // is accepted, so the job table stays empty (status of job 1 fails).
+  const std::string generate = R"({"op":"generate","target":")" +
+                               path("dk") + R"(","out":")" +
+                               path("out.edges") + R"(","d":2,)";
+  std::vector<std::string> events;
+  EXPECT_EQ(run_session({generate + R"("memory_budget_mb":512})",
+                         generate + R"("chain":2})",
+                         R"({"op":"status","job":1})",
+                         R"({"op":"shutdown"})"},
+                        events),
+            0);
+  std::vector<std::string> errors;
+  for (const std::string& line : events) {
+    EXPECT_TRUE(test_json::is_valid_json(line)) << line;
+    if (test_json::has_entry(line, "event", "\"error\"")) {
+      errors.push_back(line);
+    }
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_NE(errors[0].find("memory_budget_mb"), std::string::npos);
+  EXPECT_NE(errors[1].find("\\\"chain\\\""), std::string::npos);
+  EXPECT_NE(errors[2].find("unknown job id 1"), std::string::npos);
   EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
   EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
 }

@@ -1,7 +1,6 @@
 // util::FlatTable is the single implementation of the probe arithmetic
-// that four hot-path structures (FlatEdgeHash, SparseHistogram,
-// SparseJddObjective, FlatKeySet) used to pin with four hand-mirrored
-// copies.  These tests exercise the template directly, under both
+// that the hot-path structures (FlatEdgeHash, SparseHistogram,
+// FlatKeySet) used to pin with hand-mirrored copies.  These tests exercise the template directly, under both
 // occupancy regimes, so a probe/deletion bug is caught here before it
 // surfaces as a corrupted rewiring chain.
 #include "util/flat_table.hpp"
