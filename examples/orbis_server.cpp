@@ -151,6 +151,17 @@ void expect_known_keys(const wire::Object& request, const std::string& op) {
   }
 }
 
+/// "d" is a dK level: range-checked before it narrows to int, so
+/// 4294967298 cannot wrap to 2.  Server::submit then checks the levels
+/// each op accepts.
+int get_d(const wire::Object& request, std::int64_t fallback) {
+  const std::int64_t d = wire::get_int(request, "d", fallback);
+  if (d < 0 || d > 3) {
+    throw orbis::ParseError("wire: field \"d\" must be in [0,3]");
+  }
+  return static_cast<int>(d);
+}
+
 JobRequest parse_submit(const wire::Object& request, const std::string& op) {
   expect_known_keys(request, op);
   JobRequest job;
@@ -158,13 +169,13 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
     job.kind = JobKind::extract;
     job.input_path = wire::require_string(request, "path");
     job.output = wire::require_string(request, "out");
-    job.d = static_cast<int>(wire::get_int(request, "d", 3));
+    job.d = get_d(request, 3);
     job.assume_simple = wire::get_bool(request, "trust_simple", false);
   } else if (op == "generate") {
     job.kind = JobKind::generate;
     job.input_path = wire::require_string(request, "target");
     job.output = wire::require_string(request, "out");
-    job.d = static_cast<int>(wire::get_int(request, "d", 2));
+    job.d = get_d(request, 2);
     job.attempts = wire::get_count(request, "attempts", 0);
     job.attempts_per_edge = wire::get_count(request, "attempts_per_edge", 0);
     job.temperature = wire::get_double(request, "temperature", 0.0);
@@ -197,16 +208,14 @@ int run(Server& server) {
         return 0;
       }
       if (op == "cancel") {
-        const auto id =
-            static_cast<std::uint64_t>(wire::get_int(request, "job", 0));
+        const std::uint64_t id = wire::get_count(request, "job", 0);
         if (!server.cancel(id)) {
           write_error("cancel: unknown job " + std::to_string(id));
         }
         continue;
       }
       if (op == "status" || op == "wait") {
-        const auto id =
-            static_cast<std::uint64_t>(wire::get_int(request, "job", 0));
+        const std::uint64_t id = wire::get_count(request, "job", 0);
         const JobInfo info =
             op == "wait" ? server.wait(id) : server.status(id);
         write_line([&](orbis::obs::json::Writer& w) {

@@ -417,7 +417,12 @@ Graph generate_targeting(const util::ArgParser& args,
 }
 
 int cmd_generate(const util::ArgParser& args) {
-  const int d = static_cast<int>(args.get_int("--d", 2));
+  // Range-checked before it narrows: --d 4294967298 must not wrap to 2.
+  const long long d_flag = args.get_int("--d", 2);
+  if (d_flag < 0 || d_flag > 3) {
+    throw std::invalid_argument("--d must be in [0,3]");
+  }
+  const int d = static_cast<int>(d_flag);
   const std::string out = args.get_string("--out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out is required\n");
@@ -560,8 +565,7 @@ int cmd_generate(const util::ArgParser& args) {
 int cmd_rescale(const util::ArgParser& args, util::Rng& rng) {
   const std::string from = args.get_string("--from-2k", "");
   const std::string out = args.get_string("--out", "");
-  const auto nodes =
-      static_cast<std::uint64_t>(args.get_int("--nodes", 0));
+  const std::uint64_t nodes = parse_count(args, "--nodes", 0);
   if (from.empty() || out.empty() || nodes == 0) {
     std::fprintf(stderr,
                  "rescale: --from-2k, --nodes and --out are required\n");

@@ -1,7 +1,6 @@
 #include "core/dk_state.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/three_k_count.hpp"
 #include "util/check.hpp"
@@ -64,171 +63,34 @@ void DeltaJournal::coalesce() {
   coalesce_map(triangle);
 }
 
+double ThreeKSums::mean_clustering() const noexcept {
+  if (num_nodes == 0) return 0.0;
+  return clustering_sum / static_cast<double>(num_nodes);
+}
+
+ThreeKSums three_k_sums(const EdgeIndex& index) {
+  ThreeKScalars scalars(index.num_nodes());
+  count_three_k(index, scalars);
+  ThreeKSums sums;
+  sums.s2 = static_cast<double>(scalars.s2);
+  sums.num_nodes = index.num_nodes();
+  for (NodeId v = 0; v < sums.num_nodes; ++v) {
+    sums.clustering_sum += static_cast<double>(scalars.node_triangles[v]) *
+                           clustering_weight(index.degree(v));
+  }
+  return sums;
+}
+
 DkState::DkState(const Graph& graph, TrackLevel level)
-    : owned_(std::make_unique<EdgeIndex>(graph)), index_(owned_.get()) {
-  init(level);
+    : owned_(std::make_unique<EdgeIndex>(graph)),
+      index_(owned_.get()),
+      level_(level) {
+  if (tracks_histograms()) count_three_k(*index_, three_k_);
 }
 
 DkState::DkState(EdgeIndex& index, TrackLevel level)
-    : owned_(nullptr), index_(&index) {
-  init(level);
-}
-
-void DkState::init(TrackLevel level) {
-  level_ = level;
-  const NodeId n = index_->num_nodes();
-
-  for (const auto& e : index_->edges()) {
-    const std::uint32_t du = index_->degree(e.u);
-    const std::uint32_t dv = index_->degree(e.v);
-    jdd_.histogram().increment(util::pair_key(du, dv));
-    s_ += static_cast<double>(du) * static_cast<double>(dv);
-  }
-
-  if (tracks_scalars()) {
-    mark_.assign(n, 0);
-    mark_stamp_ = 0;
-    // One pass: S2, every t_v and, at full_three_k, the histograms.
-    ThreeKScalars scalars(n);
-    if (tracks_histograms()) {
-      count_three_k(*index_, scalars, three_k_);
-    } else {
-      count_three_k(*index_, scalars);
-    }
-    s2_ = static_cast<double>(scalars.s2);
-    node_triangles_ = std::move(scalars.node_triangles);
-    for (NodeId v = 0; v < n; ++v) {
-      clustering_sum_ += static_cast<double>(node_triangles_[v]) *
-                         clustering_weight(index_->degree(v));
-    }
-  }
-}
-
-double DkState::mean_clustering() const noexcept {
-  if (index_->num_nodes() == 0) return 0.0;
-  return clustering_sum_ / static_cast<double>(index_->num_nodes());
-}
-
-void DkState::bump_jdd(std::uint32_t k1, std::uint32_t k2,
-                       std::int64_t delta) {
-  jdd_.histogram().add(util::pair_key(k1, k2), delta);
-}
-
-void DkState::bump_wedge(std::uint32_t end1, std::uint32_t center,
-                         std::uint32_t end2, std::int64_t delta) {
-  s2_ += static_cast<double>(delta) * static_cast<double>(end1) *
-         static_cast<double>(end2);
-  if (!tracks_histograms()) return;
-  three_k_.wedges().add(util::wedge_key(end1, center, end2), delta);
-}
-
-void DkState::bump_triangle(std::uint32_t a, std::uint32_t b,
-                            std::uint32_t c, std::int64_t delta) {
-  if (!tracks_histograms()) return;
-  three_k_.triangles().add(util::triangle_key(a, b, c), delta);
-}
-
-void DkState::bump_node_triangles(NodeId v, std::int64_t delta) {
-  node_triangles_[v] += delta;
-  util::ensures(node_triangles_[v] >= 0,
-                "DkState: node triangle count went negative");
-  clustering_sum_ += static_cast<double>(delta) *
-                     clustering_weight(index_->degree(v));
-}
-
-void DkState::remove_edge(NodeId u, NodeId v) {
-  util::expects(index_->has_edge(u, v), "DkState::remove_edge: no such edge");
-  const std::uint32_t du = index_->degree(u);
-  const std::uint32_t dv = index_->degree(v);
-
-  if (tracks_scalars()) {
-    // Scan BEFORE structural removal so adjacency still reflects the
-    // edge.  One mark pass classifies every incident wedge/triangle in
-    // O(deg u + deg v) with no hash lookups: stamp N(v), sweep N(u)
-    // (common neighbor -> dying triangle, else a wedge centered at u
-    // dies), then re-sweep N(v) — entries still carrying the first
-    // stamp are non-common and lose their wedge centered at v.
-    const std::uint64_t in_v = ++mark_stamp_;
-    const std::uint64_t common = ++mark_stamp_;
-    const auto u_nbrs = index_->neighbors(u);
-    const auto v_nbrs = index_->neighbors(v);
-    for (const NodeId y : v_nbrs) {
-      if (y != u) mark_[y] = in_v;
-    }
-    for (const NodeId x : u_nbrs) {
-      if (x == v) continue;
-      const std::uint32_t dx = index_->degree(x);
-      if (mark_[x] == in_v) {
-        mark_[x] = common;
-        // Triangle (u,v,x) dies; pair (u,v) at center x opens into a wedge.
-        bump_triangle(du, dv, dx, -1);
-        bump_wedge(du, dx, dv, +1);
-        bump_node_triangles(u, -1);
-        bump_node_triangles(v, -1);
-        bump_node_triangles(x, -1);
-      } else {
-        // Wedge x - u - v (centered at u) dies with the edge.
-        bump_wedge(dx, du, dv, -1);
-      }
-    }
-    for (const NodeId y : v_nbrs) {
-      if (y == u) continue;
-      if (mark_[y] == in_v) {
-        bump_wedge(index_->degree(y), dv, du, -1);
-      }
-      // Common neighbors already handled from u's side.
-    }
-  }
-
-  bump_jdd(du, dv, -1);
-  s_ -= static_cast<double>(du) * static_cast<double>(dv);
-  index_->remove_edge(u, v);
-}
-
-void DkState::add_edge(NodeId u, NodeId v) {
-  util::expects(u != v, "DkState::add_edge: self-loop");
-  util::expects(!index_->has_edge(u, v), "DkState::add_edge: edge exists");
-  // Checked here, before any histogram bump, so a violation cannot leave
-  // the bookkeeping half-updated.
-  util::expects(index_->current_degree(u) < index_->degree(u) &&
-                    index_->current_degree(v) < index_->degree(v),
-                "DkState::add_edge: node at frozen degree");
-  const std::uint32_t du = index_->degree(u);
-  const std::uint32_t dv = index_->degree(v);
-
-  if (tracks_scalars()) {
-    // Scan BEFORE structural insertion: x ranges over old neighbors
-    // only.  Mirror image of the removal pass.
-    const std::uint64_t in_v = ++mark_stamp_;
-    const std::uint64_t common = ++mark_stamp_;
-    const auto u_nbrs = index_->neighbors(u);
-    const auto v_nbrs = index_->neighbors(v);
-    for (const NodeId y : v_nbrs) mark_[y] = in_v;
-    for (const NodeId x : u_nbrs) {
-      const std::uint32_t dx = index_->degree(x);
-      if (mark_[x] == in_v) {
-        mark_[x] = common;
-        // Wedge u - x - v closes into a triangle.
-        bump_wedge(du, dx, dv, -1);
-        bump_triangle(du, dv, dx, +1);
-        bump_node_triangles(u, +1);
-        bump_node_triangles(v, +1);
-        bump_node_triangles(x, +1);
-      } else {
-        // New wedge x - u - v centered at u.
-        bump_wedge(dx, du, dv, +1);
-      }
-    }
-    for (const NodeId y : v_nbrs) {
-      if (mark_[y] == in_v) {
-        bump_wedge(index_->degree(y), dv, du, +1);
-      }
-    }
-  }
-
-  bump_jdd(du, dv, +1);
-  s_ += static_cast<double>(du) * static_cast<double>(dv);
-  index_->add_edge(u, v);
+    : index_(&index), level_(level) {
+  if (tracks_histograms()) count_three_k(*index_, three_k_);
 }
 
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
@@ -378,8 +240,6 @@ void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
 }
 
 void DkState::commit_swap(const SwapDelta& delta) {
-  // The JDD bin moves of a 2K-preserving swap cancel exactly, and S is a
-  // function of the JDD — both stay untouched.
   util::expects(
       index_->degree(delta.b) == index_->degree(delta.d) ||
           index_->degree(delta.a) == index_->degree(delta.c),
@@ -392,41 +252,13 @@ void DkState::commit_swap(const SwapDelta& delta) {
       three_k_.triangles().add(key, net);
     }
   }
-  if (tracks_scalars()) {
-    s2_ += delta.s2_delta;
-    clustering_sum_ += delta.clustering_delta;
-    for (const auto& [node, net] : delta.triangle_nodes) {
-      node_triangles_[node] += net;
-      util::ensures(node_triangles_[node] >= 0,
-                    "DkState: node triangle count went negative");
-    }
-  }
   index_->apply_swap(delta.a, delta.b, delta.c, delta.d);
 }
 
 void DkState::verify_consistency() const {
-  const Graph graph = to_graph();
-  const auto fresh_jdd = JointDegreeDistribution::from_graph(graph);
-  util::ensures(fresh_jdd == jdd_, "DkState: JDD diverged from recount");
-  double fresh_s = 0.0;
-  for (const auto& e : graph.edges()) {
-    fresh_s += static_cast<double>(graph.degree(e.u)) *
-               static_cast<double>(graph.degree(e.v));
-  }
-  util::ensures(std::fabs(fresh_s - s_) < 1e-6 * (1.0 + std::fabs(s_)),
-                "DkState: likelihood S diverged from recount");
-  if (tracks_scalars()) {
-    if (tracks_histograms()) {
-      util::ensures(ThreeKProfile::from_graph(graph) == three_k_,
-                    "DkState: 3K profile diverged from recount");
-    }
-    util::ensures(triangles_per_node(graph) == node_triangles_,
-                  "DkState: node triangle counts diverged from recount");
-    const double fresh_s2 = dk::second_order_likelihood(graph);
-    util::ensures(std::fabs(fresh_s2 - s2_) <
-                      1e-6 * (1.0 + std::fabs(s2_)),
-                  "DkState: S2 diverged from recount");
-  }
+  if (!tracks_histograms()) return;
+  util::ensures(ThreeKProfile::from_graph(to_graph()) == three_k_,
+                "DkState: 3K profile diverged from recount");
 }
 
 }  // namespace orbis::dk

@@ -1,31 +1,26 @@
-// Incremental dK bookkeeping — the engine room of every rewiring process.
+// Swap-only 3K bookkeeping — the engine room of every 3K-level rewiring.
 //
-// DkState maintains live histograms of a graph's 2K (JDD) and, at
-// full_three_k, its 3K (wedge/triangle) distributions, together with the
-// scalar objectives used by dK-space exploration:
-//   S    — likelihood, Σ_edges k_u * k_v              (defined by P2)
+// DkState prices and commits JDD-preserving double-edge swaps (paper
+// §4.1.4, §4.3), the only move its chains make: evaluate_swap computes a
+// proposal's net wedge/triangle bin deltas and its S2 and C̄ deltas
 //   S2   — second-order likelihood, Σ_wedges k1 * k3  (defined by P∧)
-//   C̄    — mean local clustering, (1/n) Σ_v 2 t_v / (k_v (k_v - 1))
+//   C̄    — mean local clustering, (1/n) Σ_v t_v · 2 / (k_v (k_v - 1))
+// without mutating anything, and commit_swap applies it.  The only dK
+// data it stores are the wedge/triangle histograms, at full_three_k,
+// written in exactly two places: construction and commit_swap.  A chain
+// that follows S2 or C̄ sums the deltas itself, starting from
+// three_k_sums.
 //
 // The adjacency lives in a flat EdgeIndex (CSR rows + open-addressing
 // edge hash) rather than a Graph: DkState either owns one (constructed
 // from a Graph) or binds to one owned by a rewiring engine, so a 3K
-// rewirer maintains exactly ONE adjacency structure.  Construction runs
-// count_three_k (core/three_k_count.hpp) over that index, with no Graph
-// export, for whatever 3K counts the level tracks.  Wedge/triangle
-// deltas of a single edge mutation are computed by a timestamped
-// mark-array common-neighbor pass — mark N(v), sweep N(u) — which costs
-// O(deg u + deg v) with zero hash probes.  A JDD-preserving double-edge
-// swap is priced without a mark array: only the rows of its two
-// equal-degree endpoints are walked, with O(1) edge-hash probes per
+// rewirer maintains exactly ONE adjacency structure.  Construction at
+// full_three_k runs count_three_k (core/three_k_count.hpp) over that
+// index, with no Graph export.  Pricing a swap walks only the rows of
+// its two equal-degree endpoints, with O(1) edge-hash probes per
 // neighbor, so its cost is independent of the other two (often hub)
-// endpoints' degrees.
-//
-// Single edge insertions/removals update everything with node degrees
-// *frozen* at construction time: the intended use is degree-preserving
-// double-edge swaps, where every intermediate state has the same final
-// degree vector.  This freeze is what makes the bookkeeping exact for
-// rewiring: histogram keys never shift mid-swap.
+// endpoints' degrees.  Degrees are those of the index, which a swap
+// never changes, so histogram keys never shift.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/joint_degree_distribution.hpp"
 #include "core/three_k_profile.hpp"
 #include "graph/edge_index.hpp"
 #include "graph/graph.hpp"
@@ -93,22 +87,35 @@ struct SwapDelta {
   }
 };
 
-/// Every level keeps the JDD and S (one edge pass at construction); the
-/// 1K/2K processes need no DkState, they run on a bare EdgeIndex.
+/// What evaluate_swap fills and commit_swap folds; the 1K/2K processes
+/// need no DkState, they run on a bare EdgeIndex.
 enum class TrackLevel : int {
-  three_k_scalars = 3, // + S2, C̄ and per-node triangles, but NOT the
-                       //   wedge/triangle histograms (for exploration,
-                       //   which only optimizes the scalars)
-  full_three_k = 4,    // + the full 3K histograms (for 3K targeting);
-                       //   both from one count_three_k pass
-  swap_journal = 5,    // evaluate_swap's wedge/triangle journal, but no
-                       //   3K histograms, triangle counts, S2 or C̄:
-                       //   construction costs the JDD pass alone, and
-                       //   commit_swap only moves the edges.  For
-                       //   3K-preserving randomization and swap
+  three_k_scalars = 3, // the S2/C̄ deltas only, and builds nothing (for
+                       //   exploration, which follows the scalars)
+  full_three_k = 4,    // + the bin journal, folded into the 3K
+                       //   histograms built by one count_three_k pass
+                       //   (for 3K targeting)
+  swap_journal = 5,    // + the bin journal, but no histograms: builds
+                       //   nothing, and commit_swap only moves the edges
+                       //   (for 3K-preserving randomization and swap
                        //   counting, which only ask whether the journal
-                       //   is empty.
+                       //   is empty)
 };
+
+/// S2 and the clustering sum Σ_v t_v · (2 / (k_v (k_v - 1))) of the
+/// graph behind `index`, from one count_three_k pass: S2 is the exact
+/// integer sum as a double, the clustering sum is added up in node
+/// order.  Adding each committed swap's s2_delta or clustering_delta
+/// follows them along a chain.
+struct ThreeKSums {
+  double s2 = 0.0;
+  double clustering_sum = 0.0;
+  NodeId num_nodes = 0;
+
+  /// C̄ = clustering_sum / n (0 when n = 0).
+  double mean_clustering() const noexcept;
+};
+ThreeKSums three_k_sums(const EdgeIndex& index);
 
 class DkState {
  public:
@@ -117,10 +124,10 @@ class DkState {
 
   /// Shared-adjacency state: binds to an EdgeIndex owned by the caller
   /// (typically a rewiring engine that also samples swap candidates from
-  /// it).  add_edge/remove_edge mutate that index directly; the caller
-  /// must not mutate it behind DkState's back.  The index must outlive
-  /// this object at a stable address, so DkState is intentionally
-  /// neither copyable nor movable.
+  /// it).  commit_swap mutates that index directly; the caller must not
+  /// mutate it behind DkState's back.  The index must outlive this
+  /// object at a stable address, so DkState is intentionally neither
+  /// copyable nor movable.
   DkState(EdgeIndex& index, TrackLevel level);
 
   DkState(const DkState&) = delete;
@@ -133,18 +140,6 @@ class DkState {
   Graph to_graph() const { return index_->to_graph(); }
 
   TrackLevel level() const noexcept { return level_; }
-
-  /// Frozen degree of v (the degree vector captured at construction).
-  std::uint32_t frozen_degree(NodeId v) const { return index_->degree(v); }
-
-  /// Removes edge (u,v), updating all histograms/scalars and the index.
-  /// Precondition: the edge exists.
-  void remove_edge(NodeId u, NodeId v);
-
-  /// Adds edge (u,v), updating all histograms/scalars and the index.
-  /// Precondition: the edge does not exist, u != v, and neither endpoint
-  /// is at its frozen degree.
-  void add_edge(NodeId u, NodeId v);
 
   /// Speculatively evaluates the double-edge swap (a,b),(c,d) ->
   /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas
@@ -162,51 +157,30 @@ class DkState {
   void evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                      SwapDelta& out) const;
 
-  /// Commits a swap evaluated by evaluate_swap: folds the recorded
-  /// deltas into whatever the level tracks (nothing at swap_journal)
-  /// and applies the swap to the index as one O(1) operation.  The swap
+  /// Commits a swap evaluated by evaluate_swap: folds the journal into
+  /// the histograms (at full_three_k; nothing else is stored) and
+  /// applies the swap to the index as one O(1) operation.  The swap
   /// must preserve the JDD (deg b = deg d or deg a = deg c, as every
-  /// 2K-preserving candidate does), since the four cancelling JDD bin
-  /// moves are skipped.
+  /// 2K-preserving candidate does; checked), as evaluate_swap requires.
   void commit_swap(const SwapDelta& delta);
 
-  const JointDegreeDistribution& jdd() const noexcept { return jdd_; }
+  /// The wedge/triangle histograms (full_three_k; empty otherwise).
   const ThreeKProfile& three_k() const noexcept { return three_k_; }
 
-  double likelihood_s() const noexcept { return s_; }
-  // The 3K scalars and triangle counts below are maintained at
-  // three_k_scalars and full_three_k only.
-  double second_order_likelihood() const noexcept { return s2_; }
-  /// Mean local clustering over all nodes (degree<2 nodes contribute 0).
-  double mean_clustering() const noexcept;
-  std::int64_t triangles_at(NodeId v) const { return node_triangles_[v]; }
-
-  /// Recomputes everything from scratch and verifies it matches the
-  /// incrementally maintained state (test/debug aid). Throws on mismatch.
+  /// Recounts the histograms from scratch and verifies they match the
+  /// incrementally maintained ones (test/debug aid; nothing to check
+  /// below full_three_k).  Throws on mismatch.
   void verify_consistency() const;
 
  private:
-  void init(TrackLevel level);
   /// evaluate_swap's pass with the endpoints labeled so that
   /// deg b = deg d: walks N(b) and N(d) only.
   void price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
                                SwapDelta& out) const;
-  void bump_jdd(std::uint32_t k1, std::uint32_t k2, std::int64_t delta);
-  void bump_wedge(std::uint32_t end1, std::uint32_t center,
-                  std::uint32_t end2, std::int64_t delta);
-  void bump_triangle(std::uint32_t a, std::uint32_t b, std::uint32_t c,
-                     std::int64_t delta);
-  void bump_node_triangles(NodeId v, std::int64_t delta);
-
   /// evaluate_swap fills the wedge/triangle journal.
   bool journals_bins() const noexcept {
     return level_ == TrackLevel::full_three_k ||
            level_ == TrackLevel::swap_journal;
-  }
-  /// Per-node triangle counts, S2 and C̄ are live.
-  bool tracks_scalars() const noexcept {
-    return level_ == TrackLevel::three_k_scalars ||
-           level_ == TrackLevel::full_three_k;
   }
   bool tracks_histograms() const noexcept {
     return level_ == TrackLevel::full_three_k;
@@ -215,19 +189,7 @@ class DkState {
   std::unique_ptr<EdgeIndex> owned_;  // null when bound to a shared index
   EdgeIndex* index_;
   TrackLevel level_;
-  JointDegreeDistribution jdd_;
   ThreeKProfile three_k_;
-  std::vector<std::int64_t> node_triangles_;  // t_v (tracks_scalars)
-  double s_ = 0.0;
-  double s2_ = 0.0;
-  double clustering_sum_ = 0.0;               // Σ_v 2 t_v / (k_v(k_v-1))
-
-  // Timestamped mark array for the common-neighbor delta passes of the
-  // mutating paths (add_edge/remove_edge): a node is "marked" iff
-  // mark_[v] carries the current stamp, so clearing between passes is a
-  // counter increment, not an O(n) sweep.  evaluate_swap never uses it.
-  std::vector<std::uint64_t> mark_;
-  std::uint64_t mark_stamp_ = 0;
 };
 
 }  // namespace orbis::dk

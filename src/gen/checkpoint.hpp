@@ -19,14 +19,14 @@
 // What a leg rebuilds and what it carries: a 2K leg rebuilds its whole
 // engine (index + ΔD2 objective, both O(m)).  A 3K leg rebuilds only
 // the index: the chain's ThreeKRewirer lives on between legs
-// (ThreeKEngines) with its wedge/triangle histograms, per-node triangle
-// counts and D3, because those are functions of the edge SET, which the
-// canonical form preserves — only the slot order is canonicalized, and
-// that lives in the index.  So a carried engine walks exactly the chain
-// a rebuilt one would, and a resume, which must build the histograms
-// once, cannot diverge from the run it continues.  A leg that is
-// discarded by a stop, and a ladder exchange that trades configurations
-// between replicas, drop or move the carried engines with the graphs.
+// (ThreeKEngines) with its wedge/triangle histograms and D3, because
+// those are functions of the edge SET, which the canonical form
+// preserves — only the slot order is canonicalized, and that lives in
+// the index.  So a carried engine walks exactly the chain a rebuilt one
+// would, and a resume, which must build the histograms once, cannot
+// diverge from the run it continues.  A leg that is discarded by a
+// stop, and a ladder exchange that trades configurations between
+// replicas, drop or move the carried engines with the graphs.
 //
 // The flip side: `checkpoint_every` is part of the run's identity, like
 // the seed.  A run checkpointed every 10k attempts and one checkpointed

@@ -193,8 +193,8 @@ Graph explore(const Graph& g, ExploreObjective objective,
                      options.stop_at_value, rng, stats);
     out = engine.graph();
   } else {
-    // Exploration only reads the scalar objectives, so skip the (hub-
-    // expensive) wedge/triangle histogram maintenance.
+    // Exploration follows only the scalar deltas, so skip the (hub-
+    // expensive) wedge/triangle histograms.
     ThreeKRewirer rewirer(g, dk::TrackLevel::three_k_scalars);
     rewirer.explore(objective, budget, options.stop_at_value, rng, stats);
     out = rewirer.graph();
@@ -214,10 +214,8 @@ double objective_value(const Graph& g, ExploreObjective objective) {
     case ExploreObjective::minimize_s2: {
       return dk::second_order_likelihood(g);
     }
-    default: {
-      dk::DkState state(g, dk::TrackLevel::three_k_scalars);
-      return state.mean_clustering();
-    }
+    default:
+      return dk::three_k_sums(EdgeIndex(g)).mean_clustering();
   }
 }
 

@@ -537,9 +537,10 @@ void ThreeKRewirer::explore(ExploreObjective objective, std::size_t budget,
                             RewiringStats* stats) {
   const bool s2_objective = objective == ExploreObjective::maximize_s2 ||
                             objective == ExploreObjective::minimize_s2;
+  // DkState stores no scalars: the chain sums the committed deltas.
+  dk::ThreeKSums sums = dk::three_k_sums(index_);
   const auto current = [&]() -> double {
-    return s2_objective ? state_.second_order_likelihood()
-                        : state_.mean_clustering();
+    return s2_objective ? sums.s2 : sums.mean_clustering();
   };
   const bool maximize = objective == ExploreObjective::maximize_s2 ||
                         objective == ExploreObjective::maximize_clustering;
@@ -568,6 +569,8 @@ void ThreeKRewirer::explore(ExploreObjective objective, std::size_t budget,
         maximize ? objective_delta > 0.0 : objective_delta < 0.0;
     if (improved) {
       state_.commit_swap(delta);
+      sums.s2 += delta.s2_delta;
+      sums.clustering_sum += delta.clustering_delta;
       if (stats != nullptr) ++stats->accepted;
     } else {
       if (stats != nullptr) ++stats->rejected_objective;

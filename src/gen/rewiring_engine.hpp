@@ -102,7 +102,7 @@ class ThreeKRewirer {
   /// prices ΔD3 against the live histograms); randomize reads only the
   /// journal, so swap_journal skips the histogram build that dominates
   /// construction on hub graphs (full_three_k works too); exploration
-  /// reads only the scalars (three_k_scalars).
+  /// reads only the S2/C̄ deltas (three_k_scalars).
   explicit ThreeKRewirer(
       const Graph& start,
       dk::TrackLevel level = dk::TrackLevel::full_three_k);
@@ -112,10 +112,10 @@ class ThreeKRewirer {
 
   /// Replaces the index with EdgeIndex(g) when `g` holds exactly the
   /// engine's current edge set, and returns false (changing nothing)
-  /// otherwise.  The 3K state is kept: histograms, triangle counts and
-  /// D3 depend only on the edge set, and the new slot and bucket order
-  /// is exactly that of ThreeKRewirer(g), so the engine then walks the
-  /// same chain as a fresh build from `g`, without the build.  O(m).
+  /// otherwise.  The 3K state is kept: histograms and D3 depend only
+  /// on the edge set, and the new slot and bucket order is exactly that
+  /// of ThreeKRewirer(g), so the engine then walks the same chain as a
+  /// fresh build from `g`, without the build.  O(m).
   bool reindex(const Graph& g);
 
   /// 3K-preserving randomization: bucket-drawn 2K-preserving candidates,

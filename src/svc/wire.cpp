@@ -1,6 +1,7 @@
 #include "svc/wire.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/errors.hpp"
@@ -220,10 +221,14 @@ std::int64_t get_int(const Object& object, const std::string& key,
   if (it->second.kind != Value::Kind::number) {
     throw ParseError("wire: field \"" + key + "\" must be a number");
   }
-  // The cast below is only defined inside the int64 range.
+  // The cast below is only defined inside the int64 range, and would
+  // drop a fraction silently.
   const double number = it->second.number;
   if (!(number > -9.2e18 && number < 9.2e18)) {
     throw ParseError("wire: field \"" + key + "\" is out of range");
+  }
+  if (number != std::trunc(number)) {
+    throw ParseError("wire: field \"" + key + "\" must be an integer");
   }
   return static_cast<std::int64_t>(number);
 }

@@ -42,6 +42,8 @@ Object parse_flat_object(std::string_view line);
 std::string require_string(const Object& object, const std::string& key);
 std::string get_string(const Object& object, const std::string& key,
                        const std::string& fallback);
+/// An integer field: a fractional or out-of-range number throws
+/// orbis::ParseError naming the field (2.9 is not silently 2).
 std::int64_t get_int(const Object& object, const std::string& key,
                      std::int64_t fallback);
 /// A count (chains, workers, attempts, ...): get_int that also throws

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "core/three_k_count.hpp"
 #include "gen/matching.hpp"
 #include "graph/builders.hpp"
 #include "metrics/clustering.hpp"
@@ -34,13 +35,23 @@ bool hub_heavy(const Graph& g) {
   return static_cast<double>(g.max_degree()) >= 10.0 * mean;
 }
 
-/// Applies `count` random degree-preserving double-edge swaps through the
-/// state (the operation DkState is designed for).  At 3K tracking levels
-/// about half of the JDD-preserving swaps go through the speculative
-/// evaluate_swap/commit_swap path instead of four single-edge mutations,
-/// so both paths feed the same recount checks.
-void churn(DkState& state, std::size_t count, util::Rng& rng,
-           bool require_jdd_preserving) {
+/// S2, the clustering sum Σ_v t_v · 2/(k_v(k_v-1)) and t_v as the swap
+/// deltas say they have become: DkState stores none of them, so a
+/// chain that follows them adds up what evaluate_swap reports.
+struct Followed {
+  double s2 = 0.0;
+  double clustering_sum = 0.0;
+  std::vector<std::int64_t> triangles;
+};
+
+/// Applies `count` random JDD-preserving double-edge swaps through
+/// evaluate_swap/commit_swap (the only way DkState moves), adding each
+/// one's deltas to what a recount of the start gives.
+Followed churn(DkState& state, std::size_t count, util::Rng& rng) {
+  const ThreeKSums start = three_k_sums(state.index());
+  Followed followed{start.s2, start.clustering_sum,
+                    triangles_per_node(state.to_graph())};
+  SwapDelta delta;
   std::size_t done = 0;
   std::size_t guard = 0;
   while (done < count && guard++ < count * 200) {
@@ -55,21 +66,41 @@ void churn(DkState& state, std::size_t count, util::Rng& rng,
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
     if (a == c || a == d || b == c || b == d) continue;
     if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
-    const bool jdd_preserving =
-        state.frozen_degree(b) == state.frozen_degree(d) ||
-        state.frozen_degree(a) == state.frozen_degree(c);
-    if (require_jdd_preserving && !jdd_preserving) continue;
-    if (jdd_preserving && rng.bernoulli(0.5)) {
-      SwapDelta delta;
-      state.evaluate_swap(a, b, c, d, delta);
-      state.commit_swap(delta);
-    } else {
-      state.remove_edge(a, b);
-      state.remove_edge(c, d);
-      state.add_edge(a, d);
-      state.add_edge(c, b);
+    if (index.degree(b) != index.degree(d) &&
+        index.degree(a) != index.degree(c)) {
+      continue;
+    }
+    state.evaluate_swap(a, b, c, d, delta);
+    state.commit_swap(delta);
+    followed.s2 += delta.s2_delta;
+    followed.clustering_sum += delta.clustering_delta;
+    for (const auto& [node, net] : delta.triangle_nodes) {
+      followed.triangles[node] += net;
     }
     ++done;
+  }
+  EXPECT_EQ(done, count);
+  return followed;
+}
+
+/// The churned graph against the start and against what churn followed:
+/// the JDD and S are the start's (every swap preserves the JDD), and S2,
+/// C̄ and every t_v match a recount.
+void expect_matches_recount(const DkState& state, const Graph& start,
+                            const Followed& followed) {
+  const Graph now = state.to_graph();
+  EXPECT_EQ(JointDegreeDistribution::from_graph(now),
+            JointDegreeDistribution::from_graph(start));
+  EXPECT_NEAR(metrics::likelihood_s(now), metrics::likelihood_s(start),
+              1e-6);
+  const double fresh_s2 = second_order_likelihood(now);
+  EXPECT_NEAR(followed.s2, fresh_s2, 1e-9 * (1.0 + fresh_s2));
+  EXPECT_NEAR(followed.clustering_sum / static_cast<double>(now.num_nodes()),
+              metrics::mean_clustering(now), 1e-9);
+  ASSERT_EQ(followed.triangles.size(), now.num_nodes());
+  for (NodeId v = 0; v < now.num_nodes(); ++v) {
+    ASSERT_EQ(followed.triangles[v], metrics::triangles_through(now, v))
+        << "node " << v;
   }
 }
 
@@ -77,31 +108,29 @@ TEST(DkState, InitialStateMatchesExtraction) {
   util::Rng rng(5);
   const auto g = builders::gnm(30, 70, rng);
   DkState state(g, TrackLevel::full_three_k);
-  EXPECT_EQ(state.jdd(), JointDegreeDistribution::from_graph(g));
   EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(g));
-  EXPECT_NEAR(state.likelihood_s(), metrics::likelihood_s(g), 1e-9);
-  EXPECT_NEAR(state.mean_clustering(), metrics::mean_clustering(g), 1e-12);
+  const ThreeKSums sums = three_k_sums(state.index());
+  EXPECT_EQ(sums.s2, second_order_likelihood(g));
+  EXPECT_NEAR(sums.mean_clustering(), metrics::mean_clustering(g), 1e-12);
   EXPECT_TRUE(state.to_graph() == g);
 }
 
 TEST(DkState, SwapChurnStaysConsistentLevel3) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
     util::Rng rng(seed);
     const auto g = builders::gnm(25, 60, rng);
     DkState state(g, TrackLevel::full_three_k);
-    churn(state, 200, rng, /*require_jdd_preserving=*/false);
-    ASSERT_NO_THROW(state.verify_consistency()) << "seed " << seed;
-    // Cross-check scalars against fresh metric computations.
-    EXPECT_NEAR(state.mean_clustering(),
-                metrics::mean_clustering(state.to_graph()), 1e-9);
-    EXPECT_NEAR(state.likelihood_s(),
-                metrics::likelihood_s(state.to_graph()), 1e-6);
+    const Followed followed = churn(state, 200, rng);
+    ASSERT_NO_THROW(state.verify_consistency());
+    expect_matches_recount(state, g, followed);
   }
 }
 
 // Property sweep for the CSR-backed state: a LONG random swap sequence
 // must keep the incrementally maintained histograms exactly equal to a
-// from-scratch recount, across seeds and tracking levels.
+// from-scratch recount, across seeds and tracking levels, and the
+// summed scalar deltas must land on the recounted S2, C̄ and t_v.
 TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
   for (const TrackLevel level :
        {TrackLevel::three_k_scalars, TrackLevel::full_three_k,
@@ -118,27 +147,16 @@ TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
           ASSERT_TRUE(hub_heavy(g));
         }
         DkState state(g, level);
-        churn(state, 1500, rng, /*require_jdd_preserving=*/false);
+        const Followed followed = churn(state, 1500, rng);
         ASSERT_NO_THROW(state.verify_consistency());
-        const Graph now = state.to_graph();
-        EXPECT_EQ(state.jdd(), JointDegreeDistribution::from_graph(now));
         if (level == TrackLevel::full_three_k) {
           // The histograms must match an independent full extraction.
-          EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(now));
+          EXPECT_EQ(state.three_k(),
+                    ThreeKProfile::from_graph(state.to_graph()));
+        } else {
+          EXPECT_TRUE(state.three_k().wedges().empty());
         }
-        if (level == TrackLevel::three_k_scalars ||
-            level == TrackLevel::full_three_k) {
-          const auto fresh = ThreeKProfile::from_graph(now);
-          EXPECT_NEAR(state.second_order_likelihood(),
-                      fresh.second_order_likelihood(),
-                      1e-9 * (1.0 + fresh.second_order_likelihood()));
-          EXPECT_NEAR(state.mean_clustering(), metrics::mean_clustering(now),
-                      1e-9);
-          for (NodeId v = 0; v < now.num_nodes(); ++v) {
-            ASSERT_EQ(state.triangles_at(v), metrics::triangles_through(now, v))
-                << "node " << v;
-          }
-        }
+        expect_matches_recount(state, g, followed);
       }
     }
   }
@@ -158,13 +176,11 @@ TEST(DkState, SharedIndexStaysEquivalentToReplayedGraph) {
     DkState state(index, TrackLevel::full_three_k);
     EXPECT_EQ(&state.index(), &index);
 
-    // Replay the same swaps against a plain Graph and compare.  JDD-
-    // preserving swaps take the evaluate_swap/commit_swap path half the
-    // time, which mutates the index through EdgeIndex::apply_swap.
+    // Replay the same swaps against a plain Graph and compare.
+    // commit_swap mutates the index through EdgeIndex::apply_swap.
     Graph replay = g;
     SwapDelta delta;
     std::size_t done = 0;
-    std::size_t committed = 0;
     std::size_t guard = 0;
     while (done < 400 && guard++ < 400 * 200) {
       const auto i = index.sample_edge(rng);
@@ -175,26 +191,19 @@ TEST(DkState, SharedIndexStaysEquivalentToReplayedGraph) {
       const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
       if (a == c || a == d || b == c || b == d) continue;
       if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
-      const bool jdd_preserving = index.degree(b) == index.degree(d) ||
-                                  index.degree(a) == index.degree(c);
-      if (jdd_preserving && rng.bernoulli(0.5)) {
-        state.evaluate_swap(a, b, c, d, delta);
-        state.commit_swap(delta);
-        ++committed;
-      } else {
-        state.remove_edge(a, b);
-        state.remove_edge(c, d);
-        state.add_edge(a, d);
-        state.add_edge(c, b);
+      if (index.degree(b) != index.degree(d) &&
+          index.degree(a) != index.degree(c)) {
+        continue;
       }
+      state.evaluate_swap(a, b, c, d, delta);
+      state.commit_swap(delta);
       ASSERT_TRUE(replay.remove_edge(a, b));
       ASSERT_TRUE(replay.remove_edge(c, d));
       ASSERT_TRUE(replay.add_edge(a, d));
       ASSERT_TRUE(replay.add_edge(c, b));
       ++done;
     }
-    ASSERT_GT(done, 0u);
-    ASSERT_GT(committed, 0u);
+    ASSERT_EQ(done, 400u);
     EXPECT_TRUE(state.to_graph() == replay);
     for (NodeId v = 0; v < replay.num_nodes(); ++v) {
       EXPECT_EQ(index.current_degree(v), replay.degree(v));
@@ -512,23 +521,6 @@ TEST(DkStateSwapOracle, UnchangedTrianglesGiveExactlyZeroClusteringDelta) {
   EXPECT_GE(cancelling, 100u);
 }
 
-TEST(DkState, ScalarsLevelTracksWithoutHistograms) {
-  util::Rng rng(15);
-  const auto g = builders::gnm(25, 60, rng);
-  DkState state(g, TrackLevel::three_k_scalars);
-  EXPECT_NEAR(state.mean_clustering(), metrics::mean_clustering(g), 1e-12);
-  churn(state, 200, rng, /*require_jdd_preserving=*/false);
-  ASSERT_NO_THROW(state.verify_consistency());
-  EXPECT_NEAR(state.mean_clustering(),
-              metrics::mean_clustering(state.to_graph()), 1e-9);
-  const double fresh_s2 =
-      ThreeKProfile::from_graph(state.to_graph()).second_order_likelihood();
-  EXPECT_NEAR(state.second_order_likelihood(), fresh_s2,
-              1e-9 * (1.0 + fresh_s2));
-  // Histograms intentionally not maintained at this level.
-  EXPECT_TRUE(state.three_k().wedges().empty());
-}
-
 // swap_journal keeps no 3K state, yet its evaluate_swap journal must be
 // the full_three_k journal, swap for swap, on flat and hub graphs.
 TEST(DkState, SwapJournalLevelJournalsLikeFullThreeK) {
@@ -587,64 +579,18 @@ TEST(DkState, SwapChurnStaysConsistentLevel2) {
   util::Rng rng(9);
   const auto g = builders::gnm(40, 90, rng);
   DkState state(g, TrackLevel::swap_journal);
-  churn(state, 300, rng, false);
+  const Followed followed = churn(state, 300, rng);
   ASSERT_NO_THROW(state.verify_consistency());
+  expect_matches_recount(state, g, followed);
 }
 
 TEST(DkState, JddPreservingChurnKeepsJddFixed) {
   util::Rng rng(11);
   const auto g = builders::gnm(30, 90, rng);
-  const auto original_jdd = JointDegreeDistribution::from_graph(g);
   DkState state(g, TrackLevel::full_three_k);
-  churn(state, 150, rng, /*require_jdd_preserving=*/true);
-  EXPECT_EQ(state.jdd(), original_jdd);
-  EXPECT_EQ(state.jdd(),
-            JointDegreeDistribution::from_graph(state.to_graph()));
-  // S is fully determined by the JDD, so it must be unchanged too.
-  EXPECT_NEAR(state.likelihood_s(), metrics::likelihood_s(g), 1e-6);
-}
-
-TEST(DkState, TriangleCountsPerNodeTracked) {
-  // Start from the complete graph on 5 nodes: every node sits in C(4,2)=6
-  // triangles.
-  DkState state(builders::complete(5), TrackLevel::full_three_k);
-  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(state.triangles_at(v), 6);
-  EXPECT_DOUBLE_EQ(state.mean_clustering(), 1.0);
-}
-
-TEST(DkState, RemoveAddRoundTripRestoresEverything) {
-  util::Rng rng(13);
-  const auto g = builders::gnp(20, 0.3, rng);
-  DkState state(g, TrackLevel::full_three_k);
-  const auto jdd_before = state.jdd();
-  const auto three_k_before = state.three_k();
-  const double s_before = state.likelihood_s();
-  const double s2_before = state.second_order_likelihood();
-  const double c_before = state.mean_clustering();
-
-  const Edge e = state.index().edge_at(0);
-  state.remove_edge(e.u, e.v);
-  state.add_edge(e.u, e.v);
-
-  EXPECT_EQ(state.jdd(), jdd_before);
-  EXPECT_EQ(state.three_k(), three_k_before);
-  EXPECT_NEAR(state.likelihood_s(), s_before, 1e-9);
-  EXPECT_NEAR(state.second_order_likelihood(), s2_before, 1e-9);
-  EXPECT_NEAR(state.mean_clustering(), c_before, 1e-12);
-}
-
-TEST(DkState, PreconditionViolationsThrow) {
-  DkState state(builders::path(4), TrackLevel::swap_journal);
-  EXPECT_THROW(state.remove_edge(0, 2), std::invalid_argument);  // absent
-  EXPECT_THROW(state.add_edge(0, 1), std::invalid_argument);     // exists
-  EXPECT_THROW(state.add_edge(2, 2), std::invalid_argument);     // loop
-}
-
-TEST(DkState, AddBeyondFrozenDegreeThrows) {
-  // Degrees are frozen at construction: pushing a node past its frozen
-  // degree would silently corrupt the histograms, so the CSR rejects it.
-  DkState state(builders::path(4), TrackLevel::swap_journal);  // 0-1-2-3
-  EXPECT_THROW(state.add_edge(0, 2), std::invalid_argument);  // deg(0) = 1
+  const Followed followed = churn(state, 150, rng);
+  EXPECT_FALSE(state.to_graph() == g);
+  expect_matches_recount(state, g, followed);
 }
 
 TEST(DkState, VerifyConsistencyPassesOnFreshState) {

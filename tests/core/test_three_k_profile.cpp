@@ -90,8 +90,8 @@ TEST(ThreeK, TotalCountsMatchGlobalFormulas) {
 
 // Every count_three_k user against the two oracles (from_graph_naive and
 // metrics::triangles_through), with exact equality: the profile, DkState's
-// histograms, per-node triangles and S2 at both scalar levels, the
-// histogram-free S2 and per-node counts, and the streaming extractor.
+// histograms, the histogram-free S2 (also as three_k_sums starts
+// exploration from it) and per-node counts, and the streaming extractor.
 TEST(ThreeK, FastMatchesNaiveOnFamilies) {
   std::vector<Graph> graphs;
   graphs.push_back(builders::complete(7));
@@ -138,17 +138,13 @@ TEST(ThreeK, FastMatchesNaiveOnFamilies) {
     EXPECT_EQ(second_order_likelihood(g), naive_s2);
 
     const DkState full(g, TrackLevel::full_three_k);
-    const DkState scalars(g, TrackLevel::three_k_scalars);
     EXPECT_EQ(full.three_k(), naive);
-    EXPECT_EQ(full.second_order_likelihood(), naive_s2);
-    EXPECT_EQ(scalars.second_order_likelihood(), naive_s2);
+    EXPECT_EQ(three_k_sums(full.index()).s2, naive_s2);
     const auto per_node = triangles_per_node(g);
     ASSERT_EQ(per_node.size(), g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       const std::int64_t oracle = metrics::triangles_through(g, v);
       EXPECT_EQ(per_node[v], oracle) << "node " << v;
-      EXPECT_EQ(full.triangles_at(v), oracle) << "node " << v;
-      EXPECT_EQ(scalars.triangles_at(v), oracle) << "node " << v;
     }
 
     StreamingDkExtractor extractor(3);

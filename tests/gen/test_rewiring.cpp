@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <ios>
 #include <set>
 #include <utility>
 #include <vector>
@@ -707,6 +708,97 @@ TEST_F(HubChainGolden, Randomize3KIsPinned) {
                   .rejected_structural = 10574, .rejected_constraint = 6614,
                   .rejected_objective = 0},
                  0});
+}
+
+// Golden pins for the greedy S2/C̄ exploration chains (paper §4.3) on the
+// same hub graph, recorded before DkState stopped storing S2 and C̄.
+// Each case pins the output's slot order, the stats, its D3 against the
+// original and the exact bits of its objective_value: the chain accepts
+// on the sign of evaluate_swap's s2_delta or clustering_delta and stops
+// on the running objective, so a changed bit in either moves the pins.
+void expect_explore_pinned(const Graph& start,
+                           const dk::ThreeKProfile& target,
+                           ExploreObjective objective,
+                           const ExploreOptions& options, std::uint64_t seed,
+                           const PinnedChain& pin, double value) {
+  util::Rng rng(seed);
+  RewiringStats stats;
+  const Graph out = explore(start, objective, options, rng, &stats);
+  expect_pinned(out, stats, d3_between(out, target), pin);
+  const double reached = objective_value(out, objective);
+  EXPECT_EQ(reached, value) << std::hexfloat << reached;
+}
+
+ExploreOptions explore_budget(std::size_t attempts) {
+  ExploreOptions options;
+  options.attempts = attempts;
+  return options;
+}
+
+TEST_F(HubChainGolden, ExploreMaximizeS2IsPinned) {
+  expect_explore_pinned(start_, target_, ExploreObjective::maximize_s2,
+                        explore_budget(20000), 5,
+                        {0xccb6cf2f4696c029ULL,
+                         {.attempts = 20000, .accepted = 1652,
+                          .rejected_structural = 10458,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 7890},
+                         29438},
+                        0x1.4620a08p+26);
+}
+
+TEST_F(HubChainGolden, ExploreMinimizeS2IsPinned) {
+  expect_explore_pinned(start_, target_, ExploreObjective::minimize_s2,
+                        explore_budget(20000), 6,
+                        {0xf77c9de02f8fcf41ULL,
+                         {.attempts = 20000, .accepted = 1567,
+                          .rejected_structural = 10354,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 8079},
+                         32216},
+                        0x1.137c32cp+26);
+}
+
+TEST_F(HubChainGolden, ExploreMaximizeClusteringIsPinned) {
+  expect_explore_pinned(start_, target_,
+                        ExploreObjective::maximize_clustering,
+                        explore_budget(20000), 7,
+                        {0x816f9567ce361eb9ULL,
+                         {.attempts = 20000, .accepted = 1112,
+                          .rejected_structural = 10449,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 8439},
+                         31976},
+                        0x1.a72a20db3d8bfp-3);
+}
+
+TEST_F(HubChainGolden, ExploreMinimizeClusteringIsPinned) {
+  expect_explore_pinned(start_, target_,
+                        ExploreObjective::minimize_clustering,
+                        explore_budget(20000), 8,
+                        {0x8ed228e36e23840dULL,
+                         {.attempts = 20000, .accepted = 956,
+                          .rejected_structural = 10358,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 8686},
+                         28618},
+                        0x1.8d22a97543a66p-5);
+}
+
+TEST_F(HubChainGolden, ExploreClusteringStopAtValueIsPinned) {
+  // topo::as_level's path: the running C̄ (0.113 at the start) reaches
+  // stop_at_value after 5361 of the 20000 attempts.
+  ExploreOptions options = explore_budget(20000);
+  options.stop_at_value = 0.16;
+  expect_explore_pinned(start_, target_,
+                        ExploreObjective::maximize_clustering, options, 7,
+                        {0x907c0c9ba4b38f29ULL,
+                         {.attempts = 5361, .accepted = 514,
+                          .rejected_structural = 2780,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 2067},
+                         30224},
+                        0x1.47c70bb3be853p-3);
 }
 
 }  // namespace

@@ -99,6 +99,21 @@ TEST_F(ToolCliTest, BadFlagValueExitsUsage) {
             2);
 }
 
+TEST_F(ToolCliTest, WideOrNegativeIntegerFlagsExitUsageNamingTheFlag) {
+  // --d 4294967298 once narrowed to 2 and ran; --nodes -5 wrapped to
+  // 2^64-5 and died allocating.  Both are usage errors before any work.
+  EXPECT_EQ(run("generate --d 4294967298 --from-2k '" + path("g.2k") +
+                "' --out '" + path("wide.edges") + "'"),
+            2);
+  EXPECT_FALSE(fs::exists(path("wide.edges")));
+  EXPECT_NE(stderr_log().find("--d must be in [0,3]"), std::string::npos);
+  EXPECT_EQ(run("rescale --from-2k '" + path("g.2k") +
+                "' --nodes -5 --out '" + path("r.2k") + "'"),
+            2);
+  EXPECT_FALSE(fs::exists(path("r.2k")));
+  EXPECT_NE(stderr_log().find("--nodes must be >= 0"), std::string::npos);
+}
+
 TEST_F(ToolCliTest, InjectedWriteFaultExitsIoAndLeavesNoOutput) {
   EXPECT_EQ(run("generate --d 2 --method matching --from-2k '" +
                     path("g.2k") + "' --out '" + path("fault.edges") + "'",

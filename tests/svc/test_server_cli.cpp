@@ -248,6 +248,50 @@ TEST_F(ServerCliTest, UnknownRequestFieldsAreRejectedBeforeAcceptance) {
   EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
 }
 
+TEST_F(ServerCliTest, NonIntegralOrWideNumbersAreRejectedBeforeAcceptance) {
+  // Truncating casts once accepted d 4294967298 as d 2, d 2.9 as 2,
+  // chains 0.5 as 0 (autotune fan-out), and read job 1.9 as job 1, so a
+  // cancel with it stopped job 1.  Each line below must answer an
+  // error, and job 1 must run to completion.
+  const std::string generate = R"({"op":"generate","target":")" +
+                               path("dk") + R"(","out":")" +
+                               path("out.edges") + R"(",)";
+  const std::vector<std::string> rejected = {
+      R"({"op":"cancel","job":1.9})",
+      R"({"op":"status","job":1.9})",
+      generate + R"("d":4294967298})",
+      generate + R"("d":2.9,"chains":0.5})",
+      generate + R"("d":2,"chains":0.5})",
+  };
+  std::vector<std::string> requests = {
+      R"({"op":"extract","path":")" + path("g.edges") + R"(","out":")" +
+      path("dk") + R"(","d":2})"};
+  requests.insert(requests.end(), rejected.begin(), rejected.end());
+  requests.push_back(R"({"op":"wait","job":1})");
+  requests.push_back(R"({"op":"shutdown"})");
+
+  std::vector<std::string> events;
+  EXPECT_EQ(run_session(requests, events), 0);
+  std::size_t errors = 0;
+  std::size_t accepted = 0;
+  for (const std::string& line : events) {
+    EXPECT_TRUE(test_json::is_valid_json(line)) << line;
+    errors += test_json::has_entry(line, "event", "\"error\"");
+    accepted += test_json::has_entry(line, "event", "\"accepted\"");
+  }
+  EXPECT_EQ(errors, rejected.size());
+  EXPECT_EQ(accepted, 1u);  // the extract, job 1
+  bool job_1_done = false;
+  for (const std::string& line : events) {
+    if (test_json::has_entry(line, "event", "\"status\"")) {
+      EXPECT_TRUE(test_json::has_entry(line, "job", "1")) << line;
+      job_1_done = test_json::has_entry(line, "state", "\"done\"");
+    }
+  }
+  EXPECT_TRUE(job_1_done);
+  EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
+}
+
 TEST_F(ServerCliTest, UnknownCommandLineFlagExitsUsage) {
   // A misspelled or retired flag is a usage error, never ignored.
   const std::string cmd = "'" + server_ + "' --cache-dir '" + path("cache") +

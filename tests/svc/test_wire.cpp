@@ -85,6 +85,26 @@ TEST(Wire, CountsRejectNegativeAndOutOfRangeNumbers) {
   EXPECT_THROW(get_count(object, "huge", 0), ParseError);
 }
 
+TEST(Wire, IntegersRejectFractionsNamingTheField) {
+  // A cast would truncate 2.9 to 2 and 0.5 to 0, silently.
+  const Object object = parse_flat_object(
+      R"({"d":2.9,"chains":0.5,"job":1.9,"neg":-0.5,"whole":4.0,"e":2e3})");
+  for (const std::string key : {"d", "chains", "job", "neg"}) {
+    try {
+      get_int(object, key, 0);
+      FAIL() << key << ": expected ParseError";
+    } catch (const ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("\"" + key + "\""),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW(get_count(object, key, 0), ParseError) << key;
+  }
+  // An integral value is an integer however it is spelled.
+  EXPECT_EQ(get_int(object, "whole", 0), 4);
+  EXPECT_EQ(get_count(object, "e", 0), 2000u);
+}
+
 TEST(Wire, ErrorsNameAColumn) {
   try {
     parse_flat_object(R"({"a":1,})");

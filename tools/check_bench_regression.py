@@ -35,7 +35,6 @@ import statistics
 import sys
 
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
-                  r"|DkStateSwap"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
                   r"|ConvergenceAttemptsToEps|Hub3K|Pipeline3KLegs"
                   r"|Extract3K")
