@@ -16,6 +16,7 @@
 #include "gen/rewiring.hpp"
 #include "gen/rewiring_engine.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/edge_index.hpp"
 #include "topo/as_level.hpp"
 #include "topo/hot.hpp"
 #include "util/stop_token.hpp"
@@ -142,6 +143,27 @@ void BM_StreamingExtract2K(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_StreamingExtract2K)->Range(1 << 12, 1 << 15)->Complexity();
+
+// The in-memory read path: read_edge_list_file (one chunked parse
+// pass, then Graph's bulk build) on a written G(n,3n) file, plus the
+// EdgeIndex::to_graph export every rewiring stage ends with.  Items are
+// edges read plus edges exported.
+void BM_ReadEdgeList(benchmark::State& state) {
+  const auto g = make_graph(state.range(0));
+  const std::string path = "/tmp/orbis_bench_read.edges";
+  io::write_edge_list_file(path, g);
+  const EdgeIndex index(g);
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    const auto read = io::read_edge_list_file(path);
+    const Graph exported = index.to_graph();
+    benchmark::DoNotOptimize(exported.num_edges());
+    edges += read.graph.num_edges() + exported.num_edges();
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<std::int64_t>(edges));
+}
+BENCHMARK(BM_ReadEdgeList)->Arg(1 << 15)->Unit(benchmark::kMillisecond);
 
 // Swap-attempt throughput of 2K-preserving randomization.
 void BM_Randomize2KAttempts(benchmark::State& state) {

@@ -15,18 +15,6 @@ StreamingDkExtractor::StreamingDkExtractor(int max_d,
                 "StreamingDkExtractor: max_d must be in [0,3]");
 }
 
-std::uint32_t StreamingDkExtractor::intern(std::uint64_t file_id) {
-  if (file_id > max_file_id_) max_file_id_ = file_id;
-  const auto [it, inserted] = dense_id_.try_emplace(
-      file_id, static_cast<std::uint32_t>(dense_id_.size()));
-  if (inserted) {
-    util::expects(dense_id_.size() <= 0xffffffffull,
-                  "StreamingDkExtractor: more than 2^32 distinct node ids");
-    degree_.push_back(0);
-  }
-  return it->second;
-}
-
 bool StreamingDkExtractor::keep_edge(std::uint32_t u, std::uint32_t v) {
   if (u == v) {
     if (pass_ == 0) ++self_loops_;
@@ -43,8 +31,9 @@ bool StreamingDkExtractor::keep_edge(std::uint32_t u, std::uint32_t v) {
 void StreamingDkExtractor::consume(std::uint64_t u, std::uint64_t v) {
   util::expects(pass_open_, "StreamingDkExtractor: pass already ended");
   if (pass_ == 0) {
-    const std::uint32_t du = intern(u);
-    const std::uint32_t dv = intern(v);
+    const NodeId du = ids_.intern(u);
+    const NodeId dv = ids_.intern(v);
+    degree_.resize(ids_.size());
     if (!keep_edge(du, dv)) return;
     ++degree_[du];
     ++degree_[dv];
@@ -55,13 +44,11 @@ void StreamingDkExtractor::consume(std::uint64_t u, std::uint64_t v) {
   // Replay pass: degrees are final, fold the stream into the
   // accumulators.  The skip decisions repeat exactly (same stream, same
   // cleared duplicate set), so the kept edge set is pass-invariant.
-  const auto u_it = dense_id_.find(u);
-  const auto v_it = dense_id_.find(v);
-  util::expects(u_it != dense_id_.end() && v_it != dense_id_.end(),
+  const NodeId du = ids_.find(u);
+  const NodeId dv = ids_.find(v);
+  util::expects(du != NodeIdInterner::npos && dv != NodeIdInterner::npos,
                 "StreamingDkExtractor: replay pass saw a new node id "
                 "(the stream must be identical across passes)");
-  const std::uint32_t du = u_it->second;
-  const std::uint32_t dv = v_it->second;
   if (!keep_edge(du, dv)) return;
 
   result_.joint.histogram().increment(
@@ -122,13 +109,11 @@ DkDistributions StreamingDkExtractor::finish() {
   util::expects(!pass_open_,
                 "StreamingDkExtractor: end_pass() the final pass first");
 
-  // The in-memory reader's rule: the declared node count (isolated nodes
-  // included) is honored iff every streamed id is in range.
-  std::uint64_t n = dense_id_.size();
-  if (declared_nodes_ > 0 && declared_nodes_ >= n &&
-      (dense_id_.empty() || max_file_id_ < declared_nodes_)) {
-    n = declared_nodes_;
-  }
+  // The in-memory reader's rule: a declared count adds isolated nodes.
+  const std::uint64_t n =
+      declared_nodes_hold(declared_nodes_, ids_.original_ids())
+          ? declared_nodes_
+          : ids_.size();
   result_.num_nodes = n;
   result_.num_edges = kept_edges_;
   result_.average_degree =
@@ -149,9 +134,7 @@ DkDistributions StreamingDkExtractor::finish() {
 }
 
 std::size_t StreamingDkExtractor::accumulator_bytes() const noexcept {
-  // unordered_map nodes: key + value + bucket pointer + chain pointer,
-  // approximated at 48 bytes/entry on a 64-bit libstdc++.
-  std::size_t bytes = dense_id_.size() * 48;
+  std::size_t bytes = ids_.capacity_bytes();
   bytes += degree_.capacity() * sizeof(std::uint32_t);
   bytes += seen_edges_.capacity_bytes();
   bytes += csr_offset_.capacity() * sizeof(std::uint64_t);

@@ -15,7 +15,8 @@
 //            compact CSR for count_three_k (core/three_k_count.hpp),
 //            the pass ThreeKProfile::from_graph also runs.
 //
-// Memory is the accumulators, not the stream: O(n) id map + degrees,
+// Memory is the accumulators, not the stream: O(n) id interner
+// (graph/node_id_interner.hpp) + degrees,
 // O(occupied bins) histograms, plus the duplicate-detection key set
 // (O(m), skipped with assume_simple) and, for max_d == 3 only, the
 // O(n + m) CSR that size-3 subgraph counting fundamentally requires.
@@ -29,10 +30,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/series.hpp"
+#include "graph/node_id_interner.hpp"
 #include "util/flat_key_set.hpp"
 
 namespace orbis::dk {
@@ -41,8 +42,8 @@ struct StreamingOptions {
   /// Trusted simple input (e.g. this library's own writer): skip the
   /// duplicate-edge key set, making the max_d <= 2 footprint independent
   /// of the edge count.  Self-loops are still skipped (the check is
-  /// free).  Feeding duplicates with this set silently double-counts —
-  /// exactly like Graph::from_edges_unchecked.
+  /// free).  Feeding duplicates with this set silently double-counts
+  /// them.
   bool assume_simple = false;
 };
 
@@ -69,8 +70,8 @@ class StreamingDkExtractor {
   void end_pass();
 
   /// Declares the total node count (isolated nodes included), e.g. from
-  /// the writer header.  Honored at finish() iff every streamed id is
-  /// in [0, n) — the same rule the in-memory reader applies.
+  /// the writer header.  Honored at finish() under the in-memory
+  /// reader's rule (orbis::declared_nodes_hold).
   void declare_nodes(std::uint64_t n) { declared_nodes_ = n; }
 
   /// Final distributions; requires all passes ended.
@@ -79,7 +80,7 @@ class StreamingDkExtractor {
   std::size_t skipped_self_loops() const noexcept { return self_loops_; }
   std::size_t skipped_duplicates() const noexcept { return duplicates_; }
 
-  /// Bytes currently held by the accumulators (id map, degrees,
+  /// Bytes currently held by the accumulators (id interner, degrees,
   /// duplicate set, CSR, histograms) — the streaming memory model's
   /// measurable half; the chunk buffer is the reader's.
   std::size_t accumulator_bytes() const noexcept;
@@ -94,7 +95,6 @@ class StreamingDkExtractor {
   }
 
  private:
-  std::uint32_t intern(std::uint64_t file_id);
   /// `scratch`: bytes held outside the members (count_three_k's).
   void note_footprint(std::size_t scratch = 0) noexcept;
   /// Shared skip logic: false if the edge is a self-loop or (when
@@ -114,8 +114,7 @@ class StreamingDkExtractor {
   std::size_t kept_edges_ = 0;
   std::size_t peak_accumulator_bytes_ = 0;
 
-  std::unordered_map<std::uint64_t, std::uint32_t> dense_id_;
-  std::uint64_t max_file_id_ = 0;
+  NodeIdInterner ids_;
   std::vector<std::uint32_t> degree_;
   util::FlatKeySet seen_edges_;
 

@@ -20,12 +20,9 @@ constexpr int max_construction_restarts = 64;
 Graph repair_to_simple(const Multigraph& multigraph, bool preserve_jdd,
                        util::Rng& rng, MatchingStats* stats) {
   const auto target_degrees = multigraph.degree_sequence();
-  Graph g(multigraph.num_nodes());
-  g.reserve_edges(multigraph.num_edges());
   std::vector<Edge> bad;
-  for (const auto& e : multigraph.edges()) {
-    if (e.u == e.v || !g.add_edge(e.u, e.v)) bad.push_back(e);
-  }
+  Graph g = Graph::from_edges_dedup(multigraph.num_nodes(), multigraph.edges(),
+                                    &bad);
   if (stats != nullptr) {
     stats->initial_bad_edges = bad.size();
     stats->repair_swaps = 0;

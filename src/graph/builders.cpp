@@ -4,7 +4,6 @@ namespace orbis::builders {
 
 Graph path(NodeId n) {
   Graph g(n);
-  if (n > 0) g.reserve_edges(n - 1);
   for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
   return g;
 }
@@ -19,14 +18,12 @@ Graph cycle(NodeId n) {
 Graph star(NodeId n) {
   util::expects(n >= 2, "builders::star: need at least 2 nodes");
   Graph g(n);
-  g.reserve_edges(n - 1);
   for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
   return g;
 }
 
 Graph complete(NodeId n) {
   Graph g(n);
-  g.reserve_edges(static_cast<std::size_t>(n) * (n > 0 ? n - 1 : 0) / 2);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
   }
@@ -35,7 +32,6 @@ Graph complete(NodeId n) {
 
 Graph complete_bipartite(NodeId a, NodeId b) {
   Graph g(a + b);
-  g.reserve_edges(static_cast<std::size_t>(a) * b);
   for (NodeId u = 0; u < a; ++u) {
     for (NodeId v = 0; v < b; ++v) g.add_edge(u, a + v);
   }
@@ -45,7 +41,6 @@ Graph complete_bipartite(NodeId a, NodeId b) {
 Graph grid(NodeId rows, NodeId cols) {
   util::expects(rows >= 1 && cols >= 1, "builders::grid: empty dimensions");
   Graph g(rows * cols);
-  g.reserve_edges(2 * static_cast<std::size_t>(rows) * cols);
   const auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
@@ -62,7 +57,6 @@ Graph gnm(NodeId n, std::size_t m, util::Rng& rng) {
       static_cast<std::size_t>(n) * (n - 1) / 2;
   util::expects(m <= max_edges, "builders::gnm: more edges than pairs");
   Graph g(n);
-  g.reserve_edges(m);
   while (g.num_edges() < m) {
     const auto u = static_cast<NodeId>(rng.uniform(n));
     const auto v = static_cast<NodeId>(rng.uniform(n));
@@ -74,8 +68,6 @@ Graph gnm(NodeId n, std::size_t m, util::Rng& rng) {
 Graph gnp(NodeId n, double p, util::Rng& rng) {
   util::expects(p >= 0.0 && p <= 1.0, "builders::gnp: p outside [0,1]");
   Graph g(n);
-  g.reserve_edges(static_cast<std::size_t>(
-      p * static_cast<double>(n) * (n > 0 ? n - 1 : 0) / 2.0));
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
       if (rng.bernoulli(p)) g.add_edge(u, v);
@@ -86,7 +78,6 @@ Graph gnp(NodeId n, double p, util::Rng& rng) {
 
 Graph random_tree(NodeId n, util::Rng& rng) {
   Graph g(n);
-  if (n > 0) g.reserve_edges(n - 1);
   for (NodeId v = 1; v < n; ++v) {
     g.add_edge(v, static_cast<NodeId>(rng.uniform(v)));
   }

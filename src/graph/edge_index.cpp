@@ -7,33 +7,6 @@
 
 namespace orbis {
 
-FlatEdgeHash::FlatEdgeHash(std::size_t expected_edges) {
-  // Load factor <= 0.5 keeps linear-probe chains short; the capacity is
-  // static because double-edge swaps preserve the edge count.
-  table_.reserve_for(expected_edges);
-}
-
-void FlatEdgeHash::insert(std::uint64_t key, std::uint32_t slot) {
-  table_.occupy(table_.locate(key), key, slot);
-}
-
-std::uint32_t FlatEdgeHash::find(std::uint64_t key) const {
-  const std::size_t i = table_.find(key);
-  return i == table_.npos ? npos : table_.payload_at(i);
-}
-
-void FlatEdgeHash::reassign(std::uint64_t key, std::uint32_t slot) {
-  const std::size_t i = table_.find(key);
-  util::ensures(i != table_.npos, "FlatEdgeHash::reassign: key not found");
-  table_.payload_at(i) = slot;
-}
-
-void FlatEdgeHash::erase(std::uint64_t key) {
-  const std::size_t i = table_.find(key);
-  util::ensures(i != table_.npos, "FlatEdgeHash::erase: key not found");
-  table_.erase_at(i);
-}
-
 EdgeIndex::EdgeIndex(const Graph& g)
     : edges_(g.edges()), hash_(g.num_edges()) {
   const NodeId n = g.num_nodes();
@@ -261,7 +234,7 @@ void EdgeIndex::add_edge(NodeId u, NodeId v) {
 }
 
 Graph EdgeIndex::to_graph() const {
-  return Graph::from_edges_unchecked(num_nodes(), edges_);
+  return Graph::from_edges(num_nodes(), edges_);
 }
 
 }  // namespace orbis

@@ -9,9 +9,10 @@
 //   * CSR adjacency with FIXED row extents: a swap replaces neighbor
 //     entries in place (no vector erase/push), O(1) with the positions
 //     kept in the edge hash;
-//   * an open-addressing hash (pair key -> edge slot + both adjacency
-//     positions) for O(1) duplicate-edge lookup and O(1) swap commits —
-//     no std::unordered_map node allocations on the hot path;
+//   * an open-addressing edge hash (pair key -> edge slot; the slot's
+//     record holds both adjacency positions) for O(1) duplicate-edge
+//     lookup and O(1) swap commits.  It is the FlatEdgeHash every Graph
+//     also keeps (graph/flat_edge_hash.hpp), sized once here for m;
 //   * per-degree-class half-edge buckets: a 2K-preserving swap partner
 //     (deg(d) = deg(b) or deg(c) = deg(a)) is drawn directly from the
 //     bucket of the required degree class instead of rejection-sampled
@@ -19,9 +20,9 @@
 //
 // Beyond the O(1) whole-swap commit (apply_swap), the index supports
 // single-edge remove_edge/add_edge in O(1): rows carry a current size
-// that may transiently drop below the frozen capacity while a swap is
-// mid-flight.  This is what lets dk::DkState run its wedge/triangle
-// bookkeeping directly on this structure instead of a second Graph.
+// that may transiently drop below the frozen capacity while a move is
+// mid-flight.  The trade moves (gen/rewiring_engine.hpp) use this path;
+// dk::DkState prices and commits whole swaps only.
 //
 // Degrees are compressed to dense class ids (sorted by degree) so
 // objective code can use flat matrices instead of hash maps.
@@ -32,42 +33,10 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/flat_table.hpp"
 #include "util/keys.hpp"
 #include "util/rng.hpp"
 
 namespace orbis {
-
-/// Hash map from packed edge keys to edge slots over util::FlatTable
-/// (the shared probe/deletion implementation — see flat_table.hpp).
-/// Keys are util::pair_key values (never 0 for a simple graph edge, so
-/// key-sentinel occupancy applies).  Capacity is sized once: rewiring
-/// preserves the edge count, so the table never grows.
-class FlatEdgeHash {
- public:
-  static constexpr std::uint32_t npos = 0xffffffffu;
-
-  explicit FlatEdgeHash(std::size_t expected_edges);
-
-  void insert(std::uint64_t key, std::uint32_t slot);
-  void erase(std::uint64_t key);
-  /// Slot for key, or npos.
-  std::uint32_t find(std::uint64_t key) const;
-  bool contains(std::uint64_t key) const { return find(key) != npos; }
-  /// Repoints an existing key at a new slot.
-  void reassign(std::uint64_t key, std::uint32_t slot);
-  /// Prefetches key's probe group (advisory only).
-  void prefetch(std::uint64_t key) const { table_.prefetch(key); }
-
- private:
-  /// Vacated slots park their payload at npos, mirroring find()'s miss
-  /// sentinel.
-  struct SlotTraits : util::KeySentinelTraits<std::uint32_t> {
-    static constexpr std::uint32_t empty_payload() noexcept { return npos; }
-  };
-
-  util::FlatTable<SlotTraits> table_;
-};
 
 class EdgeIndex {
  public:

@@ -5,65 +5,65 @@
 namespace orbis {
 
 Graph Graph::from_edges(NodeId n, std::span<const Edge> edges) {
+  std::vector<Edge> bad;
+  Graph g = from_edges_dedup(n, edges, &bad);
+  util::expects(bad.empty(), "Graph::from_edges: self-loop or duplicate edge");
+  return g;
+}
+
+Graph Graph::from_edges_dedup(NodeId n, std::span<const Edge> edges,
+                              std::vector<Edge>* skipped) {
   Graph g(n);
-  g.reserve_edges(edges.size());
+  g.edges_.reserve(edges.size());  // upper bound: skips only shrink it
+  g.edge_index_ = FlatEdgeHash(edges.size());
   for (const auto& e : edges) {
     util::expects(e.u < n && e.v < n, "Graph::from_edges: node out of range");
-    util::expects(e.u != e.v, "Graph::from_edges: self-loop");
-    util::expects(!g.has_edge(e.u, e.v), "Graph::from_edges: duplicate edge");
-    g.push_edge(e.u, e.v);
+    const auto slot = static_cast<std::uint32_t>(g.edges_.size());
+    if (e.u != e.v && g.edge_index_.insert(util::pair_key(e.u, e.v), slot)) {
+      g.edges_.push_back(e);
+    } else if (skipped != nullptr) {
+      skipped->push_back(e);
+    }
+  }
+
+  // Rows sized from a degree count, then filled in edge order.
+  std::vector<std::uint32_t> degree(n, 0);
+  for (const auto& e : g.edges_) {
+    ++degree[e.u];
+    ++degree[e.v];
+  }
+  for (NodeId v = 0; v < n; ++v) g.adjacency_[v].reserve(degree[v]);
+  for (const auto& e : g.edges_) {
+    g.adjacency_[e.u].push_back(e.v);
+    g.adjacency_[e.v].push_back(e.u);
   }
   return g;
-}
-
-Graph Graph::from_edges_dedup(NodeId n, std::span<const Edge> edges) {
-  Graph g(n);
-  g.reserve_edges(edges.size());  // upper bound: duplicates only shrink it
-  for (const auto& e : edges) {
-    util::expects(e.u < n && e.v < n,
-                  "Graph::from_edges_dedup: node out of range");
-    if (e.u == e.v || g.has_edge(e.u, e.v)) continue;
-    g.push_edge(e.u, e.v);
-  }
-  return g;
-}
-
-Graph Graph::from_edges_unchecked(NodeId n, std::span<const Edge> edges) {
-  Graph g(n);
-  g.reserve_edges(edges.size());
-  for (const auto& e : edges) g.push_edge(e.u, e.v);
-  return g;
-}
-
-void Graph::push_edge(NodeId u, NodeId v) {
-  edge_index_.emplace(util::pair_key(u, v),
-                      static_cast<std::uint32_t>(edges_.size()));
-  edges_.push_back(Edge{u, v});
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
 }
 
 bool Graph::add_edge(NodeId u, NodeId v) {
   util::expects(u < num_nodes() && v < num_nodes(),
                 "Graph::add_edge: node out of range");
-  if (u == v || has_edge(u, v)) return false;
-  push_edge(u, v);
+  const auto slot = static_cast<std::uint32_t>(edges_.size());
+  if (u == v || !edge_index_.insert(util::pair_key(u, v), slot)) return false;
+  edges_.push_back(Edge{u, v});
+  adjacency_[u].push_back(v);
+  adjacency_[v].push_back(u);
   return true;
 }
 
 bool Graph::remove_edge(NodeId u, NodeId v) {
   if (u >= num_nodes() || v >= num_nodes() || u == v) return false;
-  const auto it = edge_index_.find(util::pair_key(u, v));
-  if (it == edge_index_.end()) return false;
-
-  const std::uint32_t index = it->second;
-  edge_index_.erase(it);
+  const std::uint64_t key = util::pair_key(u, v);
+  const std::uint32_t index = edge_index_.find(key);
+  if (index == FlatEdgeHash::npos) return false;
+  edge_index_.erase(key);
 
   // Swap-erase from the dense edge array, repointing the moved edge's index.
   const std::uint32_t last = static_cast<std::uint32_t>(edges_.size()) - 1;
   if (index != last) {
     edges_[index] = edges_[last];
-    edge_index_[util::pair_key(edges_[index].u, edges_[index].v)] = index;
+    edge_index_.reassign(util::pair_key(edges_[index].u, edges_[index].v),
+                         index);
   }
   edges_.pop_back();
 

@@ -1,9 +1,17 @@
 // Simple undirected graph optimized for the operations the dK machinery
 // needs:
-//   * O(1) expected edge-existence queries (packed-key hash map),
+//   * O(1) expected edge-existence queries (the flat edge hash shared
+//     with EdgeIndex, graph/flat_edge_hash.hpp),
 //   * O(1) uniform random edge selection (dense edge array),
 //   * O(deg) edge removal (swap-erase in adjacency; O(1) in the edge array),
 //   * cache-friendly neighbor iteration (contiguous adjacency vectors).
+//
+// Every graph read from a file or built in bulk (io::read_edge_list,
+// Multigraph::to_simple, the matching repair, EdgeIndex::to_graph) goes
+// through one bulk build, from_edges_dedup, which sizes each adjacency
+// row from a degree count and fills the rows in edge order: neighbors(v)
+// lists v's edges in the order they were given (until a remove_edge
+// swap-erases).
 //
 // The graph is *simple*: no self-loops, no parallel edges.  Construction
 // algorithms that naturally produce loops/multi-edges (pseudograph,
@@ -12,9 +20,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "graph/flat_edge_hash.hpp"
 #include "util/check.hpp"
 #include "util/keys.hpp"
 
@@ -37,16 +45,14 @@ class Graph {
   explicit Graph(NodeId n) : adjacency_(n) {}
 
   /// Build from an edge list; duplicate edges and loops are rejected.
+  /// The check rides on the edge-hash insert, so it costs no extra
+  /// probe even for lists simple by construction (EdgeIndex::to_graph).
   static Graph from_edges(NodeId n, std::span<const Edge> edges);
 
-  /// Same, but silently skips loops and duplicates (for noisy inputs).
-  static Graph from_edges_dedup(NodeId n, std::span<const Edge> edges);
-
-  /// Trusted bulk construction: the caller guarantees the edge list is
-  /// simple (no loops, no duplicates) and in range.  Skips the per-edge
-  /// validation lookups; used by the rewiring engine to export its flat
-  /// edge index, whose invariants already enforce simplicity.
-  static Graph from_edges_unchecked(NodeId n, std::span<const Edge> edges);
+  /// The one bulk build (see above).  Skips loops and duplicates (for
+  /// noisy inputs), appending them in order to `*skipped` if given.
+  static Graph from_edges_dedup(NodeId n, std::span<const Edge> edges,
+                                std::vector<Edge>* skipped = nullptr);
 
   NodeId num_nodes() const noexcept {
     return static_cast<NodeId>(adjacency_.size());
@@ -65,15 +71,7 @@ class Graph {
 
   bool has_edge(NodeId u, NodeId v) const {
     if (u >= num_nodes() || v >= num_nodes() || u == v) return false;
-    return edge_index_.count(util::pair_key(u, v)) > 0;
-  }
-
-  /// Pre-sizes the dense edge array and the edge hash for an expected
-  /// edge count, so incremental construction (add_edge loops) avoids
-  /// rehash storms.  Purely an optimization; safe at any time.
-  void reserve_edges(std::size_t expected) {
-    edges_.reserve(expected);
-    edge_index_.reserve(expected * 2);
+    return edge_index_.contains(util::pair_key(u, v));
   }
 
   /// Adds edge (u,v). Returns false (graph unchanged) for loops/duplicates.
@@ -105,12 +103,9 @@ class Graph {
   friend bool operator==(const Graph& a, const Graph& b);
 
  private:
-  void push_edge(NodeId u, NodeId v);
-
   std::vector<std::vector<NodeId>> adjacency_;
   std::vector<Edge> edges_;
-  // pair_key(u,v) -> index into edges_.
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_index_;
+  FlatEdgeHash edge_index_;  // pair_key(u,v) -> index into edges_
 };
 
 }  // namespace orbis

@@ -1,9 +1,5 @@
 #include "graph/multigraph.hpp"
 
-#include <unordered_set>
-
-#include "util/keys.hpp"
-
 namespace orbis {
 
 void Multigraph::add_edge(NodeId u, NodeId v) {
@@ -30,20 +26,11 @@ std::vector<std::size_t> Multigraph::degree_sequence() const {
 }
 
 Graph Multigraph::to_simple(SimplificationReport* report) const {
-  Graph g(num_nodes_);
-  g.reserve_edges(edges_.size());  // upper bound before loop/parallel drops
-  std::size_t loops = 0;
-  std::size_t parallels = 0;
-  for (const auto& e : edges_) {
-    if (e.u == e.v) {
-      ++loops;
-      continue;
-    }
-    if (!g.add_edge(e.u, e.v)) ++parallels;
-  }
+  Graph g = Graph::from_edges_dedup(num_nodes_, edges_);
   if (report != nullptr) {
+    const std::size_t loops = count_self_loops();
     report->self_loops_removed = loops;
-    report->parallel_edges_removed = parallels;
+    report->parallel_edges_removed = edges_.size() - loops - g.num_edges();
   }
   return g;
 }

@@ -193,8 +193,9 @@ Graph read_graph(CheckpointParser& parser) {
   if (nodes > std::numeric_limits<NodeId>::max()) {
     parser.fail("node count out of range");
   }
+  // Edges are appended as they are parsed: the count in the file never
+  // sizes memory, so a hostile count fails at EOF as a ParseError.
   Graph g(static_cast<NodeId>(nodes));
-  g.reserve_edges(edges);
   for (std::uint64_t i = 0; i < edges; ++i) {
     const std::string& line = parser.next_line("edge line");
     std::istringstream fields(line);
@@ -293,9 +294,9 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
   const std::uint64_t chains = parser.keyed_u64("chains");
   if (chains == 0) parser.fail("checkpoint must have at least one chain");
 
-  state.chains.resize(chains);
+  // Appended as parsed, like the edges: the count never sizes memory.
   for (std::uint64_t i = 0; i < chains; ++i) {
-    gen::ChainCheckpoint& chain = state.chains[i];
+    gen::ChainCheckpoint& chain = state.chains.emplace_back();
     if (parser.keyed_u64("chain") != i) parser.fail("chain ids out of order");
     chain.attempts_done = parser.keyed_u64("attempts");
     if (chain.attempts_done > state.budget) {

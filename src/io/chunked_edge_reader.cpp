@@ -58,9 +58,8 @@ int open_for_read(const std::string& path, const RetryPolicy& policy) {
 /// masquerades as end-of-input (that conflation is how truncated-file
 /// bugs stay silent).  Transient failures (EINTR/EAGAIN, injected or
 /// real) are retried within the bounded policy.
-std::size_t read_some(int fd, char* data, std::size_t size,
-                      std::uint64_t offset, const std::string& path,
-                      const RetryPolicy& policy) {
+std::size_t read_some(int fd, std::span<char> buffer, std::uint64_t offset,
+                      const std::string& path, const RetryPolicy& policy) {
   return retry_transient(policy, [&]() -> std::size_t {
     int injected = 0;
     if (fault::should_fail(fault::Point::read, injected)) {
@@ -68,7 +67,7 @@ std::size_t read_some(int fd, char* data, std::size_t size,
                         " of " + path + ": " + errno_text(injected),
                     injected);
     }
-    const ssize_t got = ::read(fd, data, size);
+    const ssize_t got = ::read(fd, buffer.data(), buffer.size());
     if (got < 0) {
       const int err = errno;
       throw IoError("read failed at byte offset " + std::to_string(offset) +
@@ -96,10 +95,21 @@ ChunkedEdgeListReader::ChunkedEdgeListReader(std::string path,
                 "ChunkedEdgeListReader: chunk_edges must be positive");
 }
 
-std::size_t ChunkedEdgeListReader::run_pass(
-    const std::function<void(std::span<const RawEdge>)>& sink) {
-  FdGuard file{open_for_read(path_, options_.retry)};
+ChunkedEdgeListReader::ChunkedEdgeListReader(ByteSource source)
+    : source_(std::move(source)) {}
 
+std::size_t ChunkedEdgeListReader::run_pass(const Sink& sink) {
+  if (source_) return scan(source_, sink);
+  FdGuard file{open_for_read(path_, options_.retry)};
+  return scan(
+      [&](std::span<char> buffer, std::uint64_t offset) {
+        return read_some(file.fd, buffer, offset, path_, options_.retry);
+      },
+      sink);
+}
+
+std::size_t ChunkedEdgeListReader::scan(const ByteSource& source,
+                                        const Sink& sink) {
   std::vector<char> buffer(options_.buffer_bytes);
   std::string carry;  // unterminated tail of the previous read
   std::vector<RawEdge> chunk;
@@ -118,16 +128,15 @@ std::size_t ChunkedEdgeListReader::run_pass(
     ++line_number;
     RawEdge edge;
     if (detail::parse_edge_line(line, line_number, edge.u, edge.v,
-                                &declared_nodes_)) {
+                                declared_nodes_)) {
       chunk.push_back(edge);
       if (chunk.size() == options_.chunk_edges) flush();
     }
   };
 
   for (;;) {
-    const std::size_t got = read_some(file.fd, buffer.data(), buffer.size(),
-                                      offset, path_, options_.retry);
-    if (got == 0) break;  // genuine EOF — errors threw above
+    const std::size_t got = source(buffer, offset);
+    if (got == 0) break;  // end of input: a failed read throws instead
     offset += got;
     std::string_view window(buffer.data(), got);
     while (true) {

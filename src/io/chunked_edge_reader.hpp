@@ -1,12 +1,14 @@
-// Chunked edge-list reading: sequential file scans with bounded memory.
+// Chunked edge-list reading: the one parse loop every edge-list reader
+// runs, with bounded memory.
 //
-// io::read_edge_list slurps the whole raw edge vector before building
-// anything — O(m) peak memory in the file, before the Graph doubles it.
-// ChunkedEdgeListReader instead parses a fixed-size read buffer at a
-// time and hands out bounded spans of parsed edges, so a pass over a
-// million-edge file holds kilobytes, not gigabytes.  The line grammar is
-// io/edge_line.hpp — identical (including malformed-line errors and the
-// writer header) to the in-memory reader's.
+// ChunkedEdgeListReader parses a fixed-size read buffer at a time and
+// hands out bounded spans of parsed edges, so a pass over a
+// million-edge file holds kilobytes, not gigabytes.  Its split/carry
+// loop is the only caller of the line grammar (io/edge_line.hpp), and
+// it reads through one byte-source hook: a file (open/read through the
+// fault seam and the retry policy) or a caller's source.  The in-memory
+// reader io::read_edge_list is a pass of this loop too, over a file or
+// a std::istream, so both accept and reject exactly the same inputs.
 //
 // extract_dk_streaming() is the assembled pipeline: it drives a
 // dk::StreamingDkExtractor (core/streaming_extractor.hpp) through the
@@ -33,6 +35,14 @@ struct RawEdge {
 
 class ChunkedEdgeListReader {
  public:
+  /// The byte-source hook every pass reads through: fills a prefix of
+  /// `buffer` with the input's bytes from `offset` on and returns how
+  /// many it wrote — 0 only at the end of the input.  A failed read
+  /// throws orbis::IoError; it never reads as the end of the input.
+  using ByteSource =
+      std::function<std::size_t(std::span<char> buffer, std::uint64_t offset)>;
+  using Sink = std::function<void(std::span<const RawEdge>)>;
+
   struct Options {
     std::size_t buffer_bytes = 1 << 20;  // file-read granularity
     std::size_t chunk_edges = 1 << 15;   // parsed edges per sink call
@@ -41,6 +51,10 @@ class ChunkedEdgeListReader {
 
   explicit ChunkedEdgeListReader(std::string path);
   ChunkedEdgeListReader(std::string path, Options options);
+  /// Reads `source` instead of a file (read_edge_list reads a
+  /// std::istream this way).  A source is not rewound: each pass reads
+  /// what the source has left.
+  explicit ChunkedEdgeListReader(ByteSource source);
 
   /// One sequential scan: parses the file and invokes `sink` with
   /// successive spans of at most chunk_edges edges (comment/blank lines
@@ -50,18 +64,19 @@ class ChunkedEdgeListReader {
   /// read errors carry the byte offset and errno, and are never
   /// silently treated as end-of-file — and orbis::ParseError (a
   /// std::invalid_argument, with a line number) on malformed content.
-  std::size_t run_pass(
-      const std::function<void(std::span<const RawEdge>)>& sink);
+  std::size_t run_pass(const Sink& sink);
 
   /// Node count declared by a writer header ("# orbis edge list: N
   /// nodes..."), 0 if none; valid once run_pass has seen the header
   /// (i.e. after any complete pass).
   std::uint64_t declared_nodes() const noexcept { return declared_nodes_; }
 
-  const std::string& path() const noexcept { return path_; }
-
  private:
+  /// The split/carry loop: one pass over what `source` yields.
+  std::size_t scan(const ByteSource& source, const Sink& sink);
+
   std::string path_;
+  ByteSource source_;  // empty: read path_
   Options options_;
   std::uint64_t declared_nodes_ = 0;
 };

@@ -1,20 +1,18 @@
-// Shared edge-list line grammar.
+// The edge-list line grammar.
 //
-// read_edge_list (in-memory) and ChunkedEdgeListReader (streaming) must
-// accept and reject exactly the same inputs — the streaming extractor's
-// round-trip guarantee includes malformed-line behavior — so both parse
-// through this one function instead of keeping two grammars in sync.
+// Its one caller is ChunkedEdgeListReader's parse loop
+// (io/chunked_edge_reader.hpp), which every edge-list reader runs: the
+// in-memory io::read_edge_list and the streaming extractor alike.
 //
 // Grammar per line: optional "u v" pair (whitespace separated), optional
 // '#' comment to end of line; blank/comment-only lines are skipped.  The
 // library's own writer header "# orbis edge list: N nodes..." is
 // recognized and reported through `declared_nodes` so round trips can
-// preserve node ids and isolated nodes.
+// preserve node ids and isolated nodes.  N must fit a NodeId.
 #pragma once
 
 #include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -31,31 +29,38 @@ inline std::string_view trim_edge_line_ws(std::string_view text) noexcept {
 
 /// Parses one line.  Returns true with (u, v) filled for an edge line;
 /// false for a blank or comment-only line.  A recognized writer header
-/// updates *declared_nodes.  Malformed content throws orbis::ParseError
-/// (a std::invalid_argument) naming `line_number`.
+/// updates `declared_nodes`.  Malformed content, and a header count
+/// above 2^32 - 1 (the NodeId range), throw orbis::ParseError (a
+/// std::invalid_argument) naming `line_number`.
 inline bool parse_edge_line(std::string_view line, std::size_t line_number,
                             std::uint64_t& u, std::uint64_t& v,
-                            std::uint64_t* declared_nodes) {
+                            std::uint64_t& declared_nodes) {
+  const auto malformed = [line_number](const char* what) {
+    throw ParseError("edge list line " + std::to_string(line_number) + ": " +
+                     what);
+  };
+
   const auto hash = line.find('#');
   if (hash != std::string_view::npos) {
-    if (declared_nodes != nullptr) {
-      // Recognize this library's own header so round trips preserve
-      // node ids and isolated nodes exactly.
-      unsigned long long n = 0;
-      if (std::sscanf(std::string(line.substr(hash)).c_str(),
-                      "# orbis edge list: %llu nodes", &n) == 1) {
-        *declared_nodes = n;
+    // Recognize this library's own header so round trips preserve node
+    // ids and isolated nodes exactly.
+    constexpr std::string_view header = "# orbis edge list:";
+    std::string_view comment = line.substr(hash);
+    if (comment.starts_with(header)) {
+      comment = trim_edge_line_ws(comment.substr(header.size()));
+      std::uint64_t n = 0;  // stays 0 when no count follows
+      const auto ec =
+          std::from_chars(comment.data(), comment.data() + comment.size(), n)
+              .ec;
+      if (ec == std::errc::result_out_of_range || n > 0xffffffffull) {
+        malformed("declared node count exceeds 2^32 - 1");
       }
+      if (ec == std::errc()) declared_nodes = n;
     }
     line = line.substr(0, hash);
   }
   line = trim_edge_line_ws(line);
   if (line.empty()) return false;
-
-  const auto malformed = [line_number](const char* what) {
-    throw ParseError("edge list line " + std::to_string(line_number) + ": " +
-                     what);
-  };
 
   const char* cursor = line.data();
   const char* end = line.data() + line.size();

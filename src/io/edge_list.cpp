@@ -1,89 +1,86 @@
 #include "io/edge_list.hpp"
 
-#include <fstream>
-#include <unordered_map>
+#include <istream>
+#include <numeric>
+#include <ostream>
 
+#include "graph/node_id_interner.hpp"
 #include "io/atomic_file.hpp"
-#include "io/edge_line.hpp"
-#include "util/check.hpp"
+#include "io/chunked_edge_reader.hpp"
 #include "util/errors.hpp"
 
 namespace orbis::io {
 
-EdgeListReadResult read_edge_list(std::istream& in) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges;
-  std::unordered_map<std::uint64_t, NodeId> dense_id;
-  std::vector<std::uint64_t> original_ids;
-  std::uint64_t declared_nodes = 0;  // from our own writer's header
+namespace {
 
-  const auto intern = [&](std::uint64_t file_id) {
-    const auto [it, inserted] =
-        dense_id.try_emplace(file_id, static_cast<NodeId>(original_ids.size()));
-    if (inserted) original_ids.push_back(file_id);
-    return it->second;
+/// One pass of the shared parse loop, then one bulk build.
+EdgeListReadResult read_edges(ChunkedEdgeListReader& reader) {
+  std::vector<std::uint64_t> file_ids;  // u0 v0 u1 v1 ... in file order
+  reader.run_pass([&file_ids](std::span<const RawEdge> chunk) {
+    for (const RawEdge& e : chunk) {
+      file_ids.push_back(e.u);
+      file_ids.push_back(e.v);
+    }
+  });
+
+  // Ids are interned only if the declared node count does not hold;
+  // otherwise they are the dense ids already.
+  const bool verbatim =
+      declared_nodes_hold(reader.declared_nodes(), file_ids);
+  NodeIdInterner ids;  // first-appearance order, for stable dense ids
+  const auto dense = [&](std::uint64_t id) {
+    return verbatim ? static_cast<NodeId>(id) : ids.intern(id);
   };
-
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    // One grammar for this reader and the chunked streaming reader
-    // (io/edge_line.hpp), so the two accept/reject identical inputs.
-    if (detail::parse_edge_line(line, line_number, u, v, &declared_nodes)) {
-      raw_edges.emplace_back(u, v);
-    }
-  }
-  // getline returning false means EOF *or* a stream error; badbit is the
-  // latter, and treating it as end-of-input would silently truncate the
-  // graph.
-  if (in.bad()) {
-    throw IoError("read failed after edge list line " +
-                  std::to_string(line_number) +
-                  " (stream badbit set; underlying I/O error)");
-  }
-
-  // With a declared node count and in-range ids, keep ids verbatim.
-  if (declared_nodes > 0) {
-    bool in_range = true;
-    for (const auto& [u, v] : raw_edges) {
-      if (u >= declared_nodes || v >= declared_nodes) {
-        in_range = false;
-        break;
-      }
-    }
-    if (in_range) {
-      for (std::uint64_t id = 0; id < declared_nodes; ++id) intern(id);
-    }
-  }
-
   EdgeListReadResult result;
-  // Intern in first-appearance order for stable dense ids.
   std::vector<Edge> edges;
-  edges.reserve(raw_edges.size());
-  for (const auto& [u, v] : raw_edges) {
-    edges.push_back(Edge{intern(u), intern(v)});
-  }
-  Graph g(static_cast<NodeId>(original_ids.size()));
-  for (const auto& e : edges) {
-    if (e.u == e.v) {
+  edges.reserve(file_ids.size() / 2);
+  for (std::size_t i = 0; i < file_ids.size(); i += 2) {
+    const NodeId u = dense(file_ids[i]);
+    const NodeId v = dense(file_ids[i + 1]);
+    if (u == v) {
       ++result.skipped_self_loops;
-    } else if (!g.add_edge(e.u, e.v)) {
-      ++result.skipped_duplicates;
+    } else {
+      edges.push_back(Edge{u, v});
     }
   }
-  result.graph = std::move(g);
-  result.original_ids = std::move(original_ids);
+  if (verbatim) {
+    result.original_ids.resize(reader.declared_nodes());
+    std::iota(result.original_ids.begin(), result.original_ids.end(),
+              std::uint64_t{0});
+  } else {
+    result.original_ids = ids.original_ids();
+  }
+  std::vector<std::uint64_t>().swap(file_ids);  // release before the build
+
+  result.graph = Graph::from_edges_dedup(
+      static_cast<NodeId>(result.original_ids.size()), edges);
+  result.skipped_duplicates = edges.size() - result.graph.num_edges();
   return result;
 }
 
+}  // namespace
+
+EdgeListReadResult read_edge_list(std::istream& in) {
+  ChunkedEdgeListReader reader(
+      [&in](std::span<char> buffer, std::uint64_t offset) -> std::size_t {
+        in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+        // A short read means the end of the input *or* a stream error;
+        // badbit is the latter, and reading it as the end would silently
+        // truncate the graph.
+        if (in.bad()) {
+          throw IoError("read failed at byte offset " +
+                        std::to_string(offset) +
+                        " of an edge list stream (stream badbit set; "
+                        "underlying I/O error)");
+        }
+        return static_cast<std::size_t>(in.gcount());
+      });
+  return read_edges(reader);
+}
+
 EdgeListReadResult read_edge_list_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw IoError("cannot open edge list file: " + path);
-  }
-  return read_edge_list(in);
+  ChunkedEdgeListReader reader(path);
+  return read_edges(reader);
 }
 
 void write_edge_list(std::ostream& out, const Graph& g) {

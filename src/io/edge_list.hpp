@@ -1,8 +1,11 @@
 // Edge-list file I/O.
 //
 // Format: one "u v" pair per line, whitespace separated; '#' starts a
-// comment; blank lines ignored.  Node ids are arbitrary non-negative
-// integers and are densified on read (original ids preserved on request).
+// comment; blank lines ignored.  Node ids are arbitrary uint64 values,
+// densified on read in first-appearance order (original_ids keeps them),
+// unless the writer header's node count holds (orbis::declared_nodes_hold)
+// and they are kept verbatim.  Both readers run the one chunked parse
+// loop (io/chunked_edge_reader.hpp) and build through Graph's bulk build.
 #pragma once
 
 #include <iosfwd>
@@ -26,8 +29,10 @@ struct EdgeListReadResult {
 /// never conflated with end-of-file.
 EdgeListReadResult read_edge_list(std::istream& in);
 
-/// Read from a file path; throws orbis::IoError (a std::runtime_error)
-/// if unreadable.
+/// Read from a file path, through the fault seam and the transient-error
+/// retry policy (io/retry.hpp).  Throws orbis::IoError (a
+/// std::runtime_error) naming the file if it cannot be opened, or the
+/// byte offset if a read fails.
 EdgeListReadResult read_edge_list_file(const std::string& path);
 
 /// Write "u v" lines (dense ids).  The file variant writes atomically

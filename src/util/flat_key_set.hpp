@@ -4,10 +4,10 @@
 // millions of packed pair keys per pass: a presence-only util::FlatTable
 // (see flat_table.hpp — the payload array is elided for empty payloads)
 // costs 8 bytes per slot and zero per-insert allocations, where
-// unordered_set pays a node allocation per key.  Unlike FlatEdgeHash the
-// capacity grows on demand (the edge count is unknown until the stream
-// ends) and there is no deletion — clear() resets between passes while
-// keeping the storage.
+// unordered_set pays a node allocation per key.  The capacity grows on
+// demand (the edge count is unknown until the stream ends) and there is
+// no deletion — clear() resets between passes while keeping the
+// storage.
 //
 // Key 0 marks an empty slot.  util::pair_key(u, v) of a non-loop edge is
 // never 0 (the larger endpoint occupies the low bits and is >= 1), so

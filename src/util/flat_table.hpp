@@ -1,10 +1,11 @@
 // The one flat open-addressing table behind every hot-path hash
 // structure in this library.
 //
-// Three structures run on it: graph::FlatEdgeHash (edge key -> slot),
-// dk::SparseHistogram (dK bin counts) and util::FlatKeySet (streaming
-// duplicate detection).  They used to carry hand-mirrored copies of the
-// same probe design.  The probe arithmetic — splitmix64-finalized
+// Four structures run on it: FlatEdgeHash (edge key -> slot, in Graph
+// and EdgeIndex), dk::SparseHistogram (dK bin counts), util::FlatKeySet
+// (streaming duplicate detection) and NodeIdInterner (file id -> dense
+// id).  The first three used to carry hand-mirrored copies of the same
+// probe design.  The probe arithmetic — splitmix64-finalized
 // hashing, power-of-two capacity with mask indexing, linear probing,
 // load-factor growth, and backward-shift deletion — is subtle enough
 // that each copy needed its own pinning tests, and a fix in one had to
@@ -21,10 +22,10 @@
 // Occupancy is traits-defined, which is what lets one template serve two
 // regimes:
 //   * key-sentinel occupancy: a slot is live iff its key != 0 (edge
-//     hash, JDD bins with a +1 key offset, key set);
+//     hash, key set);
 //   * payload occupancy: a slot is live iff its payload is non-zero
 //     (the histogram, where a count of 0 IS erasure and key 0 is an
-//     ordinary bin).
+//     ordinary bin; the interner, whose payload is dense id + 1).
 //
 // The traits contract (TraitsT):
 //   using Payload = ...;                 // any type; empty => elided

@@ -4,6 +4,13 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "graph/edge_index.hpp"
+#include "graph/multigraph.hpp"
+#include "io/edge_list.hpp"
 
 namespace orbis {
 namespace {
@@ -157,17 +164,25 @@ TEST(Graph, EqualityIgnoresConstructionOrder) {
   EXPECT_FALSE(a == b);
 }
 
-TEST(Graph, StressAddRemoveStaysConsistent) {
-  Graph g(50);
-  // Deterministic add/remove churn, then verify adjacency == edge set.
+/// The churn's starting edge set: ~600 edges on 50 nodes.
+std::vector<Edge> churn_edges() {
+  std::vector<Edge> edges;
   for (NodeId u = 0; u < 50; ++u) {
-    for (NodeId v = u + 1; v < 50; v += (u % 3) + 1) g.add_edge(u, v);
+    for (NodeId v = u + 1; v < 50; v += (u % 3) + 1) edges.push_back({u, v});
   }
+  return edges;
+}
+
+/// Deterministic remove/re-add churn, then verify adjacency == edge set.
+void churn_and_check(Graph& g) {
   std::size_t removed = 0;
   for (NodeId u = 0; u < 50; u += 2) {
     for (NodeId v = u + 1; v < 50; v += 3) removed += g.remove_edge(u, v);
   }
   EXPECT_GT(removed, 0u);
+  for (NodeId u = 0; u < 50; u += 5) {
+    for (NodeId v = u + 1; v < 50; v += 2) g.add_edge(u, v);
+  }
   std::size_t adjacency_total = 0;
   for (NodeId v = 0; v < 50; ++v) {
     for (const NodeId w : g.neighbors(v)) {
@@ -176,6 +191,74 @@ TEST(Graph, StressAddRemoveStaysConsistent) {
     adjacency_total += g.degree(v);
   }
   EXPECT_EQ(adjacency_total, 2 * g.num_edges());
+  for (const auto& e : g.edges()) EXPECT_TRUE(g.has_edge(e.u, e.v));
+}
+
+TEST(Graph, StressAddRemoveStaysConsistent) {
+  // Built edge by edge: the edge hash grows from empty through several
+  // doublings.  Built in bulk: it is sized once for the edge list.
+  // Growth must not change the graph.
+  Graph grown(50);
+  for (const Edge& e : churn_edges()) grown.add_edge(e.u, e.v);
+  Graph sized = Graph::from_edges(50, churn_edges());
+  EXPECT_GT(grown.num_edges(), 500u);
+  EXPECT_EQ(grown.edges(), sized.edges());
+  churn_and_check(grown);
+  churn_and_check(sized);
+  EXPECT_EQ(grown.edges(), sized.edges());
+  EXPECT_TRUE(grown == sized);
+}
+
+/// neighbors(v) must list v's edges in edge order: rewiring chains read
+/// adjacency through EdgeIndex(g), so every bulk path pins it.
+void expect_rows_in_edge_order(const Graph& g) {
+  std::vector<std::vector<NodeId>> rows(g.num_nodes());
+  for (const auto& e : g.edges()) {
+    rows[e.u].push_back(e.v);
+    rows[e.v].push_back(e.u);
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto row = g.neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), rows[v])
+        << "node " << v;
+  }
+}
+
+TEST(Graph, BulkPathsKeepAdjacencyInEdgeOrder) {
+  const std::vector<Edge> simple = {{3, 1}, {1, 2}, {0, 3}, {2, 0},
+                                    {1, 0}, {4, 2}, {3, 4}};
+  const auto g = Graph::from_edges(5, simple);
+  EXPECT_EQ(g.edges(), simple);
+  expect_rows_in_edge_order(g);
+
+  std::vector<Edge> noisy = simple;
+  noisy.insert(noisy.begin() + 2, Edge{2, 2});
+  noisy.insert(noisy.begin() + 4, Edge{2, 1});
+  const auto dedup = Graph::from_edges_dedup(5, noisy);
+  EXPECT_EQ(dedup.edges(), simple);
+  expect_rows_in_edge_order(dedup);
+
+  Multigraph multi(5);
+  for (const auto& e : noisy) multi.add_edge(e.u, e.v);
+  const auto simplified = multi.to_simple();
+  EXPECT_EQ(simplified.edges(), simple);
+  expect_rows_in_edge_order(simplified);
+
+  const auto exported = EdgeIndex(g).to_graph();
+  EXPECT_EQ(exported.edges(), simple);
+  expect_rows_in_edge_order(exported);
+
+  std::istringstream in("# sparse ids\n30 10\n10 20\n20 20\n0 30\n20 0\n");
+  const auto read = io::read_edge_list(in);
+  ASSERT_EQ(read.graph.num_edges(), 4u);
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> file_edges = {
+      {30, 10}, {10, 20}, {0, 30}, {20, 0}};
+  for (std::size_t i = 0; i < file_edges.size(); ++i) {
+    const Edge e = read.graph.edge_at(i);
+    EXPECT_EQ(read.original_ids[e.u], file_edges[i].first);
+    EXPECT_EQ(read.original_ids[e.v], file_edges[i].second);
+  }
+  expect_rows_in_edge_order(read.graph);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "io/chunked_edge_reader.hpp"
 #include "io/edge_list.hpp"
 #include "graph/builders.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::io {
@@ -191,6 +193,67 @@ TEST(StreamingExtractPipeline, DuplicateAndLoopHandlingMatches) {
   EXPECT_EQ(streamed.distributions.num_edges, 3u);
   EXPECT_EQ(streamed.distributions.three_k.total_triangles(), 1);
   std::remove(path.c_str());
+}
+
+TEST(StreamingExtractPipeline, ExtremeAndSparseIdsReadTheSameEverywhere) {
+  // File ids span the whole uint64 range: 0 and 2^64 - 1 are ordinary
+  // ids to the interner, in both readers and in the extractor.
+  const std::string content =
+      "0 18446744073709551615\n"
+      "18446744073709551615 7000000000\n"
+      "7000000000 0\n"
+      "42 0\n"
+      "0 0\n"
+      "7000000000 18446744073709551615\n";
+  const std::string path = write_temp("orbis_extreme_ids.edges", content);
+  std::istringstream in(content);
+  const auto from_stream = read_edge_list(in);
+  const auto from_file = read_edge_list_file(path);
+  const std::vector<std::uint64_t> first_appearance = {
+      0, 18446744073709551615ull, 7000000000ull, 42};
+  EXPECT_EQ(from_stream.original_ids, first_appearance);
+  EXPECT_EQ(from_file.original_ids, first_appearance);
+  EXPECT_EQ(from_stream.graph.edges(), from_file.graph.edges());
+  EXPECT_EQ(from_file.graph.num_edges(), 4u);
+  EXPECT_EQ(from_file.skipped_self_loops, 1u);
+  EXPECT_EQ(from_file.skipped_duplicates, 1u);
+  expect_streaming_equals_in_memory(path, 3);
+  std::remove(path.c_str());
+}
+
+TEST(ChunkedEdgeReader, DeclaredNodeCountIsBoundedByTheNodeIdRange) {
+  // 2^32 - 1 is the largest count a NodeId graph can hold; the header
+  // parse alone holds it (no reader is asked to build that graph).
+  const std::string largest =
+      write_temp("orbis_header_max.edges",
+                 "# orbis edge list: 4294967295 nodes, 0 edges\n");
+  ChunkedEdgeListReader reader(largest);
+  reader.run_pass([](std::span<const RawEdge>) {});
+  EXPECT_EQ(reader.declared_nodes(), 4294967295u);
+  std::remove(largest.c_str());
+
+  for (const char* count : {"4294967296", "18446744073709551615",
+                            "99999999999999999999999"}) {
+    const std::string content = std::string("0 1\n# orbis edge list: ") +
+                                count + " nodes, 1 edges\n";
+    const std::string path = write_temp("orbis_header_huge.edges", content);
+    const auto expect_line_2 = [&](const auto& read) {
+      try {
+        read();
+        FAIL() << "expected ParseError for count " << count;
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_line_2([&] {
+      std::istringstream in(content);
+      read_edge_list(in);
+    });
+    expect_line_2([&] { read_edge_list_file(path); });
+    expect_line_2([&] { extract_dk_streaming(path, 3); });
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
+#include <string>
 
 #include "graph/builders.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::io {
@@ -91,6 +95,36 @@ TEST(EdgeList, EmptyInputYieldsEmptyGraph) {
   const auto result = read_edge_list(in);
   EXPECT_EQ(result.graph.num_nodes(), 0u);
   EXPECT_EQ(result.graph.num_edges(), 0u);
+}
+
+/// Serves `good`, then fails like a dying device: its underflow throws,
+/// which std::istream turns into badbit.
+class FailingStreambuf : public std::streambuf {
+ public:
+  explicit FailingStreambuf(std::string good) : good_(std::move(good)) {
+    setg(good_.data(), good_.data(), good_.data() + good_.size());
+  }
+
+ protected:
+  int_type underflow() override { throw std::runtime_error("device error"); }
+
+ private:
+  std::string good_;
+};
+
+TEST(EdgeList, StreamErrorIsAnIoErrorNotTheEnd) {
+  // The lines served before the failure must not pass for the whole
+  // input: the reader throws instead of returning a truncated graph.
+  FailingStreambuf buf("0 1\n1 2\n");
+  std::istream in(&buf);
+  try {
+    read_edge_list(in);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("badbit"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -518,6 +518,37 @@ TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
   reject("# orbis checkpoint v2\nd 2\nfinal_d 3\n");  // v3 record in v2
 }
 
+// The counts in a file never size memory: chains and edges are appended
+// as they are parsed, so an absurd count is a torn file (ParseError),
+// never an allocation failure.
+TEST_F(CheckpointResumeTest, HostileCountsAreParseErrorsNotAllocations) {
+  const std::string head =
+      "# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\nbackend dense\n";
+  const std::string chain =
+      "chains 1\nchain 0\nattempts 5\nrng 1 2 3 4\nstats 0 0 0 0 0 0\n"
+      "distance 0\n";
+  const auto expect_parse_error = [&](const std::string& content,
+                                      const std::string& needle) {
+    const std::string file = path("hostile.ck");
+    std::ofstream(file, std::ios::trunc) << content;
+    try {
+      io::read_checkpoint_file(file);
+      FAIL() << "expected ParseError for: " << content;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_parse_error(head + "chains 4611686018427387904\n",
+                     "unexpected end of file");
+  expect_parse_error(head + chain + "graph 3 1000000000000000\n0 1\n",
+                     "unexpected end of file");
+  // A duplicate edge names its own line (line 14: the reverse of 0 1).
+  expect_parse_error(head + chain +
+                         "graph 3 2\n0 1\n1 0\nend chain\nend checkpoint\n",
+                     "line 14: duplicate edge");
+}
+
 // v4 dropped the `backend` record.  Both storages a v3 file could name
 // walked bit-identical chains, so a v3 file resumes exactly like the
 // same run saved as v4, whichever backend it names.

@@ -12,6 +12,7 @@
 #include <span>
 
 #include "io/chunked_edge_reader.hpp"
+#include "io/edge_list.hpp"
 #include "io/retry.hpp"
 #include "util/errors.hpp"
 
@@ -116,11 +117,15 @@ TEST(RetryPolicy, NonTransientErrorsPropagateImmediately) {
   EXPECT_EQ(calls, 1);
 }
 
-/// End to end: a transient read fault injected under the chunked reader
-/// is absorbed by the retry layer; a hard fault surfaces as IoError with
-/// the byte offset.  This is the reader-side half of the "every injected
-/// fault surfaces as a structured error" guarantee.
-class ReaderFaultTest : public ::testing::Test {
+/// End to end: a transient read fault injected under an edge-list
+/// reader is absorbed by the retry layer; a hard fault surfaces as
+/// IoError with the byte offset.  This is the reader-side half of the
+/// "every injected fault surfaces as a structured error" guarantee.
+/// Both readers run: the chunked pass and read_edge_list_file, which is
+/// a pass of the same loop.
+enum class Reader { chunked, read_edge_list_file };
+
+class ReaderFaultTest : public ::testing::TestWithParam<Reader> {
  protected:
   void SetUp() override {
     fault::clear();
@@ -134,28 +139,34 @@ class ReaderFaultTest : public ::testing::Test {
     fault::clear();
     std::filesystem::remove(path_);
   }
+
+  /// Edges read from path_ by the reader under test.
+  std::size_t read_edges() const {
+    if (GetParam() == Reader::read_edge_list_file) {
+      return read_edge_list_file(path_).graph.num_edges();
+    }
+    ChunkedEdgeListReader::Options options;
+    options.retry.initial_backoff = std::chrono::milliseconds(0);
+    ChunkedEdgeListReader reader(path_, options);
+    std::size_t edges = 0;
+    reader.run_pass([&](std::span<const RawEdge> chunk) {
+      edges += chunk.size();
+    });
+    return edges;
+  }
+
   std::string path_;
 };
 
-TEST_F(ReaderFaultTest, TransientReadFaultIsRetriedAway) {
+TEST_P(ReaderFaultTest, TransientReadFaultIsRetriedAway) {
   fault::arm({fault::Point::read, /*after=*/0, EINTR, /*count=*/2});
-  ChunkedEdgeListReader::Options options;
-  options.retry.initial_backoff = std::chrono::milliseconds(0);
-  ChunkedEdgeListReader reader(path_, options);
-  std::size_t edges = 0;
-  reader.run_pass([&](std::span<const RawEdge> chunk) {
-    edges += chunk.size();
-  });
-  EXPECT_EQ(edges, 50u);
+  EXPECT_EQ(read_edges(), 50u);
 }
 
-TEST_F(ReaderFaultTest, HardReadFaultThrowsIoErrorWithOffset) {
+TEST_P(ReaderFaultTest, HardReadFaultThrowsIoErrorWithOffset) {
   fault::arm({fault::Point::read, /*after=*/0, EIO});
-  ChunkedEdgeListReader::Options options;
-  options.retry.initial_backoff = std::chrono::milliseconds(0);
-  ChunkedEdgeListReader reader(path_, options);
   try {
-    reader.run_pass([](std::span<const RawEdge>) {});
+    read_edges();
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     EXPECT_EQ(e.errno_value(), EIO);
@@ -164,19 +175,25 @@ TEST_F(ReaderFaultTest, HardReadFaultThrowsIoErrorWithOffset) {
   }
 }
 
-TEST_F(ReaderFaultTest, OpenFaultThrowsIoErrorNamingFile) {
+TEST_P(ReaderFaultTest, OpenFaultThrowsIoErrorNamingFile) {
   fault::arm({fault::Point::open_read, /*after=*/0, EACCES});
-  ChunkedEdgeListReader::Options options;
-  options.retry.initial_backoff = std::chrono::milliseconds(0);
   try {
-    ChunkedEdgeListReader reader(path_, options);
-    reader.run_pass([](std::span<const RawEdge>) {});
+    read_edges();
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     EXPECT_EQ(e.errno_value(), EACCES);
     EXPECT_NE(std::string(e.what()).find(path_), std::string::npos);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(BothReaders, ReaderFaultTest,
+                         ::testing::Values(Reader::chunked,
+                                           Reader::read_edge_list_file),
+                         [](const ::testing::TestParamInfo<Reader>& info) {
+                           return info.param == Reader::chunked
+                                      ? std::string("Chunked")
+                                      : std::string("ReadEdgeListFile");
+                         });
 
 }  // namespace
 }  // namespace orbis::io
