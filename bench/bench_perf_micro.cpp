@@ -192,16 +192,18 @@ BENCHMARK(BM_Randomize2KAttempts)->Arg(10000)->Unit(benchmark::kMillisecond);
 // only the equal-degree pair of a swap, so these guard that hub degree
 // stays out of the per-attempt cost — the Poisson graphs above cannot
 // see it.
-Graph make_hub_graph() {
+Graph make_power_law_graph(NodeId n, double gamma, std::size_t cap) {
   topo::AsLevelOptions options;
-  options.num_nodes = 10000;
-  options.gamma = 1.93;
-  options.max_degree_cap = 1000;
+  options.num_nodes = n;
+  options.gamma = gamma;
+  options.max_degree_cap = cap;
   util::Rng rng(42);
   return gen::matching_1k(dk::DegreeDistribution::from_sequence(
                               topo::power_law_degree_sequence(options)),
                           rng);
 }
+
+Graph make_hub_graph() { return make_power_law_graph(10000, 1.93, 1000); }
 
 void BM_Hub3KTarget(benchmark::State& state) {
   const auto original = make_hub_graph();
@@ -385,6 +387,28 @@ void BM_DistanceDistribution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DistanceDistribution)->Range(1 << 8, 1 << 11);
+
+// The svc metrics job's distance phase on its graph shape: the GCC of a
+// power-law degree sequence (n=4096, gamma 2.1, cap 300) wired by
+// matching_1k, small diameter and hubs, where the batched BFS pulls.
+void BM_DistanceDistributionHub(benchmark::State& state) {
+  const auto g =
+      largest_connected_component(make_power_law_graph(4096, 2.1, 300)).graph;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(metrics::distance_distribution(g));
+  }
+}
+BENCHMARK(BM_DistanceDistributionHub)->Unit(benchmark::kMillisecond);
+
+// The high-diameter guard: on a path every batch runs ~n levels with a
+// sparse frontier, so the batched BFS must push, not scan every node.
+void BM_DistanceDistributionPath(benchmark::State& state) {
+  const auto g = builders::path(4096);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(metrics::distance_distribution(g));
+  }
+}
+BENCHMARK(BM_DistanceDistributionPath)->Unit(benchmark::kMillisecond);
 
 // The telemetry update primitive: one relaxed fetch_add through a
 // function-local static reference, exactly what publish_rewiring_metrics

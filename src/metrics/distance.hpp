@@ -33,11 +33,22 @@ struct DistanceDistribution {
   }
 };
 
-/// Exact distribution via BFS from every node: O(n (n + m)).
+/// Exact distribution by a bit-parallel multi-source BFS: the sources run
+/// in ceil(n/64) batches of 64, one bit per source in a word per node,
+/// so a level reached by several sources at once is walked once.  Each
+/// level pushes from its frontier nodes while their arcs number under a
+/// quarter of n + 2m, and otherwise pulls into every node some source
+/// has not reached.  A pull therefore costs at most 4x the push it
+/// replaces, and a batch at most a constant times its 64 single-source
+/// searches: O(n (n + m)) in all, as per source, while on small-world
+/// graphs, where the searches share their levels, a batch costs about
+/// one pass over the graph per level.  Bit-identical to one BFS per node.
 DistanceDistribution distance_distribution(const Graph& g);
 
 /// Estimated distribution via BFS from `num_sources` uniformly sampled
-/// sources (ordered pairs source->target); exact when num_sources >= n.
+/// sources (ordered pairs source->target), batched as above; counts and
+/// unreachable_pairs are both scaled by n / num_sources to the n^2
+/// scale.  Exact when num_sources >= n.
 DistanceDistribution sampled_distance_distribution(const Graph& g,
                                                    std::size_t num_sources,
                                                    util::Rng& rng);

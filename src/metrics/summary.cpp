@@ -8,6 +8,7 @@
 #include "metrics/distance.hpp"
 #include "metrics/scalar.hpp"
 #include "metrics/spectrum.hpp"
+#include "obs/trace.hpp"
 #include "util/errors.hpp"
 
 namespace orbis::metrics {
@@ -35,31 +36,43 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
     }
   };
 
-  const auto gcc = largest_connected_component(g);
-  const Graph& core = gcc.graph;
-  result.gcc_nodes = core.num_nodes();
-  result.gcc_edges = core.num_edges();
-  result.average_degree = core.average_degree();
-  result.assortativity = assortativity(core);
-  result.mean_clustering = mean_clustering(core);
-  result.likelihood_s = likelihood_s(core);
-  checkpoint();
-
-  if (options.with_distance) {
-    const auto distances = distance_distribution(core);
-    result.mean_distance = distances.mean();
-    result.distance_stddev = distances.stddev();
+  // One trace span per phase, closed before the phase's checkpoint.
+  const auto phase = [&](const char* name, const auto& body) {
+    {
+      const obs::Span span(name);
+      body();
+    }
     checkpoint();
+  };
+
+  GccResult gcc;
+  const Graph& core = gcc.graph;
+  phase("metrics.scalars", [&] {
+    gcc = largest_connected_component(g);
+    result.gcc_nodes = core.num_nodes();
+    result.gcc_edges = core.num_edges();
+    result.average_degree = core.average_degree();
+    result.assortativity = assortativity(core);
+    result.mean_clustering = mean_clustering(core);
+    result.likelihood_s = likelihood_s(core);
+  });
+  if (options.with_distance) {
+    phase("metrics.distance", [&] {
+      const auto distances = distance_distribution(core);
+      result.mean_distance = distances.mean();
+      result.distance_stddev = distances.stddev();
+    });
   }
   if (options.with_s2) {
-    result.s2 = dk::second_order_likelihood(core);
-    checkpoint();
+    phase("metrics.s2",
+          [&] { result.s2 = dk::second_order_likelihood(core); });
   }
   if (options.with_spectrum) {
-    const auto spectrum = laplacian_extremes(core);
-    result.lambda1 = spectrum.lambda1;
-    result.lambda_max = spectrum.lambda_max;
-    checkpoint();
+    phase("metrics.spectrum", [&] {
+      const auto spectrum = laplacian_extremes(core);
+      result.lambda1 = spectrum.lambda1;
+      result.lambda_max = spectrum.lambda_max;
+    });
   }
   return result;
 }

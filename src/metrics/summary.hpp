@@ -32,7 +32,7 @@ struct ScalarMetrics {
 
 struct SummaryOptions {
   bool with_spectrum = true;   // Lanczos runs (skip for speed if unneeded)
-  bool with_distance = true;   // full all-pairs BFS
+  bool with_distance = true;   // all-pairs BFS, 64 sources a pass
   bool with_s2 = true;         // 3K extraction for S2
 };
 
@@ -41,7 +41,9 @@ struct SummaryOptions {
 /// BFS sweep, 3K extraction, Lanczos — run to completion; they are each
 /// a bounded fraction of the total); a requested stop throws
 /// orbis::InterruptedError.  ctx.progress gets one sample per completed
-/// phase: attempts = phases done, budget = phases enabled.
+/// phase: attempts = phases done, budget = phases enabled.  Each phase
+/// is one obs::Span: metrics.scalars, metrics.distance, metrics.s2 and
+/// metrics.spectrum.
 ScalarMetrics compute_scalar_metrics(const Graph& g,
                                      const SummaryOptions& options = {},
                                      const svc::RunContext& ctx = {});

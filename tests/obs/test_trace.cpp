@@ -2,10 +2,13 @@
 // and the Chrome trace-event JSON schema the exporter emits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <string>
 
+#include "graph/builders.hpp"
+#include "metrics/summary.hpp"
 #include "obs/trace.hpp"
 #include "json_checker.hpp"
 
@@ -99,6 +102,22 @@ TEST(Trace, SpanRaiiRecordsOnGlobalTracer) {
   ASSERT_FALSE(events.empty());
   EXPECT_STREQ(events.back().name, "raii.phase");
   EXPECT_GE(events.back().duration_us, 0);
+}
+
+TEST(Trace, ScalarMetricsRecordOneSpanPerPhase) {
+  Tracer::global().enable();
+  metrics::compute_scalar_metrics(builders::grid(6, 7));
+  const auto events = Tracer::global().snapshot();
+  Tracer::global().disable();
+  for (const std::string name : {"metrics.scalars", "metrics.distance",
+                                 "metrics.s2", "metrics.spectrum"}) {
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [&](const TraceEvent& e) {
+                              return name == e.name && e.duration_us >= 0;
+                            }),
+              1)
+        << name;
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ import sys
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
                   r"|ConvergenceAttemptsToEps|Hub3K|Pipeline3KLegs"
-                  r"|Extract3K|ReadEdgeList")
+                  r"|Extract3K|ReadEdgeList|DistanceDistribution")
 
 
 def load_benchmarks(path, name_filter):
