@@ -210,7 +210,7 @@ void BM_Hub3KTarget(benchmark::State& state) {
   const auto dists = dk::extract(original, 3);
   util::Rng start_rng(13);
   const auto start = gen::matching_2k(dists.joint, start_rng);
-  gen::ThreeKRewirer rewirer(start);
+  gen::ThreeKRewirer rewirer(start, dists.three_k);
   gen::TargetingOptions options;
   // Never satisfied: sustained attempt throughput, not convergence.
   options.stop_distance = -1.0;
@@ -218,7 +218,7 @@ void BM_Hub3KTarget(benchmark::State& state) {
   std::uint64_t attempts = 0;
   for (auto _ : state) {
     gen::RewiringStats stats;
-    rewirer.target(dists.three_k, options, 20000, rng, &stats);
+    rewirer.target(options, 20000, rng, &stats);
     attempts += stats.attempts;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(attempts));
@@ -259,16 +259,29 @@ void BM_Hub3KRandomizeCall(benchmark::State& state) {
 BENCHMARK(BM_Hub3KRandomizeCall)->Unit(benchmark::kMillisecond);
 
 // The full 3K state build every fresh 3K targeting chain pays: one
-// count_three_k pass (the wedge/triangle histograms) over the hub
-// graph's EdgeIndex.
+// count_three_k pass (the sorted wedge/triangle bins) over the hub
+// graph's EdgeIndex, merged into the residual (here against the empty
+// profile, so every bin is stored).
 void BM_Hub3KBuild(benchmark::State& state) {
   const Graph g = make_hub_graph();
   for (auto _ : state) {
     const dk::DkState built(g, dk::TrackLevel::full_three_k);
-    benchmark::DoNotOptimize(built.three_k().wedges().num_bins());
+    benchmark::DoNotOptimize(built.residual().num_bins());
   }
 }
 BENCHMARK(BM_Hub3KBuild)->Unit(benchmark::kMillisecond);
+
+// ThreeKProfile::from_graph on the hub graph: the 3K extraction of the
+// heavy-tailed inputs the paper uses, where the center classes span
+// hundreds of degree classes (Extract3K's Poisson graphs have ~20).
+void BM_Hub3KExtract(benchmark::State& state) {
+  const Graph g = make_hub_graph();
+  for (auto _ : state) {
+    const auto profile = dk::ThreeKProfile::from_graph(g);
+    benchmark::DoNotOptimize(profile.wedges().num_bins());
+  }
+}
+BENCHMARK(BM_Hub3KExtract)->Unit(benchmark::kMillisecond);
 
 // The 3K stage of a d = 3 gen::Pipeline on the hub graph, one chain,
 // driven one leg per step() as the server does.  Arg(0) is the default

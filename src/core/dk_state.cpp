@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/three_k_count.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace orbis::dk {
@@ -81,16 +82,111 @@ ThreeKSums three_k_sums(const EdgeIndex& index) {
   return sums;
 }
 
-DkState::DkState(const Graph& graph, TrackLevel level)
-    : owned_(std::make_unique<EdgeIndex>(graph)),
-      index_(owned_.get()),
-      level_(level) {
-  if (tracks_histograms()) count_three_k(*index_, three_k_);
+// ---------------------------------------------------------------------------
+// ThreeKResidual.
+// ---------------------------------------------------------------------------
+
+ThreeKResidual::ThreeKResidual(const ThreeKProfile& current,
+                               const ThreeKProfile& target) {
+  // Two merges of the sorted profiles: the first counts the bins where
+  // they differ, so the table is sized once, and the second fills it.
+  const auto for_each_difference = [&](auto visit) {
+    const auto component = [&](const SortedBins& now, const SortedBins& want,
+                               std::uint64_t tag) {
+      SortedBins::merge(now, want,
+                        [&](std::uint64_t key, std::int64_t a,
+                            std::int64_t b) {
+                          if (a != b) visit(key | tag, a - b);
+                        });
+    };
+    component(current.wedges(), target.wedges(), 0);
+    component(current.triangles(), target.triangles(), triangle_tag);
+  };
+  std::size_t differing = 0;
+  for_each_difference([&](std::uint64_t, std::int64_t) { ++differing; });
+  table_.reserve_for(differing);
+  for_each_difference([&](std::uint64_t key, std::int64_t r) {
+    table_.occupy(table_.locate(key), key, r);
+    distance_ += r * r;
+  });
 }
 
-DkState::DkState(EdgeIndex& index, TrackLevel level)
-    : index_(&index), level_(level) {
-  if (tracks_histograms()) count_three_k(*index_, three_k_);
+void ThreeKResidual::add(std::uint64_t tagged, std::int64_t net) {
+  const std::size_t i = table_.locate(tagged);
+  if (!table_.occupied(i)) {
+    table_.occupy(i, tagged, net);
+    if (table_.over_load_factor()) table_.grow();
+    return;
+  }
+  table_.payload_at(i) += net;
+  if (table_.payload_at(i) == 0) table_.erase_at(i);
+}
+
+std::int64_t ThreeKResidual::delta_if_applied(
+    const DeltaJournal& journal) const {
+  // The journal names every bin this pricing reads, so issue all the
+  // probe-group prefetches before the first probe: by the time the
+  // loops below reach entry k, its lines are usually already in flight
+  // (docs/parallel.md, "Prefetching in the proposal loops").
+  for (const auto& [key, net] : journal.wedge) table_.prefetch(key);
+  for (const auto& [key, net] : journal.triangle) {
+    table_.prefetch(key | triangle_tag);
+  }
+  std::int64_t delta = 0;
+  for (const auto& [key, net] : journal.wedge) {
+    delta += net * (2 * at(key) + net);  // (r + net)² − r²
+  }
+  for (const auto& [key, net] : journal.triangle) {
+    delta += net * (2 * at(key | triangle_tag) + net);
+  }
+  return delta;
+}
+
+void ThreeKResidual::apply(const DeltaJournal& journal) {
+  if (journal.all_zero()) return;
+  distance_ += delta_if_applied(journal);
+  if (!table_.has_storage()) table_.grow();
+  for (const auto& [key, net] : journal.wedge) add(key, net);
+  for (const auto& [key, net] : journal.triangle) add(key | triangle_tag, net);
+}
+
+bool operator==(const ThreeKResidual& a, const ThreeKResidual& b) {
+  if (a.distance_ != b.distance_ || a.num_bins() != b.num_bins()) {
+    return false;
+  }
+  for (std::size_t slot = 0; slot < a.table_.capacity(); ++slot) {
+    if (a.table_.occupied(slot) &&
+        b.at(a.table_.key_at(slot)) != a.table_.payload_at(slot)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// DkState.
+// ---------------------------------------------------------------------------
+
+DkState::DkState(const Graph& graph, TrackLevel level,
+                 const ThreeKProfile* target)
+    : owned_(std::make_unique<EdgeIndex>(graph)),
+      index_(owned_.get()),
+      level_(level),
+      target_(target) {
+  if (tracks_residual()) residual_ = count_residual();
+}
+
+DkState::DkState(EdgeIndex& index, TrackLevel level,
+                 const ThreeKProfile* target)
+    : index_(&index), level_(level), target_(target) {
+  if (tracks_residual()) residual_ = count_residual();
+}
+
+ThreeKResidual DkState::count_residual() const {
+  static const ThreeKProfile empty;
+  const ThreeKProfile current = count_three_k_profile(*index_);
+  const obs::Span span("dk.three_k.residual");
+  return ThreeKResidual(current, target_ != nullptr ? *target_ : empty);
 }
 
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
@@ -244,21 +340,14 @@ void DkState::commit_swap(const SwapDelta& delta) {
       index_->degree(delta.b) == index_->degree(delta.d) ||
           index_->degree(delta.a) == index_->degree(delta.c),
       "DkState::commit_swap: swap must preserve the JDD");
-  if (tracks_histograms()) {
-    for (const auto& [key, net] : delta.journal.wedge) {
-      three_k_.wedges().add(key, net);
-    }
-    for (const auto& [key, net] : delta.journal.triangle) {
-      three_k_.triangles().add(key, net);
-    }
-  }
+  if (tracks_residual()) residual_.apply(delta.journal);
   index_->apply_swap(delta.a, delta.b, delta.c, delta.d);
 }
 
 void DkState::verify_consistency() const {
-  if (!tracks_histograms()) return;
-  util::ensures(ThreeKProfile::from_graph(to_graph()) == three_k_,
-                "DkState: 3K profile diverged from recount");
+  if (!tracks_residual()) return;
+  util::ensures(count_residual() == residual_,
+                "DkState: 3K residual diverged from recount");
 }
 
 }  // namespace orbis::dk

@@ -6,21 +6,22 @@
 //   S2   — second-order likelihood, Σ_wedges k1 * k3  (defined by P∧)
 //   C̄    — mean local clustering, (1/n) Σ_v t_v · 2 / (k_v (k_v - 1))
 // without mutating anything, and commit_swap applies it.  The only dK
-// data it stores are the wedge/triangle histograms, at full_three_k,
-// written in exactly two places: construction and commit_swap.  A chain
-// that follows S2 or C̄ sums the deltas itself, starting from
-// three_k_sums.
+// data it stores is, at full_three_k, the 3K residual r = current −
+// target (ThreeKResidual) with D3 = Σ r², written in exactly two
+// places: construction and commit_swap.  A chain that follows S2 or C̄
+// sums the deltas itself, starting from three_k_sums.
 //
 // The adjacency lives in a flat EdgeIndex (CSR rows + open-addressing
 // edge hash) rather than a Graph: DkState either owns one (constructed
 // from a Graph) or binds to one owned by a rewiring engine, so a 3K
 // rewirer maintains exactly ONE adjacency structure.  Construction at
-// full_three_k runs count_three_k (core/three_k_count.hpp) over that
-// index, with no Graph export.  Pricing a swap walks only the rows of
-// its two equal-degree endpoints, with O(1) edge-hash probes per
-// neighbor, so its cost is independent of the other two (often hub)
-// endpoints' degrees.  Degrees are those of the index, which a swap
-// never changes, so histogram keys never shift.
+// full_three_k counts the sorted 3K profile (count_three_k_profile,
+// core/three_k_count.hpp) over that index, with no Graph export, and
+// merges it with the target into the residual.  Pricing a swap walks
+// only the rows of its two equal-degree endpoints, with O(1) edge-hash
+// probes per neighbor, so its cost is independent of the other two
+// (often hub) endpoints' degrees.  Degrees are those of the index,
+// which a swap never changes, so bin keys never shift.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@
 #include "core/three_k_profile.hpp"
 #include "graph/edge_index.hpp"
 #include "graph/graph.hpp"
+#include "util/flat_table.hpp"
 
 namespace orbis::dk {
 
@@ -87,15 +89,67 @@ struct SwapDelta {
   }
 };
 
+/// r = current − target for every 3K bin where the two differ, in one
+/// signed flat table: wedge keys as util::wedge_key packs them,
+/// triangle keys with bit 63 set (packed keys use 63 bits).  D3 = Σ r²
+/// is kept exact beside it.  A swap touches O(deg) bins, and pricing it
+/// reads one bin per journal entry: ΔD3 = Σ (r + net)² − r².  Bins
+/// where current and target agree are absent, so the table holds only
+/// the disagreement (about a third of the bins of the two profiles on
+/// hub-shaped graphs).
+class ThreeKResidual {
+ public:
+  ThreeKResidual() = default;
+  /// r = current − target, from merges of the sorted profiles.
+  ThreeKResidual(const ThreeKProfile& current, const ThreeKProfile& target);
+
+  static constexpr std::uint64_t triangle_tag = std::uint64_t{1} << 63;
+
+  std::int64_t wedge(std::uint64_t key) const { return at(key); }
+  std::int64_t triangle(std::uint64_t key) const {
+    return at(key | triangle_tag);
+  }
+  std::size_t num_bins() const noexcept { return table_.size(); }
+  /// D3 = Σ r².
+  std::int64_t distance() const noexcept { return distance_; }
+
+  /// ΔD3 of folding `journal` in, without folding it.
+  std::int64_t delta_if_applied(const DeltaJournal& journal) const;
+  /// Folds `journal` into r and D3.
+  void apply(const DeltaJournal& journal);
+
+  /// Same bins with the same residuals.
+  friend bool operator==(const ThreeKResidual& a, const ThreeKResidual& b);
+
+ private:
+  struct SignedCountTraits {
+    using Payload = std::int64_t;
+    static constexpr bool occupied(std::uint64_t, std::int64_t r) noexcept {
+      return r != 0;
+    }
+    static constexpr std::int64_t empty_payload() noexcept { return 0; }
+  };
+  using Table = util::FlatTable<SignedCountTraits>;
+
+  std::int64_t at(std::uint64_t tagged) const {
+    const std::size_t i = table_.find(tagged);
+    return i == Table::npos ? 0 : table_.payload_at(i);
+  }
+  void add(std::uint64_t tagged, std::int64_t net);
+
+  Table table_;
+  std::int64_t distance_ = 0;
+};
+
 /// What evaluate_swap fills and commit_swap folds; the 1K/2K processes
 /// need no DkState, they run on a bare EdgeIndex.
 enum class TrackLevel : int {
   three_k_scalars = 3, // the S2/C̄ deltas only, and builds nothing (for
                        //   exploration, which follows the scalars)
   full_three_k = 4,    // + the bin journal, folded into the 3K
-                       //   histograms built by one count_three_k pass
-                       //   (for 3K targeting)
-  swap_journal = 5,    // + the bin journal, but no histograms: builds
+                       //   residual against the target, built from one
+                       //   count_three_k pass (for 3K targeting)
+  swap_journal = 5,    // + the bin journal, but no residual: builds
                        //   nothing, and commit_swap only moves the edges
                        //   (for 3K-preserving randomization and swap
                        //   counting, which only ask whether the journal
@@ -120,7 +174,11 @@ ThreeKSums three_k_sums(const EdgeIndex& index);
 class DkState {
  public:
   /// Standalone state: builds and owns a flat EdgeIndex for `graph`.
-  DkState(const Graph& graph, TrackLevel level);
+  /// At full_three_k the residual is taken against `target`, which must
+  /// outlive this object; without one, against the empty profile (r is
+  /// then the graph's own profile).
+  DkState(const Graph& graph, TrackLevel level,
+          const ThreeKProfile* target = nullptr);
 
   /// Shared-adjacency state: binds to an EdgeIndex owned by the caller
   /// (typically a rewiring engine that also samples swap candidates from
@@ -128,7 +186,8 @@ class DkState {
   /// mutate it behind DkState's back.  The index must outlive this
   /// object at a stable address, so DkState is intentionally neither
   /// copyable nor movable.
-  DkState(EdgeIndex& index, TrackLevel level);
+  DkState(EdgeIndex& index, TrackLevel level,
+          const ThreeKProfile* target = nullptr);
 
   DkState(const DkState&) = delete;
   DkState& operator=(const DkState&) = delete;
@@ -144,7 +203,7 @@ class DkState {
   /// Speculatively evaluates the double-edge swap (a,b),(c,d) ->
   /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas
   /// (at full_three_k and swap_journal), the per-node triangle nets and
-  /// the S2/C̄ scalar deltas, WITHOUT touching the histograms or the
+  /// the S2/C̄ scalar deltas, WITHOUT touching the residual or the
   /// index.  Only the rows of the equal-degree pair are walked — b and
   /// d when deg b = deg d, else a and c; the lower-degree pair when both
   /// hold — with at most three edge-hash probes per neighbor, so a proposal
@@ -158,18 +217,20 @@ class DkState {
                      SwapDelta& out) const;
 
   /// Commits a swap evaluated by evaluate_swap: folds the journal into
-  /// the histograms (at full_three_k; nothing else is stored) and
+  /// the residual and D3 (at full_three_k; nothing else is stored) and
   /// applies the swap to the index as one O(1) operation.  The swap
   /// must preserve the JDD (deg b = deg d or deg a = deg c, as every
   /// 2K-preserving candidate does; checked), as evaluate_swap requires.
   void commit_swap(const SwapDelta& delta);
 
-  /// The wedge/triangle histograms (full_three_k; empty otherwise).
-  const ThreeKProfile& three_k() const noexcept { return three_k_; }
+  /// r = current − target and D3 (full_three_k; empty otherwise).
+  const ThreeKResidual& residual() const noexcept { return residual_; }
+  /// The profile the residual is taken against (null: the empty one).
+  const ThreeKProfile* target() const noexcept { return target_; }
 
-  /// Recounts the histograms from scratch and verifies they match the
-  /// incrementally maintained ones (test/debug aid; nothing to check
-  /// below full_three_k).  Throws on mismatch.
+  /// Recounts the 3K profile from scratch and verifies that the
+  /// incrementally maintained residual and D3 match it (test/debug aid;
+  /// nothing to check below full_three_k).  Throws on mismatch.
   void verify_consistency() const;
 
  private:
@@ -182,14 +243,17 @@ class DkState {
     return level_ == TrackLevel::full_three_k ||
            level_ == TrackLevel::swap_journal;
   }
-  bool tracks_histograms() const noexcept {
+  bool tracks_residual() const noexcept {
     return level_ == TrackLevel::full_three_k;
   }
+  /// The residual of the index's current profile against target_.
+  ThreeKResidual count_residual() const;
 
   std::unique_ptr<EdgeIndex> owned_;  // null when bound to a shared index
   EdgeIndex* index_;
   TrackLevel level_;
-  ThreeKProfile three_k_;
+  const ThreeKProfile* target_;
+  ThreeKResidual residual_;
 };
 
 }  // namespace orbis::dk

@@ -40,8 +40,9 @@ double distance_2k(const JointDegreeDistribution& a,
 }
 
 double distance_3k(const ThreeKProfile& a, const ThreeKProfile& b) {
-  return SparseHistogram::squared_difference(a.wedges(), b.wedges()) +
-         SparseHistogram::squared_difference(a.triangles(), b.triangles());
+  return static_cast<double>(
+      SortedBins::squared_difference(a.wedges(), b.wedges()) +
+      SortedBins::squared_difference(a.triangles(), b.triangles()));
 }
 
 std::string describe(const DkDistributions& dists) {

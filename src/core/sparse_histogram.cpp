@@ -24,8 +24,8 @@ void SparseHistogram::add(std::uint64_t key, std::int64_t delta) {
   util::ensures(delta >= 0, "SparseHistogram: bin went negative");
   table_.occupy(i, key, delta);
   // Growth AFTER the insertion (load factor <= 0.5 keeps linear-probe
-  // chains short on the commit/price hot paths) — this table's
-  // historical timing, which pins its slot layout and bins() order.
+  // chains short) — this table's historical timing, which pins its slot
+  // layout and bins() order.
   if (table_.over_load_factor()) table_.grow();
 }
 

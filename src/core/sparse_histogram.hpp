@@ -1,20 +1,20 @@
-// Sparse integer histogram over packed uint64 keys.
+// Sparse integer histogram over packed uint64 keys: the JDD's bins.
 //
-// Backbone of the 2K/3K distributions: degree-pair and degree-triple
-// counts are sparse (the paper, §6 footnote: sparsity grows faster than
-// the nominal k^d size), so a table of non-zero bins is both the compact
-// and the fast representation.  Counts are signed internally so
-// incremental bookkeeping can assert it never drives a bin negative.
+// Degree-pair counts are sparse (the paper, §6 footnote: sparsity grows
+// faster than the nominal k^d size), so a table of non-zero bins is both
+// the compact and the fast representation, and JDD extraction and
+// reading increment bins one edge at a time in no key order.  Counts are
+// signed internally so incremental bookkeeping can assert it never
+// drives a bin negative.  The 3K profile does not use this type: its
+// bins are built once by a counting pass, so they are sorted arrays
+// (dk::SortedBins, core/three_k_profile.hpp), and the 3K chains track
+// their residual in dk::ThreeKResidual (core/dk_state.hpp).
 //
 // Storage is a util::FlatTable (the shared flat open-addressing
-// implementation — see flat_table.hpp for the probe protocol), because
-// the bins sit on the 3K rewiring hot path: every ACCEPTED swap folds
-// its wedge/triangle journal into these tables (DkState::commit_swap)
-// and every targeting proposal prices ΔD3 with count() probes
-// (ThreeKObjective::delta_if_applied).  Occupancy is carried by the
-// count — a bin is live iff its count is non-zero, add() erases bins
-// that return to zero — so key 0 needs no sentinel exception and is an
-// ordinary bin.
+// implementation — see flat_table.hpp for the probe protocol).
+// Occupancy is carried by the count — a bin is live iff its count is
+// non-zero, add() erases bins that return to zero — so key 0 needs no
+// sentinel exception and is an ordinary bin.
 #pragma once
 
 #include <cstddef>
@@ -92,11 +92,6 @@ class SparseHistogram {
     const std::size_t i = table_.find(key);
     return i == Table::npos ? 0 : table_.payload_at(i);
   }
-
-  /// Prefetches key's probe group ahead of count()/add() — the ΔD3
-  /// pricing loop issues these for a whole delta journal before probing
-  /// any bin (docs/parallel.md).  Advisory; never changes results.
-  void prefetch(std::uint64_t key) const { table_.prefetch(key); }
 
   /// Adds delta to a bin; removes the bin when it reaches zero.
   /// Throws std::logic_error if a bin would become negative (the

@@ -98,9 +98,14 @@ void StreamingDkExtractor::finish_three_k() {
               self.csr_adj_.data() + self.csr_offset_[v + 1]};
     }
   };
-  // The histograms are at their largest once the pass ends, and the
-  // forward orientation was alive beside them: that sum is the 3K peak.
-  note_footprint(count_three_k(CsrView{*this}, result_.three_k));
+  // The counter's scratch, bin and triangle buffers and sort copies
+  // and pass 2's forward orientation were all alive beside the
+  // accumulators; their peaks summed bound the 3K peak from above.
+  std::size_t counting_bytes = 0;
+  ThreeKProfile profile =
+      count_three_k_profile(CsrView{*this}, &counting_bytes);
+  note_footprint(counting_bytes);  // the counter's peak holds the profile
+  result_.three_k = std::move(profile);
 }
 
 DkDistributions StreamingDkExtractor::finish() {
@@ -141,8 +146,7 @@ std::size_t StreamingDkExtractor::accumulator_bytes() const noexcept {
   bytes += csr_fill_.capacity() * sizeof(std::uint32_t);
   bytes += csr_adj_.capacity() * sizeof(std::uint32_t);
   bytes += result_.joint.histogram().capacity_bytes();
-  bytes += result_.three_k.wedges().capacity_bytes();
-  bytes += result_.three_k.triangles().capacity_bytes();
+  bytes += result_.three_k.capacity_bytes();
   return bytes;
 }
 

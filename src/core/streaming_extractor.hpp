@@ -86,10 +86,11 @@ class StreamingDkExtractor {
   std::size_t accumulator_bytes() const noexcept;
 
   /// High-water mark of accumulator_bytes(), checkpointed at every
-  /// end_pass() and inside finish() after the 3K histograms are built,
-  /// with count_three_k's forward orientation added (both only exist
-  /// there, so a caller polling accumulator_bytes() from outside would
-  /// miss them).  Valid after finish().
+  /// end_pass() and inside finish() while the 3K profile is counted,
+  /// with the 3K counter's scratch, bin and triangle buffers and sort
+  /// copies and count_three_k's forward orientation added (all only
+  /// exist there, so a caller polling accumulator_bytes() from outside
+  /// would miss them).  Valid after finish().
   std::size_t peak_accumulator_bytes() const noexcept {
     return peak_accumulator_bytes_;
   }

@@ -1,7 +1,6 @@
 #include "gen/checkpoint.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "exec/thread_pool.hpp"
@@ -282,12 +281,10 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
   const bool laddered = state.laddered();
   ThreeKEngines call_engines;
   ThreeKEngines& carried = engines != nullptr ? *engines : call_engines;
-  // Carried distances were measured against the carried target.
+  // Carried residuals were taken against the carried target.
   if (carried.target != &target) carried.clear();
   carried.target = &target;
   carried.engines.resize(state.chains.size());
-  // ChainCheckpoint::distance's "not run yet" sentinel.
-  constexpr std::int64_t kNotRun = std::numeric_limits<std::int64_t>::max();
   CheckpointedResult result = run_legs(
       state, checkpointing, ctx, options.stop_distance, &carried,
       [&, laddered](ChainCheckpoint& chain, std::size_t i, std::uint64_t leg,
@@ -296,17 +293,14 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
         // Only the index is re-derived from the canonical edge list, as
         // a resume would; the 3K state carries (see the header).
         std::unique_ptr<ThreeKRewirer>& rewirer = carried.engines[i];
-        std::optional<std::int64_t> distance;
-        if (rewirer != nullptr && rewirer->reindex(chain.graph)) {
-          if (chain.distance != kNotRun) distance = chain.distance;
-        } else {
+        if (rewirer == nullptr || !rewirer->reindex(chain.graph)) {
           rewirer.reset();  // free the stale engine before the build
-          rewirer = std::make_unique<ThreeKRewirer>(chain.graph);
+          rewirer = std::make_unique<ThreeKRewirer>(chain.graph, target);
         }
         TargetingOptions chain_options = leg_options;
         if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance = rewirer->target(target, chain_options, leg, rng,
-                                         &chain.stats, chain_ctx, distance);
+        chain.distance = rewirer->target(chain_options, leg, rng,
+                                         &chain.stats, chain_ctx);
         chain.graph = rewirer->graph();
         chain.rng_state = rng.state_words();
       });

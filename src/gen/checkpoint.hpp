@@ -19,12 +19,13 @@
 // What a leg rebuilds and what it carries: a 2K leg rebuilds its whole
 // engine (index + ΔD2 objective, both O(m)).  A 3K leg rebuilds only
 // the index: the chain's ThreeKRewirer lives on between legs
-// (ThreeKEngines) with its wedge/triangle histograms and D3, because
-// those are functions of the edge SET, which the canonical form
-// preserves — only the slot order is canonicalized, and that lives in
-// the index.  So a carried engine walks exactly the chain a rebuilt one
-// would, and a resume, which must build the histograms once, cannot
-// diverge from the run it continues.  A leg that is discarded by a
+// (ThreeKEngines) with its 3K residual and D3, because those are
+// functions of the edge SET and the target (a new target clears the
+// engines), and the canonical form preserves the set — only the slot
+// order is canonicalized, and that lives in the index.  So a carried
+// engine walks exactly the chain a rebuilt one would, and a resume,
+// which must build the residual once, cannot diverge from the run it
+// continues.  A leg that is discarded by a
 // stop, and a ladder exchange that trades configurations between
 // replicas, drop or move the carried engines with the graphs.
 //
@@ -154,7 +155,7 @@ struct ThreeKEngines {
   /// Frees every engine (the next leg of each chain rebuilds).
   void clear() noexcept;
 
-  /// The target the engines' chain distances were measured against.
+  /// The target the engines' residuals were taken against.
   const dk::ThreeKProfile* target = nullptr;
   std::vector<std::unique_ptr<ThreeKRewirer>> engines;
 };

@@ -8,18 +8,6 @@ namespace {
 
 std::int64_t square(std::int64_t x) noexcept { return x * x; }
 
-std::int64_t integer_squared_difference(const dk::SparseHistogram& a,
-                                        const dk::SparseHistogram& b) {
-  std::int64_t sum = 0;
-  for (const auto& [key, count] : a.bins()) {
-    sum += square(count - b.count(key));
-  }
-  for (const auto& [key, count] : b.bins()) {
-    if (a.count(key) == 0) sum += square(count);
-  }
-  return sum;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -122,48 +110,6 @@ DeviatingBin JddObjective::sample_deviating_bin(util::Rng& rng) const {
   bin.c2 = static_cast<std::uint32_t>(index % num_classes_);
   bin.deficit = diff_[index] < 0;
   return bin;
-}
-
-// ---------------------------------------------------------------------------
-// ThreeKObjective.
-// ---------------------------------------------------------------------------
-
-ThreeKObjective::ThreeKObjective(const dk::DkState& state,
-                                 const dk::ThreeKProfile& target)
-    : target_(&target) {
-  distance_ =
-      integer_squared_difference(state.three_k().wedges(), target.wedges()) +
-      integer_squared_difference(state.three_k().triangles(),
-                                 target.triangles());
-}
-
-std::int64_t ThreeKObjective::delta_if_applied(
-    const dk::DkState& state, const dk::DeltaJournal& journal) const {
-  // The journal names every bin this pricing will probe, so issue all
-  // the probe-group prefetches before the first probe: by the time the
-  // loops below reach entry k, its lines are usually already in flight
-  // (docs/parallel.md, "Prefetching in the proposal loops").
-  for (const auto& [key, net] : journal.wedge) {
-    state.three_k().wedges().prefetch(key);
-    target_->wedges().prefetch(key);
-  }
-  for (const auto& [key, net] : journal.triangle) {
-    state.three_k().triangles().prefetch(key);
-    target_->triangles().prefetch(key);
-  }
-
-  std::int64_t delta = 0;
-  for (const auto& [key, net] : journal.wedge) {
-    const std::int64_t before = state.three_k().wedges().count(key);
-    const std::int64_t t = target_->wedges().count(key);
-    delta += square(before + net - t) - square(before - t);
-  }
-  for (const auto& [key, net] : journal.triangle) {
-    const std::int64_t before = state.three_k().triangles().count(key);
-    const std::int64_t t = target_->triangles().count(key);
-    delta += square(before + net - t) - square(before - t);
-  }
-  return delta;
 }
 
 }  // namespace orbis::gen

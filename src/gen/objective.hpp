@@ -10,11 +10,10 @@
 //                       sum to at most 2m), so that is 32·m + O(√m)
 //                       bytes at most: less than the EdgeIndex beside
 //                       it (docs/scaling.md).
-//   ThreeKObjective     D3 against a target 3K profile, evaluated from
-//                       the speculative delta journal of a proposed swap
-//                       (DkState::evaluate_swap): exact ΔD3 before
-//                       anything mutates, so rejected proposals cost
-//                       nothing.
+//
+// D3 lives with the 3K state itself: DkState keeps the residual r =
+// current − target and prices a proposal's speculative journal against
+// it (dk::ThreeKResidual::delta_if_applied).
 //
 // Distances are exact integers: histogram counts and targets are counts,
 // so D_d = Σ (count - target)^2 has no floating-point drift, and "reached
@@ -25,9 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dk_state.hpp"
 #include "core/joint_degree_distribution.hpp"
-#include "core/three_k_profile.hpp"
 #include "graph/edge_index.hpp"
 #include "util/prefetch.hpp"
 #include "util/rng.hpp"
@@ -105,29 +102,6 @@ class JddObjective {
   static constexpr std::uint32_t no_position = 0xffffffffu;
   std::vector<std::uint64_t> deviating_;
   std::vector<std::uint32_t> deviating_pos_;  // per cell, or no_position
-};
-
-class ThreeKObjective {
- public:
-  /// D3 from a scan over every bin of both profiles.
-  ThreeKObjective(const dk::DkState& state, const dk::ThreeKProfile& target);
-  /// D3 known to be `distance` (a carried chain's last result).
-  ThreeKObjective(const dk::ThreeKProfile& target, std::int64_t distance)
-      : target_(&target), distance_(distance) {}
-
-  std::int64_t distance() const noexcept { return distance_; }
-
-  /// ΔD3 of a swap whose net bin changes are in `journal` but are NOT
-  /// yet applied to `state`'s histograms (the speculative journal of
-  /// DkState::evaluate_swap).  Call commit() when the swap is actually
-  /// committed; a rejected proposal needs nothing.
-  std::int64_t delta_if_applied(const dk::DkState& state,
-                                const dk::DeltaJournal& journal) const;
-  void commit(std::int64_t delta) noexcept { distance_ += delta; }
-
- private:
-  const dk::ThreeKProfile* target_;
-  std::int64_t distance_ = 0;
 };
 
 }  // namespace orbis::gen

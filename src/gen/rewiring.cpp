@@ -166,9 +166,8 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
-  ThreeKRewirer rewirer(start);
-  const std::int64_t distance =
-      rewirer.target(target, options, budget, rng, stats);
+  ThreeKRewirer rewirer(start, target);
+  const std::int64_t distance = rewirer.target(options, budget, rng, stats);
   publish_rewiring_metrics(stats->delta_since(before));
   if (final_distance != nullptr) {
     *final_distance = static_cast<double>(distance);

@@ -378,11 +378,16 @@ void RewiringEngine::explore_s(bool maximize, std::size_t budget,
 }
 
 // ---------------------------------------------------------------------------
-// ThreeKRewirer: one EdgeIndex, with DkState bound to it for histograms.
+// ThreeKRewirer: one EdgeIndex, with DkState bound to it for the residual.
 // ---------------------------------------------------------------------------
 
 ThreeKRewirer::ThreeKRewirer(const Graph& start, dk::TrackLevel level)
     : index_(start), state_(index_, level) {}
+
+ThreeKRewirer::ThreeKRewirer(const Graph& start,
+                             const dk::ThreeKProfile& target)
+    : index_(start),
+      state_(index_, dk::TrackLevel::full_three_k, &target) {}
 
 bool ThreeKRewirer::reindex(const Graph& g) {
   if (g.num_nodes() != index_.num_nodes() ||
@@ -437,17 +442,15 @@ void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
   }
 }
 
-std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
-                                   const TargetingOptions& options,
+std::int64_t ThreeKRewirer::target(const TargetingOptions& options,
                                    std::size_t budget, util::Rng& rng,
                                    RewiringStats* stats,
-                                   const svc::RunContext& ctx,
-                                   std::optional<std::int64_t> distance) {
-  util::expects(state_.level() == dk::TrackLevel::full_three_k,
-                "ThreeKRewirer::target: needs full_three_k tracking");
-  ThreeKObjective objective = distance.has_value()
-                                  ? ThreeKObjective(target, *distance)
-                                  : ThreeKObjective(state_, target);
+                                   const svc::RunContext& ctx) {
+  util::expects(state_.level() == dk::TrackLevel::full_three_k &&
+                    state_.target() != nullptr,
+                "ThreeKRewirer::target: needs an engine built with a "
+                "target");
+  const dk::ThreeKResidual& residual = state_.residual();
   dk::SwapDelta swap_delta;
   TradeScratch trade;
 
@@ -459,33 +462,29 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
   // live journal and committed; the Metropolis rule then judges the
   // summed ΔD3, and a rejection replays the inverse sub-swaps (the
   // moved edges are pairwise distinct, so any order is valid) —
-  // integer-exact histogram bookkeeping makes the forward and reverse
+  // integer-exact residual bookkeeping makes the forward and reverse
   // deltas telescope to zero.
   const auto commit_trade_legs = [&](const std::vector<NodeId>& from_u,
                                      const std::vector<NodeId>& from_v) {
-    std::int64_t total = 0;
+    const std::int64_t before = residual.distance();
     for (std::size_t i = 0; i < from_u.size(); ++i) {
       state_.evaluate_swap(trade.u, from_u[i], trade.v, from_v[i],
                            swap_delta);
-      const std::int64_t leg =
-          objective.delta_if_applied(state_, swap_delta.journal);
       state_.commit_swap(swap_delta);
-      objective.commit(leg);
-      total += leg;
     }
-    return total;
+    return residual.distance() - before;
   };
 
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   for (std::size_t attempt = 0;
        attempt < budget &&
-       static_cast<double>(objective.distance()) > options.stop_distance;
+       static_cast<double>(residual.distance()) > options.stop_distance;
        ++attempt) {
     if ((attempt & kStopPollMask) == 0) {
       if (ctx.stop.stop_requested()) break;
       report_progress(ctx, *stats, budget,
-                      static_cast<double>(objective.distance()), true);
+                      static_cast<double>(residual.distance()), true);
     }
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
@@ -515,21 +514,19 @@ std::int64_t ThreeKRewirer::target(const dk::ThreeKProfile& target,
     // ΔD3 is evaluated against the speculative journal BEFORE anything
     // mutates: a rejected proposal ends here, with no state to restore.
     state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, swap_delta);
-    const std::int64_t delta =
-        objective.delta_if_applied(state_, swap_delta.journal);
+    const std::int64_t delta = residual.delta_if_applied(swap_delta.journal);
     const bool accept =
         delta <= 0 || (options.temperature > 0.0 &&
                        metropolis_accepts(delta, options.temperature,
                                           rng.uniform_real()));
     if (accept) {
       state_.commit_swap(swap_delta);
-      objective.commit(delta);
       if (stats != nullptr) ++stats->accepted;
     } else {
       if (stats != nullptr) ++stats->rejected_objective;
     }
   }
-  return objective.distance();
+  return residual.distance();
 }
 
 void ThreeKRewirer::explore(ExploreObjective objective, std::size_t budget,

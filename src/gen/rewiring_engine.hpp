@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/dk_state.hpp"
 #include "gen/objective.hpp"
@@ -98,22 +97,24 @@ inline void report_progress(const svc::RunContext& ctx,
 /// with a DkState bound to it for the wedge/triangle bookkeeping.
 class ThreeKRewirer {
  public:
-  /// The level is what the modes read: target needs full_three_k (it
-  /// prices ΔD3 against the live histograms); randomize reads only the
-  /// journal, so swap_journal skips the histogram build that dominates
+  /// The level is what the modes read: randomize reads only the
+  /// journal, so swap_journal skips the 3K count that dominates
   /// construction on hub graphs (full_three_k works too); exploration
   /// reads only the S2/C̄ deltas (three_k_scalars).
   explicit ThreeKRewirer(
       const Graph& start,
       dk::TrackLevel level = dk::TrackLevel::full_three_k);
+  /// The targeting engine: full_three_k, with the residual taken
+  /// against `target`, which must outlive the engine.
+  ThreeKRewirer(const Graph& start, const dk::ThreeKProfile& target);
 
   // The bound DkState holds a pointer into index_, so the pair must
   // stay at a stable address (DkState already suppresses copy/move).
 
   /// Replaces the index with EdgeIndex(g) when `g` holds exactly the
   /// engine's current edge set, and returns false (changing nothing)
-  /// otherwise.  The 3K state is kept: histograms and D3 depend only
-  /// on the edge set, and the new slot and bucket order is exactly that
+  /// otherwise.  The 3K state is kept: the residual and D3 depend only
+  /// on the edge set and the target, and the new slot and bucket order is exactly that
   /// of ThreeKRewirer(g), so the engine then walks the same chain as a
   /// fresh build from `g`, without the build.  O(m).
   bool reindex(const Graph& g);
@@ -123,15 +124,11 @@ class ThreeKRewirer {
   void randomize(std::size_t budget, util::Rng& rng, RewiringStats* stats,
                  const svc::RunContext& ctx = {});
 
-  /// 3K-targeting 2K-preserving Metropolis rewiring; returns exact
-  /// integer D3 after the run.  `distance`, when given, must be the
-  /// current D3 against `target` (a carried engine's last result); it
-  /// replaces the objective's scan over every histogram bin.
-  std::int64_t target(const dk::ThreeKProfile& target,
-                      const TargetingOptions& options, std::size_t budget,
+  /// 3K-targeting 2K-preserving Metropolis rewiring toward the target
+  /// the engine was built with; returns exact integer D3 after the run.
+  std::int64_t target(const TargetingOptions& options, std::size_t budget,
                       util::Rng& rng, RewiringStats* stats,
-                      const svc::RunContext& ctx = {},
-                      std::optional<std::int64_t> distance = std::nullopt);
+                      const svc::RunContext& ctx = {});
 
   /// 2K-preserving greedy exploration (S2 or C̄).
   void explore(ExploreObjective objective, std::size_t budget,

@@ -1,6 +1,5 @@
 #include "io/dk_serialization.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -107,24 +106,20 @@ dk::JointDegreeDistribution read_2k(std::istream& in) {
 
 void write_3k(std::ostream& out, const dk::ThreeKProfile& profile) {
   out << "# orbis 3K distribution: {w|t} k1 k2 k3 count\n";
-  std::vector<std::pair<std::uint64_t, std::int64_t>> bins(
-      profile.wedges().bins().begin(), profile.wedges().bins().end());
-  std::sort(bins.begin(), bins.end());
-  for (const auto& [key, count] : bins) {
+  for (const auto& [key, count] : profile.wedges()) {
     const auto [k1, k2, k3] = util::unpack_triple(key);
     out << "w " << k1 << ' ' << k2 << ' ' << k3 << ' ' << count << '\n';
   }
-  bins.assign(profile.triangles().bins().begin(),
-              profile.triangles().bins().end());
-  std::sort(bins.begin(), bins.end());
-  for (const auto& [key, count] : bins) {
+  for (const auto& [key, count] : profile.triangles()) {
     const auto [k1, k2, k3] = util::unpack_triple(key);
     out << "t " << k1 << ' ' << k2 << ' ' << k3 << ' ' << count << '\n';
   }
 }
 
 dk::ThreeKProfile read_3k(std::istream& in) {
-  dk::ThreeKProfile profile;
+  // Lines in any order, repeated keys summed: the canonical profile.
+  std::vector<dk::SortedBins::Bin> wedges;
+  std::vector<dk::SortedBins::Bin> triangles;
   for_each_data_line(in, [&](const std::string& line, std::size_t number) {
     std::istringstream fields(line);
     char kind = 0;
@@ -136,14 +131,15 @@ dk::ThreeKProfile read_3k(std::istream& in) {
       parse_fail("bad 3K line", number);
     }
     if (kind == 'w') {
-      profile.wedges().add(util::wedge_key(k1, k2, k3), count);
+      wedges.emplace_back(util::wedge_key(k1, k2, k3), count);
     } else if (kind == 't') {
-      profile.triangles().add(util::triangle_key(k1, k2, k3), count);
+      triangles.emplace_back(util::triangle_key(k1, k2, k3), count);
     } else {
       parse_fail("bad 3K record kind (expected 'w' or 't')", number);
     }
   });
-  return profile;
+  return dk::ThreeKProfile(dk::SortedBins::canonicalize(std::move(wedges)),
+                           dk::SortedBins::canonicalize(std::move(triangles)));
 }
 
 void write_1k_file(const std::string& path,

@@ -1,10 +1,11 @@
 // The one flat open-addressing table behind every hot-path hash
 // structure in this library.
 //
-// Four structures run on it: FlatEdgeHash (edge key -> slot, in Graph
-// and EdgeIndex), dk::SparseHistogram (dK bin counts), util::FlatKeySet
-// (streaming duplicate detection) and NodeIdInterner (file id -> dense
-// id).  The first three used to carry hand-mirrored copies of the same
+// Five structures run on it: FlatEdgeHash (edge key -> slot, in Graph
+// and EdgeIndex), dk::SparseHistogram (JDD bin counts),
+// dk::ThreeKResidual (3K bin residuals against a target),
+// util::FlatKeySet (streaming duplicate detection) and NodeIdInterner
+// (file id -> dense id).  The first three used to carry hand-mirrored copies of the same
 // probe design.  The probe arithmetic — splitmix64-finalized
 // hashing, power-of-two capacity with mask indexing, linear probing,
 // load-factor growth, and backward-shift deletion — is subtle enough

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "core/series.hpp"
 #include "core/three_k_count.hpp"
 #include "gen/matching.hpp"
 #include "graph/builders.hpp"
@@ -33,6 +34,35 @@ bool hub_heavy(const Graph& g) {
   const double mean = 2.0 * static_cast<double>(g.num_edges()) /
                       static_cast<double>(g.num_nodes());
   return static_cast<double>(g.max_degree()) >= 10.0 * mean;
+}
+
+/// `r` against the profile `now` of the graph it tracks and `target`
+/// (null: the empty profile), bin for bin: every bin where the two
+/// differ holds their difference, no other bin is stored, and the
+/// tracked D3 is distance_3k.
+void expect_residual(const ThreeKResidual& r, const ThreeKProfile& now,
+                     const ThreeKProfile* target) {
+  static const ThreeKProfile empty;
+  const ThreeKProfile& want = target != nullptr ? *target : empty;
+  std::size_t differing = 0;
+  SortedBins::merge(now.wedges(), want.wedges(),
+                    [&](std::uint64_t key, std::int64_t a, std::int64_t b) {
+                      differing += a != b;
+                      EXPECT_EQ(r.wedge(key), a - b) << "wedge " << key;
+                    });
+  SortedBins::merge(now.triangles(), want.triangles(),
+                    [&](std::uint64_t key, std::int64_t a, std::int64_t b) {
+                      differing += a != b;
+                      EXPECT_EQ(r.triangle(key), a - b) << "triangle " << key;
+                    });
+  EXPECT_EQ(r.num_bins(), differing);
+  EXPECT_EQ(static_cast<double>(r.distance()), distance_3k(now, want));
+}
+
+void expect_residual_matches_recount(const DkState& state,
+                                     const ThreeKProfile* target) {
+  expect_residual(state.residual(),
+                  ThreeKProfile::from_graph(state.to_graph()), target);
 }
 
 /// S2, the clustering sum Σ_v t_v · 2/(k_v(k_v-1)) and t_v as the swap
@@ -108,7 +138,7 @@ TEST(DkState, InitialStateMatchesExtraction) {
   util::Rng rng(5);
   const auto g = builders::gnm(30, 70, rng);
   DkState state(g, TrackLevel::full_three_k);
-  EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(g));
+  expect_residual_matches_recount(state, nullptr);
   const ThreeKSums sums = three_k_sums(state.index());
   EXPECT_EQ(sums.s2, second_order_likelihood(g));
   EXPECT_NEAR(sums.mean_clustering(), metrics::mean_clustering(g), 1e-12);
@@ -150,11 +180,10 @@ TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
         const Followed followed = churn(state, 1500, rng);
         ASSERT_NO_THROW(state.verify_consistency());
         if (level == TrackLevel::full_three_k) {
-          // The histograms must match an independent full extraction.
-          EXPECT_EQ(state.three_k(),
-                    ThreeKProfile::from_graph(state.to_graph()));
+          // The residual must match an independent full extraction.
+          expect_residual_matches_recount(state, nullptr);
         } else {
-          EXPECT_TRUE(state.three_k().wedges().empty());
+          EXPECT_EQ(state.residual().num_bins(), 0u);
         }
         expect_matches_recount(state, g, followed);
       }
@@ -209,7 +238,9 @@ TEST(DkState, SharedIndexStaysEquivalentToReplayedGraph) {
       EXPECT_EQ(index.current_degree(v), replay.degree(v));
     }
     ASSERT_NO_THROW(state.verify_consistency());
-    EXPECT_EQ(state.three_k(), ThreeKProfile::from_graph(replay));
+    EXPECT_TRUE(state.residual() ==
+                ThreeKResidual(ThreeKProfile::from_graph(replay),
+                               ThreeKProfile{}));
   }
 }
 
@@ -233,8 +264,8 @@ Recount recount(const Graph& g) {
 
 using BinDeltas = std::map<std::uint64_t, std::int64_t>;
 
-BinDeltas histogram_difference(const SparseHistogram& after,
-                               const SparseHistogram& before) {
+BinDeltas histogram_difference(const SortedBins& after,
+                               const SortedBins& before) {
   BinDeltas out;
   for (const auto& [key, count] : after) out[key] += count;
   for (const auto& [key, count] : before) out[key] -= count;
@@ -259,11 +290,15 @@ double clustering_weight(std::uint32_t degree) {
 
 /// Walks a DkState through JDD-preserving swaps, checking every
 /// evaluate_swap against the recount of the swapped copy and committing
-/// the swaps it is asked to.
+/// the swaps it is asked to.  After every proposal, committed or not,
+/// the residual against `target` must be the recount minus the target.
 class SwapOracle {
  public:
-  explicit SwapOracle(const Graph& g)
-      : state_(g, TrackLevel::full_three_k), graph_(g), now_(recount(g)) {}
+  explicit SwapOracle(const Graph& g, const ThreeKProfile* target = nullptr)
+      : state_(g, TrackLevel::full_three_k, target),
+        target_(target),
+        graph_(g),
+        now_(recount(g)) {}
 
   const DkState& state() const { return state_; }
   const EdgeIndex& index() const { return state_.index(); }
@@ -331,11 +366,13 @@ class SwapOracle {
       graph_ = std::move(after);
       now_ = std::move(then);
     }
+    expect_residual(state_.residual(), now_.profile, target_);
     return moved;
   }
 
  private:
   DkState state_;
+  const ThreeKProfile* target_;
   Graph graph_;
   Recount now_;
 };
@@ -343,7 +380,9 @@ class SwapOracle {
 TEST(DkStateSwapOracle, EverySwapDeltaMatchesTheRecountOnAHubGraph) {
   const Graph g = hub_graph(3);
   ASSERT_TRUE(hub_heavy(g));
-  SwapOracle oracle(g);
+  // Another wiring of the same degree sequence: many shared bins.
+  const ThreeKProfile target = ThreeKProfile::from_graph(hub_graph(4));
+  SwapOracle oracle(g, &target);
   util::Rng rng(17);
   const double mean = 2.0 * static_cast<double>(g.num_edges()) /
                       static_cast<double>(g.num_nodes());
@@ -383,7 +422,8 @@ TEST(DkStateSwapOracle, ForcedAdjacencyInsideTheFourEndpoints) {
   // alone; random proposals rarely have them, so build such swaps from
   // an edge (a,c) (resp. (b,d)) and one neighbor on each side.
   const Graph g = hub_graph(5);
-  SwapOracle oracle(g);
+  const ThreeKProfile target = ThreeKProfile::from_graph(hub_graph(6));
+  SwapOracle oracle(g, &target);
   util::Rng rng(23);
   std::size_t ac_adjacent = 0, bd_adjacent = 0;
   for (std::size_t guard = 0;
@@ -423,9 +463,10 @@ TEST(DkStateSwapOracle, CurveballTradeLegsMatchTheRecount) {
   // swaps, each priced against the state the previous legs left.  Pairs
   // with u~v are included (forced a~c adjacency on every leg).
   const Graph g = hub_graph(7);
-  SwapOracle oracle(g);
+  const ThreeKProfile target = ThreeKProfile::from_graph(hub_graph(8));
+  SwapOracle oracle(g, &target);
   util::Rng rng(29);
-  std::size_t legs = 0, adjacent_pairs = 0;
+  std::size_t legs = 0, adjacent_pairs = 0, rolled_back = 0;
   for (std::size_t guard = 0;
        (legs < 300 || adjacent_pairs < 10) && guard < 100000; ++guard) {
     const auto& index = oracle.index();
@@ -454,15 +495,42 @@ TEST(DkStateSwapOracle, CurveballTradeLegsMatchTheRecount) {
         std::min({only_u.size(), only_v.size(), std::size_t{8}});
     if (moved == 0) continue;
     adjacent_pairs += adjacent;
+    const ThreeKResidual before = oracle.state().residual();
     for (std::size_t i = 0; i < moved; ++i) {
       ASSERT_TRUE(oracle.valid(u, only_u[i], v, only_v[i]));
       oracle.check(u, only_u[i], v, only_v[i], /*commit=*/true);
       ++legs;
     }
+    // A rejected trade replays the inverse legs, as the targeting chain
+    // does: the residual and D3 must come back exactly.
+    if (rng.bernoulli(0.5)) {
+      for (std::size_t i = 0; i < moved; ++i) {
+        ASSERT_TRUE(oracle.valid(u, only_v[i], v, only_u[i]));
+        oracle.check(u, only_v[i], v, only_u[i], /*commit=*/true);
+      }
+      EXPECT_TRUE(oracle.state().residual() == before);
+      ++rolled_back;
+    }
   }
   EXPECT_GE(legs, 300u);
   EXPECT_GE(adjacent_pairs, 10u);
+  EXPECT_GT(rolled_back, 0u);
   EXPECT_NO_THROW(oracle.state().verify_consistency());
+}
+
+TEST(DkStateSwapOracle, VerifyConsistencyRecountsTheResidual) {
+  // verify_consistency recounts the profile and takes the residual
+  // against the target anew: a target that changes behind the state's
+  // back no longer matches the stored residual.
+  const Graph g = hub_graph(9);
+  ThreeKProfile target = ThreeKProfile::from_graph(hub_graph(10));
+  DkState state(g, TrackLevel::full_three_k, &target);
+  util::Rng rng(43);
+  churn(state, 200, rng);
+  EXPECT_NO_THROW(state.verify_consistency());
+  expect_residual_matches_recount(state, &target);
+  target = ThreeKProfile::from_graph(hub_graph(11));
+  EXPECT_THROW(state.verify_consistency(), std::logic_error);
 }
 
 TEST(DkStateSwapOracle, UnchangedTrianglesGiveExactlyZeroClusteringDelta) {
@@ -530,7 +598,7 @@ TEST(DkState, SwapJournalLevelJournalsLikeFullThreeK) {
     const auto g = hubs ? hub_graph(37) : builders::gnm(60, 180, rng);
     DkState light(g, TrackLevel::swap_journal);
     DkState full(g, TrackLevel::full_three_k);
-    EXPECT_TRUE(light.three_k().wedges().empty());
+    EXPECT_EQ(light.residual().num_bins(), 0u);
     SwapDelta light_delta;
     SwapDelta full_delta;
     std::size_t compared = 0;
@@ -569,7 +637,7 @@ TEST(DkState, SwapJournalLevelJournalsLikeFullThreeK) {
     EXPECT_EQ(compared, 600u);
     EXPECT_GT(nonempty, 0u);
     EXPECT_TRUE(light.to_graph() == full.to_graph());
-    EXPECT_TRUE(light.three_k().wedges().empty());
+    EXPECT_EQ(light.residual().num_bins(), 0u);
     ASSERT_NO_THROW(light.verify_consistency());
     ASSERT_NO_THROW(full.verify_consistency());
   }

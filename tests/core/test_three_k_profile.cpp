@@ -52,6 +52,7 @@ TEST(ThreeK, PathGraphWedgeChain) {
 
 TEST(ThreeK, CompleteGraphTrianglesOnly) {
   const auto profile = ThreeKProfile::from_graph(builders::complete(5));
+  EXPECT_TRUE(profile.wedges().empty());  // no closed pair's bin survives
   EXPECT_EQ(profile.total_wedges(), 0);
   EXPECT_EQ(profile.triangle_count(4, 4, 4), 10);  // C(5,3)
 }
@@ -88,10 +89,24 @@ TEST(ThreeK, TotalCountsMatchGlobalFormulas) {
             neighbor_pairs);
 }
 
+/// Keys strictly ascending and counts positive: the SortedBins form.
+void expect_canonical(const SortedBins& bins) {
+  for (std::size_t i = 0; i < bins.num_bins(); ++i) {
+    EXPECT_GT(bins.bins()[i].second, 0) << "bin " << i;
+    if (i > 0) {
+      EXPECT_LT(bins.bins()[i - 1].first, bins.bins()[i].first) << "bin " << i;
+    }
+  }
+}
+
 // Every count_three_k user against the two oracles (from_graph_naive and
-// metrics::triangles_through), with exact equality: the profile, DkState's
-// histograms, the histogram-free S2 (also as three_k_sums starts
-// exploration from it) and per-node counts, and the streaming extractor.
+// metrics::triangles_through), with exact equality: the sorted profile
+// (strictly ascending keys, positive counts), DkState's residual, the
+// histogram-free S2 (also as three_k_sums starts exploration from it)
+// and per-node counts, and the streaming extractor.  The families cover
+// the counter's phases: no center at all (0 and 1 nodes), one class,
+// a center class of one node, every wedge closing (K_n), many classes,
+// and hubs whose center classes span most of the dense scratch.
 TEST(ThreeK, FastMatchesNaiveOnFamilies) {
   std::vector<Graph> graphs;
   graphs.push_back(builders::complete(7));
@@ -128,17 +143,21 @@ TEST(ThreeK, FastMatchesNaiveOnFamilies) {
     graphs.push_back(g);
   }
   graphs.push_back(Graph(0));
+  graphs.push_back(Graph(1));
 
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "graph family index " << i);
     const Graph& g = graphs[i];
     const auto naive = ThreeKProfile::from_graph_naive(g);
     const double naive_s2 = naive.second_order_likelihood();
-    EXPECT_EQ(ThreeKProfile::from_graph(g), naive);
+    const auto fast = ThreeKProfile::from_graph(g);
+    EXPECT_EQ(fast, naive);
+    expect_canonical(fast.wedges());
+    expect_canonical(fast.triangles());
     EXPECT_EQ(second_order_likelihood(g), naive_s2);
 
     const DkState full(g, TrackLevel::full_three_k);
-    EXPECT_EQ(full.three_k(), naive);
+    EXPECT_TRUE(full.residual() == ThreeKResidual(naive, ThreeKProfile{}));
     EXPECT_EQ(three_k_sums(full.index()).s2, naive_s2);
     const auto per_node = triangles_per_node(g);
     ASSERT_EQ(per_node.size(), g.num_nodes());
@@ -157,6 +176,50 @@ TEST(ThreeK, FastMatchesNaiveOnFamilies) {
     extractor.declare_nodes(g.num_nodes());
     EXPECT_EQ(extractor.finish().three_k, naive);
   }
+}
+
+Graph power_law_hub_graph() {
+  topo::AsLevelOptions options;
+  options.num_nodes = 3000;
+  options.gamma = 1.8;
+  options.max_degree_cap = 600;
+  util::Rng rng(6);
+  return gen::matching_1k(DegreeDistribution::from_sequence(
+                              topo::power_law_degree_sequence(options)),
+                          rng);
+}
+
+// finish_three_k runs the same counter over the extractor's CSR: equal
+// profiles, and a peak that covers the CSR and everything the counting
+// held at once (scratch, bins, triangle buffers, sort copies, forward
+// orientation), which count_three_k_profile reports on the Graph.
+TEST(ThreeK, StreamingExtractorEqualsFromGraphAndCountsItsBuffers) {
+  const Graph g = power_law_hub_graph();
+  // Drop isolated nodes: the extractor's CSR never sees them.
+  std::vector<NodeId> id(g.num_nodes(), 0);
+  NodeId kept = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.degree(v) > 0) id[v] = kept++;
+  }
+  Graph h(kept);
+  for (const auto& e : g.edges()) h.add_edge(id[e.u], id[e.v]);
+
+  StreamingDkExtractor extractor(3);
+  bool more = true;
+  while (more) {
+    for (const auto& e : h.edges()) extractor.consume(e.u, e.v);
+    more = extractor.needs_another_pass();
+    extractor.end_pass();
+  }
+  EXPECT_EQ(extractor.finish().three_k, ThreeKProfile::from_graph(h));
+
+  std::size_t counting_peak = 0;
+  count_three_k_profile(h, &counting_peak);
+  const std::size_t n = h.num_nodes();
+  const std::size_t csr_bytes = (n + 1) * sizeof(std::uint64_t) +
+                                n * sizeof(std::uint32_t) +
+                                2 * h.num_edges() * sizeof(std::uint32_t);
+  EXPECT_GE(extractor.peak_accumulator_bytes(), csr_bytes + counting_peak);
 }
 
 TEST(ThreeK, SecondOrderLikelihoodHandComputed) {

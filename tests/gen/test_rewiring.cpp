@@ -587,10 +587,10 @@ TEST(ThreeKRewirerHub, SpeculativeJournalHandlesHighDegreeHubs) {
   shake.attempts = 4000;
   util::Rng shake_rng(7);
   const auto start = randomize(g, shake, shake_rng);
-  ThreeKRewirer targeter(start);
+  ThreeKRewirer targeter(start, original);
   TargetingOptions options;
   util::Rng target_rng(9);
-  targeter.target(original, options, 40000, target_rng, nullptr);
+  targeter.target(options, 40000, target_rng, nullptr);
   ASSERT_NO_THROW(targeter.state().verify_consistency());
 }
 
@@ -629,11 +629,10 @@ void expect_pinned(const Graph& out, const RewiringStats& stats,
 
 std::int64_t d3_between(const Graph& g, const dk::ThreeKProfile& target) {
   const auto profile = dk::ThreeKProfile::from_graph(g);
-  return static_cast<std::int64_t>(
-      dk::SparseHistogram::squared_difference(profile.wedges(),
-                                              target.wedges()) +
-      dk::SparseHistogram::squared_difference(profile.triangles(),
-                                              target.triangles()));
+  return dk::SortedBins::squared_difference(profile.wedges(),
+                                            target.wedges()) +
+         dk::SortedBins::squared_difference(profile.triangles(),
+                                            target.triangles());
 }
 
 // Golden pins for the 3K chains on a hub-heavy power-law graph (n=2000,

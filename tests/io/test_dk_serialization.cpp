@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/series.hpp"
 #include "graph/builders.hpp"
+#include "util/keys.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::io {
@@ -75,6 +78,42 @@ TEST(DkSerialization, ThreeKReaderCanonicalizesKeys) {
   const auto profile = read_3k(in);
   EXPECT_EQ(profile.wedge_count(1, 2, 5), 3);
   EXPECT_EQ(profile.triangle_count(1, 4, 9), 2);
+}
+
+// read_3k takes lines in any order and sums repeated keys, whatever the
+// order of a key's degrees: a shuffled file whose counts are split over
+// several lines reads back as the canonical profile.
+TEST(DkSerialization, ThreeKReaderCanonicalizesShuffledDuplicateLines) {
+  const auto profile = sample_distributions().three_k;
+  ASSERT_GT(profile.wedges().num_bins(), 2u);
+  ASSERT_GT(profile.triangles().num_bins(), 0u);
+  std::vector<std::string> lines;
+  for (const auto& [key, count] : profile.wedges()) {
+    const auto [k1, k2, k3] = util::unpack_triple(key);
+    const std::int64_t first = count / 2;
+    // The second line names the endpoints the other way round.
+    lines.push_back("w " + std::to_string(k1) + " " + std::to_string(k2) +
+                    " " + std::to_string(k3) + " " + std::to_string(first));
+    lines.push_back("w " + std::to_string(k3) + " " + std::to_string(k2) +
+                    " " + std::to_string(k1) + " " +
+                    std::to_string(count - first));
+  }
+  for (const auto& [key, count] : profile.triangles()) {
+    const auto [k1, k2, k3] = util::unpack_triple(key);
+    for (std::int64_t i = 0; i < count; ++i) {
+      lines.push_back("t " + std::to_string(k3) + " " + std::to_string(k1) +
+                      " " + std::to_string(k2) + " 1");
+    }
+  }
+  lines.push_back("t 7 7 7 0");  // a zero count leaves no bin
+  util::Rng rng(3);
+  for (std::size_t i = lines.size(); i > 1; --i) {
+    std::swap(lines[i - 1], lines[rng.uniform(i)]);
+  }
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  std::istringstream in(text);
+  EXPECT_EQ(read_3k(in), profile);
 }
 
 TEST(DkSerialization, FileRoundTrip) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/dk_state.hpp"
 #include "graph/builders.hpp"
 #include "metrics/summary.hpp"
 #include "obs/trace.hpp"
@@ -111,6 +112,26 @@ TEST(Trace, ScalarMetricsRecordOneSpanPerPhase) {
   Tracer::global().disable();
   for (const std::string name : {"metrics.scalars", "metrics.distance",
                                  "metrics.s2", "metrics.spectrum"}) {
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [&](const TraceEvent& e) {
+                              return name == e.name && e.duration_us >= 0;
+                            }),
+              1)
+        << name;
+  }
+}
+
+TEST(Trace, ThreeKBuildRecordsOneSpanPerPhase) {
+  // Counted before tracing starts: only the state's own build records.
+  const auto target = dk::ThreeKProfile::from_graph(builders::complete(6));
+  Tracer::global().enable();
+  const dk::DkState state(builders::grid(6, 7),
+                          dk::TrackLevel::full_three_k, &target);
+  const auto events = Tracer::global().snapshot();
+  Tracer::global().disable();
+  for (const std::string name :
+       {"dk.three_k.center_pairs", "dk.three_k.triangles",
+        "dk.three_k.residual"}) {
     EXPECT_EQ(std::count_if(events.begin(), events.end(),
                             [&](const TraceEvent& e) {
                               return name == e.name && e.duration_us >= 0;

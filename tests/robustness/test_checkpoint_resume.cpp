@@ -18,6 +18,7 @@
 
 #include "core/series.hpp"
 #include "gen/matching.hpp"
+#include "gen/rewiring_engine.hpp"
 #include "graph/builders.hpp"
 #include "io/checkpoint_io.hpp"
 #include "util/errors.hpp"
@@ -216,6 +217,44 @@ TEST_F(CheckpointResumeTest, KillAndResumeBitIdentical3K) {
   expect_same_edges(reference.graph, result.graph);
   expect_same_stats(reference.total_stats, result.total_stats);
   EXPECT_EQ(reference.best_distance, result.best_distance);
+}
+
+TEST_F(CheckpointResumeTest, CarriedEnginesRebuildForANewTarget) {
+  // A carried engine's residual r = current − target belongs to the
+  // target it was built with: handed another target,
+  // run_checkpointed_3k must rebuild the engines, so every chain's D3 is
+  // measured against the new one and its residual recounts against it.
+  util::Rng boot(29);
+  const Graph start3 = target_2k(start_, target_.joint, options_, boot);
+  TargetingOptions options3 = options_;
+  options3.attempts = 900;  // 3 legs of 300
+  options3.stop_distance = -1.0;
+  util::Rng rng(11);
+  RunCheckpoint state = make_3k_run(start3, options3,
+                                    /*checkpoint_every=*/300, rng,
+                                    {.chains = 2});
+  ThreeKEngines engines;
+  CheckpointOptions one_leg;
+  one_leg.max_legs = 1;
+  run_checkpointed_3k(state, target_.three_k, options3, one_leg, {},
+                      &engines);
+  ASSERT_EQ(engines.target, &target_.three_k);
+  ASSERT_NE(engines.engines[0], nullptr);
+
+  // Same JDD, other 3K profile: the start's own.
+  const dk::ThreeKProfile other = dk::ThreeKProfile::from_graph(start3);
+  run_checkpointed_3k(state, other, options3, one_leg, {}, &engines);
+  EXPECT_EQ(engines.target, &other);
+  for (std::size_t i = 0; i < state.chains.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "chain " << i);
+    const ChainCheckpoint& chain = state.chains[i];
+    EXPECT_EQ(static_cast<double>(chain.distance),
+              dk::distance_3k(dk::ThreeKProfile::from_graph(chain.graph),
+                              other));
+    ASSERT_NE(engines.engines[i], nullptr);
+    EXPECT_EQ(engines.engines[i]->state().target(), &other);
+    EXPECT_NO_THROW(engines.engines[i]->state().verify_consistency());
+  }
 }
 
 TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
