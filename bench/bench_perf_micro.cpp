@@ -3,6 +3,7 @@
 // Lanczos.  These guard the complexity classes the library promises.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -146,7 +147,7 @@ BENCHMARK(BM_StreamingExtract2K)->Range(1 << 12, 1 << 15)->Complexity();
 
 // The in-memory read path: read_edge_list_file (one chunked parse
 // pass, then Graph's bulk build) on a written G(n,3n) file, plus the
-// EdgeIndex::to_graph export every rewiring stage ends with.  Items are
+// EdgeIndex::to_graph rows export every rewiring stage ends with.  Items are
 // edges read plus edges exported.
 void BM_ReadEdgeList(benchmark::State& state) {
   const auto g = make_graph(state.range(0));
@@ -285,10 +286,10 @@ BENCHMARK(BM_Hub3KExtract)->Unit(benchmark::kMillisecond);
 
 // The 3K stage of a d = 3 gen::Pipeline on the hub graph, one chain,
 // driven one leg per step() as the server does.  Arg(0) is the default
-// cadence (8 legs), Arg(1) a single leg: with the engine carried across
-// legs the two differ only by seven index rebuilds, so Arg(0) must stay
-// close to Arg(1).  The 1K seed and the 2K stage run outside the timed
-// region.  Items are 3K attempts.
+// cadence (8 legs), Arg(1) a single leg: both walk the same chain, and
+// with the engine carried across legs they differ only by seven rows
+// exports, so Arg(0) must stay close to Arg(1).  The 1K seed and the 2K
+// stage run outside the timed region.  Items are 3K attempts.
 void BM_Pipeline3KLegs(benchmark::State& state) {
   const auto target = dk::extract(make_hub_graph(), 3);
   gen::PipelineOptions options;
@@ -442,12 +443,18 @@ BENCHMARK(BM_TelemetryCounter);
 // Convergence: attempts to reach a target ε on the HOT workload (the
 // paper's table-5 hard case), replica-exchange temperature ladder vs
 // EQUAL-CORE independent chains (docs/annealing.md).  Arg(0) =
-// independent, Arg(1) = laddered.  The whole run is a pure function of
-// the pinned seeds, so the benchmark reports MANUAL time (attempts /
-// 1e6): the regression gate's 1/real_time score then measures search
-// efficiency — attempts consumed, not nanoseconds — and is exactly
-// reproducible on any machine and under any CPU load.
+// independent, Arg(1) = laddered.  One chain seed's count is a single
+// draw from a wide distribution (on 3K a quarter to a third of the
+// seeds do not converge within the budget), and any change to how a
+// chain consumes its Rng re-rolls it; so each arm runs kConvergenceSeeds
+// chain seeds on the same topology and start graph and reports the
+// MEDIAN count as MANUAL time (attempts / 1e6).  The regression gate's
+// 1/real_time score then measures search efficiency, attempts consumed
+// rather than nanoseconds, and is exactly reproducible on any machine
+// and under any CPU load.
 // ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kConvergenceSeeds = 25;
 
 struct ConvergenceRun {
   std::uint64_t attempts = 0;  // summed over chains at the stop boundary
@@ -460,7 +467,8 @@ struct ConvergenceRun {
 /// exact same driver without the ladder block, so the only difference
 /// is the cooperation itself.
 ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
-                               std::uint64_t budget_per_chain) {
+                               std::uint64_t budget_per_chain,
+                               std::uint64_t chain_seed) {
   topo::HotOptions hot;  // a reduced HOT: same regime, bench-sized
   hot.num_core = 6;
   hot.core_chords = 2;
@@ -485,7 +493,7 @@ ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
   ctx.stop = stop.token();
 
   constexpr std::uint64_t kEpoch = 1000;  // poll cadence for BOTH arms
-  util::Rng rng(7);
+  util::Rng rng(chain_seed);
   gen::RunCheckpoint run;
   if (laddered) {
     gen::LadderOptions ladder;
@@ -521,13 +529,28 @@ ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
 void run_convergence_arm(benchmark::State& state, int d, double eps,
                          std::uint64_t budget_per_chain) {
   const bool laddered = state.range(0) != 0;
-  ConvergenceRun run;
+  std::vector<std::uint64_t> attempts;
+  std::uint64_t converged = 0;
   for (auto _ : state) {
-    run = converge_to_eps(d, laddered, eps, budget_per_chain);
-    state.SetIterationTime(static_cast<double>(run.attempts) * 1e-6);
+    attempts.clear();
+    converged = 0;
+    for (std::uint64_t seed = 1; seed <= kConvergenceSeeds; ++seed) {
+      const auto run =
+          converge_to_eps(d, laddered, eps, budget_per_chain, seed);
+      attempts.push_back(run.attempts);
+      converged += run.converged ? 1 : 0;
+    }
+    std::sort(attempts.begin(), attempts.end());
+    state.SetIterationTime(
+        static_cast<double>(attempts[attempts.size() / 2]) * 1e-6);
   }
-  state.counters["attempts"] = static_cast<double>(run.attempts);
-  state.counters["converged"] = run.converged ? 1.0 : 0.0;
+  state.counters["attempts"] =
+      static_cast<double>(attempts[attempts.size() / 2]);
+  state.counters["q1"] = static_cast<double>(attempts[attempts.size() / 4]);
+  state.counters["q3"] =
+      static_cast<double>(attempts[(3 * attempts.size()) / 4]);
+  state.counters["converged"] =
+      static_cast<double>(converged) / static_cast<double>(attempts.size());
 }
 
 // 2K on HOT is an EASY landscape (greedy reaches D2 = 0 directly): the
@@ -542,9 +565,11 @@ BENCHMARK(BM_ConvergenceAttemptsToEps2K)
     ->Iterations(1)
     ->UseManualTime();
 
-// 3K on HOT is the hard case: greedy chains stall on a D3 plateau and
-// the tempered replicas' basin handoffs reach the target measurably
-// sooner (the headline result in docs/annealing.md).
+// 3K on HOT is the hard case: greedy chains stall on a D3 plateau, and
+// a quarter to a third of the seeds of either arm do not reach D3 = 0
+// within the budget.  Over the seeds the two arms' medians sit within
+// each other's spread (docs/annealing.md): the ladder is no reliable
+// win here.
 void BM_ConvergenceAttemptsToEps3K(benchmark::State& state) {
   run_convergence_arm(state, 3, /*eps=*/0.0, /*budget_per_chain=*/400000);
 }

@@ -54,6 +54,7 @@
 #include <sstream>
 #include <string>
 
+#include "gen/rewiring.hpp"
 #include "metrics/summary.hpp"
 #include "obs/json.hpp"
 #include "svc/server.hpp"
@@ -191,7 +192,8 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
   // Service defaults lean interactive: one chain — explicit knobs scale
   // up, never surprise autotune fan-out.  "workers" takes only 1 (the
   // assignment throws otherwise): every chain is serial.
-  job.ctx.chains = wire::get_count(request, "chains", 1);
+  job.ctx.chains = orbis::gen::check_chain_count(
+      wire::get_count(request, "chains", 1), "wire: field \"chains\"");
   job.ctx.workers = wire::get_count(request, "workers", 1);
   return job;
 }

@@ -47,7 +47,9 @@
 // Fault tolerance (docs/robustness.md): targeting runs checkpoint with
 //   --checkpoint F            write a resumable checkpoint to F at every
 //                             leg boundary (atomic temp+rename writes)
-//   --checkpoint-every N      leg length in attempts (default: budget/8)
+//   --checkpoint-every N      write every N attempts (default: budget/8;
+//                             any cadence gives the same graph, and a
+//                             resume may change it)
 //   --resume F                continue a checkpointed run; the final
 //                             graph is bit-identical to the
 //                             uninterrupted run's
@@ -256,8 +258,9 @@ gen::Method parse_method(const std::string& name) {
 /// the stage machine gen::generate_dk_random and orbis_server drive too,
 /// so all three write the same graph.  --checkpoint writes every leg
 /// boundary to disk, 2K stage included; --resume continues from one
-/// bit-identically, taking cadence, chains, ladder and move kind from
-/// the checkpoint (gen/checkpoint.hpp).
+/// bit-identically, taking chains, ladder and move kind from the
+/// checkpoint.  The cadence is only how often the file is written, so a
+/// resume honors --checkpoint-every (gen/checkpoint.hpp).
 Graph generate_targeting(const util::ArgParser& args,
                          const dk::DkDistributions& target, int d,
                          const gen::GenerateOptions& options,
@@ -271,7 +274,8 @@ Graph generate_targeting(const util::ArgParser& args,
   gen::PipelineOptions pipeline_options;
   pipeline_options.d = d;
   pipeline_options.targeting = options.targeting;
-  pipeline_options.ladder.replicas = parse_count(args, "--ladder", 0);
+  pipeline_options.ladder.replicas =
+      gen::check_chain_count(parse_count(args, "--ladder", 0), "--ladder");
   pipeline_options.ladder.exchange_every =
       parse_count(args, "--exchange-every", 0);
   pipeline_options.checkpoint_every =
@@ -283,13 +287,11 @@ Graph generate_targeting(const util::ArgParser& args,
           : gen::Pipeline(target, pipeline_options,
                           io::read_checkpoint_file(resume_path), ctx);
   if (!resume_path.empty()) {
-    if (args.get_int("--checkpoint-every", 0) > 0 ||
-        args.get_int("--ladder", 0) > 0 ||
+    if (args.get_int("--ladder", 0) > 0 ||
         args.get_int("--exchange-every", 0) > 0 ||
         !args.get_string("--move", "").empty()) {
-      status("note: --checkpoint-every/--ladder/--exchange-every/--move "
-             "ignored on resume — they are part of the run and come from "
-             "the checkpoint\n");
+      status("note: --ladder/--exchange-every/--move ignored on resume — "
+             "they are part of the run and come from the checkpoint\n");
     }
     const gen::RunCheckpoint& resumed = pipeline.checkpoint();
     status("resuming %s: %dK stage, %llu/%llu attempts per chain, %zu "
@@ -435,7 +437,8 @@ int cmd_generate(const util::ArgParser& args) {
   // calls below take whole.
   svc::RunContext ctx;
   ctx.seed = static_cast<std::uint64_t>(args.get_int("--seed", 1));
-  ctx.chains = parse_count(args, "--chains", 0);
+  ctx.chains = gen::check_chain_count(parse_count(args, "--chains", 0),
+                                      "--chains");
   ctx.stop = g_stop.token();
   ctx.progress = g_progress;
 

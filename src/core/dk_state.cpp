@@ -199,8 +199,9 @@ void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                 "DkState::evaluate_swap: swap must preserve the JDD");
   out.clear();
   // The caller's labels, whichever pair is walked: commit_swap hands
-  // them to EdgeIndex::apply_swap, whose slot layout feeds later
-  // proposal draws.
+  // them to EdgeIndex::apply_swap.  Each endpoint keeps its row cell
+  // whichever way the swap is labeled, so the rows later draws read do
+  // not depend on the labels.
   out.a = a;
   out.b = b;
   out.c = c;
@@ -250,7 +251,6 @@ void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
   const std::uint32_t ka = index_->degree(a);
   const std::uint32_t kc = index_->degree(c);
   const std::uint32_t k = index_->degree(b);  // == degree(d)
-  const bool histograms = journals_bins();
   std::int64_t s2 = 0;
   std::int64_t net_a = 0, net_b = 0, net_c = 0, net_d = 0;
 
@@ -280,16 +280,12 @@ void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
                            std::uint32_t end2, std::int64_t delta) {
       s2 += delta * static_cast<std::int64_t>(end1) *
             static_cast<std::int64_t>(end2);
-      if (histograms) {
-        journal_add(out.journal.wedge, util::wedge_key(end1, center, end2),
-                    delta);
-      }
+      journal_add(out.journal.wedge, util::wedge_key(end1, center, end2),
+                  delta);
     };
     const auto triangle = [&](std::uint32_t kp, std::int64_t delta) {
-      if (histograms) {
-        journal_add(out.journal.triangle, util::triangle_key(kp, k, kx),
-                    delta);
-      }
+      journal_add(out.journal.triangle, util::triangle_key(kp, k, kx),
+                  delta);
     };
     if (on_a) {
       wedge(kx, ka, k, sign);

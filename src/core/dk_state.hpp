@@ -71,7 +71,7 @@ struct DeltaJournal {
 /// buffers keep their capacity.
 struct SwapDelta {
   NodeId a = 0, b = 0, c = 0, d = 0;
-  // Net wedge/triangle bin deltas (full_three_k and swap_journal).
+  // Net wedge/triangle bin deltas.
   DeltaJournal journal;
   // Net triangle-count change per node (node, net): one entry per node
   // whose count changes, none for the others.
@@ -141,19 +141,18 @@ class ThreeKResidual {
   std::int64_t distance_ = 0;
 };
 
-/// What evaluate_swap fills and commit_swap folds; the 1K/2K processes
-/// need no DkState, they run on a bare EdgeIndex.
-enum class TrackLevel : int {
-  three_k_scalars = 3, // the S2/C̄ deltas only, and builds nothing (for
-                       //   exploration, which follows the scalars)
-  full_three_k = 4,    // + the bin journal, folded into the 3K
-                       //   residual against the target, built from one
-                       //   count_three_k pass (for 3K targeting)
-  swap_journal = 5,    // + the bin journal, but no residual: builds
-                       //   nothing, and commit_swap only moves the edges
-                       //   (for 3K-preserving randomization and swap
-                       //   counting, which only ask whether the journal
-                       //   is empty)
+/// What a DkState builds and commit_swap folds.  evaluate_swap fills
+/// the same SwapDelta at either level: the bin journal, the per-node
+/// triangle nets and the S2/C̄ deltas.  The 1K/2K processes need no
+/// DkState, they run on a bare EdgeIndex.
+enum class TrackLevel {
+  full_three_k,  // the 3K residual against the target, built from one
+                 //   count_three_k pass and folded by commit_swap (for
+                 //   3K targeting)
+  swap_journal,  // no residual: builds nothing, and commit_swap only
+                 //   moves the edges (for 3K-preserving randomization,
+                 //   swap counting and S2/C̄ exploration, which read
+                 //   only the journal or the scalar deltas)
 };
 
 /// S2 and the clustering sum Σ_v t_v · (2 / (k_v (k_v - 1))) of the
@@ -201,14 +200,14 @@ class DkState {
   TrackLevel level() const noexcept { return level_; }
 
   /// Speculatively evaluates the double-edge swap (a,b),(c,d) ->
-  /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas
-  /// (at full_three_k and swap_journal), the per-node triangle nets and
-  /// the S2/C̄ scalar deltas, WITHOUT touching the residual or the
-  /// index.  Only the rows of the equal-degree pair are walked — b and
-  /// d when deg b = deg d, else a and c; the lower-degree pair when both
-  /// hold — with at most three edge-hash probes per neighbor, so a proposal
-  /// costs O(deg b + deg d) (resp. O(deg a + deg c)) whatever the other
-  /// pair's degrees, and rejecting it afterwards is free.
+  /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas,
+  /// the per-node triangle nets and the S2/C̄ scalar deltas, WITHOUT
+  /// touching the residual or the index.  Only the rows of the
+  /// equal-degree pair are walked — b and d when deg b = deg d, else a
+  /// and c; the lower-degree pair when both hold — with at most three
+  /// edge-hash probes per neighbor, so a proposal costs O(deg b + deg d)
+  /// (resp. O(deg a + deg c)) whatever the other pair's degrees, and
+  /// rejecting it afterwards is free.
   /// Preconditions: the swap preserves the JDD (deg b = deg d or
   /// deg a = deg c; checked), both edges exist, the four endpoints are
   /// distinct, and neither replacement edge is present.  Mutates
@@ -238,11 +237,6 @@ class DkState {
   /// deg b = deg d: walks N(b) and N(d) only.
   void price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
                                SwapDelta& out) const;
-  /// evaluate_swap fills the wedge/triangle journal.
-  bool journals_bins() const noexcept {
-    return level_ == TrackLevel::full_three_k ||
-           level_ == TrackLevel::swap_journal;
-  }
   bool tracks_residual() const noexcept {
     return level_ == TrackLevel::full_three_k;
   }

@@ -106,6 +106,13 @@ void run_ladder_epoch_pass(
   }
 }
 
+std::uint64_t snap_to_epoch_grid(std::uint64_t checkpoint_every,
+                                 std::uint64_t exchange_every) {
+  if (checkpoint_every == 0 || exchange_every == 0) return checkpoint_every;
+  return (checkpoint_every + exchange_every - 1) / exchange_every *
+         exchange_every;
+}
+
 namespace {
 
 /// Shared ladder setup on top of a freshly made run checkpoint.
@@ -114,16 +121,8 @@ void apply_ladder(RunCheckpoint& state, const TargetingOptions& options,
   state.exchange_every = ladder.exchange_every > 0
                              ? ladder.exchange_every
                              : std::max<std::uint64_t>(state.budget / 16, 1);
-  // Snap the checkpoint cadence UP onto the epoch grid: every pause
-  // point is then an epoch boundary and no mid-epoch controller state
-  // ever needs serializing.  The snapped value is recorded in the
-  // checkpoint, so resume keeps the exact same grid.
-  if (state.checkpoint_every > 0) {
-    const std::uint64_t epochs =
-        (state.checkpoint_every + state.exchange_every - 1) /
-        state.exchange_every;
-    state.checkpoint_every = epochs * state.exchange_every;
-  }
+  state.checkpoint_every =
+      snap_to_epoch_grid(state.checkpoint_every, state.exchange_every);
   state.adaptive = ladder.adaptive;
   const std::size_t replicas = state.chains.size();
   for (std::size_t i = 0; i < replicas; ++i) {

@@ -95,11 +95,18 @@ double adapt_temperature(double temperature, std::uint64_t attempts,
 /// exchange Rng state and the cumulative exchange counters in place.
 /// `on_exchange(i)`, if set, is called when replicas i and i+1 trade
 /// configurations, so the caller can move per-configuration state (the
-/// carried 3K engines of gen/checkpoint.hpp) with them.
+/// carried engines of gen/checkpoint.hpp) with them.
 void run_ladder_epoch_pass(
     RunCheckpoint& state, std::uint64_t epoch_index,
     const std::vector<RewiringStats>& epoch_start_stats,
     const std::function<void(std::size_t)>& on_exchange = nullptr);
+
+/// `checkpoint_every` snapped UP onto the grid of `exchange_every`-attempt
+/// epochs (0 stays 0, as does any cadence without a ladder): every pause
+/// point is then an epoch boundary, so no mid-epoch controller state
+/// ever needs serializing.
+std::uint64_t snap_to_epoch_grid(std::uint64_t checkpoint_every,
+                                 std::uint64_t exchange_every);
 
 /// Builds the leg-0 RunCheckpoint for a laddered 2K targeting run: a
 /// make_2k_run checkpoint plus the ladder fields — per-replica initial

@@ -1,11 +1,11 @@
 #include "gen/checkpoint.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "exec/thread_pool.hpp"
 #include "gen/anneal.hpp"
-#include "gen/rewiring_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -54,10 +54,10 @@ RewiringStats sum_chain_stats(const RunCheckpoint& state) {
 
 /// The leg loop shared by the 2K and 3K drivers.
 /// `run_leg(chain, i, leg, chain_ctx)` advances chain i by `leg`
-/// attempts from its canonical state and re-canonicalizes it;
-/// `chain_ctx` is ctx with its progress sink tagging the chain's lane.
-/// `engines` (3K only, else null) are the carried engines: dropped when
-/// a stop discards a leg, moved with the graphs by ladder exchanges.
+/// attempts and publishes its canonical state; `chain_ctx` is ctx with
+/// its progress sink tagging the chain's lane.  `engines` are the
+/// carried engines: dropped when a stop discards a leg, moved with the
+/// graphs by ladder exchanges.
 ///
 /// Laddered runs (state.exchange_every > 0) cut the legs on the UNION
 /// of the checkpoint grid and the exchange-epoch grid; since the
@@ -69,7 +69,7 @@ template <typename RunLeg>
 CheckpointedResult run_legs(RunCheckpoint& state,
                             const CheckpointOptions& checkpointing,
                             const svc::RunContext& ctx, double stop_distance,
-                            ThreeKEngines* engines, RunLeg run_leg) {
+                            ChainEngines& engines, RunLeg run_leg) {
   util::expects(!state.chains.empty(),
                 "run_checkpointed: checkpoint has no chains");
   for (const auto& chain : state.chains) {
@@ -140,9 +140,9 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       ChainCheckpoint& chain = state.chains[i];
       tasks.emplace_back([&chain, &run_leg, &ctx, leg, stop_distance, i]() {
         // A converged chain idles through remaining legs: target_* would
-        // return immediately without touching the Rng, so skip the
-        // rebuild entirely.  attempts_done still advances — leg cadence
-        // is uniform across chains by construction.
+        // return immediately without touching the Rng, so skip the leg
+        // entirely.  attempts_done still advances — leg cadence is
+        // uniform across chains by construction.
         if (static_cast<double>(chain.distance) > stop_distance) {
           obs::ProgressLane lane(ctx.progress, static_cast<std::uint32_t>(i));
           svc::RunContext chain_ctx = ctx;
@@ -164,7 +164,7 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       // truth on disk.
       if (!boundary.empty()) state.chains = std::move(boundary);
       // The engines hold the discarded legs' graphs.
-      if (engines != nullptr) engines->clear();
+      engines.clear();
       result.interrupted = true;
       break;
     }
@@ -174,9 +174,12 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       // exchange Rng stream, so the pass is a pure function of the
       // RunCheckpoint regardless of pool size or scheduling.
       run_ladder_epoch_pass(
-          state, now_done / epoch - 1, epoch_start, [engines](std::size_t i) {
-            if (engines != nullptr) {
-              std::swap(engines->engines[i], engines->engines[i + 1]);
+          state, now_done / epoch - 1, epoch_start, [&engines](std::size_t i) {
+            if (!engines.two_k.empty()) {
+              std::swap(engines.two_k[i], engines.two_k[i + 1]);
+            }
+            if (!engines.three_k.empty()) {
+              std::swap(engines.three_k[i], engines.three_k[i + 1]);
             }
           });
     }
@@ -216,17 +219,47 @@ CheckpointedResult run_legs(RunCheckpoint& state,
   return result;
 }
 
-}  // namespace
-
-ThreeKEngines::ThreeKEngines() = default;
-ThreeKEngines::~ThreeKEngines() = default;
-ThreeKEngines::ThreeKEngines(ThreeKEngines&&) noexcept = default;
-ThreeKEngines& ThreeKEngines::operator=(ThreeKEngines&&) noexcept = default;
-
-void ThreeKEngines::clear() noexcept {
-  target = nullptr;
-  engines.clear();
+/// One stage's legs, for either engine: chain i walks engines[i] from
+/// `stage` (built from the chain's rows by `build` when missing) with
+/// `walk(engine, options, attempts, rng, stats, ctx)`, which returns the
+/// chain's exact distance.  Engines taken against another target are
+/// freed first, and a finished stage frees its own.
+template <typename Engine, typename Build, typename Walk>
+CheckpointedResult run_stage(
+    RunCheckpoint& state, const void* target,
+    std::vector<std::unique_ptr<Engine>> ChainEngines::*stage,
+    const TargetingOptions& options, const CheckpointOptions& checkpointing,
+    const svc::RunContext& ctx, ChainEngines* engines, Build build,
+    Walk walk) {
+  TargetingOptions leg_options = options;
+  leg_options.move = state.move;  // pinned: part of run identity
+  const bool laddered = state.laddered();
+  ChainEngines call_engines;
+  ChainEngines& carried = engines != nullptr ? *engines : call_engines;
+  if (carried.target != target) carried.clear();
+  carried.target = target;
+  std::vector<std::unique_ptr<Engine>>& mine = carried.*stage;
+  mine.resize(state.chains.size());
+  CheckpointedResult result = run_legs(
+      state, checkpointing, ctx, options.stop_distance, carried,
+      [&](ChainCheckpoint& chain, std::size_t i, std::uint64_t leg,
+          const svc::RunContext& chain_ctx) {
+        util::Rng rng = util::Rng::from_state_words(chain.rng_state);
+        if (mine[i] == nullptr) mine[i] = build(chain.graph);
+        TargetingOptions chain_options = leg_options;
+        // Replicas run at their OWN ladder temperature (run state, moved
+        // by the controller); independent chains keep the caller's.
+        if (laddered) chain_options.temperature = chain.temperature;
+        chain.distance = walk(*mine[i], chain_options, leg, rng,
+                              &chain.stats, chain_ctx);
+        chain.graph = mine[i]->graph();
+        chain.rng_state = rng.state_words();
+      });
+  if (state.finished()) carried.clear();
+  return result;
 }
+
+}  // namespace
 
 RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
                           std::uint64_t checkpoint_every, util::Rng& rng,
@@ -243,28 +276,15 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
 CheckpointedResult run_checkpointed_2k(
     RunCheckpoint& state, const dk::JointDegreeDistribution& target,
     const TargetingOptions& options, const CheckpointOptions& checkpointing,
-    const svc::RunContext& ctx) {
+    const svc::RunContext& ctx, ChainEngines* engines) {
   util::expects(state.d == 2, "run_checkpointed_2k: checkpoint is not a "
                               "2K run");
-  TargetingOptions leg_options = options;
-  leg_options.move = state.move;  // pinned: part of run identity
-  const bool laddered = state.laddered();
-  return run_legs(
-      state, checkpointing, ctx, options.stop_distance, nullptr,
-      [&, laddered](ChainCheckpoint& chain, std::size_t /*i*/,
-                    std::uint64_t leg, const svc::RunContext& chain_ctx) {
-        util::Rng rng = util::Rng::from_state_words(chain.rng_state);
-        // Rebuild from the canonical edge list — the same rebuild a
-        // resume performs, which is the whole determinism argument.
-        RewiringEngine engine(chain.graph);
-        TargetingOptions chain_options = leg_options;
-        // Replicas run at their OWN ladder temperature (run state, moved
-        // by the controller); independent chains keep the caller's.
-        if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance = engine.target_2k(target, chain_options, leg, rng,
-                                          &chain.stats, chain_ctx);
-        chain.graph = engine.graph();
-        chain.rng_state = rng.state_words();
+  return run_stage(
+      state, &target, &ChainEngines::two_k, options, checkpointing, ctx,
+      engines,
+      [](const Graph& g) { return std::make_unique<RewiringEngine>(g); },
+      [&target](RewiringEngine& engine, auto&&... leg) {
+        return engine.target_2k(target, leg...);
       });
 }
 
@@ -273,39 +293,18 @@ CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const TargetingOptions& options,
                                        const CheckpointOptions& checkpointing,
                                        const svc::RunContext& ctx,
-                                       ThreeKEngines* engines) {
+                                       ChainEngines* engines) {
   util::expects(state.d == 3, "run_checkpointed_3k: checkpoint is not a "
                               "3K run");
-  TargetingOptions leg_options = options;
-  leg_options.move = state.move;  // pinned: part of run identity
-  const bool laddered = state.laddered();
-  ThreeKEngines call_engines;
-  ThreeKEngines& carried = engines != nullptr ? *engines : call_engines;
-  // Carried residuals were taken against the carried target.
-  if (carried.target != &target) carried.clear();
-  carried.target = &target;
-  carried.engines.resize(state.chains.size());
-  CheckpointedResult result = run_legs(
-      state, checkpointing, ctx, options.stop_distance, &carried,
-      [&, laddered](ChainCheckpoint& chain, std::size_t i, std::uint64_t leg,
-                    const svc::RunContext& chain_ctx) {
-        util::Rng rng = util::Rng::from_state_words(chain.rng_state);
-        // Only the index is re-derived from the canonical edge list, as
-        // a resume would; the 3K state carries (see the header).
-        std::unique_ptr<ThreeKRewirer>& rewirer = carried.engines[i];
-        if (rewirer == nullptr || !rewirer->reindex(chain.graph)) {
-          rewirer.reset();  // free the stale engine before the build
-          rewirer = std::make_unique<ThreeKRewirer>(chain.graph, target);
-        }
-        TargetingOptions chain_options = leg_options;
-        if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance = rewirer->target(chain_options, leg, rng,
-                                         &chain.stats, chain_ctx);
-        chain.graph = rewirer->graph();
-        chain.rng_state = rng.state_words();
+  return run_stage(
+      state, &target, &ChainEngines::three_k, options, checkpointing, ctx,
+      engines,
+      [&target](const Graph& g) {
+        return std::make_unique<ThreeKRewirer>(g, target);
+      },
+      [](ThreeKRewirer& rewirer, auto&&... leg) {
+        return rewirer.target(leg...);
       });
-  if (state.finished()) carried.clear();
-  return result;
 }
 
 }  // namespace orbis::gen

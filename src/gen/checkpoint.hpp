@@ -1,47 +1,33 @@
 // Checkpoint/resume for long targeting runs (docs/robustness.md).
 //
 // A checkpointed run is structured as LEGS of `checkpoint_every`
-// attempts.  At every leg boundary each chain's state is reduced to its
-// canonical form — the edge list (slot order), the Rng's four state
-// words, the cumulative RewiringStats and the attempt count — and the
-// next leg re-derives its EdgeIndex (slot, bucket and hash layout) from
-// that edge list.  That canonicalize-at-every-boundary discipline is
-// what makes resume exact:
+// attempts.  At every leg boundary each chain's state is its canonical
+// form — the graph's adjacency ROWS (Graph::from_rows keeps them
+// verbatim), the Rng's four state words, the cumulative RewiringStats
+// and the attempt count.  That form is complete: every proposal draw
+// reads only the rows and the Rng (graph/edge_index.hpp), and every
+// other piece of chain state (the ΔD2 matrix, the 3K residual and D3)
+// is a function of the edge set and the target.  So an engine rebuilt
+// from a boundary's rows continues exactly as the live one would, and
 //
-//   kill at ANY boundary + resume  ==  the uninterrupted checkpointed
-//   run, bit-identical final graph, distance and stats,
+//   one leg  ==  any number of legs  ==  kill at ANY boundary + resume,
 //
-// because resuming IS what the uninterrupted run does at that boundary
-// anyway (rebuild from the canonical form).  Nothing history-dependent
-// (EdgeIndex bucket order, hash layout, objective deviating-list order)
-// is ever serialized, so there is nothing to drift.
+// bit-identical final graph, distance and stats.  `checkpoint_every` is
+// therefore only how often the state is published (and written to
+// disk), not part of the run: a resume may use any cadence.
 //
-// What a leg rebuilds and what it carries: a 2K leg rebuilds its whole
-// engine (index + ΔD2 objective, both O(m)).  A 3K leg rebuilds only
-// the index: the chain's ThreeKRewirer lives on between legs
-// (ThreeKEngines) with its 3K residual and D3, because those are
-// functions of the edge SET and the target (a new target clears the
-// engines), and the canonical form preserves the set — only the slot
-// order is canonicalized, and that lives in the index.  So a carried
-// engine walks exactly the chain a rebuilt one would, and a resume,
-// which must build the residual once, cannot diverge from the run it
-// continues.  A leg that is discarded by a
-// stop, and a ladder exchange that trades configurations between
-// replicas, drop or move the carried engines with the graphs.
-//
-// The flip side: `checkpoint_every` is part of the run's identity, like
-// the seed.  A run checkpointed every 10k attempts and one checkpointed
-// every 50k walk (equally valid) different chains, because the rebuild
-// boundaries fall elsewhere.  Resume therefore takes its cadence from
-// the checkpoint, never from the command line.
+// Each chain's engine (2K or 3K) is carried from leg to leg
+// (ChainEngines), which saves its rebuild and nothing else.  A leg that
+// is discarded by a stop drops the carried engines, a ladder exchange
+// that trades configurations between replicas moves them with the
+// graphs, and a finished stage frees them.
 //
 // Execution context: the driver takes the run's svc::RunContext.  It
 // polls ctx.stop between legs and passes it into the leg bodies; chain
 // i's legs get a copy of the context whose progress sink reports on
 // lane i (obs::ProgressLane).  A stop mid-leg discards that leg's
 // partial work — the RunCheckpoint snaps back to the last completed
-// boundary — so an interrupt can never publish mid-leg state that a
-// resume could not reproduce.
+// boundary — so an interrupt can never publish mid-leg state.
 //
 // File format and I/O live in io/checkpoint_io.hpp; this header is the
 // in-memory model and the leg driver.  gen/pipeline.hpp strings the
@@ -58,6 +44,7 @@
 #include "core/joint_degree_distribution.hpp"
 #include "core/three_k_profile.hpp"
 #include "gen/rewiring.hpp"
+#include "gen/rewiring_engine.hpp"
 #include "graph/graph.hpp"
 #include "svc/run_context.hpp"
 #include "util/rng.hpp"
@@ -67,8 +54,6 @@ class ThreadPool;
 }
 
 namespace orbis::gen {
-
-class ThreeKRewirer;
 
 /// Canonical state of one chain at a leg boundary.
 struct ChainCheckpoint {
@@ -90,7 +75,7 @@ struct ChainCheckpoint {
 /// Everything a resume needs, minus the target distribution (which the
 /// caller re-reads from its own file — targets are inputs, not state).
 struct RunCheckpoint {
-  static constexpr std::uint32_t kVersion = 4;
+  static constexpr std::uint32_t kVersion = 5;
 
   int d = 2;        // current stage's series level: 2 | 3
   int final_d = 2;  // the run's (gen::Pipeline); make_*_run sets it to d
@@ -98,15 +83,17 @@ struct RunCheckpoint {
   /// draws its chain master from it.  All-zero outside a Pipeline.
   std::array<std::uint64_t, 4> pipeline_rng{};
   std::uint64_t budget = 0;           // total attempts per chain
-  std::uint64_t checkpoint_every = 0; // leg length; 0 = one single leg
+  /// Leg length, i.e. how often the state is published; 0 = one single
+  /// leg.  Not part of the run: any cadence walks the same chains.
+  std::uint64_t checkpoint_every = 0;
   /// Proposal move mix, pinned at run start: the move stream is part of
   /// the chains' identity, so a resume must replay it.
   MoveKind move = MoveKind::swap;
   /// Replica-exchange ladder (gen/anneal.hpp): epoch length in attempts
-  /// between exchange passes; 0 = independent chains (no ladder).  When
-  /// set, `checkpoint_every` is a multiple of it, so checkpoint
-  /// boundaries always land on epoch boundaries and a resume never
-  /// needs mid-epoch controller state.
+  /// between exchange passes; 0 = independent chains (no ladder).  The
+  /// epoch IS part of the run.  When set, `checkpoint_every` is a
+  /// multiple of it, so checkpoint boundaries always land on epoch
+  /// boundaries and a resume never needs mid-epoch controller state.
   std::uint64_t exchange_every = 0;
   bool adaptive = false;  ///< acceptance-band temperature controller on?
   /// Dedicated exchange-decision Rng (stream kExchangeStreamId of chain
@@ -141,23 +128,23 @@ struct CheckpointOptions {
   std::size_t max_legs = 0;
 };
 
-/// The live 3K engines of one run's chains, carried from one leg to the
-/// next: chain i's engine, or null when the next leg must build it.
-/// An engine is reused only while it holds exactly its chain's edge set
-/// (ThreeKRewirer::reindex checks), so a stale entry costs a rebuild,
-/// never a wrong chain.  Move-only.
-struct ThreeKEngines {
-  ThreeKEngines();
-  ~ThreeKEngines();
-  ThreeKEngines(ThreeKEngines&&) noexcept;
-  ThreeKEngines& operator=(ThreeKEngines&&) noexcept;
-
+/// The live engines of one run's chains, carried from one leg to the
+/// next: chain i's engine, or null when the next leg must build it (from
+/// the chain's rows, which draws exactly as the carried one would).
+/// Holds one stage's engines at a time; move-only.
+struct ChainEngines {
   /// Frees every engine (the next leg of each chain rebuilds).
-  void clear() noexcept;
+  void clear() noexcept {
+    target = nullptr;
+    two_k.clear();
+    three_k.clear();
+  }
 
-  /// The target the engines' residuals were taken against.
-  const dk::ThreeKProfile* target = nullptr;
-  std::vector<std::unique_ptr<ThreeKRewirer>> engines;
+  /// The stage target the engines run against (the JDD of a 2K stage,
+  /// the 3K profile of a 3K stage): another target clears them.
+  const void* target = nullptr;
+  std::vector<std::unique_ptr<RewiringEngine>> two_k;
+  std::vector<std::unique_ptr<ThreeKRewirer>> three_k;
 };
 
 struct CheckpointedResult {
@@ -193,22 +180,21 @@ RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
 /// `options` must carry the same chain parameters (temperature,
 /// stop_distance, move, ...) the run was started with;
 /// attempts/attempts_per_edge and move are taken from `state`,
-/// which is authoritative.
+/// which is authoritative.  Each chain's engine is carried from leg to
+/// leg: for the length of this call when `engines` is null, across
+/// calls when the caller keeps them (gen::Pipeline does, so its one-leg
+/// step() builds no engine).  Chains are bit-identical either way.
 CheckpointedResult run_checkpointed_2k(
     RunCheckpoint& state, const dk::JointDegreeDistribution& target,
     const TargetingOptions& options, const CheckpointOptions& checkpointing,
-    const svc::RunContext& ctx = {});
+    const svc::RunContext& ctx = {}, ChainEngines* engines = nullptr);
 
-/// Same for 3K.  Each chain's engine is carried from leg to leg
-/// (ThreeKEngines): for the length of this call when `engines` is null,
-/// across calls when the caller keeps them (gen::Pipeline does, so its
-/// one-leg step() pays for no rebuild).  Chains are bit-identical
-/// either way.
+/// Same for 3K.
 CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
                                        const dk::ThreeKProfile& target,
                                        const TargetingOptions& options,
                                        const CheckpointOptions& checkpointing,
                                        const svc::RunContext& ctx = {},
-                                       ThreeKEngines* engines = nullptr);
+                                       ChainEngines* engines = nullptr);
 
 }  // namespace orbis::gen

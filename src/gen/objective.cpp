@@ -1,5 +1,8 @@
 #include "gen/objective.hpp"
 
+#include <bit>
+#include <utility>
+
 #include "util/keys.hpp"
 
 namespace orbis::gen {
@@ -18,11 +21,13 @@ JddObjective::JddObjective(const EdgeIndex& index,
                            const dk::JointDegreeDistribution& target)
     : num_classes_(index.num_classes()) {
   diff_.assign(static_cast<std::size_t>(num_classes_) * num_classes_, 0);
-  deviating_pos_.assign(diff_.size(), no_position);
+  words_per_row_ = (num_classes_ + 63) / 64;
+  deviating_bits_.assign(num_classes_ * words_per_row_, 0);
+  row_counts_.assign(num_classes_ + 1, 0);
 
-  for (const auto& e : index.edges()) {
-    ++diff_[cell(index.node_class(e.u), index.node_class(e.v))];
-  }
+  index.for_each_edge([&](NodeId u, NodeId v) {
+    ++diff_[cell(index.node_class(u), index.node_class(v))];
+  });
   for (const auto& [key, count] : target.histogram().bins()) {
     const auto [k1, k2] = util::unpack_pair(key);
     const std::uint32_t c1 = index.class_of_degree(k1);
@@ -38,11 +43,16 @@ JddObjective::JddObjective(const EdgeIndex& index,
   }
 
   for (std::uint32_t c1 = 0; c1 < num_classes_; ++c1) {
+    std::uint32_t row_count = 0;
     for (std::uint32_t c2 = c1; c2 < num_classes_; ++c2) {
       const std::int64_t d = diff_[cell(c1, c2)];
       distance_ += square(d);
-      if (d != 0) refresh_deviation(c1, c2);
+      if (d == 0) continue;
+      deviating_bits_[c1 * words_per_row_ + c2 / 64] |= 1ull << (c2 % 64);
+      ++row_count;
     }
+    deviating_count_ += row_count;
+    add_to_row(c1, static_cast<std::int32_t>(row_count));
   }
 }
 
@@ -85,30 +95,49 @@ void JddObjective::commit(std::uint32_t ca, std::uint32_t cb,
 }
 
 void JddObjective::refresh_deviation(std::uint32_t c1, std::uint32_t c2) {
-  const std::size_t index = cell(c1, c2);
-  const bool deviating = diff_[index] != 0;
-  const std::uint32_t pos = deviating_pos_[index];
-  if (deviating && pos == no_position) {
-    deviating_pos_[index] = static_cast<std::uint32_t>(deviating_.size());
-    deviating_.push_back(static_cast<std::uint64_t>(index));
-  } else if (!deviating && pos != no_position) {
-    const std::uint64_t moved = deviating_.back();
-    deviating_[pos] = moved;
-    deviating_.pop_back();
-    if (pos < deviating_.size()) {
-      deviating_pos_[static_cast<std::size_t>(moved)] = pos;
-    }
-    deviating_pos_[index] = no_position;
+  if (c1 > c2) std::swap(c1, c2);
+  std::uint64_t& word = deviating_bits_[c1 * words_per_row_ + c2 / 64];
+  const std::uint64_t bit = 1ull << (c2 % 64);
+  const bool deviating = diff_[cell(c1, c2)] != 0;
+  if (deviating == ((word & bit) != 0)) return;
+  word ^= bit;
+  add_to_row(c1, deviating ? 1 : -1);
+  deviating_count_ += deviating ? 1u : ~0u;
+}
+
+void JddObjective::add_to_row(std::uint32_t c1, std::int32_t delta) {
+  for (std::uint32_t node = c1 + 1; node <= num_classes_;
+       node += node & (~node + 1)) {
+    row_counts_[node] += static_cast<std::uint32_t>(delta);
   }
 }
 
 DeviatingBin JddObjective::sample_deviating_bin(util::Rng& rng) const {
-  const std::size_t index =
-      static_cast<std::size_t>(deviating_[rng.uniform(deviating_.size())]);
+  auto rank = static_cast<std::uint32_t>(rng.uniform(deviating_count_));
+  // Fenwick descent to the row holding the rank-th set bit.
+  std::uint32_t row = 0;
+  for (std::uint32_t step = std::bit_floor(num_classes_); step > 0;
+       step >>= 1) {
+    if (row + step <= num_classes_ && row_counts_[row + step] <= rank) {
+      row += step;
+      rank -= row_counts_[row];
+    }
+  }
+  // Then to the word, and the bit, within the row.
+  const std::uint64_t* words = &deviating_bits_[row * words_per_row_];
+  std::size_t w = 0;
+  for (;; ++w) {
+    const auto in_word = static_cast<std::uint32_t>(std::popcount(words[w]));
+    if (rank < in_word) break;
+    rank -= in_word;
+  }
+  std::uint64_t word = words[w];
+  for (; rank > 0; --rank) word &= word - 1;
   DeviatingBin bin;
-  bin.c1 = static_cast<std::uint32_t>(index / num_classes_);
-  bin.c2 = static_cast<std::uint32_t>(index % num_classes_);
-  bin.deficit = diff_[index] < 0;
+  bin.c1 = row;
+  bin.c2 = static_cast<std::uint32_t>(w * 64) +
+           static_cast<std::uint32_t>(std::countr_zero(word));
+  bin.deficit = diff_[cell(bin.c1, bin.c2)] < 0;
   return bin;
 }
 

@@ -3,13 +3,13 @@
 //   JddObjective        D2 against a target JDD over frozen degree
 //                       classes: a dense (current - target) difference
 //                       matrix makes a proposed swap's ΔD2 an O(1),
-//                       allocation-free integer computation, and doubles
-//                       as the deviating-bin set the guided 2K proposer
-//                       samples from.  8·C² bytes for C degree
-//                       classes; C < 2√m + 1 (the C distinct degrees
-//                       sum to at most 2m), so that is 32·m + O(√m)
-//                       bytes at most: less than the EdgeIndex beside
-//                       it (docs/scaling.md).
+//                       allocation-free integer computation; the guided
+//                       2K proposer draws its deviating bins by rank in
+//                       (c1, c2) order, a function of the matrix alone.
+//                       4.125·C² bytes for C degree classes; C < 2√m + 1
+//                       (the C distinct degrees sum to at most 2m), so
+//                       16.5·m + O(√m) bytes at most: well under the
+//                       EdgeIndex beside it (docs/scaling.md).
 //
 // D3 lives with the 3K state itself: DkState keeps the residual r =
 // current − target and prices a proposal's speculative journal against
@@ -81,9 +81,10 @@ class JddObjective {
     util::prefetch_read(&diff_[cell(cc, cb)]);
   }
 
-  bool has_deviating_bin() const noexcept { return !deviating_.empty(); }
+  bool has_deviating_bin() const noexcept { return deviating_count_ > 0; }
 
-  /// Uniform random deviating bin (requires has_deviating_bin()).
+  /// Uniform random deviating bin (requires has_deviating_bin()): one
+  /// uniform rank, selected in (c1, c2) order in O(log C + C/64).
   DeviatingBin sample_deviating_bin(util::Rng& rng) const;
 
  private:
@@ -93,15 +94,20 @@ class JddObjective {
   }
   std::int64_t bump(std::size_t cell_index, std::int64_t delta);
   void refresh_deviation(std::uint32_t c1, std::uint32_t c2);
+  /// Adds `delta` to row c1's deviating count in the Fenwick tree.
+  void add_to_row(std::uint32_t c1, std::int32_t delta);
 
   std::uint32_t num_classes_ = 0;
   std::vector<std::int32_t> diff_;      // current - target, per class pair
   std::int64_t distance_ = 0;
 
-  // Sampleable deviating set: packed (c1,c2) keys + position backrefs.
-  static constexpr std::uint32_t no_position = 0xffffffffu;
-  std::vector<std::uint64_t> deviating_;
-  std::vector<std::uint32_t> deviating_pos_;  // per cell, or no_position
+  // The deviating set, rank-selectable: bit c2 of row c1 (c1 <= c2) is
+  // set iff bin (c1, c2) deviates, and a Fenwick tree over the rows
+  // counts the set bits.
+  std::size_t words_per_row_ = 0;
+  std::vector<std::uint64_t> deviating_bits_;  // row-major bitmap
+  std::vector<std::uint32_t> row_counts_;      // Fenwick tree, 1-based
+  std::uint32_t deviating_count_ = 0;
 };
 
 }  // namespace orbis::gen

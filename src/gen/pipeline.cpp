@@ -22,6 +22,8 @@ void validate(const PipelineOptions& options, const svc::RunContext& ctx,
                 "Pipeline: d must be 2 or 3");
   // Every run starts with a 2K stage, whatever d.
   expect_2k_targeting_move(move, "Pipeline");
+  check_chain_count(ctx.chains, "Pipeline: chains");
+  check_chain_count(ladder.replicas, "Pipeline: ladder replicas");
   util::expects(ladder.replicas != 1,
                 "Pipeline: a replica ladder needs at least 2 replicas");
   util::expects(ladder.replicas == 0 || ctx.chains == 0,
@@ -74,6 +76,12 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                     std::to_string(run_.final_d) + " run, not d=" +
                     std::to_string(options_.d));
   validate(options_, ctx_, run_.move);
+  // Cadence is only how often the state is published, so the caller's
+  // replaces the file's (snapped onto a ladder's epoch grid).
+  if (options_.checkpoint_every > 0) {
+    run_.checkpoint_every =
+        snap_to_epoch_grid(options_.checkpoint_every, run_.exchange_every);
+  }
 }
 
 bool Pipeline::step(const CheckpointOptions& checkpointing) {
@@ -99,7 +107,7 @@ void Pipeline::advance(const CheckpointOptions& checkpointing) {
                                      : "generate.target_3k");
     last_ = run_.d == 2
                 ? run_checkpointed_2k(run_, target_.joint, options_.targeting,
-                                      checkpointing, ctx_)
+                                      checkpointing, ctx_, &engines_)
                 : run_checkpointed_3k(run_, target_.three_k,
                                       options_.targeting, checkpointing, ctx_,
                                       &engines_);

@@ -8,7 +8,9 @@
 //   * Rng order: the seeding Rng draws matching_1k, then one next() for
 //     the 2K chain master, then (d = 3) one next() for the 3K master;
 //     chain i is seeded master.stream(i), also for a single chain.
-//   * Cadence: checkpoint_every, or max(budget / 8, 1) when it is 0.
+//   * Cadence: checkpoint_every, or max(budget / 8, 1) when it is 0.  It
+//     is only how often the state is published (gen/checkpoint.hpp):
+//     every cadence gives the same graph.
 //   * The 3K stage starts from the 2K stage's best chain and inherits
 //     its chain count, budget, cadence, move kind and ladder.
 //
@@ -40,7 +42,8 @@ struct PipelineOptions {
   /// instead of independent chains (ctx.chains must then be 0); 0 = no
   /// ladder.
   LadderOptions ladder{};
-  std::uint64_t checkpoint_every = 0;  ///< 0 = max(budget / 8, 1)
+  /// 0 = max(budget / 8, 1) on a fresh run, the file's on a resume.
+  std::uint64_t checkpoint_every = 0;
 };
 
 /// One completed targeting stage (result.graph is left empty).
@@ -60,8 +63,9 @@ class Pipeline {
            util::Rng rng, const svc::RunContext& ctx = {});
 
   /// Resume from a checkpoint of any stage.  `options` must be the ones
-  /// the run started with; cadence, chains, move and ladder come from
-  /// the checkpoint.
+  /// the run started with; chains, move and ladder come from the
+  /// checkpoint, and so does the cadence unless options.checkpoint_every
+  /// is set.
   Pipeline(const dk::DkDistributions& target, PipelineOptions options,
            RunCheckpoint checkpoint, const svc::RunContext& ctx = {});
 
@@ -100,9 +104,9 @@ class Pipeline {
   PipelineOptions options_;
   svc::RunContext ctx_;
   RunCheckpoint run_;
-  /// The 3K stage's engines, carried across advance() calls so a one-leg
-  /// step() rebuilds only the index (gen/checkpoint.hpp).
-  ThreeKEngines engines_;
+  /// The current stage's engines, carried across advance() calls so a
+  /// one-leg step() builds no engine (gen/checkpoint.hpp).
+  ChainEngines engines_;
   CheckpointedResult last_;
   double stage_seconds_ = 0.0;
   std::vector<PipelineStage> stages_;

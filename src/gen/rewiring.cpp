@@ -101,6 +101,16 @@ std::size_t default_chain_count(std::size_t requested) noexcept {
   return std::clamp<std::size_t>(exec::resolve_workers(0), 1, 8);
 }
 
+std::size_t check_chain_count(std::uint64_t requested,
+                              const std::string& field) {
+  if (requested > kMaxChains) {
+    throw std::invalid_argument(
+        field + " must be at most " + std::to_string(kMaxChains) +
+        " (chains per run), got " + std::to_string(requested));
+  }
+  return static_cast<std::size_t>(requested);
+}
+
 Graph randomize(const Graph& g, const RandomizeOptions& options,
                 util::Rng& rng, RewiringStats* stats,
                 const svc::RunContext& ctx) {
@@ -193,8 +203,8 @@ Graph explore(const Graph& g, ExploreObjective objective,
     out = engine.graph();
   } else {
     // Exploration follows only the scalar deltas, so skip the (hub-
-    // expensive) wedge/triangle histograms.
-    ThreeKRewirer rewirer(g, dk::TrackLevel::three_k_scalars);
+    // expensive) 3K count.
+    ThreeKRewirer rewirer(g, dk::TrackLevel::swap_journal);
     rewirer.explore(objective, budget, options.stop_at_value, rng, stats);
     out = rewirer.graph();
   }

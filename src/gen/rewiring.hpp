@@ -177,6 +177,16 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
 /// every chain still burns a full budget.
 std::size_t default_chain_count(std::size_t requested = 0) noexcept;
 
+/// The most chains one run may ask for: each chain copies the graph, so
+/// the count sizes memory.  Autotuning stays at 8 or fewer.
+inline constexpr std::size_t kMaxChains = 64;
+
+/// `requested` if it is at most kMaxChains, else std::invalid_argument
+/// naming `field`: the front ends and gen::Pipeline check every chain
+/// count before anything is allocated.
+std::size_t check_chain_count(std::uint64_t requested,
+                              const std::string& field);
+
 // ---------------------------------------------------------------------------
 // dK-space exploration (§4.3).
 // ---------------------------------------------------------------------------

@@ -15,52 +15,29 @@ namespace {
 /// adding nothing measurable to the per-swap hot path.
 constexpr std::size_t kStopPollMask = 1023;
 
-/// Uniform candidate: two distinct edge slots, random orientation of the
-/// second edge.  False iff the graph has fewer than 2 edges.
-bool draw_uniform_from(const EdgeIndex& index, util::Rng& rng, Swap& swap) {
-  const std::size_t m = index.num_edges();
-  if (m < 2) return false;
-  const std::size_t i = rng.uniform(m);
-  std::size_t j = rng.uniform(m - 1);
-  if (j >= i) ++j;
-  const Edge e1 = index.edge_at(static_cast<std::uint32_t>(i));
-  Edge e2 = index.edge_at(static_cast<std::uint32_t>(j));
-  if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
-  swap = Swap{e1.u, e1.v, e2.u, e2.v};
-  return true;
+/// Uniform candidate: two independent uniform half-edges (a,b), (c,d),
+/// each a uniform cell of the rows.  Both edges and both orientations
+/// are random, so the reverse swap is drawn with the same probability;
+/// drawing the same edge twice is a structural rejection.
+Swap draw_uniform_from(const EdgeIndex& index, util::Rng& rng) {
+  const Edge ab = index.sample_half_edge(rng);
+  const Edge cd = index.sample_half_edge(rng);
+  return Swap{ab.u, ab.v, cd.u, cd.v};
 }
 
-/// 2K-preserving candidate drawn directly from the degree buckets: after
-/// orienting the first edge (a,b), the partner edge is a half-edge
-/// anchored in class(b) (giving deg(d) = deg(b)) or in class(a) (giving
-/// deg(c) = deg(a)) — the two branches of the JDD-preservation condition
+/// 2K-preserving candidate: after a uniform half-edge (a,b), the partner
+/// is a half-edge anchored in class(b), read as (d,c) so that
+/// deg(d) = deg(b), or one anchored in class(a), read as (c,d) so that
+/// deg(c) = deg(a) — the two branches of the JDD-preservation condition
 /// — so no proposal is ever rejected for breaking the JDD.
-bool draw_jdd_preserving_from(const EdgeIndex& index, util::Rng& rng,
-                              Swap& swap) {
-  const std::size_t m = index.num_edges();
-  if (m < 2) return false;
-  Edge e1 = index.edge_at(index.sample_edge(rng));
-  if (rng.bernoulli(0.5)) std::swap(e1.u, e1.v);
-  const NodeId a = e1.u;
-  const NodeId b = e1.v;
-
-  EdgeIndex::HalfEdge half;
+Swap draw_jdd_preserving_from(const EdgeIndex& index, util::Rng& rng) {
+  const Edge ab = index.sample_half_edge(rng);
   if (rng.bernoulli(0.5)) {
-    // Partner (c,d) with d in b's degree class.
-    if (!index.sample_half_edge(index.node_class(b), rng, half)) return false;
-    const Edge& e2 = index.edge_at(half.slot);
-    const NodeId d = half.anchor_is_u ? e2.u : e2.v;
-    const NodeId c = half.anchor_is_u ? e2.v : e2.u;
-    swap = Swap{a, b, c, d};
-  } else {
-    // Partner (c,d) with c in a's degree class.
-    if (!index.sample_half_edge(index.node_class(a), rng, half)) return false;
-    const Edge& e2 = index.edge_at(half.slot);
-    const NodeId c = half.anchor_is_u ? e2.u : e2.v;
-    const NodeId d = half.anchor_is_u ? e2.v : e2.u;
-    swap = Swap{a, b, c, d};
+    const Edge dc = index.sample_class_half_edge(index.node_class(ab.v), rng);
+    return Swap{ab.u, ab.v, dc.v, dc.u};
   }
-  return true;
+  const Edge cd = index.sample_class_half_edge(index.node_class(ab.u), rng);
+  return Swap{ab.u, ab.v, cd.u, cd.v};
 }
 
 bool structurally_valid_in(const EdgeIndex& index, const Swap& s) {
@@ -93,17 +70,14 @@ struct TradeScratch {
 /// empty on either side, or the shuffle re-deals the original partition.
 bool draw_trade_from(const EdgeIndex& index, bool same_class, util::Rng& rng,
                      TradeScratch& trade) {
-  if (index.num_edges() < 2) return false;
-  const Edge e = index.edge_at(index.sample_edge(rng));
-  const NodeId u = rng.bernoulli(0.5) ? e.u : e.v;
+  const NodeId u = index.sample_half_edge(rng).u;
   NodeId v = u;
   if (same_class) {
     const auto& peers = index.nodes_in_class(index.node_class(u));
     if (peers.size() < 2) return false;
     v = peers[rng.uniform(peers.size())];
   } else {
-    const Edge f = index.edge_at(index.sample_edge(rng));
-    v = rng.bernoulli(0.5) ? f.u : f.v;
+    v = index.sample_half_edge(rng).u;
   }
   if (v == u) return false;
 
@@ -202,10 +176,9 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
       }
       continue;
     }
-    Swap swap{};
-    const bool drawn = d == 2 ? draw_jdd_preserving_from(index_, rng, swap)
-                              : draw_uniform_from(index_, rng, swap);
-    if (!drawn || !structurally_valid_in(index_, swap)) {
+    const Swap swap = d == 2 ? draw_jdd_preserving_from(index_, rng)
+                             : draw_uniform_from(index_, rng);
+    if (!structurally_valid_in(index_, swap)) {
       if (stats != nullptr) ++stats->rejected_structural;
       continue;
     }
@@ -245,8 +218,7 @@ bool RewiringEngine::propose_guided(const JddObjective& objective,
     }
   }
   if (v == u) return false;  // no matching neighbor
-  Edge other = index_.edge_at(index_.sample_edge(rng));
-  if (rng.bernoulli(0.5)) std::swap(other.u, other.v);
+  const Edge other = index_.sample_half_edge(rng);
   swap = Swap{u, v, other.u, other.v};
   return true;
 }
@@ -284,12 +256,9 @@ std::int64_t RewiringEngine::target_2k(
       continue;
     }
     Swap swap{};
-    const bool drawn = (rng.bernoulli(kGuidedFraction) &&
-                        propose_guided(objective, rng, swap)) ||
-                       draw_uniform_from(index_, rng, swap);
-    if (!drawn) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
+    if (!(rng.bernoulli(kGuidedFraction) &&
+          propose_guided(objective, rng, swap))) {
+      swap = draw_uniform_from(index_, rng);
     }
 
     // Prefetch pipeline (docs/parallel.md, "Prefetching in the proposal
@@ -333,10 +302,10 @@ std::int64_t RewiringEngine::target_2k(
 
 double RewiringEngine::likelihood_s() const noexcept {
   double s = 0.0;
-  for (const auto& e : index_.edges()) {
-    s += static_cast<double>(index_.degree(e.u)) *
-         static_cast<double>(index_.degree(e.v));
-  }
+  index_.for_each_edge([&](NodeId u, NodeId v) {
+    s += static_cast<double>(index_.degree(u)) *
+         static_cast<double>(index_.degree(v));
+  });
   return s;
 }
 
@@ -354,9 +323,8 @@ void RewiringEngine::explore_s(bool maximize, std::size_t budget,
        ++attempt) {
     if (index_.num_edges() < 2) break;
     if (stats != nullptr) ++stats->attempts;
-    Swap swap{};
-    if (!draw_uniform_from(index_, rng, swap) ||
-        !structurally_valid_in(index_, swap)) {
+    const Swap swap = draw_uniform_from(index_, rng);
+    if (!structurally_valid_in(index_, swap)) {
       if (stats != nullptr) ++stats->rejected_structural;
       continue;
     }
@@ -389,31 +357,14 @@ ThreeKRewirer::ThreeKRewirer(const Graph& start,
     : index_(start),
       state_(index_, dk::TrackLevel::full_three_k, &target) {}
 
-bool ThreeKRewirer::reindex(const Graph& g) {
-  if (g.num_nodes() != index_.num_nodes() ||
-      g.num_edges() != index_.num_edges()) {
-    return false;
-  }
-  for (const Edge& e : g.edges()) {
-    if (!index_.has_edge(e.u, e.v)) return false;
-  }
-  // Same edge set, hence the same frozen degrees: state_ stays bound to
-  // index_ and valid.
-  index_ = EdgeIndex(g);
-  return true;
-}
-
 bool ThreeKRewirer::draw_candidate(util::Rng& rng, Swap& swap) const {
-  return draw_jdd_preserving_from(index_, rng, swap) &&
-         structurally_valid_in(index_, swap);
+  swap = draw_jdd_preserving_from(index_, rng);
+  return structurally_valid_in(index_, swap);
 }
 
 void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
                               RewiringStats* stats,
                               const svc::RunContext& ctx) {
-  util::expects(state_.level() == dk::TrackLevel::swap_journal ||
-                    state_.level() == dk::TrackLevel::full_three_k,
-                "ThreeKRewirer::randomize: needs the wedge/triangle journal");
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   dk::SwapDelta delta;

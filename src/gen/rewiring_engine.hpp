@@ -1,6 +1,6 @@
 // The rewiring engine: high-throughput double-edge-swap machinery built
-// on the flat EdgeIndex (O(1) edge sampling, O(1) duplicate lookup,
-// degree-class buckets) and the incremental objectives in objective.hpp.
+// on the flat EdgeIndex (O(1) half-edge draws from the CSR rows, O(1)
+// duplicate lookup) and the incremental objectives in objective.hpp.
 //
 // Layering:
 //   * RewiringEngine      — 1K-frozen fast paths that never touch a
@@ -11,16 +11,16 @@
 //                           bookkeeping: ONE EdgeIndex holds the
 //                           adjacency; DkState binds to it for the
 //                           histogram bookkeeping (delta-journal API)
-//                           while the engine samples 2K-preserving swap
-//                           candidates from the same index's degree
-//                           buckets instead of rejection sampling.
-//                           Checkpointed runs carry one per chain
-//                           from leg to leg and re-derive only its
-//                           index (reindex).
+//                           while the engine draws 2K-preserving swap
+//                           candidates from the same index's rows
+//                           instead of rejection sampling.
+//
+// An engine built from graph() continues exactly as the live one would
+// (gen/checkpoint.hpp says why).
 //
 // The public entry points in rewiring.hpp are thin wrappers over these;
-// multi-chain runs are the leg driver's job (gen/checkpoint.hpp).  Chain
-// methods poll ctx.stop and report to ctx.progress every 1024 attempts.
+// multi-chain runs are the leg driver's job.  Chain methods poll
+// ctx.stop and report to ctx.progress every 1024 attempts.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,9 @@ class RewiringEngine {
   Graph graph() const { return index_.to_graph(); }
 
   /// dK-randomizing rewiring at options.d = 1 or 2 (degree-preserving
-  /// swaps; at d = 2 candidates come from the degree buckets, so every
-  /// structurally valid proposal already preserves the JDD).
+  /// swaps; at d = 2 the partner half-edge is drawn from the right
+  /// degree class, so every structurally valid proposal already
+  /// preserves the JDD).
   /// options.move selects the proposal mix (rewiring.hpp): Curveball
   /// trades are JDD-preserving by construction and the mixed-mode
   /// selector draw only happens when move == mixed, so swap-mode streams
@@ -58,7 +59,8 @@ class RewiringEngine {
                  const svc::RunContext& ctx = {});
 
   /// 2K-targeting 1K-preserving Metropolis rewiring, priced by a
-  /// JddObjective.  Returns the exact integer D2 after the run.
+  /// JddObjective built for the call.  Returns the exact integer D2
+  /// after the run.
   std::int64_t target_2k(const dk::JointDegreeDistribution& target,
                          const TargetingOptions& options, std::size_t budget,
                          util::Rng& rng, RewiringStats* stats,
@@ -93,14 +95,14 @@ inline void report_progress(const svc::RunContext& ctx,
                            .has_objective = has_objective});
 }
 
-/// 3K machinery: one EdgeIndex for adjacency + candidate selection,
-/// with a DkState bound to it for the wedge/triangle bookkeeping.
+/// 3K machinery: one EdgeIndex for adjacency + candidate draws, with a
+/// DkState bound to it for the wedge/triangle bookkeeping.
 class ThreeKRewirer {
  public:
   /// The level is what the modes read: randomize reads only the
-  /// journal, so swap_journal skips the 3K count that dominates
-  /// construction on hub graphs (full_three_k works too); exploration
-  /// reads only the S2/C̄ deltas (three_k_scalars).
+  /// journal and exploration only the S2/C̄ deltas, so both build at
+  /// swap_journal, which skips the 3K count that dominates construction
+  /// on hub graphs (full_three_k works too).
   explicit ThreeKRewirer(
       const Graph& start,
       dk::TrackLevel level = dk::TrackLevel::full_three_k);
@@ -111,16 +113,8 @@ class ThreeKRewirer {
   // The bound DkState holds a pointer into index_, so the pair must
   // stay at a stable address (DkState already suppresses copy/move).
 
-  /// Replaces the index with EdgeIndex(g) when `g` holds exactly the
-  /// engine's current edge set, and returns false (changing nothing)
-  /// otherwise.  The 3K state is kept: the residual and D3 depend only
-  /// on the edge set and the target, and the new slot and bucket order is exactly that
-  /// of ThreeKRewirer(g), so the engine then walks the same chain as a
-  /// fresh build from `g`, without the build.  O(m).
-  bool reindex(const Graph& g);
-
-  /// 3K-preserving randomization: bucket-drawn 2K-preserving candidates,
-  /// verified exactly against the wedge/triangle delta journal.
+  /// 3K-preserving randomization: 2K-preserving candidates, verified
+  /// exactly against the wedge/triangle delta journal.
   void randomize(std::size_t budget, util::Rng& rng, RewiringStats* stats,
                  const svc::RunContext& ctx = {});
 

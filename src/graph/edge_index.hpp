@@ -2,27 +2,33 @@
 // degree-frozen rewiring process.
 //
 // Every rewiring process in this library performs degree-preserving
-// double-edge swaps, so node degrees are frozen for the lifetime of a
-// run.  That invariant buys three things a general-purpose Graph cannot
-// offer:
+// moves, so node degrees are frozen for the lifetime of a run.  That
+// invariant buys what a general-purpose Graph cannot offer:
 //
-//   * CSR adjacency with FIXED row extents: a swap replaces neighbor
-//     entries in place (no vector erase/push), O(1) with the positions
-//     kept in the edge hash;
-//   * an open-addressing edge hash (pair key -> edge slot; the slot's
-//     record holds both adjacency positions) for O(1) duplicate-edge
-//     lookup and O(1) swap commits.  It is the FlatEdgeHash every Graph
-//     also keeps (graph/flat_edge_hash.hpp), sized once here for m;
-//   * per-degree-class half-edge buckets: a 2K-preserving swap partner
-//     (deg(d) = deg(b) or deg(c) = deg(a)) is drawn directly from the
-//     bucket of the required degree class instead of rejection-sampled
-//     from the full edge set.
+//   * CSR adjacency with FIXED row extents: each cell belongs to its
+//     row's node for the index's lifetime, so a cell names a half-edge
+//     (owner, neighbor), and each cell knows its twin — the edge's cell
+//     in the neighbor's row.  A swap rewrites four neighbor entries and
+//     their twins in place (no vector erase/push);
+//   * an open-addressing edge hash (pair key -> the edge's cell in its
+//     lower endpoint's row) for O(1) duplicate-edge lookup and O(1) swap
+//     commits.  It is the FlatEdgeHash every Graph also keeps
+//     (graph/flat_edge_hash.hpp), sized once here for m.
+//
+// Proposal draws read the rows only: a uniform edge is a uniform cell,
+// and a half-edge anchored in degree class c is a uniform cell of the
+// class's rows (every class-c node has exactly k_c cells).  So the draws
+// are a function of the rows alone, and EdgeIndex(to_graph()) — which
+// copies the rows verbatim — draws exactly as the index it was exported
+// from.
 //
 // Beyond the O(1) whole-swap commit (apply_swap), the index supports
 // single-edge remove_edge/add_edge in O(1): rows carry a current size
 // that may transiently drop below the frozen capacity while a move is
-// mid-flight.  The trade moves (gen/rewiring_engine.hpp) use this path;
-// dk::DkState prices and commits whole swaps only.
+// mid-flight (removal swap-pops inside the row, insertion appends), and
+// draws are only legal when every row is full again.  The trade moves
+// (gen/rewiring_engine.hpp) use this path; dk::DkState prices and
+// commits whole swaps only.
 //
 // Degrees are compressed to dense class ids (sorted by degree) so
 // objective code can use flat matrices instead of hash maps.
@@ -42,18 +48,13 @@ class EdgeIndex {
  public:
   static constexpr std::uint32_t npos = 0xffffffffu;
 
-  /// Half-edge handle: an edge slot plus which endpoint anchors it.
-  struct HalfEdge {
-    std::uint32_t slot = 0;
-    bool anchor_is_u = false;
-  };
-
+  /// Copies g's rows verbatim (neighbors(v) == g.neighbors(v)).
   explicit EdgeIndex(const Graph& g);
 
   NodeId num_nodes() const noexcept {
     return static_cast<NodeId>(degree_.size());
   }
-  std::size_t num_edges() const noexcept { return edges_.size(); }
+  std::size_t num_edges() const noexcept { return hash_.size(); }
 
   /// Frozen degree of v (degrees never change under double-edge swaps);
   /// also the fixed capacity of v's CSR row.
@@ -76,13 +77,16 @@ class EdgeIndex {
   const std::vector<NodeId>& nodes_in_class(std::uint32_t c) const {
     return class_nodes_[c];
   }
-  /// Number of half-edge handles currently in class c's bucket.
-  std::size_t bucket_size(std::uint32_t c) const {
-    return buckets_[c].size();
-  }
 
-  const Edge& edge_at(std::uint32_t slot) const { return edges_[slot]; }
-  const std::vector<Edge>& edges() const noexcept { return edges_; }
+  /// Calls f(u, v) once per live edge, with u < v, in row-major order.
+  template <typename F>
+  void for_each_edge(F&& f) const {
+    for (NodeId u = 0; u < num_nodes(); ++u) {
+      for (const NodeId v : neighbors(u)) {
+        if (u < v) f(u, v);
+      }
+    }
+  }
   bool has_edge(NodeId u, NodeId v) const {
     return hash_.contains(util::pair_key(u, v));
   }
@@ -90,9 +94,23 @@ class EdgeIndex {
     return {adj_.data() + row_offset_[v], row_size_[v]};
   }
 
-  /// Uniform random edge slot (requires num_edges() > 0).
-  std::uint32_t sample_edge(util::Rng& rng) const {
-    return static_cast<std::uint32_t>(rng.uniform(edges_.size()));
+  /// Uniform random half-edge (owner, neighbor): a uniform cell, so each
+  /// edge comes up in each orientation with probability 1/(2m).
+  /// Requires num_edges() > 0 and every row full (no move mid-flight).
+  Edge sample_half_edge(util::Rng& rng) const {
+    const std::size_t cell = rng.uniform(adj_.size());
+    return Edge{cell_owner_[cell], adj_[cell]};
+  }
+
+  /// Uniform random half-edge (anchor, neighbor) anchored at a node of
+  /// degree class c: uniform(n_c·k_c) picks a class-c node and one of
+  /// its k_c cells.  Requires k_c > 0 and every row full.
+  Edge sample_class_half_edge(std::uint32_t cls, util::Rng& rng) const {
+    const std::uint32_t k = class_degree_[cls];
+    const std::vector<NodeId>& nodes = class_nodes_[cls];
+    const std::size_t pick = rng.uniform(nodes.size() * k);
+    const NodeId anchor = nodes[pick / k];
+    return Edge{anchor, adj_[row_offset_[anchor] + pick % k]};
   }
 
   /// Prefetches the edge-hash probe group of pair (u,v), ahead of a
@@ -102,18 +120,14 @@ class EdgeIndex {
     hash_.prefetch(util::pair_key(u, v));
   }
 
-  /// Uniform random half-edge anchored at a node of degree class c;
-  /// false if the class has no incident edges.
-  bool sample_half_edge(std::uint32_t cls, util::Rng& rng,
-                        HalfEdge& out) const;
-
-  /// Applies the double-edge swap (a,b),(c,d) -> (a,d),(c,b) in O(1).
-  /// Preconditions: both edges exist, all four endpoints are distinct,
-  /// and neither replacement edge is present.
+  /// Applies the double-edge swap (a,b),(c,d) -> (a,d),(c,b) in O(1):
+  /// each endpoint keeps its cell and only the neighbor stored there
+  /// changes, so the rows after a swap do not depend on how it was
+  /// labeled.  Preconditions: both edges exist, all four endpoints are
+  /// distinct, and neither replacement edge is present.
   void apply_swap(NodeId a, NodeId b, NodeId c, NodeId d);
 
-  /// Removes edge (u,v) in O(1): swap-and-pop in both CSR rows, the
-  /// dense edge array and the half-edge buckets.
+  /// Removes edge (u,v) in O(1): swap-and-pop in both CSR rows.
   /// Precondition: the edge exists.
   void remove_edge(NodeId u, NodeId v);
 
@@ -122,29 +136,15 @@ class EdgeIndex {
   /// their frozen capacity (only degree-restoring insertions are legal).
   void add_edge(NodeId u, NodeId v);
 
-  /// Exports the current edge set as a Graph.
+  /// Exports the live rows as a Graph (Graph::from_rows), so that
+  /// EdgeIndex(to_graph()) has exactly these rows.
   Graph to_graph() const;
 
  private:
-  struct EdgeRecord {
-    std::uint32_t pos_u = 0;  // adj_ index of v within u's row
-    std::uint32_t pos_v = 0;  // adj_ index of u within v's row
-    std::uint32_t bucket_pos_u = 0;  // position of the u-anchored half-edge
-    std::uint32_t bucket_pos_v = 0;  // ... and the v-anchored one
-  };
+  // The EdgeIndex tests audit the cell invariants below directly.
+  friend struct EdgeIndexAudit;
 
-  static std::uint64_t half_edge_handle(std::uint32_t slot, bool anchor_is_u) {
-    return (static_cast<std::uint64_t>(slot) << 1) |
-           static_cast<std::uint64_t>(anchor_is_u);
-  }
-
-  void bucket_insert(std::uint32_t slot, bool anchor_is_u);
-  void bucket_remove(std::uint32_t slot, bool anchor_is_u);
-  std::uint32_t& bucket_backref(std::uint32_t slot, bool anchor_is_u) {
-    return anchor_is_u ? records_[slot].bucket_pos_u
-                       : records_[slot].bucket_pos_v;
-  }
-  void remove_row_entry(NodeId anchor, std::uint32_t cell);
+  void remove_row_entry(std::uint32_t cell);
 
   std::vector<std::uint32_t> degree_;      // frozen degrees = row capacities
   std::vector<std::uint32_t> row_size_;    // live row fill counts
@@ -154,14 +154,9 @@ class EdgeIndex {
 
   std::vector<std::size_t> row_offset_;  // CSR offsets (fixed extents)
   std::vector<NodeId> adj_;              // mutable neighbor entries
-  std::vector<std::uint32_t> adj_slot_;  // edge slot behind each adj_ cell
-
-  std::vector<Edge> edges_;        // dense, O(1) uniform sampling
-  std::vector<EdgeRecord> records_;
-  FlatEdgeHash hash_;
-
-  // buckets_[c]: half-edge handles anchored at class-c nodes.
-  std::vector<std::vector<std::uint64_t>> buckets_;
+  std::vector<NodeId> cell_owner_;       // the (fixed) node of each cell
+  std::vector<std::uint32_t> twin_;      // the edge's cell in the other row
+  FlatEdgeHash hash_;  // edge -> its cell in the lower endpoint's row
 };
 
 }  // namespace orbis

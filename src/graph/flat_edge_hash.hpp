@@ -1,5 +1,6 @@
-// Flat hash map from packed edge keys to edge slots over util::FlatTable
-// (see flat_table.hpp): the edge index of both Graph and EdgeIndex.
+// Flat hash map from packed edge keys to 32-bit payloads over
+// util::FlatTable (see flat_table.hpp): the edge index of both Graph
+// (payload: the edge's slot) and EdgeIndex (its lower endpoint's cell).
 // Keys are util::pair_key values, never 0 for a non-loop edge, so
 // key-sentinel occupancy applies.  The table grows before an insert
 // that would push its load past 1/2; EdgeIndex sizes it for its m edges
@@ -38,6 +39,8 @@ class FlatEdgeHash {
     util::ensures(i != table_.npos, "FlatEdgeHash::erase: key not found");
     table_.erase_at(i);
   }
+
+  std::size_t size() const noexcept { return table_.size(); }
 
   /// Slot for key, or npos.
   std::uint32_t find(std::uint64_t key) const {

@@ -1,6 +1,8 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 namespace orbis {
 
@@ -37,6 +39,47 @@ Graph Graph::from_edges_dedup(NodeId n, std::span<const Edge> edges,
     g.adjacency_[e.u].push_back(e.v);
     g.adjacency_[e.v].push_back(e.u);
   }
+  return g;
+}
+
+Graph Graph::from_rows(std::vector<std::vector<NodeId>> rows) {
+  util::expects(rows.size() <= std::numeric_limits<NodeId>::max(),
+                "Graph::from_rows: too many rows");
+  const auto n = static_cast<NodeId>(rows.size());
+  std::size_t cells = 0;
+  for (const auto& row : rows) cells += row.size();
+
+  Graph g;
+  g.edges_.reserve(cells / 2);
+  g.edge_index_ = FlatEdgeHash(cells / 2);
+  // Each edge enters from its lower endpoint's row, which comes first,
+  // and must then be met exactly once in the higher endpoint's.
+  constexpr const char* kOneSided =
+      "lists a neighbor whose row does not list it back";
+  std::vector<std::uint8_t> met_back;
+  met_back.reserve(cells / 2);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : rows[u]) {
+      if (v >= n) throw RowError(u, "neighbor id out of range");
+      if (v == u) throw RowError(u, "self-loop");
+      if (v > u) {
+        const auto slot = static_cast<std::uint32_t>(g.edges_.size());
+        if (!g.edge_index_.insert(util::pair_key(u, v), slot)) {
+          throw RowError(u, "neighbor listed twice");
+        }
+        g.edges_.push_back(Edge{u, v});
+        met_back.push_back(0);
+        continue;
+      }
+      const std::uint32_t slot = g.edge_index_.find(util::pair_key(u, v));
+      if (slot == FlatEdgeHash::npos) throw RowError(u, kOneSided);
+      if (met_back[slot]++ != 0) throw RowError(u, "neighbor listed twice");
+    }
+  }
+  for (std::size_t slot = 0; slot < met_back.size(); ++slot) {
+    if (met_back[slot] == 0) throw RowError(g.edges_[slot].u, kOneSided);
+  }
+  g.adjacency_ = std::move(rows);
   return g;
 }
 

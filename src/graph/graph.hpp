@@ -6,12 +6,13 @@
 //   * O(deg) edge removal (swap-erase in adjacency; O(1) in the edge array),
 //   * cache-friendly neighbor iteration (contiguous adjacency vectors).
 //
-// Every graph read from a file or built in bulk (io::read_edge_list,
-// Multigraph::to_simple, the matching repair, EdgeIndex::to_graph) goes
-// through one bulk build, from_edges_dedup, which sizes each adjacency
-// row from a degree count and fills the rows in edge order: neighbors(v)
-// lists v's edges in the order they were given (until a remove_edge
-// swap-erases).
+// Every graph read from an edge list or built in bulk (io::read_edge_list,
+// Multigraph::to_simple, the matching repair) goes through one bulk
+// build, from_edges_dedup, which sizes each adjacency row from a degree
+// count and fills the rows in edge order: neighbors(v) lists v's edges
+// in the order they were given (until a remove_edge swap-erases).  A
+// graph whose rows carry state (EdgeIndex::to_graph, a checkpoint's
+// rows) is built by from_rows, which keeps the rows verbatim.
 //
 // The graph is *simple*: no self-loops, no parallel edges.  Construction
 // algorithms that naturally produce loops/multi-edges (pseudograph,
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/flat_edge_hash.hpp"
@@ -53,6 +55,21 @@ class Graph {
   /// noisy inputs), appending them in order to `*skipped` if given.
   static Graph from_edges_dedup(NodeId n, std::span<const Edge> edges,
                                 std::vector<Edge>* skipped = nullptr);
+
+  /// What from_rows throws for rows that are not a simple graph's: the
+  /// first defective row found, and (in what()) why.
+  struct RowError : std::invalid_argument {
+    RowError(NodeId bad_row, const char* why)
+        : std::invalid_argument(why), row(bad_row) {}
+    NodeId row;
+  };
+
+  /// Builds from adjacency rows, kept verbatim: neighbors(v) is rows[v]
+  /// as given, and edges() lists each edge once, from its lower
+  /// endpoint's row, in row-major order.  Throws RowError for an id out
+  /// of range, a self-loop, a neighbor listed twice, or an edge listed
+  /// in one of its two rows only.
+  static Graph from_rows(std::vector<std::vector<NodeId>> rows);
 
   NodeId num_nodes() const noexcept {
     return static_cast<NodeId>(adjacency_.size());

@@ -7,6 +7,9 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "io/atomic_file.hpp"
 #include "util/errors.hpp"
@@ -15,16 +18,10 @@ namespace orbis::io {
 
 namespace {
 
-// v2 adds the move kind, the replica-exchange ladder block and a
-// per-chain temperature (as IEEE-754 bits, so the round-trip is exact).
-// v3 adds the pipeline records (gen/pipeline.hpp): the run's final d and
-// the pipeline's seeding Rng, so a d = 3 run can checkpoint its 2K
-// stage.  Older files remain readable: v1 records default to a
-// non-laddered swap-only run, and v1/v2 files are final-stage
-// checkpoints (final_d = d), which is exactly what every such run was.
-// v4 drops the v1-v3 record that named one of two 2K objective
-// storages: both walked bit-identical chains, so an older file's word
-// is validated and then ignored.
+// v5 stores each chain's graph as its adjacency rows (the chain's
+// canonical form, gen/checkpoint.hpp) and its stats in five slots.
+// Checkpoints are resume files for runs in flight, not archives: older
+// versions are rejected by name.
 constexpr const char* kHeader = "# orbis checkpoint v";
 
 using Words = std::array<std::uint64_t, 4>;
@@ -61,18 +58,20 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
     write_words(out, "rng", chain.rng_state);
     out << "temperature_bits "
         << std::bit_cast<std::uint64_t>(chain.temperature) << '\n';
-    // The sixth stats slot counted speculative re-evaluations, which no
-    // chain makes any more; every serial chain always wrote 0 there, so
-    // writing 0 keeps the six-slot record every version reads.
     const gen::RewiringStats& s = chain.stats;
     out << "stats " << s.attempts << ' ' << s.accepted << ' '
         << s.rejected_structural << ' ' << s.rejected_constraint << ' '
-        << s.rejected_objective << " 0\n";
+        << s.rejected_objective << '\n';
     out << "distance " << chain.distance << '\n';
-    out << "graph " << chain.graph.num_nodes() << ' '
-        << chain.graph.num_edges() << '\n';
-    for (const Edge& e : chain.graph.edges()) {
-      out << e.u << ' ' << e.v << '\n';
+    const Graph& g = chain.graph;
+    out << "graph " << g.num_nodes() << ' ' << g.num_edges() << '\n';
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const char* separator = "";
+      for (const NodeId w : g.neighbors(v)) {
+        out << separator << w;
+        separator = " ";
+      }
+      out << '\n';
     }
     out << "end chain\n";
   }
@@ -88,9 +87,16 @@ class CheckpointParser {
       : in_(in), path_(std::move(path)) {}
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError("checkpoint " + path_ + " line " +
-                     std::to_string(line_number_) + ": " + what);
+    fail_at(line_number_, what);
   }
+  [[noreturn]] void fail_at(std::size_t line,
+                            const std::string& what) const {
+    throw ParseError("checkpoint " + path_ + " line " +
+                     std::to_string(line) + ": " + what);
+  }
+
+  /// Number of the line last read.
+  std::size_t line_number() const noexcept { return line_number_; }
 
   /// Next line, or a ParseError complaining about truncation — inside a
   /// checkpoint every line is mandatory, so EOF mid-structure is always
@@ -185,33 +191,49 @@ class CheckpointParser {
   std::size_t line_number_ = 0;
 };
 
+/// The `graph N M` record and its N row lines.  Rows are appended as
+/// they parse, so neither count ever sizes memory: a hostile count is a
+/// torn file (ParseError at EOF or at the first line that is not a row).
 Graph read_graph(CheckpointParser& parser) {
   std::uint64_t header[2] = {0, 0};
   parser.keyed_u64s("graph", header, 2);
+  const std::size_t header_line = parser.line_number();
   const std::uint64_t nodes = header[0];
   const std::uint64_t edges = header[1];
   if (nodes > std::numeric_limits<NodeId>::max()) {
     parser.fail("node count out of range");
   }
-  // Edges are appended as they are parsed: the count in the file never
-  // sizes memory, so a hostile count fails at EOF as a ParseError.
-  Graph g(static_cast<NodeId>(nodes));
-  for (std::uint64_t i = 0; i < edges; ++i) {
-    const std::string& line = parser.next_line("edge line");
+  if (edges > nodes * (nodes - 1) / 2) parser.fail("edge count out of range");
+  std::vector<std::vector<NodeId>> rows;
+  std::uint64_t cells = 0;
+  for (std::uint64_t v = 0; v < nodes; ++v) {
+    const std::string& line = parser.next_line("adjacency row");
+    std::vector<NodeId>& row = rows.emplace_back();
     std::istringstream fields(line);
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    std::string extra;
-    if (!(fields >> u >> v) || (fields >> extra)) {
-      parser.fail("expected edge 'u v', got: " + line);
+    std::uint64_t id = 0;
+    while (fields >> id) {
+      if (id >= nodes) parser.fail("neighbor id out of range");
+      row.push_back(static_cast<NodeId>(id));
     }
-    if (u >= nodes || v >= nodes) parser.fail("edge endpoint out of range");
-    if (u == v) parser.fail("self-loop in checkpoint graph");
-    if (!g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v))) {
-      parser.fail("duplicate edge in checkpoint graph");
+    if (!fields.eof()) parser.fail("expected neighbor ids, got: " + line);
+    cells += row.size();
+    if (cells > 2 * edges) {
+      parser.fail("rows hold more than the 2M = " +
+                  std::to_string(2 * edges) + " cells the record declares");
     }
   }
-  return g;
+  if (cells != 2 * edges) {
+    parser.fail_at(header_line, "rows hold " + std::to_string(cells) +
+                                    " cells, not the 2M = " +
+                                    std::to_string(2 * edges) + " declared");
+  }
+  try {
+    return Graph::from_rows(std::move(rows));
+  } catch (const Graph::RowError& error) {
+    parser.fail_at(header_line + 1 + error.row,
+                   "row of node " + std::to_string(error.row) + ": " +
+                       error.what());
+  }
 }
 
 }  // namespace
@@ -229,66 +251,55 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
 
   const std::string& header = parser.next_line("checkpoint header");
   const std::string prefix = kHeader;
-  const int version =
-      header.size() == prefix.size() + 1 && header.starts_with(prefix)
-          ? header.back() - '0'
-          : 0;
-  if (version < 1 || version > 4) {
-    parser.fail("expected '" + prefix + "1' to '" + prefix + "4', got: " +
-                header);
+  const std::string current =
+      prefix + std::to_string(gen::RunCheckpoint::kVersion);
+  if (header != current) {
+    if (header.starts_with(prefix)) {
+      parser.fail("checkpoint version v" + header.substr(prefix.size()) +
+                  " is not supported: this build reads only " + current);
+    }
+    parser.fail("expected '" + current + "', got: " + header);
   }
   gen::RunCheckpoint state;
   const std::uint64_t d = parser.keyed_u64("d");
   if (d != 2 && d != 3) parser.fail("d must be 2 or 3");
   state.d = static_cast<int>(d);
-  state.final_d = state.d;
-  if (version >= 3) {
-    const std::uint64_t final_d = parser.keyed_u64("final_d");
-    if (final_d != 2 && final_d != 3) parser.fail("final_d must be 2 or 3");
-    if (final_d < d) parser.fail("final_d must not be below d");
-    state.final_d = static_cast<int>(final_d);
-    parser.keyed_u64s("pipeline_rng", state.pipeline_rng.data(), 4);
-    if (all_zero(state.pipeline_rng) && state.d < state.final_d) {
-      parser.fail("all-zero pipeline rng state before the final stage");
-    }
+  const std::uint64_t final_d = parser.keyed_u64("final_d");
+  if (final_d != 2 && final_d != 3) parser.fail("final_d must be 2 or 3");
+  if (final_d < d) parser.fail("final_d must not be below d");
+  state.final_d = static_cast<int>(final_d);
+  parser.keyed_u64s("pipeline_rng", state.pipeline_rng.data(), 4);
+  if (all_zero(state.pipeline_rng) && state.d < state.final_d) {
+    parser.fail("all-zero pipeline rng state before the final stage");
   }
   state.budget = parser.keyed_u64("budget");
   state.checkpoint_every = parser.keyed_u64("every");
-  if (version <= 3) {
-    const std::string backend = parser.keyed_word("backend");
-    if (backend != "auto" && backend != "automatic" && backend != "dense" &&
-        backend != "sparse") {
-      parser.fail("unknown backend: " + backend);
-    }
+  const std::string move = parser.keyed_word("move");
+  try {
+    state.move = gen::parse_move_kind(move);
+  } catch (const std::invalid_argument&) {
+    parser.fail("unknown move kind: " + move);
   }
-  if (version >= 2) {
-    const std::string move = parser.keyed_word("move");
-    try {
-      state.move = gen::parse_move_kind(move);
-    } catch (const std::invalid_argument&) {
-      parser.fail("unknown move kind: " + move);
+  std::uint64_t ladder[2] = {0, 0};
+  parser.keyed_u64s("ladder", ladder, 2);
+  state.exchange_every = ladder[0];
+  if (ladder[1] > 1) parser.fail("ladder adaptive flag must be 0 or 1");
+  state.adaptive = ladder[1] != 0;
+  if (state.exchange_every > 0) {
+    if (state.checkpoint_every > 0 &&
+        state.checkpoint_every % state.exchange_every != 0) {
+      parser.fail("exchange cadence must divide the checkpoint cadence");
     }
-    std::uint64_t ladder[2] = {0, 0};
-    parser.keyed_u64s("ladder", ladder, 2);
-    state.exchange_every = ladder[0];
-    if (ladder[1] > 1) parser.fail("ladder adaptive flag must be 0 or 1");
-    state.adaptive = ladder[1] != 0;
-    if (state.exchange_every > 0) {
-      if (state.checkpoint_every > 0 &&
-          state.checkpoint_every % state.exchange_every != 0) {
-        parser.fail("exchange cadence must divide the checkpoint cadence");
-      }
-      parser.keyed_u64s("exchange_rng", state.exchange_rng.data(), 4);
-      if (all_zero(state.exchange_rng)) {
-        parser.fail("all-zero exchange rng state");
-      }
-      std::uint64_t exchanges[2] = {0, 0};
-      parser.keyed_u64s("exchanges", exchanges, 2);
-      state.exchange_attempted = exchanges[0];
-      state.exchange_accepted = exchanges[1];
-      if (state.exchange_accepted > state.exchange_attempted) {
-        parser.fail("accepted exchanges exceed attempted exchanges");
-      }
+    parser.keyed_u64s("exchange_rng", state.exchange_rng.data(), 4);
+    if (all_zero(state.exchange_rng)) {
+      parser.fail("all-zero exchange rng state");
+    }
+    std::uint64_t exchanges[2] = {0, 0};
+    parser.keyed_u64s("exchanges", exchanges, 2);
+    state.exchange_attempted = exchanges[0];
+    state.exchange_accepted = exchanges[1];
+    if (state.exchange_accepted > state.exchange_attempted) {
+      parser.fail("accepted exchanges exceed attempted exchanges");
     }
   }
   const std::uint64_t chains = parser.keyed_u64("chains");
@@ -307,21 +318,18 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
     }
     parser.keyed_u64s("rng", chain.rng_state.data(), 4);
     if (all_zero(chain.rng_state)) parser.fail("all-zero rng state");
-    if (version >= 2) {
-      const std::uint64_t bits = parser.keyed_u64("temperature_bits");
-      chain.temperature = std::bit_cast<double>(bits);
-      if (std::isnan(chain.temperature) || chain.temperature < 0.0) {
-        parser.fail("chain temperature must be a non-negative number");
-      }
+    const std::uint64_t bits = parser.keyed_u64("temperature_bits");
+    chain.temperature = std::bit_cast<double>(bits);
+    if (std::isnan(chain.temperature) || chain.temperature < 0.0) {
+      parser.fail("chain temperature must be a non-negative number");
     }
-    std::uint64_t stats[6] = {0, 0, 0, 0, 0, 0};
-    parser.keyed_u64s("stats", stats, 6);
+    std::uint64_t stats[5] = {0, 0, 0, 0, 0};
+    parser.keyed_u64s("stats", stats, 5);
     chain.stats.attempts = stats[0];
     chain.stats.accepted = stats[1];
     chain.stats.rejected_structural = stats[2];
     chain.stats.rejected_constraint = stats[3];
     chain.stats.rejected_objective = stats[4];
-    // stats[5] is the retired slot (see the writer): read, discarded.
     chain.distance = parser.keyed_i64("distance");
     chain.graph = read_graph(parser);
     parser.expect_literal("end chain");

@@ -87,12 +87,8 @@ Followed churn(DkState& state, std::size_t count, util::Rng& rng) {
   while (done < count && guard++ < count * 200) {
     const auto& index = state.index();
     if (index.num_edges() < 2) break;
-    const auto i = rng.uniform(index.num_edges());
-    auto j = rng.uniform(index.num_edges() - 1);
-    if (j >= i) ++j;
-    Edge e1 = index.edge_at(static_cast<std::uint32_t>(i));
-    Edge e2 = index.edge_at(static_cast<std::uint32_t>(j));
-    if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
+    const Edge e1 = index.sample_half_edge(rng);
+    const Edge e2 = index.sample_half_edge(rng);
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
     if (a == c || a == d || b == c || b == d) continue;
     if (index.has_edge(a, d) || index.has_edge(c, b)) continue;
@@ -163,8 +159,7 @@ TEST(DkState, SwapChurnStaysConsistentLevel3) {
 // summed scalar deltas must land on the recounted S2, C̄ and t_v.
 TEST(DkState, LongChurnMatchesRecountAcrossSeedsAndLevels) {
   for (const TrackLevel level :
-       {TrackLevel::three_k_scalars, TrackLevel::full_three_k,
-        TrackLevel::swap_journal}) {
+       {TrackLevel::full_three_k, TrackLevel::swap_journal}) {
     for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
       // A flat G(n,m) graph and a hub-heavy power-law one.
       for (const bool hubs : {false, true}) {
@@ -212,10 +207,8 @@ TEST(DkState, SharedIndexStaysEquivalentToReplayedGraph) {
     std::size_t done = 0;
     std::size_t guard = 0;
     while (done < 400 && guard++ < 400 * 200) {
-      const auto i = index.sample_edge(rng);
-      const auto j = index.sample_edge(rng);
-      Edge e1 = index.edge_at(i);
-      Edge e2 = index.edge_at(j);
+      Edge e1 = index.sample_half_edge(rng);
+      Edge e2 = index.sample_half_edge(rng);
       if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
       const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
       if (a == c || a == d || b == c || b == d) continue;
@@ -388,12 +381,17 @@ TEST(DkStateSwapOracle, EverySwapDeltaMatchesTheRecountOnAHubGraph) {
                       static_cast<double>(g.num_nodes());
 
   // Random proposals, oriented both ways: each JDD branch, the both-hold
-  // case and hub endpoints must all be seen.
+  // case and hub endpoints must all be seen, so the walk runs past 400
+  // checks until they have been.
   std::size_t bd_only = 0, ac_only = 0, both = 0, hub = 0, checked = 0;
-  for (std::size_t guard = 0; checked < 400 && guard < 200000; ++guard) {
+  const auto covered = [&] {
+    return checked >= 400 && bd_only > 0 && ac_only > 0 && both > 0 &&
+           hub > 0;
+  };
+  for (std::size_t guard = 0; !covered() && guard < 200000; ++guard) {
     const auto& index = oracle.index();
-    Edge e1 = index.edge_at(index.sample_edge(rng));
-    Edge e2 = index.edge_at(index.sample_edge(rng));
+    Edge e1 = index.sample_half_edge(rng);
+    Edge e2 = index.sample_half_edge(rng);
     if (rng.bernoulli(0.5)) std::swap(e1.u, e1.v);
     if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
@@ -409,7 +407,7 @@ TEST(DkStateSwapOracle, EverySwapDeltaMatchesTheRecountOnAHubGraph) {
     oracle.check(a, b, c, d, /*commit=*/rng.bernoulli(0.3));
     ++checked;
   }
-  EXPECT_EQ(checked, 400u);
+  EXPECT_GE(checked, 400u);
   EXPECT_GT(bd_only, 0u);
   EXPECT_GT(ac_only, 0u);
   EXPECT_GT(both, 0u);
@@ -429,7 +427,7 @@ TEST(DkStateSwapOracle, ForcedAdjacencyInsideTheFourEndpoints) {
   for (std::size_t guard = 0;
        (ac_adjacent < 150 || bd_adjacent < 150) && guard < 400000; ++guard) {
     const auto& index = oracle.index();
-    Edge e = index.edge_at(index.sample_edge(rng));
+    Edge e = index.sample_half_edge(rng);
     if (rng.bernoulli(0.5)) std::swap(e.u, e.v);
     const auto pick = [&](NodeId v) {
       const auto row = index.neighbors(v);
@@ -473,7 +471,7 @@ TEST(DkStateSwapOracle, CurveballTradeLegsMatchTheRecount) {
     // Half the pairs come off an edge, so that u~v pairs occur.
     NodeId u, v;
     if (rng.bernoulli(0.5)) {
-      const Edge e = index.edge_at(index.sample_edge(rng));
+      const Edge e = index.sample_half_edge(rng);
       u = e.u;
       v = e.v;
     } else {
@@ -539,14 +537,14 @@ TEST(DkStateSwapOracle, UnchangedTrianglesGiveExactlyZeroClusteringDelta) {
   // exactly, not a rounding residue of the ± terms: greedy C̄
   // exploration takes any nonzero value for an improvement.
   const Graph g = hub_graph(3);
-  DkState state(g, TrackLevel::three_k_scalars);
+  DkState state(g, TrackLevel::swap_journal);
   util::Rng rng(41);
   SwapDelta delta;
   std::size_t cancelling = 0;
   for (std::size_t guard = 0; guard < 400000 && cancelling < 100; ++guard) {
     const auto& index = state.index();
-    Edge e1 = index.edge_at(index.sample_edge(rng));
-    Edge e2 = index.edge_at(index.sample_edge(rng));
+    Edge e1 = index.sample_half_edge(rng);
+    Edge e2 = index.sample_half_edge(rng);
     if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
     if (a == c || a == d || b == c || b == d || index.has_edge(a, d) ||
@@ -606,8 +604,8 @@ TEST(DkState, SwapJournalLevelJournalsLikeFullThreeK) {
     std::size_t guard = 0;
     while (compared < 600 && guard++ < 600 * 200) {
       const auto& index = full.index();
-      const Edge e1 = index.edge_at(index.sample_edge(rng));
-      Edge e2 = index.edge_at(index.sample_edge(rng));
+      const Edge e1 = index.sample_half_edge(rng);
+      Edge e2 = index.sample_half_edge(rng);
       if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
       const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
       if (a == c || a == d || b == c || b == d) continue;

@@ -6,11 +6,45 @@
 #include <set>
 #include <vector>
 
+#include "gen/rewiring_engine.hpp"
 #include "graph/builders.hpp"
 #include "util/keys.hpp"
 #include "util/rng.hpp"
 
-namespace orbis::gen {
+namespace orbis {
+
+/// The cell invariants EdgeIndex's O(1) moves rely on: every live cell
+/// lies in its owner's row, its twin is the live cell in the neighbor's
+/// row that holds the owner (and points back), and the hash maps each
+/// live edge to its lower endpoint's cell, which is the lower of the
+/// edge's two cells because rows are laid out in node order.
+struct EdgeIndexAudit {
+  static void expect_cells_consistent(const EdgeIndex& index) {
+    std::size_t live = 0;
+    for (NodeId v = 0; v < index.num_nodes(); ++v) {
+      const std::size_t begin = index.row_offset_[v];
+      for (std::size_t cell = begin; cell < begin + index.row_size_[v];
+           ++cell, ++live) {
+        const NodeId w = index.adj_[cell];
+        const std::size_t twin = index.twin_[cell];
+        ASSERT_EQ(index.cell_owner_[cell], v) << "cell " << cell;
+        ASSERT_NE(w, v) << "cell " << cell;
+        ASSERT_LT(twin, index.adj_.size()) << "cell " << cell;
+        ASSERT_EQ(index.cell_owner_[twin], w) << "twin of cell " << cell;
+        ASSERT_LT(twin, index.row_offset_[w] + index.row_size_[w])
+            << "twin of cell " << cell << " is not live";
+        ASSERT_EQ(index.adj_[twin], v) << "twin of cell " << cell;
+        ASSERT_EQ(index.twin_[twin], cell) << "twin of cell " << cell;
+        ASSERT_EQ(index.hash_.find(util::pair_key(v, w)),
+                  std::min(cell, twin))
+            << "hash payload of edge " << v << "-" << w;
+      }
+    }
+    EXPECT_EQ(live, 2 * index.hash_.size()) << "stale hash entries";
+  }
+};
+
+namespace gen {
 namespace {
 
 Graph test_graph(std::uint64_t seed, NodeId n = 50, std::size_t m = 120) {
@@ -24,12 +58,15 @@ std::multiset<std::uint64_t> edge_keys(const std::vector<Edge>& edges) {
   return keys;
 }
 
-/// Full structural audit: hash, CSR adjacency, degree classes and the
-/// half-edge buckets must all describe the same edge set.
+/// Full structural audit: hash, CSR adjacency and degree classes must
+/// all describe the same edge set, and the cell invariants (fixed owners,
+/// twins, hash payloads) must hold.
 void expect_consistent(const EdgeIndex& index, const Graph& reference) {
+  EdgeIndexAudit::expect_cells_consistent(index);
   ASSERT_EQ(index.num_nodes(), reference.num_nodes());
   ASSERT_EQ(index.num_edges(), reference.num_edges());
-  EXPECT_EQ(edge_keys(index.edges()), edge_keys(reference.edges()));
+  EXPECT_EQ(edge_keys(index.to_graph().edges()),
+            edge_keys(reference.edges()));
 
   for (NodeId v = 0; v < reference.num_nodes(); ++v) {
     EXPECT_EQ(index.current_degree(v), reference.degree(v));
@@ -45,18 +82,6 @@ void expect_consistent(const EdgeIndex& index, const Graph& reference) {
     EXPECT_TRUE(index.has_edge(e.v, e.u));
   }
   EXPECT_FALSE(index.has_edge(0, 0));
-  // Bucket sizes must add up to one handle per live half-edge of each
-  // class (mutations swap-pop bucket entries, so drift would show here).
-  std::size_t handles = 0;
-  for (std::uint32_t c = 0; c < index.num_classes(); ++c) {
-    std::size_t expected_handles = 0;
-    for (const NodeId v : index.nodes_in_class(c)) {
-      expected_handles += index.current_degree(v);
-    }
-    EXPECT_EQ(index.bucket_size(c), expected_handles) << "class " << c;
-    handles += index.bucket_size(c);
-  }
-  EXPECT_EQ(handles, 2 * index.num_edges());
 }
 
 TEST(FlatEdgeHash, InsertFindEraseUnderCollisions) {
@@ -103,18 +128,74 @@ TEST(EdgeIndex, DegreeClassesAreSortedAndComplete) {
 }
 
 TEST(EdgeIndex, HalfEdgeBucketsAnchorTheRightClass) {
+  // The class draw reads the rows: uniform(n_c·k_c) picks a class-c
+  // node and one of its cells, so it must anchor in class c, name a
+  // live edge, and reach every one of the class's n_c·k_c half-edges.
   const auto g = test_graph(7);
   const EdgeIndex index(g);
   util::Rng rng(8);
   for (std::uint32_t c = 0; c < index.num_classes(); ++c) {
     if (index.class_degree(c) == 0) continue;
-    EdgeIndex::HalfEdge half;
-    for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(index.sample_half_edge(c, rng, half));
-      const Edge& e = index.edge_at(half.slot);
-      const NodeId anchor = half.anchor_is_u ? e.u : e.v;
-      EXPECT_EQ(index.node_class(anchor), c);
+    const std::size_t half_edges =
+        index.nodes_in_class(c).size() * index.class_degree(c);
+    std::set<std::uint64_t> seen;
+    for (std::size_t i = 0; i < 40 * half_edges; ++i) {
+      const Edge half = index.sample_class_half_edge(c, rng);
+      EXPECT_EQ(index.node_class(half.u), c);
+      EXPECT_TRUE(index.has_edge(half.u, half.v));
+      seen.insert((std::uint64_t{half.u} << 32) | half.v);
     }
+    EXPECT_EQ(seen.size(), half_edges) << "class " << c;
+  }
+}
+
+TEST(EdgeIndex, UniformHalfEdgesReachEveryCell) {
+  const auto g = test_graph(17);
+  const EdgeIndex index(g);
+  util::Rng rng(18);
+  std::set<std::uint64_t> seen;
+  for (std::size_t i = 0; i < 40 * 2 * g.num_edges(); ++i) {
+    const Edge half = index.sample_half_edge(rng);
+    EXPECT_TRUE(index.has_edge(half.u, half.v));
+    seen.insert((std::uint64_t{half.u} << 32) | half.v);
+  }
+  EXPECT_EQ(seen.size(), 2 * g.num_edges());
+}
+
+TEST(EdgeIndex, RowsAreCopiedVerbatimAndExportedVerbatim) {
+  // A graph whose rows are NOT in edge order (a removal swap-erased
+  // them): the index must keep them as they are, and to_graph must hand
+  // back the index's live rows, so that a rebuild has the same rows.
+  auto g = test_graph(19);
+  const Edge gone = g.edges()[3];
+  g.remove_edge(gone.u, gone.v);
+  g.add_edge(gone.u, gone.v);
+  EdgeIndex index(g);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto mine = index.neighbors(v);
+    const auto theirs = g.neighbors(v);
+    EXPECT_TRUE(std::equal(mine.begin(), mine.end(), theirs.begin(),
+                           theirs.end()))
+        << "row " << v;
+  }
+  util::Rng rng(20);
+  for (int i = 0; i < 200; ++i) {
+    const Edge e1 = index.sample_half_edge(rng);
+    const Edge e2 = index.sample_half_edge(rng);
+    if (e1.u == e2.u || e1.u == e2.v || e1.v == e2.u || e1.v == e2.v ||
+        index.has_edge(e1.u, e2.v) || index.has_edge(e2.u, e1.v)) {
+      continue;
+    }
+    index.apply_swap(e1.u, e1.v, e2.u, e2.v);
+  }
+  const Graph exported = index.to_graph();
+  const EdgeIndex rebuilt(exported);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto live = index.neighbors(v);
+    const auto copy = rebuilt.neighbors(v);
+    EXPECT_TRUE(
+        std::equal(live.begin(), live.end(), copy.begin(), copy.end()))
+        << "row " << v;
   }
 }
 
@@ -126,8 +207,8 @@ TEST(EdgeIndex, ApplySwapKeepsEveryStructureConsistent) {
 
   std::size_t performed = 0;
   while (performed < 300) {
-    const Edge e1 = index.edge_at(index.sample_edge(rng));
-    Edge e2 = index.edge_at(index.sample_edge(rng));
+    const Edge e1 = index.sample_half_edge(rng);
+    Edge e2 = index.sample_half_edge(rng);
     if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
     if (a == c || a == d || b == c || b == d) continue;
@@ -144,9 +225,9 @@ TEST(EdgeIndex, ApplySwapKeepsEveryStructureConsistent) {
   EXPECT_TRUE(index.to_graph() == reference);
 }
 
-// Single-edge mutations (the DkState path): swaps decomposed into
-// remove/remove/add/add must leave every structure — rows, hash, dense
-// edge array, buckets — identical to a Graph replaying the same ops.
+// Single-edge mutations (the trade path): swaps decomposed into
+// remove/remove/add/add must leave every structure — rows, twins,
+// hash — consistent with a Graph replaying the same ops.
 TEST(EdgeIndex, RemoveAddMutationsKeepEveryStructureConsistent) {
   for (const std::uint64_t seed : {3ull, 21ull}) {
     const auto g = test_graph(seed);
@@ -157,8 +238,8 @@ TEST(EdgeIndex, RemoveAddMutationsKeepEveryStructureConsistent) {
     std::size_t performed = 0;
     std::size_t guard = 0;
     while (performed < 300 && guard++ < 300 * 100) {
-      const Edge e1 = index.edge_at(index.sample_edge(rng));
-      Edge e2 = index.edge_at(index.sample_edge(rng));
+      const Edge e1 = index.sample_half_edge(rng);
+      Edge e2 = index.sample_half_edge(rng);
       if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
       const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
       if (a == c || a == d || b == c || b == d) continue;
@@ -192,8 +273,8 @@ TEST(EdgeIndex, ApplySwapAndMutationsInterleave) {
 
   std::size_t performed = 0;
   while (performed < 200) {
-    const Edge e1 = index.edge_at(index.sample_edge(rng));
-    Edge e2 = index.edge_at(index.sample_edge(rng));
+    const Edge e1 = index.sample_half_edge(rng);
+    Edge e2 = index.sample_half_edge(rng);
     if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
     const NodeId a = e1.u, b = e1.v, c = e2.u, d = e2.v;
     if (a == c || a == d || b == c || b == d) continue;
@@ -215,10 +296,29 @@ TEST(EdgeIndex, ApplySwapAndMutationsInterleave) {
   expect_consistent(index, reference);
 }
 
+// Curveball trades swap-pop and append inside rows, many cells at a
+// time: the cell invariants must survive whole trade and mixed runs.
+TEST(EdgeIndex, TradesKeepEveryCellConsistent) {
+  for (const MoveKind move : {MoveKind::trade, MoveKind::mixed}) {
+    for (const int d : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << to_string(move) << " d=" << d);
+      RewiringEngine engine(test_graph(23, 60, 300));
+      RandomizeOptions options;
+      options.d = d;
+      options.move = move;
+      util::Rng rng(24);
+      RewiringStats stats;
+      engine.randomize(options, 2000, rng, &stats);
+      EXPECT_GT(stats.accepted, 0u);
+      EdgeIndexAudit::expect_cells_consistent(engine.index());
+    }
+  }
+}
+
 TEST(EdgeIndex, MutationPreconditionsThrow) {
   const auto g = test_graph(17);
   EdgeIndex index(g);
-  const Edge e = index.edge_at(0);
+  const Edge e = index.to_graph().edges()[0];
   EXPECT_THROW(index.add_edge(e.u, e.v), std::invalid_argument);  // exists
   EXPECT_THROW(index.add_edge(e.u, e.u), std::invalid_argument);  // loop
   index.remove_edge(e.u, e.v);
@@ -228,4 +328,5 @@ TEST(EdgeIndex, MutationPreconditionsThrow) {
 }
 
 }  // namespace
-}  // namespace orbis::gen
+}  // namespace gen
+}  // namespace orbis

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/matching.hpp"
@@ -59,9 +60,9 @@ class Recount {
       : classes_(index.num_classes()),
         current_(classes_ * classes_, 0),
         target_(classes_ * classes_, 0) {
-    for (const Edge& e : index.edges()) {
-      ++current_[at(index.node_class(e.u), index.node_class(e.v))];
-    }
+    index.for_each_edge([&](NodeId u, NodeId v) {
+      ++current_[at(index.node_class(u), index.node_class(v))];
+    });
     for (const auto& [key, count] : target.histogram().bins()) {
       const auto [k1, k2] = util::unpack_pair(key);
       const std::uint32_t c1 = index.class_of_degree(k1);
@@ -103,6 +104,19 @@ class Recount {
     return false;
   }
 
+  /// Every deviating bin (c1 <= c2), in (c1, c2) order.
+  std::vector<std::pair<std::size_t, std::size_t>> deviating_bins() const {
+    std::vector<std::pair<std::size_t, std::size_t>> bins;
+    for (std::size_t c1 = 0; c1 < classes_; ++c1) {
+      for (std::size_t c2 = c1; c2 < classes_; ++c2) {
+        if (current_[at(c1, c2)] != target_[at(c1, c2)]) {
+          bins.emplace_back(c1, c2);
+        }
+      }
+    }
+    return bins;
+  }
+
   std::int64_t current(std::size_t c1, std::size_t c2) const {
     return current_[at(c1, c2)];
   }
@@ -123,15 +137,22 @@ class Recount {
 };
 
 /// Checks the deviating set after a commit or revert (membership is
-/// refreshed only there, so it is stale between apply and either).
+/// refreshed only there, so it is stale between apply and either).  A
+/// sample is the rank-th deviating bin in (c1, c2) order for one
+/// uniform rank, whatever order the bins started deviating in.
 void expect_deviating_set_matches(const JddObjective& objective,
                                   const Recount& oracle, util::Rng& rng,
                                   int step) {
   ASSERT_EQ(objective.has_deviating_bin(), oracle.any_deviating())
       << "step " << step;
   if (!objective.has_deviating_bin()) return;
+  const auto bins = oracle.deviating_bins();
   for (int sample = 0; sample < 4; ++sample) {
+    util::Rng peek = util::Rng::from_state_words(rng.state_words());
+    const auto want = bins[peek.uniform(bins.size())];
     const DeviatingBin bin = objective.sample_deviating_bin(rng);
+    ASSERT_EQ(bin.c1, want.first) << "step " << step;
+    ASSERT_EQ(bin.c2, want.second) << "step " << step;
     ASSERT_LE(bin.c1, bin.c2) << "step " << step;
     const std::int64_t current = oracle.current(bin.c1, bin.c2);
     const std::int64_t target = oracle.target(bin.c1, bin.c2);

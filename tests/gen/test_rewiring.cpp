@@ -414,7 +414,7 @@ TEST(RandomizeReachability, TradesAtD1VisitTheWhole1KClass) {
   std::set<std::uint32_t> visited;
   for (int step = 0; step < 40000; ++step) {
     engine.randomize(options, 1, rng, nullptr);
-    visited.insert(edge_mask(engine.index().edges()));
+    visited.insert(edge_mask(engine.graph().edges()));
   }
   for (const std::uint32_t mask : visited) {
     EXPECT_EQ(one_k_class.count(mask), 1u) << "left the 1K class";
@@ -594,18 +594,152 @@ TEST(ThreeKRewirerHub, SpeculativeJournalHandlesHighDegreeHubs) {
   ASSERT_NO_THROW(targeter.state().verify_consistency());
 }
 
-/// FNV-1a over the edge list in Graph::edges() order, which is the
-/// engine's slot order: equal hashes mean the same edges in the same
-/// slots, so the chains that follow would draw the same proposals.
-std::uint64_t edge_hash(const Graph& g) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const Edge& e : g.edges()) {
-    for (const NodeId v : {e.u, e.v}) {
-      for (int byte = 0; byte < 4; ++byte) {
-        hash ^= (v >> (8 * byte)) & 0xffu;
-        hash *= 0x100000001b3ULL;
-      }
+// An engine rebuilt from graph() continues exactly as the live one: every
+// draw reads only the rows and the Rng, and every other piece of chain
+// state (the ΔD2 matrix, the 3K residual) is a function of the edge set.
+// That is what makes the leg driver cadence-free (gen/checkpoint.hpp).
+void expect_same_rows(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto ra = a.neighbors(v);
+    const auto rb = b.neighbors(v);
+    ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+        << "row " << v;
+  }
+}
+
+class RebuildEqualsLive : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // A power-law graph with hubs, so the degree classes and the
+    // deviating JDD bins are many and uneven.
+    topo::AsLevelOptions shape;
+    shape.num_nodes = 400;
+    shape.gamma = 2.1;
+    shape.max_degree_cap = 60;
+    util::Rng rng(31);
+    original_ = matching_1k(dk::DegreeDistribution::from_sequence(
+                                topo::power_law_degree_sequence(shape)),
+                            rng);
+    joint_ = dk::JointDegreeDistribution::from_graph(original_);
+    three_k_ = dk::ThreeKProfile::from_graph(original_);
+    start_1k_ =
+        matching_1k(dk::DegreeDistribution::from_graph(original_), rng);
+    start_2k_ = matching_2k(joint_, rng);
+  }
+
+  static util::Rng copy_of(const util::Rng& rng) {
+    return util::Rng::from_state_words(rng.state_words());
+  }
+
+  static constexpr std::size_t kBefore = 3000;  // N attempts, live only
+  static constexpr std::size_t kAfter = 3000;   // M attempts, both
+
+  Graph original_;
+  dk::JointDegreeDistribution joint_;
+  dk::ThreeKProfile three_k_;
+  Graph start_1k_;
+  Graph start_2k_;
+};
+
+TEST_F(RebuildEqualsLive, TwoKEngineRandomizingEveryMove) {
+  for (const MoveKind move :
+       {MoveKind::swap, MoveKind::trade, MoveKind::mixed}) {
+    for (const int d : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << to_string(move) << " d=" << d);
+      RandomizeOptions options;
+      options.d = d;
+      options.move = move;
+      RewiringEngine live(original_);
+      util::Rng rng(7);
+      live.randomize(options, kBefore, rng, nullptr);
+      RewiringEngine rebuilt(live.graph());
+      util::Rng rebuilt_rng = copy_of(rng);
+      RewiringStats live_stats, rebuilt_stats;
+      live.randomize(options, kAfter, rng, &live_stats);
+      rebuilt.randomize(options, kAfter, rebuilt_rng, &rebuilt_stats);
+      EXPECT_GT(live_stats.accepted, 0u);
+      EXPECT_EQ(live_stats, rebuilt_stats);
+      EXPECT_EQ(rng.state_words(), rebuilt_rng.state_words());
+      expect_same_rows(live.graph(), rebuilt.graph());
     }
+  }
+}
+
+TEST_F(RebuildEqualsLive, TwoKEngineTargeting) {
+  for (const MoveKind move : {MoveKind::swap, MoveKind::mixed}) {
+    SCOPED_TRACE(to_string(move));
+    TargetingOptions options;
+    options.move = move;
+    options.temperature = 1.0;
+    options.stop_distance = -1.0;  // keep walking at D2 = 0 too
+    RewiringEngine live(start_1k_);
+    util::Rng rng(8);
+    live.target_2k(joint_, options, kBefore, rng, nullptr);
+    RewiringEngine rebuilt(live.graph());
+    util::Rng rebuilt_rng = copy_of(rng);
+    RewiringStats live_stats, rebuilt_stats;
+    const std::int64_t live_d2 =
+        live.target_2k(joint_, options, kAfter, rng, &live_stats);
+    const std::int64_t rebuilt_d2 = rebuilt.target_2k(
+        joint_, options, kAfter, rebuilt_rng, &rebuilt_stats);
+    EXPECT_GT(live_stats.accepted, 0u);
+    EXPECT_EQ(live_d2, rebuilt_d2);
+    EXPECT_EQ(live_stats, rebuilt_stats);
+    EXPECT_EQ(rng.state_words(), rebuilt_rng.state_words());
+    expect_same_rows(live.graph(), rebuilt.graph());
+  }
+}
+
+TEST_F(RebuildEqualsLive, ThreeKEngineTargetingAndRandomizing) {
+  for (const MoveKind move : {MoveKind::swap, MoveKind::mixed}) {
+    SCOPED_TRACE(to_string(move));
+    TargetingOptions options;
+    options.move = move;
+    options.temperature = 2.0;
+    options.stop_distance = -1.0;
+    ThreeKRewirer live(start_2k_, three_k_);
+    util::Rng rng(9);
+    live.target(options, kBefore, rng, nullptr);
+    ThreeKRewirer rebuilt(live.graph(), three_k_);
+    util::Rng rebuilt_rng = copy_of(rng);
+    RewiringStats live_stats, rebuilt_stats;
+    const std::int64_t live_d3 =
+        live.target(options, kAfter, rng, &live_stats);
+    const std::int64_t rebuilt_d3 =
+        rebuilt.target(options, kAfter, rebuilt_rng, &rebuilt_stats);
+    EXPECT_GT(live_stats.accepted, 0u);
+    EXPECT_EQ(live_d3, rebuilt_d3);
+    EXPECT_EQ(live_stats, rebuilt_stats);
+    expect_same_rows(live.graph(), rebuilt.graph());
+  }
+  ThreeKRewirer live(original_, dk::TrackLevel::swap_journal);
+  util::Rng rng(10);
+  live.randomize(kBefore, rng, nullptr);
+  ThreeKRewirer rebuilt(live.graph(), dk::TrackLevel::swap_journal);
+  util::Rng rebuilt_rng = copy_of(rng);
+  RewiringStats live_stats, rebuilt_stats;
+  live.randomize(kAfter, rng, &live_stats);
+  rebuilt.randomize(kAfter, rebuilt_rng, &rebuilt_stats);
+  EXPECT_GT(live_stats.accepted, 0u);
+  EXPECT_EQ(live_stats, rebuilt_stats);
+  expect_same_rows(live.graph(), rebuilt.graph());
+}
+
+/// FNV-1a over the adjacency rows, in node order and row order: equal
+/// hashes mean the same rows, the chain's canonical form, so the chains
+/// that follow would draw the same proposals.
+std::uint64_t rows_hash(const Graph& g) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    mix(static_cast<std::uint32_t>(g.degree(v)));
+    for (const NodeId w : g.neighbors(v)) mix(w);
   }
   return hash;
 }
@@ -618,7 +752,7 @@ struct PinnedChain {
 
 void expect_pinned(const Graph& out, const RewiringStats& stats,
                    std::int64_t d3, const PinnedChain& pin) {
-  EXPECT_EQ(edge_hash(out), pin.hash) << std::hex << edge_hash(out);
+  EXPECT_EQ(rows_hash(out), pin.hash) << std::hex << rows_hash(out);
   EXPECT_EQ(stats.attempts, pin.stats.attempts);
   EXPECT_EQ(stats.accepted, pin.stats.accepted);
   EXPECT_EQ(stats.rejected_structural, pin.stats.rejected_structural);
@@ -636,9 +770,9 @@ std::int64_t d3_between(const Graph& g, const dk::ThreeKProfile& target) {
 }
 
 // Golden pins for the 3K chains on a hub-heavy power-law graph (n=2000,
-// max degree above 200).  The values were recorded before 3K pricing switched
-// to the equal-degree-pair pass; that pass prices every proposal exactly
-// as the old four-row scan did, so the chains must not move by a bit.
+// max degree above 200).  Recorded when proposal draws moved from edge
+// slots and half-edge buckets to the CSR rows; a change that keeps the
+// draws and the pricing must not move them by a bit.
 class HubChainGolden : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -670,11 +804,11 @@ TEST_F(HubChainGolden, Target3KIsPinned) {
   const Graph out = target_3k(start_, target_, options, rng, &stats, &d3);
   EXPECT_EQ(static_cast<std::int64_t>(d3), d3_between(out, target_));
   expect_pinned(out, stats, static_cast<std::int64_t>(d3),
-                {0x603a18236579e129ULL,
-                 {.attempts = 20000, .accepted = 4503,
-                  .rejected_structural = 10438, .rejected_constraint = 0,
-                  .rejected_objective = 5059},
-                 17338});
+                {0xede43c16ea703d46ULL,
+                 {.attempts = 20000, .accepted = 4599,
+                  .rejected_structural = 10376, .rejected_constraint = 0,
+                  .rejected_objective = 5025},
+                 17512});
 }
 
 TEST_F(HubChainGolden, MixedMoveTarget3KIsPinned) {
@@ -687,11 +821,11 @@ TEST_F(HubChainGolden, MixedMoveTarget3KIsPinned) {
   double d3 = 0.0;
   const Graph out = target_3k(start_, target_, options, rng, &stats, &d3);
   expect_pinned(out, stats, static_cast<std::int64_t>(d3),
-                {0x249bd7ed8bc589f9ULL,
-                 {.attempts = 4000, .accepted = 1029,
-                  .rejected_structural = 2119, .rejected_constraint = 0,
-                  .rejected_objective = 852},
-                 23000});
+                {0x3b5a5a10ea157a5aULL,
+                 {.attempts = 4000, .accepted = 1030,
+                  .rejected_structural = 2151, .rejected_constraint = 0,
+                  .rejected_objective = 819},
+                 23702});
 }
 
 TEST_F(HubChainGolden, Randomize3KIsPinned) {
@@ -702,19 +836,19 @@ TEST_F(HubChainGolden, Randomize3KIsPinned) {
   RewiringStats stats;
   const Graph out = randomize(original_, options, rng, &stats);
   expect_pinned(out, stats, d3_between(out, target_),
-                {0x6b1dbcce8fb42165ULL,
-                 {.attempts = 20000, .accepted = 2812,
-                  .rejected_structural = 10574, .rejected_constraint = 6614,
+                {0x138a93afeb87b226ULL,
+                 {.attempts = 20000, .accepted = 2765,
+                  .rejected_structural = 10422, .rejected_constraint = 6813,
                   .rejected_objective = 0},
                  0});
 }
 
 // Golden pins for the greedy S2/C̄ exploration chains (paper §4.3) on the
-// same hub graph, recorded before DkState stopped storing S2 and C̄.
-// Each case pins the output's slot order, the stats, its D3 against the
-// original and the exact bits of its objective_value: the chain accepts
-// on the sign of evaluate_swap's s2_delta or clustering_delta and stops
-// on the running objective, so a changed bit in either moves the pins.
+// same hub graph.  Each case pins the output's rows, the stats, its D3
+// against the original and the exact bits of its objective_value: the
+// chain accepts on the sign of evaluate_swap's s2_delta or
+// clustering_delta and stops on the running objective, so a changed bit
+// in either moves the pins.
 void expect_explore_pinned(const Graph& start,
                            const dk::ThreeKProfile& target,
                            ExploreObjective objective,
@@ -737,67 +871,67 @@ ExploreOptions explore_budget(std::size_t attempts) {
 TEST_F(HubChainGolden, ExploreMaximizeS2IsPinned) {
   expect_explore_pinned(start_, target_, ExploreObjective::maximize_s2,
                         explore_budget(20000), 5,
-                        {0xccb6cf2f4696c029ULL,
-                         {.attempts = 20000, .accepted = 1652,
-                          .rejected_structural = 10458,
+                        {0x32228773fbce8abeULL,
+                         {.attempts = 20000, .accepted = 1605,
+                          .rejected_structural = 10495,
                           .rejected_constraint = 0,
-                          .rejected_objective = 7890},
-                         29438},
-                        0x1.4620a08p+26);
+                          .rejected_objective = 7900},
+                         30356},
+                        0x1.45a4d28p+26);
 }
 
 TEST_F(HubChainGolden, ExploreMinimizeS2IsPinned) {
   expect_explore_pinned(start_, target_, ExploreObjective::minimize_s2,
                         explore_budget(20000), 6,
-                        {0xf77c9de02f8fcf41ULL,
-                         {.attempts = 20000, .accepted = 1567,
-                          .rejected_structural = 10354,
+                        {0x4855ed0eb8cccdfeULL,
+                         {.attempts = 20000, .accepted = 1597,
+                          .rejected_structural = 10440,
                           .rejected_constraint = 0,
-                          .rejected_objective = 8079},
-                         32216},
-                        0x1.137c32cp+26);
+                          .rejected_objective = 7963},
+                         31936},
+                        0x1.1213efp+26);
 }
 
 TEST_F(HubChainGolden, ExploreMaximizeClusteringIsPinned) {
   expect_explore_pinned(start_, target_,
                         ExploreObjective::maximize_clustering,
                         explore_budget(20000), 7,
-                        {0x816f9567ce361eb9ULL,
-                         {.attempts = 20000, .accepted = 1112,
-                          .rejected_structural = 10449,
+                        {0x37c0324b3d946d16ULL,
+                         {.attempts = 20000, .accepted = 1123,
+                          .rejected_structural = 10519,
                           .rejected_constraint = 0,
-                          .rejected_objective = 8439},
-                         31976},
-                        0x1.a72a20db3d8bfp-3);
+                          .rejected_objective = 8358},
+                         32760},
+                        0x1.a24377c4edc59p-3);
 }
 
 TEST_F(HubChainGolden, ExploreMinimizeClusteringIsPinned) {
   expect_explore_pinned(start_, target_,
                         ExploreObjective::minimize_clustering,
                         explore_budget(20000), 8,
-                        {0x8ed228e36e23840dULL,
-                         {.attempts = 20000, .accepted = 956,
-                          .rejected_structural = 10358,
+                        {0x3f085410dae718d6ULL,
+                         {.attempts = 20000, .accepted = 989,
+                          .rejected_structural = 10519,
                           .rejected_constraint = 0,
-                          .rejected_objective = 8686},
-                         28618},
-                        0x1.8d22a97543a66p-5);
+                          .rejected_objective = 8492},
+                         28286},
+                        0x1.7764755d50835p-5);
 }
 
 TEST_F(HubChainGolden, ExploreClusteringStopAtValueIsPinned) {
   // topo::as_level's path: the running C̄ (0.113 at the start) reaches
-  // stop_at_value after 5361 of the 20000 attempts.
+  // stop_at_value after 5375 of the 20000 attempts.
   ExploreOptions options = explore_budget(20000);
   options.stop_at_value = 0.16;
   expect_explore_pinned(start_, target_,
                         ExploreObjective::maximize_clustering, options, 7,
-                        {0x907c0c9ba4b38f29ULL,
-                         {.attempts = 5361, .accepted = 514,
-                          .rejected_structural = 2780,
+                        {0x0983841a9020869eULL,
+                         {.attempts = 5375, .accepted = 497,
+                          .rejected_structural = 2844,
                           .rejected_constraint = 0,
-                          .rejected_objective = 2067},
-                         30224},
-                        0x1.47c70bb3be853p-3);
+                          .rejected_objective = 2034},
+                         30838},
+                        0x1.480e75cf7150dp-3);
 }
 
 }  // namespace

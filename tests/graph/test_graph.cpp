@@ -209,8 +209,8 @@ TEST(Graph, StressAddRemoveStaysConsistent) {
   EXPECT_TRUE(grown == sized);
 }
 
-/// neighbors(v) must list v's edges in edge order: rewiring chains read
-/// adjacency through EdgeIndex(g), so every bulk path pins it.
+/// neighbors(v) must list v's edges in edge order: rewiring chains draw
+/// from the rows EdgeIndex(g) copies, so every bulk path pins them.
 void expect_rows_in_edge_order(const Graph& g) {
   std::vector<std::vector<NodeId>> rows(g.num_nodes());
   for (const auto& e : g.edges()) {
@@ -244,9 +244,17 @@ TEST(Graph, BulkPathsKeepAdjacencyInEdgeOrder) {
   EXPECT_EQ(simplified.edges(), simple);
   expect_rows_in_edge_order(simplified);
 
+  // EdgeIndex copies the rows and to_graph exports them verbatim (its
+  // edges() then follows the rows).
   const auto exported = EdgeIndex(g).to_graph();
-  EXPECT_EQ(exported.edges(), simple);
-  expect_rows_in_edge_order(exported);
+  EXPECT_TRUE(exported == g);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto mine = exported.neighbors(v);
+    const auto theirs = g.neighbors(v);
+    EXPECT_TRUE(std::equal(mine.begin(), mine.end(), theirs.begin(),
+                           theirs.end()))
+        << "node " << v;
+  }
 
   std::istringstream in("# sparse ids\n30 10\n10 20\n20 20\n0 30\n20 0\n");
   const auto read = io::read_edge_list(in);

@@ -90,7 +90,7 @@ TEST(ScalingSmoke, StreamingMatchesInMemoryAtScale) {
 TEST(ScalingSmoke, StarForestTargetsThroughCheckpointedLegs) {
   // Hub degrees 1..630 give n ≈ 199k nodes and 630 degree classes.  C
   // distinct degrees sum to at most 2m, so C < 2√m + 1 and the ΔD2
-  // matrix (8·C² bytes) stays under 32·m + O(√m) bytes.
+  // objective (4.125·C² bytes) stays under 16.5·m + O(√m) bytes.
   const std::uint32_t max_hub_degree = 630;
   const Graph original = star_forest(max_hub_degree);
   ASSERT_GE(original.num_nodes(), 198'000u);

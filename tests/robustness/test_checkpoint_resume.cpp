@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,8 @@
 namespace orbis::gen {
 namespace {
 
+/// Same edges in the same order, and the same adjacency rows — the
+/// chain's canonical form.
 void expect_same_edges(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
@@ -35,6 +39,12 @@ void expect_same_edges(const Graph& a, const Graph& b) {
   for (std::size_t i = 0; i < ea.size(); ++i) {
     EXPECT_EQ(ea[i].u, eb[i].u) << "edge slot " << i;
     EXPECT_EQ(ea[i].v, eb[i].v) << "edge slot " << i;
+  }
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto ra = a.neighbors(v);
+    const auto rb = b.neighbors(v);
+    EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+        << "row " << v;
   }
 }
 
@@ -233,13 +243,13 @@ TEST_F(CheckpointResumeTest, CarriedEnginesRebuildForANewTarget) {
   RunCheckpoint state = make_3k_run(start3, options3,
                                     /*checkpoint_every=*/300, rng,
                                     {.chains = 2});
-  ThreeKEngines engines;
+  ChainEngines engines;
   CheckpointOptions one_leg;
   one_leg.max_legs = 1;
   run_checkpointed_3k(state, target_.three_k, options3, one_leg, {},
                       &engines);
   ASSERT_EQ(engines.target, &target_.three_k);
-  ASSERT_NE(engines.engines[0], nullptr);
+  ASSERT_NE(engines.three_k[0], nullptr);
 
   // Same JDD, other 3K profile: the start's own.
   const dk::ThreeKProfile other = dk::ThreeKProfile::from_graph(start3);
@@ -251,9 +261,9 @@ TEST_F(CheckpointResumeTest, CarriedEnginesRebuildForANewTarget) {
     EXPECT_EQ(static_cast<double>(chain.distance),
               dk::distance_3k(dk::ThreeKProfile::from_graph(chain.graph),
                               other));
-    ASSERT_NE(engines.engines[i], nullptr);
-    EXPECT_EQ(engines.engines[i]->state().target(), &other);
-    EXPECT_NO_THROW(engines.engines[i]->state().verify_consistency());
+    ASSERT_NE(engines.three_k[i], nullptr);
+    EXPECT_EQ(engines.three_k[i]->state().target(), &other);
+    EXPECT_NO_THROW(engines.three_k[i]->state().verify_consistency());
   }
 }
 
@@ -322,7 +332,7 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical3K) {
   // the same laddered 3K walk must agree: the uninterrupted one, one
   // killed at a boundary and resumed from the file, and one driven a
   // leg per call with no carried engines (every leg builds its engines
-  // from the canonical edge lists).
+  // from the chains' rows).
   util::Rng boot(29);
   const Graph start3 = target_2k(start_, target_.joint, options_, boot);
   TargetingOptions options3 = options_;
@@ -399,6 +409,229 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical3K) {
   expect_same_state(resumed);
   expect_same_result(by_leg);
   expect_same_state(stepped);
+}
+
+// ---------------------------------------------------------------------------
+// Cadence sweep: the cadence is not part of a run (gen/checkpoint.hpp).
+// One leg, budget/8 legs, 1024-attempt legs, and a kill at every
+// boundary plus a resume from the file on disk all end in the same
+// chains: rows, Rng states, distances, stats, temperatures and the
+// ladder's exchange state.
+// ---------------------------------------------------------------------------
+
+using MakeRun = std::function<RunCheckpoint(std::uint64_t every)>;
+using RunLegs = std::function<CheckpointedResult(
+    RunCheckpoint&, const CheckpointOptions&, const svc::RunContext&)>;
+
+/// The final state of a fresh run at cadence `every`, killed after its
+/// `kill_at`-th checkpoint (0: never) and then resumed from the file.
+RunCheckpoint run_at(const MakeRun& make, const RunLegs& run,
+                     std::uint64_t every, std::size_t kill_at,
+                     const std::string& file) {
+  RunCheckpoint state = make(every);
+  if (kill_at == 0) {
+    run(state, {}, {});
+    return state;
+  }
+  util::StopSource stop;
+  svc::RunContext ctx;
+  ctx.stop = stop.token();
+  CheckpointOptions checkpointing;
+  std::size_t written = 0;
+  checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
+    io::write_checkpoint_file(file, snapshot);
+    if (++written >= kill_at) stop.request_stop();
+  };
+  run(state, checkpointing, ctx);
+  EXPECT_EQ(written, kill_at);
+  RunCheckpoint resumed = io::read_checkpoint_file(file);
+  run(resumed, {}, {});
+  return resumed;
+}
+
+void expect_same_run(const RunCheckpoint& want, const RunCheckpoint& got) {
+  ASSERT_EQ(got.chains.size(), want.chains.size());
+  EXPECT_TRUE(got.finished());
+  for (std::size_t i = 0; i < want.chains.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "chain " << i);
+    const ChainCheckpoint& a = want.chains[i];
+    const ChainCheckpoint& b = got.chains[i];
+    EXPECT_EQ(a.attempts_done, b.attempts_done);
+    EXPECT_EQ(a.rng_state, b.rng_state);
+    EXPECT_EQ(a.distance, b.distance);
+    EXPECT_EQ(a.temperature, b.temperature);
+    expect_same_stats(a.stats, b.stats);
+    expect_same_edges(a.graph, b.graph);
+  }
+  EXPECT_EQ(want.exchange_rng, got.exchange_rng);
+  EXPECT_EQ(want.exchange_attempted, got.exchange_attempted);
+  EXPECT_EQ(want.exchange_accepted, got.exchange_accepted);
+}
+
+/// One leg against budget/8 legs, `every` legs, and a kill plus resume
+/// at every budget/8 boundary.
+void expect_cadence_free(const MakeRun& make, const RunLegs& run,
+                         std::uint64_t budget, std::uint64_t every,
+                         const std::string& file) {
+  const RunCheckpoint one_leg = run_at(make, run, budget, 0, file);
+  for (const std::uint64_t cadence : {budget / 8, every}) {
+    SCOPED_TRACE(testing::Message() << "every " << cadence);
+    expect_same_run(one_leg, run_at(make, run, cadence, 0, file));
+  }
+  for (std::size_t kill_at = 1; kill_at <= 8; ++kill_at) {
+    SCOPED_TRACE(testing::Message() << "killed at boundary " << kill_at);
+    expect_same_run(one_leg, run_at(make, run, budget / 8, kill_at, file));
+  }
+}
+
+TEST_F(CheckpointResumeTest, CadenceSweep2K) {
+  options_.attempts = 6000;
+  options_.stop_distance = -1.0;  // every leg runs, also after D2 = 0
+  options_.move = MoveKind::mixed;
+  expect_cadence_free(
+      [&](std::uint64_t every) {
+        util::Rng rng(3);
+        return make_2k_run(start_, options_, every, rng, {.chains = 2});
+      },
+      [&](RunCheckpoint& state, const CheckpointOptions& checkpointing,
+          const svc::RunContext& ctx) {
+        return run_checkpointed_2k(state, target_.joint, options_,
+                                   checkpointing, ctx);
+      },
+      6000, 1024, path("sweep2.ck"));
+}
+
+TEST_F(CheckpointResumeTest, CadenceSweep3K) {
+  util::Rng boot(29);
+  const Graph start3 = target_2k(start_, target_.joint, options_, boot);
+  TargetingOptions options3 = options_;
+  options3.attempts = 6000;
+  options3.stop_distance = -1.0;
+  options3.temperature = 2.0;
+  expect_cadence_free(
+      [&](std::uint64_t every) {
+        util::Rng rng(11);
+        return make_3k_run(start3, options3, every, rng, {.chains = 2});
+      },
+      [&](RunCheckpoint& state, const CheckpointOptions& checkpointing,
+          const svc::RunContext& ctx) {
+        return run_checkpointed_3k(state, target_.three_k, options3,
+                                   checkpointing, ctx);
+      },
+      6000, 1024, path("sweep3.ck"));
+}
+
+TEST_F(CheckpointResumeTest, CadenceSweepLadderedMixedMove) {
+  // Exchanges happen on the 256-attempt epoch grid whatever the
+  // cadence; every cadence below is a multiple of it.
+  options_.attempts = 6144;
+  options_.stop_distance = -1.0;
+  options_.move = MoveKind::mixed;
+  options_.temperature = 5.0;
+  LadderOptions ladder;
+  ladder.replicas = 3;
+  ladder.exchange_every = 256;
+  ladder.top_temperature = 50.0;
+  ladder.adaptive = true;
+  util::Rng boot(29);
+  const Graph start3 = target_2k(start_, target_.joint, options_, boot);
+  SCOPED_TRACE("2K stage");
+  expect_cadence_free(
+      [&](std::uint64_t every) {
+        util::Rng rng(7);
+        return make_2k_ladder_run(start_, options_, ladder, every, rng);
+      },
+      [&](RunCheckpoint& state, const CheckpointOptions& checkpointing,
+          const svc::RunContext& ctx) {
+        return run_checkpointed_2k(state, target_.joint, options_,
+                                   checkpointing, ctx);
+      },
+      6144, 1024, path("sweepl2.ck"));
+  SCOPED_TRACE("3K stage");
+  expect_cadence_free(
+      [&](std::uint64_t every) {
+        util::Rng rng(8);
+        RunCheckpoint state =
+            make_3k_ladder_run(start3, options_, ladder, every, rng);
+        EXPECT_EQ(state.exchange_every, 256u);
+        return state;
+      },
+      [&](RunCheckpoint& state, const CheckpointOptions& checkpointing,
+          const svc::RunContext& ctx) {
+        const auto result = run_checkpointed_3k(
+            state, target_.three_k, options_, checkpointing, ctx);
+        EXPECT_GT(state.exchange_attempted, 0u);
+        return result;
+      },
+      6144, 1024, path("sweepl3.ck"));
+}
+
+TEST_F(CheckpointResumeTest, CadenceSweepPipelineD3) {
+  // A d = 3 Pipeline with independent chains: one leg per stage, the
+  // default budget/8 legs and 1024-attempt legs, and a kill at every
+  // boundary of both stages resumed from the file (at yet another
+  // cadence: a resume may change it).
+  PipelineOptions options;
+  options.d = 3;
+  options.targeting.attempts = 6000;
+  options.targeting.stop_distance = -1.0;
+  const svc::RunContext chains{.chains = 2};
+  const auto run_with = [&](std::uint64_t every) {
+    PipelineOptions at = options;
+    at.checkpoint_every = every;
+    Pipeline pipeline(target_, at, util::Rng(19), chains);
+    EXPECT_TRUE(pipeline.run({}));
+    return pipeline;
+  };
+  const auto expect_same_pipeline = [](const Pipeline& want,
+                                       const Pipeline& got) {
+    expect_same_run(want.checkpoint(), got.checkpoint());
+    ASSERT_EQ(got.stages().size(), want.stages().size());
+    for (std::size_t i = 0; i < want.stages().size(); ++i) {
+      const CheckpointedResult& a = want.stages()[i].result;
+      const CheckpointedResult& b = got.stages()[i].result;
+      expect_same_stats(a.total_stats, b.total_stats);
+      EXPECT_EQ(a.best_chain, b.best_chain);
+      EXPECT_EQ(a.best_distance, b.best_distance);
+    }
+    expect_same_edges(want.graph(), got.graph());
+  };
+
+  const Pipeline one_leg = run_with(6000);
+  ASSERT_EQ(one_leg.stages().size(), 2u);
+  for (const std::uint64_t every : {std::uint64_t{0}, std::uint64_t{1024}}) {
+    SCOPED_TRACE(testing::Message() << "every " << every);
+    expect_same_pipeline(one_leg, run_with(every));
+  }
+
+  const std::string file = path("sweepp.ck");
+  for (std::size_t kill_at = 1; kill_at < 16; ++kill_at) {
+    SCOPED_TRACE(testing::Message() << "killed at boundary " << kill_at);
+    {
+      util::StopSource stop;
+      svc::RunContext ctx = chains;
+      ctx.stop = stop.token();
+      Pipeline first(target_, options, util::Rng(19), ctx);
+      CheckpointOptions checkpointing;
+      std::size_t written = 0;
+      checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
+        io::write_checkpoint_file(file, snapshot);
+        if (++written >= kill_at) stop.request_stop();
+      };
+      EXPECT_FALSE(first.run(checkpointing));
+    }
+    PipelineOptions recut = options;
+    recut.checkpoint_every = 1024;
+    Pipeline resumed(target_, recut, io::read_checkpoint_file(file));
+    ASSERT_TRUE(resumed.run({}));
+    EXPECT_EQ(resumed.checkpoint().checkpoint_every, 1024u);
+    expect_same_run(one_leg.checkpoint(), resumed.checkpoint());
+    expect_same_edges(one_leg.graph(), resumed.graph());
+    const CheckpointedResult& want = one_leg.stages().back().result;
+    const CheckpointedResult& got = resumed.stages().back().result;
+    expect_same_stats(want.total_stats, got.total_stats);
+    EXPECT_EQ(want.best_chain, got.best_chain);
+  }
 }
 
 /// Requests a stop from inside a chain once armed: the next progress
@@ -522,50 +755,76 @@ TEST_F(CheckpointResumeTest, TruncatedCheckpointIsAParseErrorNotAResume) {
   }
 }
 
+/// A v5 file up to its first chain's `graph` record: kHead is lines 1-8
+/// and kChain lines 9-15, so `graph` is line 16.
+const std::string kHead =
+    "# orbis checkpoint v5\nd 2\nfinal_d 2\npipeline_rng 0 0 0 0\n"
+    "budget 10\nevery 5\nmove swap\nladder 0 0\n";
+const std::string kChain =
+    "chains 1\nchain 0\nattempts 5\nrng 1 2 3 4\ntemperature_bits 0\n"
+    "stats 0 0 0 0 0\ndistance 0\n";
+const std::string kTail = "end chain\nend checkpoint\n";
+
 TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
   const auto reject = [&](const std::string& content) {
     const std::string file = path("corrupt.ck");
     std::ofstream(file, std::ios::trunc) << content;
     EXPECT_THROW(io::read_checkpoint_file(file), ParseError) << content;
   };
+  // The well-formed file these variations start from reads.
+  {
+    const std::string file = path("good.ck");
+    std::ofstream(file, std::ios::trunc)
+        << kHead << kChain << "graph 2 1\n1\n0\n" << kTail;
+    const RunCheckpoint good = io::read_checkpoint_file(file);
+    EXPECT_EQ(good.chains[0].graph.num_edges(), 1u);
+  }
   reject("not a checkpoint\n");
-  reject("# orbis checkpoint v1\nd 5\n");           // bad series level
-  reject("# orbis checkpoint v1\nd 2\nbudget x\n"); // non-numeric field
-  reject("# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\n"
-         "backend warp\n");                         // unknown backend
-  reject("# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\n"
-         "backend dense\nchains 0\n");              // zero chains
-  reject("# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\n"
-         "backend dense\nchains 1\nchain 0\nattempts 99\n"
-         "rng 1 2 3 4\nstats 0 0 0 0 0 0\ndistance 0\n"
-         "graph 1 0\nend chain\nend checkpoint\n"); // attempts > budget
-  reject("# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\n"
-         "backend dense\nchains 1\nchain 0\nattempts 5\n"
-         "rng 0 0 0 0\nstats 0 0 0 0 0 0\ndistance 0\n"
-         "graph 1 0\nend chain\nend checkpoint\n"); // all-zero rng
-  reject("# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\n"
-         "backend dense\nchains 1\nchain 0\nattempts 5\n"
-         "rng 1 2 3 4\nstats 0 0 0 0 0 0\ndistance 0\n"
-         "graph 2 1\n0 0\nend chain\nend checkpoint\n");  // self-loop
-  reject("# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\n"
-         "backend dense\nchains 1\nchain 0\nattempts 5\n"
-         "rng 1 2 3 4\nstats 0 0 0 0 0 0\ndistance 0\n"
-         "graph 1 0\nend chain\nend checkpoint\ntrailing\n");  // garbage
-  reject("# orbis checkpoint v3\nd 3\nfinal_d 2\n");  // final_d below d
-  reject("# orbis checkpoint v3\nd 2\nfinal_d 3\n"
+  reject("# orbis checkpoint v5\nd 5\n");             // bad series level
+  reject("# orbis checkpoint v5\nd 2\nfinal_d 2\npipeline_rng 0 0 0 0\n"
+         "budget x\n");                                // non-numeric field
+  reject("# orbis checkpoint v5\nd 3\nfinal_d 2\n");  // final_d below d
+  reject("# orbis checkpoint v5\nd 2\nfinal_d 3\n"
          "pipeline_rng 0 0 0 0\n");  // next stage has nothing to draw from
-  reject("# orbis checkpoint v2\nd 2\nfinal_d 3\n");  // v3 record in v2
+  reject(kHead + "chains 0\n");                        // zero chains
+  std::string chain = kChain;
+  chain.replace(chain.find("attempts 5"), 10, "attempts 99");
+  reject(kHead + chain + "graph 1 0\n\n" + kTail);     // attempts > budget
+  chain = kChain;
+  chain.replace(chain.find("rng 1 2 3 4"), 11, "rng 0 0 0 0");
+  reject(kHead + chain + "graph 1 0\n\n" + kTail);     // all-zero rng
+  chain = kChain;
+  chain.replace(chain.find("stats 0 0 0 0 0"), 15, "stats 0 0 0 0 0 0");
+  reject(kHead + chain + "graph 1 0\n\n" + kTail);     // retired 6th slot
+  reject(kHead + kChain + "graph 1 0\n\n" + kTail + "trailing\n");
 }
 
-// The counts in a file never size memory: chains and edges are appended
+// Checkpoints resume runs in flight; they are not archives.  A file of
+// an older format is rejected with a ParseError that names its version,
+// whatever it holds.
+TEST_F(CheckpointResumeTest, OlderCheckpointVersionsAreRejectedByName) {
+  const std::string file = path("old.ck");
+  for (const char* version : {"1", "2", "3", "4"}) {
+    std::ofstream(file, std::ios::trunc)
+        << "# orbis checkpoint v" << version
+        << "\nd 3\nbudget 10\nevery 5\nbackend sparse\nchains 1\n";
+    try {
+      io::read_checkpoint_file(file);
+      FAIL() << "expected ParseError for v" << version;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("line 1: checkpoint version v") +
+                          version + " is not supported"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+// The counts in a file never size memory: chains and rows are appended
 // as they are parsed, so an absurd count is a torn file (ParseError),
-// never an allocation failure.
+// never an allocation.  Row defects name the line of the row.
 TEST_F(CheckpointResumeTest, HostileCountsAreParseErrorsNotAllocations) {
-  const std::string head =
-      "# orbis checkpoint v1\nd 2\nbudget 10\nevery 5\nbackend dense\n";
-  const std::string chain =
-      "chains 1\nchain 0\nattempts 5\nrng 1 2 3 4\nstats 0 0 0 0 0 0\n"
-      "distance 0\n";
   const auto expect_parse_error = [&](const std::string& content,
                                       const std::string& needle) {
     const std::string file = path("hostile.ck");
@@ -578,86 +837,36 @@ TEST_F(CheckpointResumeTest, HostileCountsAreParseErrorsNotAllocations) {
           << e.what();
     }
   };
-  expect_parse_error(head + "chains 4611686018427387904\n",
+  expect_parse_error(kHead + "chains 4611686018427387904\n",
                      "unexpected end of file");
-  expect_parse_error(head + chain + "graph 3 1000000000000000\n0 1\n",
-                     "unexpected end of file");
-  // A duplicate edge names its own line (line 14: the reverse of 0 1).
-  expect_parse_error(head + chain +
-                         "graph 3 2\n0 1\n1 0\nend chain\nend checkpoint\n",
-                     "line 14: duplicate edge");
-}
-
-// v4 dropped the `backend` record.  Both storages a v3 file could name
-// walked bit-identical chains, so a v3 file resumes exactly like the
-// same run saved as v4, whichever backend it names.
-TEST_F(CheckpointResumeTest, V3FilesOfEitherBackendResumeLikeV4) {
-  const auto reference = reference_2k(7, nullptr);
-  const std::string file = path("run.ck");
-  kill_2k(7, 3, file);
-  std::string v4;
-  {
-    std::ifstream in(file, std::ios::binary);
-    v4.assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  }
-  ASSERT_TRUE(v4.starts_with("# orbis checkpoint v4\n"));
-  EXPECT_EQ(v4.find("backend"), std::string::npos);
-  const std::size_t after_every = v4.find("\nevery 300\n");
-  ASSERT_NE(after_every, std::string::npos);
-
-  const auto v3_with = [&](const std::string& backend) {
-    std::string v3 = v4;
-    v3.insert(after_every + std::string("\nevery 300\n").size(),
-              "backend " + backend + "\n");
-    v3[std::string("# orbis checkpoint v").size()] = '3';
-    return v3;
-  };
-  for (const std::string& content :
-       {v4, v3_with("dense"), v3_with("sparse")}) {
-    std::ofstream(file, std::ios::binary | std::ios::trunc) << content;
-    RunCheckpoint resumed = io::read_checkpoint_file(file);
-    const auto result =
-        run_checkpointed_2k(resumed, target_.joint, options_, {});
-    expect_same_edges(reference.graph, result.graph);
-    expect_same_stats(reference.total_stats, result.total_stats);
-    EXPECT_EQ(reference.best_chain, result.best_chain);
-    EXPECT_EQ(reference.best_distance, result.best_distance);
-  }
-
-  // A v3 backend word is still validated, and v4 has no such record.
-  std::string v4_with_backend = v3_with("dense");
-  v4_with_backend[std::string("# orbis checkpoint v").size()] = '4';
-  for (const std::string& content : {v3_with("warp"), v4_with_backend}) {
-    std::ofstream(file, std::ios::binary | std::ios::trunc) << content;
-    EXPECT_THROW(io::read_checkpoint_file(file), ParseError) << content;
-  }
-}
-
-TEST_F(CheckpointResumeTest, V1AndV2FilesStillReadAsFinalStageCheckpoints) {
-  // v1 has no move/ladder records (a swap-only, non-laddered run); both
-  // carry the backend word v4 dropped.
-  const std::string file = path("old.ck");
-  const std::string v1 =
-      "# orbis checkpoint v1\nd 3\nbudget 10\nevery 5\n"
-      "backend sparse\nchains 1\nchain 0\nattempts 5\nrng 1 2 3 4\n"
-      "stats 5 1 1 1 2 0\ndistance 7\ngraph 3 1\n0 1\nend chain\n"
-      "end checkpoint\n";
-  const std::string v2 =
-      "# orbis checkpoint v2\nd 3\nbudget 10\nevery 5\n"
-      "backend automatic\nmove swap\nladder 0 0\nchains 1\nchain 0\n"
-      "attempts 5\nrng 1 2 3 4\ntemperature_bits 0\n"
-      "stats 5 1 1 1 2 0\ndistance 7\ngraph 3 1\n0 1\nend chain\n"
-      "end checkpoint\n";
-  for (const std::string& content : {v1, v2}) {
-    std::ofstream(file, std::ios::trunc) << content;
-    const RunCheckpoint loaded = io::read_checkpoint_file(file);
-    EXPECT_EQ(loaded.d, 3);
-    EXPECT_EQ(loaded.final_d, 3);
-    EXPECT_EQ(loaded.move, MoveKind::swap);
-    EXPECT_FALSE(loaded.laddered());
-    EXPECT_EQ(loaded.chains[0].distance, 7);
-  }
+  expect_parse_error(kHead + kChain + "graph 4294967295 0\n",
+                     "line 16: unexpected end of file (expected adjacency");
+  expect_parse_error(kHead + kChain + "graph 4294967296 0\n",
+                     "line 16: node count out of range");
+  expect_parse_error(kHead + kChain + "graph 3 1000000000000000\n1\n0\n",
+                     "line 16: edge count out of range");
+  expect_parse_error(kHead + kChain + "graph 100000 1000000000\n1\n0\n",
+                     "line 18: unexpected end of file");
+  // Line 16 is the graph record; node v's row is line 17 + v.
+  expect_parse_error(kHead + kChain + "graph 2 1\n5\n0\n" + kTail,
+                     "line 17: neighbor id out of range");
+  expect_parse_error(kHead + kChain + "graph 2 1\n0\n1\n" + kTail,
+                     "line 17: row of node 0: self-loop");
+  expect_parse_error(kHead + kChain + "graph 3 2\n1 1\n0 0\n\n" + kTail,
+                     "line 17: row of node 0: neighbor listed twice");
+  expect_parse_error(kHead + kChain + "graph 3 2\n1 2\n0 0\n\n" + kTail,
+                     "line 18: row of node 1: neighbor listed twice");
+  expect_parse_error(kHead + kChain + "graph 3 1\n1\n2\n\n" + kTail,
+                     "line 17: row of node 0: lists a neighbor whose row");
+  expect_parse_error(kHead + kChain + "graph 3 2\n1\n0\n\n" + kTail,
+                     "line 16: rows hold 2 cells, not the 2M = 4");
+  expect_parse_error(kHead + kChain + "graph 3 0\n1\n0\n\n" + kTail,
+                     "line 17: rows hold more than the 2M = 0");
+  expect_parse_error(kHead + kChain + "graph 2 1\nx\n0\n" + kTail,
+                     "line 17: expected neighbor ids");
+  expect_parse_error(kHead + kChain + "graph 2 1\n1\n0\nend chain\n",
+                     "line 19: unexpected end of file (expected end "
+                     "checkpoint");
 }
 
 // The pipeline's checkpoint covers every stage: a d = 3 run killed at ANY

@@ -114,6 +114,24 @@ TEST_F(ToolCliTest, WideOrNegativeIntegerFlagsExitUsageNamingTheFlag) {
   EXPECT_NE(stderr_log().find("--nodes must be >= 0"), std::string::npos);
 }
 
+TEST_F(ToolCliTest, OversizedChainCountsExitUsageNamingTheFlag) {
+  // The same bound as the wire's "chains" (gen::kMaxChains): refused
+  // before the pipeline allocates a slot.  Only refused values run.
+  for (const std::string flag : {"--chains", "--ladder"}) {
+    for (const std::string count : {"4294967296", "65"}) {
+      EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
+                    path("g.2k") + "' " + flag + " " + count + " --out '" +
+                    path("many.edges") + "'"),
+                2)
+          << flag << " " << count;
+      EXPECT_FALSE(fs::exists(path("many.edges")));
+      EXPECT_NE(stderr_log().find(flag + " must be at most 64"),
+                std::string::npos)
+          << stderr_log();
+    }
+  }
+}
+
 TEST_F(ToolCliTest, InjectedWriteFaultExitsIoAndLeavesNoOutput) {
   EXPECT_EQ(run("generate --d 2 --method matching --from-2k '" +
                     path("g.2k") + "' --out '" + path("fault.edges") + "'",
@@ -152,11 +170,22 @@ TEST_F(ToolCliTest, CheckpointKillResumeIsBitIdentical) {
                 "--out '" + path("part.edges") + "'"),
             130);
   EXPECT_FALSE(fs::exists(path("part.edges")));  // no partial output
+  // (A resume writes back to its file: keep a copy for the recut below.)
+  fs::copy_file(path("part.ck"), path("part2.ck"));
   // ...and resumed from the file on disk.
   ASSERT_EQ(run(common + " --resume '" + path("part.ck") + "' --out '" +
                 path("resumed.edges") + "'"),
             0);
   EXPECT_EQ(slurp(path("full.edges")), slurp(path("resumed.edges")));
+  // The cadence is not part of the run: a resume may take another.
+  ASSERT_EQ(run(common + " --resume '" + path("part2.ck") +
+                "' --checkpoint '" + path("recut.ck") +
+                "' --checkpoint-every 1024 --out '" + path("recut.edges") +
+                "'"),
+            0);
+  EXPECT_EQ(slurp(path("full.edges")), slurp(path("recut.edges")));
+  EXPECT_NE(slurp(path("recut.ck")).find("\nevery 1024\n"),
+            std::string::npos);
 }
 
 TEST_F(ToolCliTest, D3KillAtStageBoundariesResumeIsBitIdentical) {
@@ -261,12 +290,20 @@ TEST_F(ToolCliTest, LadderOfOneExitsUsage) {
 }
 
 TEST_F(ToolCliTest, CorruptCheckpointExitsParse) {
-  std::ofstream(path("corrupt.ck")) << "# orbis checkpoint v1\nd 9\n";
+  std::ofstream(path("corrupt.ck")) << "# orbis checkpoint v5\nd 9\n";
   EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
                 path("g.2k") + "' --resume '" + path("corrupt.ck") +
                 "' --out '" + path("x.edges") + "'"),
             2);
   EXPECT_NE(stderr_log().find("line 2"), std::string::npos);
+  // An older format exits the same way, naming its version.
+  std::ofstream(path("old.ck")) << "# orbis checkpoint v4\nd 2\n";
+  EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
+                path("g.2k") + "' --resume '" + path("old.ck") +
+                "' --out '" + path("x.edges") + "'"),
+            2);
+  EXPECT_NE(stderr_log().find("version v4 is not supported"),
+            std::string::npos);
 }
 
 TEST_F(ToolCliTest, CheckpointWithNonTargetingMethodExitsUsage) {

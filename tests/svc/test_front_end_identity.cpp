@@ -2,9 +2,11 @@
 // `orbis_tool generate` (plain and --checkpoint) and `orbis_server`
 // generate all drive gen::Pipeline, so on the same heavy-tailed target,
 // with the same d, chain count and seed at the default budget, they must
-// write byte-identical edge lists.  The server's output is also pinned
-// by hash: those are the graphs orbis_server wrote before the front ends
-// shared one pipeline, so sharing it moved none of the server's results.
+// write byte-identical edge lists.  The checkpoint cadence is not part
+// of the request's identity: the tool (--checkpoint-every) and the
+// server ("checkpoint_every") run at the case's cadence, the library at
+// its default one, and all must agree.  The server's output is also
+// pinned by hash.
 // Needs the example binaries (ORBIS_TOOL_BIN / ORBIS_SERVER_BIN); skipped
 // when the examples are not built.
 #include <gtest/gtest.h>
@@ -44,6 +46,7 @@ std::uint64_t fnv1a(const std::string& bytes) {
 struct Case {
   int d;
   std::size_t chains;
+  std::uint64_t every;        // tool and server cadence; 0 = default
   std::uint64_t server_hash;  // orbis_server's output, pinned
 };
 
@@ -119,9 +122,15 @@ class FrontEndIdentityTest : public ::testing::TestWithParam<Case> {
         std::to_string(c.d) + " --from-1k '" + path("t.1k") +
         "' --from-2k '" + path("t.2k") + "' --from-3k '" + path("t.3k") +
         "' --seed " + std::to_string(kSeed) + " --chains " +
-        std::to_string(c.chains) + extra + " --out '" + path(out) + "'");
+        std::to_string(c.chains) + cadence(c) + extra + " --out '" +
+        path(out) + "'");
     EXPECT_EQ(code, 0) << slurp(path("stderr.log"));
     return slurp(path(out));
+  }
+
+  static std::string cadence(const Case& c) {
+    return c.every > 0 ? " --checkpoint-every " + std::to_string(c.every)
+                       : "";
   }
 
   std::string server(const Case& c) {
@@ -130,6 +139,7 @@ class FrontEndIdentityTest : public ::testing::TestWithParam<Case> {
       script << R"({"op":"generate","target":")" << path("t")
              << R"(","out":")" << path("srv.edges") << R"(","d":)" << c.d
              << R"(,"seed":)" << kSeed << R"(,"chains":)" << c.chains
+             << R"(,"checkpoint_every":)" << c.every
              << R"(,"workers":1})" << '\n'
              << R"({"op":"wait","job":1})" << '\n'
              << R"({"op":"shutdown"})" << '\n';
@@ -152,7 +162,8 @@ TEST_P(FrontEndIdentityTest, AllFrontEndsWriteTheSameGraph) {
   const std::string from_server = server(c);
   ASSERT_FALSE(from_server.empty());
   EXPECT_EQ(fnv1a(from_server), c.server_hash)
-      << "d=" << c.d << " chains=" << c.chains << ": 0x" << std::hex
+      << "d=" << c.d << " chains=" << c.chains << " every=" << c.every
+      << ": 0x" << std::hex
       << fnv1a(from_server);
   EXPECT_EQ(library(c), from_server);
   EXPECT_EQ(tool(c, "", "cli.edges"), from_server);
@@ -162,16 +173,24 @@ TEST_P(FrontEndIdentityTest, AllFrontEndsWriteTheSameGraph) {
 
 // One and two chains write the same graph here: every chain converges,
 // ties go to chain 0, and chain 0's stream (master.stream(0)) does not
-// depend on the chain count.
+// depend on the chain count.  Nor does any cadence move it: 1024-attempt
+// legs, or one leg for the whole budget.
+constexpr std::uint64_t kOneLeg = std::uint64_t{1} << 40;
+constexpr std::uint64_t kD2Hash = 0x1e00744f41d6b4e3ULL;
+constexpr std::uint64_t kD3Hash = 0x9e7c08d513642edbULL;
+
 INSTANTIATE_TEST_SUITE_P(
-    DkAndChains, FrontEndIdentityTest,
-    ::testing::Values(Case{2, 1, 0xca0353f80f12667bULL},
-                      Case{2, 2, 0xca0353f80f12667bULL},
-                      Case{3, 1, 0x43d54e87b3a2dd41ULL},
-                      Case{3, 2, 0x43d54e87b3a2dd41ULL}),
+    DkChainsAndCadence, FrontEndIdentityTest,
+    ::testing::Values(Case{2, 1, 0, kD2Hash}, Case{2, 2, 0, kD2Hash},
+                      Case{3, 1, 0, kD3Hash}, Case{3, 2, 0, kD3Hash},
+                      Case{2, 2, 1024, kD2Hash}, Case{3, 2, 1024, kD3Hash},
+                      Case{3, 1, kOneLeg, kD3Hash}),
     [](const ::testing::TestParamInfo<Case>& info) {
+      const std::uint64_t every = info.param.every;
       return "d" + std::to_string(info.param.d) + "_chains" +
-             std::to_string(info.param.chains);
+             std::to_string(info.param.chains) + "_every" +
+             (every == kOneLeg ? std::string("OneLeg")
+                               : std::to_string(every));
     });
 
 }  // namespace

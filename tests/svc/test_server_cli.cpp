@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "io/edge_list.hpp"
 #include "util/rng.hpp"
@@ -215,6 +216,42 @@ TEST_F(ServerCliTest, NegativeCountsAreRejectedBeforeAcceptance) {
   }
   EXPECT_EQ(errors, fields.size());
   EXPECT_TRUE(named_workers);
+  EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
+  EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
+}
+
+TEST_F(ServerCliTest, OversizedChainCountsAreRejectedBeforeAcceptance) {
+  // Each chain copies the graph, so "chains" sizes memory: a count past
+  // gen::kMaxChains answers with an error naming the field and never
+  // reaches the job table.  Only refused values are sent.
+  const std::string generate = R"({"op":"generate","target":")" +
+                               path("dk") + R"(","out":")" +
+                               path("out.edges") + R"(","d":2,"chains":)";
+  const std::vector<std::string> counts = {
+      "4294967296", std::to_string(gen::kMaxChains + 1)};
+  std::vector<std::string> requests;
+  for (const std::string& count : counts) {
+    requests.push_back(generate + count + "}");
+  }
+  requests.push_back(R"({"op":"shutdown"})");
+
+  std::vector<std::string> events;
+  EXPECT_EQ(run_session(requests, events), 0);
+  std::vector<std::string> errors;
+  for (const std::string& line : events) {
+    EXPECT_TRUE(test_json::is_valid_json(line)) << line;
+    if (test_json::has_entry(line, "event", "\"error\"")) {
+      errors.push_back(line);
+    }
+  }
+  ASSERT_EQ(errors.size(), counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_NE(errors[i].find("field \\\"chains\\\" must be at most " +
+                             std::to_string(gen::kMaxChains)),
+              std::string::npos)
+        << errors[i];
+    EXPECT_NE(errors[i].find(counts[i]), std::string::npos) << errors[i];
+  }
   EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
   EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
 }
