@@ -394,6 +394,22 @@ void BM_LanczosExtremes(benchmark::State& state) {
 }
 BENCHMARK(BM_LanczosExtremes)->Range(1 << 10, 1 << 13);
 
+// The svc metrics job's spectrum phase on its graph shape: the GCC of a
+// power-law degree sequence (n=4000, gamma 2.1, cap 300) wired by
+// matching_1k.  `lanczos_steps` is the Lanczos step count per call.
+void BM_LaplacianExtremesHub(benchmark::State& state) {
+  const auto g =
+      largest_connected_component(make_power_law_graph(4000, 2.1, 300)).graph;
+  std::size_t steps = 0;
+  for (auto _ : state) {
+    const auto result = metrics::laplacian_extremes(g);
+    steps = result.iterations;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["lanczos_steps"] = static_cast<double>(steps);
+}
+BENCHMARK(BM_LaplacianExtremesHub)->Unit(benchmark::kMillisecond);
+
 void BM_DistanceDistribution(benchmark::State& state) {
   const auto g = make_graph(state.range(0));
   for (auto _ : state) {

@@ -15,11 +15,6 @@ namespace orbis::gen {
 
 namespace {
 
-std::size_t budget_of(const TargetingOptions& options, std::size_t m) {
-  return options.attempts > 0 ? options.attempts
-                              : options.attempts_per_edge * m;
-}
-
 RunCheckpoint make_run(int d, const Graph& start,
                        const TargetingOptions& options,
                        std::uint64_t checkpoint_every, util::Rng& rng,
@@ -27,7 +22,8 @@ RunCheckpoint make_run(int d, const Graph& start,
   RunCheckpoint state;
   state.d = d;
   state.final_d = d;
-  state.budget = budget_of(options, start.num_edges());
+  state.budget = attempt_budget(options.attempts, options.attempts_per_edge,
+                                start.num_edges());
   state.checkpoint_every = checkpoint_every;
   state.move = options.move;  // pinned: the move stream is run identity
 

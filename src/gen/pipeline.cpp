@@ -51,10 +51,8 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
     start = matching_1k(one_k, rng);
   }
   const TargetingOptions& targeting = options_.targeting;
-  const std::uint64_t budget =
-      targeting.attempts > 0
-          ? targeting.attempts
-          : std::uint64_t{targeting.attempts_per_edge} * start.num_edges();
+  const std::uint64_t budget = attempt_budget(
+      targeting.attempts, targeting.attempts_per_edge, start.num_edges());
   const std::uint64_t every = options_.checkpoint_every > 0
                                   ? options_.checkpoint_every
                                   : std::max<std::uint64_t>(budget / 8, 1);

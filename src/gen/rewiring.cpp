@@ -1,6 +1,7 @@
 #include "gen/rewiring.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -17,11 +18,6 @@
 namespace orbis::gen {
 
 namespace {
-
-std::size_t budget_of(std::size_t attempts, std::size_t attempts_per_edge,
-                      std::size_t m) {
-  return attempts > 0 ? attempts : attempts_per_edge * m;
-}
 
 /// 0K randomization is the one process that does not preserve degrees,
 /// so it runs on a plain Graph rather than the frozen-degree engine.
@@ -111,6 +107,19 @@ std::size_t check_chain_count(std::uint64_t requested,
   return static_cast<std::size_t>(requested);
 }
 
+std::uint64_t attempt_budget(std::uint64_t attempts,
+                             std::uint64_t attempts_per_edge,
+                             std::uint64_t m) {
+  if (attempts > 0) return attempts;
+  if (m > 0 &&
+      attempts_per_edge > std::numeric_limits<std::uint64_t>::max() / m) {
+    throw std::invalid_argument(
+        "attempts_per_edge " + std::to_string(attempts_per_edge) + " x " +
+        std::to_string(m) + " edges overflows the 64-bit attempt budget");
+  }
+  return attempts_per_edge * m;
+}
+
 Graph randomize(const Graph& g, const RandomizeOptions& options,
                 util::Rng& rng, RewiringStats* stats,
                 const svc::RunContext& ctx) {
@@ -122,8 +131,8 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
-  const std::size_t budget =
-      budget_of(options.attempts, options.attempts_per_edge, g.num_edges());
+  const std::size_t budget = attempt_budget(
+      options.attempts, options.attempts_per_edge, g.num_edges());
   Graph out;
   switch (options.d) {
     case 0:
@@ -153,7 +162,7 @@ Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
                 const TargetingOptions& options, util::Rng& rng,
                 RewiringStats* stats, double* final_distance) {
   expect_2k_targeting_move(options.move, "target_2k");
-  const std::size_t budget = budget_of(
+  const std::size_t budget = attempt_budget(
       options.attempts, options.attempts_per_edge, start.num_edges());
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -171,7 +180,7 @@ Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
 Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
                 const TargetingOptions& options, util::Rng& rng,
                 RewiringStats* stats, double* final_distance) {
-  const std::size_t budget = budget_of(
+  const std::size_t budget = attempt_budget(
       options.attempts, options.attempts_per_edge, start.num_edges());
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -188,8 +197,8 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
 Graph explore(const Graph& g, ExploreObjective objective,
               const ExploreOptions& options, util::Rng& rng,
               RewiringStats* stats) {
-  const std::size_t budget =
-      budget_of(options.attempts, options.attempts_per_edge, g.num_edges());
+  const std::size_t budget = attempt_budget(
+      options.attempts, options.attempts_per_edge, g.num_edges());
   RewiringStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;

@@ -187,6 +187,14 @@ inline constexpr std::size_t kMaxChains = 64;
 std::size_t check_chain_count(std::uint64_t requested,
                               const std::string& field);
 
+/// A chain's attempt budget on an m-edge graph: `attempts` if non-zero,
+/// else attempts_per_edge × m.  Throws std::invalid_argument when that
+/// product does not fit in 64 bits (a wrapped budget would silently run
+/// a tiny chain); every entry point computes it before building one.
+std::uint64_t attempt_budget(std::uint64_t attempts,
+                             std::uint64_t attempts_per_edge,
+                             std::uint64_t m);
+
 // ---------------------------------------------------------------------------
 // dK-space exploration (§4.3).
 // ---------------------------------------------------------------------------

@@ -13,20 +13,69 @@ namespace {
 
 using Vector = std::vector<double>;
 
-double dot(const Vector& a, const Vector& b) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
+/// a·b over n entries.  Four independent partial sums let the adds
+/// overlap instead of waiting on one dependency chain.
+double dot(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0;
+  double s1 = 0.0;
+  double s2 = 0.0;
+  double s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  for (; i < n; ++i) s0 += a[i] * b[i];
+  return (s0 + s1) + (s2 + s3);
 }
 
-double norm(const Vector& a) { return std::sqrt(dot(a, a)); }
-
-void axpy(double alpha, const Vector& x, Vector& y) {
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] += alpha * x[i];
+double norm(const Vector& a) {
+  return std::sqrt(dot(a.data(), a.data(), a.size()));
 }
 
 void scale(Vector& x, double alpha) {
   for (auto& value : x) value *= alpha;
+}
+
+/// One classical Gram–Schmidt pass: every coefficient of w against the
+/// orthonormal `rows` first, then every update; the coefficients land in
+/// `coefficients`, one per row.  Rows go four at a time, so one load of
+/// w feeds four dots and one store of w carries four updates.
+void project_out(const std::vector<const double*>& rows, Vector& w,
+                 Vector& coefficients) {
+  const std::size_t n = w.size();
+  const std::size_t count = rows.size();
+  double* const y = w.data();
+  coefficients.resize(count);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const double* const r[4] = {rows[i], rows[i + 1], rows[i + 2],
+                                rows[i + 3]};
+    double sum[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t k = 0; k < n; ++k) {
+      for (int h = 0; h < 4; ++h) sum[h] += r[h][k] * y[k];
+    }
+    for (int h = 0; h < 4; ++h) coefficients[i + h] = sum[h];
+  }
+  for (; i < count; ++i) coefficients[i] = dot(rows[i], y, n);
+
+  for (i = 0; i + 4 <= count; i += 4) {
+    const double* const r[4] = {rows[i], rows[i + 1], rows[i + 2],
+                                rows[i + 3]};
+    const double c[4] = {coefficients[i], coefficients[i + 1],
+                         coefficients[i + 2], coefficients[i + 3]};
+    for (std::size_t k = 0; k < n; ++k) {
+      y[k] -= (c[0] * r[0][k] + c[1] * r[1][k]) +
+              (c[2] * r[2][k] + c[3] * r[3][k]);
+    }
+  }
+  for (; i < count; ++i) {
+    const double c = coefficients[i];
+    const double* const row = rows[i];
+    for (std::size_t k = 0; k < n; ++k) y[k] -= c * row[k];
+  }
 }
 
 /// y = L x for the normalized Laplacian of g (all degrees must be >= 1).
@@ -59,8 +108,7 @@ class LaplacianOperator {
     for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
       v0[v] = std::sqrt(static_cast<double>(graph_.degree(v)));
     }
-    const double v0_norm = norm(v0);
-    scale(v0, 1.0 / v0_norm);
+    scale(v0, 1.0 / norm(v0));
     return v0;
   }
 
@@ -74,47 +122,48 @@ struct LanczosResult {
   std::size_t iterations = 0;
 };
 
-/// Lanczos with full reorthogonalization against both the Krylov basis
-/// and an optional deflation set.
+/// Lanczos on L with the kernel vector v0 deflated, fully
+/// reorthogonalized by CGS2 (two classical Gram–Schmidt passes against
+/// v0 and the whole basis).  The first pass's coefficients on q_j and
+/// q_{j-1} are the recurrence's α_j and β_{j-1}, so the three-term
+/// recurrence needs no updates of its own; α_j is read from it.
 LanczosResult lanczos(const LaplacianOperator& op,
-                      const std::vector<Vector>& deflate,
                       const SpectrumOptions& options) {
   const std::size_t n = op.dimension();
+  util::expects(options.max_iterations >= 1,
+                "laplacian_extremes: max_iterations must be at least 1");
   const std::size_t max_iter = std::min(options.max_iterations, n);
   util::Rng rng(options.seed);
 
-  std::vector<Vector> basis;
+  const Vector v0 = op.kernel_vector();
+  std::vector<Vector> basis;  // q_0 .. q_j, one allocation each
+  basis.reserve(max_iter);
+  // v0, then pointers into q_0 .. q_j: the rows every pass projects out.
+  std::vector<const double*> rows{v0.data()};
   std::vector<double> alpha;
   std::vector<double> beta;  // beta[j] couples q_j and q_{j+1}
+  Vector coefficients;
 
-  const auto orthogonalize = [&](Vector& w) {
-    for (const auto& d : deflate) axpy(-dot(d, w), d, w);
-    for (const auto& q : basis) axpy(-dot(q, w), q, w);
-  };
-
-  // Random start vector, projected off the deflation set.
+  // Random start vector, projected off v0.
   Vector q(n);
   for (auto& value : q) value = rng.uniform_real() - 0.5;
-  orthogonalize(q);
+  project_out(rows, q, coefficients);
   const double q_norm = norm(q);
   util::ensures(q_norm > 1e-12, "lanczos: degenerate start vector");
   scale(q, 1.0 / q_norm);
-  basis.push_back(q);
+  basis.push_back(std::move(q));
+  rows.push_back(basis.back().data());
 
   Vector w(n);
   double previous_extreme_low = 1e300;
   double previous_extreme_high = -1e300;
   LanczosResult result;
 
-  for (std::size_t j = 0; j < max_iter; ++j) {
+  for (std::size_t j = 0;; ++j) {
     op.apply(basis[j], w);
-    const double a_j = dot(basis[j], w);
-    alpha.push_back(a_j);
-
-    axpy(-a_j, basis[j], w);
-    if (j > 0) axpy(-beta[j - 1], basis[j - 1], w);
-    orthogonalize(w);  // full reorthogonalization (twice is overkill here)
-    orthogonalize(w);
+    project_out(rows, w, coefficients);
+    alpha.push_back(coefficients[j + 1]);
+    project_out(rows, w, coefficients);
 
     result.iterations = j + 1;
     const double b_j = norm(w);
@@ -122,15 +171,13 @@ LanczosResult lanczos(const LaplacianOperator& op,
     // Krylov space exhausted (invariant subspace found) or budget spent:
     // the current tridiagonal matrix is final.
     if (b_j < 1e-10 || j + 1 == max_iter) {
-      result.ritz_values = tridiagonal_eigenvalues(
-          alpha, std::vector<double>(beta.begin(), beta.end()));
+      result.ritz_values = tridiagonal_eigenvalues(alpha, beta);
       return result;
     }
 
     // Convergence probe on the extreme Ritz values every few steps.
     if (j >= 2 && j % 5 == 0) {
-      auto ritz = tridiagonal_eigenvalues(
-          alpha, std::vector<double>(beta.begin(), beta.end()));
+      auto ritz = tridiagonal_eigenvalues(alpha, beta);
       const double low = ritz.front();
       const double high = ritz.back();
       const bool converged =
@@ -148,11 +195,8 @@ LanczosResult lanczos(const LaplacianOperator& op,
     Vector next = w;
     scale(next, 1.0 / b_j);
     basis.push_back(std::move(next));
+    rows.push_back(basis.back().data());
   }
-
-  result.ritz_values = tridiagonal_eigenvalues(
-      alpha, std::vector<double>(beta.begin(), beta.end()));
-  return result;
 }
 
 }  // namespace
@@ -220,33 +264,30 @@ std::vector<double> tridiagonal_eigenvalues(std::vector<double> diagonal,
 
 SpectrumResult laplacian_extremes(const Graph& g,
                                   const SpectrumOptions& options) {
+  return connected_laplacian_extremes(largest_connected_component(g).graph,
+                                      options);
+}
+
+SpectrumResult connected_laplacian_extremes(const Graph& g,
+                                            const SpectrumOptions& options) {
   SpectrumResult result;
-  if (g.num_nodes() == 0 || g.num_edges() == 0) return result;
+  if (g.num_nodes() < 2) return result;
 
-  const auto gcc = largest_connected_component(g);
-  const Graph& core = gcc.graph;
-  if (core.num_nodes() < 2) return result;
+  const LaplacianOperator op(g);
 
-  const LaplacianOperator op(core);
-
-  if (core.num_nodes() == 2) {
+  if (g.num_nodes() == 2) {
     result.lambda1 = 2.0;
     result.lambda_max = 2.0;
     result.iterations = 1;
     return result;
   }
 
-  // λ_{n-1}: plain Lanczos — the top Ritz value.
-  const auto top = lanczos(op, {}, options);
-  result.lambda_max = top.ritz_values.back();
-
-  // λ1: deflate the exact kernel vector; the bottom Ritz value remains.
-  const std::vector<Vector> deflate{op.kernel_vector()};
-  auto opts1 = options;
-  opts1.seed = options.seed + 1;
-  const auto bottom = lanczos(op, deflate, opts1);
-  result.lambda1 = std::max(0.0, bottom.ritz_values.front());
-  result.iterations = top.iterations + bottom.iterations;
+  // With v0 deflated the bottom Ritz value is λ1, and the top one is
+  // still λ_{n-1}: v0 is the λ = 0 eigenvector, orthogonal to it.
+  const auto lanczos_run = lanczos(op, options);
+  result.lambda1 = std::max(0.0, lanczos_run.ritz_values.front());
+  result.lambda_max = lanczos_run.ritz_values.back();
+  result.iterations = lanczos_run.iterations;
   return result;
 }
 

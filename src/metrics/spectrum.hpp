@@ -4,11 +4,13 @@
 // tracks the extremes: λ1, the smallest NON-ZERO eigenvalue (connectivity
 // / resilience bound), and λ_{n-1}, the largest (bipartiteness bound).
 //
-// Implementation: matrix-free Lanczos with full reorthogonalization.
-// λ_{n-1} comes from plain Lanczos; λ1 from Lanczos with the known null
-// vector v0 ∝ D^{1/2} 1 deflated out (v0 spans L's kernel exactly when
-// the graph is connected, so the smallest Ritz value in the deflated
-// space is λ1).  Metrics are defined on the GCC; disconnected inputs are
+// Implementation: one matrix-free Lanczos run with the known null vector
+// v0 ∝ D^{1/2} 1 deflated out, fully reorthogonalized by classical
+// Gram–Schmidt applied twice (CGS2).  On a connected graph v0 spans L's
+// kernel, so the smallest Ritz value in the deflated space is λ1; v0 is
+// orthogonal to every other eigenvector, so the largest is λ_{n-1}.  The
+// run stops once both extremes move by less than the tolerance between
+// probes.  Metrics are defined on the GCC; disconnected inputs are
 // reduced to their largest component first.
 #pragma once
 
@@ -22,7 +24,7 @@ namespace orbis::metrics {
 struct SpectrumResult {
   double lambda1 = 0.0;      // smallest non-zero eigenvalue
   double lambda_max = 0.0;   // largest eigenvalue (λ_{n-1})
-  std::size_t iterations = 0;
+  std::size_t iterations = 0;  // Lanczos steps of the one run
 };
 
 struct SpectrumOptions {
@@ -34,6 +36,13 @@ struct SpectrumOptions {
 /// Extreme normalized-Laplacian eigenvalues of g's largest component.
 SpectrumResult laplacian_extremes(const Graph& g,
                                   const SpectrumOptions& options = {});
+
+/// The same on a graph that is already connected (e.g. a GCC the caller
+/// holds), without extracting and copying its component again.  Every
+/// node needs degree >= 1 (std::invalid_argument otherwise); on a
+/// disconnected graph λ1 reads 0.
+SpectrumResult connected_laplacian_extremes(
+    const Graph& g, const SpectrumOptions& options = {});
 
 /// Eigenvalues of a symmetric tridiagonal matrix (diagonal + off-diagonal)
 /// via the implicit-shift QL algorithm; ascending order.  Exposed for

@@ -69,7 +69,7 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
   }
   if (options.with_spectrum) {
     phase("metrics.spectrum", [&] {
-      const auto spectrum = laplacian_extremes(core);
+      const auto spectrum = connected_laplacian_extremes(core);
       result.lambda1 = spectrum.lambda1;
       result.lambda_max = spectrum.lambda_max;
     });

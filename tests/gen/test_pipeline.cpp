@@ -160,6 +160,10 @@ TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
   options.ladder.exchange_every = 100;
   rejects(options, ctx);  // epoch without a ladder
   options = options_;
+  options.targeting.attempts = 0;
+  options.targeting.attempts_per_edge = std::uint64_t{1} << 62;
+  rejects(options, ctx);  // attempts_per_edge x 90 edges wraps
+  options = options_;
   options.targeting.move = MoveKind::trade;
   for (const int d : {2, 3}) {
     options.d = d;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <ios>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "graph/builders.hpp"
 #include "metrics/clustering.hpp"
 #include "metrics/scalar.hpp"
+#include "obs/metrics.hpp"
 #include "topo/as_level.hpp"
 
 namespace orbis::gen {
@@ -105,6 +107,45 @@ TEST(Randomize, BadLevelThrows) {
                std::invalid_argument);
   EXPECT_THROW(randomize(Graph(3), RandomizeOptions{.d = -1}, rng),
                std::invalid_argument);
+}
+
+TEST(AttemptBudget, WrappingProductThrowsBeforeAnyAttempt) {
+  constexpr std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t wrap = std::uint64_t{1} << 58;  // x 64 = 2^64
+  EXPECT_EQ(attempt_budget(0, 10, 64), 640u);
+  EXPECT_EQ(attempt_budget(7, max, 64), 7u);  // an explicit budget wins
+  EXPECT_EQ(attempt_budget(0, max, 1), max);
+  EXPECT_EQ(attempt_budget(0, max, 0), 0u);
+  EXPECT_EQ(attempt_budget(0, wrap - 1, 64), max - 63);
+  EXPECT_THROW(attempt_budget(0, wrap, 64), std::invalid_argument);
+  EXPECT_THROW(attempt_budget(0, max, 2), std::invalid_argument);
+
+  // 2^58 per edge on 64 edges would wrap to a zero budget: a chain that
+  // silently returns its input.  Every entry point must refuse it.
+  const auto g = test_graph(5, 40, 64);
+  obs::Counter& attempts = obs::Registry::global().counter("rewire.attempts");
+  const std::uint64_t before = attempts.value();
+  util::Rng rng(1);
+  for (const int d : {0, 1, 2, 3}) {
+    RandomizeOptions options;
+    options.d = d;
+    options.attempts_per_edge = wrap;
+    EXPECT_THROW(randomize(g, options, rng), std::invalid_argument)
+        << "d=" << d;
+  }
+  TargetingOptions targeting;
+  targeting.attempts_per_edge = wrap;
+  const auto target = dk::extract(g, 3);
+  EXPECT_THROW(target_2k(g, target.joint, targeting, rng),
+               std::invalid_argument);
+  EXPECT_THROW(target_3k(g, target.three_k, targeting, rng),
+               std::invalid_argument);
+  EXPECT_THROW(make_2k_run(g, targeting, 0, rng, {}), std::invalid_argument);
+  ExploreOptions explore_options;
+  explore_options.attempts_per_edge = wrap;
+  EXPECT_THROW(explore(g, ExploreObjective::maximize_s, explore_options, rng),
+               std::invalid_argument);
+  EXPECT_EQ(attempts.value(), before);
 }
 
 TEST(Randomize, TinyGraphsAreNoops) {

@@ -4,8 +4,12 @@
 
 #include <cmath>
 
+#include "core/degree_distribution.hpp"
+#include "gen/matching.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
 #include "metrics/dense_eigen.hpp"
+#include "topo/as_level.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::metrics {
@@ -144,6 +148,48 @@ TEST(LaplacianExtremes, MatchesDenseSolverOnRandomGraphs) {
     EXPECT_NEAR(lanczos.lambda_max, gcc_full.back(), 1e-6)
         << "seed " << seed;
   }
+}
+
+TEST(LaplacianExtremes, OneRunMatchesDenseSolverOnHeavyTailedGraphs) {
+  // The svc metrics input's shape at a size the dense solver takes: GCCs
+  // (~430 nodes) of power-law graphs with hubs.  One deflated run must
+  // give both extremes, within one run's iteration budget.
+  topo::AsLevelOptions shape;
+  shape.num_nodes = 500;
+  shape.gamma = 2.1;
+  shape.max_degree_cap = 120;
+  const auto degrees = dk::DegreeDistribution::from_sequence(
+      topo::power_law_degree_sequence(shape));
+  const SpectrumOptions options;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    util::Rng rng(seed);
+    const Graph gcc =
+        largest_connected_component(gen::matching_1k(degrees, rng)).graph;
+    ASSERT_GT(gcc.num_nodes(), 400u) << "seed " << seed;
+    const auto dense = full_laplacian_spectrum(gcc);
+    const auto lanczos = laplacian_extremes(gcc, options);
+    EXPECT_NEAR(lanczos.lambda1, dense[1], 1e-9) << "seed " << seed;
+    EXPECT_NEAR(lanczos.lambda_max, dense.back(), 1e-9) << "seed " << seed;
+    EXPECT_GT(lanczos.iterations, 0u) << "seed " << seed;
+    EXPECT_LT(lanczos.iterations, options.max_iterations) << "seed " << seed;
+
+    // The connected entry the metrics bundle calls on its GCC agrees
+    // exactly.
+    const auto direct = connected_laplacian_extremes(gcc, options);
+    EXPECT_EQ(direct.lambda1, lanczos.lambda1) << "seed " << seed;
+    EXPECT_EQ(direct.lambda_max, lanczos.lambda_max) << "seed " << seed;
+    EXPECT_EQ(direct.iterations, lanczos.iterations) << "seed " << seed;
+  }
+}
+
+TEST(LaplacianExtremes, RejectsIsolatedNodesAndAnEmptyBudget) {
+  Graph g(3);
+  g.add_edge(0, 1);
+  EXPECT_THROW(connected_laplacian_extremes(g), std::invalid_argument);
+  SpectrumOptions options;
+  options.max_iterations = 0;
+  EXPECT_THROW(laplacian_extremes(builders::cycle(10), options),
+               std::invalid_argument);
 }
 
 TEST(LaplacianExtremes, AllEigenvaluesWithinBounds) {

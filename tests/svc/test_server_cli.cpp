@@ -165,6 +165,39 @@ TEST_F(ServerCliTest, GenerateRoundTripOverTheProtocol) {
             60u);
 }
 
+TEST_F(ServerCliTest, WrappingAttemptBudgetFailsTheJobWithATypedError) {
+  // attempts_per_edge passes the wire's int64 check, but times the
+  // target's 60 edges it wraps 64 bits: the job must fail naming the
+  // overflow, not run a wrapped budget to "done".
+  std::vector<std::string> events;
+  const int exit_code = run_session(
+      {R"({"op":"extract","path":")" + path("g.edges") +
+           R"(","out":")" + path("dk") + R"(","d":2})",
+       R"({"op":"wait","job":1})",
+       R"({"op":"generate","target":")" + path("dk") +
+           R"(","out":")" + path("out.edges") +
+           R"(","d":2,"attempts_per_edge":4611686018427387904})",
+       R"({"op":"wait","job":2})",
+       R"({"op":"shutdown"})"},
+      events);
+  EXPECT_EQ(exit_code, 0);
+  std::vector<std::string> job2_done;
+  for (const std::string& line : events) {
+    EXPECT_TRUE(test_json::is_valid_json(line)) << line;
+    if (test_json::has_entry(line, "event", "\"done\"") &&
+        test_json::has_entry(line, "job", "2")) {
+      job2_done.push_back(line);
+    }
+  }
+  ASSERT_EQ(job2_done.size(), 1u);
+  EXPECT_TRUE(test_json::has_entry(job2_done[0], "status", "\"failed\""))
+      << job2_done[0];
+  EXPECT_NE(job2_done[0].find("overflows the 64-bit attempt budget"),
+            std::string::npos)
+      << job2_done[0];
+  EXPECT_FALSE(fs::exists(path("out.edges")));
+}
+
 TEST_F(ServerCliTest, MalformedLineAnswersErrorAndSessionContinues) {
   std::vector<std::string> events;
   const int exit_code = run_session(

@@ -37,7 +37,8 @@ import sys
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
                   r"|ConvergenceAttemptsToEps|Hub3K|Pipeline3KLegs"
-                  r"|Extract3K|ReadEdgeList|DistanceDistribution")
+                  r"|Extract3K|ReadEdgeList|DistanceDistribution"
+                  r"|LaplacianExtremes")
 
 
 def load_benchmarks(path, name_filter):
