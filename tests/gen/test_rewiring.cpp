@@ -18,7 +18,9 @@
 #include "metrics/clustering.hpp"
 #include "metrics/scalar.hpp"
 #include "obs/metrics.hpp"
+#include "obs/progress.hpp"
 #include "topo/as_level.hpp"
+#include "util/stop_token.hpp"
 
 namespace orbis::gen {
 namespace {
@@ -785,21 +787,24 @@ std::uint64_t rows_hash(const Graph& g) {
   return hash;
 }
 
+/// A chain's pinned end: its rows, its stats and a distance (D3 against
+/// the original for randomizing and exploring, the chain's own final
+/// distance for targeting).
 struct PinnedChain {
   std::uint64_t hash;
   RewiringStats stats;
-  std::int64_t d3;
+  std::int64_t distance;
 };
 
 void expect_pinned(const Graph& out, const RewiringStats& stats,
-                   std::int64_t d3, const PinnedChain& pin) {
+                   std::int64_t distance, const PinnedChain& pin) {
   EXPECT_EQ(rows_hash(out), pin.hash) << std::hex << rows_hash(out);
   EXPECT_EQ(stats.attempts, pin.stats.attempts);
   EXPECT_EQ(stats.accepted, pin.stats.accepted);
   EXPECT_EQ(stats.rejected_structural, pin.stats.rejected_structural);
   EXPECT_EQ(stats.rejected_constraint, pin.stats.rejected_constraint);
   EXPECT_EQ(stats.rejected_objective, pin.stats.rejected_objective);
-  EXPECT_EQ(d3, pin.d3);
+  EXPECT_EQ(distance, pin.distance);
 }
 
 std::int64_t d3_between(const Graph& g, const dk::ThreeKProfile& target) {
@@ -973,6 +978,288 @@ TEST_F(HubChainGolden, ExploreClusteringStopAtValueIsPinned) {
                           .rejected_objective = 2034},
                          30838},
                         0x1.480e75cf7150dp-3);
+}
+
+// Golden pins for the chains the cases above leave out: randomizing at
+// d = 0..2, 2K targeting and S exploration, on the same hub graph.
+// Recorded before the per-mode attempt loops became one loop; they pin
+// every Rng draw of every mode, so the loop's order (poll, guard,
+// count, draw) cannot move.
+
+void expect_randomize_pinned(const Graph& original,
+                             const dk::ThreeKProfile& target, int d,
+                             MoveKind move, std::uint64_t seed,
+                             const PinnedChain& pin) {
+  RandomizeOptions options;
+  options.d = d;
+  options.move = move;
+  options.attempts = 20000;
+  util::Rng rng(seed);
+  RewiringStats stats;
+  const Graph out = randomize(original, options, rng, &stats);
+  expect_pinned(out, stats, d3_between(out, target), pin);
+}
+
+TEST_F(HubChainGolden, Randomize0KIsPinned) {
+  expect_randomize_pinned(original_, target_, 0, MoveKind::swap, 11,
+                          {0xba9b516c3d4866e8ULL,
+                           {.attempts = 20000, .accepted = 19939,
+                            .rejected_structural = 61,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 0},
+                           31678431});
+}
+
+TEST_F(HubChainGolden, Randomize1KSwapIsPinned) {
+  expect_randomize_pinned(original_, target_, 1, MoveKind::swap, 12,
+                          {0x22ffd294c30a6ba6ULL,
+                           {.attempts = 20000, .accepted = 13181,
+                            .rejected_structural = 6819,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 0},
+                           6378810});
+}
+
+TEST_F(HubChainGolden, Randomize1KTradeIsPinned) {
+  expect_randomize_pinned(original_, target_, 1, MoveKind::trade, 13,
+                          {0xc69e454d0ba3564eULL,
+                           {.attempts = 20000, .accepted = 17602,
+                            .rejected_structural = 2398,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 0},
+                           5691512});
+}
+
+TEST_F(HubChainGolden, Randomize2KSwapIsPinned) {
+  expect_randomize_pinned(original_, target_, 2, MoveKind::swap, 14,
+                          {0x6548a904d8fcdac6ULL,
+                           {.attempts = 20000, .accepted = 9621,
+                            .rejected_structural = 10379,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 0},
+                           30220});
+}
+
+TEST_F(HubChainGolden, Randomize2KMixedIsPinned) {
+  expect_randomize_pinned(original_, target_, 2, MoveKind::mixed, 15,
+                          {0xacfa43b07bf0f83aULL,
+                           {.attempts = 20000, .accepted = 9383,
+                            .rejected_structural = 10617,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 0},
+                           30634});
+}
+
+/// A 1K start for 2K targeting: another matching of the original's
+/// degree sequence.
+Graph one_k_start(const Graph& original) {
+  util::Rng rng(21);
+  return matching_1k(dk::DegreeDistribution::from_graph(original), rng);
+}
+
+void expect_target_2k_pinned(const Graph& original, MoveKind move,
+                             double temperature, std::uint64_t seed,
+                             const PinnedChain& pin) {
+  TargetingOptions options;
+  options.attempts = 20000;
+  options.move = move;
+  options.temperature = temperature;
+  util::Rng rng(seed);
+  RewiringStats stats;
+  double d2 = -1.0;
+  const Graph out =
+      target_2k(one_k_start(original),
+                dk::JointDegreeDistribution::from_graph(original), options,
+                rng, &stats, &d2);
+  EXPECT_EQ(d2, dk::distance_2k(
+                    dk::JointDegreeDistribution::from_graph(out),
+                    dk::JointDegreeDistribution::from_graph(original)));
+  expect_pinned(out, stats, static_cast<std::int64_t>(d2), pin);
+}
+
+TEST_F(HubChainGolden, Target2KSwapIsPinned) {
+  expect_target_2k_pinned(original_, MoveKind::swap, 0.0, 22,
+                          {0x8b01e8abefe88bd6ULL,
+                           {.attempts = 20000, .accepted = 3960,
+                            .rejected_structural = 6764,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 9276},
+                           288});
+}
+
+TEST_F(HubChainGolden, Target2KMixedIsPinned) {
+  expect_target_2k_pinned(original_, MoveKind::mixed, 0.0, 23,
+                          {0x2b8123dae88af80eULL,
+                           {.attempts = 20000, .accepted = 5657,
+                            .rejected_structural = 7896,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 6447},
+                           412});
+}
+
+TEST_F(HubChainGolden, Target2KAtPositiveTemperatureIsPinned) {
+  expect_target_2k_pinned(original_, MoveKind::swap, 2.0, 24,
+                          {0x47462e830573445aULL,
+                           {.attempts = 20000, .accepted = 6581,
+                            .rejected_structural = 6677,
+                            .rejected_constraint = 0,
+                            .rejected_objective = 6742},
+                           946});
+}
+
+TEST_F(HubChainGolden, ExploreMaximizeSIsPinned) {
+  expect_explore_pinned(original_, target_, ExploreObjective::maximize_s,
+                        explore_budget(20000), 25,
+                        {0x77a0483933657762ULL,
+                         {.attempts = 20000, .accepted = 2797,
+                          .rejected_structural = 8183,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 9020},
+                         25768534},
+                        0x1.2473f8p+23);
+}
+
+TEST_F(HubChainGolden, ExploreMinimizeSIsPinned) {
+  expect_explore_pinned(original_, target_, ExploreObjective::minimize_s,
+                        explore_budget(20000), 26,
+                        {0xb85c1f6d369d01aULL,
+                         {.attempts = 20000, .accepted = 4028,
+                          .rejected_structural = 3918,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 12054},
+                         538485930},
+                        0x1.0c22p+21);
+}
+
+TEST_F(HubChainGolden, ExploreMaximizeSStopAtValueIsPinned) {
+  ExploreOptions options = explore_budget(20000);
+  options.stop_at_value = 8.5e6;
+  expect_explore_pinned(original_, target_, ExploreObjective::maximize_s,
+                        options, 25,
+                        {0xc47ef3e7142502eaULL,
+                         {.attempts = 3777, .accepted = 841,
+                          .rejected_structural = 1450,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 1486},
+                         7706622},
+                        0x1.037296p+23);
+}
+
+TEST_F(HubChainGolden, ExploreMinimizeSStopAtValueIsPinned) {
+  ExploreOptions options = explore_budget(20000);
+  options.stop_at_value = 4.0e6;
+  expect_explore_pinned(original_, target_, ExploreObjective::minimize_s,
+                        options, 26,
+                        {0x2f4e1334a8ae608eULL,
+                         {.attempts = 8009, .accepted = 2062,
+                          .rejected_structural = 2203,
+                          .rejected_constraint = 0,
+                          .rejected_objective = 3744},
+                         105874558},
+                        0x1.e830f8p+21);
+}
+
+// The stop and progress contract of the attempt loop: a sample every
+// 1024 attempts, taken before that attempt (attempt 0 included), and a
+// stop requested at any point ends the chain at the next such poll.
+
+/// Records every sample; at its `stop_at`-th sample (1-based, 0 =
+/// never) it requests a stop, as a front end's cancel would.
+class RecordingSink : public obs::ProgressSink {
+ public:
+  explicit RecordingSink(util::StopSource* stop = nullptr,
+                         std::size_t stop_at = 0)
+      : stop_(stop), stop_at_(stop_at) {}
+
+  void report(std::uint32_t lane, const obs::ProgressSample& sample) override {
+    EXPECT_EQ(lane, 0u);
+    samples.push_back(sample);
+    if (stop_ != nullptr && samples.size() == stop_at_) stop_->request_stop();
+  }
+
+  std::vector<obs::ProgressSample> samples;
+
+ private:
+  util::StopSource* stop_;
+  std::size_t stop_at_;
+};
+
+struct PinnedSample {
+  std::uint64_t attempts;
+  std::uint64_t accepted;
+  double objective;
+};
+
+void expect_samples(const std::vector<obs::ProgressSample>& samples,
+                    std::uint64_t budget,
+                    const std::vector<PinnedSample>& pins) {
+  ASSERT_EQ(samples.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(samples[i].attempts, pins[i].attempts) << "sample " << i;
+    EXPECT_EQ(samples[i].accepted, pins[i].accepted) << "sample " << i;
+    EXPECT_EQ(samples[i].objective, pins[i].objective) << "sample " << i;
+    EXPECT_EQ(samples[i].budget, budget) << "sample " << i;
+    EXPECT_TRUE(samples[i].has_objective) << "sample " << i;
+  }
+}
+
+constexpr std::size_t kSampledBudget = 5000;
+
+/// Runs `chain(stats, ctx)` with a recording sink, then again with a
+/// sink that requests a stop at its third sample (attempt 2048): the
+/// chain must end at the next poll, attempt 3072, having reported the
+/// first three samples and nothing else.
+template <typename Chain>
+void expect_sampled_and_stoppable(Chain chain,
+                                  const std::vector<PinnedSample>& pins) {
+  RecordingSink sink;
+  svc::RunContext ctx;
+  ctx.progress = &sink;
+  RewiringStats stats;
+  chain(stats, ctx);
+  EXPECT_EQ(stats.attempts, kSampledBudget);
+  expect_samples(sink.samples, kSampledBudget, pins);
+
+  util::StopSource source;
+  RecordingSink stopping(&source, 3);
+  ctx.progress = &stopping;
+  ctx.stop = source.token();
+  RewiringStats stopped;
+  chain(stopped, ctx);
+  EXPECT_EQ(stopped.attempts, 3072u);
+  expect_samples(stopping.samples, kSampledBudget,
+                 {pins.begin(), pins.begin() + 3});
+}
+
+TEST_F(HubChainGolden, Target2KProgressAndStopArePinned) {
+  const auto target = dk::JointDegreeDistribution::from_graph(original_);
+  const Graph start = one_k_start(original_);
+  expect_sampled_and_stoppable(
+      [&](RewiringStats& stats, const svc::RunContext& ctx) {
+        RewiringEngine engine(start);
+        util::Rng rng(31);
+        engine.target_2k(target, TargetingOptions{}, kSampledBudget, rng,
+                         &stats, ctx);
+      },
+      {{0, 0, 6926.0},
+       {1024, 384, 4156.0},
+       {2048, 735, 2796.0},
+       {3072, 1033, 2026.0},
+       {4096, 1320, 1570.0}});
+}
+
+TEST_F(HubChainGolden, Target3KProgressAndStopArePinned) {
+  expect_sampled_and_stoppable(
+      [&](RewiringStats& stats, const svc::RunContext& ctx) {
+        ThreeKRewirer rewirer(start_, target_);
+        util::Rng rng(32);
+        rewirer.target(TargetingOptions{}, kSampledBudget, rng, &stats, ctx);
+      },
+      {{0, 0, 29698.0},
+       {1024, 304, 27818.0},
+       {2048, 611, 26072.0},
+       {3072, 904, 24978.0},
+       {4096, 1177, 24068.0}});
 }
 
 }  // namespace
