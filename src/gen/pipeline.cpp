@@ -45,14 +45,20 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
   const dk::DegreeDistribution& one_k = target.degree.num_nodes() > 0
                                             ? target.degree
                                             : target.joint.project_to_1k();
+  // The budget is checked before the seed is paid for: m = Σ k·n_k / 2
+  // is the seed's edge count on every realizable target.
+  std::uint64_t stubs = 0;
+  for (std::size_t k = 1; k <= one_k.max_degree(); ++k) {
+    stubs += k * one_k.n_of_k(k);
+  }
+  const TargetingOptions& targeting = options_.targeting;
+  const std::uint64_t budget = attempt_budget(
+      targeting.attempts, targeting.attempts_per_edge, stubs / 2);
   Graph start;
   {
     const obs::Span span("generate.seed_1k");
     start = matching_1k(one_k, rng);
   }
-  const TargetingOptions& targeting = options_.targeting;
-  const std::uint64_t budget = attempt_budget(
-      targeting.attempts, targeting.attempts_per_edge, start.num_edges());
   const std::uint64_t every = options_.checkpoint_every > 0
                                   ? options_.checkpoint_every
                                   : std::max<std::uint64_t>(budget / 8, 1);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/three_k_count.hpp"
 #include "exec/thread_pool.hpp"
@@ -19,27 +20,32 @@ namespace orbis::gen {
 
 namespace {
 
-/// 0K randomization is the one process that does not preserve degrees,
-/// so it runs on a plain Graph rather than the frozen-degree engine.
-Graph randomize_0k(const Graph& g, std::size_t budget, util::Rng& rng,
-                   RewiringStats* stats) {
-  Graph work = g;
-  const NodeId n = work.num_nodes();
-  for (std::size_t attempt = 0; attempt < budget; ++attempt) {
-    if (work.num_edges() == 0 || n < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    const Edge old_edge = work.edge_at(rng.uniform(work.num_edges()));
-    const auto u = static_cast<NodeId>(rng.uniform(n));
-    const auto v = static_cast<NodeId>(rng.uniform(n));
-    if (u == v || work.has_edge(u, v)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    work.remove_edge(old_edge.u, old_edge.v);
-    work.add_edge(u, v);
-    if (stats != nullptr) ++stats->accepted;
+/// How a chain ends: its graph and, for targeting, its exact distance.
+struct ChainEnd {
+  Graph graph;
+  std::int64_t distance = 0;
+};
+
+/// The frame of every public chain call on `g`: resolve the budget,
+/// count into the caller's stats (a local when none was passed), run
+/// `chain(budget, stats)`, publish this call's counts once (`before`
+/// handles callers that accumulate across calls into one struct) and
+/// report the final distance if asked.
+template <typename Chain>
+Graph run_call(const Graph& g, std::size_t attempts,
+               std::size_t attempts_per_edge, RewiringStats* stats,
+               double* final_distance, Chain chain) {
+  const std::size_t budget =
+      attempt_budget(attempts, attempts_per_edge, g.num_edges());
+  RewiringStats local_stats;
+  RewiringStats& counted = stats == nullptr ? local_stats : *stats;
+  const RewiringStats before = counted;
+  ChainEnd end = chain(budget, counted);
+  publish_rewiring_metrics(counted.delta_since(before));
+  if (final_distance != nullptr) {
+    *final_distance = static_cast<double>(end.distance);
   }
-  return work;
+  return std::move(end.graph);
 }
 
 }  // namespace
@@ -125,100 +131,77 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
                 const svc::RunContext& ctx) {
   util::expects(options.d >= 0 && options.d <= 3,
                 "randomize: d must be in [0,3]");
-  // Stats land in a local when the caller passed none, so the metrics
-  // publish below always sees this run's counts.  `before` handles
-  // callers that accumulate across calls into one struct.
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const RewiringStats before = *stats;
-  const std::size_t budget = attempt_budget(
-      options.attempts, options.attempts_per_edge, g.num_edges());
-  Graph out;
-  switch (options.d) {
-    case 0:
-      out = randomize_0k(g, budget, rng, stats);
-      break;
-    case 1:
-    case 2: {
-      RewiringEngine engine(g);
-      engine.randomize(options, budget, rng, stats, ctx);
-      out = engine.graph();
-      break;
-    }
-    default: {
-      util::expects(options.move == MoveKind::swap,
-                    "randomize: d = 3 supports only --move swap");
-      // Randomizing reads only the swap journal: no histogram build.
-      ThreeKRewirer rewirer(g, dk::TrackLevel::swap_journal);
-      rewirer.randomize(budget, rng, stats, ctx);
-      out = rewirer.graph();
-    }
-  }
-  publish_rewiring_metrics(stats->delta_since(before));
-  return out;
+  return run_call(
+      g, options.attempts, options.attempts_per_edge, stats, nullptr,
+      [&](std::size_t budget, RewiringStats& counted) {
+        switch (options.d) {
+          case 0:
+            return ChainEnd{randomize_0k(g, budget, rng, &counted, ctx)};
+          case 1:
+          case 2: {
+            RewiringEngine engine(g);
+            engine.randomize(options, budget, rng, &counted, ctx);
+            return ChainEnd{engine.graph()};
+          }
+          default: {
+            util::expects(options.move == MoveKind::swap,
+                          "randomize: d = 3 supports only --move swap");
+            // Randomizing reads only the swap journal: no histogram build.
+            ThreeKRewirer rewirer(g, dk::TrackLevel::swap_journal);
+            rewirer.randomize(budget, rng, &counted, ctx);
+            return ChainEnd{rewirer.graph()};
+          }
+        }
+      });
 }
 
 Graph target_2k(const Graph& start, const dk::JointDegreeDistribution& target,
                 const TargetingOptions& options, util::Rng& rng,
                 RewiringStats* stats, double* final_distance) {
   expect_2k_targeting_move(options.move, "target_2k");
-  const std::size_t budget = attempt_budget(
-      options.attempts, options.attempts_per_edge, start.num_edges());
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const RewiringStats before = *stats;
-  RewiringEngine engine(start);
-  const std::int64_t distance =
-      engine.target_2k(target, options, budget, rng, stats);
-  publish_rewiring_metrics(stats->delta_since(before));
-  if (final_distance != nullptr) {
-    *final_distance = static_cast<double>(distance);
-  }
-  return engine.graph();
+  return run_call(start, options.attempts, options.attempts_per_edge, stats,
+                  final_distance,
+                  [&](std::size_t budget, RewiringStats& counted) {
+                    RewiringEngine engine(start);
+                    const std::int64_t d2 = engine.target_2k(
+                        target, options, budget, rng, &counted);
+                    return ChainEnd{engine.graph(), d2};
+                  });
 }
 
 Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
                 const TargetingOptions& options, util::Rng& rng,
                 RewiringStats* stats, double* final_distance) {
-  const std::size_t budget = attempt_budget(
-      options.attempts, options.attempts_per_edge, start.num_edges());
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const RewiringStats before = *stats;
-  ThreeKRewirer rewirer(start, target);
-  const std::int64_t distance = rewirer.target(options, budget, rng, stats);
-  publish_rewiring_metrics(stats->delta_since(before));
-  if (final_distance != nullptr) {
-    *final_distance = static_cast<double>(distance);
-  }
-  return rewirer.graph();
+  return run_call(start, options.attempts, options.attempts_per_edge, stats,
+                  final_distance,
+                  [&](std::size_t budget, RewiringStats& counted) {
+                    ThreeKRewirer rewirer(start, target);
+                    const std::int64_t d3 =
+                        rewirer.target(options, budget, rng, &counted);
+                    return ChainEnd{rewirer.graph(), d3};
+                  });
 }
 
 Graph explore(const Graph& g, ExploreObjective objective,
               const ExploreOptions& options, util::Rng& rng,
               RewiringStats* stats) {
-  const std::size_t budget = attempt_budget(
-      options.attempts, options.attempts_per_edge, g.num_edges());
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const RewiringStats before = *stats;
-  const bool s_objective = objective == ExploreObjective::maximize_s ||
-                           objective == ExploreObjective::minimize_s;
-  Graph out;
-  if (s_objective) {
-    RewiringEngine engine(g);
-    engine.explore_s(objective == ExploreObjective::maximize_s, budget,
-                     options.stop_at_value, rng, stats);
-    out = engine.graph();
-  } else {
-    // Exploration follows only the scalar deltas, so skip the (hub-
-    // expensive) 3K count.
-    ThreeKRewirer rewirer(g, dk::TrackLevel::swap_journal);
-    rewirer.explore(objective, budget, options.stop_at_value, rng, stats);
-    out = rewirer.graph();
-  }
-  publish_rewiring_metrics(stats->delta_since(before));
-  return out;
+  return run_call(
+      g, options.attempts, options.attempts_per_edge, stats, nullptr,
+      [&](std::size_t budget, RewiringStats& counted) {
+        if (objective == ExploreObjective::maximize_s ||
+            objective == ExploreObjective::minimize_s) {
+          RewiringEngine engine(g);
+          engine.explore_s(objective == ExploreObjective::maximize_s, budget,
+                           options.stop_at_value, rng, &counted);
+          return ChainEnd{engine.graph()};
+        }
+        // Exploration follows only the scalar deltas, so skip the (hub-
+        // expensive) 3K count.
+        ThreeKRewirer rewirer(g, dk::TrackLevel::swap_journal);
+        rewirer.explore(objective, budget, options.stop_at_value, rng,
+                        &counted);
+        return ChainEnd{rewirer.graph()};
+      });
 }
 
 double objective_value(const Graph& g, ExploreObjective objective) {

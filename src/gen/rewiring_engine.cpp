@@ -1,6 +1,6 @@
 #include "gen/rewiring_engine.hpp"
 
-#include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,10 +10,98 @@ namespace orbis::gen {
 
 namespace {
 
-/// Stop-poll cadence of the serial chains: one relaxed atomic load every
+/// Stop-poll cadence of the attempt loop: one relaxed atomic load every
 /// 1024 attempts keeps cancellation latency in the microseconds while
 /// adding nothing measurable to the per-swap hot path.
 constexpr std::size_t kStopPollMask = 1023;
+
+/// What one attempt did; the attempt loop tallies it into RewiringStats.
+enum class Outcome : std::uint8_t {
+  accepted,
+  rejected_structural,  // a loop, a duplicate or a no-op draw
+  rejected_constraint,  // would break the preserved P_{d'}
+  rejected_objective,   // the acceptance rule said no
+};
+
+/// The counter each Outcome is tallied in, in Outcome order.
+constexpr std::uint64_t RewiringStats::*kTally[] = {
+    &RewiringStats::accepted, &RewiringStats::rejected_structural,
+    &RewiringStats::rejected_constraint, &RewiringStats::rejected_objective};
+
+/// The fixed inputs of one chain's attempt loop.
+struct ChainLoop {
+  std::size_t budget;
+  std::size_t edges;          // m: no move changes it
+  RewiringStats* stats;       // null: count into a local
+  const svc::RunContext& ctx;
+  std::size_t min_edges = 2;  // fewer and no move can be drawn
+};
+
+/// The context of a chain that takes none: never stops, reports nothing.
+const svc::RunContext kSilent{};
+
+/// `keep_going` of a chain that runs its budget out.
+constexpr auto run_out = [] { return true; };
+
+/// `objective` of a chain whose progress samples carry none.
+constexpr auto no_objective = [] { return std::optional<double>(); };
+
+/// The one attempt loop of every rewiring chain (docs/rewiring.md, "The
+/// attempt loop").  While the budget lasts and `keep_going()` holds,
+/// each attempt does, in this order:
+///   1. poll: every kStopPollMask + 1 attempts (attempt 0 included), end
+///      on a stop request, else report progress with `objective()`;
+///   2. guard: a chain on fewer than `min_edges` edges ends;
+///   3. count the attempt;
+///   4. draw: `step()` draws and judges one proposal and returns its
+///      Outcome, which is tallied.
+/// The step is a template parameter so that it inlines into the loop.
+template <typename KeepGoing, typename Objective, typename Step>
+void run_attempts(const ChainLoop& chain, KeepGoing keep_going,
+                  Objective objective, Step step) {
+  // A local tally when the caller passed none, so progress always has
+  // attempt/accept totals (the chain never reads the counts).
+  RewiringStats local_stats;
+  RewiringStats& stats = chain.stats == nullptr ? local_stats : *chain.stats;
+  // Locals, so the tally's stores cannot force reloads of the inputs.
+  const std::size_t budget = chain.budget;
+  const bool movable = chain.edges >= chain.min_edges;
+  for (std::size_t attempt = 0; attempt < budget && keep_going(); ++attempt) {
+    if ((attempt & kStopPollMask) == 0) {
+      if (chain.ctx.stop.stop_requested()) break;
+      const std::optional<double> value = objective();
+      report_progress(chain.ctx, stats, budget, value.value_or(0.0),
+                      value.has_value());
+    }
+    if (!movable) break;
+    ++stats.attempts;
+    ++(stats.*kTally[static_cast<std::size_t>(step())]);
+  }
+}
+
+/// The targeting chains' rule, standard Metropolis: always accept
+/// downhill AND neutral moves (plateau diffusion is what lets greedy
+/// descent reach D = 0); uphill moves pass with probability e^{-ΔD/T}.
+/// The uniform is drawn only for uphill moves at T > 0.
+Outcome metropolis(std::int64_t delta, double temperature, util::Rng& rng) {
+  const bool accept =
+      delta <= 0 || (temperature > 0.0 &&
+                     metropolis_accepts(delta, temperature,
+                                        rng.uniform_real()));
+  return accept ? Outcome::accepted : Outcome::rejected_objective;
+}
+
+/// The exploring chains' rule: accept only a strict improvement.
+Outcome greedy(double delta, bool maximize) {
+  const bool improved = maximize ? delta > 0.0 : delta < 0.0;
+  return improved ? Outcome::accepted : Outcome::rejected_objective;
+}
+
+/// Whether an exploring chain's `value` is still short of `stop_at`
+/// (>= ends a maximizing chain, <= a minimizing one; NaN never does).
+bool short_of(double value, double stop_at, bool maximize) {
+  return !(maximize ? value >= stop_at : value <= stop_at);
+}
 
 /// Uniform candidate: two independent uniform half-edges (a,b), (c,d),
 /// each a uniform cell of the rows.  Both edges and both orientations
@@ -111,13 +199,15 @@ bool draw_trade_from(const EdgeIndex& index, bool same_class, util::Rng& rng,
   return !trade.to_v.empty();
 }
 
-/// Applies a drawn trade to the index.  Removals first: every insertion
-/// is then degree-restoring, which is the EdgeIndex add_edge contract.
-void apply_trade_to(EdgeIndex& index, const TradeScratch& trade) {
+/// Accepts a drawn trade that changes no objective: applies it to the
+/// index.  Removals first: every insertion is then degree-restoring,
+/// which is the EdgeIndex add_edge contract.
+Outcome accept_trade(EdgeIndex& index, const TradeScratch& trade) {
   for (const NodeId x : trade.to_v) index.remove_edge(trade.u, x);
   for (const NodeId x : trade.to_u) index.remove_edge(trade.v, x);
   for (const NodeId x : trade.to_v) index.add_edge(trade.v, x);
   for (const NodeId x : trade.to_u) index.add_edge(trade.u, x);
+  return Outcome::accepted;
 }
 
 /// P(trade) per attempt in MoveKind::mixed.
@@ -129,6 +219,20 @@ constexpr double kTradeFraction = 0.25;
 inline bool propose_trade(MoveKind move, util::Rng& rng) {
   if (move == MoveKind::swap) return false;
   return move == MoveKind::trade || rng.bernoulli(kTradeFraction);
+}
+
+/// One attempt of a chain with a move mix: when propose_trade picks a
+/// trade, draw it into `trade` (a failed draw is a structural rejection)
+/// and return `judge_trade()`; otherwise return `swap_step()`.
+template <typename JudgeTrade, typename SwapStep>
+Outcome trade_or_swap(MoveKind move, const EdgeIndex& index, bool same_class,
+                      util::Rng& rng, TradeScratch& trade,
+                      JudgeTrade judge_trade, SwapStep swap_step) {
+  if (!propose_trade(move, rng)) return swap_step();
+  if (!draw_trade_from(index, same_class, rng, trade)) {
+    return Outcome::rejected_structural;
+  }
+  return judge_trade();
 }
 
 /// Fraction of 2K targeting proposals drawn GUIDED: pick a bin where the
@@ -151,40 +255,27 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
                                const svc::RunContext& ctx) {
   const int d = options.d;
   util::expects(d == 1 || d == 2, "RewiringEngine::randomize: d must be 1|2");
-  // Count into a local when the caller passed no stats sink, so progress
-  // always has attempt/accept totals to report (observably identical —
-  // the chain never reads the counts).
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
   TradeScratch trade;
-  for (std::size_t attempt = 0; attempt < budget; ++attempt) {
-    if ((attempt & kStopPollMask) == 0) {
-      if (ctx.stop.stop_requested()) break;
-      report_progress(ctx, *stats, budget, 0.0, false);
-    }
-    if (index_.num_edges() < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(options.move, rng)) {
-      // Trades preserve degrees by construction, and the JDD too when
-      // both nodes share a degree class, which d = 2 requires; d = 1
-      // trades across classes.  Either way they are always accepted.
-      if (draw_trade_from(index_, /*same_class=*/d == 2, rng, trade)) {
-        apply_trade_to(index_, trade);
-        if (stats != nullptr) ++stats->accepted;
-      } else {
-        if (stats != nullptr) ++stats->rejected_structural;
-      }
-      continue;
-    }
-    const Swap swap = d == 2 ? draw_jdd_preserving_from(index_, rng)
-                             : draw_uniform_from(index_, rng);
-    if (!structurally_valid_in(index_, swap)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
-    if (stats != nullptr) ++stats->accepted;
-  }
+  run_attempts({budget, index_.num_edges(), stats, ctx}, run_out,
+               no_objective, [&] {
+                 // Trades preserve degrees by construction, and the JDD
+                 // too when both nodes share a degree class, which d = 2
+                 // requires; d = 1 trades across classes.  Either way
+                 // they are always accepted.
+                 return trade_or_swap(
+                     options.move, index_, /*same_class=*/d == 2, rng, trade,
+                     [&] { return accept_trade(index_, trade); },
+                     [&] {
+                       const Swap swap =
+                           d == 2 ? draw_jdd_preserving_from(index_, rng)
+                                  : draw_uniform_from(index_, rng);
+                       if (!structurally_valid_in(index_, swap)) {
+                         return Outcome::rejected_structural;
+                       }
+                       index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
+                       return Outcome::accepted;
+                     });
+               });
 }
 
 bool RewiringEngine::propose_guided(const JddObjective& objective,
@@ -229,74 +320,57 @@ std::int64_t RewiringEngine::target_2k(
     RewiringStats* stats, const svc::RunContext& ctx) {
   expect_2k_targeting_move(options.move, "RewiringEngine::target_2k");
   JddObjective objective(index_, target);
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
+  const auto distance = [&] {
+    return static_cast<double>(objective.distance());
+  };
   TradeScratch trade;
-  for (std::size_t attempt = 0;
-       attempt < budget &&
-       static_cast<double>(objective.distance()) > options.stop_distance;
-       ++attempt) {
-    if ((attempt & kStopPollMask) == 0) {
-      if (ctx.stop.stop_requested()) break;
-      report_progress(ctx, *stats, budget,
-                      static_cast<double>(objective.distance()), true);
-    }
-    if (index_.num_edges() < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(options.move, rng)) {
-      // A trade keeps every edge's degree-class pair, so ΔD2 = 0: it is
-      // pure plateau diffusion — the objective tables need no update —
-      // and is accepted whenever it is structurally drawable.
-      if (draw_trade_from(index_, /*same_class=*/true, rng, trade)) {
-        apply_trade_to(index_, trade);
-        if (stats != nullptr) ++stats->accepted;
-      } else {
-        if (stats != nullptr) ++stats->rejected_structural;
-      }
-      continue;
-    }
-    Swap swap{};
-    if (!(rng.bernoulli(kGuidedFraction) &&
-          propose_guided(objective, rng, swap))) {
-      swap = draw_uniform_from(index_, rng);
-    }
+  run_attempts(
+      {budget, index_.num_edges(), stats, ctx},
+      [&] { return distance() > options.stop_distance; },
+      [&] { return std::optional<double>(distance()); },
+      [&] {
+        // A trade keeps every edge's degree-class pair, so ΔD2 = 0: it is
+        // pure plateau diffusion — the objective tables need no update —
+        // and is accepted whenever it is structurally drawable.
+        return trade_or_swap(
+            options.move, index_, /*same_class=*/true, rng, trade,
+            [&] { return accept_trade(index_, trade); },
+            [&] {
+              Swap swap{};
+              if (!(rng.bernoulli(kGuidedFraction) &&
+                    propose_guided(objective, rng, swap))) {
+                swap = draw_uniform_from(index_, rng);
+              }
 
-    // Prefetch pipeline (docs/parallel.md, "Prefetching in the proposal
-    // loops"): a drawn proposal names every cold line the checks
-    // below will touch — the two replacement-edge probe groups and the
-    // objective's four class-pair bins — so issue those prefetches
-    // first and let the misses overlap the work in between.  Hints
-    // only: the Rng stream and all results are unchanged.
-    index_.prefetch_edge_key(swap.a, swap.d);
-    index_.prefetch_edge_key(swap.c, swap.b);
-    const std::uint32_t ca = index_.node_class(swap.a);
-    const std::uint32_t cb = index_.node_class(swap.b);
-    const std::uint32_t cc = index_.node_class(swap.c);
-    const std::uint32_t cd = index_.node_class(swap.d);
-    objective.prefetch(ca, cb, cc, cd);
+              // Prefetch pipeline (docs/parallel.md, "Prefetching in the
+              // proposal loops"): a drawn proposal names every cold line
+              // the checks below will touch — the two replacement-edge
+              // probe groups and the objective's four class-pair bins —
+              // so issue those prefetches first and let the misses
+              // overlap the work in between.  Hints only: the Rng stream
+              // and all results are unchanged.
+              index_.prefetch_edge_key(swap.a, swap.d);
+              index_.prefetch_edge_key(swap.c, swap.b);
+              const std::uint32_t ca = index_.node_class(swap.a);
+              const std::uint32_t cb = index_.node_class(swap.b);
+              const std::uint32_t cc = index_.node_class(swap.c);
+              const std::uint32_t cd = index_.node_class(swap.d);
+              objective.prefetch(ca, cb, cc, cd);
 
-    if (!structurally_valid_in(index_, swap)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    const std::int64_t delta = objective.apply(ca, cb, cc, cd);
-    // Standard Metropolis: always accept downhill AND neutral moves
-    // (plateau diffusion is what lets greedy descent reach D = 0);
-    // uphill moves pass with probability e^{-ΔD/T}.  The uniform is
-    // drawn only for uphill moves at T > 0.
-    const bool accept =
-        delta <= 0 || (options.temperature > 0.0 &&
-                       metropolis_accepts(delta, options.temperature,
-                                          rng.uniform_real()));
-    if (accept) {
-      index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
-      objective.commit(ca, cb, cc, cd);
-      if (stats != nullptr) ++stats->accepted;
-    } else {
-      objective.revert(ca, cb, cc, cd);
-      if (stats != nullptr) ++stats->rejected_objective;
-    }
-  }
+              if (!structurally_valid_in(index_, swap)) {
+                return Outcome::rejected_structural;
+              }
+              const Outcome outcome = metropolis(
+                  objective.apply(ca, cb, cc, cd), options.temperature, rng);
+              if (outcome == Outcome::accepted) {
+                index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
+                objective.commit(ca, cb, cc, cd);
+              } else {
+                objective.revert(ca, cb, cc, cd);
+              }
+              return outcome;
+            });
+      });
   return objective.distance();
 }
 
@@ -313,36 +387,47 @@ void RewiringEngine::explore_s(bool maximize, std::size_t budget,
                                double stop_at, util::Rng& rng,
                                RewiringStats* stats) {
   double s = likelihood_s();
-  const bool has_stop = !std::isnan(stop_at);
-  const auto reached_stop = [&]() {
-    if (!has_stop) return false;
-    return maximize ? s >= stop_at : s <= stop_at;
-  };
+  run_attempts(
+      {budget, index_.num_edges(), stats, kSilent},
+      [&] { return short_of(s, stop_at, maximize); }, no_objective, [&] {
+        const Swap swap = draw_uniform_from(index_, rng);
+        if (!structurally_valid_in(index_, swap)) {
+          return Outcome::rejected_structural;
+        }
+        const double da = static_cast<double>(index_.degree(swap.a));
+        const double db = static_cast<double>(index_.degree(swap.b));
+        const double dc = static_cast<double>(index_.degree(swap.c));
+        const double dd = static_cast<double>(index_.degree(swap.d));
+        // ΔS of (a,b),(c,d) -> (a,d),(c,b) over frozen degrees.
+        const double delta = (da - dc) * (dd - db);
+        const Outcome outcome = greedy(delta, maximize);
+        if (outcome == Outcome::accepted) {
+          index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
+          s += delta;
+        }
+        return outcome;
+      });
+}
 
-  for (std::size_t attempt = 0; attempt < budget && !reached_stop();
-       ++attempt) {
-    if (index_.num_edges() < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    const Swap swap = draw_uniform_from(index_, rng);
-    if (!structurally_valid_in(index_, swap)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    const double da = static_cast<double>(index_.degree(swap.a));
-    const double db = static_cast<double>(index_.degree(swap.b));
-    const double dc = static_cast<double>(index_.degree(swap.c));
-    const double dd = static_cast<double>(index_.degree(swap.d));
-    // ΔS of (a,b),(c,d) -> (a,d),(c,b) over frozen degrees.
-    const double delta = (da - dc) * (dd - db);
-    const bool improved = maximize ? delta > 0.0 : delta < 0.0;
-    if (improved) {
-      index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
-      s += delta;
-      if (stats != nullptr) ++stats->accepted;
-    } else {
-      if (stats != nullptr) ++stats->rejected_objective;
-    }
-  }
+Graph randomize_0k(const Graph& g, std::size_t budget, util::Rng& rng,
+                   RewiringStats* stats, const svc::RunContext& ctx) {
+  Graph work = g;
+  const NodeId n = work.num_nodes();
+  // One edge is enough to move (a graph on fewer than 2 nodes has none).
+  run_attempts({budget, work.num_edges(), stats, ctx, /*min_edges=*/1},
+               run_out, no_objective, [&] {
+                 const Edge old_edge =
+                     work.edge_at(rng.uniform(work.num_edges()));
+                 const auto u = static_cast<NodeId>(rng.uniform(n));
+                 const auto v = static_cast<NodeId>(rng.uniform(n));
+                 if (u == v || work.has_edge(u, v)) {
+                   return Outcome::rejected_structural;
+                 }
+                 work.remove_edge(old_edge.u, old_edge.v);
+                 work.add_edge(u, v);
+                 return Outcome::accepted;
+               });
+  return work;
 }
 
 // ---------------------------------------------------------------------------
@@ -365,32 +450,24 @@ bool ThreeKRewirer::draw_candidate(util::Rng& rng, Swap& swap) const {
 void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
                               RewiringStats* stats,
                               const svc::RunContext& ctx) {
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
   dk::SwapDelta delta;
-  for (std::size_t attempt = 0; attempt < budget; ++attempt) {
-    if ((attempt & kStopPollMask) == 0) {
-      if (ctx.stop.stop_requested()) break;
-      report_progress(ctx, *stats, budget, 0.0, false);
-    }
-    if (index_.num_edges() < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    Swap swap{};
-    if (!draw_candidate(rng, swap)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    // Candidates preserve the JDD by construction; 3K preservation is
-    // verified exactly against the speculative delta journal — nothing
-    // is mutated yet, so the frequent rejections cost nothing to undo.
-    state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
-    if (delta.journal.all_zero()) {
-      state_.commit_swap(delta);
-      if (stats != nullptr) ++stats->accepted;
-    } else {
-      if (stats != nullptr) ++stats->rejected_constraint;
-    }
-  }
+  run_attempts({budget, index_.num_edges(), stats, ctx}, run_out,
+               no_objective, [&] {
+                 Swap swap{};
+                 if (!draw_candidate(rng, swap)) {
+                   return Outcome::rejected_structural;
+                 }
+                 // Candidates preserve the JDD by construction; 3K
+                 // preservation is verified exactly against the
+                 // speculative delta journal — nothing is mutated yet, so
+                 // the frequent rejections cost nothing to undo.
+                 state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
+                 if (!delta.journal.all_zero()) {
+                   return Outcome::rejected_constraint;
+                 }
+                 state_.commit_swap(delta);
+                 return Outcome::accepted;
+               });
 }
 
 std::int64_t ThreeKRewirer::target(const TargetingOptions& options,
@@ -402,6 +479,9 @@ std::int64_t ThreeKRewirer::target(const TargetingOptions& options,
                 "ThreeKRewirer::target: needs an engine built with a "
                 "target");
   const dk::ThreeKResidual& residual = state_.residual();
+  const auto distance = [&] {
+    return static_cast<double>(residual.distance());
+  };
   dk::SwapDelta swap_delta;
   TradeScratch trade;
 
@@ -426,57 +506,39 @@ std::int64_t ThreeKRewirer::target(const TargetingOptions& options,
     return residual.distance() - before;
   };
 
-  RewiringStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  for (std::size_t attempt = 0;
-       attempt < budget &&
-       static_cast<double>(residual.distance()) > options.stop_distance;
-       ++attempt) {
-    if ((attempt & kStopPollMask) == 0) {
-      if (ctx.stop.stop_requested()) break;
-      report_progress(ctx, *stats, budget,
-                      static_cast<double>(residual.distance()), true);
-    }
-    if (index_.num_edges() < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    if (propose_trade(options.move, rng)) {
-      if (!draw_trade_from(index_, /*same_class=*/true, rng, trade)) {
-        if (stats != nullptr) ++stats->rejected_structural;
-        continue;
-      }
-      const std::int64_t delta = commit_trade_legs(trade.to_v, trade.to_u);
-      const bool accept =
-          delta <= 0 || (options.temperature > 0.0 &&
-                         metropolis_accepts(delta, options.temperature,
-                                            rng.uniform_real()));
-      if (accept) {
-        if (stats != nullptr) ++stats->accepted;
-      } else {
-        commit_trade_legs(trade.to_u, trade.to_v);  // exact inverse
-        if (stats != nullptr) ++stats->rejected_objective;
-      }
-      continue;
-    }
-    Swap swap{};
-    if (!draw_candidate(rng, swap)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    // ΔD3 is evaluated against the speculative journal BEFORE anything
-    // mutates: a rejected proposal ends here, with no state to restore.
-    state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, swap_delta);
-    const std::int64_t delta = residual.delta_if_applied(swap_delta.journal);
-    const bool accept =
-        delta <= 0 || (options.temperature > 0.0 &&
-                       metropolis_accepts(delta, options.temperature,
-                                          rng.uniform_real()));
-    if (accept) {
-      state_.commit_swap(swap_delta);
-      if (stats != nullptr) ++stats->accepted;
-    } else {
-      if (stats != nullptr) ++stats->rejected_objective;
-    }
-  }
+  run_attempts(
+      {budget, index_.num_edges(), stats, ctx},
+      [&] { return distance() > options.stop_distance; },
+      [&] { return std::optional<double>(distance()); },
+      [&] {
+        return trade_or_swap(
+            options.move, index_, /*same_class=*/true, rng, trade,
+            [&] {
+              const Outcome outcome =
+                  metropolis(commit_trade_legs(trade.to_v, trade.to_u),
+                             options.temperature, rng);
+              if (outcome != Outcome::accepted) {
+                commit_trade_legs(trade.to_u, trade.to_v);  // exact inverse
+              }
+              return outcome;
+            },
+            [&] {
+              Swap swap{};
+              if (!draw_candidate(rng, swap)) {
+                return Outcome::rejected_structural;
+              }
+              // ΔD3 is evaluated against the speculative journal BEFORE
+              // anything mutates: a rejected proposal ends here, with no
+              // state to restore.
+              state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d,
+                                   swap_delta);
+              const Outcome outcome =
+                  metropolis(residual.delta_if_applied(swap_delta.journal),
+                             options.temperature, rng);
+              if (outcome == Outcome::accepted) state_.commit_swap(swap_delta);
+              return outcome;
+            });
+      });
   return residual.distance();
 }
 
@@ -492,38 +554,26 @@ void ThreeKRewirer::explore(ExploreObjective objective, std::size_t budget,
   };
   const bool maximize = objective == ExploreObjective::maximize_s2 ||
                         objective == ExploreObjective::maximize_clustering;
-  const bool has_stop = !std::isnan(stop_at);
-  const auto reached_stop = [&]() {
-    if (!has_stop) return false;
-    return maximize ? current() >= stop_at : current() <= stop_at;
-  };
 
   dk::SwapDelta delta;
-  for (std::size_t attempt = 0; attempt < budget && !reached_stop();
-       ++attempt) {
-    if (index_.num_edges() < 2) break;
-    if (stats != nullptr) ++stats->attempts;
-    Swap swap{};
-    if (!draw_candidate(rng, swap)) {
-      if (stats != nullptr) ++stats->rejected_structural;
-      continue;
-    }
-    // Both exploration objectives fall out of the speculative deltas:
-    // ΔS2 directly, and ΔC̄ as Δ(clustering sum) / n (same sign).
-    state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
-    const double objective_delta =
-        s2_objective ? delta.s2_delta : delta.clustering_delta;
-    const bool improved =
-        maximize ? objective_delta > 0.0 : objective_delta < 0.0;
-    if (improved) {
-      state_.commit_swap(delta);
-      sums.s2 += delta.s2_delta;
-      sums.clustering_sum += delta.clustering_delta;
-      if (stats != nullptr) ++stats->accepted;
-    } else {
-      if (stats != nullptr) ++stats->rejected_objective;
-    }
-  }
+  run_attempts(
+      {budget, index_.num_edges(), stats, kSilent},
+      [&] { return short_of(current(), stop_at, maximize); }, no_objective,
+      [&] {
+        Swap swap{};
+        if (!draw_candidate(rng, swap)) return Outcome::rejected_structural;
+        // Both exploration objectives fall out of the speculative deltas:
+        // ΔS2 directly, and ΔC̄ as Δ(clustering sum) / n (same sign).
+        state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
+        const Outcome outcome = greedy(
+            s2_objective ? delta.s2_delta : delta.clustering_delta, maximize);
+        if (outcome == Outcome::accepted) {
+          state_.commit_swap(delta);
+          sums.s2 += delta.s2_delta;
+          sums.clustering_sum += delta.clustering_delta;
+        }
+        return outcome;
+      });
 }
 
 }  // namespace orbis::gen

@@ -14,13 +14,19 @@
 //                           while the engine draws 2K-preserving swap
 //                           candidates from the same index's rows
 //                           instead of rejection sampling.
+//   * randomize_0k        — the one chain on a plain Graph.
+//
+// Every chain method runs the same attempt loop (rewiring_engine.cpp,
+// docs/rewiring.md "The attempt loop"); a mode is only its step, which
+// draws one proposal and returns its outcome, and its acceptance rule.
+// The loop owns the budget, the early stop, the stop poll and progress
+// report every 1024 attempts, the edge guard and the stats tally.
 //
 // An engine built from graph() continues exactly as the live one would
 // (gen/checkpoint.hpp says why).
 //
 // The public entry points in rewiring.hpp are thin wrappers over these;
-// multi-chain runs are the leg driver's job.  Chain methods poll
-// ctx.stop and report to ctx.progress every 1024 attempts.
+// multi-chain runs are the leg driver's job.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +86,11 @@ class RewiringEngine {
 
   EdgeIndex index_;
 };
+
+/// 0K randomization: keeps only the edge count, so unlike the engines it
+/// moves edges of a plain Graph (one random edge to a random node pair).
+Graph randomize_0k(const Graph& g, std::size_t budget, util::Rng& rng,
+                   RewiringStats* stats, const svc::RunContext& ctx = {});
 
 /// Progress report at a stop-poll boundary, on lane 0 (the leg driver's
 /// obs::ProgressLane tags the chain).  Sinks only READ the sample, so a

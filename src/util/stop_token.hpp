@@ -5,8 +5,8 @@
 // boundaries.  The library never blocks on cancellation — a stop
 // request is honored at the next polling point:
 //
-//   * the serial rewiring chains (RewiringEngine::target_2k/randomize,
-//     ThreeKRewirer::target/randomize) poll every few thousand attempts;
+//   * every serial rewiring chain polls in the one attempt loop
+//     (gen/rewiring_engine.cpp; docs/rewiring.md gives the cadence);
 //   * the checkpointed run driver (gen/checkpoint.hpp) polls at leg
 //     boundaries ONLY, so an interrupted checkpointed run stops exactly
 //     at a canonical checkpoint boundary and resume stays bit-identical.

@@ -163,6 +163,14 @@ TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
   options.targeting.attempts = 0;
   options.targeting.attempts_per_edge = std::uint64_t{1} << 62;
   rejects(options, ctx);  // attempts_per_edge x 90 edges wraps
+  // ... also on a 1K target no seed can realize (odd degree sum): the
+  // budget is checked before the 1K seed runs.
+  {
+    dk::DkDistributions odd = target_;
+    odd.degree = dk::DegreeDistribution::from_sequence({3, 3, 3, 3, 3});
+    EXPECT_THROW(Pipeline(odd, options, util::Rng(1), ctx),
+                 std::invalid_argument);
+  }
   options = options_;
   options.targeting.move = MoveKind::trade;
   for (const int d : {2, 3}) {

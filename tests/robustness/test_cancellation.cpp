@@ -55,11 +55,15 @@ TEST_F(CancellationTest, PreRequestedStopEndsRandomizeBeforeAnyAttempt) {
   svc::RunContext ctx;
   ctx.seed = 4;
   ctx.stop = stop.token();
-  gen::RewiringStats stats;
-  const Graph result = gen::dk_random_like(source_, 2, options, ctx, &stats);
-  // The poll fires at the first batch boundary (attempt 0): no swaps.
-  EXPECT_EQ(stats.attempts, 0u);
-  EXPECT_EQ(result.num_edges(), source_.num_edges());
+  // Every level runs the one attempt loop, d = 0 included.
+  for (const int d : {0, 1, 2, 3}) {
+    gen::RewiringStats stats;
+    const Graph result =
+        gen::dk_random_like(source_, d, options, ctx, &stats);
+    // The poll fires at the first batch boundary (attempt 0): no swaps.
+    EXPECT_EQ(stats.attempts, 0u) << "d " << d;
+    EXPECT_TRUE(result == source_) << "d " << d;
+  }
 }
 
 TEST_F(CancellationTest, PreRequestedStopEndsTargetingBeforeAnyAttempt) {
