@@ -256,26 +256,24 @@ void RewiringEngine::randomize(const RandomizeOptions& options,
   const int d = options.d;
   util::expects(d == 1 || d == 2, "RewiringEngine::randomize: d must be 1|2");
   TradeScratch trade;
-  run_attempts({budget, index_.num_edges(), stats, ctx}, run_out,
-               no_objective, [&] {
-                 // Trades preserve degrees by construction, and the JDD
-                 // too when both nodes share a degree class, which d = 2
-                 // requires; d = 1 trades across classes.  Either way
-                 // they are always accepted.
-                 return trade_or_swap(
-                     options.move, index_, /*same_class=*/d == 2, rng, trade,
-                     [&] { return accept_trade(index_, trade); },
-                     [&] {
-                       const Swap swap =
-                           d == 2 ? draw_jdd_preserving_from(index_, rng)
-                                  : draw_uniform_from(index_, rng);
-                       if (!structurally_valid_in(index_, swap)) {
-                         return Outcome::rejected_structural;
-                       }
-                       index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
-                       return Outcome::accepted;
-                     });
-               });
+  // Trades preserve degrees by construction, and the JDD too when both
+  // nodes share a degree class, which d = 2 requires; d = 1 trades across
+  // classes.  Either way they are always accepted.
+  run_attempts(
+      {budget, index_.num_edges(), stats, ctx}, run_out, no_objective, [&] {
+        return trade_or_swap(
+            options.move, index_, /*same_class=*/d == 2, rng, trade,
+            [&] { return accept_trade(index_, trade); },
+            [&] {
+              const Swap swap = d == 2 ? draw_jdd_preserving_from(index_, rng)
+                                       : draw_uniform_from(index_, rng);
+              if (!structurally_valid_in(index_, swap)) {
+                return Outcome::rejected_structural;
+              }
+              index_.apply_swap(swap.a, swap.b, swap.c, swap.d);
+              return Outcome::accepted;
+            });
+      });
 }
 
 bool RewiringEngine::propose_guided(const JddObjective& objective,
@@ -414,19 +412,19 @@ Graph randomize_0k(const Graph& g, std::size_t budget, util::Rng& rng,
   Graph work = g;
   const NodeId n = work.num_nodes();
   // One edge is enough to move (a graph on fewer than 2 nodes has none).
-  run_attempts({budget, work.num_edges(), stats, ctx, /*min_edges=*/1},
-               run_out, no_objective, [&] {
-                 const Edge old_edge =
-                     work.edge_at(rng.uniform(work.num_edges()));
-                 const auto u = static_cast<NodeId>(rng.uniform(n));
-                 const auto v = static_cast<NodeId>(rng.uniform(n));
-                 if (u == v || work.has_edge(u, v)) {
-                   return Outcome::rejected_structural;
-                 }
-                 work.remove_edge(old_edge.u, old_edge.v);
-                 work.add_edge(u, v);
-                 return Outcome::accepted;
-               });
+  run_attempts(
+      {budget, work.num_edges(), stats, ctx, /*min_edges=*/1}, run_out,
+      no_objective, [&] {
+        const Edge old_edge = work.edge_at(rng.uniform(work.num_edges()));
+        const auto u = static_cast<NodeId>(rng.uniform(n));
+        const auto v = static_cast<NodeId>(rng.uniform(n));
+        if (u == v || work.has_edge(u, v)) {
+          return Outcome::rejected_structural;
+        }
+        work.remove_edge(old_edge.u, old_edge.v);
+        work.add_edge(u, v);
+        return Outcome::accepted;
+      });
   return work;
 }
 
@@ -451,23 +449,18 @@ void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
                               RewiringStats* stats,
                               const svc::RunContext& ctx) {
   dk::SwapDelta delta;
-  run_attempts({budget, index_.num_edges(), stats, ctx}, run_out,
-               no_objective, [&] {
-                 Swap swap{};
-                 if (!draw_candidate(rng, swap)) {
-                   return Outcome::rejected_structural;
-                 }
-                 // Candidates preserve the JDD by construction; 3K
-                 // preservation is verified exactly against the
-                 // speculative delta journal — nothing is mutated yet, so
-                 // the frequent rejections cost nothing to undo.
-                 state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
-                 if (!delta.journal.all_zero()) {
-                   return Outcome::rejected_constraint;
-                 }
-                 state_.commit_swap(delta);
-                 return Outcome::accepted;
-               });
+  run_attempts(
+      {budget, index_.num_edges(), stats, ctx}, run_out, no_objective, [&] {
+        Swap swap{};
+        if (!draw_candidate(rng, swap)) return Outcome::rejected_structural;
+        // Candidates preserve the JDD by construction; 3K preservation is
+        // verified exactly against the speculative delta journal — nothing
+        // is mutated yet, so the frequent rejections cost nothing to undo.
+        state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
+        if (!delta.journal.all_zero()) return Outcome::rejected_constraint;
+        state_.commit_swap(delta);
+        return Outcome::accepted;
+      });
 }
 
 std::int64_t ThreeKRewirer::target(const TargetingOptions& options,
