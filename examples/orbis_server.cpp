@@ -11,7 +11,8 @@
 // Requests ("op" selects the verb; "tag" is an optional client string
 // echoed in the acceptance).  extract, generate and metrics also take
 // "seed", "chains" and "workers" (only 1); any other key is an error
-// naming it, and the job is never accepted:
+// naming it, and the job is never accepted.  "attempts" is at most
+// svc::kMaxAttempts (2^40) and "chains" at most gen::kMaxChains:
 //
 //   {"op":"extract","path":"g.edges","out":"prefix","d":3,
 //    "trust_simple":false,"tag":"e1"}
@@ -177,7 +178,8 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
     job.input_path = wire::require_string(request, "target");
     job.output = wire::require_string(request, "out");
     job.d = get_d(request, 2);
-    job.attempts = wire::get_count(request, "attempts", 0);
+    job.attempts =
+        wire::get_count(request, "attempts", 0, orbis::svc::kMaxAttempts);
     job.attempts_per_edge = wire::get_count(request, "attempts_per_edge", 0);
     job.temperature = wire::get_double(request, "temperature", 0.0);
     job.checkpoint_every = wire::get_count(request, "checkpoint_every", 0);

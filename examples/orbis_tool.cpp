@@ -12,6 +12,11 @@
 //       or from a graph:           --like graph.edges (randomizing rewiring)
 //       method:                    --method {stochastic,pseudograph,
 //                                            matching,targeting}
+//       attempt budget:            --attempts N (per chain) or
+//                                  --attempts-per-edge N (times the edge
+//                                  count; default 10 for --like, 400
+//                                  for targeting); a budget that wraps
+//                                  64 bits is a usage error
 //       parallelism:               --chains N (annealing chains; default 0 =
 //                                  one per core; each chain is serial)
 //       proposal moves:            --move {swap,trade,mixed} (double-edge
@@ -289,9 +294,11 @@ Graph generate_targeting(const util::ArgParser& args,
   if (!resume_path.empty()) {
     if (args.get_int("--ladder", 0) > 0 ||
         args.get_int("--exchange-every", 0) > 0 ||
-        !args.get_string("--move", "").empty()) {
-      status("note: --ladder/--exchange-every/--move ignored on resume — "
-             "they are part of the run and come from the checkpoint\n");
+        !args.get_string("--move", "").empty() ||
+        args.has_flag("--attempts") || args.has_flag("--attempts-per-edge")) {
+      status("note: --ladder/--exchange-every/--move/--attempts/"
+             "--attempts-per-edge ignored on resume — they are part of the "
+             "run and come from the checkpoint\n");
     }
     const gen::RunCheckpoint& resumed = pipeline.checkpoint();
     status("resuming %s: %dK stage, %llu/%llu attempts per chain, %zu "
@@ -447,6 +454,20 @@ int cmd_generate(const util::ArgParser& args) {
   const gen::MoveKind move =
       gen::parse_move_kind(args.get_string("--move", "swap"));
 
+  // The attempt budget of the rewiring chains, as gen::attempt_budget
+  // reads it: --attempts outright, else --attempts-per-edge times the
+  // edge count.  The chain refuses a product that wraps 64 bits before
+  // it runs.
+  const bool budget_flags =
+      args.has_flag("--attempts") || args.has_flag("--attempts-per-edge");
+  const auto set_budget = [&](auto& budget) {
+    budget.attempts = parse_count(args, "--attempts",
+                                  static_cast<long long>(budget.attempts));
+    budget.attempts_per_edge =
+        parse_count(args, "--attempts-per-edge",
+                    static_cast<long long>(budget.attempts_per_edge));
+  };
+
   const bool leg_flags = !args.get_string("--checkpoint", "").empty() ||
                          !args.get_string("--resume", "").empty() ||
                          args.get_int("--ladder", 0) != 0;
@@ -464,6 +485,7 @@ int cmd_generate(const util::ArgParser& args) {
     const Graph original = load(like, /*gcc=*/false);
     gen::RandomizeOptions options;
     options.move = move;
+    set_budget(options);
     record_config("like", like);
     record_config("move", gen::to_string(move));
     set_phase("randomize " + std::to_string(d) + "k");
@@ -518,6 +540,7 @@ int cmd_generate(const util::ArgParser& args) {
         parse_method(args.get_string("--method", "matching"));
     if (d == 3) options.method = gen::Method::targeting;
     options.targeting.move = move;
+    set_budget(options.targeting);
     record_config("method", args.get_string("--method", "matching"));
     if (options.method == gen::Method::targeting && (d == 2 || d == 3)) {
       bool interrupted = false;
@@ -529,6 +552,12 @@ int cmd_generate(const util::ArgParser& args) {
             "--checkpoint/--resume/--ladder require --method targeting "
             "with --d 2 or --d 3 (the long rewiring chains are what they "
             "cover)");
+      }
+      if (budget_flags) {
+        throw std::invalid_argument(
+            "--attempts/--attempts-per-edge apply to --like randomizing "
+            "runs and to --method targeting with --d 2 or --d 3 (the "
+            "rewiring chains are what they budget)");
       }
       set_phase("generate " + std::to_string(d) + "k");
       const auto stage_start = std::chrono::steady_clock::now();
@@ -629,7 +658,8 @@ int main(int argc, char** argv) {
        "--from-2k", "--from-3k", "--method", "--chains", "--dot",
        "--nodes", "--checkpoint",
        "--checkpoint-every", "--resume", "--stop-after-checkpoints",
-       "--report", "--trace", "--move", "--ladder", "--exchange-every"});
+       "--report", "--trace", "--move", "--ladder", "--exchange-every",
+       "--attempts", "--attempts-per-edge"});
   if (args.positional().empty()) return usage();
   const std::string& command = args.positional()[0];
 

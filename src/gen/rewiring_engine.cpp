@@ -429,6 +429,65 @@ Graph randomize_0k(const Graph& g, std::size_t budget, util::Rng& rng,
 }
 
 // ---------------------------------------------------------------------------
+// The 3K randomizing chain's prefilter.
+// ---------------------------------------------------------------------------
+
+std::vector<std::int64_t> neighbor_degree_sums(const EdgeIndex& index) {
+  std::vector<std::int64_t> sums(index.num_nodes(), 0);
+  for (NodeId v = 0; v < index.num_nodes(); ++v) {
+    std::int64_t sum = 0;
+    for (const NodeId y : index.neighbors(v)) sum += index.degree(y);
+    sums[v] = sum;
+  }
+  return sums;
+}
+
+// Why a differing neighbour-degree sum proves the 3K profile changes.
+// Count 2-paths x-y-z (open or closed) by key (k_y; {k_x, k_z}).  An open
+// wedge is one 2-path and a triangle is three, one per centre, so this
+// histogram is a linear image of the 3K profile: if it moves, the
+// wedge/triangle journal cannot be empty.
+//
+// Take k_b = k_d = k.  A 2-path moves only if it holds a removed or an
+// added edge, and only by its centre's neighbour multiset:
+//   * centred at a, a's neighbour degrees trade k_b for k_d, and at c,
+//     k_d for k_b: the same multisets, so nothing moves;
+//   * centred at b, the neighbour a (degree k_a) becomes c (k_c), and at
+//     d, c becomes a.  With M_b, M_d the degree multisets of N(b)∖{a}
+//     and N(d)∖{c}, the histogram moves by
+//       Σ_m (M_b(m) − M_d(m)) · ((k; {k_c, m}) − (k; {k_a, m})).
+// With k_a ≠ k_c this is zero iff M_b = M_d: the only keys two terms
+// share are (k; {k_c, m}) = (k; {k_a, m'}) with m = k_a, m' = k_c, and
+// even then (k; {k_c, k_c}) carries M_b(k_c) − M_d(k_c) alone and
+// (k; {k_a, k_a}) carries M_d(k_a) − M_b(k_a) alone.  Equal multisets
+// have equal sums, s_b − k_a and s_d − k_c, so unequal sums prove a
+// change; equal ones prove nothing and fall through to the journal.
+// The k_a = k_c branch is the same swap read as (b,a,d,c).
+bool changes_two_paths(const EdgeIndex& index,
+                       const std::vector<std::int64_t>& sums,
+                       const Swap& swap) {
+  const std::int64_t ka = index.degree(swap.a);
+  const std::int64_t kb = index.degree(swap.b);
+  const std::int64_t kc = index.degree(swap.c);
+  const std::int64_t kd = index.degree(swap.d);
+  if (kb == kd && ka != kc) return sums[swap.b] - ka != sums[swap.d] - kc;
+  if (ka == kc && kb != kd) return sums[swap.a] - kb != sums[swap.c] - kd;
+  return false;
+}
+
+void apply_swap_to_sums(const EdgeIndex& index, const Swap& swap,
+                        std::vector<std::int64_t>& sums) {
+  const std::int64_t ka = index.degree(swap.a);
+  const std::int64_t kb = index.degree(swap.b);
+  const std::int64_t kc = index.degree(swap.c);
+  const std::int64_t kd = index.degree(swap.d);
+  sums[swap.a] += kd - kb;
+  sums[swap.b] += kc - ka;
+  sums[swap.c] += kb - kd;
+  sums[swap.d] += ka - kc;
+}
+
+// ---------------------------------------------------------------------------
 // ThreeKRewirer: one EdgeIndex, with DkState bound to it for the residual.
 // ---------------------------------------------------------------------------
 
@@ -449,16 +508,22 @@ void ThreeKRewirer::randomize(std::size_t budget, util::Rng& rng,
                               RewiringStats* stats,
                               const svc::RunContext& ctx) {
   dk::SwapDelta delta;
+  std::vector<std::int64_t> sums = neighbor_degree_sums(index_);
   run_attempts(
       {budget, index_.num_edges(), stats, ctx}, run_out, no_objective, [&] {
         Swap swap{};
         if (!draw_candidate(rng, swap)) return Outcome::rejected_structural;
-        // Candidates preserve the JDD by construction; 3K preservation is
-        // verified exactly against the speculative delta journal — nothing
-        // is mutated yet, so the frequent rejections cost nothing to undo.
+        // Candidates preserve the JDD by construction.  Most that break
+        // the 3K profile are caught in O(1) by the sums; the rest are
+        // verified exactly against the speculative delta journal —
+        // nothing is mutated yet, so rejections cost nothing to undo.
+        if (changes_two_paths(index_, sums, swap)) {
+          return Outcome::rejected_constraint;
+        }
         state_.evaluate_swap(swap.a, swap.b, swap.c, swap.d, delta);
         if (!delta.journal.all_zero()) return Outcome::rejected_constraint;
         state_.commit_swap(delta);
+        apply_swap_to_sums(index_, swap, sums);
         return Outcome::accepted;
       });
 }

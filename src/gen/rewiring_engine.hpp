@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/dk_state.hpp"
 #include "gen/objective.hpp"
@@ -106,6 +107,22 @@ inline void report_progress(const svc::RunContext& ctx,
                            .has_objective = has_objective});
 }
 
+/// s_v = Σ_{y ∈ N(v)} k_y for every node of `index`: one O(m) pass.
+std::vector<std::int64_t> neighbor_degree_sums(const EdgeIndex& index);
+
+/// True when the 2K-preserving swap (a,b),(c,d) -> (a,d),(c,b) provably
+/// changes the 3K profile, read in O(1) off `sums` (the argument is at
+/// the definition).  False decides nothing: the journal must.
+bool changes_two_paths(const EdgeIndex& index,
+                       const std::vector<std::int64_t>& sums,
+                       const Swap& swap);
+
+/// Moves `sums` across `swap`.  Degrees are frozen, so only the four
+/// endpoints' sums change, and the call may come before or after the
+/// swap is committed.
+void apply_swap_to_sums(const EdgeIndex& index, const Swap& swap,
+                        std::vector<std::int64_t>& sums);
+
 /// 3K machinery: one EdgeIndex for adjacency + candidate draws, with a
 /// DkState bound to it for the wedge/triangle bookkeeping.
 class ThreeKRewirer {
@@ -124,8 +141,10 @@ class ThreeKRewirer {
   // The bound DkState holds a pointer into index_, so the pair must
   // stay at a stable address (DkState already suppresses copy/move).
 
-  /// 3K-preserving randomization: 2K-preserving candidates, verified
-  /// exactly against the wedge/triangle delta journal.
+  /// 3K-preserving randomization over 2K-preserving candidates.  One
+  /// that `changes_two_paths` proves 3K-changing is rejected in O(1);
+  /// every other one is verified exactly against the wedge/triangle
+  /// delta journal.  The sums it reads are built once per call.
   void randomize(std::size_t budget, util::Rng& rng, RewiringStats* stats,
                  const svc::RunContext& ctx = {});
 

@@ -66,6 +66,12 @@ enum class JobState : std::uint8_t {
 const char* to_string(JobKind kind) noexcept;
 const char* to_string(JobState state) noexcept;
 
+/// The most attempts a generate request may ask each chain for.  At
+/// about 1 us an attempt, 2^40 (about 1.1e12) is two weeks of one core;
+/// a larger `attempts` is a mistake that would run until cancelled.  The
+/// wire parser refuses it before the job is queued.
+inline constexpr std::uint64_t kMaxAttempts = std::uint64_t{1} << 40;
+
 /// One submission.  Field applicability by kind:
 ///   extract   input_path = edge list, output = dK file prefix, d in [1,3]
 ///   generate  input_path = dK file prefix (an extract's output),

@@ -234,13 +234,18 @@ std::int64_t get_int(const Object& object, const std::string& key,
 }
 
 std::uint64_t get_count(const Object& object, const std::string& key,
-                        std::uint64_t fallback) {
+                        std::uint64_t fallback, std::uint64_t max) {
   const std::int64_t value =
       get_int(object, key, static_cast<std::int64_t>(fallback));
   if (value < 0) {
     throw ParseError("wire: field \"" + key + "\" must be >= 0");
   }
-  return static_cast<std::uint64_t>(value);
+  const auto count = static_cast<std::uint64_t>(value);
+  if (count > max) {
+    throw ParseError("wire: field \"" + key + "\" must be at most " +
+                     std::to_string(max) + ", got " + std::to_string(count));
+  }
+  return count;
 }
 
 double get_double(const Object& object, const std::string& key,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -47,9 +48,11 @@ std::string get_string(const Object& object, const std::string& key,
 std::int64_t get_int(const Object& object, const std::string& key,
                      std::int64_t fallback);
 /// A count (chains, workers, attempts, ...): get_int that also throws
-/// orbis::ParseError on a negative value instead of letting it wrap.
-std::uint64_t get_count(const Object& object, const std::string& key,
-                        std::uint64_t fallback);
+/// orbis::ParseError on a negative value instead of letting it wrap, and
+/// on one above `max`, naming the field and the bound.
+std::uint64_t get_count(
+    const Object& object, const std::string& key, std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 double get_double(const Object& object, const std::string& key,
                   double fallback);
 bool get_bool(const Object& object, const std::string& key, bool fallback);

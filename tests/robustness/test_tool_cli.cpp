@@ -132,6 +132,55 @@ TEST_F(ToolCliTest, OversizedChainCountsExitUsageNamingTheFlag) {
   }
 }
 
+TEST_F(ToolCliTest, AttemptBudgetFlagsSetTheChainBudget) {
+  // A d = 3 randomize budget, set outright and per edge (the test graph
+  // has 60 edges); the report's randomize record counts the attempts.
+  const auto randomize_attempts = [&](const std::string& flags,
+                                      const std::string& report_file) {
+    EXPECT_EQ(run("generate --d 3 --like '" + path("g.edges") + "' " +
+                  flags + " --out '" + path("r.edges") + "' --report '" +
+                  path(report_file) + "'"),
+              0)
+        << flags;
+    const std::string report = slurp(path(report_file));
+    const std::size_t at = report.find("\"randomize\"");
+    const std::size_t end = report.find("duration_seconds", at);
+    return at == std::string::npos || end == std::string::npos
+               ? std::string()
+               : report.substr(at, end - at);
+  };
+  EXPECT_TRUE(test_json::has_entry(
+      randomize_attempts("--attempts 500", "outright.json"), "attempts",
+      "500,"));
+  EXPECT_TRUE(test_json::has_entry(
+      randomize_attempts("--attempts-per-edge 3", "per_edge.json"),
+      "attempts", "180,"));
+
+  // 2^62 per edge times 60 edges wraps 64 bits: a usage error naming the
+  // overflow, for randomizing and targeting alike, before any output.
+  const std::string wrapping = " --attempts-per-edge 4611686018427387904";
+  EXPECT_EQ(run("generate --d 3 --like '" + path("g.edges") + "'" +
+                wrapping + " --out '" + path("w.edges") + "'"),
+            2);
+  EXPECT_EQ(run("generate --d 3 --from-2k '" + path("g.2k") +
+                "' --from-3k '" + path("g.3k") + "'" + wrapping +
+                " --out '" + path("w.edges") + "'"),
+            2);
+  EXPECT_FALSE(fs::exists(path("w.edges")));
+  EXPECT_NE(stderr_log().find("overflows the 64-bit attempt budget"),
+            std::string::npos)
+      << stderr_log();
+
+  // A construction with no rewiring chain has no budget to set.
+  EXPECT_EQ(run("generate --d 2 --method matching --from-2k '" +
+                path("g.2k") + "' --attempts 10 --out '" + path("w.edges") +
+                "'"),
+            2);
+  EXPECT_FALSE(fs::exists(path("w.edges")));
+  EXPECT_NE(stderr_log().find("--attempts/--attempts-per-edge apply to"),
+            std::string::npos);
+}
+
 TEST_F(ToolCliTest, InjectedWriteFaultExitsIoAndLeavesNoOutput) {
   EXPECT_EQ(run("generate --d 2 --method matching --from-2k '" +
                     path("g.2k") + "' --out '" + path("fault.edges") + "'",

@@ -17,6 +17,7 @@
 #include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "io/edge_list.hpp"
+#include "svc/server.hpp"
 #include "util/rng.hpp"
 #include "../obs/json_checker.hpp"
 
@@ -284,6 +285,43 @@ TEST_F(ServerCliTest, OversizedChainCountsAreRejectedBeforeAcceptance) {
               std::string::npos)
         << errors[i];
     EXPECT_NE(errors[i].find(counts[i]), std::string::npos) << errors[i];
+  }
+  EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
+  EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));
+}
+
+TEST_F(ServerCliTest, OversizedAttemptBudgetsAreRejectedBeforeAcceptance) {
+  // A budget past svc::kMaxAttempts fits 64 bits, so nothing else would
+  // stop it: the job would run until cancelled.  The line answers with
+  // an error naming the field and the bound, and no job is accepted.
+  // Only refused values are sent.
+  const std::string generate = R"({"op":"generate","target":")" +
+                               path("dk") + R"(","out":")" +
+                               path("out.edges") + R"(","d":2,"attempts":)";
+  const std::vector<std::string> budgets = {
+      "4611686018427387904", std::to_string(svc::kMaxAttempts + 1)};
+  std::vector<std::string> requests;
+  for (const std::string& budget : budgets) {
+    requests.push_back(generate + budget + "}");
+  }
+  requests.push_back(R"({"op":"shutdown"})");
+
+  std::vector<std::string> events;
+  EXPECT_EQ(run_session(requests, events), 0);
+  std::vector<std::string> errors;
+  for (const std::string& line : events) {
+    EXPECT_TRUE(test_json::is_valid_json(line)) << line;
+    if (test_json::has_entry(line, "event", "\"error\"")) {
+      errors.push_back(line);
+    }
+  }
+  ASSERT_EQ(errors.size(), budgets.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    EXPECT_NE(errors[i].find("field \\\"attempts\\\" must be at most " +
+                             std::to_string(svc::kMaxAttempts)),
+              std::string::npos)
+        << errors[i];
+    EXPECT_NE(errors[i].find(budgets[i]), std::string::npos) << errors[i];
   }
   EXPECT_FALSE(any_line_has(events, "event", "\"accepted\""));
   EXPECT_TRUE(any_line_has(events, "event", "\"bye\""));

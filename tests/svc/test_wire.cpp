@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "svc/server.hpp"
 #include "svc/wire.hpp"
 #include "util/errors.hpp"
 
@@ -103,6 +104,26 @@ TEST(Wire, IntegersRejectFractionsNamingTheField) {
   // An integral value is an integer however it is spelled.
   EXPECT_EQ(get_int(object, "whole", 0), 4);
   EXPECT_EQ(get_count(object, "e", 0), 2000u);
+}
+
+TEST(Wire, CountsRejectValuesPastTheirBoundNamingFieldAndBound) {
+  // 2^62 fits the int64 check, so only the bound stands between it and
+  // a generate job that runs until cancelled.
+  const Object object = parse_flat_object(
+      R"({"attempts":4611686018427387904,"at_cap":1099511627776})");
+  EXPECT_EQ(get_count(object, "at_cap", 0, kMaxAttempts), kMaxAttempts);
+  EXPECT_EQ(get_count(object, "absent", 7, kMaxAttempts), 7u);
+  try {
+    get_count(object, "attempts", 0, kMaxAttempts);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("field \"attempts\" must be at most " +
+                        std::to_string(kMaxAttempts) +
+                        ", got 4611686018427387904"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Wire, ErrorsNameAColumn) {
