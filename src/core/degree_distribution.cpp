@@ -20,9 +20,27 @@ DegreeDistribution DegreeDistribution::from_sequence(
   return dist;
 }
 
+DegreeDistribution DegreeDistribution::from_counts(
+    const std::vector<std::pair<std::size_t, std::uint64_t>>& counts) {
+  DegreeDistribution dist;
+  for (const auto& [k, n] : counts) {
+    if (n == 0) continue;
+    if (k >= dist.counts_.size()) dist.counts_.resize(k + 1, 0);
+    dist.counts_[k] += n;
+    dist.total_nodes_ += n;
+  }
+  return dist;
+}
+
 double DegreeDistribution::p_of_k(std::size_t k) const noexcept {
   if (total_nodes_ == 0) return 0.0;
   return static_cast<double>(n_of_k(k)) / static_cast<double>(total_nodes_);
+}
+
+std::uint64_t DegreeDistribution::num_stubs() const noexcept {
+  std::uint64_t stubs = 0;
+  for (std::size_t k = 1; k < counts_.size(); ++k) stubs += k * counts_[k];
+  return stubs;
 }
 
 double DegreeDistribution::average_degree() const noexcept {

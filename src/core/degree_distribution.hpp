@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -15,6 +16,9 @@ class DegreeDistribution {
   static DegreeDistribution from_graph(const Graph& g);
   static DegreeDistribution from_sequence(
       const std::vector<std::size_t>& degrees);
+  /// From (k, n(k)) pairs in any order; a repeated k adds up.
+  static DegreeDistribution from_counts(
+      const std::vector<std::pair<std::size_t, std::uint64_t>>& counts);
 
   /// Number of nodes with degree k (0 for k beyond the observed maximum).
   std::uint64_t n_of_k(std::size_t k) const noexcept {
@@ -25,6 +29,8 @@ class DegreeDistribution {
   double p_of_k(std::size_t k) const noexcept;
 
   std::uint64_t num_nodes() const noexcept { return total_nodes_; }
+  /// Σ k·n(k): twice the edge count m of every graph with this 1K.
+  std::uint64_t num_stubs() const noexcept;
   std::size_t max_degree() const noexcept {
     return counts_.empty() ? 0 : counts_.size() - 1;
   }

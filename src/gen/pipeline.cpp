@@ -47,13 +47,9 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                                             : target.joint.project_to_1k();
   // The budget is checked before the seed is paid for: m = Σ k·n_k / 2
   // is the seed's edge count on every realizable target.
-  std::uint64_t stubs = 0;
-  for (std::size_t k = 1; k <= one_k.max_degree(); ++k) {
-    stubs += k * one_k.n_of_k(k);
-  }
   const TargetingOptions& targeting = options_.targeting;
   const std::uint64_t budget = attempt_budget(
-      targeting.attempts, targeting.attempts_per_edge, stubs / 2);
+      targeting.attempts, targeting.attempts_per_edge, one_k.num_stubs() / 2);
   Graph start;
   {
     const obs::Span span("generate.seed_1k");

@@ -4,14 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "io/atomic_file.hpp"
+#include "io/line_reader.hpp"
 #include "util/errors.hpp"
 
 namespace orbis::io {
@@ -78,16 +78,15 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
   out << "end checkpoint\n";
 }
 
-/// Line-at-a-time strict reader: every helper throws ParseError naming
-/// the file and line on the first deviation, and IoError if the stream
-/// fails mid-read (EOF is only EOF when the stream is good).
+/// Line-at-a-time strict reader: every call throws ParseError naming
+/// the file and line on the first deviation.
 class CheckpointParser {
  public:
-  CheckpointParser(std::istream& in, std::string path)
-      : in_(in), path_(std::move(path)) {}
+  CheckpointParser(LineReader lines, std::string path)
+      : lines_(std::move(lines)), path_(std::move(path)) {}
 
   [[noreturn]] void fail(const std::string& what) const {
-    fail_at(line_number_, what);
+    fail_at(lines_.line_number(), what);
   }
   [[noreturn]] void fail_at(std::size_t line,
                             const std::string& what) const {
@@ -96,110 +95,74 @@ class CheckpointParser {
   }
 
   /// Number of the line last read.
-  std::size_t line_number() const noexcept { return line_number_; }
+  std::size_t line_number() const noexcept { return lines_.line_number(); }
 
   /// Next line, or a ParseError complaining about truncation — inside a
   /// checkpoint every line is mandatory, so EOF mid-structure is always
   /// a torn file.
-  const std::string& next_line(const char* expected) {
-    if (!std::getline(in_, line_)) {
-      if (in_.bad()) {
-        throw IoError("checkpoint " + path_ + ": read failed after line " +
-                      std::to_string(line_number_));
-      }
+  std::string_view next_line(const char* expected) {
+    if (!lines_.next(line_)) {
       fail(std::string("unexpected end of file (expected ") + expected + ")");
     }
-    ++line_number_;
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
+    if (line_.ends_with('\r')) line_.remove_suffix(1);
     return line_;
   }
 
-  /// Parses "key v0 v1 ..." into exactly `count` uint64 values.
-  void keyed_u64s(const char* key, std::uint64_t* values, int count) {
-    next_line(key);
-    std::istringstream fields(line_);
-    std::string word;
-    if (!(fields >> word) || word != key) {
-      fail(std::string("expected '") + key + "' record, got: " + line_);
+  /// The next line as a "key ..." record: a cursor over the fields after
+  /// the key.  end_record checks that they all read and none trails.
+  FieldCursor record(const char* key) {
+    FieldCursor fields(next_line(key));
+    if (fields.word() != key) {
+      fail(std::string("expected '") + key + "' record, got: " +
+           std::string(line_));
     }
-    for (int i = 0; i < count; ++i) {
-      if (!(fields >> values[i])) {
-        fail(std::string("'") + key + "' record needs " +
-             std::to_string(count) + " value(s)");
-      }
-    }
-    expect_exhausted(fields, key);
+    return fields;
+  }
+
+  void end_record(FieldCursor& fields) {
+    if (!fields.ok()) fail("malformed record: " + std::string(line_));
+    if (!fields.at_end()) fail("trailing tokens on: " + std::string(line_));
   }
 
   std::uint64_t keyed_u64(const char* key) {
-    std::uint64_t value = 0;
-    keyed_u64s(key, &value, 1);
+    FieldCursor fields = record(key);
+    const std::uint64_t value = fields.u64();
+    end_record(fields);
     return value;
   }
 
-  std::int64_t keyed_i64(const char* key) {
-    next_line(key);
-    std::istringstream fields(line_);
-    std::string word;
-    std::int64_t value = 0;
-    if (!(fields >> word) || word != key || !(fields >> value)) {
-      fail(std::string("expected '") + key + " <integer>', got: " + line_);
-    }
-    expect_exhausted(fields, key);
-    return value;
-  }
-
-  std::string keyed_word(const char* key) {
-    next_line(key);
-    std::istringstream fields(line_);
-    std::string word;
-    std::string value;
-    if (!(fields >> word) || word != key || !(fields >> value)) {
-      fail(std::string("expected '") + key + " <value>', got: " + line_);
-    }
-    expect_exhausted(fields, key);
-    return value;
+  void keyed_words(const char* key, Words& words) {
+    FieldCursor fields = record(key);
+    for (std::uint64_t& word : words) word = fields.u64();
+    end_record(fields);
   }
 
   void expect_literal(const char* literal) {
     if (next_line(literal) != literal) {
-      fail(std::string("expected '") + literal + "', got: " + line_);
+      fail(std::string("expected '") + literal + "', got: " +
+           std::string(line_));
     }
   }
 
   void expect_eof() {
-    if (std::getline(in_, line_)) {
-      ++line_number_;
-      fail("trailing content after 'end checkpoint'");
-    }
-    if (in_.bad()) {
-      throw IoError("checkpoint " + path_ + ": read failed at end");
-    }
+    if (lines_.next(line_)) fail("trailing content after 'end checkpoint'");
   }
 
  private:
-  void expect_exhausted(std::istringstream& fields, const char* key) {
-    std::string extra;
-    if (fields >> extra) {
-      fail(std::string("trailing tokens on '") + key + "' record");
-    }
-  }
-
-  std::istream& in_;
+  LineReader lines_;
   std::string path_;
-  std::string line_;
-  std::size_t line_number_ = 0;
+  std::string_view line_;
 };
 
 /// The `graph N M` record and its N row lines.  Rows are appended as
 /// they parse, so neither count ever sizes memory: a hostile count is a
 /// torn file (ParseError at EOF or at the first line that is not a row).
 Graph read_graph(CheckpointParser& parser) {
-  std::uint64_t header[2] = {0, 0};
-  parser.keyed_u64s("graph", header, 2);
+  FieldCursor header = parser.record("graph");
+  const std::uint64_t nodes = header.u64();
+  const std::uint64_t edges = header.u64();
+  parser.end_record(header);
   const std::size_t header_line = parser.line_number();
-  const std::uint64_t nodes = header[0];
-  const std::uint64_t edges = header[1];
   if (nodes > std::numeric_limits<NodeId>::max()) {
     parser.fail("node count out of range");
   }
@@ -207,15 +170,14 @@ Graph read_graph(CheckpointParser& parser) {
   std::vector<std::vector<NodeId>> rows;
   std::uint64_t cells = 0;
   for (std::uint64_t v = 0; v < nodes; ++v) {
-    const std::string& line = parser.next_line("adjacency row");
+    FieldCursor fields(parser.next_line("adjacency row"));
     std::vector<NodeId>& row = rows.emplace_back();
-    std::istringstream fields(line);
-    std::uint64_t id = 0;
-    while (fields >> id) {
+    while (!fields.at_end()) {
+      const std::uint64_t id = fields.u64();
+      if (!fields.ok()) parser.fail("expected neighbor ids");
       if (id >= nodes) parser.fail("neighbor id out of range");
       row.push_back(static_cast<NodeId>(id));
     }
-    if (!fields.eof()) parser.fail("expected neighbor ids, got: " + line);
     cells += row.size();
     if (cells > 2 * edges) {
       parser.fail("rows hold more than the 2M = " +
@@ -245,11 +207,9 @@ void write_checkpoint_file(const std::string& path,
 }
 
 gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open checkpoint file: " + path);
-  CheckpointParser parser(in, path);
+  CheckpointParser parser(LineReader(file_source(path)), path);
 
-  const std::string& header = parser.next_line("checkpoint header");
+  const std::string header(parser.next_line("checkpoint header"));
   const std::string prefix = kHeader;
   const std::string current =
       prefix + std::to_string(gen::RunCheckpoint::kVersion);
@@ -268,36 +228,39 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
   if (final_d != 2 && final_d != 3) parser.fail("final_d must be 2 or 3");
   if (final_d < d) parser.fail("final_d must not be below d");
   state.final_d = static_cast<int>(final_d);
-  parser.keyed_u64s("pipeline_rng", state.pipeline_rng.data(), 4);
+  parser.keyed_words("pipeline_rng", state.pipeline_rng);
   if (all_zero(state.pipeline_rng) && state.d < state.final_d) {
     parser.fail("all-zero pipeline rng state before the final stage");
   }
   state.budget = parser.keyed_u64("budget");
   state.checkpoint_every = parser.keyed_u64("every");
-  const std::string move = parser.keyed_word("move");
+  FieldCursor move = parser.record("move");
+  const std::string move_kind(move.word());
+  parser.end_record(move);
   try {
-    state.move = gen::parse_move_kind(move);
+    state.move = gen::parse_move_kind(move_kind);
   } catch (const std::invalid_argument&) {
-    parser.fail("unknown move kind: " + move);
+    parser.fail("unknown move kind: " + move_kind);
   }
-  std::uint64_t ladder[2] = {0, 0};
-  parser.keyed_u64s("ladder", ladder, 2);
-  state.exchange_every = ladder[0];
-  if (ladder[1] > 1) parser.fail("ladder adaptive flag must be 0 or 1");
-  state.adaptive = ladder[1] != 0;
+  FieldCursor ladder = parser.record("ladder");
+  state.exchange_every = ladder.u64();
+  const std::uint64_t adaptive = ladder.u64();
+  parser.end_record(ladder);
+  if (adaptive > 1) parser.fail("ladder adaptive flag must be 0 or 1");
+  state.adaptive = adaptive != 0;
   if (state.exchange_every > 0) {
     if (state.checkpoint_every > 0 &&
         state.checkpoint_every % state.exchange_every != 0) {
       parser.fail("exchange cadence must divide the checkpoint cadence");
     }
-    parser.keyed_u64s("exchange_rng", state.exchange_rng.data(), 4);
+    parser.keyed_words("exchange_rng", state.exchange_rng);
     if (all_zero(state.exchange_rng)) {
       parser.fail("all-zero exchange rng state");
     }
-    std::uint64_t exchanges[2] = {0, 0};
-    parser.keyed_u64s("exchanges", exchanges, 2);
-    state.exchange_attempted = exchanges[0];
-    state.exchange_accepted = exchanges[1];
+    FieldCursor exchanges = parser.record("exchanges");
+    state.exchange_attempted = exchanges.u64();
+    state.exchange_accepted = exchanges.u64();
+    parser.end_record(exchanges);
     if (state.exchange_accepted > state.exchange_attempted) {
       parser.fail("accepted exchanges exceed attempted exchanges");
     }
@@ -316,21 +279,23 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
     if (chain.attempts_done != state.chains[0].attempts_done) {
       parser.fail("chains out of step (unequal attempts)");
     }
-    parser.keyed_u64s("rng", chain.rng_state.data(), 4);
+    parser.keyed_words("rng", chain.rng_state);
     if (all_zero(chain.rng_state)) parser.fail("all-zero rng state");
     const std::uint64_t bits = parser.keyed_u64("temperature_bits");
     chain.temperature = std::bit_cast<double>(bits);
     if (std::isnan(chain.temperature) || chain.temperature < 0.0) {
       parser.fail("chain temperature must be a non-negative number");
     }
-    std::uint64_t stats[5] = {0, 0, 0, 0, 0};
-    parser.keyed_u64s("stats", stats, 5);
-    chain.stats.attempts = stats[0];
-    chain.stats.accepted = stats[1];
-    chain.stats.rejected_structural = stats[2];
-    chain.stats.rejected_constraint = stats[3];
-    chain.stats.rejected_objective = stats[4];
-    chain.distance = parser.keyed_i64("distance");
+    FieldCursor stats = parser.record("stats");
+    chain.stats.attempts = stats.u64();
+    chain.stats.accepted = stats.u64();
+    chain.stats.rejected_structural = stats.u64();
+    chain.stats.rejected_constraint = stats.u64();
+    chain.stats.rejected_objective = stats.u64();
+    parser.end_record(stats);
+    FieldCursor distance = parser.record("distance");
+    chain.distance = distance.i64();
+    parser.end_record(distance);
     chain.graph = read_graph(parser);
     parser.expect_literal("end chain");
   }

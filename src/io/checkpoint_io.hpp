@@ -41,7 +41,8 @@
 // missing field, trailing garbage, out-of-range node, self-loop,
 // duplicate neighbor, asymmetric rows, a row total other than 2M,
 // all-zero Rng state, chains out of step — throws orbis::ParseError
-// naming the file and line; open/read failures throw orbis::IoError.
+// naming the file and line; open/read failures throw orbis::IoError
+// (reads go through the fault seam, io/line_reader.hpp).
 // No count in the file sizes memory: chains and rows are appended as
 // they parse.  A parse never returns a partially-filled checkpoint.
 #pragma once

@@ -1,87 +1,14 @@
 #include "io/chunked_edge_reader.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <string_view>
 #include <vector>
 
 #include "io/edge_line.hpp"
-#include "io/fault_injection.hpp"
-#include "io/retry.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
 
 namespace orbis::io {
-
-namespace {
-
-std::string errno_text(int err) {
-  return std::string(std::strerror(err)) + " (errno " + std::to_string(err) +
-         ")";
-}
-
-struct FdGuard {
-  int fd = -1;
-  ~FdGuard() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-/// open(2) for reading through the fault seam.  Transient injected
-/// failures are absorbed by the caller's retry policy.
-int open_for_read(const std::string& path, const RetryPolicy& policy) {
-  return retry_transient(policy, [&]() -> int {
-    int injected = 0;
-    if (fault::should_fail(fault::Point::open_read, injected)) {
-      throw IoError("cannot open edge list file: " + path + ": " +
-                        errno_text(injected),
-                    injected);
-    }
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      const int err = errno;
-      throw IoError("cannot open edge list file: " + path + ": " +
-                        errno_text(err),
-                    err);
-    }
-    return fd;
-  });
-}
-
-/// One buffered read(2).  Returns bytes read; 0 is EOF and ONLY EOF — a
-/// failing read throws IoError naming the byte offset, it never
-/// masquerades as end-of-input (that conflation is how truncated-file
-/// bugs stay silent).  Transient failures (EINTR/EAGAIN, injected or
-/// real) are retried within the bounded policy.
-std::size_t read_some(int fd, std::span<char> buffer, std::uint64_t offset,
-                      const std::string& path, const RetryPolicy& policy) {
-  return retry_transient(policy, [&]() -> std::size_t {
-    int injected = 0;
-    if (fault::should_fail(fault::Point::read, injected)) {
-      throw IoError("read failed at byte offset " + std::to_string(offset) +
-                        " of " + path + ": " + errno_text(injected),
-                    injected);
-    }
-    const ssize_t got = ::read(fd, buffer.data(), buffer.size());
-    if (got < 0) {
-      const int err = errno;
-      throw IoError("read failed at byte offset " + std::to_string(offset) +
-                        " of " + path + ": " + errno_text(err),
-                    err);
-    }
-    static obs::Counter& bytes_read =
-        obs::Registry::global().counter("io.bytes_read");
-    bytes_read.add(static_cast<std::uint64_t>(got));
-    return static_cast<std::size_t>(got);
-  });
-}
-
-}  // namespace
 
 ChunkedEdgeListReader::ChunkedEdgeListReader(std::string path)
     : ChunkedEdgeListReader(std::move(path), Options()) {}
@@ -89,8 +16,6 @@ ChunkedEdgeListReader::ChunkedEdgeListReader(std::string path)
 ChunkedEdgeListReader::ChunkedEdgeListReader(std::string path,
                                              Options options)
     : path_(std::move(path)), options_(options) {
-  util::expects(options_.buffer_bytes > 0,
-                "ChunkedEdgeListReader: buffer_bytes must be positive");
   util::expects(options_.chunk_edges > 0,
                 "ChunkedEdgeListReader: chunk_edges must be positive");
 }
@@ -99,62 +24,30 @@ ChunkedEdgeListReader::ChunkedEdgeListReader(ByteSource source)
     : source_(std::move(source)) {}
 
 std::size_t ChunkedEdgeListReader::run_pass(const Sink& sink) {
-  if (source_) return scan(source_, sink);
-  FdGuard file{open_for_read(path_, options_.retry)};
-  return scan(
-      [&](std::span<char> buffer, std::uint64_t offset) {
-        return read_some(file.fd, buffer, offset, path_, options_.retry);
-      },
-      sink);
+  return scan(LineReader(source_ ? source_ : file_source(path_, options_.retry),
+                         options_.buffer_bytes),
+              sink);
 }
 
-std::size_t ChunkedEdgeListReader::scan(const ByteSource& source,
-                                        const Sink& sink) {
-  std::vector<char> buffer(options_.buffer_bytes);
-  std::string carry;  // unterminated tail of the previous read
+std::size_t ChunkedEdgeListReader::scan(LineReader lines, const Sink& sink) {
   std::vector<RawEdge> chunk;
   chunk.reserve(options_.chunk_edges);
-  std::size_t line_number = 0;
   std::size_t total_edges = 0;
-  std::uint64_t offset = 0;  // bytes consumed, for read-error reports
-
   const auto flush = [&]() {
-    if (chunk.empty()) return;
     sink(std::span<const RawEdge>(chunk.data(), chunk.size()));
     total_edges += chunk.size();
     chunk.clear();
   };
-  const auto handle_line = [&](std::string_view line) {
-    ++line_number;
+  std::string_view line;
+  while (lines.next(line)) {
     RawEdge edge;
-    if (detail::parse_edge_line(line, line_number, edge.u, edge.v,
+    if (detail::parse_edge_line(line, lines.line_number(), edge.u, edge.v,
                                 declared_nodes_)) {
       chunk.push_back(edge);
       if (chunk.size() == options_.chunk_edges) flush();
     }
-  };
-
-  for (;;) {
-    const std::size_t got = source(buffer, offset);
-    if (got == 0) break;  // end of input: a failed read throws instead
-    offset += got;
-    std::string_view window(buffer.data(), got);
-    while (true) {
-      const auto newline = window.find('\n');
-      if (newline == std::string_view::npos) break;
-      if (carry.empty()) {
-        handle_line(window.substr(0, newline));
-      } else {
-        carry.append(window.substr(0, newline));
-        handle_line(carry);
-        carry.clear();
-      }
-      window.remove_prefix(newline + 1);
-    }
-    carry.append(window);
   }
-  if (!carry.empty()) handle_line(carry);  // final line without newline
-  flush();
+  if (!chunk.empty()) flush();
   return total_edges;
 }
 

@@ -1,14 +1,14 @@
 // Chunked edge-list reading: the one parse loop every edge-list reader
 // runs, with bounded memory.
 //
-// ChunkedEdgeListReader parses a fixed-size read buffer at a time and
-// hands out bounded spans of parsed edges, so a pass over a
-// million-edge file holds kilobytes, not gigabytes.  Its split/carry
-// loop is the only caller of the line grammar (io/edge_line.hpp), and
-// it reads through one byte-source hook: a file (open/read through the
-// fault seam and the retry policy) or a caller's source.  The in-memory
-// reader io::read_edge_list is a pass of this loop too, over a file or
-// a std::istream, so both accept and reject exactly the same inputs.
+// ChunkedEdgeListReader pulls lines from the one line reader
+// (io/line_reader.hpp) and hands out bounded spans of parsed edges, so
+// a pass over a million-edge file holds kilobytes, not gigabytes.  It is
+// the only caller of the edge-line grammar (io/edge_line.hpp), and it
+// reads a file (through the fault seam and the retry policy) or a
+// caller's ByteSource.  The in-memory reader io::read_edge_list is a
+// pass of this loop too, over a file or a std::istream, so both accept
+// and reject exactly the same inputs.
 //
 // extract_dk_streaming() is the assembled pipeline: it drives a
 // dk::StreamingDkExtractor (core/streaming_extractor.hpp) through the
@@ -23,7 +23,7 @@
 #include <string>
 
 #include "core/streaming_extractor.hpp"
-#include "io/retry.hpp"
+#include "io/line_reader.hpp"
 #include "svc/run_context.hpp"
 
 namespace orbis::io {
@@ -35,17 +35,12 @@ struct RawEdge {
 
 class ChunkedEdgeListReader {
  public:
-  /// The byte-source hook every pass reads through: fills a prefix of
-  /// `buffer` with the input's bytes from `offset` on and returns how
-  /// many it wrote — 0 only at the end of the input.  A failed read
-  /// throws orbis::IoError; it never reads as the end of the input.
-  using ByteSource =
-      std::function<std::size_t(std::span<char> buffer, std::uint64_t offset)>;
+  using ByteSource = io::ByteSource;
   using Sink = std::function<void(std::span<const RawEdge>)>;
 
   struct Options {
-    std::size_t buffer_bytes = 1 << 20;  // file-read granularity
-    std::size_t chunk_edges = 1 << 15;   // parsed edges per sink call
+    std::size_t buffer_bytes = kReadBufferBytes;  // read granularity
+    std::size_t chunk_edges = 1 << 15;  // parsed edges per sink call
     RetryPolicy retry{};  // transient open/read failures (EINTR/EAGAIN)
   };
 
@@ -72,8 +67,8 @@ class ChunkedEdgeListReader {
   std::uint64_t declared_nodes() const noexcept { return declared_nodes_; }
 
  private:
-  /// The split/carry loop: one pass over what `source` yields.
-  std::size_t scan(const ByteSource& source, const Sink& sink);
+  /// One pass over what `lines` yields.
+  std::size_t scan(LineReader lines, const Sink& sink);
 
   std::string path_;
   ByteSource source_;  // empty: read path_

@@ -1,11 +1,12 @@
 #include "io/dk_serialization.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <limits>
+#include <ostream>
 #include <vector>
 
 #include "io/atomic_file.hpp"
-#include "util/check.hpp"
+#include "io/line_reader.hpp"
 #include "util/errors.hpp"
 #include "util/keys.hpp"
 
@@ -13,51 +14,117 @@ namespace orbis::io {
 
 namespace {
 
-/// Yields non-comment, non-blank lines with their line numbers.  A
-/// stream error mid-read throws IoError — getline's false is EOF only
-/// when no badbit is set, otherwise a truncated file would silently
-/// parse as a complete (smaller) distribution.
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::int64_t>::max();
+
+[[noreturn]] void parse_fail(const std::string& what,
+                             std::size_t line_number) {
+  throw ParseError(what + " at line " + std::to_string(line_number));
+}
+
+/// Calls handle(fields, line_number) for each line that holds data: '#'
+/// starts a comment, and blank lines are skipped.
 template <typename Handle>
-void for_each_data_line(std::istream& in, Handle handle) {
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    handle(line, line_number);
-  }
-  if (in.bad()) {
-    throw IoError("read failed after line " + std::to_string(line_number) +
-                  " (stream badbit set; underlying I/O error)");
+void for_each_record(LineReader& lines, Handle handle) {
+  std::string_view line;
+  while (lines.next(line)) {
+    FieldCursor fields(line.substr(0, line.find('#')));
+    if (!fields.at_end()) handle(fields, lines.line_number());
   }
 }
 
-[[noreturn]] void parse_fail(const char* what, std::size_t line_number) {
-  throw ParseError(std::string(what) + " at line " +
-                   std::to_string(line_number));
+/// Adds a line's count to its file's total, which may not pass 2^63 - 1,
+/// so no bin and no sum of bins overflows.
+void add_count(std::uint64_t& total, std::uint64_t count, std::size_t line) {
+  if (count > kMaxCount - total) parse_fail("counts sum past 2^63 - 1", line);
+  total += count;
 }
 
-std::ifstream open_input(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open file: " + path);
-  return in;
+dk::DegreeDistribution parse_1k(LineReader lines) {
+  // n(k) is summed, never expanded: no count sizes memory.
+  std::vector<std::pair<std::size_t, std::uint64_t>> counts;
+  std::uint64_t nodes = 0;
+  std::size_t max_k = 0;
+  std::size_t max_k_line = 0;
+  for_each_record(lines, [&](FieldCursor& fields, std::size_t number) {
+    const std::uint64_t k = fields.u64();
+    const std::uint64_t count = fields.u64();
+    if (!fields.done()) parse_fail("bad 1K line", number);
+    if (count > kMaxU32 - nodes) {
+      parse_fail("1K node count exceeds 2^32 - 1", number);
+    }
+    nodes += count;
+    if (count == 0) return;
+    if (max_k_line == 0 || k > max_k) {
+      max_k = k;
+      max_k_line = number;
+    }
+    counts.emplace_back(k, count);
+  });
+  if (max_k_line != 0 && max_k >= nodes) {
+    parse_fail("1K degree " + std::to_string(max_k) + " needs more than the " +
+                   std::to_string(nodes) + " nodes of the distribution",
+               max_k_line);
+  }
+  return dk::DegreeDistribution::from_counts(counts);
 }
 
-/// Runs a stream reader against a file, prefixing errors with the path
-/// so "bad 2K line at line 7" becomes actionable across a directory of
-/// distribution files.
-template <typename Read>
-auto read_file_with_context(const std::string& path, Read read)
-    -> decltype(read(std::declval<std::istream&>())) {
-  auto in = open_input(path);
+dk::JointDegreeDistribution parse_2k(LineReader lines) {
+  dk::JointDegreeDistribution dist;
+  std::uint64_t total = 0;
+  for_each_record(lines, [&](FieldCursor& fields, std::size_t number) {
+    const std::uint64_t k1 = fields.u64();
+    const std::uint64_t k2 = fields.u64();
+    const std::uint64_t count = fields.u64();
+    if (!fields.done() || k1 > kMaxU32 || k2 > kMaxU32) {
+      parse_fail("bad 2K line", number);
+    }
+    add_count(total, count, number);
+    dist.histogram().add(util::pair_key(k1, k2),
+                         static_cast<std::int64_t>(count));
+  });
+  return dist;
+}
+
+dk::ThreeKProfile parse_3k(LineReader lines) {
+  // Lines in any order, repeated keys summed: the canonical profile.
+  std::vector<dk::SortedBins::Bin> wedges;
+  std::vector<dk::SortedBins::Bin> triangles;
+  std::uint64_t total = 0;
+  for_each_record(lines, [&](FieldCursor& fields, std::size_t number) {
+    const std::string_view kind = fields.word();
+    if (kind != "w" && kind != "t") {
+      parse_fail("bad 3K record kind (expected 'w' or 't')", number);
+    }
+    const std::uint64_t k1 = fields.u64();
+    const std::uint64_t k2 = fields.u64();
+    const std::uint64_t k3 = fields.u64();
+    const std::uint64_t count = fields.u64();
+    if (!fields.done()) parse_fail("bad 3K line", number);
+    if (std::max({k1, k2, k3}) > util::max_packable_degree) {
+      parse_fail("3K degree exceeds 2^21 - 1", number);
+    }
+    add_count(total, count, number);
+    const auto bin = static_cast<std::int64_t>(count);
+    if (kind == "w") {
+      wedges.emplace_back(util::wedge_key(k1, k2, k3), bin);
+    } else {
+      triangles.emplace_back(util::triangle_key(k1, k2, k3), bin);
+    }
+  });
+  return dk::ThreeKProfile(dk::SortedBins::canonicalize(std::move(wedges)),
+                           dk::SortedBins::canonicalize(std::move(triangles)));
+}
+
+/// Parses the file at `path` through the fault seam.  A ParseError gains
+/// the path, so "bad 2K line at line 7" is actionable across a directory
+/// of distribution files; an IoError names it already.
+template <typename Parse>
+auto read_file(const std::string& path, Parse parse) {
   try {
-    return read(in);
+    return parse(LineReader(file_source(path)));
   } catch (const ParseError& e) {
     throw ParseError(path + ": " + e.what());
-  } catch (const IoError& e) {
-    throw IoError(path + ": " + e.what(), e.errno_value());
   }
 }
 
@@ -71,15 +138,7 @@ void write_1k(std::ostream& out, const dk::DegreeDistribution& dist) {
 }
 
 dk::DegreeDistribution read_1k(std::istream& in) {
-  std::vector<std::size_t> degrees;
-  for_each_data_line(in, [&](const std::string& line, std::size_t number) {
-    std::istringstream fields(line);
-    std::size_t k = 0;
-    std::uint64_t count = 0;
-    if (!(fields >> k >> count)) parse_fail("bad 1K line", number);
-    degrees.insert(degrees.end(), count, k);
-  });
-  return dk::DegreeDistribution::from_sequence(degrees);
+  return parse_1k(LineReader(stream_source(in)));
 }
 
 void write_2k(std::ostream& out, const dk::JointDegreeDistribution& dist) {
@@ -90,18 +149,7 @@ void write_2k(std::ostream& out, const dk::JointDegreeDistribution& dist) {
 }
 
 dk::JointDegreeDistribution read_2k(std::istream& in) {
-  dk::JointDegreeDistribution dist;
-  for_each_data_line(in, [&](const std::string& line, std::size_t number) {
-    std::istringstream fields(line);
-    std::uint32_t k1 = 0;
-    std::uint32_t k2 = 0;
-    std::int64_t count = 0;
-    if (!(fields >> k1 >> k2 >> count) || count < 0) {
-      parse_fail("bad 2K line", number);
-    }
-    dist.histogram().add(util::pair_key(k1, k2), count);
-  });
-  return dist;
+  return parse_2k(LineReader(stream_source(in)));
 }
 
 void write_3k(std::ostream& out, const dk::ThreeKProfile& profile) {
@@ -117,29 +165,7 @@ void write_3k(std::ostream& out, const dk::ThreeKProfile& profile) {
 }
 
 dk::ThreeKProfile read_3k(std::istream& in) {
-  // Lines in any order, repeated keys summed: the canonical profile.
-  std::vector<dk::SortedBins::Bin> wedges;
-  std::vector<dk::SortedBins::Bin> triangles;
-  for_each_data_line(in, [&](const std::string& line, std::size_t number) {
-    std::istringstream fields(line);
-    char kind = 0;
-    std::uint32_t k1 = 0;
-    std::uint32_t k2 = 0;
-    std::uint32_t k3 = 0;
-    std::int64_t count = 0;
-    if (!(fields >> kind >> k1 >> k2 >> k3 >> count) || count < 0) {
-      parse_fail("bad 3K line", number);
-    }
-    if (kind == 'w') {
-      wedges.emplace_back(util::wedge_key(k1, k2, k3), count);
-    } else if (kind == 't') {
-      triangles.emplace_back(util::triangle_key(k1, k2, k3), count);
-    } else {
-      parse_fail("bad 3K record kind (expected 'w' or 't')", number);
-    }
-  });
-  return dk::ThreeKProfile(dk::SortedBins::canonicalize(std::move(wedges)),
-                           dk::SortedBins::canonicalize(std::move(triangles)));
+  return parse_3k(LineReader(stream_source(in)));
 }
 
 void write_1k_file(const std::string& path,
@@ -148,8 +174,7 @@ void write_1k_file(const std::string& path,
 }
 
 dk::DegreeDistribution read_1k_file(const std::string& path) {
-  return read_file_with_context(
-      path, [](std::istream& in) { return read_1k(in); });
+  return read_file(path, parse_1k);
 }
 
 void write_2k_file(const std::string& path,
@@ -158,8 +183,7 @@ void write_2k_file(const std::string& path,
 }
 
 dk::JointDegreeDistribution read_2k_file(const std::string& path) {
-  return read_file_with_context(
-      path, [](std::istream& in) { return read_2k(in); });
+  return read_file(path, parse_2k);
 }
 
 void write_3k_file(const std::string& path, const dk::ThreeKProfile& profile) {
@@ -167,8 +191,7 @@ void write_3k_file(const std::string& path, const dk::ThreeKProfile& profile) {
 }
 
 dk::ThreeKProfile read_3k_file(const std::string& path) {
-  return read_file_with_context(
-      path, [](std::istream& in) { return read_3k(in); });
+  return read_file(path, parse_3k);
 }
 
 }  // namespace orbis::io

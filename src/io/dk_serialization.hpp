@@ -4,15 +4,20 @@
 //   2K:  "k1 k2 m(k1,k2)"            k1 <= k2
 //   3K:  "w k1 k2 k3 count"          wedges (k2 = center, k1 <= k3)
 //        "t k1 k2 k3 count"          triangles (k1 <= k2 <= k3)
-// '#' comments and blank lines are ignored.
+// '#' comments and blank lines are ignored.  The readers run on the one
+// line reader (io/line_reader.hpp) and its grammar is strict: every
+// number is an unsigned decimal with no sign, and no token may trail a
+// record.  A .1k file's n(k) sum to at most 2^32 - 1 and every k is
+// below that sum; a .2k/.3k file's counts sum to at most 2^63 - 1; a 3K
+// degree fits the 21-bit key (util::max_packable_degree).
 //
 // Error contract: malformed content throws orbis::ParseError (a
 // std::invalid_argument) naming the line — and, for the *_file
 // variants, the file; I/O failures throw orbis::IoError (a
-// std::runtime_error).  Readers never return a partially-filled
-// distribution: a truncated or failing stream throws rather than
-// parsing short.  The *_file writers are atomic (temp + fsync +
-// rename, io/atomic_file.hpp).
+// std::runtime_error).  File reads go through the fault seam.  Readers
+// never return a partially-filled distribution: a truncated or failing
+// stream throws rather than parsing short.  The *_file writers are
+// atomic (temp + fsync + rename, io/atomic_file.hpp).
 #pragma once
 
 #include <iosfwd>

@@ -2,7 +2,9 @@
 //
 // Its one caller is ChunkedEdgeListReader's parse loop
 // (io/chunked_edge_reader.hpp), which every edge-list reader runs: the
-// in-memory io::read_edge_list and the streaming extractor alike.
+// in-memory io::read_edge_list, the streaming extractor and DkCache's
+// key pass alike.  Fields are read by the one FieldCursor
+// (io/line_reader.hpp), like every other text format's.
 //
 // Grammar per line: optional "u v" pair (whitespace separated), optional
 // '#' comment to end of line; blank/comment-only lines are skipped.  The
@@ -11,21 +13,16 @@
 // preserve node ids and isolated nodes.  N must fit a NodeId.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "io/line_reader.hpp"
 #include "util/errors.hpp"
 
 namespace orbis::io::detail {
-
-inline std::string_view trim_edge_line_ws(std::string_view text) noexcept {
-  const auto first = text.find_first_not_of(" \t\r");
-  if (first == std::string_view::npos) return {};
-  const auto last = text.find_last_not_of(" \t\r");
-  return text.substr(first, last - first + 1);
-}
 
 /// Parses one line.  Returns true with (u, v) filled for an edge line;
 /// false for a blank or comment-only line.  A recognized writer header
@@ -47,7 +44,8 @@ inline bool parse_edge_line(std::string_view line, std::size_t line_number,
     constexpr std::string_view header = "# orbis edge list:";
     std::string_view comment = line.substr(hash);
     if (comment.starts_with(header)) {
-      comment = trim_edge_line_ws(comment.substr(header.size()));
+      const auto count = comment.find_first_not_of(" \t\r", header.size());
+      comment = comment.substr(std::min(count, comment.size()));
       std::uint64_t n = 0;  // stays 0 when no count follows
       const auto ec =
           std::from_chars(comment.data(), comment.data() + comment.size(), n)
@@ -59,26 +57,12 @@ inline bool parse_edge_line(std::string_view line, std::size_t line_number,
     }
     line = line.substr(0, hash);
   }
-  line = trim_edge_line_ws(line);
-  if (line.empty()) return false;
-
-  const char* cursor = line.data();
-  const char* end = line.data() + line.size();
-  const auto parse_id = [&](std::uint64_t& out) {
-    while (cursor != end && (*cursor == ' ' || *cursor == '\t')) ++cursor;
-    const auto [next, ec] = std::from_chars(cursor, end, out);
-    if (ec != std::errc() || next == cursor) {
-      malformed("expected two node ids");
-    }
-    cursor = next;
-  };
-  parse_id(u);
-  if (cursor == end || (*cursor != ' ' && *cursor != '\t')) {
-    malformed("expected two node ids");
-  }
-  parse_id(v);
-  while (cursor != end && (*cursor == ' ' || *cursor == '\t')) ++cursor;
-  if (cursor != end) malformed("trailing tokens after edge");
+  FieldCursor fields(line);
+  if (fields.at_end()) return false;
+  u = fields.u64();
+  v = fields.u64();
+  if (!fields.ok()) malformed("expected two node ids");
+  if (!fields.at_end()) malformed("trailing tokens after edge");
   return true;
 }
 

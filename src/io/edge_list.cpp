@@ -1,13 +1,11 @@
 #include "io/edge_list.hpp"
 
-#include <istream>
 #include <numeric>
 #include <ostream>
 
 #include "graph/node_id_interner.hpp"
 #include "io/atomic_file.hpp"
 #include "io/chunked_edge_reader.hpp"
-#include "util/errors.hpp"
 
 namespace orbis::io {
 
@@ -61,20 +59,7 @@ EdgeListReadResult read_edges(ChunkedEdgeListReader& reader) {
 }  // namespace
 
 EdgeListReadResult read_edge_list(std::istream& in) {
-  ChunkedEdgeListReader reader(
-      [&in](std::span<char> buffer, std::uint64_t offset) -> std::size_t {
-        in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-        // A short read means the end of the input *or* a stream error;
-        // badbit is the latter, and reading it as the end would silently
-        // truncate the graph.
-        if (in.bad()) {
-          throw IoError("read failed at byte offset " +
-                        std::to_string(offset) +
-                        " of an edge list stream (stream badbit set; "
-                        "underlying I/O error)");
-        }
-        return static_cast<std::size_t>(in.gcount());
-      });
+  ChunkedEdgeListReader reader(stream_source(in));
   return read_edges(reader);
 }
 

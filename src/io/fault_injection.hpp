@@ -5,7 +5,7 @@
 // ENOSPC on write, fsync failure, rename failure — surfaces as a
 // structured orbis::Error instead of a crash or silent truncation.
 // Real disks do not fail on cue, so the I/O layer's syscall wrappers
-// (io/atomic_file.cpp, io/chunked_edge_reader.cpp) consult this seam at
+// (io/atomic_file.cpp, io/line_reader.cpp) consult this seam at
 // each fault point before issuing the real operation.
 //
 // Arming, two ways:

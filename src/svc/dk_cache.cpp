@@ -3,11 +3,12 @@
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <fstream>
+#include <memory>
 #include <utility>
 
 #include "io/atomic_file.hpp"
 #include "io/dk_serialization.hpp"
+#include "io/line_reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -38,13 +39,20 @@ bool file_exists(const std::string& path) {
 }
 
 /// Byte copy through the atomic-write protocol: the destination is
-/// either the previous file or the complete copy, never a prefix.
+/// either the previous file or the complete copy, never a prefix.  The
+/// reads go through the fault seam like every other file read.
 void copy_file_atomic(const std::string& from, const std::string& to) {
-  std::ifstream in(from, std::ios::binary);
-  if (!in) {
-    throw IoError("dk_cache: cannot read stored entry: " + from);
-  }
-  io::write_file_atomic(to, [&](std::ostream& out) { out << in.rdbuf(); });
+  const io::ByteSource in = io::file_source(from);
+  const auto buffer =
+      std::make_unique_for_overwrite<char[]>(io::kReadBufferBytes);
+  io::write_file_atomic(to, [&](std::ostream& out) {
+    std::uint64_t offset = 0;
+    while (const std::size_t got =
+               in({buffer.get(), io::kReadBufferBytes}, offset)) {
+      out.write(buffer.get(), static_cast<std::streamsize>(got));
+      offset += got;
+    }
+  });
 }
 
 obs::Counter& hits_counter() {

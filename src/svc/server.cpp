@@ -329,6 +329,16 @@ void Server::run_generate_leg(Job& job) {
     }
     options.targeting.attempts = request.attempts;
     options.checkpoint_every = request.checkpoint_every;
+    // A per-edge budget past the cap fits 64 bits, so nothing else
+    // stops it; m is the 1K target's, as gen::Pipeline takes it.
+    const std::uint64_t budget = gen::attempt_budget(
+        options.targeting.attempts, options.targeting.attempts_per_edge,
+        job.target.degree.num_stubs() / 2);
+    if (budget > kMaxAttempts) {
+      throw ParseError("generate: a budget of " + std::to_string(budget) +
+                       " attempts per chain exceeds svc::kMaxAttempts = " +
+                       std::to_string(kMaxAttempts));
+    }
     // Batch jobs report at leg granularity (the `leg` events); per-
     // attempt samples through the event sink would flood the wire.
     RunContext ctx = request.ctx;

@@ -123,6 +123,43 @@ TEST_F(ReaderContractTest, Malformed3kNamesFileAndLine) {
   }
 }
 
+// The dK grammar is strict: an unsigned field takes no sign, no token
+// may trail a record, a degree must fit its key, and no count may size
+// memory or wrap a sum.  Each hostile line is a ParseError naming the
+// file and the line.
+TEST_F(ReaderContractTest, HostileDkLinesAreParseErrorsNamingTheLine) {
+  const auto expect_rejected = [&](const std::string& name,
+                                   const std::string& content,
+                                   const std::string& line, auto read) {
+    const auto path = write(name, content);
+    try {
+      read(path);
+      ADD_FAILURE() << "expected ParseError for: " << content;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(line), std::string::npos) << what;
+    }
+  };
+  const auto read_1k = [](const std::string& p) { io::read_1k_file(p); };
+  const auto read_2k = [](const std::string& p) { io::read_2k_file(p); };
+  const auto read_3k = [](const std::string& p) { io::read_3k_file(p); };
+  expect_rejected("sign.1k", "-3 4\n", "line 1", read_1k);
+  expect_rejected("plus.1k", "1 2\n+2 3\n", "line 2", read_1k);
+  expect_rejected("trailing.1k", "3 4 junk\n", "line 1", read_1k);
+  expect_rejected("huge.1k", "2 1000000000000\n", "line 1", read_1k);
+  expect_rejected("sum.1k", "1 4294967295\n2 1\n", "line 2", read_1k);
+  // Three nodes cannot hold a node of degree 7.
+  expect_rejected("degree.1k", "1 2\n7 1\n", "line 2", read_1k);
+  expect_rejected("trailing.2k", "2 2 3 junk\n", "line 1", read_2k);
+  expect_rejected("sign.2k", "1 2 3\n-1 2 3\n", "line 2", read_2k);
+  expect_rejected("sum.2k", "1 2 9223372036854775807\n1 2 1\n", "line 2",
+                  read_2k);
+  expect_rejected("trailing.3k", "w 1 2 3 4 x\n", "line 1", read_3k);
+  expect_rejected("sign.3k", "w 1 2 3 4\nt -1 2 3 4\n", "line 2", read_3k);
+  expect_rejected("packing.3k", "w 1 2 2097152 1\n", "line 1", read_3k);
+}
+
 TEST_F(ReaderContractTest, MissingFileIsIoErrorNotParseError) {
   const std::string missing = (dir_ / "nope.2k").string();
   try {

@@ -198,6 +198,47 @@ TEST_F(ToolCliTest, InjectedFsyncFaultExitsIoAndKeepsOldFile) {
   EXPECT_EQ(slurp(path("keep.1k")), "precious\n");
 }
 
+TEST_F(ToolCliTest, HostileDkLineExitsParseNamingFileAndLine) {
+  std::ofstream(path("bad.1k")) << "1 2\n3 4 junk\n";
+  EXPECT_EQ(run("generate --d 1 --from-1k '" + path("bad.1k") +
+                "' --out '" + path("x.edges") + "'"),
+            2);
+  EXPECT_NE(stderr_log().find(path("bad.1k") + ": bad 1K line at line 2"),
+            std::string::npos)
+      << stderr_log();
+  EXPECT_FALSE(fs::exists(path("x.edges")));
+}
+
+// Every file read goes through the fault seam: dK files and checkpoints
+// as much as edge lists.
+TEST_F(ToolCliTest, InjectedReadFaultOnADkFileExitsIo) {
+  EXPECT_EQ(run("generate --d 2 --method matching --from-2k '" +
+                    path("g.2k") + "' --out '" + path("x.edges") + "'",
+                "ORBIS_FAULT=read:err=EIO"),
+            3);
+  EXPECT_NE(stderr_log().find(path("g.2k")), std::string::npos)
+      << stderr_log();
+  EXPECT_FALSE(fs::exists(path("x.edges")));
+}
+
+TEST_F(ToolCliTest, InjectedReadFaultOnResumeExitsIo) {
+  const std::string common = "generate --d 2 --method targeting --from-2k '" +
+                             path("g.2k") + "' --seed 11";
+  ASSERT_EQ(run(common + " --checkpoint '" + path("part.ck") +
+                "' --checkpoint-every 3000 --stop-after-checkpoints 1 "
+                "--out '" + path("x.edges") + "'"),
+            130);
+  // g.2k takes two reads (its bytes, then the end of file); the
+  // checkpoint's first read fails.
+  EXPECT_EQ(run(common + " --resume '" + path("part.ck") + "' --out '" +
+                    path("x.edges") + "'",
+                "ORBIS_FAULT=read:after=2:err=EIO"),
+            3);
+  EXPECT_NE(stderr_log().find(path("part.ck")), std::string::npos)
+      << stderr_log();
+  EXPECT_FALSE(fs::exists(path("x.edges")));
+}
+
 TEST_F(ToolCliTest, TransientReadFaultIsAbsorbed) {
   EXPECT_EQ(run("extract '" + path("g.edges") + "' '" + path("t") + "'",
                 "ORBIS_FAULT=read:err=EINTR:count=2"),

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -21,6 +22,7 @@
 #include "io/chunked_edge_reader.hpp"
 #include "io/dk_serialization.hpp"
 #include "io/edge_list.hpp"
+#include "io/fault_injection.hpp"
 #include "svc/dk_cache.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -136,6 +138,22 @@ TEST_F(DkCacheTest, HitReportsNoFreshDiagnostics) {
   const auto hit = cache.extract_to(path("loops.edges"), 1, path("b"));
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.skipped_self_loops, 0u);
+}
+
+// A hit's copy reads the stored entry through the fault seam like every
+// other file read: a failed read is an IoError, and the destination is
+// never written.
+TEST_F(DkCacheTest, HitCopyReadFaultIsAnIoErrorAndLeavesNoDestination) {
+  DkCache cache(cache_dir());
+  ASSERT_FALSE(cache.extract_to(path("g.edges"), 1, path("miss")).hit);
+  // The key pass reads the small edge list in two reads (its bytes,
+  // then the end of file); the copy's first read fails.
+  io::fault::arm({io::fault::Point::read, /*after=*/2, EIO});
+  EXPECT_THROW(cache.extract_to(path("g.edges"), 1, path("hit")), IoError);
+  io::fault::clear();
+  EXPECT_FALSE(fs::exists(path("hit.1k")));
+  EXPECT_TRUE(cache.extract_to(path("g.edges"), 1, path("hit")).hit);
+  EXPECT_EQ(slurp(path("hit.1k")), slurp(path("miss.1k")));
 }
 
 TEST_F(DkCacheTest, ConcurrentSameKeyRequestsSingleFlight) {

@@ -160,6 +160,34 @@ TEST_F(ServerTest, GenerateRunsAsLegsAndCompletes) {
   EXPECT_EQ(read.graph.num_edges(), 90u);
 }
 
+TEST_F(ServerTest, PerEdgeBudgetPastTheCapFailsBeforeTheRun) {
+  // 2^34 attempts per edge on the m = 90 target is about 1.5e12: the
+  // product fits 64 bits, so only svc::kMaxAttempts can refuse it.
+  Server server(server_options());
+  ASSERT_EQ(server.wait(server.submit(extract_request("dk"))).state,
+            JobState::done);
+  JobRequest request = generate_request("out.edges", 2, /*attempts=*/0);
+  request.attempts_per_edge = std::size_t{1} << 34;
+  const std::uint64_t id = server.submit(request);
+  // An accepted budget runs until the chain reaches D = 0 or is
+  // cancelled: wait a bounded time.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.status(id).state == JobState::queued ||
+         server.status(id).state == JobState::running) {
+    if (std::chrono::steady_clock::now() > deadline) server.cancel(id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const JobInfo info = server.wait(id);
+  EXPECT_EQ(info.state, JobState::failed);
+  EXPECT_NE(info.error.find("exceeds svc::kMaxAttempts = " +
+                            std::to_string(kMaxAttempts)),
+            std::string::npos)
+      << info.error;
+  EXPECT_EQ(info.legs_done, 0u);
+  EXPECT_FALSE(fs::exists(path("out.edges")));
+}
+
 TEST_F(ServerTest, CancelInFlightGenerateDoesNotBlockExtracts) {
   std::mutex mutex;
   std::vector<JobEvent> events;
