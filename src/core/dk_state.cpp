@@ -1,6 +1,7 @@
 #include "core/dk_state.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/three_k_count.hpp"
 #include "obs/trace.hpp"
@@ -16,52 +17,65 @@ double clustering_weight(std::uint32_t degree) {
                 static_cast<double>(degree - 1));
 }
 
-// Below this size journal_add coalesces inline with a linear scan (the
-// common case: a swap between typical-degree endpoints touches a dozen
-// bins); past it, entries are appended raw and DeltaJournal::coalesce
-// sort-merges once, keeping hub endpoints with many distinct neighbor
-// degrees off a quadratic path.
-constexpr std::size_t kInlineCoalesceLimit = 48;
-
-void journal_add(DeltaJournal::Map& map, std::uint64_t key,
-                 std::int64_t delta) {
-  if (map.size() < kInlineCoalesceLimit) {
-    for (auto& entry : map) {
-      if (entry.first == key) {
-        entry.second += delta;
-        if (entry.second == 0) {
-          entry = map.back();
-          map.pop_back();
-        }
-        return;
-      }
-    }
-  }
-  map.emplace_back(key, delta);
-}
-
-void coalesce_map(DeltaJournal::Map& map) {
-  if (map.size() < kInlineCoalesceLimit) return;  // already coalesced
-  std::sort(map.begin(), map.end());
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < map.size();) {
-    std::int64_t net = 0;
-    std::size_t j = i;
-    while (j < map.size() && map[j].first == map[i].first) {
-      net += map[j].second;
-      ++j;
-    }
-    if (net != 0) map[out++] = {map[i].first, net};
-    i = j;
-  }
-  map.resize(out);
-}
-
 }  // namespace
 
-void DeltaJournal::coalesce() {
-  coalesce_map(wedge);
-  coalesce_map(triangle);
+// Fibonacci hashing: the top bits of key * 2^64/φ.  Packed keys differ
+// mostly in their low fields, which the multiply carries upward.
+std::size_t DeltaJournal::home(std::uint64_t tagged) const noexcept {
+  return static_cast<std::size_t>((tagged * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+void DeltaJournal::add(std::uint64_t tagged, std::int64_t net) {
+  Map& map = (tagged & kTriangleBinTag) != 0 ? triangle : wedge;
+  if (2 * (wedge.size() + triangle.size() + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(tagged);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.stamp != stamp_) {
+      slot = {tagged, stamp_, static_cast<std::uint32_t>(map.size())};
+      map.emplace_back(tagged & ~kTriangleBinTag, net);
+      return;
+    }
+    if (slot.key == tagged) {
+      map[slot.entry].second += net;
+      return;
+    }
+  }
+}
+
+void DeltaJournal::grow() {
+  const std::size_t slots = std::max(kMinSlots, 2 * slots_.size());
+  slots_.assign(slots, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  stamp_ = 1;
+  const std::size_t mask = slots - 1;
+  const auto refile = [&](const Map& map, std::uint64_t tag) {
+    for (std::size_t e = 0; e < map.size(); ++e) {
+      const std::uint64_t tagged = map[e].first | tag;
+      std::size_t i = home(tagged);
+      while (slots_[i].stamp == stamp_) i = (i + 1) & mask;
+      slots_[i] = {tagged, stamp_, static_cast<std::uint32_t>(e)};
+    }
+  };
+  refile(wedge, 0);
+  refile(triangle, kTriangleBinTag);
+}
+
+void DeltaJournal::finish() {
+  const auto zero = [](const Entry& entry) { return entry.second == 0; };
+  std::erase_if(wedge, zero);
+  std::erase_if(triangle, zero);
+}
+
+void DeltaJournal::clear() noexcept {
+  wedge.clear();
+  triangle.clear();
+  // Past 2^32 - 1 swaps the stamp wraps: old stamps could then read as
+  // live, so every slot is retired by hand once.
+  if (++stamp_ == 0) {
+    for (Slot& slot : slots_) slot.stamp = 0;
+    stamp_ = 1;
+  }
 }
 
 double ThreeKSums::mean_clustering() const noexcept {
@@ -100,7 +114,7 @@ ThreeKResidual::ThreeKResidual(const ThreeKProfile& current,
                         });
     };
     component(current.wedges(), target.wedges(), 0);
-    component(current.triangles(), target.triangles(), triangle_tag);
+    component(current.triangles(), target.triangles(), kTriangleBinTag);
   };
   std::size_t differing = 0;
   for_each_difference([&](std::uint64_t, std::int64_t) { ++differing; });
@@ -130,14 +144,14 @@ std::int64_t ThreeKResidual::delta_if_applied(
   // (docs/parallel.md, "Prefetching in the proposal loops").
   for (const auto& [key, net] : journal.wedge) table_.prefetch(key);
   for (const auto& [key, net] : journal.triangle) {
-    table_.prefetch(key | triangle_tag);
+    table_.prefetch(key | kTriangleBinTag);
   }
   std::int64_t delta = 0;
   for (const auto& [key, net] : journal.wedge) {
     delta += net * (2 * at(key) + net);  // (r + net)² − r²
   }
   for (const auto& [key, net] : journal.triangle) {
-    delta += net * (2 * at(key | triangle_tag) + net);
+    delta += net * (2 * at(key | kTriangleBinTag) + net);
   }
   return delta;
 }
@@ -147,7 +161,9 @@ void ThreeKResidual::apply(const DeltaJournal& journal) {
   distance_ += delta_if_applied(journal);
   if (!table_.has_storage()) table_.grow();
   for (const auto& [key, net] : journal.wedge) add(key, net);
-  for (const auto& [key, net] : journal.triangle) add(key | triangle_tag, net);
+  for (const auto& [key, net] : journal.triangle) {
+    add(key | kTriangleBinTag, net);
+  }
 }
 
 bool operator==(const ThreeKResidual& a, const ThreeKResidual& b) {
@@ -213,9 +229,7 @@ void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
   } else {
     price_equal_degree_pair(b, a, d, c, out);
   }
-  // No-op below the inline-coalesce limit; one O(k log k) sort-merge
-  // past it.
-  out.journal.coalesce();
+  out.journal.finish();
   for (const auto& [node, net] : out.triangle_nodes) {
     out.clustering_delta +=
         static_cast<double>(net) * clustering_weight(index_->degree(node));
@@ -280,12 +294,10 @@ void DkState::price_equal_degree_pair(NodeId a, NodeId b, NodeId c, NodeId d,
                            std::uint32_t end2, std::int64_t delta) {
       s2 += delta * static_cast<std::int64_t>(end1) *
             static_cast<std::int64_t>(end2);
-      journal_add(out.journal.wedge, util::wedge_key(end1, center, end2),
-                  delta);
+      out.journal.add_wedge(util::wedge_key(end1, center, end2), delta);
     };
     const auto triangle = [&](std::uint32_t kp, std::int64_t delta) {
-      journal_add(out.journal.triangle, util::triangle_key(kp, k, kx),
-                  delta);
+      out.journal.add_triangle(util::triangle_key(kp, k, kx), delta);
     };
     if (on_a) {
       wedge(kx, ka, k, sign);

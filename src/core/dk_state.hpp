@@ -36,39 +36,67 @@
 
 namespace orbis::dk {
 
+/// Packed 3K keys use 63 bits: bit 63 keeps triangle bins apart from
+/// wedge bins in one table (the journal's scratch, the residual).
+inline constexpr std::uint64_t kTriangleBinTag = std::uint64_t{1} << 63;
+
 /// Net wedge/triangle histogram deltas of a short mutation window (one
 /// double-edge swap): bins whose net change is zero are dropped, so an
 /// in-flight swap is 3K-preserving iff the journal is empty afterwards.
 /// Rewiring engines also read the non-zero deltas to evaluate ΔD3
 /// incrementally against a target without a per-mutation callback.
-/// Stored as a flat vector, not a hash map: a swap touches O(deg) bins,
-/// so linear coalescing beats node-allocating containers on the hot
-/// path.  JDD deltas are deliberately not journaled: a swap's four JDD
-/// bin moves follow in O(1) from the frozen endpoint degrees, so
-/// callers that need them compute them directly.
+/// JDD deltas are deliberately not journaled: a swap's four JDD bin
+/// moves follow in O(1) from the frozen endpoint degrees, so callers
+/// that need them compute them directly.
+///
+/// A producer calls add_wedge/add_triangle once per event and finish()
+/// once.  Each event coalesces in O(1), whatever the journal's size,
+/// through an open-addressing scratch table (bin -> entry) that the
+/// journal owns and keeps across swaps: clear() retires every slot at
+/// once by bumping a generation stamp, so a reused journal clears in
+/// O(1) and allocates nothing.  The table starts at 64
+/// slots (1 KB, L1-resident for the dozen bins a typical swap touches)
+/// and doubles past half load, which only hub endpoints reach.
 struct DeltaJournal {
   using Entry = std::pair<std::uint64_t, std::int64_t>;
-  using Map = std::vector<Entry>;  // tiny; zero-net entries are dropped
+  using Map = std::vector<Entry>;  // one entry per bin, first-touch order
   Map wedge;
   Map triangle;
 
-  /// Only meaningful after coalesce(): producers append raw per-event
-  /// entries and coalesce once, so filling stays O(1) per event even on
-  /// hub endpoints with many distinct neighbor degrees.
-  bool all_zero() const noexcept { return wedge.empty() && triangle.empty(); }
-  /// Sorts by key, merges duplicates and drops zero-net entries.
-  void coalesce();
-  void clear() noexcept {
-    wedge.clear();
-    triangle.clear();
+  void add_wedge(std::uint64_t key, std::int64_t net) { add(key, net); }
+  void add_triangle(std::uint64_t key, std::int64_t net) {
+    add(key | kTriangleBinTag, net);
   }
+  /// Drops the entries whose events summed to zero.  Call once, after
+  /// the last event; clear() starts the next swap.
+  void finish();
+  /// Only meaningful after finish().
+  bool all_zero() const noexcept { return wedge.empty() && triangle.empty(); }
+  void clear() noexcept;
+
+ private:
+  friend struct DeltaJournalAudit;  // tests: stamp wrap-around
+  static constexpr std::size_t kMinSlots = 64;
+  struct Slot {
+    std::uint64_t key = 0;  // tagged
+    std::uint32_t stamp = 0;  // live iff == stamp_; 0 is never live
+    std::uint32_t entry = 0;  // index into wedge or triangle
+  };
+  std::size_t home(std::uint64_t tagged) const noexcept;
+  void add(std::uint64_t tagged, std::int64_t net);
+  /// Doubles the table (kMinSlots when empty) and re-files the entries.
+  void grow();
+
+  std::vector<Slot> slots_;
+  unsigned shift_ = 0;  // 64 - log2(slots_.size()), once allocated
+  std::uint32_t stamp_ = 1;
 };
 
 /// The full effect of a proposed double-edge swap (a,b),(c,d) ->
 /// (a,d),(c,b), computed by DkState::evaluate_swap WITHOUT mutating the
 /// state.  Rejecting a proposal costs nothing further; accepting it is
 /// DkState::commit_swap.  Reuse one instance across attempts — the
-/// buffers keep their capacity.
+/// buffers and the journal's scratch table keep their capacity.
 struct SwapDelta {
   NodeId a = 0, b = 0, c = 0, d = 0;
   // Net wedge/triangle bin deltas.
@@ -91,7 +119,7 @@ struct SwapDelta {
 
 /// r = current − target for every 3K bin where the two differ, in one
 /// signed flat table: wedge keys as util::wedge_key packs them,
-/// triangle keys with bit 63 set (packed keys use 63 bits).  D3 = Σ r²
+/// triangle keys tagged with kTriangleBinTag.  D3 = Σ r²
 /// is kept exact beside it.  A swap touches O(deg) bins, and pricing it
 /// reads one bin per journal entry: ΔD3 = Σ (r + net)² − r².  Bins
 /// where current and target agree are absent, so the table holds only
@@ -103,11 +131,9 @@ class ThreeKResidual {
   /// r = current − target, from merges of the sorted profiles.
   ThreeKResidual(const ThreeKProfile& current, const ThreeKProfile& target);
 
-  static constexpr std::uint64_t triangle_tag = std::uint64_t{1} << 63;
-
   std::int64_t wedge(std::uint64_t key) const { return at(key); }
   std::int64_t triangle(std::uint64_t key) const {
-    return at(key | triangle_tag);
+    return at(key | kTriangleBinTag);
   }
   std::size_t num_bins() const noexcept { return table_.size(); }
   /// D3 = Σ r².

@@ -146,20 +146,24 @@ std::size_t count_three_k(const View& view, Visitors&... visitors) {
 }
 
 /// The 3K profile of `view`, from one ThreeKBinCounter visit, with one
-/// trace span per phase.  `peak_bytes`, when given, receives the bytes
-/// the counting held at most: the counter's peak plus pass 2's forward
+/// trace span per phase.  The triangle pass runs first, so each center
+/// class's closed pairs are on hand when its pairs are emitted.
+/// `peak_bytes`, when given, receives the bytes the counting held at
+/// most: the counter's peak plus the triangle pass's forward
 /// orientation.
 template <typename View>
 ThreeKProfile count_three_k_profile(const View& view,
                                     std::size_t* peak_bytes = nullptr) {
   ThreeKBinCounter counter(degree_classes(view));
+  std::size_t forward_bytes = 0;
   {
-    const obs::Span span("dk.three_k.center_pairs");
-    count_center_pairs(view, counter);
-    counter.end_center_pairs();
+    const obs::Span span("dk.three_k.triangles");
+    forward_bytes = count_triangles(view, counter);
+    counter.end_triangles();
   }
-  const obs::Span span("dk.three_k.triangles");
-  const std::size_t forward_bytes = count_triangles(view, counter);
+  const obs::Span span("dk.three_k.center_pairs");
+  count_center_pairs(view, counter);
+  counter.end_center_pairs();
   ThreeKProfile profile = counter.finish();
   if (peak_bytes != nullptr) {
     *peak_bytes = forward_bytes + counter.peak_bytes();

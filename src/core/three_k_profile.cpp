@@ -105,6 +105,10 @@ void release(std::vector<T>& v) {
 ThreeKBinCounter::ThreeKBinCounter(std::vector<std::uint32_t> class_degrees)
     : class_degree_(std::move(class_degrees)),
       num_classes_(class_degree_.size()) {
+  // Closed pairs are filed by their 32-bit scratch cell, r1·C + r2; past
+  // this bound the dense scratch alone would take 32 GiB.
+  util::expects(num_classes_ <= (std::size_t{1} << 16),
+                "ThreeKBinCounter: more than 65536 degree classes");
   const std::uint32_t max_degree =
       class_degree_.empty() ? 0 : class_degree_.back();
   rank_of_degree_.assign(static_cast<std::size_t>(max_degree) + 1, 0);
@@ -119,7 +123,48 @@ ThreeKBinCounter::ThreeKBinCounter(std::vector<std::uint32_t> class_degrees)
   row_bits_.assign(num_classes_ * row_words_, 0);
   row_touched_.assign(num_classes_, 0);
   by_low_.resize(num_classes_);
+  closed_start_.assign(num_classes_ + 1, 0);
   note_bytes();
+}
+
+void ThreeKBinCounter::add_triangle(NodeId, NodeId, NodeId, std::uint32_t ka,
+                                    std::uint32_t kb, std::uint32_t kc) {
+  std::uint32_t ra = rank(ka);
+  std::uint32_t rb = rank(kb);
+  std::uint32_t rc = rank(kc);
+  if (ra > rb) std::swap(ra, rb);
+  if (rb > rc) std::swap(rb, rc);
+  if (ra > rb) std::swap(ra, rb);
+  triangles_.push_back(rank_key(ra, rb, rc));
+  // One closed pair at each corner, counted under that corner's class.
+  ++closed_start_[ra + 1];
+  ++closed_start_[rb + 1];
+  ++closed_start_[rc + 1];
+}
+
+void ThreeKBinCounter::end_triangles() {
+  // The counting sort by center class: each triangle's three closed
+  // pairs are re-derived from its rank key and filed under their
+  // corner's class as the scratch cell of their two ends.
+  for (std::size_t r = 1; r <= num_classes_; ++r) {
+    closed_start_[r] += closed_start_[r - 1];
+  }
+  closed_cells_.resize(closed_start_[num_classes_]);
+  std::vector<std::size_t> next(closed_start_.begin(),
+                                closed_start_.end() - 1);
+  note_bytes(bytes_of(next));
+  const std::uint64_t mask = (std::uint64_t{1} << rank_bits_) - 1;
+  const auto cell = [&](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<std::uint32_t>(lo * num_classes_ + hi);
+  };
+  for (const std::uint64_t key : triangles_) {
+    const std::uint64_t ra = key >> (2 * rank_bits_);
+    const std::uint64_t rb = (key >> rank_bits_) & mask;
+    const std::uint64_t rc = key & mask;
+    closed_cells_[next[ra]++] = cell(rb, rc);
+    closed_cells_[next[rb]++] = cell(ra, rc);
+    closed_cells_[next[rc]++] = cell(ra, rb);
+  }
 }
 
 void ThreeKBinCounter::add_center_pairs(std::uint32_t center,
@@ -143,6 +188,17 @@ void ThreeKBinCounter::add_center_pairs(std::uint32_t center,
 }
 
 void ThreeKBinCounter::flush_class() {
+  if (center_ == kNoCenter) return;
+  // The class's closed pairs were counted among its center pairs: they
+  // come off here, so a cell they empty emits no bin.
+  const std::uint32_t r = rank(center_);
+  for (std::size_t i = closed_start_[r]; i < closed_start_[r + 1]; ++i) {
+    std::int64_t& cell = cells_[closed_cells_[i]];
+    util::ensures(cell > 0,
+                  "ThreeKBinCounter: closed pair without a center pair");
+    --cell;
+  }
+  closed_taken_ += closed_start_[r + 1] - closed_start_[r];
   // Rows ascending, and within a row the set bits ascending: the class's
   // bins leave in (k1, k2) order.
   std::sort(touched_rows_.begin(), touched_rows_.end());
@@ -155,7 +211,9 @@ void ThreeKBinCounter::flush_class() {
         const std::size_t r2 =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        std::int64_t& cell = cells_[r1 * num_classes_ + r2];
+        const std::int64_t count =
+            std::exchange(cells_[r1 * num_classes_ + r2], std::int64_t{0});
+        if (count == 0) continue;
         std::vector<Block>& list = by_low_[r1];
         if (list.empty() || list.back().size() == list.back().capacity()) {
           const std::size_t bins =
@@ -166,9 +224,8 @@ void ThreeKBinCounter::flush_class() {
         }
         list.back().emplace_back(
             util::wedge_key(class_degree_[r1], center_, class_degree_[r2]),
-            cell);
+            count);
         ++center_bins_;
-        cell = 0;
       }
     }
   }
@@ -177,26 +234,15 @@ void ThreeKBinCounter::flush_class() {
 
 void ThreeKBinCounter::end_center_pairs() {
   flush_class();
+  util::ensures(closed_taken_ == closed_cells_.size(),
+                "ThreeKBinCounter: closed pair without a center pair");
   note_bytes();
   release(cells_);
   release(row_bits_);
   release(row_touched_);
   release(touched_rows_);
-}
-
-void ThreeKBinCounter::add_triangle(NodeId, NodeId, NodeId, std::uint32_t ka,
-                                    std::uint32_t kb, std::uint32_t kc) {
-  std::uint32_t ra = rank(ka);
-  std::uint32_t rb = rank(kb);
-  std::uint32_t rc = rank(kc);
-  // The closed pair at each corner: ends ascending, the corner between.
-  closed_.push_back(rank_key(std::min(rb, rc), ra, std::max(rb, rc)));
-  closed_.push_back(rank_key(std::min(ra, rc), rb, std::max(ra, rc)));
-  closed_.push_back(rank_key(std::min(ra, rb), rc, std::max(ra, rb)));
-  if (ra > rb) std::swap(ra, rb);
-  if (rb > rc) std::swap(rb, rc);
-  if (ra > rb) std::swap(ra, rb);
-  triangles_.push_back(rank_key(ra, rb, rc));
+  release(closed_start_);
+  release(closed_cells_);
 }
 
 std::uint64_t ThreeKBinCounter::degree_key(std::uint64_t key) const {
@@ -208,39 +254,25 @@ std::uint64_t ThreeKBinCounter::degree_key(std::uint64_t key) const {
 
 ThreeKProfile ThreeKBinCounter::finish() {
   note_bytes();
-  std::vector<std::uint64_t> scratch;
-  radix_sort(closed_, scratch, 3 * rank_bits_);
-  radix_sort(triangles_, scratch, 3 * rank_bits_);
-  note_bytes(bytes_of(scratch));
-  release(scratch);
-
-  // The low-end lists read in rank order are the center-pair bins in
-  // key order.  Every closed pair was counted as a center pair, so its
-  // key is among them: take it off in the same walk, dropping bins that
-  // reach 0, and free each block once it is read.
+  // The low-end lists read in rank order are the wedge bins in key
+  // order, already net of the closed pairs: concatenate them, freeing
+  // each block once it is read.
   std::vector<SortedBins::Bin> wedges;
   wedges.reserve(center_bins_);
   note_bytes(bytes_of(wedges));
-  std::size_t c = 0;
   for (std::vector<Block>& list : by_low_) {
     for (Block& block : list) {
-      for (auto [key, count] : block) {
-        for (; c < closed_.size() && degree_key(closed_[c]) == key; ++c) {
-          --count;
-        }
-        util::ensures(count >= 0, "ThreeKBinCounter: wedge bin went negative");
-        if (count != 0) wedges.emplace_back(key, count);
-      }
+      wedges.insert(wedges.end(), block.begin(), block.end());
       release(block);
     }
   }
-  util::ensures(c == closed_.size(),
-                "ThreeKBinCounter: closed pair without a center pair");
   release(by_low_);
   block_bytes_ = 0;
-  release(closed_);
-  wedges.shrink_to_fit();
 
+  std::vector<std::uint64_t> scratch;
+  radix_sort(triangles_, scratch, 3 * rank_bits_);
+  note_bytes(bytes_of(wedges) + bytes_of(scratch));
+  release(scratch);
   std::vector<SortedBins::Bin> triangles;
   for (std::size_t i = 0; i < triangles_.size();) {
     std::size_t j = i;
@@ -249,7 +281,7 @@ ThreeKProfile ThreeKBinCounter::finish() {
                            static_cast<std::int64_t>(j - i));
     i = j;
   }
-  note_bytes(bytes_of(triangles));
+  note_bytes(bytes_of(wedges) + bytes_of(triangles));
   release(triangles_);
   return ThreeKProfile(SortedBins(std::move(wedges)),
                        SortedBins(std::move(triangles)));
@@ -260,7 +292,7 @@ void ThreeKBinCounter::note_bytes(std::size_t transient) {
       bytes_of(class_degree_) + bytes_of(rank_of_degree_) + bytes_of(cells_) +
       bytes_of(row_bits_) + bytes_of(row_touched_) + bytes_of(touched_rows_) +
       bytes_of(by_low_) + block_bytes_ + bytes_of(triangles_) +
-      bytes_of(closed_) + transient;
+      bytes_of(closed_start_) + bytes_of(closed_cells_) + transient;
   peak_bytes_ = std::max(peak_bytes_, bytes);
 }
 

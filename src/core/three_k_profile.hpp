@@ -150,25 +150,31 @@ class ThreeKProfile {
 };
 
 /// The count_three_k visitor behind every ThreeKProfile built from a
-/// graph (core/three_k_count.hpp, count_three_k_profile).  Both passes
-/// are counted in degree-class ranks, not degrees:
+/// graph (core/three_k_count.hpp, count_three_k_profile), which drives
+/// the triangle pass first.  Both passes are counted in degree-class
+/// ranks, not degrees:
 ///
-///   center pairs  arrive center class by center class (pass 1 visits
-///                 centers in (degree, id) order) and accumulate in a
-///                 dense C×C scratch of rank pairs, C the number of
+///   triangles     are buffered as rank keys, corners ascending, and
+///                 each corner's class counts its closed pair.
+///                 end_triangles() then counting-sorts the closed pairs
+///                 by that center class, as the scratch cell of their two
+///                 ends (4 B a pair).
+///   center pairs  arrive center class by center class
+///                 (count_center_pairs visits centers in (degree, id)
+///                 order) and accumulate in a dense C×C scratch of rank pairs, C the number of
 ///                 degree classes.  C < 2√m + 1, so the scratch is at
 ///                 most 32·m bytes and stays cache-resident on the
 ///                 graphs the paper uses.  When the center degree
-///                 changes, the class's non-zero cells are emitted as
-///                 bins, center-major, and filed by their low end: the
+///                 changes, the class's closed pairs come off their
+///                 cells, and the non-zero cells left are emitted as
+///                 wedge bins, center-major, filed by their low end: the
 ///                 counting sort by the low end, done as the bins are
 ///                 made, so each low end's list is in (center, high)
 ///                 order and the lists read in rank order are in
-///                 packed-key order.
-///   triangles     and their three closed pairs are buffered as rank
-///                 keys, radix-sorted, run-length counted and merged
-///                 in: the closed pairs come off the wedge bins (bins
-///                 that reach zero are dropped).
+///                 packed-key order.  end_center_pairs() frees the
+///                 scratch and the closed pairs.
+///   finish()      concatenates the lists into the wedge bins and
+///                 radix-sorts and run-length counts the triangles.
 ///
 /// Ranks are monotone in degree, so rank-key order is packed-key order.
 class ThreeKBinCounter {
@@ -176,18 +182,20 @@ class ThreeKBinCounter {
   /// `class_degrees`: the graph's distinct degrees, ascending.
   explicit ThreeKBinCounter(std::vector<std::uint32_t> class_degrees);
 
-  void add_center_pairs(std::uint32_t center, std::uint32_t k1,
-                        std::uint32_t k2, std::int64_t count);
   void add_triangle(NodeId, NodeId, NodeId, std::uint32_t ka,
                     std::uint32_t kb, std::uint32_t kc);
-
-  /// After pass 1: emits the last center class and frees the scratch.
+  /// After the triangle pass: files the closed pairs by center class.
+  void end_triangles();
+  void add_center_pairs(std::uint32_t center, std::uint32_t k1,
+                        std::uint32_t k2, std::int64_t count);
+  /// After the center-pair pass: emits the last center class and frees
+  /// the scratch and the closed pairs.
   void end_center_pairs();
-  /// After pass 2: the finished profile.
+  /// The finished profile.
   ThreeKProfile finish();
 
   /// High-water mark of the bytes this counter held: scratch, bin
-  /// buffers, triangle buffers and sort copies.
+  /// buffers, triangle keys, closed pairs and sort copies.
   std::size_t peak_bytes() const noexcept { return peak_bytes_; }
 
  private:
@@ -217,8 +225,15 @@ class ThreeKBinCounter {
   std::size_t row_words_ = 0;  // 64-bit words per scratch row bitmap
   unsigned rank_bits_ = 1;
 
-  // Pass 1: the current center class's scratch.
-  std::uint32_t center_ = 0;
+  // Triangle pass: rank keys, and the closed pairs by center class (cells of class r at [closed_start_[r], closed_start_[r + 1])).
+  std::vector<std::uint64_t> triangles_;
+  std::vector<std::size_t> closed_start_;
+  std::vector<std::uint32_t> closed_cells_;  // scratch cell r1*C + r2
+  std::size_t closed_taken_ = 0;
+
+  // Center-pair pass: the current center class's scratch.
+  static constexpr std::uint32_t kNoCenter = ~std::uint32_t{0};
+  std::uint32_t center_ = kNoCenter;
   std::vector<std::int64_t> cells_;         // C×C, cell r1*C + r2, r1 <= r2
   std::vector<std::uint64_t> row_bits_;     // non-zero cells, per row
   std::vector<std::uint8_t> row_touched_;   // row has a non-zero cell
@@ -226,10 +241,6 @@ class ThreeKBinCounter {
   std::vector<std::vector<Block>> by_low_;  // per low-end rank
   std::size_t center_bins_ = 0;
   std::size_t block_bytes_ = 0;
-
-  // Pass 2: rank keys, one per triangle and per closed pair.
-  std::vector<std::uint64_t> triangles_;
-  std::vector<std::uint64_t> closed_;
 
   std::size_t peak_bytes_ = 0;
 };

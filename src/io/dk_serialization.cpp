@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <vector>
 
@@ -83,6 +84,27 @@ dk::JointDegreeDistribution parse_2k(LineReader lines) {
     dist.histogram().add(util::pair_key(k1, k2),
                          static_cast<std::int64_t>(count));
   });
+  return dist;
+}
+
+/// A .2k file describes the edges of a graph: k·n(k) of their endpoints
+/// have degree k (project_to_1k), so k divides that count and degree 0
+/// has none.  The counts sum to at most 2^63 - 1, so no endpoint sum
+/// wraps.
+dk::JointDegreeDistribution check_endpoints(dk::JointDegreeDistribution dist) {
+  std::map<std::uint64_t, std::uint64_t> endpoints;
+  for (const auto& entry : dist.entries()) {
+    const auto count = static_cast<std::uint64_t>(entry.count);
+    endpoints[entry.k1] += count;
+    endpoints[entry.k2] += count;
+  }
+  for (const auto& [k, sum] : endpoints) {
+    if (sum == 0 || (k != 0 && sum % k == 0)) continue;
+    std::string what = "2K degree " + std::to_string(k) + " has " +
+                       std::to_string(sum) + " edge endpoints";
+    if (k != 0) what += ", not a multiple of " + std::to_string(k);
+    throw ParseError(what);
+  }
   return dist;
 }
 
@@ -183,7 +205,9 @@ void write_2k_file(const std::string& path,
 }
 
 dk::JointDegreeDistribution read_2k_file(const std::string& path) {
-  return read_file(path, parse_2k);
+  return read_file(path, [](LineReader lines) {
+    return check_endpoints(parse_2k(std::move(lines)));
+  });
 }
 
 void write_3k_file(const std::string& path, const dk::ThreeKProfile& profile) {

@@ -16,6 +16,25 @@
 #include "util/rng.hpp"
 
 namespace orbis::dk {
+
+/// The generation stamp behind DeltaJournal's scratch table, which a
+/// chain of 2^32 swaps wraps.
+struct DeltaJournalAudit {
+  static std::uint32_t stamp(const DeltaJournal& journal) {
+    return journal.stamp_;
+  }
+  static void set_stamp(DeltaJournal& journal, std::uint32_t stamp) {
+    journal.stamp_ = stamp;
+  }
+  static std::size_t slots(const DeltaJournal& journal) {
+    return journal.slots_.size();
+  }
+  /// Grows the table to at least `slots`, so no later swap resizes it.
+  static void reserve(DeltaJournal& journal, std::size_t slots) {
+    while (journal.slots_.size() < slots) journal.grow();
+  }
+};
+
 namespace {
 
 /// Small power-law graph whose hubs reach ten times the mean degree or
@@ -307,10 +326,13 @@ class SwapOracle {
            (idx.degree(b) == idx.degree(d) || idx.degree(a) == idx.degree(c));
   }
 
+  /// The SwapDelta every check reuses, as a chain does.
+  SwapDelta& delta() { return delta_; }
+
   /// Checks the swap's SwapDelta against the recount; commits it when
   /// `commit`.  Returns whether the swap moved any node's triangles.
   bool check(NodeId a, NodeId b, NodeId c, NodeId d, bool commit) {
-    SwapDelta delta;
+    SwapDelta& delta = delta_;
     state_.evaluate_swap(a, b, c, d, delta);
     EXPECT_EQ(delta.a, a);
     EXPECT_EQ(delta.b, b);
@@ -368,7 +390,26 @@ class SwapOracle {
   const ThreeKProfile* target_;
   Graph graph_;
   Recount now_;
+  SwapDelta delta_;
 };
+
+/// Proposes random JDD-preserving swaps until `count` were checked,
+/// committing about a third of them.
+void walk(SwapOracle& oracle, std::size_t count, util::Rng& rng) {
+  std::size_t checked = 0;
+  for (std::size_t guard = 0; checked < count && guard < 1000 * count;
+       ++guard) {
+    const auto& index = oracle.index();
+    Edge e1 = index.sample_half_edge(rng);
+    Edge e2 = index.sample_half_edge(rng);
+    if (rng.bernoulli(0.5)) std::swap(e1.u, e1.v);
+    if (rng.bernoulli(0.5)) std::swap(e2.u, e2.v);
+    if (!oracle.valid(e1.u, e1.v, e2.u, e2.v)) continue;
+    oracle.check(e1.u, e1.v, e2.u, e2.v, /*commit=*/rng.bernoulli(0.3));
+    ++checked;
+  }
+  EXPECT_EQ(checked, count);
+}
 
 TEST(DkStateSwapOracle, EverySwapDeltaMatchesTheRecountOnAHubGraph) {
   const Graph g = hub_graph(3);
@@ -412,6 +453,33 @@ TEST(DkStateSwapOracle, EverySwapDeltaMatchesTheRecountOnAHubGraph) {
   EXPECT_GT(ac_only, 0u);
   EXPECT_GT(both, 0u);
   EXPECT_GT(hub, 0u);
+  EXPECT_NO_THROW(oracle.state().verify_consistency());
+}
+
+// One SwapDelta serves a whole chain, and its journal's scratch table is
+// cleared by bumping a 32-bit stamp, which a long chain wraps.  Slots
+// stamped by early swaps must not read as live when the stamp comes
+// round again: swaps on either side of the wrap must still journal
+// exactly the recount's deltas, with no duplicate and no zero entry.
+TEST(DkStateSwapOracle, JournalStampWrapsWithoutStaleSlots) {
+  const Graph g = hub_graph(5);
+  ASSERT_TRUE(hub_heavy(g));
+  SwapOracle oracle(g);
+  util::Rng rng(23);
+  DeltaJournal& journal = oracle.delta().journal;
+  // Larger than any journal here, so no swap resizes (and so re-stamps)
+  // the table; then stamp its slots with low generations.
+  DeltaJournalAudit::reserve(journal, 1 << 14);
+  const std::size_t slots = DeltaJournalAudit::slots(journal);
+  walk(oracle, 150, rng);
+  ASSERT_LT(DeltaJournalAudit::stamp(journal), 1000u);
+
+  DeltaJournalAudit::set_stamp(journal, ~std::uint32_t{0} - 60);
+  walk(oracle, 300, rng);
+  const std::uint32_t after = DeltaJournalAudit::stamp(journal);
+  EXPECT_GE(after, 1u);
+  EXPECT_LT(after, 1000u) << "the stamp did not wrap";
+  EXPECT_EQ(DeltaJournalAudit::slots(journal), slots);
   EXPECT_NO_THROW(oracle.state().verify_consistency());
 }
 

@@ -99,6 +99,17 @@ void expect_canonical(const SortedBins& bins) {
   }
 }
 
+/// Node i joined to i ± 1, ..., i ± k (mod n): 2k-regular, so one
+/// degree class, and every node closes triangles with its near
+/// neighbors.
+Graph circulant(NodeId n, NodeId k) {
+  Graph g(n);
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId step = 1; step <= k; ++step) g.add_edge(v, (v + step) % n);
+  }
+  return g;
+}
+
 // Every count_three_k user against the two oracles (from_graph_naive and
 // metrics::triangles_through), with exact equality: the sorted profile
 // (strictly ascending keys, positive counts), DkState's residual, the
@@ -106,10 +117,24 @@ void expect_canonical(const SortedBins& bins) {
 // and per-node counts, and the streaming extractor.  The families cover
 // the counter's phases: no center at all (0 and 1 nodes), one class,
 // a center class of one node, every wedge closing (K_n), many classes,
-// and hubs whose center classes span most of the dense scratch.
+// and hubs whose center classes span most of the dense scratch.  The
+// counter takes each center class's closed pairs off that class's
+// scratch cells, so the lowest class with no degree-1 node below it
+// must come out exact when its closed pairs empty whole cells (K_n, a
+// triangle-rich regular graph, a wheel whose rim is the lowest class).
 TEST(ThreeK, FastMatchesNaiveOnFamilies) {
   std::vector<Graph> graphs;
   graphs.push_back(builders::complete(7));
+  graphs.push_back(builders::complete(5));
+  graphs.push_back(circulant(40, 3));
+  {
+    Graph wheel(13);
+    for (NodeId v = 1; v <= 12; ++v) {
+      wheel.add_edge(0, v);
+      wheel.add_edge(v, v % 12 + 1);
+    }
+    graphs.push_back(wheel);
+  }
   graphs.push_back(builders::cycle(9));
   graphs.push_back(builders::star(9));
   graphs.push_back(builders::grid(4, 5));
@@ -191,8 +216,9 @@ Graph power_law_hub_graph() {
 
 // finish_three_k runs the same counter over the extractor's CSR: equal
 // profiles, and a peak that covers the CSR and everything the counting
-// held at once (scratch, bins, triangle buffers, sort copies, forward
-// orientation), which count_three_k_profile reports on the Graph.
+// held at once (scratch, bins, triangle keys, the closed pairs filed by
+// center class, sort copies, forward orientation), which
+// count_three_k_profile reports on the Graph.
 TEST(ThreeK, StreamingExtractorEqualsFromGraphAndCountsItsBuffers) {
   const Graph g = power_law_hub_graph();
   // Drop isolated nodes: the extractor's CSR never sees them.
@@ -214,7 +240,13 @@ TEST(ThreeK, StreamingExtractorEqualsFromGraphAndCountsItsBuffers) {
   EXPECT_EQ(extractor.finish().three_k, ThreeKProfile::from_graph(h));
 
   std::size_t counting_peak = 0;
-  count_three_k_profile(h, &counting_peak);
+  const ThreeKProfile counted = count_three_k_profile(h, &counting_peak);
+  // Each triangle's key (8 B) and its three closed pairs (4 B each) are
+  // held together through the center-pair pass.
+  ASSERT_GT(counted.total_triangles(), 0);
+  EXPECT_GE(counting_peak,
+            static_cast<std::size_t>(counted.total_triangles()) *
+                (sizeof(std::uint64_t) + 3 * sizeof(std::uint32_t)));
   const std::size_t n = h.num_nodes();
   const std::size_t csr_bytes = (n + 1) * sizeof(std::uint64_t) +
                                 n * sizeof(std::uint32_t) +

@@ -595,9 +595,9 @@ TEST(MultiChain, ThreeKDriverConvergesAndPreservesJdd) {
 }
 
 // Hub stress for the speculative delta journal: node 0 has ~60 neighbors
-// whose degrees are almost all distinct, so one swap incident to the hub
-// overflows the journal's inline-coalesce limit and takes the sort-merge
-// path.  3K preservation and the internal bookkeeping must survive it.
+// whose degrees are almost all distinct, so swaps near the hub touch
+// bins of many distinct degrees.  3K preservation and the internal
+// bookkeeping must survive it.
 TEST(ThreeKRewirerHub, SpeculativeJournalHandlesHighDegreeHubs) {
   const NodeId spokes = 60;
   std::vector<Edge> edges;
@@ -612,7 +612,7 @@ TEST(ThreeKRewirerHub, SpeculativeJournalHandlesHighDegreeHubs) {
   // A few chords so swaps near the hub have partners of equal class.
   for (NodeId i = 1; i + 2 <= spokes; i += 2) edges.push_back({i, i + 2});
   const auto g = Graph::from_edges_dedup(next, edges);
-  ASSERT_GT(g.degree(0), 48u);  // overflows kInlineCoalesceLimit
+  ASSERT_GT(g.degree(0), 48u);
 
   const auto original = dk::ThreeKProfile::from_graph(g);
   ThreeKRewirer rewirer(g);

@@ -209,6 +209,20 @@ TEST_F(ToolCliTest, HostileDkLineExitsParseNamingFileAndLine) {
   EXPECT_FALSE(fs::exists(path("x.edges")));
 }
 
+// Well-formed lines that describe no graph: the one line `1 2 3` puts
+// three endpoints on degree 2, which no count of degree-2 nodes has.
+TEST_F(ToolCliTest, InconsistentTwoKExitsParseNamingFileAndDegree) {
+  std::ofstream(path("odd.2k")) << "1 2 3\n";
+  EXPECT_EQ(run("generate --d 2 --method matching --from-2k '" +
+                path("odd.2k") + "' --out '" + path("x.edges") + "'"),
+            2);
+  EXPECT_NE(stderr_log().find(path("odd.2k") + ": 2K degree 2 has 3 edge "
+                                               "endpoints"),
+            std::string::npos)
+      << stderr_log();
+  EXPECT_FALSE(fs::exists(path("x.edges")));
+}
+
 // Every file read goes through the fault seam: dK files and checkpoints
 // as much as edge lists.
 TEST_F(ToolCliTest, InjectedReadFaultOnADkFileExitsIo) {

@@ -28,6 +28,12 @@ Usage:
                cancels out — run without --normalize on the reference
                machine to catch those.
 
+A benchmark that reports the counter `deterministic` = 1 measures a
+count that is the same on any machine (an attempt count reported as
+manual time), not a speed: it is compared raw, at the same tolerance,
+and left out of the --normalize median, so neither the runner's speed
+nor speed-ups elsewhere in the run move its score.
+
 The tolerance can also be set via the BENCH_TOLERANCE environment
 variable.
 """
@@ -52,6 +58,11 @@ def load_benchmarks(path, name_filter):
             continue
         out[name] = bench
     return out
+
+
+def deterministic(bench):
+    """True when the benchmark's score does not depend on machine speed."""
+    return float(bench.get("deterministic", 0)) == 1.0
 
 
 def score(bench):
@@ -115,18 +126,22 @@ def main():
     # Median-of-ratios normalization: machine-speed differences shift
     # every ratio equally and cancel; improvements in a minority of
     # benchmarks do not drag the untouched majority below the band.
-    scale = statistics.median(ratios.values()) if (
-        args.normalize and ratios) else 1.0
+    # Deterministic counts take no part in it and are compared raw.
+    timed = [ratio for name, ratio in ratios.items()
+             if not deterministic(current[name])]
+    scale = statistics.median(timed) if (args.normalize and timed) else 1.0
 
     print(f"{'benchmark':<40} {'reference':>14} {'current':>14} {'ratio':>8}")
     for name in shared:
         if name not in ratios:
             continue
         ref_score, cur_score, unit = scores[name]
-        ratio = ratios[name] / scale
+        raw = deterministic(current[name])
+        ratio = ratios[name] if raw else ratios[name] / scale
         flag = ""
         if ratio < 1.0 - args.tolerance:
-            unit_label = f"{unit} (vs run median)" if args.normalize else unit
+            unit_label = (f"{unit} (vs run median)"
+                          if args.normalize and not raw else unit)
             failures.append(
                 f"{name}: {unit_label} fell to {ratio:.2f}x of reference "
                 f"(allowed >= {1.0 - args.tolerance:.2f}x)")
