@@ -22,11 +22,6 @@
 //       proposal moves:            --move {swap,trade,mixed} (double-edge
 //                                  swaps, Curveball neighborhood trades, or
 //                                  a mix; docs/rewiring.md)
-//       replica exchange:          --ladder K (run targeting as a K-replica
-//                                  temperature ladder with exchange passes;
-//                                  docs/annealing.md), --exchange-every N
-//                                  (attempts per exchange epoch; default
-//                                  budget/16)
 //       output:                    --out out.edges  [--dot out.dot]
 //   orbis_tool rescale  --from-2k F --nodes N --out F2   rescale a JDD
 //   orbis_tool compare  <a.edges> <b.edges>          metric bundle + D_d
@@ -263,9 +258,9 @@ gen::Method parse_method(const std::string& name) {
 /// the stage machine gen::generate_dk_random and orbis_server drive too,
 /// so all three write the same graph.  --checkpoint writes every leg
 /// boundary to disk, 2K stage included; --resume continues from one
-/// bit-identically, taking chains, ladder and move kind from the
-/// checkpoint.  The cadence is only how often the file is written, so a
-/// resume honors --checkpoint-every (gen/checkpoint.hpp).
+/// bit-identically, taking chains and move kind from the checkpoint.
+/// The cadence is only how often the file is written, so a resume
+/// honors --checkpoint-every (gen/checkpoint.hpp).
 Graph generate_targeting(const util::ArgParser& args,
                          const dk::DkDistributions& target, int d,
                          const gen::GenerateOptions& options,
@@ -279,10 +274,6 @@ Graph generate_targeting(const util::ArgParser& args,
   gen::PipelineOptions pipeline_options;
   pipeline_options.d = d;
   pipeline_options.targeting = options.targeting;
-  pipeline_options.ladder.replicas =
-      gen::check_chain_count(parse_count(args, "--ladder", 0), "--ladder");
-  pipeline_options.ladder.exchange_every =
-      parse_count(args, "--exchange-every", 0);
   pipeline_options.checkpoint_every =
       parse_count(args, "--checkpoint-every", 0);
 
@@ -292,13 +283,11 @@ Graph generate_targeting(const util::ArgParser& args,
           : gen::Pipeline(target, pipeline_options,
                           io::read_checkpoint_file(resume_path), ctx);
   if (!resume_path.empty()) {
-    if (args.get_int("--ladder", 0) > 0 ||
-        args.get_int("--exchange-every", 0) > 0 ||
-        !args.get_string("--move", "").empty() ||
+    if (!args.get_string("--move", "").empty() ||
         args.has_flag("--attempts") || args.has_flag("--attempts-per-edge")) {
-      status("note: --ladder/--exchange-every/--move/--attempts/"
-             "--attempts-per-edge ignored on resume — they are part of the "
-             "run and come from the checkpoint\n");
+      status("note: --move/--attempts/--attempts-per-edge ignored on "
+             "resume — they are part of the run and come from the "
+             "checkpoint\n");
     }
     const gen::RunCheckpoint& resumed = pipeline.checkpoint();
     status("resuming %s: %dK stage, %llu/%llu attempts per chain, %zu "
@@ -315,10 +304,6 @@ Graph generate_targeting(const util::ArgParser& args,
   record_config("chains", std::to_string(state.chains.size()));
   record_config("checkpoint_every", std::to_string(state.checkpoint_every));
   record_config("move", gen::to_string(state.move));
-  if (state.laddered()) {
-    record_config("ladder", std::to_string(state.chains.size()));
-    record_config("exchange_every", std::to_string(state.exchange_every));
-  }
 
   gen::CheckpointOptions checkpointing;
   const std::size_t stop_after =
@@ -359,17 +344,6 @@ Graph generate_targeting(const util::ArgParser& args,
 
   pipeline.run(checkpointing);
   if (g_want_report) {
-    // Label the trajectory lanes with their replica identity; laddered
-    // runs also record each replica's final (possibly adapted)
-    // temperature, so a report reader can tell the rungs apart.
-    g_report.trajectory_lanes.clear();
-    for (std::size_t i = 0; i < state.chains.size(); ++i) {
-      obs::TrajectoryLane lane;
-      lane.lane = static_cast<std::uint32_t>(i);
-      lane.temperature = state.chains[i].temperature;
-      lane.has_temperature = state.laddered();
-      g_report.trajectory_lanes.push_back(lane);
-    }
     for (const gen::PipelineStage& done : pipeline.stages()) {
       obs::StageRecord stage;
       stage.name = done.d == 2 ? "target.2k" : "target.3k";
@@ -413,14 +387,6 @@ Graph generate_targeting(const util::ArgParser& args,
            done.d, done.result.best_chain, done.result.best_distance,
            static_cast<unsigned long long>(done.result.attempts_done),
            static_cast<unsigned long long>(done.result.total_stats.accepted));
-  }
-  if (state.laddered()) {
-    status("ladder: %zu replicas, epoch %llu attempts, %llu/%llu "
-           "exchanges accepted\n",
-           state.chains.size(),
-           static_cast<unsigned long long>(state.exchange_every),
-           static_cast<unsigned long long>(state.exchange_accepted),
-           static_cast<unsigned long long>(state.exchange_attempted));
   }
   return pipeline.graph();
 }
@@ -469,16 +435,14 @@ int cmd_generate(const util::ArgParser& args) {
   };
 
   const bool leg_flags = !args.get_string("--checkpoint", "").empty() ||
-                         !args.get_string("--resume", "").empty() ||
-                         args.get_int("--ladder", 0) != 0;
+                         !args.get_string("--resume", "").empty();
 
   Graph result;
   const std::string like = args.get_string("--like", "");
   if (!like.empty()) {
     if (leg_flags) {
       throw std::invalid_argument(
-          "--checkpoint/--resume/--ladder do not apply to --like "
-          "randomizing runs");
+          "--checkpoint/--resume do not apply to --like randomizing runs");
     }
     // dK-randomizing rewiring of an original graph: dk_random_like
     // seeds from ctx and runs under its stop/progress.
@@ -549,9 +513,8 @@ int cmd_generate(const util::ArgParser& args) {
     } else {
       if (leg_flags) {
         throw std::invalid_argument(
-            "--checkpoint/--resume/--ladder require --method targeting "
-            "with --d 2 or --d 3 (the long rewiring chains are what they "
-            "cover)");
+            "--checkpoint/--resume require --method targeting with --d 2 "
+            "or --d 3 (the long rewiring chains are what they cover)");
       }
       if (budget_flags) {
         throw std::invalid_argument(
@@ -658,8 +621,7 @@ int main(int argc, char** argv) {
        "--from-2k", "--from-3k", "--method", "--chains", "--dot",
        "--nodes", "--checkpoint",
        "--checkpoint-every", "--resume", "--stop-after-checkpoints",
-       "--report", "--trace", "--move", "--ladder", "--exchange-every",
-       "--attempts", "--attempts-per-edge"});
+       "--report", "--trace", "--move", "--attempts", "--attempts-per-edge"});
   if (args.positional().empty()) return usage();
   const std::string& command = args.positional()[0];
 

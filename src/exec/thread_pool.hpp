@@ -1,6 +1,5 @@
 // Fixed thread pool with task futures — the execution backend of the
-// parallel subsystem (independent chains and replica-ladder legs
-// schedule onto it).
+// parallel subsystem (the legs of independent chains schedule onto it).
 //
 // Design constraints, in priority order:
 //   1. determinism support: the pool NEVER decides anything that affects
@@ -14,7 +13,7 @@
 //      task.
 //
 // Tasks must not block on other tasks of the same pool (no work
-// stealing); the intended granularity is "one annealing chain leg",
+// stealing); the intended granularity is "one targeting chain leg",
 // and the legs of one batch are independent.
 #pragma once
 

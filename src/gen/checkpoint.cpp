@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "exec/thread_pool.hpp"
-#include "gen/anneal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -52,15 +51,7 @@ RewiringStats sum_chain_stats(const RunCheckpoint& state) {
 /// `run_leg(chain, i, leg, chain_ctx)` advances chain i by `leg`
 /// attempts and publishes its canonical state; `chain_ctx` is ctx with
 /// its progress sink tagging the chain's lane.  `engines` are the
-/// carried engines: dropped when a stop discards a leg, moved with the
-/// graphs by ladder exchanges.
-///
-/// Laddered runs (state.exchange_every > 0) cut the legs on the UNION
-/// of the checkpoint grid and the exchange-epoch grid; since the
-/// checkpoint cadence is a multiple of the epoch, every pause point is
-/// an epoch boundary.  Between epochs the (serial) exchange + adaptive
-/// pass runs — see gen/anneal.hpp — and on_checkpoint still fires only
-/// at checkpoint boundaries.
+/// carried engines, dropped when a stop discards a leg.
 template <typename RunLeg>
 CheckpointedResult run_legs(RunCheckpoint& state,
                             const CheckpointOptions& checkpointing,
@@ -72,24 +63,15 @@ CheckpointedResult run_legs(RunCheckpoint& state,
     util::expects(chain.attempts_done == state.chains[0].attempts_done,
                   "run_checkpointed: chains out of step (corrupt state?)");
   }
-  util::expects(state.exchange_every == 0 || state.checkpoint_every == 0 ||
-                    state.checkpoint_every % state.exchange_every == 0,
-                "run_checkpointed: exchange cadence must divide the "
-                "checkpoint cadence");
 
   static obs::Counter& legs_completed =
       obs::Registry::global().counter("checkpoint.legs_completed");
   static obs::Counter& flushes =
       obs::Registry::global().counter("checkpoint.flushes");
-  static obs::Counter& exchange_attempts_metric =
-      obs::Registry::global().counter("anneal.exchange_attempts");
-  static obs::Counter& exchange_accepts_metric =
-      obs::Registry::global().counter("anneal.exchange_accepts");
 
   CheckpointedResult result;
   const std::uint64_t every =
       state.checkpoint_every > 0 ? state.checkpoint_every : state.budget;
-  const std::uint64_t epoch = state.exchange_every;
   exec::ThreadPool& pool = checkpointing.pool != nullptr
                                ? *checkpointing.pool
                                : exec::shared_pool();
@@ -97,14 +79,6 @@ CheckpointedResult run_legs(RunCheckpoint& state,
   // Metrics publish per-leg DELTAS against these baselines, so a
   // resumed run never re-counts work a previous process already ran.
   RewiringStats published = sum_chain_stats(state);
-  std::uint64_t published_attempted = state.exchange_attempted;
-  std::uint64_t published_accepted = state.exchange_accepted;
-
-  // Per-chain stats at the current epoch's start: the adaptive
-  // controller reads each replica's acceptance rate over exactly one
-  // epoch.  Never serialized — every pause point is an epoch boundary,
-  // so a resume re-captures it before the next epoch runs.
-  std::vector<RewiringStats> epoch_start;
   std::size_t legs = 0;
 
   while (state.chains[0].attempts_done < state.budget) {
@@ -114,15 +88,8 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       break;
     }
     const std::uint64_t done = state.chains[0].attempts_done;
-    std::uint64_t leg = std::min<std::uint64_t>(
-        every > 0 ? every - done % every : 1, state.budget - done);
-    if (epoch > 0) {
-      leg = std::min(leg, epoch - done % epoch);
-      epoch_start.resize(state.chains.size());
-      for (std::size_t i = 0; i < state.chains.size(); ++i) {
-        epoch_start[i] = state.chains[i].stats;
-      }
-    }
+    const std::uint64_t leg =
+        std::min(every - done % every, state.budget - done);
 
     // Mid-leg interrupts discard the leg: keep the boundary state so a
     // stop observed below can snap back to it.  Without a stop token no
@@ -164,38 +131,15 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       result.interrupted = true;
       break;
     }
-    const std::uint64_t now_done = state.chains[0].attempts_done;
-    if (epoch > 0 && now_done % epoch == 0 && now_done < state.budget) {
-      // Serial by design: exchange decisions come from the dedicated
-      // exchange Rng stream, so the pass is a pure function of the
-      // RunCheckpoint regardless of pool size or scheduling.
-      run_ladder_epoch_pass(
-          state, now_done / epoch - 1, epoch_start, [&engines](std::size_t i) {
-            if (!engines.two_k.empty()) {
-              std::swap(engines.two_k[i], engines.two_k[i + 1]);
-            }
-            if (!engines.three_k.empty()) {
-              std::swap(engines.three_k[i], engines.three_k[i + 1]);
-            }
-          });
-    }
-    if (now_done % every == 0 || now_done >= state.budget) {
-      const RewiringStats now = sum_chain_stats(state);
-      publish_rewiring_metrics(now.delta_since(published));
-      published = now;
-      exchange_attempts_metric.add(state.exchange_attempted -
-                                   published_attempted);
-      exchange_accepts_metric.add(state.exchange_accepted -
-                                  published_accepted);
-      published_attempted = state.exchange_attempted;
-      published_accepted = state.exchange_accepted;
-      legs_completed.add(1);
-      ++legs;
-      if (checkpointing.on_checkpoint) {
-        const obs::Span flush_span("checkpoint.flush");
-        checkpointing.on_checkpoint(state);
-        flushes.add(1);
-      }
+    const RewiringStats now = sum_chain_stats(state);
+    publish_rewiring_metrics(now.delta_since(published));
+    published = now;
+    legs_completed.add(1);
+    ++legs;
+    if (checkpointing.on_checkpoint) {
+      const obs::Span flush_span("checkpoint.flush");
+      checkpointing.on_checkpoint(state);
+      flushes.add(1);
     }
   }
 
@@ -229,7 +173,6 @@ CheckpointedResult run_stage(
     Walk walk) {
   TargetingOptions leg_options = options;
   leg_options.move = state.move;  // pinned: part of run identity
-  const bool laddered = state.laddered();
   ChainEngines call_engines;
   ChainEngines& carried = engines != nullptr ? *engines : call_engines;
   if (carried.target != target) carried.clear();
@@ -242,12 +185,8 @@ CheckpointedResult run_stage(
           const svc::RunContext& chain_ctx) {
         util::Rng rng = util::Rng::from_state_words(chain.rng_state);
         if (mine[i] == nullptr) mine[i] = build(chain.graph);
-        TargetingOptions chain_options = leg_options;
-        // Replicas run at their OWN ladder temperature (run state, moved
-        // by the controller); independent chains keep the caller's.
-        if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance = walk(*mine[i], chain_options, leg, rng,
-                              &chain.stats, chain_ctx);
+        chain.distance = walk(*mine[i], leg_options, leg, rng, &chain.stats,
+                              chain_ctx);
         chain.graph = mine[i]->graph();
         chain.rng_state = rng.state_words();
       });

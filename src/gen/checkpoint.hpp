@@ -18,9 +18,8 @@
 //
 // Each chain's engine (2K or 3K) is carried from leg to leg
 // (ChainEngines), which saves its rebuild and nothing else.  A leg that
-// is discarded by a stop drops the carried engines, a ladder exchange
-// that trades configurations between replicas moves them with the
-// graphs, and a finished stage frees them.
+// is discarded by a stop drops the carried engines, and a finished stage
+// frees them.
 //
 // Execution context: the driver takes the run's svc::RunContext.  It
 // polls ctx.stop between legs and passes it into the leg bodies; chain
@@ -64,18 +63,13 @@ struct ChainCheckpoint {
   /// marks a chain that has not run yet (the objective rebuild computes
   /// the true distance on first contact).
   std::int64_t distance = std::numeric_limits<std::int64_t>::max();
-  /// Laddered (replica-exchange) runs only: this replica's CURRENT
-  /// Metropolis temperature — run state, because the adaptive controller
-  /// moves it between epochs (docs/annealing.md).  Non-laddered runs
-  /// keep using TargetingOptions::temperature and ignore this field.
-  double temperature = 0.0;
   Graph graph;
 };
 
 /// Everything a resume needs, minus the target distribution (which the
 /// caller re-reads from its own file — targets are inputs, not state).
 struct RunCheckpoint {
-  static constexpr std::uint32_t kVersion = 5;
+  static constexpr std::uint32_t kVersion = 6;
 
   int d = 2;        // current stage's series level: 2 | 3
   int final_d = 2;  // the run's (gen::Pipeline); make_*_run sets it to d
@@ -89,22 +83,7 @@ struct RunCheckpoint {
   /// Proposal move mix, pinned at run start: the move stream is part of
   /// the chains' identity, so a resume must replay it.
   MoveKind move = MoveKind::swap;
-  /// Replica-exchange ladder (gen/anneal.hpp): epoch length in attempts
-  /// between exchange passes; 0 = independent chains (no ladder).  The
-  /// epoch IS part of the run.  When set, `checkpoint_every` is a
-  /// multiple of it, so checkpoint boundaries always land on epoch
-  /// boundaries and a resume never needs mid-epoch controller state.
-  std::uint64_t exchange_every = 0;
-  bool adaptive = false;  ///< acceptance-band temperature controller on?
-  /// Dedicated exchange-decision Rng (stream kExchangeStreamId of chain
-  /// 0's seed state): advanced ONLY by exchange passes, so replica
-  /// streams are untouched by ladder size or exchange cadence.
-  std::array<std::uint64_t, 4> exchange_rng{};
-  std::uint64_t exchange_attempted = 0;  // cumulative, all epochs
-  std::uint64_t exchange_accepted = 0;
   std::vector<ChainCheckpoint> chains;
-
-  bool laddered() const noexcept { return exchange_every > 0; }
 
   /// True once every chain has consumed the full budget.
   bool finished() const noexcept {

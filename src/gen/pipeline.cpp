@@ -17,20 +17,11 @@ namespace {
 /// from the checkpoint on a resume.
 void validate(const PipelineOptions& options, const svc::RunContext& ctx,
               MoveKind move) {
-  const LadderOptions& ladder = options.ladder;
   util::expects(options.d == 2 || options.d == 3,
                 "Pipeline: d must be 2 or 3");
   // Every run starts with a 2K stage, whatever d.
   expect_2k_targeting_move(move, "Pipeline");
   check_chain_count(ctx.chains, "Pipeline: chains");
-  check_chain_count(ladder.replicas, "Pipeline: ladder replicas");
-  util::expects(ladder.replicas != 1,
-                "Pipeline: a replica ladder needs at least 2 replicas");
-  util::expects(ladder.replicas == 0 || ctx.chains == 0,
-                "Pipeline: a ladder and an explicit chain count are "
-                "mutually exclusive (the ladder size is the chain count)");
-  util::expects(ladder.exchange_every == 0 || ladder.replicas >= 2,
-                "Pipeline: an exchange epoch requires a replica ladder");
 }
 
 }  // namespace
@@ -38,7 +29,6 @@ void validate(const PipelineOptions& options, const svc::RunContext& ctx,
 Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                    util::Rng rng, const svc::RunContext& ctx)
     : target_(target), options_(std::move(options)), ctx_(ctx) {
-  const bool laddered = options_.ladder.replicas >= 2;
   validate(options_, ctx_, options_.targeting.move);
   // The explicit 1K still knows about degree-0 nodes, which the JDD
   // projection cannot see.
@@ -58,9 +48,7 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
   const std::uint64_t every = options_.checkpoint_every > 0
                                   ? options_.checkpoint_every
                                   : std::max<std::uint64_t>(budget / 8, 1);
-  run_ = laddered ? make_2k_ladder_run(start, targeting, options_.ladder,
-                                       every, rng, ctx_)
-                  : make_2k_run(start, targeting, every, rng, ctx_);
+  run_ = make_2k_run(start, targeting, every, rng, ctx_);
   run_.final_d = options_.d;
   run_.pipeline_rng = rng.state_words();
 }
@@ -77,10 +65,9 @@ Pipeline::Pipeline(const dk::DkDistributions& target, PipelineOptions options,
                     std::to_string(options_.d));
   validate(options_, ctx_, run_.move);
   // Cadence is only how often the state is published, so the caller's
-  // replaces the file's (snapped onto a ladder's epoch grid).
+  // replaces the file's.
   if (options_.checkpoint_every > 0) {
-    run_.checkpoint_every =
-        snap_to_epoch_grid(options_.checkpoint_every, run_.exchange_every);
+    run_.checkpoint_every = options_.checkpoint_every;
   }
 }
 
@@ -128,20 +115,10 @@ void Pipeline::advance(const CheckpointOptions& checkpointing) {
   TargetingOptions targeting = options_.targeting;
   targeting.attempts = run_.budget;  // same graph size, same budget
   targeting.move = run_.move;
-  RunCheckpoint next;
-  if (run_.laddered()) {
-    LadderOptions ladder = options_.ladder;
-    ladder.replicas = run_.chains.size();
-    ladder.exchange_every = run_.exchange_every;
-    ladder.adaptive = run_.adaptive;
-    next = make_3k_ladder_run(graph(), targeting, ladder,
-                              run_.checkpoint_every, rng, ctx_);
-  } else {
-    svc::RunContext stage_ctx = ctx_;
-    stage_ctx.chains = run_.chains.size();
-    next = make_3k_run(graph(), targeting, run_.checkpoint_every, rng,
-                       stage_ctx);
-  }
+  svc::RunContext stage_ctx = ctx_;
+  stage_ctx.chains = run_.chains.size();
+  RunCheckpoint next = make_3k_run(graph(), targeting, run_.checkpoint_every,
+                                   rng, stage_ctx);
   next.final_d = run_.final_d;
   next.pipeline_rng = rng.state_words();
   run_ = std::move(next);

@@ -1,7 +1,7 @@
 // The paper's §5.1 construction as ONE resumable stage machine: a 1K
 // seed, then 2K targeting legs, then (d = 3) 3K targeting legs, all on
-// the leg driver of gen/checkpoint.hpp with one chain set (independent
-// chains or a replica ladder).  generate_dk_random, `orbis_tool
+// the leg driver of gen/checkpoint.hpp with one set of independent
+// chains.  generate_dk_random, `orbis_tool
 // generate` and svc::Server (one step() per slice) all drive it, so one
 // request gives one graph:
 //
@@ -12,7 +12,7 @@
 //     is only how often the state is published (gen/checkpoint.hpp):
 //     every cadence gives the same graph.
 //   * The 3K stage starts from the 2K stage's best chain and inherits
-//     its chain count, budget, cadence, move kind and ladder.
+//     its chain count, budget, cadence and move kind.
 //
 // The run's svc::RunContext is fixed at construction: ctx.chains chains
 // per stage (0 = autotune) and ctx.stop / ctx.progress for every leg.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/series.hpp"
-#include "gen/anneal.hpp"
 #include "gen/checkpoint.hpp"
 #include "svc/run_context.hpp"
 #include "util/rng.hpp"
@@ -38,10 +37,6 @@ struct PipelineOptions {
   int d = 2;  ///< the run's final series level: 2 or 3
   /// Chain parameters for every stage: budget, temperature, move mix.
   TargetingOptions targeting{};
-  /// replicas >= 2 runs every stage as a replica-exchange ladder
-  /// instead of independent chains (ctx.chains must then be 0); 0 = no
-  /// ladder.
-  LadderOptions ladder{};
   /// 0 = max(budget / 8, 1) on a fresh run, the file's on a resume.
   std::uint64_t checkpoint_every = 0;
 };
@@ -63,9 +58,8 @@ class Pipeline {
            util::Rng rng, const svc::RunContext& ctx = {});
 
   /// Resume from a checkpoint of any stage.  `options` must be the ones
-  /// the run started with; chains, move and ladder come from the
-  /// checkpoint, and so does the cadence unless options.checkpoint_every
-  /// is set.
+  /// the run started with; chains and move come from the checkpoint,
+  /// and so does the cadence unless options.checkpoint_every is set.
   Pipeline(const dk::DkDistributions& target, PipelineOptions options,
            RunCheckpoint checkpoint, const svc::RunContext& ctx = {});
 

@@ -83,7 +83,7 @@ void publish_rewiring_metrics(const RewiringStats& delta);
 // Move kinds.
 // ---------------------------------------------------------------------------
 
-/// Proposal move for rewiring chains (docs/annealing.md):
+/// Proposal move for rewiring chains (docs/rewiring.md, "Curveball trades"):
 ///   * swap  — classic double-edge swap, the paper's §4.1.4 move;
 ///   * trade — Curveball-style global trade: two nodes re-deal their
 ///     exclusive neighborhoods, moving many edges at once.  At d = 1 the

@@ -140,7 +140,7 @@ bool structurally_valid_in(const EdgeIndex& index, const Swap& s) {
 /// u -> v and `to_u` those moving v -> u; the two lists always have
 /// equal length, so both endpoint degrees are unchanged — and when
 /// class(u) == class(v), every moved edge keeps its degree-class pair
-/// and the JDD is preserved exactly (docs/annealing.md).
+/// and the JDD is preserved exactly (docs/rewiring.md).
 struct TradeScratch {
   NodeId u = 0;
   NodeId v = 0;
@@ -240,7 +240,9 @@ Outcome trade_or_swap(MoveKind move, const EdgeIndex& index, bool same_class,
 /// directly creates (deficit) or destroys (surplus) an edge of that
 /// degree class.  Uniform proposals alone take the chain to small D2
 /// quickly but almost never hit the last few +-1 bins on large graphs;
-/// guided proposals fix the endgame.
+/// guided proposals fix the endgame.  A guided proposal is not
+/// symmetric, so only greedy (T = 0) chains draw them: a chain at T > 0
+/// proposes uniformly and samples ∝ e^{-D2/T}.
 constexpr double kGuidedFraction = 0.5;
 
 }  // namespace
@@ -335,7 +337,8 @@ std::int64_t RewiringEngine::target_2k(
             [&] { return accept_trade(index_, trade); },
             [&] {
               Swap swap{};
-              if (!(rng.bernoulli(kGuidedFraction) &&
+              if (!(options.temperature <= 0.0 &&
+                    rng.bernoulli(kGuidedFraction) &&
                     propose_guided(objective, rng, swap))) {
                 swap = draw_uniform_from(index_, rng);
               }

@@ -1,8 +1,6 @@
 #include "io/checkpoint_io.hpp"
 
 #include <array>
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -18,7 +16,7 @@ namespace orbis::io {
 
 namespace {
 
-// v5 stores each chain's graph as its adjacency rows (the chain's
+// v6 stores each chain's graph as its adjacency rows (the chain's
 // canonical form, gen/checkpoint.hpp) and its stats in five slots.
 // Checkpoints are resume files for runs in flight, not archives: older
 // versions are rejected by name.
@@ -43,21 +41,12 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
   out << "budget " << state.budget << '\n';
   out << "every " << state.checkpoint_every << '\n';
   out << "move " << gen::to_string(state.move) << '\n';
-  out << "ladder " << state.exchange_every << ' '
-      << (state.adaptive ? 1 : 0) << '\n';
-  if (state.exchange_every > 0) {
-    write_words(out, "exchange_rng", state.exchange_rng);
-    out << "exchanges " << state.exchange_attempted << ' '
-        << state.exchange_accepted << '\n';
-  }
   out << "chains " << state.chains.size() << '\n';
   for (std::size_t i = 0; i < state.chains.size(); ++i) {
     const gen::ChainCheckpoint& chain = state.chains[i];
     out << "chain " << i << '\n';
     out << "attempts " << chain.attempts_done << '\n';
     write_words(out, "rng", chain.rng_state);
-    out << "temperature_bits "
-        << std::bit_cast<std::uint64_t>(chain.temperature) << '\n';
     const gen::RewiringStats& s = chain.stats;
     out << "stats " << s.attempts << ' ' << s.accepted << ' '
         << s.rejected_structural << ' ' << s.rejected_constraint << ' '
@@ -242,29 +231,6 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
   } catch (const std::invalid_argument&) {
     parser.fail("unknown move kind: " + move_kind);
   }
-  FieldCursor ladder = parser.record("ladder");
-  state.exchange_every = ladder.u64();
-  const std::uint64_t adaptive = ladder.u64();
-  parser.end_record(ladder);
-  if (adaptive > 1) parser.fail("ladder adaptive flag must be 0 or 1");
-  state.adaptive = adaptive != 0;
-  if (state.exchange_every > 0) {
-    if (state.checkpoint_every > 0 &&
-        state.checkpoint_every % state.exchange_every != 0) {
-      parser.fail("exchange cadence must divide the checkpoint cadence");
-    }
-    parser.keyed_words("exchange_rng", state.exchange_rng);
-    if (all_zero(state.exchange_rng)) {
-      parser.fail("all-zero exchange rng state");
-    }
-    FieldCursor exchanges = parser.record("exchanges");
-    state.exchange_attempted = exchanges.u64();
-    state.exchange_accepted = exchanges.u64();
-    parser.end_record(exchanges);
-    if (state.exchange_accepted > state.exchange_attempted) {
-      parser.fail("accepted exchanges exceed attempted exchanges");
-    }
-  }
   const std::uint64_t chains = parser.keyed_u64("chains");
   if (chains == 0) parser.fail("checkpoint must have at least one chain");
 
@@ -281,11 +247,6 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
     }
     parser.keyed_words("rng", chain.rng_state);
     if (all_zero(chain.rng_state)) parser.fail("all-zero rng state");
-    const std::uint64_t bits = parser.keyed_u64("temperature_bits");
-    chain.temperature = std::bit_cast<double>(bits);
-    if (std::isnan(chain.temperature) || chain.temperature < 0.0) {
-      parser.fail("chain temperature must be a non-negative number");
-    }
     FieldCursor stats = parser.record("stats");
     chain.stats.attempts = stats.u64();
     chain.stats.accepted = stats.u64();

@@ -2,20 +2,17 @@
 //
 // Versioned text format, one logical field per line:
 //
-//   # orbis checkpoint v5
+//   # orbis checkpoint v6
 //   d 2                                 (current stage)
 //   final_d 3                           (the run's final d)
 //   pipeline_rng <w0> <w1> <w2> <w3>    (gen::Pipeline seeding Rng)
 //   budget 1000000
 //   every 50000
 //   move swap
-//   ladder <exchange_every> <adaptive>  (laddered runs add the
-//                                        exchange_rng/exchanges records)
 //   chains 2
 //   chain 0
 //   attempts 50000
 //   rng <w0> <w1> <w2> <w3>
-//   temperature_bits <bits>
 //   stats <attempts> <accepted> <rej_structural> <rej_constraint>
 //         <rej_objective>                             (one line)
 //   distance 42
@@ -36,7 +33,7 @@
 // holds either the previous complete checkpoint or the new one — a kill
 // mid-write can never produce a half-checkpoint for resume to trip on.
 //
-// Only v5 is read: a v1-v4 file is rejected with a ParseError naming its
+// Only v6 is read: a v1-v5 file is rejected with a ParseError naming its
 // version.  Reads are strict: any structural deviation — wrong version,
 // missing field, trailing garbage, out-of-range node, self-loop,
 // duplicate neighbor, asymmetric rows, a row total other than 2M,

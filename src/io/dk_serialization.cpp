@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "io/atomic_file.hpp"
@@ -70,23 +71,6 @@ dk::DegreeDistribution parse_1k(LineReader lines) {
   return dk::DegreeDistribution::from_counts(counts);
 }
 
-dk::JointDegreeDistribution parse_2k(LineReader lines) {
-  dk::JointDegreeDistribution dist;
-  std::uint64_t total = 0;
-  for_each_record(lines, [&](FieldCursor& fields, std::size_t number) {
-    const std::uint64_t k1 = fields.u64();
-    const std::uint64_t k2 = fields.u64();
-    const std::uint64_t count = fields.u64();
-    if (!fields.done() || k1 > kMaxU32 || k2 > kMaxU32) {
-      parse_fail("bad 2K line", number);
-    }
-    add_count(total, count, number);
-    dist.histogram().add(util::pair_key(k1, k2),
-                         static_cast<std::int64_t>(count));
-  });
-  return dist;
-}
-
 /// A .2k file describes the edges of a graph: k·n(k) of their endpoints
 /// have degree k (project_to_1k), so k divides that count and degree 0
 /// has none.  The counts sum to at most 2^63 - 1, so no endpoint sum
@@ -106,6 +90,23 @@ dk::JointDegreeDistribution check_endpoints(dk::JointDegreeDistribution dist) {
     throw ParseError(what);
   }
   return dist;
+}
+
+dk::JointDegreeDistribution parse_2k(LineReader lines) {
+  dk::JointDegreeDistribution dist;
+  std::uint64_t total = 0;
+  for_each_record(lines, [&](FieldCursor& fields, std::size_t number) {
+    const std::uint64_t k1 = fields.u64();
+    const std::uint64_t k2 = fields.u64();
+    const std::uint64_t count = fields.u64();
+    if (!fields.done() || k1 > kMaxU32 || k2 > kMaxU32) {
+      parse_fail("bad 2K line", number);
+    }
+    add_count(total, count, number);
+    dist.histogram().add(util::pair_key(k1, k2),
+                         static_cast<std::int64_t>(count));
+  });
+  return check_endpoints(std::move(dist));
 }
 
 dk::ThreeKProfile parse_3k(LineReader lines) {
@@ -205,9 +206,7 @@ void write_2k_file(const std::string& path,
 }
 
 dk::JointDegreeDistribution read_2k_file(const std::string& path) {
-  return read_file(path, [](LineReader lines) {
-    return check_endpoints(parse_2k(std::move(lines)));
-  });
+  return read_file(path, parse_2k);
 }
 
 void write_3k_file(const std::string& path, const dk::ThreeKProfile& profile) {

@@ -9,9 +9,9 @@
 // number is an unsigned decimal with no sign, and no token may trail a
 // record.  A .1k file's n(k) sum to at most 2^32 - 1 and every k is
 // below that sum; a .2k/.3k file's counts sum to at most 2^63 - 1; a 3K
-// degree fits the 21-bit key (util::max_packable_degree).  read_2k_file
-// also checks that the file describes a graph's edges: they put a
-// multiple of k endpoints on each degree k (the k·n(k) of its n(k)
+// degree fits the 21-bit key (util::max_packable_degree).  Both 2K
+// readers also check that the lines describe a graph's edges: they put
+// a multiple of k endpoints on each degree k (the k·n(k) of its n(k)
 // nodes) and none on degree 0.
 //
 // Error contract: malformed content throws orbis::ParseError (a

@@ -95,15 +95,11 @@ void write_metrics_json(json::Writer& w, const MetricsSnapshot& snapshot) {
 }
 
 void write_trajectory_json(json::Writer& w,
-                           const TrajectoryRecorder& trajectory,
-                           const std::vector<TrajectoryLane>& lanes) {
+                           const TrajectoryRecorder& trajectory) {
   w.begin_array();  // one labeled object per lane
   for (std::size_t lane = 0; lane < trajectory.lane_count(); ++lane) {
     w.begin_object();
     w.kv("lane", static_cast<std::uint64_t>(lane));
-    if (lane < lanes.size() && lanes[lane].has_temperature) {
-      w.kv("temperature", lanes[lane].temperature);
-    }
     w.key("points");
     w.begin_array();
     for (const auto& point :
@@ -184,7 +180,7 @@ void write_run_report_json(std::ostream& out, const RunReport& report) {
 
   w.key("trajectory");
   if (report.trajectory != nullptr) {
-    write_trajectory_json(w, *report.trajectory, report.trajectory_lanes);
+    write_trajectory_json(w, *report.trajectory);
   } else {
     w.null();
   }

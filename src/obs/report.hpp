@@ -71,17 +71,6 @@ struct LegRecord {
   double duration_seconds = 0.0;
 };
 
-/// Identity of one trajectory lane (PR 9 follow-up): which replica the
-/// points belong to, and — for laddered runs — the replica's FINAL
-/// Metropolis temperature (the adaptive controller may have moved it
-/// from its initial rung).  Lanes are matched to the recorder's lanes
-/// by index; a missing entry serializes as the bare index.
-struct TrajectoryLane {
-  std::uint32_t lane = 0;
-  double temperature = 0.0;
-  bool has_temperature = false;  ///< false for non-laddered runs
-};
-
 struct RunReport {
   std::string tool = "orbis_tool";
   std::string command;
@@ -96,12 +85,8 @@ struct RunReport {
   std::vector<StageRecord> stages;
   std::vector<LegRecord> legs;
   /// Borrowed; may be null.  Serialized as one labeled object per lane
-  /// ({"lane", "temperature"?, "points"}), enriched from
-  /// `trajectory_lanes` below.
+  /// ({"lane", "points"}).
   const TrajectoryRecorder* trajectory = nullptr;
-  /// Per-lane identity for the trajectory (replica index + ladder
-  /// temperature); may be shorter than the recorder's lane count.
-  std::vector<TrajectoryLane> trajectory_lanes;
   /// Files the run published (graphs, distributions, checkpoints).
   std::vector<std::string> outputs;
 

@@ -6,7 +6,7 @@
 // (docs/service.md lists them).  A default context never stops,
 // reports nothing and autotunes chains.  Stop and progress never decide
 // anything, so a run is bit-identical with or without them.  Each chain
-// is serial; more cores mean more chains (or a replica ladder).
+// is serial; more cores mean more chains.
 #pragma once
 
 #include <cstddef>

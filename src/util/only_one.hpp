@@ -20,8 +20,7 @@ class OnlyOne {
     if (value != 1) {
       throw std::invalid_argument(
           "workers must be 1: speculative 3K evaluation was removed; for "
-          "more cores run independent chains (\"chains\", --chains N) or a "
-          "replica ladder (--ladder K)");
+          "more cores run independent chains (\"chains\", --chains N)");
     }
   }
 };

@@ -1,7 +1,8 @@
 // gen::Pipeline (gen/pipeline.hpp): the one 1K -> 2K -> 3K stage machine.
 // Seeding order, scheduling independence, error propagation out of the
-// chains, step() == run(), and option combinations rejected before any
-// stage runs.
+// chains, step() == run(), option combinations rejected before any
+// stage runs, and the move kinds' invariants on the leg driver's chains
+// (gen/checkpoint.hpp).
 #include "gen/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -150,16 +151,6 @@ TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
   options.d = 4;
   rejects(options, ctx);
   options = options_;
-  ctx.chains = 0;
-  options.ladder.replicas = 1;
-  rejects(options, ctx);
-  options.ladder.replicas = 3;
-  ctx.chains = 2;
-  rejects(options, ctx);  // ladder and chains
-  options = options_;
-  options.ladder.exchange_every = 100;
-  rejects(options, ctx);  // epoch without a ladder
-  options = options_;
   options.targeting.attempts = 0;
   options.targeting.attempts_per_edge = std::uint64_t{1} << 62;
   rejects(options, ctx);  // attempts_per_edge x 90 edges wraps
@@ -185,6 +176,70 @@ TEST_F(PipelineTest, BadCombinationsAreRejectedBeforeAnyStageRuns) {
     options.d = d;
     EXPECT_NO_THROW(Pipeline(target_, options, util::Rng(1), ctx));
   }
+}
+
+class ChainMoveTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    util::Rng rng(91);
+    const Graph source = builders::gnm(40, 90, rng);
+    target_ = dk::extract(source, 3);
+    util::Rng boot(17);
+    start_ = matching_1k(target_.degree, boot);
+    options_.attempts = 2400;
+  }
+
+  dk::DkDistributions target_;
+  Graph start_;
+  TargetingOptions options_;
+};
+
+TEST_F(ChainMoveTest, TradeMovesPreserveTheJdd) {
+  // Curveball trades re-deal neighborhoods between same-degree-class
+  // nodes: a pure-trade chain leaves the joint degree distribution
+  // invariant.  (Mixed chains include plain 1K-preserving swaps, which
+  // move the JDD by design at d = 2 — the mixed invariant lives one
+  // level up, in Mixed3KTargetingPreserves2K.)
+  const auto jdd = dk::JointDegreeDistribution::from_graph(start_);
+  RandomizeOptions shuffle;
+  shuffle.d = 2;
+  shuffle.move = MoveKind::trade;
+  shuffle.attempts = 2400;
+  util::Rng rng(33);
+  RewiringStats stats;
+  const Graph out = randomize(start_, shuffle, rng, &stats);
+  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
+  EXPECT_GT(stats.accepted, 0u);
+  EXPECT_FALSE(out == start_);
+
+  // For the same reason D2 can never fall under trades alone, so a
+  // trade-only 2K targeting run is refused before any leg runs.
+  TargetingOptions options = options_;
+  options.move = MoveKind::trade;
+  RunCheckpoint state = make_2k_run(start_, options, 0, rng, {.chains = 2});
+  EXPECT_THROW(run_checkpointed_2k(state, target_.joint, options, {}),
+               std::invalid_argument);
+  for (const ChainCheckpoint& chain : state.chains) {
+    EXPECT_EQ(chain.attempts_done, 0u);
+  }
+}
+
+TEST_F(ChainMoveTest, Mixed3KTargetingPreserves2K) {
+  // 3K moves must stay 2K-preserving whatever the move mix: the 2K
+  // distributions of the start graph survive a mixed multi-chain 3K run.
+  util::Rng boot(29);
+  const Graph start3 = target_2k(start_, target_.joint, options_, boot);
+  const auto jdd = dk::JointDegreeDistribution::from_graph(start3);
+
+  TargetingOptions options3 = options_;
+  options3.move = MoveKind::mixed;
+  options3.attempts = 1500;
+  util::Rng rng(44);
+  RunCheckpoint state = make_3k_run(start3, options3, 0, rng, {.chains = 2});
+  const CheckpointedResult result =
+      run_checkpointed_3k(state, target_.three_k, options3, {});
+  EXPECT_GT(result.total_stats.accepted, 0u);
+  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(result.graph), jdd);
 }
 
 }  // namespace

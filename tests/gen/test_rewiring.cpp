@@ -1099,12 +1099,12 @@ TEST_F(HubChainGolden, Target2KMixedIsPinned) {
 
 TEST_F(HubChainGolden, Target2KAtPositiveTemperatureIsPinned) {
   expect_target_2k_pinned(original_, MoveKind::swap, 2.0, 24,
-                          {0x47462e830573445aULL,
-                           {.attempts = 20000, .accepted = 6581,
-                            .rejected_structural = 6677,
+                          {0x7cd513a1f976d72ULL,
+                           {.attempts = 20000, .accepted = 5854,
+                            .rejected_structural = 7151,
                             .rejected_constraint = 0,
-                            .rejected_objective = 6742},
-                           946});
+                            .rejected_objective = 6995},
+                           1464});
 }
 
 TEST_F(HubChainGolden, ExploreMaximizeSIsPinned) {

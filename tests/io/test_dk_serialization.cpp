@@ -8,6 +8,7 @@
 
 #include "core/series.hpp"
 #include "graph/builders.hpp"
+#include "util/errors.hpp"
 #include "util/keys.hpp"
 #include "util/rng.hpp"
 
@@ -48,9 +49,24 @@ TEST(DkSerialization, ThreeKRoundTrip) {
 }
 
 TEST(DkSerialization, ReadHandlesCommentsAndBlanks) {
-  std::istringstream in("# 2K file\n\n2 3 5\n# done\n");
+  std::istringstream in("# 2K file\n\n2 3 6\n# done\n");
   const auto jdd = read_2k(in);
-  EXPECT_EQ(jdd.m_of(2, 3), 5);
+  EXPECT_EQ(jdd.m_of(2, 3), 6);
+}
+
+// Five (2,3) edges put 5 endpoints on degree 2: no graph has that JDD.
+// The stream reader refuses it as the file reader does, naming k.
+TEST(DkSerialization, StreamReaderRejectsInconsistentEndpoints) {
+  std::istringstream in("2 3 5\n");
+  try {
+    read_2k(in);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "2K degree 2 has 5 edge endpoints, not a multiple of 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DkSerialization, MalformedLinesThrowWithLineNumbers) {

@@ -122,7 +122,7 @@ TEST(RunReport, GoldenSchema) {
   EXPECT_TRUE(test_json::has_key(doc, "points"));
 }
 
-TEST(RunReport, LadderedTrajectoryLanesCarryReplicaTemperatures) {
+TEST(RunReport, TrajectoryLanesAreIndexAndPointsOnly) {
   TrajectoryRecorder trajectory;
   ProgressSample sample;
   sample.attempts = 10;
@@ -132,35 +132,11 @@ TEST(RunReport, LadderedTrajectoryLanesCarryReplicaTemperatures) {
   trajectory.report(1, sample);
 
   RunReport report = sample_report(&trajectory);
-  report.trajectory_lanes = {
-      {.lane = 0, .temperature = 0.25, .has_temperature = true},
-      {.lane = 1, .temperature = 1.5, .has_temperature = true},
-  };
   std::ostringstream out;
   write_run_report_json(out, report);
   const std::string doc = out.str();
-
   ASSERT_TRUE(test_json::is_valid_json(doc)) << doc;
   EXPECT_TRUE(test_json::has_entry(doc, "lane", "1"));
-  EXPECT_TRUE(test_json::has_entry(doc, "temperature", "0.25"));
-  EXPECT_TRUE(test_json::has_entry(doc, "temperature", "1.5"));
-}
-
-TEST(RunReport, NonLadderedLanesOmitTemperature) {
-  TrajectoryRecorder trajectory;
-  ProgressSample sample;
-  sample.attempts = 10;
-  sample.objective = 5.0;
-  sample.has_objective = true;
-  trajectory.report(0, sample);
-
-  RunReport report = sample_report(&trajectory);
-  report.trajectory_lanes = {
-      {.lane = 0, .temperature = 0.0, .has_temperature = false}};
-  std::ostringstream out;
-  write_run_report_json(out, report);
-  const std::string doc = out.str();
-  ASSERT_TRUE(test_json::is_valid_json(doc)) << doc;
   EXPECT_FALSE(test_json::has_key(doc, "temperature"));
 }
 

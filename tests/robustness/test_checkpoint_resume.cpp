@@ -5,7 +5,6 @@
 // plus the strict checkpoint-file parser.
 #include "gen/checkpoint.hpp"
 
-#include "gen/anneal.hpp"
 #include "gen/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -267,156 +266,11 @@ TEST_F(CheckpointResumeTest, CarriedEnginesRebuildForANewTarget) {
   }
 }
 
-TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
-  // A laddered adaptive mixed-move run killed at a checkpoint boundary
-  // (which the ladder guarantees is an epoch boundary) and resumed from
-  // the file must replay to the same final state: per-replica edges,
-  // stats, temperatures, and the exchange Rng/counters.
-  options_.move = MoveKind::mixed;
-  LadderOptions ladder;
-  ladder.replicas = 3;
-  ladder.exchange_every = 300;
-  ladder.top_temperature = 50.0;
-
-  util::Rng ref_rng(7);
-  RunCheckpoint ref_state = make_2k_ladder_run(start_, options_, ladder,
-                                               /*checkpoint_every=*/300,
-                                               ref_rng);
-  const auto reference =
-      run_checkpointed_2k(ref_state, target_.joint, options_, {});
-
-  const std::string file = path("ladder.ck");
-  {
-    util::Rng rng(7);
-    RunCheckpoint state = make_2k_ladder_run(start_, options_, ladder,
-                                             /*checkpoint_every=*/300, rng);
-    util::StopSource stop;
-    svc::RunContext ctx;
-    ctx.stop = stop.token();
-    CheckpointOptions checkpointing;
-    std::size_t written = 0;
-    checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
-      io::write_checkpoint_file(file, snapshot);
-      if (++written >= 3) stop.request_stop();
-    };
-    auto partial =
-        run_checkpointed_2k(state, target_.joint, options_, checkpointing, ctx);
-    EXPECT_TRUE(partial.interrupted);
-  }
-  RunCheckpoint resumed = io::read_checkpoint_file(file);
-  EXPECT_TRUE(resumed.laddered());
-  EXPECT_EQ(resumed.move, MoveKind::mixed);
-  const auto result =
-      run_checkpointed_2k(resumed, target_.joint, options_, {});
-
-  expect_same_edges(reference.graph, result.graph);
-  expect_same_stats(reference.total_stats, result.total_stats);
-  EXPECT_EQ(reference.best_chain, result.best_chain);
-  EXPECT_EQ(reference.best_distance, result.best_distance);
-  ASSERT_EQ(resumed.chains.size(), ref_state.chains.size());
-  for (std::size_t i = 0; i < ref_state.chains.size(); ++i) {
-    EXPECT_EQ(resumed.chains[i].temperature, ref_state.chains[i].temperature)
-        << i;
-    EXPECT_EQ(resumed.chains[i].rng_state, ref_state.chains[i].rng_state) << i;
-    expect_same_edges(resumed.chains[i].graph, ref_state.chains[i].graph);
-  }
-  EXPECT_EQ(resumed.exchange_rng, ref_state.exchange_rng);
-  EXPECT_GT(ref_state.exchange_attempted, 0u);
-  EXPECT_EQ(resumed.exchange_attempted, ref_state.exchange_attempted);
-  EXPECT_EQ(resumed.exchange_accepted, ref_state.exchange_accepted);
-}
-
-TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical3K) {
-  // run_checkpointed_3k carries each replica's engine across legs, and an
-  // exchange moves the engines with the configurations.  Three runs of
-  // the same laddered 3K walk must agree: the uninterrupted one, one
-  // killed at a boundary and resumed from the file, and one driven a
-  // leg per call with no carried engines (every leg builds its engines
-  // from the chains' rows).
-  util::Rng boot(29);
-  const Graph start3 = target_2k(start_, target_.joint, options_, boot);
-  TargetingOptions options3 = options_;
-  options3.attempts = 1800;  // 6 legs of 300
-  options3.move = MoveKind::mixed;
-  options3.stop_distance = -1.0;  // never converged: every leg runs
-  // Replicas 0 and 1 start at the same temperature, so their first
-  // exchange is always accepted and the engines must move.
-  options3.temperature = 5.0;
-  LadderOptions ladder;
-  ladder.replicas = 3;
-  ladder.exchange_every = 300;
-  ladder.top_temperature = 50.0;
-  const auto make_run = [&] {
-    util::Rng rng(7);
-    return make_3k_ladder_run(start3, options3, ladder,
-                              /*checkpoint_every=*/300, rng);
-  };
-
-  RunCheckpoint ref_state = make_run();
-  const auto reference =
-      run_checkpointed_3k(ref_state, target_.three_k, options3, {});
-  EXPECT_GT(ref_state.exchange_accepted, 0u);
-
-  RunCheckpoint stepped = make_run();
-  CheckpointOptions one_leg;
-  one_leg.max_legs = 1;
-  CheckpointedResult by_leg;
-  while (!stepped.finished()) {
-    by_leg = run_checkpointed_3k(stepped, target_.three_k, options3, one_leg);
-  }
-
-  const std::string file = path("ladder3.ck");
-  {
-    RunCheckpoint state = make_run();
-    util::StopSource stop;
-    svc::RunContext ctx;
-    ctx.stop = stop.token();
-    CheckpointOptions checkpointing;
-    std::size_t written = 0;
-    checkpointing.on_checkpoint = [&](const RunCheckpoint& snapshot) {
-      io::write_checkpoint_file(file, snapshot);
-      if (++written >= 3) stop.request_stop();
-    };
-    auto partial = run_checkpointed_3k(state, target_.three_k, options3,
-                                       checkpointing, ctx);
-    EXPECT_TRUE(partial.interrupted);
-  }
-  RunCheckpoint resumed = io::read_checkpoint_file(file);
-  EXPECT_TRUE(resumed.laddered());
-  const auto result =
-      run_checkpointed_3k(resumed, target_.three_k, options3, {});
-
-  const auto expect_same_result = [&](const CheckpointedResult& other) {
-    expect_same_edges(reference.graph, other.graph);
-    expect_same_stats(reference.total_stats, other.total_stats);
-    EXPECT_EQ(reference.best_chain, other.best_chain);
-    EXPECT_EQ(reference.best_distance, other.best_distance);
-  };
-  const auto expect_same_state = [&](const RunCheckpoint& other) {
-    ASSERT_EQ(other.chains.size(), ref_state.chains.size());
-    for (std::size_t i = 0; i < ref_state.chains.size(); ++i) {
-      EXPECT_EQ(other.chains[i].temperature, ref_state.chains[i].temperature)
-          << i;
-      EXPECT_EQ(other.chains[i].rng_state, ref_state.chains[i].rng_state)
-          << i;
-      EXPECT_EQ(other.chains[i].distance, ref_state.chains[i].distance) << i;
-      expect_same_edges(other.chains[i].graph, ref_state.chains[i].graph);
-    }
-    EXPECT_EQ(other.exchange_rng, ref_state.exchange_rng);
-    EXPECT_EQ(other.exchange_accepted, ref_state.exchange_accepted);
-  };
-  expect_same_result(result);
-  expect_same_state(resumed);
-  expect_same_result(by_leg);
-  expect_same_state(stepped);
-}
-
 // ---------------------------------------------------------------------------
 // Cadence sweep: the cadence is not part of a run (gen/checkpoint.hpp).
 // One leg, budget/8 legs, 1024-attempt legs, and a kill at every
 // boundary plus a resume from the file on disk all end in the same
-// chains: rows, Rng states, distances, stats, temperatures and the
-// ladder's exchange state.
+// chains: rows, Rng states, distances and stats.
 // ---------------------------------------------------------------------------
 
 using MakeRun = std::function<RunCheckpoint(std::uint64_t every)>;
@@ -459,13 +313,9 @@ void expect_same_run(const RunCheckpoint& want, const RunCheckpoint& got) {
     EXPECT_EQ(a.attempts_done, b.attempts_done);
     EXPECT_EQ(a.rng_state, b.rng_state);
     EXPECT_EQ(a.distance, b.distance);
-    EXPECT_EQ(a.temperature, b.temperature);
     expect_same_stats(a.stats, b.stats);
     expect_same_edges(a.graph, b.graph);
   }
-  EXPECT_EQ(want.exchange_rng, got.exchange_rng);
-  EXPECT_EQ(want.exchange_attempted, got.exchange_attempted);
-  EXPECT_EQ(want.exchange_accepted, got.exchange_accepted);
 }
 
 /// One leg against budget/8 legs, `every` legs, and a kill plus resume
@@ -521,49 +371,38 @@ TEST_F(CheckpointResumeTest, CadenceSweep3K) {
       6000, 1024, path("sweep3.ck"));
 }
 
-TEST_F(CheckpointResumeTest, CadenceSweepLadderedMixedMove) {
-  // Exchanges happen on the 256-attempt epoch grid whatever the
-  // cadence; every cadence below is a multiple of it.
+TEST_F(CheckpointResumeTest, CadenceSweepMixedMove) {
+  // Three mixed-move chains at T > 0, in both stages.
   options_.attempts = 6144;
   options_.stop_distance = -1.0;
   options_.move = MoveKind::mixed;
   options_.temperature = 5.0;
-  LadderOptions ladder;
-  ladder.replicas = 3;
-  ladder.exchange_every = 256;
-  ladder.top_temperature = 50.0;
-  ladder.adaptive = true;
   util::Rng boot(29);
   const Graph start3 = target_2k(start_, target_.joint, options_, boot);
   SCOPED_TRACE("2K stage");
   expect_cadence_free(
       [&](std::uint64_t every) {
         util::Rng rng(7);
-        return make_2k_ladder_run(start_, options_, ladder, every, rng);
+        return make_2k_run(start_, options_, every, rng, {.chains = 3});
       },
       [&](RunCheckpoint& state, const CheckpointOptions& checkpointing,
           const svc::RunContext& ctx) {
         return run_checkpointed_2k(state, target_.joint, options_,
                                    checkpointing, ctx);
       },
-      6144, 1024, path("sweepl2.ck"));
+      6144, 1024, path("sweepm2.ck"));
   SCOPED_TRACE("3K stage");
   expect_cadence_free(
       [&](std::uint64_t every) {
         util::Rng rng(8);
-        RunCheckpoint state =
-            make_3k_ladder_run(start3, options_, ladder, every, rng);
-        EXPECT_EQ(state.exchange_every, 256u);
-        return state;
+        return make_3k_run(start3, options_, every, rng, {.chains = 3});
       },
       [&](RunCheckpoint& state, const CheckpointOptions& checkpointing,
           const svc::RunContext& ctx) {
-        const auto result = run_checkpointed_3k(
-            state, target_.three_k, options_, checkpointing, ctx);
-        EXPECT_GT(state.exchange_attempted, 0u);
-        return result;
+        return run_checkpointed_3k(state, target_.three_k, options_,
+                                   checkpointing, ctx);
       },
-      6144, 1024, path("sweepl3.ck"));
+      6144, 1024, path("sweepm3.ck"));
 }
 
 TEST_F(CheckpointResumeTest, CadenceSweepPipelineD3) {
@@ -755,13 +594,13 @@ TEST_F(CheckpointResumeTest, TruncatedCheckpointIsAParseErrorNotAResume) {
   }
 }
 
-/// A v5 file up to its first chain's `graph` record: kHead is lines 1-8
-/// and kChain lines 9-15, so `graph` is line 16.
+/// A v6 file up to its first chain's `graph` record: kHead is lines 1-7
+/// and kChain lines 8-13, so `graph` is line 14.
 const std::string kHead =
-    "# orbis checkpoint v5\nd 2\nfinal_d 2\npipeline_rng 0 0 0 0\n"
-    "budget 10\nevery 5\nmove swap\nladder 0 0\n";
+    "# orbis checkpoint v6\nd 2\nfinal_d 2\npipeline_rng 0 0 0 0\n"
+    "budget 10\nevery 5\nmove swap\n";
 const std::string kChain =
-    "chains 1\nchain 0\nattempts 5\nrng 1 2 3 4\ntemperature_bits 0\n"
+    "chains 1\nchain 0\nattempts 5\nrng 1 2 3 4\n"
     "stats 0 0 0 0 0\ndistance 0\n";
 const std::string kTail = "end chain\nend checkpoint\n";
 
@@ -780,11 +619,11 @@ TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
     EXPECT_EQ(good.chains[0].graph.num_edges(), 1u);
   }
   reject("not a checkpoint\n");
-  reject("# orbis checkpoint v5\nd 5\n");             // bad series level
-  reject("# orbis checkpoint v5\nd 2\nfinal_d 2\npipeline_rng 0 0 0 0\n"
+  reject("# orbis checkpoint v6\nd 5\n");             // bad series level
+  reject("# orbis checkpoint v6\nd 2\nfinal_d 2\npipeline_rng 0 0 0 0\n"
          "budget x\n");                                // non-numeric field
-  reject("# orbis checkpoint v5\nd 3\nfinal_d 2\n");  // final_d below d
-  reject("# orbis checkpoint v5\nd 2\nfinal_d 3\n"
+  reject("# orbis checkpoint v6\nd 3\nfinal_d 2\n");  // final_d below d
+  reject("# orbis checkpoint v6\nd 2\nfinal_d 3\n"
          "pipeline_rng 0 0 0 0\n");  // next stage has nothing to draw from
   reject(kHead + "chains 0\n");                        // zero chains
   std::string chain = kChain;
@@ -804,7 +643,7 @@ TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
 // whatever it holds.
 TEST_F(CheckpointResumeTest, OlderCheckpointVersionsAreRejectedByName) {
   const std::string file = path("old.ck");
-  for (const char* version : {"1", "2", "3", "4"}) {
+  for (const char* version : {"1", "2", "3", "4", "5"}) {
     std::ofstream(file, std::ios::trunc)
         << "# orbis checkpoint v" << version
         << "\nd 3\nbudget 10\nevery 5\nbackend sparse\nchains 1\n";
@@ -840,32 +679,32 @@ TEST_F(CheckpointResumeTest, HostileCountsAreParseErrorsNotAllocations) {
   expect_parse_error(kHead + "chains 4611686018427387904\n",
                      "unexpected end of file");
   expect_parse_error(kHead + kChain + "graph 4294967295 0\n",
-                     "line 16: unexpected end of file (expected adjacency");
+                     "line 14: unexpected end of file (expected adjacency");
   expect_parse_error(kHead + kChain + "graph 4294967296 0\n",
-                     "line 16: node count out of range");
+                     "line 14: node count out of range");
   expect_parse_error(kHead + kChain + "graph 3 1000000000000000\n1\n0\n",
-                     "line 16: edge count out of range");
+                     "line 14: edge count out of range");
   expect_parse_error(kHead + kChain + "graph 100000 1000000000\n1\n0\n",
-                     "line 18: unexpected end of file");
-  // Line 16 is the graph record; node v's row is line 17 + v.
+                     "line 16: unexpected end of file");
+  // Line 14 is the graph record; node v's row is line 15 + v.
   expect_parse_error(kHead + kChain + "graph 2 1\n5\n0\n" + kTail,
-                     "line 17: neighbor id out of range");
+                     "line 15: neighbor id out of range");
   expect_parse_error(kHead + kChain + "graph 2 1\n0\n1\n" + kTail,
-                     "line 17: row of node 0: self-loop");
+                     "line 15: row of node 0: self-loop");
   expect_parse_error(kHead + kChain + "graph 3 2\n1 1\n0 0\n\n" + kTail,
-                     "line 17: row of node 0: neighbor listed twice");
+                     "line 15: row of node 0: neighbor listed twice");
   expect_parse_error(kHead + kChain + "graph 3 2\n1 2\n0 0\n\n" + kTail,
-                     "line 18: row of node 1: neighbor listed twice");
+                     "line 16: row of node 1: neighbor listed twice");
   expect_parse_error(kHead + kChain + "graph 3 1\n1\n2\n\n" + kTail,
-                     "line 17: row of node 0: lists a neighbor whose row");
+                     "line 15: row of node 0: lists a neighbor whose row");
   expect_parse_error(kHead + kChain + "graph 3 2\n1\n0\n\n" + kTail,
-                     "line 16: rows hold 2 cells, not the 2M = 4");
+                     "line 14: rows hold 2 cells, not the 2M = 4");
   expect_parse_error(kHead + kChain + "graph 3 0\n1\n0\n\n" + kTail,
-                     "line 17: rows hold more than the 2M = 0");
+                     "line 15: rows hold more than the 2M = 0");
   expect_parse_error(kHead + kChain + "graph 2 1\nx\n0\n" + kTail,
-                     "line 17: expected neighbor ids");
+                     "line 15: expected neighbor ids");
   expect_parse_error(kHead + kChain + "graph 2 1\n1\n0\nend chain\n",
-                     "line 19: unexpected end of file (expected end "
+                     "line 17: unexpected end of file (expected end "
                      "checkpoint");
 }
 

@@ -117,18 +117,16 @@ TEST_F(ToolCliTest, WideOrNegativeIntegerFlagsExitUsageNamingTheFlag) {
 TEST_F(ToolCliTest, OversizedChainCountsExitUsageNamingTheFlag) {
   // The same bound as the wire's "chains" (gen::kMaxChains): refused
   // before the pipeline allocates a slot.  Only refused values run.
-  for (const std::string flag : {"--chains", "--ladder"}) {
-    for (const std::string count : {"4294967296", "65"}) {
-      EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
-                    path("g.2k") + "' " + flag + " " + count + " --out '" +
-                    path("many.edges") + "'"),
-                2)
-          << flag << " " << count;
-      EXPECT_FALSE(fs::exists(path("many.edges")));
-      EXPECT_NE(stderr_log().find(flag + " must be at most 64"),
-                std::string::npos)
-          << stderr_log();
-    }
+  for (const std::string count : {"4294967296", "65"}) {
+    EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
+                  path("g.2k") + "' --chains " + count + " --out '" +
+                  path("many.edges") + "'"),
+              2)
+        << count;
+    EXPECT_FALSE(fs::exists(path("many.edges")));
+    EXPECT_NE(stderr_log().find("--chains must be at most 64"),
+              std::string::npos)
+        << stderr_log();
   }
 }
 
@@ -362,14 +360,13 @@ TEST_F(ToolCliTest, ImpossibleOptionsExitBeforeAnyStageRuns) {
             std::string::npos);
 }
 
-TEST_F(ToolCliTest, LadderedMixedMoveKillResumeIsBitIdentical) {
-  // The replica-exchange ladder with the mixed proposal stream, through
-  // the real CLI: kill after two checkpoints (epoch boundaries), resume
-  // from disk, and require the bytes of the uninterrupted run.
+TEST_F(ToolCliTest, MixedMoveKillResumeIsBitIdentical) {
+  // Independent chains with the mixed proposal stream, through the real
+  // CLI: kill after two checkpoints, resume from disk, and require the
+  // bytes of the uninterrupted run.
   const std::string common = "generate --d 2 --method targeting --from-2k '" +
                              path("g.2k") +
-                             "' --seed 11 --ladder 3 --move mixed "
-                             "--exchange-every 1500";
+                             "' --seed 11 --chains 3 --move mixed";
   ASSERT_EQ(run(common + " --checkpoint '" + path("lfull.ck") +
                 "' --checkpoint-every 3000 --out '" + path("lfull.edges") +
                 "'"),
@@ -386,15 +383,8 @@ TEST_F(ToolCliTest, LadderedMixedMoveKillResumeIsBitIdentical) {
   EXPECT_NE(slurp(path("lfull.edges")), "");
 }
 
-TEST_F(ToolCliTest, LadderOfOneExitsUsage) {
-  EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
-                path("g.2k") + "' --ladder 1 --out '" + path("x.edges") +
-                "'"),
-            2);
-}
-
 TEST_F(ToolCliTest, CorruptCheckpointExitsParse) {
-  std::ofstream(path("corrupt.ck")) << "# orbis checkpoint v5\nd 9\n";
+  std::ofstream(path("corrupt.ck")) << "# orbis checkpoint v6\nd 9\n";
   EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +
                 path("g.2k") + "' --resume '" + path("corrupt.ck") +
                 "' --out '" + path("x.edges") + "'"),
